@@ -1,7 +1,7 @@
 // Package chaos is a deterministic fault-and-crash test harness for
 // the durable knowledge base. A scenario drives seeded random
-// workloads (assert / retract / retrieve / explain / checkpoint /
-// close) across tenants while failpoints inject WAL fsync failures,
+// workloads (assert / load / retract / retrieve / explain /
+// checkpoint / close) across tenants while failpoints inject WAL fsync failures,
 // torn writes, and checkpoint crashes, and processes "die" by
 // abandoning the KB handle mid-flight. After every recovery the
 // harness checks the durability contract:
@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"kdb/internal/fault"
 	"kdb/internal/governor"
@@ -48,8 +49,9 @@ const rulesProgram = `
 // seedKey is the model key of the seed fact rulesProgram asserts.
 const seedKey = "a,a"
 
-// syms is the constant domain facts draw from: 36 possible edges.
-var syms = []string{"a", "b", "c", "d", "e", "f"}
+// alphabet is where the constant domain is cut from; model keys assume
+// one-letter names.
+const alphabet = "abcdefghijklmnopqrstuvwxyz"
 
 // Config parameterizes one chaos scenario.
 type Config struct {
@@ -61,6 +63,14 @@ type Config struct {
 	// Tenants is how many independent KBs the scenario interleaves
 	// (default 2).
 	Tenants int
+	// Domain is how many constants facts draw from, so Domain² possible
+	// edges (default 6, at most 26).
+	Domain int
+	// RetractPct is the share of operations, in percent, that retract
+	// (default 15). The other operations keep their proportions. A
+	// larger domain with a larger share crash-tests deletion from
+	// relations big enough to have posting lists worth maintaining.
+	RetractPct int
 	// Dir is the scratch root; one subdirectory per tenant.
 	Dir string
 	// Trace, when set, receives one line per operation — the repro log
@@ -102,10 +112,12 @@ func (s factSet) equal(o factSet) bool {
 
 // tenant is one KB under test plus its model state.
 type tenant struct {
-	name  string
-	dir   string
-	k     *kb.KB
-	trace func(format string, args ...any)
+	name       string
+	dir        string
+	k          *kb.KB
+	trace      func(format string, args ...any)
+	syms       string // the constant domain, one letter each
+	retractPct int    // percent of operations that retract
 	// ram is what queries must see right now.
 	ram factSet
 	// states are the candidate durable fact sets; a reopen must observe
@@ -132,6 +144,12 @@ func Run(cfg Config) error {
 	if cfg.Tenants <= 0 {
 		cfg.Tenants = 2
 	}
+	if cfg.Domain <= 0 {
+		cfg.Domain = 6
+	}
+	if cfg.RetractPct <= 0 {
+		cfg.RetractPct = 15
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	fault.Reset()
 	defer fault.Reset()
@@ -139,12 +157,14 @@ func Run(cfg Config) error {
 	tenants := make([]*tenant, cfg.Tenants)
 	for i := range tenants {
 		tn := &tenant{
-			name:    fmt.Sprintf("t%d", i),
-			dir:     fmt.Sprintf("%s/t%d", cfg.Dir, i),
-			trace:   cfg.Trace,
-			ram:     factSet{},
-			states:  []factSet{{}},
-			walLast: map[string]int8{},
+			name:       fmt.Sprintf("t%d", i),
+			dir:        fmt.Sprintf("%s/t%d", cfg.Dir, i),
+			trace:      cfg.Trace,
+			syms:       alphabet[:min(cfg.Domain, len(alphabet))],
+			retractPct: cfg.RetractPct,
+			ram:        factSet{},
+			states:     []factSet{{}},
+			walLast:    map[string]int8{},
 		}
 		if tn.trace == nil {
 			tn.trace = func(string, ...any) {}
@@ -182,32 +202,37 @@ func Run(cfg Config) error {
 	return nil
 }
 
-// step runs one weighted random operation.
+// step runs one weighted random operation: a retract with the
+// configured probability, otherwise one of the rest.
 func (tn *tenant) step(rng *rand.Rand) error {
-	switch n := rng.Intn(100); {
+	if rng.Intn(100) < tn.retractPct {
+		return tn.retract(tn.randomPair(rng))
+	}
+	switch n := rng.Intn(85); {
+	case n < 24:
+		return tn.assert(tn.randomPair(rng))
 	case n < 30:
-		return tn.assert(randomPair(rng))
+		return tn.load(rng)
 	case n < 45:
-		return tn.retract(randomPair(rng))
-	case n < 60:
-		return tn.verifyEdges()
-	case n < 67:
+		return tn.verifyEdges(rng)
+	case n < 52:
 		return tn.verifyPaths()
-	case n < 74:
+	case n < 59:
 		return tn.explain(rng)
-	case n < 84:
+	case n < 69:
 		return tn.armFault(rng)
-	case n < 94:
+	case n < 79:
 		return tn.checkpoint()
-	case n < 97:
+	case n < 82:
 		return tn.crashAndRecover()
 	default:
 		return tn.closeAndRecover()
 	}
 }
 
-func randomPair(rng *rand.Rand) (string, string) {
-	return syms[rng.Intn(len(syms))], syms[rng.Intn(len(syms))]
+func (tn *tenant) randomPair(rng *rand.Rand) (string, string) {
+	x, y := rng.Intn(len(tn.syms)), rng.Intn(len(tn.syms))
+	return tn.syms[x : x+1], tn.syms[y : y+1]
 }
 
 func edgeAtom(x, y string) term.Atom {
@@ -290,6 +315,71 @@ func (tn *tenant) assert(x, y string) error {
 	return nil
 }
 
+// load inserts a handful of edges (more over a larger domain) as one
+// program. The store logs a load's facts as one batch, acknowledged as
+// a unit: success makes every new fact durable. A durability failure
+// leaves the whole batch in RAM and, on disk, some prefix of its new
+// facts — none after a rewind, the records framed before the torn one
+// after a mid-batch crash — so the model forks one candidate per prefix
+// and then crashes the tenant on the spot, letting the disk say which
+// it was.
+func (tn *tenant) load(rng *rand.Rand) error {
+	var src strings.Builder
+	var fresh []string // the batch's new facts, in log order
+	seen := map[string]bool{}
+	for n := 2 + rng.Intn(len(tn.syms)); n > 0; n-- {
+		x, y := tn.randomPair(rng)
+		fmt.Fprintf(&src, "edge(%s, %s). ", x, y)
+		if key := x + "," + y; !tn.ram[key] && !seen[key] {
+			seen[key] = true
+			fresh = append(fresh, key)
+		}
+	}
+	err := tn.k.LoadString(src.String())
+	tn.trace("%s load %serr=%v", tn.name, src.String(), err)
+	durability, cerr := classify(tn.name+": load", err)
+	if cerr != nil {
+		return cerr
+	}
+	switch {
+	case err == nil:
+		for _, key := range fresh {
+			tn.ram[key] = true
+			tn.walLast[key] = 1
+			for _, s := range tn.states {
+				s[key] = true
+			}
+		}
+		return nil
+	case durability:
+		before := tn.states
+		tn.states = nil
+		for _, s := range before {
+			for p := 0; p <= len(fresh); p++ {
+				c := s.clone()
+				for _, key := range fresh[:p] {
+					c[key] = true
+				}
+				tn.addState(c)
+			}
+		}
+		for _, key := range fresh {
+			tn.ram[key] = true
+		}
+		if err := tn.crashAndRecover(); err != nil {
+			return err
+		}
+		for _, key := range fresh {
+			if tn.ram[key] {
+				tn.walLast[key] = 1 // it survived: its record is in the log
+			}
+		}
+		return nil
+	default:
+		return fmt.Errorf("%s: load %s: unexpected class %v", tn.name, src.String(), err)
+	}
+}
+
 // retract removes edge(x, y): an acknowledged tombstone is durable
 // everywhere; a durability failure removed the fact from RAM while
 // the durable copy (if any) survives.
@@ -322,14 +412,30 @@ func (tn *tenant) retract(x, y string) error {
 
 // verifyEdges checks that a retrieve sees exactly the model's RAM
 // state — including while the WAL is poisoned: reads must keep
-// serving the in-RAM relations.
-func (tn *tenant) verifyEdges() error {
+// serving the in-RAM relations — by a full scan and by one indexed
+// probe, which also leaves an index built for later retracts to
+// maintain.
+func (tn *tenant) verifyEdges(rng *rand.Rand) error {
 	got, err := tn.queryPairs("retrieve edge(X, Y).")
 	if err != nil {
 		return err
 	}
 	if !got.equal(tn.ram) {
 		return fmt.Errorf("%s: retrieve edge mismatch: got %v, want %v", tn.name, got.sorted(), tn.ram.sorted())
+	}
+	x, _ := tn.randomPair(rng)
+	got, err = tn.queryPairs(fmt.Sprintf("retrieve edge(%s, Y).", x))
+	if err != nil {
+		return err
+	}
+	want := factSet{}
+	for key := range tn.ram {
+		if strings.HasPrefix(key, x+",") {
+			want[key] = true
+		}
+	}
+	if !got.equal(want) {
+		return fmt.Errorf("%s: retrieve edge(%s, Y) mismatch: got %v, want %v", tn.name, x, got.sorted(), want.sorted())
 	}
 	return nil
 }

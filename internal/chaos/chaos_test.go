@@ -37,6 +37,25 @@ func TestChaosSeeds(t *testing.T) {
 	}
 }
 
+// TestChaosChurnSeeds is the retract-heavy family: 256 possible edges
+// instead of 36, larger loads and a retract every third operation, so
+// deletion runs against relations of up to some 140 tuples with built
+// indexes (the indexed probes of verifyEdges and the recursive rule's
+// join build them), through every fault and crash point of the matrix
+// above.
+//
+//	go test -race -run 'TestChaosChurnSeeds/seed=3' ./internal/chaos/
+func TestChaosChurnSeeds(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			cfg := Config{Seed: seed, Ops: 600, Tenants: 2, Domain: 16, RetractPct: 33, Dir: t.TempDir()}
+			if err := Run(cfg); err != nil {
+				t.Fatalf("chaos scenario failed (repro: seed=%d): %v", seed, err)
+			}
+		})
+	}
+}
+
 // TestChaosHeavy is a deeper single scenario for local soak testing;
 // CI runs the matrix above instead.
 func TestChaosHeavy(t *testing.T) {

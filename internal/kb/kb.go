@@ -455,12 +455,19 @@ func (k *KB) LoadProgram(prog *parser.Program) error {
 		}
 	}
 
+	// The facts go to the store as one batch: on a durable KB the load
+	// is acknowledged by a single fsync, not one per fact.
+	var facts []term.Atom
 	for _, c := range prog.Clauses {
 		if c.IsFact() && !intensional[c.Head.Pred] {
-			if _, err := k.store.InsertAtom(c.Head); err != nil {
-				return err
-			}
-		} else {
+			facts = append(facts, c.Head)
+		}
+	}
+	if _, err := k.store.InsertAtoms(facts); err != nil {
+		return err
+	}
+	for _, c := range prog.Clauses {
+		if !c.IsFact() || intensional[c.Head.Pred] {
 			k.rules = append(k.rules, c)
 		}
 	}

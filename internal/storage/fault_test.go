@@ -7,6 +7,7 @@ import (
 	"sort"
 	"syscall"
 	"testing"
+	"time"
 
 	"kdb/internal/fault"
 	"kdb/internal/term"
@@ -345,4 +346,167 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// pAtoms builds p(name) facts, the batch shape of a program load.
+func pAtoms(names ...string) []term.Atom {
+	out := make([]term.Atom, len(names))
+	for i, n := range names {
+		out[i] = term.Atom{Pred: "p", Args: []term.Term{term.Sym(n)}}
+	}
+	return out
+}
+
+func walSize(t *testing.T, dir string) int64 {
+	t.Helper()
+	fi, err := os.Stat(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// syncCounter counts the log's fsyncs.
+type syncCounter struct{ syncs, appends int }
+
+func (c *syncCounter) ObserveWALAppend(time.Duration, int)  { c.appends++ }
+func (c *syncCounter) ObserveWALSync(time.Duration)         { c.syncs++ }
+func (c *syncCounter) ObserveSnapshot(time.Duration, int64) {}
+
+// TestBatchOneSync: a batch is acknowledged as a unit — one flush and
+// one fsync however many facts it holds — and reopens complete.
+func TestBatchOneSync(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertNames(t, s, "a")
+	var c syncCounter
+	s.SetObserver(&c)
+	// "a" is already stored and "b" repeats: neither is logged twice.
+	n, err := s.InsertAtoms(pAtoms("a", "b", "c", "b", "d"))
+	if err != nil || n != 3 {
+		t.Fatalf("InsertAtoms = %d, %v; want 3 new facts", n, err)
+	}
+	if c.syncs != 1 || c.appends != 1 {
+		t.Fatalf("batch of 3 took %d fsyncs in %d appends, want 1 and 1", c.syncs, c.appends)
+	}
+	if n, err := s.InsertAtoms(pAtoms("a", "d")); err != nil || n != 0 || c.syncs != 1 {
+		t.Fatalf("all-duplicate batch = %d, %v with %d fsyncs; want 0, nil and no new fsync", n, err, c.syncs)
+	}
+	s2, err := Open(dir) // crash: no Close
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := factNames(s2); !equalStrings(got, []string{"a", "b", "c", "d"}) {
+		t.Fatalf("recovered %v, want [a b c d]", got)
+	}
+}
+
+// TestBatchSyncFaultRewindsWholeBatch: an fsync failure under a
+// multi-fact batch takes the rewind path — ErrDurability, the file back
+// at its durable offset, none of the batch on disk, the log healthy.
+func TestBatchSyncFaultRewindsWholeBatch(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertNames(t, s, "a")
+	before := walSize(t, dir)
+	if err := fault.Enable(fault.SiteWALSync, fault.Outcome{Err: fault.ErrInjected}, fault.Policy{Times: 1}); err != nil {
+		t.Fatal(err)
+	}
+	n, err := s.InsertAtoms(pAtoms("l1", "l2", "l3"))
+	if !errors.Is(err, ErrDurability) || !errors.Is(err, fault.ErrInjected) || n != 3 {
+		t.Fatalf("InsertAtoms under sync fault = %d, %v; want 3 facts in RAM and ErrDurability", n, err)
+	}
+	if got := factNames(s); !equalStrings(got, []string{"a", "l1", "l2", "l3"}) {
+		t.Fatalf("RAM holds %v, want the whole batch", got)
+	}
+	if s.DurabilityErr() != nil {
+		t.Fatalf("a clean rewind must not poison the log: %v", s.DurabilityErr())
+	}
+	if got := walSize(t, dir); got != before {
+		t.Fatalf("log is %d bytes after the rewind, durable offset was %d", got, before)
+	}
+	insertNames(t, s, "b") // the next append is clean
+	fault.Reset()
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := factNames(s2); !equalStrings(got, []string{"a", "b"}) {
+		t.Fatalf("recovered %v, want [a b] and none of the batch", got)
+	}
+}
+
+// TestBatchTornWriteKeepsPrefix: a crash mid-batch (torn frame at the
+// third record) poisons the log; reopen keeps exactly the records
+// framed before it.
+func TestBatchTornWriteKeepsPrefix(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertNames(t, s, "a")
+	if err := fault.Enable(fault.SiteWALAppend, fault.Outcome{TornBytes: 3}, fault.Policy{SkipFirst: 2, Times: 1}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.InsertAtoms(pAtoms("b1", "b2", "b3", "b4"))
+	if !errors.Is(err, ErrDurability) || !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("torn batch error %v, want ErrDurability wrapping the injection", err)
+	}
+	if s.DurabilityErr() == nil {
+		t.Fatal("torn write must poison the log")
+	}
+	if _, err := s.InsertAtoms(pAtoms("after")); !errors.Is(err, ErrDurability) {
+		t.Fatalf("batch on poisoned log: %v, want ErrDurability", err)
+	}
+	fault.Reset()
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("reopen after torn batch: %v", err)
+	}
+	defer s2.Close()
+	if got := factNames(s2); !equalStrings(got, []string{"a", "b1", "b2"}) {
+		t.Fatalf("recovered %v, want the valid prefix [a b1 b2]", got)
+	}
+	if n, err := s2.InsertAtoms(pAtoms("c", "d")); err != nil || n != 2 {
+		t.Fatalf("batch after recovery = %d, %v", n, err)
+	}
+}
+
+// TestBatchValidationErrorLogsPrefix: a fact that fails validation stops
+// the batch, and what was stored before it is logged — RAM and log may
+// only differ under ErrDurability.
+func TestBatchValidationErrorLogsPrefix(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := pAtoms("a", "b", "bad", "c")
+	batch[2].Args = append(batch[2].Args, term.Sym("extra")) // arity 2 into p/1
+	n, err := s.InsertAtoms(batch)
+	if err == nil || errors.Is(err, ErrDurability) || n != 2 {
+		t.Fatalf("InsertAtoms = %d, %v; want 2 stored and a plain validation error", n, err)
+	}
+	if got := factNames(s); !equalStrings(got, []string{"a", "b"}) {
+		t.Fatalf("RAM holds %v, want [a b]", got)
+	}
+	s2, err := Open(dir) // crash: no Close
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := factNames(s2); !equalStrings(got, []string{"a", "b"}) {
+		t.Fatalf("recovered %v, want RAM's [a b]", got)
+	}
 }

@@ -11,8 +11,9 @@ import (
 // satisfies it structurally. Implementations must be safe for
 // concurrent use.
 type Observer interface {
-	// ObserveWALAppend reports one durable WAL append: the full
-	// encode+write+flush+fsync latency and the framed record size.
+	// ObserveWALAppend reports one durable WAL append — a record, or a
+	// batch acknowledged as a unit: the full write+flush+fsync latency
+	// and the framed size of everything appended.
 	ObserveWALAppend(d time.Duration, bytes int)
 	// ObserveWALSync reports one WAL fsync.
 	ObserveWALSync(d time.Duration)

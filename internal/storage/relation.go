@@ -7,6 +7,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -18,11 +19,8 @@ type Tuple []term.Term
 
 // Key returns a canonical byte-string identity for the tuple.
 func (t Tuple) Key() string {
-	var b []byte
-	for _, x := range t {
-		b = appendTermKey(b, x)
-	}
-	return string(b)
+	var buf [keyBufLen]byte
+	return string(appendMaskKey(buf[:0], t, allColumns))
 }
 
 // Clone returns an independent copy.
@@ -89,17 +87,34 @@ func (c *Counters) addIndexBuild() {
 // Relation is the stored extension of one predicate: a duplicate-free set
 // of tuples with lazily built hash indexes. All methods are safe for
 // concurrent use.
+//
+// Readers (Scan, Select) capture the tuple slice and, for an indexed
+// probe, one posting list under a single RLock and iterate them after
+// releasing it: a callback may insert into the relation it is scanning,
+// so the lock cannot be held across callbacks. Insert only appends past
+// every captured length. Delete edits the slice and the posting lists in
+// place when no reader is between capture and the end of its iteration
+// (the readers count), and otherwise replaces what it touches with
+// edited copies, so a reader always iterates one consistent version.
 type Relation struct {
 	mu    sync.RWMutex
 	arity int
-	// tuples holds the insertion-ordered extension.
+	// tuples holds the extension: in insertion order until the first
+	// Delete, which moves the last tuple into the freed slot.
+	//kdb:guarded-by mu
 	tuples []Tuple
 	// present maps Tuple.Key to its index in tuples, for deduplication.
+	//kdb:guarded-by mu
 	present map[string]int
 	// indexes maps a bound-column bitmask to a hash index: the key of the
-	// bound column values → indices of matching tuples. Indexes are built
-	// on first use for a mask and maintained incrementally afterwards.
+	// bound column values → indices of matching tuples, never an empty
+	// list. Indexes are built on first use for a mask and maintained by
+	// every Insert and Delete afterwards.
+	//kdb:guarded-by mu
 	indexes map[uint64]map[string][]int
+	// readers counts the Scans and Selects still iterating what they
+	// captured: raised under the lock, lowered after the last access.
+	readers atomic.Int32
 	// counters, when set, receives observability events. Attaching is
 	// last-writer-wins: counts accrue to the most recently attached sink.
 	counters atomic.Pointer[Counters]
@@ -149,69 +164,109 @@ func (r *Relation) Insert(t Tuple) (bool, error) {
 			return false, fmt.Errorf("storage: cannot store non-ground tuple containing %v", x)
 		}
 	}
-	key := t.Key()
+	var buf [keyBufLen]byte
+	key := appendMaskKey(buf[:0], t, allColumns)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.present[key]; dup {
+	if _, dup := r.present[string(key)]; dup {
 		return false, nil
 	}
 	idx := len(r.tuples)
 	r.tuples = append(r.tuples, t.Clone())
-	r.present[key] = idx
-	// Maintain existing indexes incrementally.
+	r.present[string(key)] = idx
 	for mask, index := range r.indexes {
-		k := maskKey(t, mask)
-		index[k] = append(index[k], idx)
+		k := appendMaskKey(buf[:0], t, mask)
+		index[string(k)] = append(index[string(k)], idx)
 	}
 	return true, nil
 }
 
-// Delete removes a tuple, reporting whether it was present. The removal
-// rebuilds the tuple slice copy-on-write: a concurrent Scan keeps the
-// slice header it snapshotted, so racing readers observe a consistent
-// (pre-delete) extension rather than a partially shifted one. Indexes
-// are dropped and rebuilt lazily on the next indexed Select.
+// Delete removes a tuple, reporting whether it was present. The last
+// tuple moves into the freed slot, and every built index is maintained
+// rather than dropped: the freed position leaves its posting list and
+// the moved tuple's position is rewritten in its own. Only while a
+// reader is still iterating (see Relation) does it copy what it edits.
 func (r *Relation) Delete(t Tuple) (bool, error) {
 	if len(t) != r.arity {
 		return false, fmt.Errorf("storage: tuple arity %d, want %d", len(t), r.arity)
 	}
-	key := t.Key()
+	var buf [keyBufLen]byte
+	key := appendMaskKey(buf[:0], t, allColumns)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	idx, ok := r.present[key]
+	idx, ok := r.present[string(key)]
 	if !ok {
 		return false, nil
 	}
-	next := make([]Tuple, 0, len(r.tuples)-1)
-	next = append(next, r.tuples[:idx]...)
-	next = append(next, r.tuples[idx+1:]...)
-	r.tuples = next
-	present := make(map[string]int, len(next))
-	for i, u := range next {
-		present[u.Key()] = i
+	shared := r.readers.Load() != 0
+	last := len(r.tuples) - 1
+	gone, moved := r.tuples[idx], r.tuples[last]
+	next := r.tuples[:last]
+	if c := cap(r.tuples); shared || last < c/4 {
+		// Also the point at which a shrunken relation gives memory back.
+		next = append(make([]Tuple, 0, min(c, 2*last)), next...)
+	} else {
+		r.tuples[last] = nil
 	}
-	r.present = present
-	r.indexes = make(map[uint64]map[string][]int)
+	delete(r.present, string(key))
+	if idx != last {
+		next[idx] = moved
+		r.present[string(appendMaskKey(buf[:0], moved, allColumns))] = idx
+	}
+	r.tuples = next
+	for mask, index := range r.indexes {
+		k := appendMaskKey(buf[:0], gone, mask)
+		if list := index[string(k)]; len(list) == 1 {
+			delete(index, string(k)) // no empty list is left behind
+		} else {
+			index[string(k)] = replacePosting(list, idx, list[len(list)-1], shared)[:len(list)-1]
+		}
+		if idx != last {
+			k = appendMaskKey(buf[:0], moved, mask)
+			index[string(k)] = replacePosting(index[string(k)], last, idx, shared)
+		}
+	}
 	return true, nil
+}
+
+// replacePosting overwrites position old in list with pos, in a copy of
+// the list when a reader may hold it.
+func replacePosting(list []int, old, pos int, shared bool) []int {
+	if shared {
+		list = slices.Clone(list)
+	}
+	list[slices.Index(list, old)] = pos
+	return list
 }
 
 // Contains reports whether the exact tuple is stored.
 func (r *Relation) Contains(t Tuple) bool {
+	var buf [keyBufLen]byte
+	key := appendMaskKey(buf[:0], t, allColumns)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	_, ok := r.present[t.Key()]
+	_, ok := r.present[string(key)]
 	return ok
 }
 
-// Scan calls fn for every tuple in insertion order until fn returns
-// false. The tuple passed to fn must not be modified.
-func (r *Relation) Scan(fn func(Tuple) bool) {
+// snapshot captures the current extension for a reader, which must call
+// done when it has finished iterating it.
+func (r *Relation) snapshot() []Tuple {
 	r.mu.RLock()
-	// Copy the slice header; tuples are append-only so the snapshot is
-	// consistent even if inserts race with the scan.
-	tuples := r.tuples
-	r.mu.RUnlock()
-	for _, t := range tuples {
+	defer r.mu.RUnlock()
+	r.readers.Add(1)
+	return r.tuples
+}
+
+// done ends the iteration a snapshot or lookup began.
+func (r *Relation) done() { r.readers.Add(-1) }
+
+// Scan calls fn for every tuple until fn returns false: in insertion
+// order as long as nothing was ever deleted. The tuple passed to fn must
+// not be modified.
+func (r *Relation) Scan(fn func(Tuple) bool) {
+	defer r.done()
+	for _, t := range r.snapshot() {
 		if !fn(t) {
 			return
 		}
@@ -245,74 +300,63 @@ func (r *Relation) SelectCounted(pattern []term.Term, c *Counters, fn func(Tuple
 			mask |= 1 << uint(i)
 		}
 	}
+	defer r.done()
 	if mask == 0 {
-		all := r.snapshotAll()
+		all := r.snapshot()
 		if c != nil {
 			c.addProbe(true, int64(len(all)))
 		}
-		r.scanMatching(pattern, all, fn)
+		for _, t := range all {
+			if matches(pattern, t) && !fn(t) {
+				return nil
+			}
+		}
 		return nil
 	}
-	idxs := r.lookup(mask, pattern, c)
+	tuples, idxs := r.lookup(mask, pattern, c)
 	if c != nil {
 		c.addProbe(false, int64(len(idxs)))
 	}
-	r.mu.RLock()
-	tuples := r.tuples
-	r.mu.RUnlock()
 	for _, i := range idxs {
-		t := tuples[i]
-		if matches(pattern, t) {
-			if !fn(t) {
-				return nil
-			}
+		if t := tuples[i]; matches(pattern, t) && !fn(t) {
+			return nil
 		}
 	}
 	return nil
 }
 
-func (r *Relation) snapshotAll() []Tuple {
+// lookup captures, for a reader (see snapshot), the candidate positions
+// for the mask/pattern pair and the tuple slice they index under one
+// lock acquisition, so that both belong to one version. The index is
+// built on first use; builds are charged to c, the probe's sink.
+func (r *Relation) lookup(mask uint64, pattern []term.Term, c *Counters) ([]Tuple, []int) {
+	var buf [keyBufLen]byte
+	key := appendMaskKey(buf[:0], pattern, mask)
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.tuples
-}
-
-func (r *Relation) scanMatching(pattern []term.Term, tuples []Tuple, fn func(Tuple) bool) {
-	for _, t := range tuples {
-		if matches(pattern, t) {
-			if !fn(t) {
-				return
-			}
-		}
+	if index, ok := r.indexes[mask]; ok {
+		tuples, idxs := r.tuples, index[string(key)]
+		r.readers.Add(1)
+		r.mu.RUnlock()
+		return tuples, idxs
 	}
-}
-
-// lookup returns the candidate tuple indices for the mask/pattern pair,
-// building the index on first use. Index builds are charged to c, the
-// probe's observability sink.
-func (r *Relation) lookup(mask uint64, pattern []term.Term, c *Counters) []int {
-	r.mu.RLock()
-	index, ok := r.indexes[mask]
 	r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.readers.Add(1)
+	index, ok := r.indexes[mask]
 	if !ok {
-		r.mu.Lock()
-		index, ok = r.indexes[mask]
-		if !ok {
-			index = make(map[string][]int)
-			for i, t := range r.tuples {
-				k := maskKey(t, mask)
-				index[k] = append(index[k], i)
-			}
-			r.indexes[mask] = index
-			if c != nil {
-				c.addIndexBuild()
-			}
+		index = make(map[string][]int)
+		var kbuf [keyBufLen]byte // key still lives in buf
+		for i, t := range r.tuples {
+			k := appendMaskKey(kbuf[:0], t, mask)
+			index[string(k)] = append(index[string(k)], i)
 		}
-		r.mu.Unlock()
+		r.indexes[mask] = index
+		if c != nil {
+			c.addIndexBuild()
+		}
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return index[maskKey(pattern, mask)]
+	return r.tuples, index[string(key)]
 }
 
 // matches reports whether the tuple agrees with the pattern's constants
@@ -341,13 +385,17 @@ func matches(pattern []term.Term, t Tuple) bool {
 	return true
 }
 
-// maskKey extracts the identity of the masked columns.
-func maskKey(t []term.Term, mask uint64) string {
-	var b []byte
+const (
+	keyBufLen  = 64         // stack buffer a key is built in; longer keys spill to the heap
+	allColumns = ^uint64(0) // the mask of a whole-tuple key
+)
+
+// appendMaskKey appends the identity of the masked columns of t to b.
+func appendMaskKey(b []byte, t []term.Term, mask uint64) []byte {
 	for i, x := range t {
 		if mask&(1<<uint(i)) != 0 {
 			b = appendTermKey(b, x)
 		}
 	}
-	return string(b)
+	return b
 }

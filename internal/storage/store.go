@@ -154,9 +154,44 @@ func (s *Store) Insert(pred string, t Tuple) (bool, error) {
 	return true, nil
 }
 
+// InsertAtoms stores ground atoms as one unit of durability, returning
+// how many were new: the new facts are logged as one batch, acknowledged
+// by a single fsync (a crash in the middle keeps a valid prefix). A fact
+// that fails validation stops the batch; those before it are stored and
+// logged all the same, so RAM and log only differ under ErrDurability.
+func (s *Store) InsertAtoms(atoms []term.Atom) (int, error) {
+	var payloads [][]byte // of the new facts, on a durable store
+	stored := 0
+	var err error
+	for _, a := range atoms {
+		var payload []byte
+		if s.wal != nil {
+			if payload, err = encodeFact(a.Pred, Tuple(a.Args)); err != nil {
+				break
+			}
+		}
+		var fresh bool
+		if fresh, err = s.insertLocked(a.Pred, Tuple(a.Args)); err != nil {
+			break
+		}
+		if fresh {
+			stored++
+			if s.wal != nil {
+				payloads = append(payloads, payload)
+			}
+		}
+	}
+	if len(payloads) > 0 {
+		if werr := s.wal.appendPayloads(payloads...); werr != nil {
+			return stored, durabilityErr("facts stored but WAL append failed", werr)
+		}
+	}
+	return stored, err
+}
+
 // durabilityErr wraps a WAL failure so it matches ErrDurability
 // without double-tagging errors that already carry it (the poisoned-
-// log error appendPayload returns).
+// log error appendPayloads returns).
 func durabilityErr(msg string, err error) error {
 	if errors.Is(err, ErrDurability) {
 		return fmt.Errorf("storage: %s: %w", msg, err)
@@ -266,7 +301,8 @@ func (s *Store) MatchCounted(atom term.Atom, base term.Subst, c *Counters, fn fu
 	})
 }
 
-// Facts returns all stored facts for pred as atoms, in insertion order.
+// Facts returns all stored facts for pred as atoms, in the relation's
+// scan order (insertion order as long as nothing was ever deleted).
 func (s *Store) Facts(pred string) []term.Atom {
 	r := s.Relation(pred)
 	if r == nil {

@@ -245,17 +245,13 @@ func uvarintLen(v uint64) int {
 	return binary.PutUvarint(buf[:], v)
 }
 
-// append logs one insertion and syncs it to stable storage. On failure
-// the log is rewound to its last durable record boundary, so a torn
-// frame left in the buffer (or the file) can never corrupt the records
-// appended after it; if even the rewind fails, the log is poisoned and
-// every later append reports the sticky error.
+// append logs one insertion and syncs it to stable storage.
 func (w *wal) append(pred string, t Tuple) error {
 	payload, err := encodeFact(pred, t)
 	if err != nil {
 		return err // nothing was buffered; the log is still clean
 	}
-	return w.appendPayload(payload)
+	return w.appendPayloads(payload)
 }
 
 // appendDelete logs a tombstone for one fact (see the format note at the
@@ -268,30 +264,40 @@ func (w *wal) appendDelete(pred string, t Tuple) error {
 	payload := make([]byte, 0, len(fact)+1)
 	payload = append(payload, tombstoneTag)
 	payload = append(payload, fact...)
-	return w.appendPayload(payload)
+	return w.appendPayloads(payload)
 }
 
-func (w *wal) appendPayload(payload []byte) error {
+// appendPayloads is the log's one write path: it frames every payload,
+// then makes them durable together with one flush and fsync. On failure
+// the log is rewound to its last durable record boundary — none of the
+// batch is kept, and a torn frame left in the buffer (or the file) can
+// never corrupt later records; if even the rewind fails, the log is
+// poisoned and every later append reports the sticky error. A crash
+// mid-batch leaves a valid prefix on disk, which the next open keeps.
+func (w *wal) appendPayloads(payloads ...[]byte) error {
 	start := time.Now()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.failed != nil {
 		return fmt.Errorf("%w: wal poisoned by earlier failure: %w", ErrDurability, w.failed)
 	}
-	if o := fault.Eval(fault.SiteWALAppend); o != nil {
-		if err := w.injectAppendFault(o, payload); err != nil {
+	var framed int64
+	for _, payload := range payloads {
+		if o := fault.Eval(fault.SiteWALAppend); o != nil {
+			if err := w.injectAppendFault(o, payload); err != nil {
+				return err
+			}
+		}
+		if err := writeRecord(w.w, payload); err != nil {
+			w.recoverLocked(err)
 			return err
 		}
-	}
-	if err := writeRecord(w.w, payload); err != nil {
-		w.recoverLocked(err)
-		return err
+		framed += int64(uvarintLen(uint64(len(payload)))) + int64(len(payload)) + 4
 	}
 	if err := w.flushLocked(); err != nil {
 		w.recoverLocked(err)
 		return err
 	}
-	framed := int64(uvarintLen(uint64(len(payload)))) + int64(len(payload)) + 4
 	w.durable += framed
 	if o := w.obs.get(); o != nil {
 		o.ObserveWALAppend(time.Since(start), int(framed))
@@ -300,12 +306,13 @@ func (w *wal) appendPayload(payload []byte) error {
 }
 
 // injectAppendFault applies an armed append failpoint. A torn-write
-// outcome simulates a crash mid-frame: a prefix of the framed record
-// reaches the file and the log is poisoned — no rewind runs, exactly
-// as if the process had died before it could. Recovery happens where
-// it would after a real crash: the torn tail is truncated at the next
-// open. Every other outcome takes the production error path through
-// recoverLocked (or returns nil for latency-only outcomes).
+// outcome simulates a crash mid-frame: the batch's earlier records and
+// a prefix of this framed record reach the file and the log is
+// poisoned — no rewind runs, exactly as if the process had died before
+// it could. Recovery happens where it would after a real crash: the
+// torn tail is truncated at the next open. Every other outcome takes
+// the production error path through recoverLocked (or returns nil for
+// latency-only outcomes).
 //
 //kdb:locked mu
 func (w *wal) injectAppendFault(o *fault.Outcome, payload []byte) error {
@@ -318,6 +325,7 @@ func (w *wal) injectAppendFault(o *fault.Outcome, payload []byte) error {
 		if k > frame.Len() {
 			k = frame.Len()
 		}
+		_ = w.w.Flush()
 		_, _ = w.f.Write(frame.Bytes()[:k])
 		_ = w.f.Sync()
 		err := fmt.Errorf("%w: torn write at %s", fault.ErrInjected, fault.SiteWALAppend)
