@@ -2,7 +2,6 @@ package eval
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -136,72 +135,6 @@ func (d *derived) insert(a term.Atom) (bool, error) {
 	return r.Insert(storage.Tuple(a.Args))
 }
 
-// empty reports whether no relation holds any tuple.
-func (d *derived) empty() bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	for _, r := range d.rels {
-		if r.Len() > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// match resolves an atom against a derived relation. A nil sink falls
-// back to the relation-attached counters.
-func (d *derived) match(a term.Atom, base term.Subst, c *storage.Counters, fn func(term.Subst) bool) error {
-	r := d.get(a.Pred)
-	if r == nil {
-		return nil
-	}
-	return matchRelation(r, a, base, c, fn)
-}
-
-// matchRelation resolves an atom against one relation, extending base
-// with every successful match. The probe is charged to c (nil: the
-// relation-attached counters).
-func matchRelation(r *storage.Relation, a term.Atom, base term.Subst, c *storage.Counters, fn func(term.Subst) bool) error {
-	if r.Arity() != len(a.Args) {
-		return fmt.Errorf("eval: %s used with arity %d, derived with %d", a.Pred, len(a.Args), r.Arity())
-	}
-	pattern := base.Apply(a)
-	return r.SelectCounted(pattern.Args, c, func(t storage.Tuple) bool {
-		ext, ok := term.Match(pattern, term.Atom{Pred: a.Pred, Args: t}, base)
-		if !ok {
-			return true
-		}
-		return fn(ext)
-	})
-}
-
-// matchStoreExcept enumerates the stored tuples of a.Pred, skipping
-// tuples already present in the except relation. It is how a predicate
-// with both derived and stored tuples (the kb layer turns stored facts
-// of rule-defined predicates into bodiless rules, but eval stays robust
-// either way) avoids feeding the same substitution twice.
-func matchStoreExcept(st *storage.Store, a term.Atom, base term.Subst, except *storage.Relation, c *storage.Counters, fn func(term.Subst) bool) error {
-	r := st.Relation(a.Pred)
-	if r == nil {
-		return nil
-	}
-	if r.Arity() != len(a.Args) {
-		return fmt.Errorf("eval: %s used with arity %d, stored with %d", a.Pred, len(a.Args), r.Arity())
-	}
-	suppress := except != nil && except.Arity() == r.Arity()
-	pattern := base.Apply(a)
-	return r.SelectCounted(pattern.Args, c, func(t storage.Tuple) bool {
-		if suppress && except.Contains(t) {
-			return true
-		}
-		ext, ok := term.Match(pattern, term.Atom{Pred: a.Pred, Args: t}, base)
-		if !ok {
-			return true
-		}
-		return fn(ext)
-	})
-}
-
 // bottomUp is the shared driver for the naive and semi-naive engines.
 type bottomUp struct {
 	in        Input
@@ -276,7 +209,7 @@ func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, e
 	}
 	asp.End()
 	// The observability counters are private to this query and threaded
-	// through every storage probe (MatchCounted / SelectCounted), so
+	// through every storage probe (SelectCounted), so
 	// concurrent queries over the same store keep independent counts.
 	counters := &storage.Counters{}
 	d := newDerived(counters)
@@ -373,339 +306,198 @@ func endEvalSpan(evalSp, parent *obs.Span, stats *EvalStats) {
 	ssp.End()
 }
 
-// fullLookup builds the component-local lookup over the union of the
-// derived and stored extensions: derived facts are enumerated first,
-// then stored facts — suppressing the stored tuples already present in
-// the derived relation so no substitution is fed twice. Virtual
-// predicates resolve against their per-query plan snapshot and nothing
-// else. Each lookup performs one amortized governor check, which bounds
-// the cancellation latency of even a single very large fixpoint round.
-func (e *bottomUp) fullLookup(p *plan, d *derived, gov *governor.Governor, cs *ComponentStats, rp *ruleProfiler) lookup {
-	return func(a term.Atom, base term.Subst, fn func(term.Subst) bool) error {
-		cs.Lookups++
-		rp.countLookup()
-		if err := gov.Tick(); err != nil {
-			return err
-		}
-		// With profiling on, probes are charged to the current rule's
-		// sink, which chains onto the query-wide counters.
-		c := d.counters
-		if rc := rp.storageCounters(); rc != nil {
-			c = rc
-		}
-		if p.virtual != nil {
-			if vr := p.virtual[a.Pred]; vr != nil {
-				return matchRelation(vr, a, base, c, fn)
-			}
-		}
-		rel := d.get(a.Pred)
-		if rel == nil {
-			return e.in.Store.MatchCounted(a, base, c, fn)
-		}
-		stopped := false
-		if err := matchRelation(rel, a, base, c, func(s term.Subst) bool {
-			if !fn(s) {
-				stopped = true
-				return false
-			}
-			return true
-		}); err != nil {
-			return err
-		}
-		if stopped {
-			return nil
-		}
-		return matchStoreExcept(e.in.Store, a, base, rel, c, fn)
-	}
+// component is the evaluation of one SCC's rules and the driver of their
+// runners. It runs on a single goroutine; under parallel evaluation the
+// scheduler guarantees every component it depends on has completed, so
+// the only relations that grow during the run are the component's own.
+type component struct {
+	store   *storage.Store
+	virtual map[string]*storage.Relation
+	d       *derived
+	gov     *governor.Governor
+	rec     *prov.Recorder
+	cs      *ComponentStats
+	rp      *ruleProfiler
+
+	// delta holds the facts new in the previous round and next collects
+	// those new in this one; fresh counts them.
+	delta, next *derived
+	fresh       int
+	// pin is the body position the running variant resolves against
+	// delta instead of the full extension; -1 for none.
+	pin int
 }
 
-// evalComponent computes the fixpoint of one SCC's rules. It runs on a
-// single goroutine; under parallel evaluation the scheduler guarantees
-// every component it depends on has completed, so the only relations
-// that grow during the run are the component's own.
+// componentRule is one rule of the component, compiled, with the body
+// positions of its recursive atoms.
+type componentRule struct {
+	run *runner
+	rec []int
+}
+
+// noPin is the variant list of an undifferentiated round.
+var noPin = []int{-1}
+
+// resolve serves a body atom from the union of the derived and stored
+// extensions: derived facts are enumerated first, then stored facts —
+// less the stored tuples already present in the derived relation, so no
+// tuple is fed twice. Virtual predicates resolve against their per-query
+// plan snapshot and nothing else; the pinned atom of a semi-naive variant
+// resolves against the delta. Each lookup performs one amortized governor
+// check, which bounds the cancellation latency of even a single very
+// large fixpoint round.
+func (c *component) resolve(p *probe) error {
+	pred := p.st.atom.Pred
+	if p.st.idx == c.pin {
+		if err := c.gov.Tick(); err != nil {
+			return err
+		}
+		rel := c.delta.get(pred)
+		if rel == nil {
+			return nil
+		}
+		// rp.storageCounters() is nil when profiling is off; the delta
+		// relation then falls back to its attached (query-wide) counters.
+		return p.selectFrom(rel, c.rp.storageCounters(), "derived")
+	}
+	c.cs.Lookups++
+	c.rp.countLookup()
+	if err := c.gov.Tick(); err != nil {
+		return err
+	}
+	// With profiling on, probes are charged to the current rule's sink,
+	// which chains onto the query-wide counters.
+	ctrs := c.d.counters
+	if rc := c.rp.storageCounters(); rc != nil {
+		ctrs = rc
+	}
+	if vr := c.virtual[pred]; vr != nil {
+		return p.selectFrom(vr, ctrs, "derived")
+	}
+	rel := c.d.get(pred)
+	if rel != nil {
+		// Stop here on a probe error, or when the enumeration was ended
+		// from inside (the runner holds the error that ended it).
+		if err := p.selectFrom(rel, ctrs, "derived"); err != nil || p.r.err != nil {
+			return err
+		}
+	}
+	return p.selectStored(c.store, rel, ctrs)
+}
+
+// derive adds one derived head to the component's relations; a new fact
+// is counted, recorded and put in the next delta.
+func (c *component) derive(r *runner) error {
+	fact, err := r.fact()
+	if err != nil {
+		return err
+	}
+	added, err := c.d.insert(fact)
+	if err != nil || !added {
+		return err
+	}
+	c.fresh++
+	c.rp.fresh()
+	if err := c.gov.CountFacts(1); err != nil {
+		return err
+	}
+	if err := recordProv(c.rec, c.gov, r); err != nil {
+		return err
+	}
+	_, err = c.next.insert(fact)
+	return err
+}
+
+// round applies the rules once, with a new delta to fill: c.fresh is how
+// many facts were new. The counters are committed even on a governed
+// stop, so the stats attached to the error reflect the work done.
+func (c *component) round(rules []componentRule, differentiated bool, act *obs.Activity) error {
+	c.delta, c.next, c.fresh = c.next, newDerived(c.d.counters), 0
+	err := c.applyRules(rules, differentiated)
+	c.cs.Iterations++
+	c.cs.Facts += c.fresh
+	c.cs.DeltaSizes = append(c.cs.DeltaSizes, c.fresh)
+	// Facts stream to the activity entry per round, not per component,
+	// so a long recursive fixpoint shows movement in `kdb top`.
+	act.AddProgress(int64(c.fresh), 0)
+	return err
+}
+
+// applyRules derives the immediate consequences of the rules.
+// Differentiated (semi-naive, after the first round), a rule with k
+// recursive body atoms runs as k variants, each resolving one of them
+// against the delta of the previous round, and a rule with none is
+// skipped: it contributes nothing new after round one. Each rule's round
+// is bracketed by the profiler (nil-safe when profiling is off).
+func (c *component) applyRules(rules []componentRule, differentiated bool) error {
+	for _, cr := range rules {
+		pins := noPin
+		if differentiated {
+			if pins = cr.rec; len(pins) == 0 {
+				continue
+			}
+		}
+		c.rp.begin(cr.run.rule)
+		var err error
+		for _, c.pin = range pins {
+			if err = cr.run.exec(); err != nil {
+				break
+			}
+		}
+		c.rp.end()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// evalComponent computes the fixpoint of one SCC's rules, each compiled
+// once for the component's lifetime.
 func (e *bottomUp) evalComponent(p *plan, d *derived, gov *governor.Governor, comp []string, cs *ComponentStats, act *obs.Activity) error {
 	inComp := make(map[string]bool, len(comp))
 	for _, pred := range comp {
 		inComp[pred] = true
 	}
-	var rules []term.Rule
-	for _, pred := range comp {
-		rules = append(rules, p.graph.RulesFor(pred)...)
+	c := &component{store: e.in.Store, virtual: p.virtual, d: d, gov: gov, rec: e.rec, cs: cs}
+	if e.prof != nil {
+		c.rp = newRuleProfiler(e.prof, e.labels, d.counters)
 	}
-	recursive := false
-	for _, r := range rules {
-		for _, a := range r.Body {
-			if inComp[a.Pred] {
-				recursive = true
+	var rules []componentRule
+	for _, pred := range comp {
+		for _, r := range p.graph.RulesFor(pred) {
+			cr := componentRule{run: newRunner(r, compileBody(r.Head, r.Body), c)}
+			for i, a := range r.Body {
+				if inComp[a.Pred] {
+					cr.rec = append(cr.rec, i)
+				}
 			}
+			cs.Recursive = cs.Recursive || len(cr.rec) > 0
+			rules = append(rules, cr)
 		}
 	}
-	cs.Recursive = recursive
-	var rp *ruleProfiler
-	if e.prof != nil {
-		rp = newRuleProfiler(e.prof, e.labels, d.counters)
-	}
-	full := e.fullLookup(p, d, gov, cs, rp)
 
 	// First round: apply every rule once against the current state.
-	delta := newDerived(d.counters)
-	fresh := 0
-	err := applyRules(rules, full, rp, func(fact term.Atom, rule term.Rule, s term.Subst) error {
-		added, err := d.insert(fact)
-		if err != nil {
-			return err
-		}
-		if added {
-			fresh++
-			rp.fresh()
-			if err := gov.CountFacts(1); err != nil {
-				return err
-			}
-			if err := recordProv(e.rec, gov, fact, rule, s); err != nil {
-				return err
-			}
-			if _, err := delta.insert(fact); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	// Commit the (possibly partial) round's counters even on a governed
-	// stop, so the stats attached to the error reflect the work done.
-	cs.Iterations = 1
-	cs.Facts = fresh
-	cs.DeltaSizes = append(cs.DeltaSizes, fresh)
-	// Facts stream to the activity entry per round, not per component,
-	// so a long recursive fixpoint shows movement in `kdb top`.
-	act.AddProgress(int64(fresh), 0)
-	if err != nil {
+	if err := c.round(rules, false, act); err != nil || !cs.Recursive {
 		return err
 	}
-	if !recursive {
-		return nil
-	}
-
 	// Iterate to fixpoint, checking the governor between rounds.
-	for {
-		if e.seminaive && delta.empty() {
-			return nil
-		}
+	for c.fresh > 0 {
 		if err := gov.Err(); err != nil {
 			return err
 		}
 		if err := gov.CheckIterations(cs.Iterations + 1); err != nil {
 			return err
 		}
-		nextDelta := newDerived(d.counters)
-		grew := 0
-		sink := func(fact term.Atom, rule term.Rule, s term.Subst) error {
-			added, err := d.insert(fact)
-			if err != nil {
-				return err
-			}
-			if added {
-				grew++
-				rp.fresh()
-				if err := gov.CountFacts(1); err != nil {
-					return err
-				}
-				if err := recordProv(e.rec, gov, fact, rule, s); err != nil {
-					return err
-				}
-				if _, err := nextDelta.insert(fact); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		var err error
-		if e.seminaive {
-			err = applyRulesSemiNaive(rules, inComp, full, delta, gov, rp, sink)
-		} else {
-			err = applyRules(rules, full, rp, sink)
-		}
-		cs.Iterations++
-		cs.Facts += grew
-		cs.DeltaSizes = append(cs.DeltaSizes, grew)
-		act.AddProgress(int64(grew), 0)
-		if err != nil {
+		if err := c.round(rules, e.seminaive, act); err != nil {
 			return err
-		}
-		if grew == 0 {
-			return nil
-		}
-		delta = nextDelta
-	}
-}
-
-// deriveSink receives each derived ground head along with the rule that
-// fired and the substitution that instantiated it, so the caller can
-// record why-provenance without re-solving the body.
-type deriveSink func(fact term.Atom, rule term.Rule, s term.Subst) error
-
-// recordProv is the only provenance code on the hot derive path: with
-// recording disabled (nil recorder) it is a single branch, adding no
-// allocations per derived fact (enforced by TestProvenanceDisabledAllocs
-// and the provenance benchmarks).
-func recordProv(rec *prov.Recorder, gov *governor.Governor, fact term.Atom, rule term.Rule, s term.Subst) error {
-	if rec == nil {
-		return nil
-	}
-	return gov.CheckProvenanceEntries(rec.Record(fact, rule, rule.Body, s))
-}
-
-// applyRules derives the immediate consequences of the rules under the
-// lookup and feeds each derived ground head to sink. Each rule's round
-// is bracketed by the profiler (nil-safe when profiling is off).
-func applyRules(rules []term.Rule, lk lookup, rp *ruleProfiler, sink deriveSink) error {
-	for _, r := range rules {
-		rp.begin(r)
-		var derr error
-		_, err := solveBody(r.Body, nil, lk, func(s term.Subst) bool {
-			head := s.Apply(r.Head)
-			if !head.IsGround() {
-				derr = fmt.Errorf("eval: derived non-ground fact %v from %v", head, r)
-				return false
-			}
-			if DeriveHook != nil {
-				DeriveHook(head)
-			}
-			if err := sink(head, r, s); err != nil {
-				derr = err
-				return false
-			}
-			return true
-		})
-		rp.end()
-		if err != nil {
-			return err
-		}
-		if derr != nil {
-			return derr
 		}
 	}
 	return nil
 }
 
-// applyRulesSemiNaive derives consequences where at least one recursive
-// body atom is resolved against the delta of the previous iteration. For
-// a rule with k recursive occurrences it evaluates k differentiated
-// variants, pinning occurrence i to the delta.
-func applyRulesSemiNaive(rules []term.Rule, inComp map[string]bool, full lookup, delta *derived, gov *governor.Governor, rp *ruleProfiler, sink deriveSink) error {
-	for _, r := range rules {
-		var recIdx []int
-		for i, a := range r.Body {
-			if inComp[a.Pred] {
-				recIdx = append(recIdx, i)
-			}
-		}
-		if len(recIdx) == 0 {
-			continue // non-recursive rules contribute nothing new after round one
-		}
-		rp.begin(r)
-		for _, pin := range recIdx {
-			pinned := pin
-			var derr error
-			_, err := solveBodyPinned(r.Body, pinned, full, delta, gov, rp, nil, func(s term.Subst) bool {
-				head := s.Apply(r.Head)
-				if !head.IsGround() {
-					derr = fmt.Errorf("eval: derived non-ground fact %v from %v", head, r)
-					return false
-				}
-				if DeriveHook != nil {
-					DeriveHook(head)
-				}
-				if err := sink(head, r, s); err != nil {
-					derr = err
-					return false
-				}
-				return true
-			})
-			if err != nil {
-				rp.end()
-				return err
-			}
-			if derr != nil {
-				rp.end()
-				return derr
-			}
-		}
-		rp.end()
-	}
-	return nil
-}
-
-// solveBodyPinned is solveBody with one body occurrence (by original
-// index) resolved against the delta relations instead of the full ones.
-func solveBodyPinned(body []term.Atom, pin int, full lookup, delta *derived, gov *governor.Governor, rp *ruleProfiler, base term.Subst, fn func(term.Subst) bool) (bool, error) {
-	type tagged struct {
-		atom   term.Atom
-		pinned bool
-	}
-	items := make([]tagged, len(body))
-	for i, a := range body {
-		items[i] = tagged{atom: a, pinned: i == pin}
-	}
-	var solve func(remaining []tagged, s term.Subst) (bool, error)
-	solve = func(remaining []tagged, s term.Subst) (bool, error) {
-		if len(remaining) == 0 {
-			return fn(s), nil
-		}
-		atoms := make([]term.Atom, len(remaining))
-		for i, it := range remaining {
-			atoms[i] = it.atom
-		}
-		idx, err := chooseAtom(atoms, s)
-		if err != nil {
-			return false, err
-		}
-		it := remaining[idx]
-		rest := make([]tagged, 0, len(remaining)-1)
-		rest = append(rest, remaining[:idx]...)
-		rest = append(rest, remaining[idx+1:]...)
-		if term.IsComparison(it.atom) {
-			// Delegate comparison handling to solveBody over a singleton,
-			// then continue with rest.
-			cont := true
-			_, err := solveBody([]term.Atom{it.atom}, s, full, func(ext term.Subst) bool {
-				c, err2 := solve(rest, ext)
-				if err2 != nil {
-					err = err2
-					return false
-				}
-				cont = c
-				return c
-			})
-			return cont, err
-		}
-		lk := full
-		if it.pinned {
-			lk = func(a term.Atom, b term.Subst, f func(term.Subst) bool) error {
-				if err := gov.Tick(); err != nil {
-					return err
-				}
-				// rp.storageCounters() is nil when profiling is off; the
-				// delta relation then falls back to its attached (query-
-				// wide) counters.
-				return delta.match(a, b, rp.storageCounters(), f)
-			}
-		}
-		cont := true
-		err = lk(it.atom, s, func(ext term.Subst) bool {
-			c, err2 := solve(rest, ext)
-			if err2 != nil {
-				err = err2
-				return false
-			}
-			cont = c
-			return c
-		})
-		return cont, err
-	}
-	return solve(items, base)
-}
-
-// collect extracts the result tuples from the derived query relation.
+// collect hands over the tuples of the derived query relation, which
+// nothing else can reach once the evaluation has returned.
 func (e *bottomUp) collect(p *plan, d *derived) *Result {
 	res := &Result{Vars: p.vars}
 	r := d.get(queryPredName)
@@ -713,7 +505,7 @@ func (e *bottomUp) collect(p *plan, d *derived) *Result {
 		return res
 	}
 	r.Scan(func(t storage.Tuple) bool {
-		res.Tuples = append(res.Tuples, t.Clone())
+		res.Tuples = append(res.Tuples, t)
 		return true
 	})
 	return res

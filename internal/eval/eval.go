@@ -1,5 +1,5 @@
 // Package eval implements the paper's data queries (§3.1): the
-// `retrieve p where ψ` statement over a knowledge-rich database. Three
+// `retrieve p where ψ` statement over a knowledge-rich database. Four
 // interchangeable engines are provided:
 //
 //   - Naive: bottom-up naive fixpoint — the correctness baseline.
@@ -7,9 +7,21 @@
 //     production engine.
 //   - TopDown: goal-directed SLD resolution with naive-iteration tabling,
 //     terminating on all Datalog programs.
+//   - Magic: the query rewritten with adorned predicates and magic
+//     filters, then evaluated semi-naively, so that bottom-up evaluation
+//     only derives facts relevant to the query's bound arguments.
 //
-// All three agree on every program (property-tested); retrieve answers
-// are sets of bindings for the free variables of the subject.
+// All four agree on every program (checked against a test-only oracle on
+// generated programs); retrieve answers are sets of bindings for the free
+// variables of the subject.
+//
+// The engines differ in which rule they run when and against which
+// relations; resolving a rule body is one loop they share (frame.go). A
+// body is compiled once per use — its variables numbered into the slots
+// of a frame, its atoms put in the order they will be resolved, which
+// does not depend on the data — and a runner evaluates the compiled steps
+// against one reused frame, asking its engine for the tuples of each
+// ordinary atom and handing it each solution.
 //
 // The subject may be an EDB predicate, an IDB predicate, or — as in the
 // paper's Example 2 — a new predicate defined entirely by the qualifier.
@@ -21,7 +33,6 @@ import (
 	"sort"
 	"strings"
 
-	"kdb/internal/builtin"
 	"kdb/internal/depgraph"
 	"kdb/internal/storage"
 	"kdb/internal/term"
@@ -50,7 +61,8 @@ type Query struct {
 type Result struct {
 	// Vars are the free variables of the subject, in order of occurrence.
 	Vars []term.Term
-	// Tuples are the bindings, parallel to Vars.
+	// Tuples are the bindings, parallel to Vars. They are the result's
+	// own: no relation of the evaluation outlives it to share them.
 	Tuples []storage.Tuple
 }
 
@@ -248,129 +260,6 @@ func checkSafety(rules []term.Rule) error {
 		}
 	}
 	return nil
-}
-
-// lookup resolves one non-builtin body atom: it calls fn with every
-// extension of base that makes the atom true, until fn returns false.
-type lookup func(a term.Atom, base term.Subst, fn func(term.Subst) bool) error
-
-// solveBody enumerates all substitutions extending base that satisfy the
-// conjunction, resolving ordinary atoms through lk. Atoms are chosen
-// greedily: ground comparisons are evaluated as early as possible,
-// equality atoms propagate bindings, and ordinary atoms are joined
-// left-to-right otherwise. fn returning false stops the enumeration; the
-// first return value reports whether enumeration should continue at the
-// caller's level.
-func solveBody(body []term.Atom, base term.Subst, lk lookup, fn func(term.Subst) bool) (bool, error) {
-	if len(body) == 0 {
-		return fn(base), nil
-	}
-	idx, err := chooseAtom(body, base)
-	if err != nil {
-		return false, err
-	}
-	atom := body[idx]
-	rest := make([]term.Atom, 0, len(body)-1)
-	rest = append(rest, body[:idx]...)
-	rest = append(rest, body[idx+1:]...)
-
-	if term.IsComparison(atom) {
-		bound := base.Apply(atom)
-		if atom.Pred == term.PredEq && (bound.Args[0].IsVar() || bound.Args[1].IsVar()) {
-			// Equality with an unbound side: bind by unification.
-			s := base.Clone()
-			if s == nil {
-				s = term.NewSubst(1)
-			}
-			l, r := s.Walk(bound.Args[0]), s.Walk(bound.Args[1])
-			switch {
-			case l == r:
-			case l.IsVar():
-				s.Bind(l, r)
-			case r.IsVar():
-				s.Bind(r, l)
-			default:
-				return true, nil // distinct constants: equality fails
-			}
-			return solveBody(rest, s, lk, fn)
-		}
-		ok, err := builtin.Eval(bound)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return true, nil
-		}
-		return solveBody(rest, base, lk, fn)
-	}
-
-	cont := true
-	err = lk(atom, base, func(ext term.Subst) bool {
-		c, err2 := solveBody(rest, ext, lk, fn)
-		if err2 != nil {
-			err = err2
-			return false
-		}
-		cont = c
-		return c
-	})
-	if err != nil {
-		return false, err
-	}
-	return cont, nil
-}
-
-// chooseAtom picks the next body atom to resolve: a ready comparison if
-// any (ground, or an equality with at most one unbound side, or an
-// equality between variables as a last resort among comparisons), else
-// the first ordinary atom.
-func chooseAtom(body []term.Atom, s term.Subst) (int, error) {
-	firstOrdinary := -1
-	firstEq := -1
-	firstStuck := -1
-	for i, a := range body {
-		if !term.IsComparison(a) {
-			if firstOrdinary < 0 {
-				firstOrdinary = i
-			}
-			continue
-		}
-		bound := s.Apply(a)
-		groundArgs := 0
-		for _, t := range bound.Args {
-			if t.IsConst() {
-				groundArgs++
-			}
-		}
-		if groundArgs == 2 {
-			return i, nil // fully ground comparison: cheapest filter
-		}
-		if a.Pred == term.PredEq {
-			if groundArgs == 1 {
-				return i, nil // binds its variable immediately
-			}
-			if firstEq < 0 {
-				firstEq = i
-			}
-		} else if firstStuck < 0 {
-			firstStuck = i // a non-equality comparison with an unbound side
-		}
-	}
-	if firstOrdinary >= 0 {
-		return firstOrdinary, nil
-	}
-	if firstEq >= 0 {
-		return firstEq, nil
-	}
-	// Only unevaluable comparisons remain. Report the actual offender
-	// (the first non-equality comparison with an unbound variable, after
-	// applying the substitution so the message shows what is bound), not
-	// blindly body[0].
-	offender := body[0]
-	if firstStuck >= 0 {
-		offender = body[firstStuck]
-	}
-	return 0, fmt.Errorf("eval: cannot evaluate %v: unbound comparison", s.Apply(offender))
 }
 
 // relevantPreds returns the predicates reachable from the query rule,

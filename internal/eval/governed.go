@@ -22,7 +22,8 @@ func (e *StopError) Error() string { return e.Err.Error() }
 func (e *StopError) Unwrap() error { return e.Err }
 
 // DeriveHook, when non-nil, observes every head atom the engines derive
-// (bottom-up sinks and top-down table inserts). It exists so tests can
-// inject failures — including panics — inside rule evaluation;
+// (bottom-up sinks and top-down table inserts). The atom's Args are a
+// buffer the join loop reuses: valid only during the call. It exists so
+// tests can inject failures — including panics — inside rule evaluation;
 // production code leaves it nil.
 var DeriveHook func(term.Atom)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -11,6 +12,7 @@ import (
 	"kdb/internal/obs"
 	"kdb/internal/obs/profile"
 	"kdb/internal/prov"
+	"kdb/internal/storage"
 	"kdb/internal/term"
 )
 
@@ -86,7 +88,7 @@ func (e *magic) RetrieveContext(ctx context.Context, q Query) (res *Result, err 
 		return nil, err
 	}
 	rsp := sp.Child("magic-rewrite")
-	rewritten, queryPred, labels, err := magicRewrite(p)
+	rewritten, queryPred, labels, err := magicRewrite(p, e.in.Store)
 	rsp.SetInt("rules", int64(len(rewritten)))
 	rsp.End()
 	if err != nil {
@@ -157,8 +159,10 @@ func magicName(pred string, a adornment) string {
 // rule, the name of the adorned query predicate, and a profiling relabel
 // table mapping each generated rule back to its source rule (magic
 // guards, seeds, and the adorned query rule are marked synthetic) so
-// profiles of a magic run read in terms of the user's program.
-func magicRewrite(p *plan) ([]term.Rule, string, map[string]profLabel, error) {
+// profiles of a magic run read in terms of the user's program. A
+// rule-defined predicate that also has stored facts gets, per adornment,
+// one more guarded rule that reads them from st.
+func magicRewrite(p *plan, st *storage.Store) ([]term.Rule, string, map[string]profLabel, error) {
 	idb := make(map[string]bool)
 	for _, r := range p.rules {
 		idb[r.Head.Pred] = true
@@ -193,6 +197,11 @@ func magicRewrite(p *plan) ([]term.Rule, string, map[string]profLabel, error) {
 	for len(queue) > 0 {
 		j := queue[0]
 		queue = queue[1:]
+		if st.Relation(j.pred) != nil {
+			g := storedRule(j.pred, j.a)
+			labels[g.String()] = profLabel{label: g.String(), pred: g.Head.Pred, synthetic: true}
+			out = append(out, g)
+		}
 		for _, r := range p.graph.RulesFor(j.pred) {
 			rules, err := adornRule(r, j.a, idb, enqueue)
 			if err != nil {
@@ -216,6 +225,23 @@ func magicRewrite(p *plan) ([]term.Rule, string, map[string]profLabel, error) {
 		}
 	}
 	return out, adornedName(queryPredName, queryAd), labels, nil
+}
+
+// storedRule is the adorned predicate's view of the stored facts of pred:
+// p#bf(V0, V1) :- m$p#bf(V0), p(V0, V1).
+func storedRule(pred string, a adornment) term.Rule {
+	args := make([]term.Term, len(a))
+	var bound []term.Term
+	for i, c := range a {
+		args[i] = term.Var("V" + strconv.Itoa(i))
+		if c == 'b' {
+			bound = append(bound, args[i])
+		}
+	}
+	return term.Rule{
+		Head: term.Atom{Pred: adornedName(pred, a), Args: args},
+		Body: term.Formula{term.NewAtom(magicName(pred, a), bound...), {Pred: pred, Args: args}},
+	}
 }
 
 // adornRule rewrites one rule for the head adornment: the guarded adorned
@@ -371,7 +397,7 @@ func MagicProgram(in Input, q Query) ([]term.Rule, error) {
 	if err != nil {
 		return nil, err
 	}
-	rules, _, _, err := magicRewrite(p)
+	rules, _, _, err := magicRewrite(p, in.Store)
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"kdb/internal/storage"
 	"kdb/internal/term"
 )
 
@@ -118,11 +119,10 @@ func TestRunDAGPropagatesError(t *testing.T) {
 // --- satellite regressions ---
 
 // TestFullLookupSuppressesStoredDuplicates: when a predicate has both
-// derived and stored tuples, the full lookup must enumerate each fact
-// once — stored tuples already derived are suppressed.
+// derived and stored tuples, the component's resolve must enumerate each
+// fact once — stored tuples already derived are suppressed.
 func TestFullLookupSuppressesStoredDuplicates(t *testing.T) {
 	in := load(t, `p(a). p(b).`)
-	e := NewSemiNaive(in).(*bottomUp)
 	d := newDerived(nil)
 	// p(a) is both stored and derived; p(c) only derived; p(b) only stored.
 	for _, name := range []string{"a", "c"} {
@@ -130,26 +130,23 @@ func TestFullLookupSuppressesStoredDuplicates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var cs ComponentStats
-	lk := e.fullLookup(&plan{}, d, nil, &cs, nil)
+	drv := newHeadsDriver(in.Store)
+	drv.d = d
 	x := term.Var("X")
-	var got []string
-	if err := lk(term.NewAtom("p", x), nil, func(s term.Subst) bool {
-		got = append(got, s.Walk(x).Name())
-		return true
-	}); err != nil {
+	rule := term.NewRule(term.NewAtom("q", x), term.NewAtom("p", x))
+	if err := newRunner(rule, compileBody(rule.Head, rule.Body), drv).exec(); err != nil {
 		t.Fatal(err)
 	}
 	counts := make(map[string]int)
-	for _, name := range got {
-		counts[name]++
+	for _, head := range drv.heads {
+		counts[head.Args[0].Name()]++
 	}
 	want := map[string]int{"a": 1, "b": 1, "c": 1}
 	if !reflect.DeepEqual(counts, want) {
-		t.Fatalf("enumerated %v, want each of a, b, c exactly once", got)
+		t.Fatalf("enumerated %v, want each of a, b, c exactly once", drv.heads)
 	}
-	if cs.Lookups != 1 {
-		t.Errorf("Lookups = %d, want 1", cs.Lookups)
+	if drv.cs.Lookups != 1 {
+		t.Errorf("Lookups = %d, want 1", drv.cs.Lookups)
 	}
 }
 
@@ -170,18 +167,19 @@ r(X, Y) :- p(X), p(Y).
 }
 
 // TestChooseAtomReportsOffender: the "unbound comparison" error must name
-// the actual unevaluable comparison with the substitution applied, not
-// whatever atom happens to be first in the body.
+// the actual unevaluable comparison with the bindings of that moment
+// applied, not whatever atom happens to be first in the body — and only
+// when evaluation reaches it.
 func TestChooseAtomReportsOffender(t *testing.T) {
 	// body[0] is an evaluable equality; the offender is the later
 	// comparison whose right side stays unbound.
 	x, y := term.Var("X"), term.Var("Y")
-	body := []term.Atom{
+	rule := term.NewRule(term.NewAtom("q", x),
 		term.NewAtom(term.PredEq, x, term.Num(5)),
 		term.NewAtom(term.PredGt, x, y),
-	}
-	noLookup := func(a term.Atom, base term.Subst, fn func(term.Subst) bool) error { return nil }
-	_, err := solveBody(body, nil, noLookup, func(term.Subst) bool { return true })
+	)
+	drv := newHeadsDriver(storage.NewMemory())
+	err := newRunner(rule, compileBody(rule.Head, rule.Body), drv).exec()
 	if err == nil {
 		t.Fatal("expected an unbound-comparison error")
 	}
@@ -190,6 +188,12 @@ func TestChooseAtomReportsOffender(t *testing.T) {
 	}
 	if strings.Contains(err.Error(), "= 5") {
 		t.Errorf("error %q names the equality instead of the offender", err)
+	}
+
+	// Behind an atom with no tuples the same comparison is never reached.
+	rule.Body = append(term.Formula{term.NewAtom("nothing", x)}, rule.Body[1])
+	if err := newRunner(rule, compileBody(rule.Head, rule.Body), drv).exec(); err != nil {
+		t.Errorf("unreached comparison raised %v", err)
 	}
 }
 

@@ -15,10 +15,13 @@ import (
 func TestProvenanceDisabledAllocs(t *testing.T) {
 	x, y := term.Var("X"), term.Var("Y")
 	rule := term.NewRule(term.NewAtom("p", x, y), term.NewAtom("q", x, y))
-	fact := term.NewAtom("p", term.Sym("a"), term.Sym("b"))
-	s := term.Subst{x: term.Sym("a"), y: term.Sym("b")}
+	r := newRunner(rule, compileBody(rule.Head, rule.Body), nil)
+	r.frame[0], r.frame[1] = term.Sym("a"), term.Sym("b")
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := recordProv(nil, nil, fact, rule, s); err != nil {
+		if _, err := r.fact(); err != nil {
+			t.Fatal(err)
+		}
+		if err := recordProv(nil, nil, r); err != nil {
 			t.Fatal(err)
 		}
 	})

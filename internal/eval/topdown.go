@@ -2,7 +2,6 @@ package eval
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -119,6 +118,7 @@ func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, er
 	start := time.Now()
 	act := obs.ActivityFromContext(ctx)
 	// Naive-iteration driver: re-run until no table grows.
+	var answers *table
 	var runErr error
 	for {
 		if runErr = gov.Err(); runErr != nil {
@@ -129,7 +129,7 @@ func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, er
 		}
 		run.pass++
 		run.grew = false
-		if runErr = run.solveTable(goal); runErr != nil {
+		if answers, runErr = run.solveTable(goal); runErr != nil {
 			break
 		}
 		if act != nil {
@@ -171,13 +171,12 @@ func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, er
 	if runErr != nil {
 		return nil, &StopError{Stats: stats, Err: runErr}
 	}
+	// The goal's table dies with the run: its tuples are handed over.
 	res = &Result{Vars: p.vars}
-	if t, ok := run.tables[callKey(goal)]; ok {
-		t.answers.Scan(func(tp storage.Tuple) bool {
-			res.Tuples = append(res.Tuples, tp.Clone())
-			return true
-		})
-	}
+	answers.answers.Scan(func(tp storage.Tuple) bool {
+		res.Tuples = append(res.Tuples, tp)
+		return true
+	})
 	return res, nil
 }
 
@@ -208,38 +207,49 @@ func callKey(goal term.Atom) string {
 	return string(b)
 }
 
-// solveTable ensures the table for the goal's call pattern has been
-// evaluated in this pass, deriving new answers from the goal's rules.
-func (r *topDownRun) solveTable(goal term.Atom) error {
+// solveTable returns the table for the goal's call pattern, having made
+// sure it was evaluated in this pass: new answers are derived from the
+// goal's rules.
+func (r *topDownRun) solveTable(goal term.Atom) (*table, error) {
 	key := callKey(goal)
 	t, ok := r.tables[key]
 	if !ok {
 		if err := r.gov.CheckTableEntries(len(r.tables) + 1); err != nil {
-			return err
+			return nil, err
 		}
 		rel, err := storage.NewRelation(len(goal.Args))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		t = &table{answers: rel}
 		t.answers.SetCounters(r.counters)
 		r.tables[key] = t
 	}
 	if t.pass == r.pass {
-		return nil // already evaluated (or in progress) this pass
+		return t, nil // already evaluated (or in progress) this pass
 	}
 	t.pass = r.pass
 	for _, rule := range r.graph[goal.Pred] {
 		if err := r.solveRule(t, goal, rule); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return t, nil
 }
 
-// solveRule evaluates one rule against the goal's table. The round is
-// bracketed by the profiler; nested subgoal work (lookup re-entering
-// solveTable) is attributed to the rules it evaluates, not this one.
+// ruleCall drives the runner of one rule resolved against one goal: its
+// solutions are answers for the goal's table.
+type ruleCall struct {
+	*topDownRun
+	t *table
+}
+
+// solveRule evaluates one rule against the goal's table. The rule is
+// compiled with the goal's bindings applied and gets a runner of its own:
+// a subgoal may re-enter the same rule while this body is being solved.
+// The round is bracketed by the profiler; nested subgoal work (resolve
+// re-entering solveTable) is attributed to the rules it evaluates, not
+// this one.
 func (r *topDownRun) solveRule(t *table, goal term.Atom, rule term.Rule) error {
 	fresh := r.rn.RenameRule(rule)
 	mgu, ok := term.Unify(goal, fresh.Head, nil)
@@ -248,53 +258,37 @@ func (r *topDownRun) solveRule(t *table, goal term.Atom, rule term.Rule) error {
 	}
 	r.prof.begin(rule)
 	defer r.prof.end()
-	body := mgu.ApplyFormula(fresh.Body)
-	var derr error
-	_, err := solveBody(body, nil, r.lookup, func(s term.Subst) bool {
-		// Large joins emit many solutions between lookups; tick per
-		// solution so cancellation latency stays bounded.
-		if derr = r.gov.Tick(); derr != nil {
-			return false
-		}
-		head := s.Apply(mgu.Apply(fresh.Head))
-		if !head.IsGround() {
-			derr = fmt.Errorf("eval: derived non-ground fact %v from %v", head, rule)
-			return false
-		}
-		if DeriveHook != nil {
-			DeriveHook(head)
-		}
-		added, err := t.answers.Insert(storage.Tuple(head.Args))
-		if err != nil {
-			derr = err
-			return false
-		}
-		if added {
-			r.grew = true
-			r.prof.fresh()
-			if err := r.gov.CountFacts(1); err != nil {
-				derr = err
-				return false
-			}
-			if r.rec != nil {
-				n := r.rec.Record(head, rule, body, s)
-				if err := r.gov.CheckProvenanceEntries(n); err != nil {
-					derr = err
-					return false
-				}
-			}
-		}
-		return true
-	})
+	prog := compileBody(mgu.Apply(fresh.Head), mgu.ApplyFormula(fresh.Body))
+	return newRunner(rule, prog, &ruleCall{r, t}).exec()
+}
+
+// derive adds one solution's head to the goal's table.
+func (c *ruleCall) derive(jr *runner) error {
+	// Large joins emit many solutions between lookups; tick per
+	// solution so cancellation latency stays bounded.
+	if err := c.gov.Tick(); err != nil {
+		return err
+	}
+	head, err := jr.fact()
 	if err != nil {
 		return err
 	}
-	return derr
+	added, err := c.t.answers.Insert(storage.Tuple(head.Args))
+	if err != nil || !added {
+		return err
+	}
+	c.grew = true
+	c.prof.fresh()
+	if err := c.gov.CountFacts(1); err != nil {
+		return err
+	}
+	return recordProv(c.rec, c.gov, jr)
 }
 
-// lookup resolves one body atom: EDB predicates via the store, IDB
-// predicates via their (possibly still-growing) tables.
-func (r *topDownRun) lookup(a term.Atom, base term.Subst, fn func(term.Subst) bool) error {
+// resolve serves one body atom: EDB predicates from the store, IDB
+// predicates from their (possibly still-growing) tables. The probe's
+// pattern is the subgoal.
+func (r *topDownRun) resolve(p *probe) error {
 	r.lookups++
 	r.prof.countLookup()
 	if err := r.gov.Tick(); err != nil {
@@ -306,48 +300,32 @@ func (r *topDownRun) lookup(a term.Atom, base term.Subst, fn func(term.Subst) bo
 	if pc := r.prof.storageCounters(); pc != nil {
 		c = pc
 	}
-	if r.virt != nil {
-		if vr := r.virt[a.Pred]; vr != nil {
-			return matchRelation(vr, a, base, c, fn)
-		}
+	pred := p.st.atom.Pred
+	if vr := r.virt[pred]; vr != nil {
+		return p.selectFrom(vr, c, "derived")
 	}
-	rules := r.graph[a.Pred]
-	if len(rules) == 0 {
-		return r.in.Store.MatchCounted(a, base, c, fn)
+	if len(r.graph[pred]) == 0 {
+		return p.selectStored(r.in.Store, nil, c)
 	}
-	goal := base.Apply(a)
-	if err := r.solveTable(goal); err != nil {
+	t, err := r.solveTable(term.Atom{Pred: pred, Args: p.pattern})
+	if err != nil {
 		return err
 	}
-	t := r.tables[callKey(goal)]
-	stopped := false
+	// Every answer in the table is an instance of the subgoal, so none
+	// needs checking against the pattern. Answer tables can hold many
+	// tuples; tick per tuple (amortized) so a scan inside a big join
+	// stays cancelable.
 	var terr error
 	t.answers.Scan(func(tp storage.Tuple) bool {
-		// Answer tables can hold many tuples; tick per tuple (amortized)
-		// so a scan inside a big join stays cancelable.
 		if terr = r.gov.Tick(); terr != nil {
 			return false
 		}
-		ext, ok := term.Match(goal, term.Atom{Pred: a.Pred, Args: tp}, base)
-		if !ok {
-			return true
-		}
-		if !fn(ext) {
-			stopped = true
-			return false
-		}
-		return true
+		return p.each(tp)
 	})
-	if terr != nil {
+	if terr != nil || p.r.err != nil {
 		return terr
-	}
-	if stopped {
-		return nil
 	}
 	// A predicate may also have stored facts (robustness; the kb layer
 	// normally rewrites those into bodiless rules).
-	if r.in.Store.Relation(a.Pred) != nil {
-		return r.in.Store.MatchCounted(a, base, c, fn)
-	}
-	return nil
+	return p.selectStored(r.in.Store, nil, c)
 }

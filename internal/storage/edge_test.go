@@ -33,7 +33,7 @@ func TestZeroArityRelation(t *testing.T) {
 		t.Error("propositional fact lost")
 	}
 	n := 0
-	if err := s.Match(term.NewAtom("ready"), nil, func(term.Subst) bool { n++; return true }); err != nil {
+	if err := s.Relation("ready").Select(nil, func(Tuple) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {

@@ -139,11 +139,11 @@ func NewRelation(arity int) (*Relation, error) {
 func (r *Relation) Arity() int { return r.arity }
 
 // SetCounters attaches (or, with nil, detaches) an observability sink
-// used when a probe does not carry its own (Select, Match). It suits
-// relations private to one evaluation (derived relations, top-down
-// tables); for relations shared by concurrent queries, pass a per-query
-// sink to SelectCounted / MatchCounted instead, so counts can never
-// accrue to another query's statistics.
+// used when a probe does not carry its own (Select). It suits relations
+// private to one evaluation (derived relations, top-down tables); for
+// relations shared by concurrent queries, pass a per-query sink to
+// SelectCounted instead, so counts can never accrue to another query's
+// statistics.
 func (r *Relation) SetCounters(c *Counters) { r.counters.Store(c) }
 
 // Len returns the number of stored tuples.
@@ -360,25 +360,24 @@ func (r *Relation) lookup(mask uint64, pattern []term.Term, c *Counters) ([]Tupl
 }
 
 // matches reports whether the tuple agrees with the pattern's constants
-// and with repeated pattern variables.
+// and with repeated pattern variables: a variable's position must hold
+// what the variable's earlier position holds.
+//
+//kdb:hotpath
 func matches(pattern []term.Term, t Tuple) bool {
-	var bound map[term.Term]term.Term
 	for i, p := range pattern {
-		switch {
-		case p.IsConst():
+		if p.IsConst() {
 			if p != t[i] {
 				return false
 			}
-		default:
-			if bound == nil {
-				bound = make(map[term.Term]term.Term, 2)
-			}
-			if prev, ok := bound[p]; ok {
-				if prev != t[i] {
+			continue
+		}
+		for j := range i {
+			if pattern[j] == p {
+				if t[j] != t[i] {
 					return false
 				}
-			} else {
-				bound[p] = t[i]
+				break
 			}
 		}
 	}

@@ -310,3 +310,41 @@ func TestRelationConcurrentProbeDelete(t *testing.T) {
 	readers.Wait()
 	checkRelationInvariants(t, r)
 }
+
+// TestRelationSelectRepeatedVariableAllocs: once the index for the bound
+// columns exists, a probe whose pattern repeats a variable allocates
+// nothing — the repeat is checked against the variable's earlier position
+// in the pattern, not through a per-candidate map.
+func TestRelationSelectRepeatedVariableAllocs(t *testing.T) {
+	r, err := NewRelation(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		tp := Tuple{term.Sym("k"), term.Num(float64(i % 8)), term.Num(float64(i / 8))}
+		if _, err := r.Insert(tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	x := term.Var("X")
+	pattern := []term.Term{term.Sym("k"), x, x}
+	n := 0
+	count := func(Tuple) bool { n++; return true }
+	probe := func() {
+		if err := r.Select(pattern, count); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe() // builds the index
+	if n != 8 {
+		t.Fatalf("k(X, X) matched %d tuples, want 8", n)
+	}
+	if allocs := testing.AllocsPerRun(200, probe); allocs != 0 {
+		t.Errorf("Select with a repeated variable allocates %v per call, want 0", allocs)
+	}
+	// The same with nothing bound: a full scan.
+	pattern[0] = term.Var("K")
+	if allocs := testing.AllocsPerRun(200, probe); allocs != 0 {
+		t.Errorf("full-scan Select with a repeated variable allocates %v per call, want 0", allocs)
+	}
+}

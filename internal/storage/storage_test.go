@@ -210,8 +210,9 @@ func TestStoreMatch(t *testing.T) {
 	}
 	x := term.Var("X")
 	var got []string
-	err := s.Match(term.NewAtom("enroll", x, term.Sym("databases")), nil, func(sub term.Subst) bool {
-		got = append(got, sub.Walk(x).Name())
+	enroll := s.Relation("enroll")
+	err := enroll.Select([]term.Term{x, term.Sym("databases")}, func(t Tuple) bool {
+		got = append(got, t[0].Name())
 		return true
 	})
 	if err != nil {
@@ -220,26 +221,25 @@ func TestStoreMatch(t *testing.T) {
 	if len(got) != 3 {
 		t.Errorf("matches = %v", got)
 	}
-	// Base substitution narrows the match.
-	base := term.Subst{x: term.Sym("ann")}
+	// A bound position narrows the match.
 	n := 0
-	if err := s.Match(term.NewAtom("enroll", x, term.Var("C")), base, func(term.Subst) bool { n++; return true }); err != nil {
+	if err := enroll.Select([]term.Term{term.Sym("ann"), term.Var("C")}, func(Tuple) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
 		t.Errorf("ann enrollments = %d, want 2", n)
 	}
-	// Unknown predicate: no matches, no error.
-	if err := s.Match(term.NewAtom("ghost", x), nil, func(term.Subst) bool { return true }); err != nil {
-		t.Errorf("unknown predicate: %v", err)
+	// Unknown predicate: no relation.
+	if r := s.Relation("ghost"); r != nil {
+		t.Errorf("unknown predicate has relation %v", r)
 	}
 	// Arity mismatch is an error.
-	if err := s.Match(term.NewAtom("enroll", x), nil, func(term.Subst) bool { return true }); err == nil {
+	if err := enroll.Select([]term.Term{x}, func(Tuple) bool { return true }); err == nil {
 		t.Error("arity mismatch must fail")
 	}
 	// Early stop.
 	n = 0
-	if err := s.Match(term.NewAtom("enroll", x, term.Var("C")), nil, func(term.Subst) bool { n++; return false }); err != nil {
+	if err := enroll.Select([]term.Term{x, term.Var("C")}, func(Tuple) bool { n++; return false }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
@@ -260,7 +260,7 @@ func TestStoreConcurrentInsertAndMatch(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				_ = s.Match(term.NewAtom("p", term.Num(float64(g)), term.Var("X")), nil, func(term.Subst) bool { return true })
+				_ = s.Relation("p").Select([]term.Term{term.Num(float64(g)), term.Var("X")}, func(Tuple) bool { return true })
 			}
 		}(g)
 	}
@@ -520,13 +520,14 @@ func BenchmarkStorageIndexedLookup(b *testing.B) {
 		}
 	}
 	x := term.Var("X")
+	edge := s.Relation("edge")
 	// Warm the index.
-	_ = s.Match(term.NewAtom("edge", term.Num(0), x), nil, func(term.Subst) bool { return true })
+	_ = edge.Select([]term.Term{term.Num(0), x}, func(Tuple) bool { return true })
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		_ = s.Match(term.NewAtom("edge", term.Num(float64(i%10000)), x), nil, func(term.Subst) bool { n++; return true })
+		_ = edge.Select([]term.Term{term.Num(float64(i % 10000)), x}, func(Tuple) bool { n++; return true })
 		if n != 1 {
 			b.Fatalf("matches = %d", n)
 		}
@@ -545,7 +546,7 @@ func BenchmarkStorageFullScan(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		_ = s.Match(term.NewAtom("edge", x, y), nil, func(term.Subst) bool { n++; return true })
+		_ = s.Relation("edge").Select([]term.Term{x, y}, func(Tuple) bool { n++; return true })
 		if n != 10000 {
 			b.Fatalf("matches = %d", n)
 		}

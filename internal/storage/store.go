@@ -272,35 +272,6 @@ func (s *Store) Contains(a term.Atom) bool {
 	return r.Contains(Tuple(a.Args))
 }
 
-// Match finds all stored facts unifying with atom under base and calls fn
-// with each extended substitution until fn returns false. Constant
-// positions (after applying base) are served from a hash index.
-func (s *Store) Match(atom term.Atom, base term.Subst, fn func(term.Subst) bool) error {
-	return s.MatchCounted(atom, base, nil, fn)
-}
-
-// MatchCounted is Match with an explicit observability sink for this
-// probe (see Relation.SelectCounted). Evaluation engines pass their
-// per-query Counters here so that concurrent queries sharing the store
-// never contaminate each other's statistics.
-func (s *Store) MatchCounted(atom term.Atom, base term.Subst, c *Counters, fn func(term.Subst) bool) error {
-	r := s.Relation(atom.Pred)
-	if r == nil {
-		return nil // unknown predicate: empty extension
-	}
-	if r.Arity() != len(atom.Args) {
-		return fmt.Errorf("storage: %s used with arity %d, stored with %d", atom.Pred, len(atom.Args), r.Arity())
-	}
-	pattern := base.Apply(atom)
-	return r.SelectCounted(pattern.Args, c, func(t Tuple) bool {
-		ext, ok := term.Match(pattern, term.Atom{Pred: atom.Pred, Args: t}, base)
-		if !ok {
-			return true // repeated-variable mismatch already filtered, but stay safe
-		}
-		return fn(ext)
-	})
-}
-
 // Facts returns all stored facts for pred as atoms, in the relation's
 // scan order (insertion order as long as nothing was ever deleted).
 func (s *Store) Facts(pred string) []term.Atom {
