@@ -116,9 +116,11 @@ func (d *Describer) Compare(left term.Atom, leftHyp term.Formula, right term.Ato
 	for _, v := range left.Vars(nil) {
 		fixed[v] = true
 	}
+	m := newMatcher(fixed)
+	leftConjs, rightConjs := m.prepareAll(leftDefs), m.prepareAll(rightDefs)
 
-	leftInRight := defsSubsumed(leftDefs, rightDefs, fixed)
-	rightInLeft := defsSubsumed(rightDefs, leftDefs, fixed)
+	leftInRight := m.defsSubsumed(leftConjs, rightConjs)
+	rightInLeft := m.defsSubsumed(rightConjs, leftConjs)
 
 	cmp := &ConceptComparison{Left: left, Right: right}
 	switch {
@@ -132,9 +134,9 @@ func (d *Describer) Compare(left term.Atom, leftHyp term.Formula, right term.Ato
 
 	// Maximal shared concept over the best-matching definition pair.
 	best := -1
-	for _, dl := range leftDefs {
-		for _, dr := range rightDefs {
-			shared, lOnly, rOnly := sharedConcept(dl, dr, fixed)
+	for i := range leftConjs {
+		for j := range rightConjs {
+			shared, lOnly, rOnly := m.sharedConcept(&leftConjs[i], &rightConjs[j])
 			score := len(shared)
 			if score > best {
 				best = score
@@ -151,11 +153,11 @@ func (d *Describer) Compare(left term.Atom, leftHyp term.Formula, right term.Ato
 // defsSubsumed reports whether every definition in sub is θ-subsumed by
 // some definition in super (with head variables fixed): then the sub
 // concept is contained in the super concept.
-func defsSubsumed(sub, super []term.Formula, fixed map[term.Term]bool) bool {
-	for _, s := range sub {
+func (m *matcher) defsSubsumed(sub, super []conj) bool {
+	for i := range sub {
 		covered := false
-		for _, g := range super {
-			if defSubsumes(g, s, fixed) {
+		for j := range super {
+			if ok, _ := m.subsumes(&super[j], &sub[i]); ok {
 				covered = true
 				break
 			}
@@ -167,33 +169,21 @@ func defsSubsumed(sub, super []term.Formula, fixed map[term.Term]bool) bool {
 	return true
 }
 
-// defSubsumes reports whether general θ-subsumes specific: a substitution
-// fixing the head variables maps general's ordinary atoms into specific's,
-// and specific's comparisons imply θ(general's comparisons). The pattern
-// (general) side is renamed apart first.
-func defSubsumes(general, specific term.Formula, fixed map[term.Term]bool) bool {
-	gCmp, gOrd := builtin.Split(renameApart(general, fixed))
-	sCmp, sOrd := builtin.Split(specific)
-	return matchAtoms(gOrd, sOrd, fixed, nil, func(theta term.Subst) bool {
-		implied, err := builtin.Implies(sCmp, theta.ApplyFormula(gCmp))
-		return err == nil && implied
-	})
-}
-
 // sharedConcept computes a greedy maximal common generalization of two
 // EDB-level definitions: ordinary atoms matched under a substitution
 // fixing the head variables, plus every comparison entailed by both
 // sides. The leftovers on each side elucidate the difference.
-func sharedConcept(dl, dr term.Formula, fixed map[term.Term]bool) (shared, leftOnly, rightOnly term.Formula) {
-	// Rename the left side apart: the two definitions typically share
-	// variable names (both come from unfolding), and the matcher may only
-	// bind the pattern's variables. Originals are kept for reporting.
-	renamed := renameApart(dl, fixed)
-	lCmpOrig, lOrdOrig := builtin.Split(dl)
-	lCmp, lOrd := builtin.Split(renamed)
-	rCmp, rOrd := builtin.Split(dr)
+func (m *matcher) sharedConcept(dl, dr *conj) (shared, leftOnly, rightOnly term.Formula) {
+	// The left side matches in its renamed-apart form: the two
+	// definitions typically share variable names (both come from
+	// unfolding), and the matcher may only bind the pattern's variables.
+	// Originals are kept for reporting.
+	lCmpOrig, lOrdOrig := dl.cmp, dl.ord
+	lCmp, lOrd := dl.pcmp, dl.pord
+	rCmp, rOrd := dr.cmp, dr.ord
 
-	theta := term.NewSubst(4)
+	defer m.b.undo(0)
+	theta := m.b.m
 	usedRight := make([]bool, len(rOrd))
 	for i, la := range lOrd {
 		matched := false
@@ -201,11 +191,11 @@ func sharedConcept(dl, dr term.Formula, fixed map[term.Term]bool) (shared, leftO
 			if usedRight[j] {
 				continue
 			}
-			ext, ok := matchFixed(la, ra, fixed, theta)
-			if !ok {
+			mark := m.b.mark()
+			if !m.matchFixed(la, ra) {
+				m.b.undo(mark)
 				continue
 			}
-			theta = ext
 			usedRight[j] = true
 			shared = append(shared, ra)
 			matched = true

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"kdb/internal/builtin"
 	"kdb/internal/depgraph"
@@ -60,9 +61,12 @@ func (o Options) withDefaults() Options {
 type Describer struct {
 	rules []term.Rule
 	graph *depgraph.Graph
+	table ruleTable
 
+	// trans and ttable are the rule set after the §5.2 transformation.
+	// When the transformation changed nothing, ttable is table itself.
 	trans  *transform.Result
-	tgraph *depgraph.Graph
+	ttable ruleTable
 	// recPreds are the predicates with recursive rules in the transformed
 	// set; the typed-substitution guard of Algorithm 2 applies to them.
 	recPreds map[string]bool
@@ -73,9 +77,46 @@ type Describer struct {
 
 	// icDisjuncts are the integrity constraints expanded to EDB level,
 	// one slice of alternative forbidden patterns per constraint.
-	icDisjuncts [][]term.Formula
+	icDisjuncts [][]conj
 
 	opts Options
+}
+
+// ruleEntry is a rule with what the search asks about it at every node
+// and the rule set fixes once.
+type ruleEntry struct {
+	rule *term.Rule
+	kind transform.RuleKind
+	// untypedRec marks an undisciplined recursive rule: exempt from the
+	// transformation and metered by Options.UntypedBound (§5.3, end).
+	untypedRec bool
+}
+
+// ruleTable indexes a rule set's entries by head predicate, in rule
+// order.
+type ruleTable map[string][]ruleEntry
+
+// newRuleTable classifies the rules of one side of the describer. trans
+// is nil for the original rules, none of which the search treats
+// specially. A rule the transformation exempted is recursive in its
+// input by construction and stays so in its output — `p ← p ∧ w` became
+// `p ← p ∧ t` and `t ← w`, so every dependency between the original
+// predicates survives — which is why no graph of the transformed set is
+// needed to say so.
+func newRuleTable(rules []term.Rule, trans *transform.Result) ruleTable {
+	t := make(ruleTable)
+	for i := range rules {
+		r := &rules[i]
+		e := ruleEntry{rule: r}
+		if trans != nil && len(trans.ByPred) > 0 {
+			e.kind = trans.Kind(*r)
+		}
+		if trans != nil && len(trans.Untyped) > 0 {
+			e.untypedRec = trans.IsUntypedRule(*r)
+		}
+		t[r.Head.Pred] = append(t[r.Head.Pred], e)
+	}
+	return t
 }
 
 // New builds a describer for the rule set. keys may be nil.
@@ -84,7 +125,6 @@ func New(rules []term.Rule, keys map[string][][]int, opts Options) (*Describer, 
 	if err != nil {
 		return nil, err
 	}
-	tgraph := depgraph.New(trans.Rules)
 	// The typed-substitution guard applies to the predicates that went
 	// through the transformation and their step predicates. Undisciplined
 	// recursive rules are exempt from the typing requirement (§5.3, end):
@@ -101,10 +141,18 @@ func New(rules []term.Rule, keys map[string][][]int, opts Options) (*Describer, 
 		rules:    rules,
 		graph:    depgraph.New(rules),
 		trans:    trans,
-		tgraph:   tgraph,
 		recPreds: rec,
 		keys:     keys,
 		opts:     opts.withDefaults(),
+	}
+	// A rule set the transformation left alone is searched through one
+	// table by both algorithms: it is read-only from here on.
+	if slices.EqualFunc(rules, trans.Rules, term.Rule.Equal) {
+		d.table = newRuleTable(rules, trans)
+		d.ttable = d.table
+	} else {
+		d.table = newRuleTable(rules, nil)
+		d.ttable = newRuleTable(trans.Rules, trans)
 	}
 	// Expand each integrity constraint to stored-predicate level so the
 	// consistency checker can match it against unfolded situations even
@@ -114,7 +162,7 @@ func New(rules []term.Rule, keys map[string][][]int, opts Options) (*Describer, 
 		if err != nil {
 			return nil, err
 		}
-		d.icDisjuncts = append(d.icDisjuncts, dis)
+		d.icDisjuncts = append(d.icDisjuncts, newMatcher(nil).prepareAll(dis))
 	}
 	return d, nil
 }
@@ -175,43 +223,48 @@ func (d *Describer) describe(gov *governor.Governor, sp *obs.Span, subject term.
 		// internal device of Algorithm 2's search.
 		alg2 = false
 	}
-	rules := d.rules
-	g := d.graph
+	table := d.table
 	if alg2 {
-		rules = d.trans.Rules
-		g = d.tgraph
+		table = d.ttable
 	}
-	userVars := make(map[term.Term]bool)
-	subjectVars := make(map[term.Term]bool)
-	hypVars := make(map[term.Term]bool)
-	for _, v := range subject.Vars(nil) {
-		userVars[v] = true
-		subjectVars[v] = true
-	}
-	for _, v := range hypothesis.Vars() {
-		userVars[v] = true
-		hypVars[v] = true
-	}
-
 	s := &search{
-		d:           d,
-		gov:         gov,
-		alg2:        alg2,
-		graph:       g,
-		subject:     subject,
-		hypOrd:      hypOrd,
-		hypCmp:      hypCmp,
-		userVars:    userVars,
-		subjectVars: subjectVars,
-		hypVars:     hypVars,
-		seen:        make(map[string]bool),
-		usedHyp:     make(map[int]bool),
+		d:       d,
+		gov:     gov,
+		alg2:    alg2,
+		typed:   alg2 && len(d.recPreds) > 0,
+		table:   table,
+		subject: subject,
+		hypOrd:  hypOrd,
+		hypCmp:  hypCmp,
+		b:       newBindings(),
+		seen:    make(map[string]bool),
+		usedHyp: make([]bool, len(hypothesis)),
 	}
-	byHead := make(map[string][]term.Rule)
-	for _, r := range rules {
-		byHead[r.Head.Pred] = append(byHead[r.Head.Pred], r)
+	// The user's variables, each classed by where the query spells it:
+	// the subject's first, then those of the hypothesis's ordinary
+	// conjuncts, then those of its comparisons (the order emit renames in).
+	s.userVars = make(map[term.Term]bool)
+	for _, v := range subject.Vars(nil) {
+		s.userVars[v] = true
+		s.userList = append(s.userList, v)
+		s.userClass = append(s.userClass, inSubject)
 	}
-	s.byHead = byHead
+	var hypVars []term.Term
+	for _, h := range hypOrd {
+		hypVars = h.atom.Vars(hypVars)
+	}
+	for _, h := range hypCmp {
+		hypVars = h.atom.Vars(hypVars)
+	}
+	for _, v := range hypVars {
+		if i := slices.Index(s.userList, v); i >= 0 {
+			s.userClass[i] = inBoth
+			continue
+		}
+		s.userVars[v] = true
+		s.userList = append(s.userList, v)
+		s.userClass = append(s.userClass, inHypothesis)
+	}
 
 	esp := sp.Child("eval")
 	esp.SetStr("algorithm", map[bool]string{false: "1", true: "2"}[alg2])
@@ -228,7 +281,7 @@ func (d *Describer) describe(gov *governor.Governor, sp *obs.Span, subject term.
 
 	dsp := sp.Child("describe")
 	ans := &Answers{Subject: subject, Hypothesis: hypothesis, Truncated: s.truncated, Nodes: s.nodes}
-	ans.Formulas = eliminateRedundant(s.answers, userVars)
+	ans.Formulas = eliminateRedundant(s.answers, s.userVars)
 	if len(ans.Formulas) == 0 && s.discarded > 0 {
 		ans.Contradiction = true
 	}
@@ -281,28 +334,47 @@ type node struct {
 	untyped int
 }
 
+// Where the query spells a user variable. Unifying a subject-only
+// variable with a hypothesis-only one does not narrow the answer.
+const (
+	inSubject uint8 = 1 + iota
+	inHypothesis
+	inBoth
+)
+
 // search carries the backtracking state of one describe evaluation.
 type search struct {
-	d           *Describer
-	gov         *governor.Governor
-	alg2        bool
-	graph       *depgraph.Graph
-	byHead      map[string][]term.Rule
-	subject     term.Atom
-	hypOrd      []indexedAtom
-	hypCmp      []indexedAtom
-	userVars    map[term.Term]bool
-	subjectVars map[term.Term]bool
-	hypVars     map[term.Term]bool
+	d       *Describer
+	gov     *governor.Governor
+	alg2    bool
+	typed   bool // Algorithm 2's substitution guard has predicates to watch
+	table   ruleTable
+	subject term.Atom
+	hypOrd  []indexedAtom
+	hypCmp  []indexedAtom
+
+	// The user's variables: as a set, and listed with their classes.
+	userVars  map[term.Term]bool
+	userList  []term.Term
+	userClass []uint8
 
 	rn term.Renamer
 
-	// Path state (saved/restored around choices).
+	// Path state (saved/restored around choices). b is the substitution
+	// of the whole search: a choice binds in place and undoes on return.
+	b         bindings
 	leaves    term.Formula
 	treeAtoms []term.Atom
 	viaRules  []term.Rule
 	obls      []bool
-	usedHyp   map[int]bool
+	usedHyp   []bool // by hypothesis position
+
+	// Stacks of what a node records before its identification attempts:
+	// the user variables' values and the typing conflicts. A node pushes,
+	// its subtree pushes above, and the node pops on return.
+	vals      []term.Term
+	conflicts []string
+	positions map[predVar]int // scratch of conflictedPreds
 
 	answers       []Answer
 	seen          map[string]bool
@@ -323,78 +395,87 @@ func (s *search) run() error {
 	s.treeAtoms = append(s.treeAtoms, s.subject)
 
 	// Root identification (Example 6's first answer).
+	if s.typed {
+		s.conflicts = s.conflictedPreds(s.conflicts)
+	}
+	untouched := s.conflicts
 	for _, h := range s.hypOrd {
-		sigma, ok := term.Unify(s.subject, h.atom, nil)
-		if !ok {
+		if !s.b.unify(s.subject, h.atom) {
 			continue
 		}
-		if s.alg2 && !s.typedOK(nil, sigma) {
+		if s.typed && !s.typedOK(untouched) {
+			s.b.undo(0)
 			continue
 		}
 		s.usedHyp[h.idx] = true
 		s.anyProductive = true
-		if err := s.emit(sigma); err != nil {
+		if err := s.emit(); err != nil {
 			return err
 		}
-		delete(s.usedHyp, h.idx)
+		s.usedHyp[h.idx] = false
+		s.b.undo(0)
 	}
+	s.conflicts = s.conflicts[:0]
 
 	// Root rule expansions.
 	type pending struct {
 		rule  term.Rule
-		sigma term.Subst
-		body  term.Formula
+		fresh term.Rule
 	}
 	var unproductive []pending
-	for _, r := range s.byHead[s.subject.Pred] {
-		fresh := s.rn.RenameRule(r)
-		sigma, ok := term.Unify(s.subject, fresh.Head, nil)
-		if !ok {
+	for _, e := range s.table[s.subject.Pred] {
+		fresh := s.rn.RenameRule(*e.rule)
+		if !s.b.unify(s.subject, fresh.Head) {
 			continue
 		}
 		before := len(s.answers)
 		beforeDiscarded := s.discarded
-		agenda := s.childNodes(fresh.Body, r, node{})
-		s.viaRules = append(s.viaRules, r)
+		agenda := s.childNodes(fresh.Body, e, node{})
+		s.viaRules = append(s.viaRules, *e.rule)
 		s.treeAtoms = append(s.treeAtoms, fresh.Body...)
 		oblID := len(s.obls)
 		s.obls = append(s.obls, false)
 		for i := range agenda {
 			agenda[i].obligations = []int{oblID}
 		}
-		if err := s.step(agenda, sigma); err != nil {
+		if err := s.step(agenda); err != nil {
 			return err
 		}
 		s.obls = s.obls[:oblID]
 		s.treeAtoms = s.treeAtoms[:len(s.treeAtoms)-len(fresh.Body)]
 		s.viaRules = s.viaRules[:len(s.viaRules)-1]
-		if len(s.answers) == before && s.discarded == beforeDiscarded {
-			unproductive = append(unproductive, pending{rule: r, sigma: sigma, body: fresh.Body})
-		} else {
+		s.b.undo(0)
+		if len(s.answers) != before || s.discarded != beforeDiscarded {
 			// A completion existed — even one discarded for contradicting
 			// the hypothesis counts as productive (§4's special answer).
 			s.anyProductive = true
+		} else if !s.anyProductive {
+			unproductive = append(unproductive, pending{rule: *e.rule, fresh: fresh})
 		}
 	}
 
 	// One-level answers for unproductive rules, when nothing was
-	// productive anywhere (§4's exception; Example 4).
+	// productive anywhere (§4's exception; Example 4). Unifying the
+	// subject with the same renamed head again gives the bindings the
+	// expansion started from.
 	if !s.anyProductive {
 		for _, p := range unproductive {
-			s.leaves = append(s.leaves, p.body...)
+			s.b.unify(s.subject, p.fresh.Head)
+			s.leaves = append(s.leaves, p.fresh.Body...)
 			s.viaRules = append(s.viaRules, p.rule)
-			if err := s.emit(p.sigma); err != nil {
+			if err := s.emit(); err != nil {
 				return err
 			}
 			s.viaRules = s.viaRules[:len(s.viaRules)-1]
-			s.leaves = s.leaves[:len(s.leaves)-len(p.body)]
+			s.leaves = s.leaves[:len(s.leaves)-len(p.fresh.Body)]
+			s.b.undo(0)
 		}
 	}
 	return nil
 }
 
 // step processes the agenda depth-first (leftmost open formula first).
-func (s *search) step(agenda []node, sigma term.Subst) error {
+func (s *search) step(agenda []node) error {
 	if s.truncated {
 		return nil
 	}
@@ -418,7 +499,7 @@ func (s *search) step(agenda []node, sigma term.Subst) error {
 				return nil // an expansion without an identification: cut
 			}
 		}
-		return s.emit(sigma)
+		return s.emit()
 	}
 	q := agenda[0]
 	rest := agenda[1:]
@@ -427,7 +508,7 @@ func (s *search) step(agenda []node, sigma term.Subst) error {
 	// they drop to the leaves and meet the hypothesis in the post-pass.
 	if term.IsComparison(q.atom) {
 		s.leaves = append(s.leaves, q.atom)
-		err := s.step(rest, sigma)
+		err := s.step(rest)
 		s.leaves = s.leaves[:len(s.leaves)-1]
 		return err
 	}
@@ -438,30 +519,48 @@ func (s *search) step(agenda []node, sigma term.Subst) error {
 	// bindings narrow the answer's head and belong only to root
 	// identifications (Example 6's `X = databases`). This choice of
 	// interpretation reproduces the paper's displayed outputs.
-	identified := false
+	//
+	// Every attempt starts from the same bindings, so what the two guards
+	// compare against — the user variables' values and the typing
+	// conflicts before the attempt — is recorded once per node, at the
+	// first conjunct that could unify at all.
+	identified, recorded := false, false
+	valMark, conflictMark := len(s.vals), len(s.conflicts)
+	var userVals []term.Term
+	var conflicts []string
 	for _, h := range s.hypOrd {
-		ext, ok := term.Unify(q.atom, h.atom, sigma)
-		if !ok {
+		if h.atom.Pred != q.atom.Pred || len(h.atom.Args) != len(q.atom.Args) {
 			continue
 		}
-		if s.constrainsUserVars(sigma, ext) {
+		if !recorded {
+			recorded = true
+			s.vals = s.userValues(s.vals)
+			userVals = s.vals[valMark:]
+			if s.typed {
+				s.conflicts = s.conflictedPreds(s.conflicts)
+				conflicts = s.conflicts[conflictMark:]
+			}
+		}
+		mark := s.b.mark()
+		if !s.b.unify(q.atom, h.atom) {
 			continue
 		}
-		if s.alg2 && !s.typedOK(sigma, ext) {
+		if s.constrainsUserVars(userVals) || s.typed && !s.typedOK(conflicts) {
+			s.b.undo(mark)
 			continue
 		}
 		identified = true
 		sat := s.satisfy(q.obligations)
 		wasUsed := s.usedHyp[h.idx]
 		s.usedHyp[h.idx] = true
-		if err := s.step(rest, ext); err != nil {
+		if err := s.step(rest); err != nil {
 			return err
 		}
-		if !wasUsed {
-			delete(s.usedHyp, h.idx)
-		}
+		s.usedHyp[h.idx] = wasUsed
 		s.unsatisfy(sat)
+		s.b.undo(mark)
 	}
+	s.vals, s.conflicts = s.vals[:valMark], s.conflicts[:conflictMark]
 
 	// Choice 2: expand with each admissible rule. The expansion carries a
 	// new obligation: its subtree must identify something, or the branch
@@ -471,16 +570,16 @@ func (s *search) step(agenda []node, sigma term.Subst) error {
 	// which also keeps hypothesis-free describes of recursive subjects
 	// linear over the original rules.
 	if q.depth < s.d.opts.MaxDepth && len(s.hypOrd) > 0 {
-		for _, r := range s.byHead[q.atom.Pred] {
-			if !s.ruleAllowed(q, r) {
+		for _, e := range s.table[q.atom.Pred] {
+			if !s.ruleAllowed(q, e) {
 				continue
 			}
-			fresh := s.rn.RenameRule(r)
-			ext, ok := term.Unify(sigma.Apply(q.atom), fresh.Head, sigma)
-			if !ok {
+			fresh := s.rn.RenameRule(*e.rule)
+			mark := s.b.mark()
+			if !s.b.unify(q.atom, fresh.Head) {
 				continue
 			}
-			children := s.childNodes(fresh.Body, r, q)
+			children := s.childNodes(fresh.Body, e, q)
 			oblID := len(s.obls)
 			s.obls = append(s.obls, false)
 			inherited := append(append([]int{}, q.obligations...), oblID)
@@ -488,14 +587,15 @@ func (s *search) step(agenda []node, sigma term.Subst) error {
 				children[i].obligations = inherited
 			}
 			s.treeAtoms = append(s.treeAtoms, fresh.Body...)
-			s.viaRules = append(s.viaRules, r)
+			s.viaRules = append(s.viaRules, *e.rule)
 			next := append(children, rest...)
-			if err := s.step(next, ext); err != nil {
+			if err := s.step(next); err != nil {
 				return err
 			}
 			s.viaRules = s.viaRules[:len(s.viaRules)-1]
 			s.treeAtoms = s.treeAtoms[:len(s.treeAtoms)-len(fresh.Body)]
 			s.obls = s.obls[:oblID]
+			s.b.undo(mark)
 		}
 	}
 
@@ -504,47 +604,41 @@ func (s *search) step(agenda []node, sigma term.Subst) error {
 	// that can meet the hypothesis must meet it).
 	if !identified {
 		s.leaves = append(s.leaves, q.atom)
-		err := s.step(rest, sigma)
+		err := s.step(rest)
 		s.leaves = s.leaves[:len(s.leaves)-1]
 		return err
 	}
 	return nil
 }
 
-func containsVar(vs []term.Term, v term.Term) bool {
-	for _, u := range vs {
-		if u == v {
-			return true
-		}
+// userValues appends the user variables' current values to dst.
+func (s *search) userValues(dst []term.Term) []term.Term {
+	for _, v := range s.userList {
+		dst = append(dst, s.b.walk(v))
 	}
-	return false
+	return dst
 }
 
-// constrainsUserVars reports whether ext narrows the user's variables
-// relative to sigma: a user variable newly bound to a constant, or two
-// user variables newly unified. Unifying a subject-only variable with a
-// hypothesis-only variable is NOT constraining — that is the natural
-// reading when the query spells the subject and the hypothesis with
-// different names (and what the wildcard extension relies on).
-func (s *search) constrainsUserVars(sigma, ext term.Subst) bool {
-	vars := make([]term.Term, 0, len(s.userVars))
-	for v := range s.userVars {
-		vars = append(vars, v)
-	}
-	crossGroup := func(v, w term.Term) bool {
-		subjOnlyV := s.subjectVars[v] && !s.hypVars[v]
-		hypOnlyV := s.hypVars[v] && !s.subjectVars[v]
-		subjOnlyW := s.subjectVars[w] && !s.hypVars[w]
-		hypOnlyW := s.hypVars[w] && !s.subjectVars[w]
-		return subjOnlyV && hypOnlyW || hypOnlyV && subjOnlyW
-	}
-	for i, v := range vars {
-		if ext.Walk(v).IsConst() && !sigma.Walk(v).IsConst() {
+// constrainsUserVars reports whether the bindings narrow the user's
+// variables relative to their values before: a user variable newly bound
+// to a constant, or two user variables newly unified. Unifying a
+// subject-only variable with a hypothesis-only variable is NOT
+// constraining — that is the natural reading when the query spells the
+// subject and the hypothesis with different names (and what the wildcard
+// extension relies on).
+func (s *search) constrainsUserVars(before []term.Term) bool {
+	mark := len(s.vals)
+	s.vals = s.userValues(s.vals)
+	after := s.vals[mark:]
+	s.vals = s.vals[:mark]
+	for i := range after {
+		if after[i].IsConst() && !before[i].IsConst() {
 			return true
 		}
 		for j := 0; j < i; j++ {
-			w := vars[j]
-			if ext.Walk(v) == ext.Walk(w) && sigma.Walk(v) != sigma.Walk(w) && !crossGroup(v, w) {
+			ci, cj := s.userClass[i], s.userClass[j]
+			crossGroup := ci != cj && ci != inBoth && cj != inBoth
+			if after[i] == after[j] && before[i] != before[j] && !crossGroup {
 				return true
 			}
 		}
@@ -554,12 +648,12 @@ func (s *search) constrainsUserVars(sigma, ext term.Subst) bool {
 
 // childNodes builds agenda nodes for a rule's body, assigning Algorithm 2
 // tags according to the rule kind (§5.3, Figure 3 boxes 9a–9e).
-func (s *search) childNodes(body term.Formula, r term.Rule, parent node) []node {
+func (s *search) childNodes(body term.Formula, e ruleEntry, parent node) []node {
 	kind := transform.KindOrdinary
 	untyped := parent.untyped
 	if s.alg2 {
-		kind = s.d.trans.Kind(r)
-		if s.d.trans.IsUntypedRule(r) && s.graph.IsRecursiveRule(r) {
+		kind = e.kind
+		if e.untypedRec {
 			untyped++
 		}
 	}
@@ -594,64 +688,71 @@ func (s *search) childNodes(body term.Formula, r term.Rule, parent node) []node 
 }
 
 // ruleAllowed enforces the tag discipline and the untyped bound.
-func (s *search) ruleAllowed(q node, r term.Rule) bool {
+func (s *search) ruleAllowed(q node, e ruleEntry) bool {
 	if !s.alg2 {
 		return true
 	}
-	switch s.d.trans.Kind(r) {
+	switch e.kind {
 	case transform.KindRT, transform.KindRC:
 		return q.tag != tag0
 	}
-	if s.d.trans.IsUntypedRule(r) && s.graph.IsRecursiveRule(r) {
+	if e.untypedRec {
 		return q.untyped < s.d.opts.UntypedBound
 	}
 	return true
 }
 
-// typedOK implements Algorithm 2's substitution guard: the candidate
-// substitution ext is disqualified when it would cause two occurrences of
-// a (transformed) recursive predicate somewhere in the tree or hypothesis
+// typedOK implements Algorithm 2's substitution guard: the bindings of
+// an attempt are disqualified when they cause two occurrences of a
+// (transformed) recursive predicate somewhere in the tree or hypothesis
 // to hold the same variable at different positions (§5.3; sufficient
-// condition of footnote 4). A predicate that already exhibits swapped
-// positions under the current substitution sigma — because an ordinary
-// rule like `roundtrip(X, Y) ← reachable(X, Y) ∧ reachable(Y, X)` is
-// legitimately untyped with respect to it — is exempt: the guard only
-// rejects conflicts the new substitution introduces.
-func (s *search) typedOK(sigma, ext term.Subst) bool {
-	before := s.conflictedPreds(sigma)
-	for pred := range s.conflictedPreds(ext) {
-		if !before[pred] {
+// condition of footnote 4). A predicate that already exhibited swapped
+// positions before the attempt — because an ordinary rule like
+// `roundtrip(X, Y) ← reachable(X, Y) ∧ reachable(Y, X)` is legitimately
+// untyped with respect to it — is exempt: the guard only rejects
+// conflicts the attempt introduces.
+func (s *search) typedOK(before []string) bool {
+	mark := len(s.conflicts)
+	s.conflicts = s.conflictedPreds(s.conflicts)
+	after := s.conflicts[mark:]
+	s.conflicts = s.conflicts[:mark]
+	for _, pred := range after {
+		if !slices.Contains(before, pred) {
 			return false
 		}
 	}
 	return true
 }
 
-// conflictedPreds returns the recursive predicates for which some
+// predVar keys the positions scratch of conflictedPreds.
+type predVar struct {
+	pred string
+	v    term.Term
+}
+
+// conflictedPreds appends to dst the recursive predicates for which some
 // variable occupies two distinct argument positions across the tree and
-// hypothesis atoms, under the given substitution.
-func (s *search) conflictedPreds(sub term.Subst) map[string]bool {
-	out := make(map[string]bool)
-	positions := make(map[string]map[term.Term]int)
+// hypothesis atoms, under the current bindings.
+func (s *search) conflictedPreds(dst []string) []string {
+	if s.positions == nil {
+		s.positions = make(map[predVar]int)
+	}
+	clear(s.positions)
+	found := len(dst)
 	check := func(a term.Atom) {
-		if !s.d.recPreds[a.Pred] || out[a.Pred] {
+		if !s.d.recPreds[a.Pred] || slices.Contains(dst[found:], a.Pred) {
 			return
 		}
-		pos := positions[a.Pred]
-		if pos == nil {
-			pos = make(map[term.Term]int)
-			positions[a.Pred] = pos
-		}
-		b := sub.Apply(a)
-		for i, t := range b.Args {
-			if !t.IsVar() {
+		for i, t := range a.Args {
+			if t = s.b.walk(t); !t.IsVar() {
 				continue
 			}
-			if prev, ok := pos[t]; ok && prev != i {
-				out[a.Pred] = true
+			k := predVar{a.Pred, t}
+			if prev, ok := s.positions[k]; ok && prev != i {
+				dst = append(dst, a.Pred)
 				return
 			}
-			pos[t] = i
+			s.positions[k] = i
 		}
 	}
 	for _, a := range s.treeAtoms {
@@ -660,7 +761,7 @@ func (s *search) conflictedPreds(sub term.Subst) map[string]bool {
 	for _, h := range s.hypOrd {
 		check(h.atom)
 	}
-	return out
+	return dst
 }
 
 // satisfy marks obligations satisfied, returning the ones newly set so
@@ -684,7 +785,8 @@ func (s *search) unsatisfy(ids []int) {
 
 // emit assembles one answer from the current path state, applies the §4
 // comparison post-pass, and records it (deduplicated).
-func (s *search) emit(sigma term.Subst) error {
+func (s *search) emit() error {
+	sigma := s.b.m
 	body := sigma.ApplyFormula(s.leaves)
 
 	// User-variable bindings: rename fresh images back to the user's
@@ -695,20 +797,7 @@ func (s *search) emit(sigma term.Subst) error {
 	// priority.
 	var equalities term.Formula
 	rename := term.NewSubst(2)
-	userOrder := s.subject.Vars(nil)
-	var hypVars []term.Term
-	for _, h := range s.hypOrd {
-		hypVars = h.atom.Vars(hypVars)
-	}
-	for _, h := range s.hypCmp {
-		hypVars = h.atom.Vars(hypVars)
-	}
-	for _, v := range hypVars {
-		if !containsVar(userOrder, v) {
-			userOrder = append(userOrder, v)
-		}
-	}
-	for _, v := range userOrder {
+	for _, v := range s.userList {
 		t := sigma.Walk(v)
 		if t == v {
 			continue
@@ -772,9 +861,12 @@ func (s *search) emit(sigma term.Subst) error {
 	}
 
 	used := make([]int, 0, len(s.usedHyp))
-	for idx := range s.usedHyp {
-		used = append(used, idx)
+	for idx, u := range s.usedHyp {
+		if u {
+			used = append(used, idx)
+		}
 	}
+	identified := len(used)
 	// Comparison hypothesis conjuncts count as used when their removal
 	// would lose a β-elimination.
 	for _, c := range s.hypCmp {
@@ -799,6 +891,9 @@ func (s *search) emit(sigma term.Subst) error {
 		if needed {
 			used = append(used, c.idx)
 		}
+	}
+	if len(used) > identified {
+		slices.Sort(used)
 	}
 
 	// Prefer the original predicate over the artificial step predicate

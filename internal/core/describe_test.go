@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"kdb/internal/parser"
@@ -426,6 +428,147 @@ func TestTagsBoundRecursionNotDepth(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Errorf("answer %d differs: %q vs %q", i, a[i], b[i])
+		}
+	}
+}
+
+// Example 5's second answer uses both hypothesis conjuncts; which of them
+// is reported first must not depend on the run.
+func TestUsedHypothesisDeterministic(t *testing.T) {
+	d := newDescriber(t, universityIDB, Options{})
+	const q = `describe can_ta(X, Y) where honor(X) and teach(susan, Y).`
+	want := [][]int{{0, 1}, {0}}
+	for run := 0; run < 50; run++ {
+		ans := describe(t, d, q)
+		got := make([][]int, len(ans.Formulas))
+		for i, a := range ans.Formulas {
+			got[i] = a.UsedHypothesis
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: used hypothesis conjuncts %v, want %v", run, got, want)
+		}
+	}
+}
+
+// A Describer is shared by every statement of a knowledge base: the rule
+// tables — one for both algorithms when the transformation changed
+// nothing — and the dependency graph are read by all searches at once.
+func TestDescribeConcurrent(t *testing.T) {
+	for _, kb := range []struct {
+		name, program string
+		stmts         []string
+	}{
+		{"a table per algorithm", universityIDB, []string{
+			`describe honor(X).`,
+			`describe can_ta(X, databases) where student(X, math, V) and V > 3.7.`,
+			`describe can_ta(X, Y) where honor(X) and teach(susan, Y).`,
+			`describe can_ta(X, Y) where complete(X, Y, Z, 4).`,
+			`describe prior(X, Y) where prior(databases, Y).`,
+			`describe prior(X, Y) where prior(X, databases).`,
+			`describe honor(X) where student(X, M, V) and V > 3.5.`,
+			`describe prior(X, Y).`,
+		}},
+		{"one table for both", "reach(X, Y) :- link(X, Y).\nreach(X, Y) :- reach(Y, X).\nnear(X, Y) :- reach(X, Y), close(X, Y).\n", []string{
+			`describe reach(X, Y) where link(Y, X).`,
+			`describe reach(X, Y) where reach(Y, X).`,
+			`describe near(X, Y) where link(X, Y).`,
+			`describe near(X, Y) where close(X, Y).`,
+			`describe reach(X, Y).`,
+			`describe near(X, Y).`,
+			`describe near(X, Y) where reach(X, Y).`,
+			`describe near(a, Y) where link(a, Y).`,
+		}},
+	} {
+		t.Run(kb.name, func(t *testing.T) {
+			d := newDescriber(t, kb.program, Options{})
+			if shared := sharesTable(d); shared != (kb.name == "one table for both") {
+				t.Fatalf("tables shared: %v", shared)
+			}
+			want := make([]string, len(kb.stmts))
+			for i, q := range kb.stmts {
+				want[i] = describe(t, d, q).String()
+			}
+			var wg sync.WaitGroup
+			for g := range kb.stmts {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for round := 0; round < 20; round++ {
+						i := (g + round) % len(kb.stmts)
+						pq, err := parser.ParseQuery(kb.stmts[i])
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						dq := pq.(*parser.Describe)
+						ans, err := d.Describe(dq.Subject, dq.Where)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if got := ans.String(); got != want[i] {
+							t.Errorf("%s\nconcurrently:\n%s\nalone:\n%s", kb.stmts[i], got, want[i])
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
+	}
+}
+
+// The allocation claims of the trail and of prepared subsumption.
+func TestDescribeAllocs(t *testing.T) {
+	// A failed identification attempt: three arguments bind, the fourth
+	// clashes, the trail takes the three back.
+	b := newBindings()
+	goal, hyp := atomOf(t, `complete(X, Y, Z, 4)`), atomOf(t, `complete(A, B, C, 3)`)
+	if b.unify(goal, hyp) {
+		t.Fatal("4 unified with 3")
+	}
+	if n := testing.AllocsPerRun(200, func() { b.unify(goal, hyp) }); n != 0 || len(b.m) != 0 {
+		t.Errorf("a failed unification allocates %v times and leaves %d bindings, want 0 and 0", n, len(b.m))
+	}
+
+	// A pair the predicate pre-check rejects never reaches the matcher.
+	m := newMatcher(map[term.Term]bool{term.Var("X"): true})
+	general, specific := m.prepare(formula(t, `p(X, A) and q(A)`)), m.prepare(formula(t, `p(X, B) and r(B)`))
+	if n := testing.AllocsPerRun(200, func() {
+		if ok, _ := m.subsumes(&general, &specific); ok {
+			t.Fatal("q(A) matched nothing yet the pair subsumed")
+		}
+	}); n != 0 {
+		t.Errorf("a pair rejected by the pre-check allocates %v times, want 0", n)
+	}
+
+	// End to end. Each ceiling is 1.2× what the trail search with prepared
+	// subsumption measured (220 and 1515); the clone-per-choice search with
+	// pairwise subsumption took 249 and 9451.
+	var fanout strings.Builder
+	for w := 0; w < 32; w++ {
+		fmt.Fprintf(&fanout, "goal(X) :- target(X), extra%d_0(X), extra%d_1(X), extra%d_2(X).\n", w, w, w)
+	}
+	for _, c := range []struct {
+		program, stmt string
+		ceiling       float64
+	}{
+		{universityIDB, `describe can_ta(X, Y) where honor(X) and teach(susan, Y).`, 264},
+		{fanout.String(), `describe goal(X) where target(X).`, 1818},
+	} {
+		d := newDescriber(t, c.program, Options{})
+		pq, err := parser.ParseQuery(c.stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dq := pq.(*parser.Describe)
+		n := testing.AllocsPerRun(20, func() {
+			if _, err := d.Describe(dq.Subject, dq.Where); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s allocates %v times", c.stmt, n)
+		if n > c.ceiling {
+			t.Errorf("%s allocates %v times, ceiling %v", c.stmt, n, c.ceiling)
 		}
 	}
 }

@@ -88,21 +88,26 @@ func (d *Describer) describeOr(gov *governor.Governor, sp *obs.Span, subject ter
 	// yet all its weakenings remain valid.)
 	var kept []Answer
 	seen := make(map[string]bool)
+	m := newMatcher(userVars)
+	conjs := make([][]conj, len(perDisjunct))
 	for i, answers := range perDisjunct {
-		for _, a := range answers {
+		conjs[i] = m.prepareAnswers(answers)
+	}
+	for i, answers := range perDisjunct {
+		for k, a := range answers {
 			key := a.key(userVars)
 			if seen[key] {
 				continue
 			}
 			seen[key] = true
 			valid := true
-			for j, others := range perDisjunct {
+			for j := range perDisjunct {
 				if i == j {
 					continue
 				}
 				covered := false
-				for _, b := range others {
-					if subsumes(b, a, userVars) {
+				for l := range conjs[j] {
+					if ok, _ := m.subsumes(&conjs[j][l], &conjs[i][k]); ok {
 						covered = true
 						break
 					}

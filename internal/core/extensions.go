@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"kdb/internal/governor"
+	"kdb/internal/obs"
 	"kdb/internal/term"
 )
 
@@ -177,9 +178,23 @@ type WildcardEntry struct {
 // subjects derivable from the qualifier. Every IDB predicate is
 // described under ψ; entries whose answers actually use the hypothesis
 // are returned, most specific first (fewest residual conjuncts).
+//
+//kdb:entrypoint
 func (d *Describer) DescribeWildcard(hypothesis term.Formula) ([]WildcardEntry, error) {
+	entries, _, err := d.DescribeWildcardContext(context.Background(), hypothesis, governor.Limits{})
+	return entries, err
+}
+
+// DescribeWildcardContext is DescribeWildcard under a query governor: one
+// governor (context, deadline) spans the searches of all subjects, while
+// limits.MaxDescribeNodes bounds the steps of each subject's search
+// individually. nodes is the search steps of all of them together.
+func (d *Describer) DescribeWildcardContext(ctx context.Context, hypothesis term.Formula, limits governor.Limits) (out []WildcardEntry, nodes int, err error) {
+	defer governor.Recover(&err)
+	gov, cancel := governor.New(ctx, limits)
+	defer cancel()
 	if len(hypothesis) == 0 {
-		return nil, fmt.Errorf("core: describe * needs a hypothesis")
+		return nil, 0, fmt.Errorf("core: describe * needs a hypothesis")
 	}
 	// Enumerate IDB predicates (those with rules). Predicates named by
 	// the hypothesis itself are skipped — "honor is derivable from
@@ -197,7 +212,6 @@ func (d *Describer) DescribeWildcard(hypothesis term.Formula) ([]WildcardEntry, 
 		}
 	}
 	sort.Strings(preds)
-	var out []WildcardEntry
 	for _, pred := range preds {
 		if inHyp[pred] {
 			continue
@@ -207,10 +221,11 @@ func (d *Describer) DescribeWildcard(hypothesis term.Formula) ([]WildcardEntry, 
 			args[i] = term.Var(fmt.Sprintf("W%d", i+1))
 		}
 		subject := term.NewAtom(pred, args...)
-		ans, err := d.Describe(subject, hypothesis)
+		ans, err := d.describe(gov, obs.SpanFromContext(ctx), subject, hypothesis)
 		if err != nil {
-			return nil, err
+			return nil, nodes, err
 		}
+		nodes += ans.Nodes
 		var used []Answer
 		for _, a := range ans.Formulas {
 			if len(a.UsedHypothesis) > 0 {
@@ -231,7 +246,7 @@ func (d *Describer) DescribeWildcard(hypothesis term.Formula) ([]WildcardEntry, 
 			Answers: &Answers{Subject: subject, Hypothesis: hypothesis, Formulas: used},
 		})
 	}
-	return out, nil
+	return out, nodes, nil
 }
 
 // inlineSubjectEqualities folds `W = X` equalities between the synthetic

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
+	"kdb/internal/governor"
 	"kdb/internal/parser"
 	"kdb/internal/term"
 )
@@ -293,6 +296,38 @@ award(X) :- honor(X), thesis(X).
 				t.Errorf("honor = %q", e.Answers.Formulas[0].String())
 			}
 		}
+	}
+}
+
+// The wildcard runs one search per concept; the governor spans them all.
+func TestWildcardDescribeGoverned(t *testing.T) {
+	d := newDescriber(t, universityIDB, Options{})
+	hyp := formula(t, `honor(X)`)
+
+	entries, nodes, err := d.DescribeWildcardContext(context.Background(), hyp, governor.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three concepts are searched (honor itself is named by the
+	// hypothesis and skipped); the count is the sum over all of them, not
+	// only over the one that made an entry.
+	perConcept := 0
+	for _, q := range []string{`describe can_ta(W1, W2) where honor(X).`, `describe prior(W1, W2) where honor(X).`} {
+		perConcept += describe(t, d, q).Nodes
+	}
+	if len(entries) != 1 || nodes != perConcept {
+		t.Errorf("%d entries, %d nodes; want 1 entry and the %d nodes of the per-concept searches", len(entries), nodes, perConcept)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := d.DescribeWildcardContext(ctx, hyp, governor.Limits{}); !errors.Is(err, governor.ErrCanceled) {
+		t.Errorf("cancelled context: err = %v, want governor.ErrCanceled", err)
+	}
+	var le *governor.LimitError
+	_, _, err = d.DescribeWildcardContext(context.Background(), hyp, governor.Limits{MaxDescribeNodes: 1})
+	if !errors.As(err, &le) || le.Kind != governor.LimitDescribeNodes {
+		t.Errorf("MaxDescribeNodes 1: err = %v, want a describe-nodes *LimitError", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -274,4 +275,154 @@ connected(X, Y) :- flight(X, Z), connected(Z, Y).
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// randomBinaryStore fills each named binary relation with random pairs
+// over four constants.
+func randomBinaryStore(r *rand.Rand, preds ...string) *storage.Store {
+	st := storage.NewMemory()
+	consts := []string{"a", "b", "c", "d"}
+	for _, pred := range preds {
+		for i := 0; i < 6; i++ {
+			if _, err := st.InsertAtom(term.NewAtom(pred,
+				term.Sym(consts[r.Intn(len(consts))]), term.Sym(consts[r.Intn(len(consts))]))); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return st
+}
+
+// soundCase is one answer to model-check: `head ← body ∧ hypothesis`
+// must hold in every database.
+type soundCase struct {
+	what       string
+	head       term.Atom
+	hypothesis term.Formula
+	answer     Answer
+}
+
+func checkSoundOnStores(t *testing.T, rules []term.Rule, cases []soundCase, store func(*rand.Rand) *storage.Store) {
+	t.Helper()
+	if len(cases) == 0 {
+		t.Fatal("nothing to check")
+	}
+	f := func(seed int64) bool {
+		st := store(rand.New(rand.NewSource(seed)))
+		for _, c := range cases {
+			if err := checkAnswerSound(st, rules, c.head, c.hypothesis, c.answer); err != nil {
+				t.Logf("seed %d, %s: %v", seed, c.what, err)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+func describeCases(t *testing.T, d *Describer, queries ...string) []soundCase {
+	t.Helper()
+	var cases []soundCase
+	for _, q := range queries {
+		pq, err := parser.ParseQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dq := pq.(*parser.Describe)
+		for _, a := range describe(t, d, q).Formulas {
+			cases = append(cases, soundCase{q, dq.Subject, dq.Where, a})
+		}
+	}
+	return cases
+}
+
+// TestQuickDescribeSoundBeyondAlgorithm1 model-checks what Algorithm 2
+// and the §6 extensions return: Example 8's strongly linear recursion,
+// the bounded mode for untyped recursion at three bounds, answers kept in
+// step-predicate form, `where necessary`, and every entry of a wildcard
+// describe.
+func TestQuickDescribeSoundBeyondAlgorithm1(t *testing.T) {
+	t.Run("example 8", func(t *testing.T) {
+		d := newDescriber(t, "p(X, Y) :- q(X, Z), r(Z, Y).\nq(X, Y) :- q(X, Z), s(Z, Y).\nq(X, Y) :- r(X, Y).\n", Options{})
+		cases := describeCases(t, d,
+			`describe p(X, Y) where r(a, Y).`, `describe p(X, Y) where q(X, a).`,
+			`describe q(X, Y) where s(a, Y).`, `describe q(X, Y) where r(X, Y).`)
+		checkSoundOnStores(t, d.Rules(), cases, func(r *rand.Rand) *storage.Store { return randomBinaryStore(r, "r", "s") })
+	})
+	for _, bound := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("untyped bound %d", bound), func(t *testing.T) {
+			d := newDescriber(t, "reach(X, Y) :- link(X, Y).\nreach(X, Y) :- reach(Y, X).\nnear(X, Y) :- reach(X, Y), close(X, Y).\n",
+				Options{UntypedBound: bound})
+			cases := describeCases(t, d,
+				`describe reach(X, Y) where link(Y, X).`, `describe reach(X, Y) where reach(Y, X).`,
+				`describe near(X, Y) where link(Y, X).`, `describe near(X, Y) where reach(Y, X) and close(X, Y).`)
+			checkSoundOnStores(t, d.Rules(), cases, func(r *rand.Rand) *storage.Store { return randomBinaryStore(r, "link", "close") })
+		})
+	}
+	t.Run("KeepSteps", func(t *testing.T) {
+		// Step atoms mean what the transformed rules say they mean, and the
+		// transformation preserves prior's extension: check against those.
+		d := newDescriber(t, universityIDB, Options{KeepSteps: true})
+		cases := describeCases(t, d,
+			`describe prior(X, Y) where prior(databases, Y).`, `describe prior(X, Y) where prior(X, databases).`,
+			`describe prior(X, Y) where prereq(X, Z).`)
+		steps := 0
+		for _, c := range cases {
+			for _, a := range c.answer.Body {
+				if _, ok := d.trans.IsStepPred(a.Pred); ok {
+					steps++
+				}
+			}
+		}
+		if steps == 0 {
+			t.Fatal("no answer kept a step atom")
+		}
+		checkSoundOnStores(t, d.TransformedRules(), cases, randomUniversityStore)
+	})
+	t.Run("where necessary", func(t *testing.T) {
+		d := newDescriber(t, universityIDB, Options{})
+		var cases []soundCase
+		for _, q := range []string{
+			`describe can_ta(X, Y) where honor(X) and teach(susan, Y).`,
+			`describe can_ta(X, databases) where student(X, math, V) and V > 3.7.`,
+			`describe honor(X) where student(X, M, V) and V > 3.8.`,
+		} {
+			pq, err := parser.ParseQuery(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dq := pq.(*parser.Describe)
+			all := describe(t, d, q).SortedStrings()
+			nec, err := d.DescribeNecessary(dq.Subject, dq.Where)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range nec.Formulas {
+				if !slices.Contains(all, a.String()) {
+					t.Errorf("%s: necessary answer %v is not among %q", q, a, all)
+				}
+				cases = append(cases, soundCase{q + " (necessary)", dq.Subject, dq.Where, a})
+			}
+		}
+		checkSoundOnStores(t, d.Rules(), cases, randomUniversityStore)
+	})
+	t.Run("wildcard", func(t *testing.T) {
+		d := newDescriber(t, universityIDB, Options{})
+		hyp := formula(t, `honor(X)`)
+		entries, err := d.DescribeWildcard(hyp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cases []soundCase
+		for _, e := range entries {
+			for _, a := range e.Answers.Formulas {
+				// The entry's head is the subject with the hypothesis's
+				// variables folded in.
+				cases = append(cases, soundCase{"describe * where honor(X): " + a.String(), a.Head, hyp, a})
+			}
+		}
+		checkSoundOnStores(t, d.Rules(), cases, randomUniversityStore)
+	})
 }

@@ -1,22 +1,161 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
 
 	"kdb/internal/builtin"
 	"kdb/internal/term"
 )
 
+// conj is a conjunction prepared for θ-subsumption tests, once, in both
+// roles: as the target (split into comparisons and ordinary atoms) and
+// as the pattern (the same, with every non-fixed variable renamed apart —
+// two conjunctions typically share variable names, and θ may bind only
+// the pattern's own variables).
+type conj struct {
+	cmp, ord   term.Formula
+	pcmp, pord term.Formula
+}
+
+// matcher decides θ-subsumption between conjunctions prepared against
+// one set of fixed variables, which θ must map to themselves. It owns
+// the substitution being built and is not safe for concurrent use.
+type matcher struct {
+	fixed map[term.Term]bool
+	b     bindings
+	err   error
+}
+
+func newMatcher(fixed map[term.Term]bool) *matcher {
+	return &matcher{fixed: fixed, b: newBindings()}
+}
+
+// prepare splits the conjunction and renames its pattern form apart.
+func (m *matcher) prepare(f term.Formula) conj {
+	var c conj
+	c.cmp, c.ord = builtin.Split(f)
+	c.pcmp, c.pord = builtin.Split(renameApart(f, m.fixed))
+	return c
+}
+
+// renameApart replaces every non-fixed variable of the formula with a
+// fresh variable whose name cannot occur in user programs, so pattern and
+// target of a matching problem never share variables.
+func renameApart(f term.Formula, fixed map[term.Term]bool) term.Formula {
+	sub := term.NewSubst(4)
+	n := 0
+	for _, v := range f.Vars() {
+		if !fixed[v] {
+			n++
+			sub[v] = term.Var("\x01R" + strconv.Itoa(n))
+		}
+	}
+	return sub.ApplyFormula(f)
+}
+
+// cannotMatch reports that some ordinary atom of the pattern has a
+// predicate/arity no atom of the target has, so no θ exists and the
+// matcher need not run.
+//
+//kdb:hotpath
+func cannotMatch(pattern, target *conj) bool {
+next:
+	for _, p := range pattern.pord {
+		for _, t := range target.ord {
+			if p.Pred == t.Pred && len(p.Args) == len(t.Args) {
+				continue next
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// subsumes reports whether general θ-subsumes specific: a substitution
+// θ fixing the matcher's fixed variables maps every ordinary atom of
+// general onto an atom of specific, and specific's comparisons imply θ
+// of general's. Then `head ← specific` is a logical consequence of
+// `head ← general`. The error is the last one a comparison implication
+// raised, if any; callers that treat a failed implication as "not
+// implied" ignore it.
+func (m *matcher) subsumes(general, specific *conj) (bool, error) {
+	if cannotMatch(general, specific) {
+		return false, nil
+	}
+	m.err = nil
+	ok := m.match(general.pord, general, specific)
+	m.b.undo(0)
+	return ok, m.err
+}
+
+// match enumerates substitutions θ with θ(pattern[i]) among specific's
+// ordinary atoms for every i and returns true as soon as one makes
+// specific's comparisons imply θ of general's.
+func (m *matcher) match(pattern term.Formula, general, specific *conj) bool {
+	if len(pattern) == 0 {
+		implied, err := builtin.Implies(specific.cmp, m.b.m.ApplyFormula(general.pcmp))
+		if err != nil {
+			m.err = err
+			return false
+		}
+		return implied
+	}
+	for _, t := range specific.ord {
+		mark := m.b.mark()
+		if m.matchFixed(pattern[0], t) && m.match(pattern[1:], general, specific) {
+			return true
+		}
+		m.b.undo(mark)
+	}
+	return false
+}
+
+// matchFixed is one-way matching where fixed variables may only map to
+// themselves. On failure the caller undoes to its mark.
+//
+// A pattern variable already bound to a non-fixed variable of the
+// target, met again against a different term, binds that target
+// variable: the test is slightly more permissive than θ-subsumption
+// proper. It has always been so, and answers depend on it.
+func (m *matcher) matchFixed(pattern, target term.Atom) bool {
+	if pattern.Pred != target.Pred || len(pattern.Args) != len(target.Args) {
+		return false
+	}
+	for i, a := range pattern.Args {
+		p := m.b.walk(a)
+		g := target.Args[i]
+		switch {
+		case p == g:
+		case !p.IsVar() || m.fixed[p]:
+			return false
+		case p == a:
+			m.b.bind(p, g) // a pattern variable: no binding's value names it
+		default:
+			m.b.rebind(p, g)
+		}
+	}
+	return true
+}
+
 // eliminateRedundant removes answers that are logical consequences of
-// other answers (the paper's redundancy-free requirement, §3.2). The test
-// is θ-subsumption strengthened with comparison implication: answer a
-// makes answer b redundant when a substitution θ that fixes the head
-// variables maps every ordinary atom of a's body onto an atom of b's
-// body, and b's comparisons imply θ of a's comparisons. Then b's rule is
-// a logical consequence of a's and b adds nothing.
+// other answers (the paper's redundancy-free requirement, §3.2): answer
+// a makes answer b redundant when a's body θ-subsumes b's with the
+// user's variables fixed — both answers carry the same head and
+// hypothesis, whose variables denote the same objects. The answers must
+// be those of one describe: they share the subject as head, and its
+// variables are among the user's.
 func eliminateRedundant(answers []Answer, userVars map[term.Term]bool) []Answer {
 	if len(answers) <= 1 {
 		return answers
+	}
+	m := newMatcher(userVars)
+	conjs := m.prepareAnswers(answers)
+	subsumes := func(i, j int) bool {
+		if !answers[i].Head.Equal(answers[j].Head) {
+			return false
+		}
+		ok, _ := m.subsumes(&conjs[i], &conjs[j])
+		return ok
 	}
 	redundant := make([]bool, len(answers))
 	for i := range answers {
@@ -27,11 +166,9 @@ func eliminateRedundant(answers []Answer, userVars map[term.Term]bool) []Answer 
 			if i == j || redundant[j] {
 				continue
 			}
-			if subsumes(answers[i], answers[j], userVars) {
-				// Keep the earlier answer on mutual subsumption.
-				if j > i || !subsumes(answers[j], answers[i], userVars) {
-					redundant[j] = true
-				}
+			// Keep the earlier answer on mutual subsumption.
+			if subsumes(i, j) && (j > i || !subsumes(j, i)) {
+				redundant[j] = true
 			}
 		}
 	}
@@ -44,88 +181,20 @@ func eliminateRedundant(answers []Answer, userVars map[term.Term]bool) []Answer 
 	return out
 }
 
-// subsumes reports whether answer a θ-subsumes answer b: a's body, under
-// some substitution fixing the user's variables (both answers implicitly
-// carry the same head and hypothesis, whose variables denote the same
-// objects), is covered by b's body — ordinary atoms by matching,
-// comparisons by implication. The pattern side is renamed apart first:
-// the two answers typically share non-user variable names, and
-// θ-subsumption may bind only the pattern's own variables.
-func subsumes(a, b Answer, userVars map[term.Term]bool) bool {
-	if !a.Head.Equal(b.Head) {
-		return false
+// prepareAll prepares each conjunction.
+func (m *matcher) prepareAll(fs []term.Formula) []conj {
+	out := make([]conj, len(fs))
+	for i, f := range fs {
+		out[i] = m.prepare(f)
 	}
-	fixed := make(map[term.Term]bool, len(userVars)+2)
-	for v := range userVars {
-		fixed[v] = true
-	}
-	for _, v := range a.Head.Vars(nil) {
-		fixed[v] = true
-	}
-	aCmp, aOrd := builtin.Split(renameApart(a.Body, fixed))
-	bCmp, bOrd := builtin.Split(b.Body)
-	// Enumerate matchers of a's ordinary atoms into b's.
-	return matchAtoms(aOrd, bOrd, fixed, nil, func(theta term.Subst) bool {
-		implied, err := builtin.Implies(bCmp, theta.ApplyFormula(aCmp))
-		return err == nil && implied
-	})
+	return out
 }
 
-// renameApart replaces every non-fixed variable of the formula with a
-// fresh variable whose name cannot occur in user programs, so pattern and
-// target of a matching problem never share variables.
-func renameApart(f term.Formula, fixed map[term.Term]bool) term.Formula {
-	sub := term.NewSubst(4)
-	n := 0
-	for _, v := range f.Vars() {
-		if !fixed[v] {
-			n++
-			sub[v] = term.Var(fmt.Sprintf("\x01R%d", n))
-		}
+// prepareAnswers prepares each answer's body.
+func (m *matcher) prepareAnswers(answers []Answer) []conj {
+	conjs := make([]conj, len(answers))
+	for i, a := range answers {
+		conjs[i] = m.prepare(a.Body)
 	}
-	return sub.ApplyFormula(f)
-}
-
-// matchAtoms enumerates substitutions θ (extending base, fixing the
-// variables in fixed) with θ(pattern[i]) ∈ targets for every i, calling
-// ok for each; it returns true as soon as ok does.
-func matchAtoms(pattern, targets term.Formula, fixed map[term.Term]bool, base term.Subst, ok func(term.Subst) bool) bool {
-	if len(pattern) == 0 {
-		return ok(base)
-	}
-	p := pattern[0]
-	for _, t := range targets {
-		theta, matched := matchFixed(p, t, fixed, base)
-		if !matched {
-			continue
-		}
-		if matchAtoms(pattern[1:], targets, fixed, theta, ok) {
-			return true
-		}
-	}
-	return false
-}
-
-// matchFixed is one-way matching where variables in fixed may only map to
-// themselves.
-func matchFixed(pattern, target term.Atom, fixed map[term.Term]bool, base term.Subst) (term.Subst, bool) {
-	if pattern.Pred != target.Pred || len(pattern.Args) != len(target.Args) {
-		return nil, false
-	}
-	s := base.Clone()
-	if s == nil {
-		s = term.NewSubst(len(pattern.Args))
-	}
-	for i := range pattern.Args {
-		p := s.Walk(pattern.Args[i])
-		g := target.Args[i]
-		switch {
-		case p == g:
-		case p.IsVar() && !fixed[p]:
-			s.Bind(p, g)
-		default:
-			return nil, false
-		}
-	}
-	return s, true
+	return conjs
 }

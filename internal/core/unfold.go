@@ -139,9 +139,16 @@ func (d *Describer) consistent(f term.Formula) (bool, error) {
 	if err != nil || !sat {
 		return false, err
 	}
+	if len(d.icDisjuncts) == 0 {
+		return true, nil
+	}
+	// A constraint is triggered when the conjunction entails its
+	// forbidden pattern: the pattern θ-subsumes the conjunction.
+	m := newMatcher(nil)
+	situation := m.prepare(chased)
 	for _, alternatives := range d.icDisjuncts {
-		for _, ic := range alternatives {
-			hit, err := constraintTriggered(chased, ic)
+		for i := range alternatives {
+			hit, err := m.subsumes(&alternatives[i], &situation)
 			if err != nil {
 				return false, err
 			}
@@ -151,23 +158,4 @@ func (d *Describer) consistent(f term.Formula) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// constraintTriggered reports whether the conjunction entails the
-// constraint's forbidden pattern: a substitution maps every ordinary atom
-// of the constraint onto an atom of the conjunction and the conjunction's
-// comparisons imply the constraint's.
-func constraintTriggered(dis, ic term.Formula) (bool, error) {
-	icCmp, icOrd := builtin.Split(renameApart(ic, nil))
-	disCmp, disOrd := builtin.Split(dis)
-	var ierr error
-	hit := matchAtoms(icOrd, disOrd, nil, nil, func(theta term.Subst) bool {
-		implied, err := builtin.Implies(disCmp, theta.ApplyFormula(icCmp))
-		if err != nil {
-			ierr = err
-			return false
-		}
-		return implied
-	})
-	return hit, ierr
 }

@@ -10,6 +10,7 @@ import (
 
 	"kdb/internal/eval"
 	"kdb/internal/governor"
+	"kdb/internal/obs"
 	"kdb/internal/term"
 )
 
@@ -102,6 +103,48 @@ func TestKBDescribeContextCancel(t *testing.T) {
 	_, err := k.ExecStringContext(ctx, `describe can_ta(X, databases).`)
 	if !errors.Is(err, governor.ErrCanceled) {
 		t.Errorf("err = %v, want governor.ErrCanceled", err)
+	}
+}
+
+// `describe * where ψ` runs one search per concept: the statement's
+// context and the configured limits govern all of them, and the metrics
+// see the nodes of all of them.
+func TestKBWildcardDescribeGoverned(t *testing.T) {
+	reg := obs.NewRegistry()
+	k := New(WithMetrics(reg))
+	if err := k.LoadString(universityKB); err != nil {
+		t.Fatal(err)
+	}
+	describeNodes := func() (n float64) {
+		for _, p := range reg.Snapshot() {
+			if p.Name == "kdb_describe_nodes_total" {
+				n += p.Value
+			}
+		}
+		return n
+	}
+	const stmt = `describe * where honor(X).`
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := k.ExecStringContext(ctx, stmt); !errors.Is(err, governor.ErrCanceled) {
+		t.Errorf("cancelled context: err = %v, want governor.ErrCanceled", err)
+	}
+	k.SetQueryLimits(governor.Limits{MaxDescribeNodes: 1})
+	var le *governor.LimitError
+	if _, err := k.ExecString(stmt); !errors.As(err, &le) || le.Kind != governor.LimitDescribeNodes {
+		t.Errorf("MaxDescribeNodes 1: err = %v, want a describe-nodes *LimitError", err)
+	}
+	k.SetQueryLimits(governor.Limits{})
+	before := describeNodes()
+	res, err := k.ExecStringContext(context.Background(), stmt)
+	if err != nil {
+		t.Fatalf("after clearing limits: %v", err)
+	}
+	if len(res.Wildcard) != 1 {
+		t.Errorf("entries = %v, want just can_ta", res.Wildcard)
+	}
+	if after := describeNodes(); after <= before {
+		t.Errorf("kdb_describe_nodes_total stayed at %v over a wildcard describe", after)
 	}
 }
 

@@ -1192,12 +1192,25 @@ func (k *KB) Possible(where term.Formula) (*core.Possibility, error) {
 }
 
 // DescribeWildcard evaluates `describe * where ψ` (§6 ext. 4).
+//
+//kdb:entrypoint
 func (k *KB) DescribeWildcard(where term.Formula) ([]core.WildcardEntry, error) {
+	return k.DescribeWildcardContext(context.Background(), where)
+}
+
+// DescribeWildcardContext is DescribeWildcard under the context and the
+// configured query limits.
+func (k *KB) DescribeWildcardContext(ctx context.Context, where term.Formula) ([]core.WildcardEntry, error) {
 	d, err := k.getDescriber()
 	if err != nil {
 		return nil, err
 	}
-	return d.DescribeWildcard(where)
+	entries, nodes, err := d.DescribeWildcardContext(ctx, where, k.effectiveLimits(ctx))
+	if err != nil {
+		return nil, err
+	}
+	k.observeDescribe(nodes)
+	return entries, nil
 }
 
 // Compare evaluates the §6 compare statement.
@@ -1295,7 +1308,7 @@ func (k *KB) execContext(ctx context.Context, q parser.Query) (*ExecResult, erro
 			if len(s.Not) > 0 {
 				return nil, fmt.Errorf("kb: 'not' is not supported in a wildcard describe")
 			}
-			entries, err := k.DescribeWildcard(s.Where)
+			entries, err := k.DescribeWildcardContext(ctx, s.Where)
 			if err != nil {
 				return nil, err
 			}
