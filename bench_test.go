@@ -68,53 +68,6 @@ func BenchmarkRetrieveEngines(b *testing.B) {
 				benchQuery(b, k, `retrieve path(X, Y).`)
 			})
 		}
-		// Parallel semi-naive on the single-SCC chain: the acceptance bar
-		// is parity with the sequential engine (there is nothing to spread,
-		// so this measures the scheduler's overhead).
-		b.Run(fmt.Sprintf("engine=seminaive-par/chain=%d", n), func(b *testing.B) {
-			k := kdb.New(kdb.WithParallelism(0))
-			if err := k.LoadString(src); err != nil {
-				b.Fatal(err)
-			}
-			benchQuery(b, k, `retrieve path(X, Y).`)
-		})
-	}
-}
-
-// wideKB builds several independent chain closures joined by one top
-// rule: the SCC condensation is wide, so parallel stratum evaluation has
-// independent work to schedule.
-func wideKB(chains, length int) string {
-	var sb strings.Builder
-	for c := 0; c < chains; c++ {
-		for i := 0; i < length; i++ {
-			fmt.Fprintf(&sb, "edge%d(n%04d, n%04d).\n", c, i, i+1)
-		}
-		fmt.Fprintf(&sb, "path%d(X, Y) :- edge%d(X, Y).\n", c, c)
-		fmt.Fprintf(&sb, "path%d(X, Y) :- edge%d(X, Z), path%d(Z, Y).\n", c, c, c)
-	}
-	sb.WriteString("top(X, Y) :- path0(X, Y)")
-	for c := 1; c < chains; c++ {
-		fmt.Fprintf(&sb, ", path%d(X, Y)", c)
-	}
-	sb.WriteString(".\n")
-	return sb.String()
-}
-
-func BenchmarkRetrieveParallelStrata(b *testing.B) {
-	src := wideKB(8, 40)
-	for _, workers := range []int{1, 2, 4, 0} {
-		name := fmt.Sprintf("workers=%d", workers)
-		if workers == 0 {
-			name = "workers=gomaxprocs"
-		}
-		b.Run(name, func(b *testing.B) {
-			k := kdb.New(kdb.WithParallelism(workers))
-			if err := k.LoadString(src); err != nil {
-				b.Fatal(err)
-			}
-			benchQuery(b, k, `retrieve top(X, Y).`)
-		})
 	}
 }
 

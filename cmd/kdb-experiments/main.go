@@ -8,24 +8,15 @@
 //
 // Usage:
 //
-//	kdb-experiments [-data testdata]
-//	kdb-experiments -bench BENCH_PR9.json [-bench-iters N]
-//
-// With -bench, a fixed set of query workloads runs instead and a JSON
-// report lands in the named file: per-workload iteration counts, total
-// and mean latency, and throughput, all read back from a fresh
-// per-workload metrics registry (the same instruments -debug-addr
-// exposes), plus the registry snapshot.
+//	kdb-experiments [-data testdata] [-stats] [-timeout DUR]
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"unicode"
@@ -270,154 +261,10 @@ foreign(X) :- student2(X, G, N), N != usa.
 func main() {
 	dataDir := flag.String("data", "testdata", "directory containing the .kdb files")
 	stats := flag.Bool("stats", false, "print evaluation statistics for each experiment's retrieves")
-	parallel := flag.Int("parallel", 1, "bottom-up evaluation workers (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "per-query wall-time limit (0 = unlimited); a breaching experiment reports ERROR and the sweep continues")
-	bench := flag.String("bench", "", "run the benchmark workloads and write a JSON report to FILE (skips the experiments)")
-	benchIters := flag.Int("bench-iters", 30, "iterations per benchmark workload")
 	flag.Parse()
-	kbOptions = []kdb.Option{
-		kdb.WithParallelism(*parallel),
-		kdb.WithQueryLimits(kdb.QueryLimits{MaxWall: *timeout}),
-	}
-	if *bench != "" {
-		if err := runBench(*dataDir, *bench, *benchIters, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "kdb-experiments:", err)
-			os.Exit(1)
-		}
-		return
-	}
+	kbOptions = []kdb.Option{kdb.WithQueryLimits(kdb.QueryLimits{MaxWall: *timeout})}
 	os.Exit(run(*dataDir, *stats, os.Stdout))
-}
-
-// benchWorkload is one benchmark unit: a KB setup plus a query to run
-// repeatedly.
-type benchWorkload struct {
-	ID    string `json:"id"`
-	Kind  string `json:"kind"`
-	Query string `json:"query"`
-	setup func(dataDir string) (*kdb.KB, error)
-	// opts are extra KB options for this workload (e.g. the
-	// system-relations off half of an overhead pair).
-	opts []kdb.Option
-}
-
-// benchResult is the measured outcome of one workload, with every
-// latency figure read back from the workload's own metrics registry
-// (histogram count and sum), not from a separate clock — the benchmark
-// doubles as an end-to-end check of the instrumentation.
-type benchResult struct {
-	benchWorkload
-	Iterations    int64             `json:"iterations"`
-	TotalSeconds  float64           `json:"total_seconds"`
-	MeanSeconds   float64           `json:"mean_seconds"`
-	ThroughputQPS float64           `json:"throughput_qps"`
-	Metrics       []kdb.MetricPoint `json:"metrics"`
-}
-
-// benchReport is the top-level BENCH_PR9.json document. Workloads run
-// the library path (direct ExecString calls); ServerWorkloads run the
-// same statements through the `kdb serve` HTTP data plane, so the two
-// sections bracket the cost of the server layer.
-type benchReport struct {
-	Bench           string              `json:"bench"`
-	Go              string              `json:"go"`
-	Workloads       []benchResult       `json:"workloads"`
-	ServerWorkloads []serverBenchResult `json:"server_workloads"`
-}
-
-func benchWorkloads() []benchWorkload {
-	return []benchWorkload{
-		{ID: "retrieve-honor", Kind: "retrieve", setup: universitySetup,
-			Query: `retrieve honor(X) where enroll(X, databases).`},
-		{ID: "retrieve-reachable", Kind: "retrieve", setup: routesSetup,
-			Query: `retrieve reachable(X, Y).`},
-		{ID: "describe-can-ta", Kind: "describe", setup: universitySetup,
-			Query: `describe can_ta(X, databases) where student(X, math, V) and V > 3.7.`},
-		{ID: "describe-recursive-prior", Kind: "describe", setup: universitySetup,
-			Query: `describe prior(X, Y) where prior(databases, Y).`},
-		{ID: "compare-honor-deans", Kind: "compare", setup: universitySetup,
-			Query: `compare (describe honor(X)) with (describe deans_list(X)).`},
-		// Provenance overhead pair: the same recursive closure with and
-		// without witness recording. Comparing retrieve-reachable-baseline
-		// against explain-reachable isolates what why-provenance costs.
-		{ID: "retrieve-reachable-baseline", Kind: "retrieve", setup: routesSetup,
-			Query: `retrieve reachable(la, Y).`},
-		{ID: "explain-reachable", Kind: "explain", setup: routesSetup,
-			Query: `explain reachable(la, Y).`},
-		// Profiling overhead pair: the same recursive closure with
-		// per-rule cost accounting on. Comparing
-		// retrieve-reachable-baseline against profile-reachable isolates
-		// what the profiler costs.
-		{ID: "profile-reachable", Kind: "profile", setup: routesSetup,
-			Query: `profile reachable(la, Y).`},
-		// System-relations overhead pair: the same closure, which never
-		// mentions sys_*, with the virtual-relation provider attached
-		// (the default) and detached. Comparing
-		// retrieve-reachable-baseline against retrieve-reachable-nosys
-		// bounds what serving sys_* costs programs that ignore it (the
-		// design target is zero).
-		{ID: "retrieve-reachable-nosys", Kind: "retrieve", setup: routesSetup,
-			Query: `retrieve reachable(la, Y).`, opts: []kdb.Option{kdb.WithoutSystemRelations()}},
-		// The engine querying itself: one row per metric series of the
-		// workload's own registry.
-		{ID: "retrieve-sys-metric", Kind: "retrieve", setup: routesSetup,
-			Query: `retrieve sys_metric(N, counter, V) where V > 0.`},
-	}
-}
-
-// runBench executes every workload iters times over a fresh KB with a
-// fresh metrics registry and writes the JSON report to path.
-func runBench(dataDir, path string, iters int, out io.Writer) error {
-	report := benchReport{Bench: "PR10", Go: runtime.Version()}
-	for _, w := range benchWorkloads() {
-		reg := kdb.NewMetricsRegistry()
-		saved := kbOptions
-		kbOptions = append(append(append([]kdb.Option{}, saved...), kdb.WithMetrics(reg)), w.opts...)
-		k, err := w.setup(dataDir)
-		kbOptions = saved
-		if err != nil {
-			return fmt.Errorf("workload %s: setup: %w", w.ID, err)
-		}
-		for i := 0; i < iters; i++ {
-			if _, err := k.ExecString(w.Query); err != nil {
-				return fmt.Errorf("workload %s: %w", w.ID, err)
-			}
-		}
-		res := benchResult{benchWorkload: w, Metrics: reg.Snapshot()}
-		for _, p := range res.Metrics {
-			if p.Name == "kdb_query_duration_seconds" && p.Labels["kind"] == w.Kind {
-				res.Iterations += p.Count
-				res.TotalSeconds += p.Sum
-			}
-		}
-		if res.Iterations > 0 {
-			res.MeanSeconds = res.TotalSeconds / float64(res.Iterations)
-		}
-		if res.TotalSeconds > 0 {
-			res.ThroughputQPS = float64(res.Iterations) / res.TotalSeconds
-		}
-		fmt.Fprintf(out, "bench %-24s iters=%d total=%.6fs mean=%.6fs qps=%.0f\n",
-			w.ID, res.Iterations, res.TotalSeconds, res.MeanSeconds, res.ThroughputQPS)
-		report.Workloads = append(report.Workloads, res)
-	}
-	server, err := runServerBench(dataDir, iters, out)
-	if err != nil {
-		return fmt.Errorf("server bench: %w", err)
-	}
-	report.ServerWorkloads = server
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %s (%d library + %d server workloads)\n",
-		path, len(report.Workloads), len(report.ServerWorkloads))
-	return nil
 }
 
 func run(dataDir string, showStats bool, out io.Writer) int {

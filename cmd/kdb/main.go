@@ -19,13 +19,15 @@
 // commands (starting with '.'). Type `.help` at the prompt.
 //
 // The check subcommand runs the static-analysis suite over program
-// files without loading them into a database: source-anchored
-// diagnostics (safety, arity, undefined/unused predicates, recursion
-// classification, contradictions, duplicate rules) print per file,
-// human-readable by default or as JSON with -json. Exit status is 1
-// when any file has error-severity diagnostics (or warnings, with
-// -strict). The -lint flag of the main command prints the same report
-// after loading program files.
+// files: source-anchored diagnostics (safety, arity, undefined/unused
+// predicates, recursion classification, contradictions, duplicate
+// rules) print per file, human-readable by default or as JSON with
+// -json. A file with no static errors is then loaded into a scratch
+// in-memory database and its shipped facts are checked against its
+// integrity constraints. Exit status is 1 when any file has
+// error-severity diagnostics or constraint violations (or warnings,
+// with -strict). The -lint flag of the main command prints the same
+// report after loading program files.
 package main
 
 import (
@@ -41,7 +43,6 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -73,7 +74,6 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		exec     = fs.String("exec", "", "execute the given queries and exit")
 		quiet    = fs.Bool("q", false, "suppress the banner and prompts")
 		stats    = fs.Bool("stats", false, "print evaluation statistics after each retrieve")
-		parallel = fs.Int("parallel", 1, "bottom-up evaluation workers (0 = GOMAXPROCS)")
 		timeout  = fs.Duration("timeout", 0, "per-query wall-time limit (0 = unlimited)")
 		maxFacts = fs.Int("max-facts", 0, "per-query derived-fact limit (0 = unlimited)")
 		lint     = fs.Bool("lint", false, "print the static-analysis report after loading program files")
@@ -95,7 +95,6 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	}
 
 	opts := []kdb.Option{
-		kdb.WithParallelism(*parallel),
 		kdb.WithQueryLimits(kdb.QueryLimits{
 			MaxWall:              *timeout,
 			MaxFacts:             *maxFacts,
@@ -280,12 +279,16 @@ type checkedFile struct {
 	File string `json:"file"`
 	// Report is the analysis report; nil when the file did not parse.
 	Report *kdb.Report `json:"report,omitempty"`
-	// Error is the parse failure, when there is one.
+	// Error is the parse failure, or a failure of the data pass.
 	Error string `json:"error,omitempty"`
+	// Violations are the integrity-constraint violations of the
+	// file's own facts, one message per violating instance.
+	Violations []string `json:"violations,omitempty"`
 }
 
 // runCheck implements the `kdb check` subcommand: the static-analysis
-// suite over program files, with no database involved.
+// suite over program files, then, for a file without static errors, its
+// facts against its integrity constraints.
 func runCheck(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("kdb check", flag.ContinueOnError)
 	var (
@@ -314,11 +317,17 @@ func runCheck(args []string, out io.Writer) error {
 			failed++
 			continue
 		}
-		rep := kdb.Analyze(prog)
-		results = append(results, checkedFile{File: path, Report: rep})
-		if rep.HasErrors() || (*strict && len(rep.Warnings()) > 0) {
+		r := checkedFile{File: path, Report: kdb.Analyze(prog)}
+		if !r.Report.HasErrors() {
+			if r.Violations, err = checkData(prog); err != nil {
+				r.Error = err.Error()
+			}
+		}
+		if r.Report.HasErrors() || r.Error != "" || len(r.Violations) > 0 ||
+			(*strict && len(r.Report.Warnings()) > 0) {
 			failed++
 		}
+		results = append(results, r)
 	}
 	if *asJSON {
 		enc := json.NewEncoder(out)
@@ -328,20 +337,35 @@ func runCheck(args []string, out io.Writer) error {
 		}
 	} else {
 		for _, r := range results {
+			if r.Report != nil {
+				if len(results) > 1 {
+					fmt.Fprintf(out, "== %s\n", r.File)
+				}
+				fmt.Fprint(out, r.Report)
+			}
 			if r.Error != "" {
 				fmt.Fprintf(out, "%s: error: %s\n", r.File, r.Error)
-				continue
 			}
-			if len(results) > 1 {
-				fmt.Fprintf(out, "== %s\n", r.File)
+			for _, v := range r.Violations {
+				fmt.Fprintf(out, "%s: error: %s\n", r.File, v)
 			}
-			fmt.Fprint(out, r.Report)
 		}
 	}
 	if failed > 0 {
 		return fmt.Errorf("check: %d of %d file(s) failed", failed, len(results))
 	}
 	return nil
+}
+
+// checkData loads a program into a scratch in-memory KB and checks its
+// facts against its integrity constraints: the data-level pass the
+// static suite cannot do.
+func checkData(prog *kdb.Program) ([]string, error) {
+	k := kdb.New()
+	if err := k.LoadProgram(prog); err != nil {
+		return nil, err
+	}
+	return k.CheckConstraints()
 }
 
 // shell bundles the KB with the REPL's display switches and the
@@ -510,7 +534,7 @@ func isMetaLine(line string) bool {
 // unknown-command message.
 var metaNames = []string{
 	".check", ".checkpoint", ".engine", ".exit", ".explain", ".help",
-	".intensional", ".load", ".parallel", ".preds", ".profile",
+	".intensional", ".load", ".preds", ".profile",
 	".provenance", ".quit", ".rules", ".stats", ".trace", ".validate",
 }
 
@@ -563,7 +587,6 @@ meta commands:
   .validate      check the §2.1 recursion discipline
   .check         print the static-analysis report of the loaded program
   .engine NAME   switch retrieve engine (naive, seminaive, topdown, magic)
-  .parallel N    bottom-up evaluation workers (0 = GOMAXPROCS)
   .stats [on|off]   print evaluation statistics after each retrieve
   .profile [on|off] profile every retrieve (per-rule cost breakdown)
   .trace [on|off]   print a span tree (parse/analyze/eval/describe) after each query
@@ -626,18 +649,6 @@ other:
 		} else {
 			fmt.Fprintln(out, "engine:", fields[1])
 		}
-	case ".parallel":
-		if len(fields) != 2 {
-			fmt.Fprintln(out, "usage: .parallel N  (0 = GOMAXPROCS)")
-			return false
-		}
-		n, err := strconv.Atoi(fields[1])
-		if err != nil {
-			fmt.Fprintln(out, "error:", err)
-			return false
-		}
-		k.SetParallelism(n)
-		fmt.Fprintln(out, "parallelism:", k.Parallelism())
 	case ".stats":
 		val, set, ok := parseToggle(fields, sh.stats)
 		if !ok {

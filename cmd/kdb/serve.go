@@ -25,13 +25,12 @@ import (
 func runServe(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("kdb serve", flag.ContinueOnError)
 	var (
-		addr     = fs.String("addr", "localhost:8040", "listen address")
-		root     = fs.String("root", "", "directory holding one store per knowledge base (default: in-memory tenants)")
-		engine   = fs.String("engine", "seminaive", "retrieve engine: naive, seminaive, topdown, magic")
-		parallel = fs.Int("parallel", 1, "bottom-up evaluation workers per query (0 = GOMAXPROCS)")
-		maxOpen  = fs.Int("max-open", 8, "maximum simultaneously open knowledge bases")
-		idle     = fs.Duration("idle", 5*time.Minute, "close knowledge bases unused for this long (negative = never)")
-		cache    = fs.Int("prepared-cache", 256, "prepared-statement cache entries")
+		addr    = fs.String("addr", "localhost:8040", "listen address")
+		root    = fs.String("root", "", "directory holding one store per knowledge base (default: in-memory tenants)")
+		engine  = fs.String("engine", "seminaive", "retrieve engine: naive, seminaive, topdown, magic")
+		maxOpen = fs.Int("max-open", 8, "maximum simultaneously open knowledge bases")
+		idle    = fs.Duration("idle", 5*time.Minute, "close knowledge bases unused for this long (negative = never)")
+		cache   = fs.Int("prepared-cache", 256, "prepared-statement cache entries")
 
 		maxInFlight = fs.Int("max-inflight", 256, "maximum concurrent requests before load shedding (0 = unbounded)")
 		brkFails    = fs.Int("breaker-threshold", 3, "consecutive storage failures that trip a tenant into read-only degraded mode (negative = never)")
@@ -68,7 +67,6 @@ func runServe(args []string, out io.Writer) error {
 		MaxOpenKBs:        *maxOpen,
 		IdleTimeout:       *idle,
 		Engine:            kdb.EngineKind(*engine),
-		Parallelism:       *parallel,
 		PreparedCacheSize: *cache,
 		MaxInFlight:       *maxInFlight,
 		BreakerThreshold:  *brkFails,

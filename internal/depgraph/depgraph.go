@@ -253,36 +253,6 @@ func (g *Graph) SCC(p string) []string {
 // evaluate them front to back.
 func (g *Graph) SCCOrder() [][]string { return g.sccs }
 
-// SCCDeps returns the edges of the condensation DAG: for each component
-// of SCCOrder (by index), the sorted indices of the distinct components
-// it directly depends on, self-edges excluded. Because SCCOrder lists
-// components in dependency order, every listed index is smaller than the
-// component's own — a scheduler can evaluate components with no pending
-// dependencies concurrently and release dependents as they finish.
-func (g *Graph) SCCDeps() [][]int {
-	deps := make([][]int, len(g.sccs))
-	for i, comp := range g.sccs {
-		var seen map[int]bool
-		for _, p := range comp {
-			for q := range g.direct[p] {
-				j, ok := g.sccOf[q]
-				if !ok || j == i {
-					continue
-				}
-				if seen == nil {
-					seen = make(map[int]bool)
-				}
-				if !seen[j] {
-					seen[j] = true
-					deps[i] = append(deps[i], j)
-				}
-			}
-		}
-		sort.Ints(deps[i])
-	}
-	return deps
-}
-
 // TypedWRT reports whether the rule is typed with respect to pred: every
 // variable occurs in at most one distinct position across all occurrences
 // of pred in the rule, head included (§2.1). A rule containing p(X, Y)

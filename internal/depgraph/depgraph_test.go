@@ -198,58 +198,6 @@ func TestSCCOrder(t *testing.T) {
 	}
 }
 
-func TestSCCDeps(t *testing.T) {
-	g := New(rules(t, universityIDB+`
-needs_path(X) :- prior(X, databases), honor(X).
-`))
-	order := g.SCCOrder()
-	deps := g.SCCDeps()
-	if len(deps) != len(order) {
-		t.Fatalf("deps has %d entries for %d components", len(deps), len(order))
-	}
-	idx := make(map[string]int)
-	for i, comp := range order {
-		for _, p := range comp {
-			idx[p] = i
-		}
-	}
-	// Every dependency edge points at an earlier component.
-	for i, ds := range deps {
-		for _, d := range ds {
-			if d >= i {
-				t.Errorf("component %d (%v) depends on later component %d (%v)", i, order[i], d, order[d])
-			}
-		}
-	}
-	contains := func(ds []int, j int) bool {
-		for _, d := range ds {
-			if d == j {
-				return true
-			}
-		}
-		return false
-	}
-	// Direct cross-component dependencies are recorded; self-loops and
-	// transitive-only edges are not.
-	if !contains(deps[idx["honor"]], idx["student"]) {
-		t.Errorf("honor's component must depend on student's: %v", deps[idx["honor"]])
-	}
-	if !contains(deps[idx["prior"]], idx["prereq"]) {
-		t.Errorf("prior's component must depend on prereq's: %v", deps[idx["prior"]])
-	}
-	if contains(deps[idx["prior"]], idx["prior"]) {
-		t.Errorf("recursive component must not list itself: %v", deps[idx["prior"]])
-	}
-	if contains(deps[idx["can_ta"]], idx["student"]) {
-		t.Errorf("can_ta→student is transitive only, must not be a direct edge: %v", deps[idx["can_ta"]])
-	}
-	// needs_path joins two independent chains: both must be direct deps.
-	np := idx["needs_path"]
-	if !contains(deps[np], idx["prior"]) || !contains(deps[np], idx["honor"]) {
-		t.Errorf("needs_path must depend on prior and honor: %v", deps[np])
-	}
-}
-
 func TestCheckDiscipline(t *testing.T) {
 	// The paper's example database obeys the discipline.
 	g := New(rules(t, universityIDB))

@@ -2,9 +2,7 @@ package eval
 
 import (
 	"context"
-	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,25 +16,14 @@ import (
 
 // engineConfig carries the tunables shared by the engine constructors.
 type engineConfig struct {
-	workers int
-	limits  governor.Limits
-	rec     *prov.Recorder
-	prof    *profile.Profile
-	labels  map[string]profLabel
+	limits governor.Limits
+	rec    *prov.Recorder
+	prof   *profile.Profile
+	labels map[string]profLabel
 }
 
 // EngineOption tunes an engine at construction.
 type EngineOption func(*engineConfig)
-
-// WithWorkers sets the SCC worker-pool size of the bottom-up engines
-// (and of the bottom-up core of the magic engine): independent strongly
-// connected components of the rule dependency graph are evaluated
-// concurrently on up to n goroutines. n <= 0 selects GOMAXPROCS; the
-// default is 1, which keeps the evaluation strictly sequential (the
-// correctness baseline). The top-down engine ignores this option.
-func WithWorkers(n int) EngineOption {
-	return func(c *engineConfig) { c.workers = n }
-}
 
 // WithLimits sets the per-query resource limits the engine's governor
 // enforces on every evaluation (Retrieve delegates to RetrieveContext
@@ -56,12 +43,9 @@ func WithProvenance(rec *prov.Recorder) EngineOption {
 }
 
 func buildConfig(opts []EngineOption) engineConfig {
-	cfg := engineConfig{workers: 1}
+	var cfg engineConfig
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.workers <= 0 {
-		cfg.workers = runtime.GOMAXPROCS(0)
 	}
 	return cfg
 }
@@ -83,11 +67,9 @@ func finishStats(stats *EvalStats, start time.Time, counters *storage.Counters, 
 }
 
 // derived holds the materialized extensions of IDB predicates during a
-// bottom-up evaluation. The map is guarded by a mutex so independent
-// SCCs can insert and look up concurrently; each relation is internally
-// synchronized by storage.Relation's own lock.
+// bottom-up evaluation. It belongs to one statement evaluated on one
+// goroutine, so the map needs no lock.
 type derived struct {
-	mu       sync.RWMutex
 	rels     map[string]*storage.Relation
 	counters *storage.Counters // attached to every relation created here
 }
@@ -99,20 +81,10 @@ func newDerived(c *storage.Counters) *derived {
 // get returns the relation for pred, or nil if no fact for pred has been
 // derived yet.
 func (d *derived) get(pred string) *storage.Relation {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	return d.rels[pred]
 }
 
 func (d *derived) relation(pred string, arity int) (*storage.Relation, error) {
-	d.mu.RLock()
-	r, ok := d.rels[pred]
-	d.mu.RUnlock()
-	if ok {
-		return r, nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if r, ok := d.rels[pred]; ok {
 		return r, nil
 	}
@@ -139,7 +111,6 @@ func (d *derived) insert(a term.Atom) (bool, error) {
 type bottomUp struct {
 	in        Input
 	seminaive bool
-	workers   int
 	limits    governor.Limits
 	rec       *prov.Recorder
 	prof      *profile.Profile
@@ -152,31 +123,24 @@ type bottomUp struct {
 // correctness baseline the optimized engines are tested against.
 func NewNaive(in Input, opts ...EngineOption) Engine {
 	cfg := buildConfig(opts)
-	return &bottomUp{in: in, workers: cfg.workers, limits: cfg.limits, rec: cfg.rec,
-		prof: cfg.prof, labels: cfg.labels}
+	return &bottomUp{in: in, limits: cfg.limits, rec: cfg.rec, prof: cfg.prof, labels: cfg.labels}
 }
 
 // NewSemiNaive returns the semi-naive bottom-up engine: within each
 // recursive SCC, rules are differentiated on their recursive body atoms
 // so each iteration only joins against the facts new in the previous
-// iteration. With WithWorkers(n), independent SCCs are evaluated
-// concurrently.
+// iteration.
 func NewSemiNaive(in Input, opts ...EngineOption) Engine {
 	cfg := buildConfig(opts)
-	return &bottomUp{in: in, seminaive: true, workers: cfg.workers, limits: cfg.limits, rec: cfg.rec,
-		prof: cfg.prof, labels: cfg.labels}
+	return &bottomUp{in: in, seminaive: true, limits: cfg.limits, rec: cfg.rec, prof: cfg.prof, labels: cfg.labels}
 }
 
 // Name identifies the engine.
 func (e *bottomUp) Name() string {
-	name := "naive"
 	if e.seminaive {
-		name = "seminaive"
+		return "seminaive"
 	}
-	if e.workers > 1 {
-		name += "-par"
-	}
-	return name
+	return "naive"
 }
 
 // LastStats returns the statistics of the most recent Retrieve.
@@ -191,11 +155,11 @@ func (e *bottomUp) Retrieve(q Query) (*Result, error) {
 }
 
 // RetrieveContext evaluates the query bottom-up under the governor.
-// Components of the dependency graph's condensation are evaluated in
-// dependency order — sequentially, or on a worker pool that runs
-// independent components concurrently. Cancellation and limit breaches
-// stop the fixpoint loops cooperatively and return a *StopError; panics
-// anywhere in the evaluation (worker goroutines included) are contained.
+// Components of the dependency graph's condensation are evaluated one
+// after another in dependency order. Cancellation and limit breaches
+// stop the fixpoint loops cooperatively and return a *StopError; a panic
+// inside a component is contained there and stops the evaluation the
+// same way, so its record carries StopReason "panic".
 func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, err error) {
 	defer governor.Recover(&err)
 	gov, cancel := governor.New(ctx, e.limits)
@@ -218,16 +182,15 @@ func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, e
 	components := p.graph.SCCOrder()
 	stats := &EvalStats{
 		Engine:     e.Name(),
-		Workers:    e.workers,
 		Components: make([]ComponentStats, len(components)),
 	}
 	evalSp := sp.Child("eval")
 	evalSp.SetStr("engine", e.Name())
-	evalSp.SetInt("workers", int64(e.workers))
 	evalSp.SetInt("components", int64(len(components)))
 	start := time.Now()
 	act := obs.ActivityFromContext(ctx)
-	evalOne := func(i, worker int) error {
+	evalOne := func(i int) (err error) {
+		defer governor.Recover(&err)
 		comp := components[i]
 		cs := &stats.Components[i]
 		cs.Preds = comp
@@ -249,10 +212,9 @@ func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, e
 			return err
 		}
 		csp := evalSp.Child("scc")
-		csp.SetWorker(worker)
 		csp.SetStr("preds", strings.Join(comp, " "))
 		t0 := time.Now()
-		err := e.evalComponent(p, d, gov, comp, cs, act)
+		err = e.evalComponent(p, d, gov, comp, cs, act)
 		cs.Wall = time.Since(t0)
 		act.AddProgress(0, cs.Lookups)
 		csp.SetInt("iterations", int64(cs.Iterations))
@@ -264,14 +226,10 @@ func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, e
 	}
 	provStart := e.rec.Len()
 	var runErr error
-	if e.workers <= 1 {
-		for i := range components {
-			if runErr = evalOne(i, 0); runErr != nil {
-				break
-			}
+	for i := range components {
+		if runErr = evalOne(i); runErr != nil {
+			break
 		}
-	} else {
-		runErr = runDAG(e.workers, p.graph.SCCDeps(), evalOne)
 	}
 	finishStats(stats, start, counters, runErr)
 	stats.ProvEntries = e.rec.Len() - provStart
@@ -307,9 +265,8 @@ func endEvalSpan(evalSp, parent *obs.Span, stats *EvalStats) {
 }
 
 // component is the evaluation of one SCC's rules and the driver of their
-// runners. It runs on a single goroutine; under parallel evaluation the
-// scheduler guarantees every component it depends on has completed, so
-// the only relations that grow during the run are the component's own.
+// runners. Every component it depends on has completed before it starts,
+// so the only relations that grow during the run are the component's own.
 type component struct {
 	store   *storage.Store
 	virtual map[string]*storage.Relation

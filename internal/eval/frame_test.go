@@ -2,7 +2,12 @@ package eval
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
+
+	"kdb/internal/storage"
+	"kdb/internal/term"
 )
 
 // TestCompileBodyOrder: the resolution order is fixed at compile time and
@@ -64,5 +69,68 @@ two(X, Z) :- e(X, Y), e(Y, Z), X != Z.
 	})
 	if allocs != 0 {
 		t.Errorf("a round that derives nothing new allocates %v, want 0", allocs)
+	}
+}
+
+// TestFullLookupSuppressesStoredDuplicates: when a predicate has both
+// derived and stored tuples, the component's resolve must enumerate each
+// fact once — stored tuples already derived are suppressed.
+func TestFullLookupSuppressesStoredDuplicates(t *testing.T) {
+	in := load(t, `p(a). p(b).`)
+	d := newDerived(nil)
+	// p(a) is both stored and derived; p(c) only derived; p(b) only stored.
+	for _, name := range []string{"a", "c"} {
+		if _, err := d.insert(term.NewAtom("p", term.Sym(name))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drv := newHeadsDriver(in.Store)
+	drv.d = d
+	x := term.Var("X")
+	rule := term.NewRule(term.NewAtom("q", x), term.NewAtom("p", x))
+	if err := newRunner(rule, compileBody(rule.Head, rule.Body), drv).exec(); err != nil {
+		t.Fatal(err)
+	}
+	counts := make(map[string]int)
+	for _, head := range drv.heads {
+		counts[head.Args[0].Name()]++
+	}
+	want := map[string]int{"a": 1, "b": 1, "c": 1}
+	if !reflect.DeepEqual(counts, want) {
+		t.Fatalf("enumerated %v, want each of a, b, c exactly once", drv.heads)
+	}
+	if drv.cs.Lookups != 1 {
+		t.Errorf("Lookups = %d, want 1", drv.cs.Lookups)
+	}
+}
+
+// TestChooseAtomReportsOffender: the "unbound comparison" error must name
+// the actual unevaluable comparison with the bindings of that moment
+// applied, not whatever atom happens to be first in the body — and only
+// when evaluation reaches it.
+func TestChooseAtomReportsOffender(t *testing.T) {
+	// body[0] is an evaluable equality; the offender is the later
+	// comparison whose right side stays unbound.
+	x, y := term.Var("X"), term.Var("Y")
+	rule := term.NewRule(term.NewAtom("q", x),
+		term.NewAtom(term.PredEq, x, term.Num(5)),
+		term.NewAtom(term.PredGt, x, y),
+	)
+	drv := newHeadsDriver(storage.NewMemory())
+	err := newRunner(rule, compileBody(rule.Head, rule.Body), drv).exec()
+	if err == nil {
+		t.Fatal("expected an unbound-comparison error")
+	}
+	if !strings.Contains(err.Error(), "5 > Y") {
+		t.Errorf("error %q does not name the offending comparison 5 > Y", err)
+	}
+	if strings.Contains(err.Error(), "= 5") {
+		t.Errorf("error %q names the equality instead of the offender", err)
+	}
+
+	// Behind an atom with no tuples the same comparison is never reached.
+	rule.Body = append(term.Formula{term.NewAtom("nothing", x)}, rule.Body[1])
+	if err := newRunner(rule, compileBody(rule.Head, rule.Body), drv).exec(); err != nil {
+		t.Errorf("unreached comparison raised %v", err)
 	}
 }

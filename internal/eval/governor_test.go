@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"kdb/internal/governor"
+	"kdb/internal/obs/profile"
+	"kdb/internal/prov"
 	"kdb/internal/term"
 )
 
@@ -26,18 +28,24 @@ func expensiveInput(t testing.TB, n int) Input {
 	return load(t, sb.String())
 }
 
-// governedEngines returns every engine in sequential and parallel
-// flavors, all built with the given options.
+// governedEngines returns every engine built with the given options, and
+// the bottom-up ones (magic included) once more with a provenance
+// recorder and a profile attached — how explain and profile statements
+// run them — so governed stops are also checked on the instrumented
+// derive path.
 func governedEngines(in Input, opts ...EngineOption) []Engine {
-	par := append(append([]EngineOption{}, opts...), WithWorkers(4))
+	instrumented := func() []EngineOption {
+		return append(append([]EngineOption{}, opts...),
+			WithProvenance(prov.NewRecorder()), WithProfile(profile.New()))
+	}
 	return []Engine{
 		NewNaive(in, opts...),
-		NewNaive(in, par...),
+		NewNaive(in, instrumented()...),
 		NewSemiNaive(in, opts...),
-		NewSemiNaive(in, par...),
+		NewSemiNaive(in, instrumented()...),
 		NewTopDown(in, opts...),
 		NewMagic(in, opts...),
-		NewMagic(in, par...),
+		NewMagic(in, instrumented()...),
 	}
 }
 
@@ -206,14 +214,20 @@ func TestLimitsDoNotAffectCompletingQueries(t *testing.T) {
 	}
 }
 
+// TestPanicContainment: a panic inside an evaluation surfaces as a
+// *StopError wrapping the *PanicError, and the engine's record of that
+// statement says so — not the record of the clean run before it.
 func TestPanicContainment(t *testing.T) {
 	in := expensiveInput(t, 10)
 	q := query(t, `retrieve reach(X, Y).`)
-	DeriveHook = func(term.Atom) { panic("injected failure") }
-	defer func() { DeriveHook = nil }()
 	for i, e := range governedEngines(in) {
 		e := e
 		t.Run(engineLabel(i, e), func(t *testing.T) {
+			if _, err := e.Retrieve(q); err != nil {
+				t.Fatalf("clean run: %v", err)
+			}
+			DeriveHook = func(term.Atom) { panic("injected failure") }
+			defer func() { DeriveHook = nil }()
 			_, err := e.Retrieve(q)
 			var pe *governor.PanicError
 			if !errors.As(err, &pe) {
@@ -222,15 +236,21 @@ func TestPanicContainment(t *testing.T) {
 			if !strings.Contains(pe.Error(), "injected failure") {
 				t.Errorf("panic value lost: %v", pe)
 			}
+			var se *StopError
+			if !errors.As(err, &se) {
+				t.Fatalf("err = %T %v, want *StopError", err, err)
+			}
+			if st := e.(StatsReporter).LastStats(); st == nil || st.StopReason != "panic" || st != se.Stats {
+				t.Errorf("LastStats = %+v, want the stop's record with StopReason panic", st)
+			}
 		})
 	}
 }
 
-// TestPanicContainmentParallelWorkers pins the worker-goroutine recover
-// path: a panic inside a scheduler worker must surface as an error from
-// RetrieveContext, not crash the process.
-func TestPanicContainmentParallelWorkers(t *testing.T) {
-	// Several independent SCCs so the DAG scheduler actually fans out.
+// TestPanicContainmentIndependentComponents: a panic in the last of
+// several independent components, after the others have finished, still
+// ends as the statement's own recorded stop.
+func TestPanicContainmentIndependentComponents(t *testing.T) {
 	in := load(t, `
 e1(a, b). e2(a, b). e3(a, b). e4(a, b).
 p1(X, Y) :- e1(X, Y).
@@ -240,13 +260,24 @@ p4(X, Y) :- e4(X, Y).
 all(X, Y) :- p1(X, Y), p2(X, Y), p3(X, Y), p4(X, Y).
 `)
 	q := query(t, `retrieve all(X, Y).`)
-	DeriveHook = func(term.Atom) { panic("worker panic") }
+	DeriveHook = func(a term.Atom) {
+		if a.Pred == "all" {
+			panic("component panic")
+		}
+	}
 	defer func() { DeriveHook = nil }()
-	e := NewSemiNaive(in, WithWorkers(4))
+	e := NewSemiNaive(in)
 	_, err := e.RetrieveContext(context.Background(), q)
 	var pe *governor.PanicError
-	if !errors.As(err, &pe) {
+	if !errors.As(err, &pe) || !strings.Contains(pe.Error(), "component panic") {
 		t.Fatalf("err = %v, want *PanicError", err)
+	}
+	var se *StopError
+	if !errors.As(err, &se) {
+		t.Fatalf("err = %T %v, want *StopError", err, err)
+	}
+	if st := e.(StatsReporter).LastStats(); st == nil || st.StopReason != "panic" || st != se.Stats {
+		t.Errorf("LastStats = %+v, want the stop's record with StopReason panic", st)
 	}
 }
 

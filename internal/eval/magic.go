@@ -40,23 +40,21 @@ import (
 
 // magic is the Engine implementation.
 type magic struct {
-	in      Input
-	workers int
-	limits  governor.Limits
-	rec     *prov.Recorder
-	prof    *profile.Profile
-	stats   atomic.Pointer[EvalStats]
+	in     Input
+	limits governor.Limits
+	rec    *prov.Recorder
+	prof   *profile.Profile
+	stats  atomic.Pointer[EvalStats]
 }
 
-// NewMagic returns the magic-sets engine. WithWorkers and WithLimits
-// are forwarded to the semi-naive engine that evaluates the rewritten
-// program. WithProvenance is forwarded through a rewriting view that
+// NewMagic returns the magic-sets engine. WithLimits is forwarded to the
+// semi-naive engine that evaluates the rewritten program. WithProvenance is forwarded through a rewriting view that
 // records witnesses under the original (unadorned) predicate names,
 // with magic-guard parents dropped, so explain trees agree with the
 // other engines.
 func NewMagic(in Input, opts ...EngineOption) Engine {
 	cfg := buildConfig(opts)
-	return &magic{in: in, workers: cfg.workers, limits: cfg.limits, rec: cfg.rec, prof: cfg.prof}
+	return &magic{in: in, limits: cfg.limits, rec: cfg.rec, prof: cfg.prof}
 }
 
 // Name identifies the engine.
@@ -99,7 +97,7 @@ func (e *magic) RetrieveContext(ctx context.Context, q Query) (res *Result, err 
 	// predicates), and the inner plan re-snapshots them through the same
 	// view, so magic answers match the other engines.
 	inner := Input{Store: e.in.Store, Rules: rewritten, Virtual: e.in.Virtual}
-	engine := NewSemiNaive(inner, WithWorkers(e.workers), WithLimits(e.limits),
+	engine := NewSemiNaive(inner, WithLimits(e.limits),
 		WithProvenance(e.rec.Rewritten(magicProvRewrite)),
 		WithProfile(e.prof), withProfileLabels(labels))
 	res, err = engine.RetrieveContext(ctx, Query{

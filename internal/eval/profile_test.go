@@ -96,10 +96,9 @@ path(X, Y) :- edge(X, Z), path(Z, Y).
 	}
 }
 
-// TestProfileParallelSemiNaive exercises the collector under the
-// parallel scheduler: independent SCCs report from separate worker
-// goroutines into one Profile (run with -race to check the locking).
-func TestProfileParallelSemiNaive(t *testing.T) {
+// TestProfileIndependentComponents: the rules of independent SCCs and of
+// the component joining them all report into one Profile.
+func TestProfileIndependentComponents(t *testing.T) {
 	src := `
 a(1). a(2). b(1). b(2).
 pa(X) :- a(X).
@@ -107,7 +106,7 @@ pb(X) :- b(X).
 both(X) :- pa(X), pb(X).
 `
 	p := profile.New()
-	e := NewSemiNaive(load(t, src), WithWorkers(4), WithProfile(p))
+	e := NewSemiNaive(load(t, src), WithProfile(p))
 	if _, err := e.Retrieve(query(t, `retrieve both(X).`)); err != nil {
 		t.Fatalf("retrieve: %v", err)
 	}

@@ -34,12 +34,10 @@ type ComponentStats struct {
 type EvalStats struct {
 	// Engine names the evaluation strategy that produced the record.
 	Engine string `json:"engine"`
-	// Workers is the SCC worker-pool size used (1 = sequential).
-	Workers int `json:"workers"`
 	// Components holds one entry per SCC in dependency order (bottom-up
 	// engines; empty for top-down). The order is deterministic: it is
 	// the condensation's topological order with ties broken by sorted
-	// predicate names, independent of scheduling.
+	// predicate names.
 	Components []ComponentStats `json:"components,omitempty"`
 	// Facts is the total number of facts derived.
 	Facts int `json:"facts"`
@@ -81,8 +79,8 @@ type StatsReporter interface {
 // by one line per evaluated component.
 func (s *EvalStats) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "engine=%s workers=%d wall=%s facts=%d lookups=%d probes=%d (scan %d) candidates=%d index-builds=%d",
-		s.Engine, s.Workers, s.Wall.Round(time.Microsecond), s.Facts, s.Lookups, s.Probes, s.FullScans, s.Candidates, s.IndexBuilds)
+	fmt.Fprintf(&b, "engine=%s wall=%s facts=%d lookups=%d probes=%d (scan %d) candidates=%d index-builds=%d",
+		s.Engine, s.Wall.Round(time.Microsecond), s.Facts, s.Lookups, s.Probes, s.FullScans, s.Candidates, s.IndexBuilds)
 	if s.StopReason != "" {
 		fmt.Fprintf(&b, " stop=%s", s.StopReason)
 	}

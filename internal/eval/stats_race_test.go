@@ -34,7 +34,7 @@ func statsFingerprint(st *EvalStats) EvalStats {
 }
 
 // TestConcurrentQueryStatsIsolation hammers one shared store with
-// concurrent parallel-worker evaluations and asserts every query
+// concurrent evaluations and asserts every query
 // observes exactly the counters of a solo run. Before per-query counter
 // threading, concurrent queries attached their counter sinks to the
 // shared stored relations (last writer won), so probe and candidate
@@ -45,7 +45,7 @@ func TestConcurrentQueryStatsIsolation(t *testing.T) {
 
 	baselines := map[string]EvalStats{}
 	builders := map[string]func() Engine{
-		"seminaive": func() Engine { return NewSemiNaive(in, WithWorkers(4)) },
+		"seminaive": func() Engine { return NewSemiNaive(in) },
 		"topdown":   func() Engine { return NewTopDown(in) },
 	}
 	wantTuples := map[string]int{}
@@ -104,8 +104,8 @@ func TestConcurrentQueryStatsIsolation(t *testing.T) {
 }
 
 // TestComponentStatsDeterministicOrder asserts the per-SCC records come
-// back in condensation order regardless of the worker count, so -stats
-// and -stats-json output is stable run to run.
+// back in condensation order and identical run to run, so -stats and
+// -stats-json output is stable.
 func TestComponentStatsDeterministicOrder(t *testing.T) {
 	src := chainProgram(10) + `
 a(X) :- edge(X, Y).
@@ -116,25 +116,30 @@ probe(X) :- c(X).
 	in := load(t, src)
 	q := query(t, "retrieve probe(X).")
 
-	var sequential *EvalStats
-	for _, workers := range []int{1, 2, 8} {
-		e := NewSemiNaive(in, WithWorkers(workers))
+	var first *EvalStats
+	for run := 0; run < 3; run++ {
+		e := NewSemiNaive(in)
 		if _, err := e.Retrieve(q); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("run %d: %v", run, err)
 		}
 		st := e.(StatsReporter).LastStats()
-		if workers == 1 {
-			sequential = st
+		if first == nil {
+			first = st
 			continue
 		}
-		a := statsFingerprint(sequential)
-		b := statsFingerprint(st)
-		// Engine name ("seminaive" vs "seminaive-par") and worker count
-		// are expected to differ; everything else must not.
-		b.Engine = a.Engine
-		b.Workers = a.Workers
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("workers=%d: stats differ from sequential:\nseq %+v\ngot %+v", workers, a, b)
+		if a, b := statsFingerprint(first), statsFingerprint(st); !reflect.DeepEqual(a, b) {
+			t.Errorf("run %d: stats differ from the first run:\nfirst %+v\ngot   %+v", run, a, b)
+		}
+	}
+	pos := make(map[string]int)
+	for i, c := range first.Components {
+		for _, p := range c.Preds {
+			pos[p] = i
+		}
+	}
+	for _, dep := range [][2]string{{"a", "b"}, {"b", "c"}, {"reach", "c"}, {"c", "probe"}} {
+		if pos[dep[0]] >= pos[dep[1]] {
+			t.Errorf("component of %s comes after that of %s, which depends on it: %+v", dep[0], dep[1], first.Components)
 		}
 	}
 }

@@ -28,9 +28,8 @@ type topDown struct {
 	stats  atomic.Pointer[EvalStats]
 }
 
-// NewTopDown returns the tabled top-down engine. It ignores WithWorkers
-// (tabling shares one answer-table space across the whole resolution)
-// but honors WithLimits, WithProvenance, and WithProfile.
+// NewTopDown returns the tabled top-down engine. It honors WithLimits,
+// WithProvenance, and WithProfile.
 func NewTopDown(in Input, opts ...EngineOption) Engine {
 	cfg := buildConfig(opts)
 	return &topDown{in: in, limits: cfg.limits, rec: cfg.rec, prof: cfg.prof}
@@ -114,7 +113,6 @@ func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, er
 	goal := p.rule.Head
 	evalSp := sp.Child("eval")
 	evalSp.SetStr("engine", e.Name())
-	evalSp.SetInt("workers", 1)
 	start := time.Now()
 	act := obs.ActivityFromContext(ctx)
 	// Naive-iteration driver: re-run until no table grows.
@@ -129,7 +127,7 @@ func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, er
 		}
 		run.pass++
 		run.grew = false
-		if answers, runErr = run.solveTable(goal); runErr != nil {
+		if answers, runErr = run.solvePass(goal); runErr != nil {
 			break
 		}
 		if act != nil {
@@ -145,7 +143,6 @@ func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, er
 	}
 	stats := &EvalStats{
 		Engine:  e.Name(),
-		Workers: 1,
 		Passes:  run.pass,
 		Tables:  len(run.tables),
 		Lookups: run.lookups,
@@ -205,6 +202,13 @@ func callKey(goal term.Atom) string {
 		b = strconv.AppendInt(b, int64(id), 10)
 	}
 	return string(b)
+}
+
+// solvePass runs one pass of the driver from the query goal. A panic
+// inside it is contained here, so the stop is recorded like any other.
+func (r *topDownRun) solvePass(goal term.Atom) (t *table, err error) {
+	defer governor.Recover(&err)
+	return r.solveTable(goal)
 }
 
 // solveTable returns the table for the goal's call pattern, having made

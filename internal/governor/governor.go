@@ -125,8 +125,7 @@ func (e *LimitError) Error() string {
 
 // PanicError is an internal panic converted to an error at an engine
 // boundary, so a bug in rule evaluation (or a hostile input that trips
-// one) surfaces to the caller instead of killing its goroutine — or,
-// on a parallel scheduler worker, the whole process.
+// one) surfaces to the caller instead of killing its goroutine.
 type PanicError struct {
 	// Value is the recovered panic value.
 	Value any
@@ -140,7 +139,7 @@ func (e *PanicError) Error() string {
 
 // Recover converts a panic on the current goroutine into a *PanicError
 // assigned to *errp. Use it as a deferred call at engine entry points
-// and on scheduler worker goroutines:
+// and around each component a bottom-up engine evaluates:
 //
 //	defer governor.Recover(&err)
 func Recover(errp *error) {
@@ -154,9 +153,9 @@ func Recover(errp *error) {
 // per call.
 const tickInterval = 64
 
-// Governor enforces one query's limits. It is safe for concurrent use
-// (the parallel scheduler shares it across SCC workers); every check is
-// nil-safe, so an ungoverned evaluation may simply pass a nil Governor.
+// Governor enforces one query's limits. It is safe for concurrent use;
+// every check is nil-safe, so an ungoverned evaluation may simply pass a
+// nil Governor.
 type Governor struct {
 	ctx    context.Context
 	limits Limits

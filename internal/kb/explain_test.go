@@ -48,9 +48,9 @@ reachable(X, Y) :- flight(X, Z), reachable(Z, Y).
 
 var allEngines = []EngineKind{EngineNaive, EngineSemiNaive, EngineTopDown, EngineMagic}
 
-func loadEngineKB(t *testing.T, src string, engine EngineKind, parallel int) *KB {
+func loadEngineKB(t *testing.T, src string, engine EngineKind) *KB {
 	t.Helper()
-	k := New(WithParallelism(parallel))
+	k := New()
 	if err := k.LoadString(src); err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +62,8 @@ func loadEngineKB(t *testing.T, src string, engine EngineKind, parallel int) *KB
 
 // TestExplainParityAcrossEngines pins the exact rendered derivation
 // trees of facts with a unique derivation — including the recursive
-// prior — and requires every engine (and the parallel bottom-up
-// variants) to produce the identical explanation.
+// prior — and requires every engine to produce the identical
+// explanation.
 func TestExplainParityAcrossEngines(t *testing.T) {
 	cases := []struct {
 		stmt string
@@ -109,18 +109,16 @@ rules:
 		},
 	}
 	for _, engine := range allEngines {
-		for _, parallel := range []int{1, 4} {
-			for _, tc := range cases {
-				k := loadEngineKB(t, universityProgram, engine, parallel)
-				res, err := k.ExecString(tc.stmt)
-				if err != nil {
-					t.Fatalf("%s/p%d %s: %v", engine, parallel, tc.stmt, err)
-				}
-				got := res.Explanation.String()
-				if got != tc.want {
-					t.Errorf("%s/p%d %s:\n got:\n%s\nwant:\n%s",
-						engine, parallel, tc.stmt, got, tc.want)
-				}
+		for _, tc := range cases {
+			k := loadEngineKB(t, universityProgram, engine)
+			res, err := k.ExecString(tc.stmt)
+			if err != nil {
+				t.Fatalf("%s %s: %v", engine, tc.stmt, err)
+			}
+			got := res.Explanation.String()
+			if got != tc.want {
+				t.Errorf("%s %s:\n got:\n%s\nwant:\n%s",
+					engine, tc.stmt, got, tc.want)
 			}
 		}
 	}
@@ -131,24 +129,20 @@ rules:
 // the same airports): every engine must still justify every answer with
 // a well-formed tree — derived nodes carry a rule and children, leaves
 // are stored facts or comparisons, and nothing is unknown or truncated.
-// With -race and parallel workers this doubles as the recorder's
-// concurrency test.
 func TestExplainRecursiveSound(t *testing.T) {
 	for _, engine := range allEngines {
-		for _, parallel := range []int{1, 4} {
-			k := loadEngineKB(t, routesProgram, engine, parallel)
-			exp, err := k.Explain(term.NewAtom("reachable", term.Sym("la"), term.Var("Y")), nil)
-			if err != nil {
-				t.Fatalf("%s/p%d: %v", engine, parallel, err)
-			}
-			// Every airport is reachable from la (the graph is one cycle
-			// plus the dal chord).
-			if len(exp.Trees) != 6 {
-				t.Fatalf("%s/p%d: %d answers, want 6", engine, parallel, len(exp.Trees))
-			}
-			for _, tree := range exp.Trees {
-				checkSound(t, k, tree, string(engine))
-			}
+		k := loadEngineKB(t, routesProgram, engine)
+		exp, err := k.Explain(term.NewAtom("reachable", term.Sym("la"), term.Var("Y")), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", engine, err)
+		}
+		// Every airport is reachable from la (the graph is one cycle
+		// plus the dal chord).
+		if len(exp.Trees) != 6 {
+			t.Fatalf("%s: %d answers, want 6", engine, len(exp.Trees))
+		}
+		for _, tree := range exp.Trees {
+			checkSound(t, k, tree, string(engine))
 		}
 	}
 }
@@ -183,7 +177,7 @@ func checkSound(t *testing.T, k *KB, n *prov.Node, engine string) {
 // with a structured LimitError.
 func TestExplainProvenanceLimit(t *testing.T) {
 	for _, engine := range allEngines {
-		k := loadEngineKB(t, routesProgram, engine, 1)
+		k := loadEngineKB(t, routesProgram, engine)
 		k.SetQueryLimits(governor.Limits{MaxProvenanceEntries: 3})
 		_, err := k.ExecString("explain reachable(la, ny).")
 		if err == nil {
@@ -223,7 +217,7 @@ func TestExplainStatement(t *testing.T) {
 		}
 	}
 	// The where qualifier restricts which answers get explained.
-	k := loadEngineKB(t, routesProgram, EngineSemiNaive, 1)
+	k := loadEngineKB(t, routesProgram, EngineSemiNaive)
 	res, err := k.ExecString("explain reachable(la, X) where flight(X, la).")
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +229,7 @@ func TestExplainStatement(t *testing.T) {
 
 // TestExplainEmptyAnswer pins the no-derivation rendering.
 func TestExplainEmptyAnswer(t *testing.T) {
-	k := loadEngineKB(t, routesProgram, EngineSemiNaive, 1)
+	k := loadEngineKB(t, routesProgram, EngineSemiNaive)
 	res, err := k.ExecString("explain reachable(la, mars).")
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +243,7 @@ func TestExplainEmptyAnswer(t *testing.T) {
 // rules (an EDB predicate promoted by a later rule) must show its stored
 // tuples as edb leaves, not derived or unknown.
 func TestExplainStoredPromotedFact(t *testing.T) {
-	k := loadEngineKB(t, `vip(ann).`, EngineSemiNaive, 1)
+	k := loadEngineKB(t, `vip(ann).`, EngineSemiNaive)
 	if err := k.LoadString(`
 vip(X) :- sponsor(X, Y), vip(Y).
 sponsor(bob, ann).

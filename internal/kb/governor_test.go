@@ -150,11 +150,18 @@ func TestKBWildcardDescribeGoverned(t *testing.T) {
 
 func TestKBPanicSurfacesAsError(t *testing.T) {
 	k := cycleKB(t, 5)
+	if _, err := k.ExecString(`retrieve reach(X, Y).`); err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
 	eval.DeriveHook = func(term.Atom) { panic("injected kb panic") }
 	defer func() { eval.DeriveHook = nil }()
 	_, err := k.ExecString(`retrieve reach(X, Y).`)
 	var pe *governor.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
+	}
+	// The panicking statement's record replaces the clean run's.
+	if st := k.LastStats(); st == nil || st.StopReason != "panic" {
+		t.Errorf("LastStats = %+v, want StopReason panic", st)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -64,8 +63,6 @@ type KB struct {
 	constraints []term.Formula
 	//kdb:guarded-by mu
 	engine EngineKind
-	//kdb:guarded-by mu
-	parallelism int
 	//kdb:guarded-by mu
 	limits governor.Limits
 	//kdb:guarded-by mu
@@ -130,14 +127,6 @@ type KB struct {
 // Option configures a KB at construction time.
 type Option func(*KB)
 
-// WithParallelism sets the worker count for bottom-up evaluation: how
-// many independent strata (SCCs of the rule dependency graph) may be
-// evaluated concurrently. n <= 0 selects GOMAXPROCS. The default is 1
-// (sequential evaluation).
-func WithParallelism(n int) Option {
-	return func(k *KB) { k.setParallelism(n) }
-}
-
 // WithQueryLimits sets the per-query resource limits the query governor
 // enforces on every retrieve and describe evaluation: maximum wall time,
 // derived facts, fixpoint iterations per stratum, top-down table
@@ -151,8 +140,7 @@ func WithQueryLimits(l governor.Limits) Option {
 
 // New returns an empty in-memory knowledge base.
 func New(opts ...Option) *KB {
-	k := &KB{cat: catalog.New(), store: storage.NewMemory(), engine: EngineSemiNaive, parallelism: 1,
-		sys: sysrel.NewProvider()}
+	k := &KB{cat: catalog.New(), store: storage.NewMemory(), engine: EngineSemiNaive, sys: sysrel.NewProvider()}
 	for _, o := range opts {
 		o(k)
 	}
@@ -167,8 +155,7 @@ func Open(dir string, opts ...Option) (*KB, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := &KB{cat: catalog.New(), store: st, engine: EngineSemiNaive, parallelism: 1,
-		sys: sysrel.NewProvider()}
+	k := &KB{cat: catalog.New(), store: st, engine: EngineSemiNaive, sys: sysrel.NewProvider()}
 	for _, o := range opts {
 		o(k)
 	}
@@ -250,32 +237,6 @@ func (k *KB) SetEngine(e EngineKind) error {
 	default:
 		return fmt.Errorf("kb: unknown engine %q", e)
 	}
-}
-
-// SetParallelism sets the bottom-up worker count (see WithParallelism);
-// n <= 0 selects GOMAXPROCS.
-func (k *KB) SetParallelism(n int) {
-	k.mu.Lock()
-	k.setParallelism(n)
-	k.mu.Unlock()
-}
-
-// setParallelism is called with k.mu held (SetParallelism) or at
-// construction time, before the KB is published.
-//
-//kdb:locked mu
-func (k *KB) setParallelism(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	k.parallelism = n
-}
-
-// Parallelism returns the configured bottom-up worker count.
-func (k *KB) Parallelism() int {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	return k.parallelism
 }
 
 // SetQueryLimits replaces the per-query resource limits (see
@@ -755,10 +716,7 @@ func (k *KB) newEngine(ctx context.Context, extra ...eval.EngineOption) eval.Eng
 		// read lock this goroutine already holds).
 		in.Virtual = k.sys.View(k.store, k.rules)
 	}
-	opts := append([]eval.EngineOption{
-		eval.WithWorkers(k.parallelism),
-		eval.WithLimits(k.effectiveLimitsLocked(ctx)),
-	}, extra...)
+	opts := append([]eval.EngineOption{eval.WithLimits(k.effectiveLimitsLocked(ctx))}, extra...)
 	switch k.engine {
 	case EngineNaive:
 		return eval.NewNaive(in, opts...)

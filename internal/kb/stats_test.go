@@ -1,32 +1,10 @@
 package kb
 
 import (
-	"reflect"
-	"runtime"
-	"strings"
 	"testing"
 
 	"kdb/internal/term"
 )
-
-func TestWithParallelism(t *testing.T) {
-	k := New(WithParallelism(4))
-	if got := k.Parallelism(); got != 4 {
-		t.Errorf("Parallelism() = %d, want 4", got)
-	}
-	k.SetParallelism(2)
-	if got := k.Parallelism(); got != 2 {
-		t.Errorf("after SetParallelism(2): %d", got)
-	}
-	// n <= 0 selects GOMAXPROCS.
-	k.SetParallelism(0)
-	if got := k.Parallelism(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("SetParallelism(0) → %d, want GOMAXPROCS (%d)", got, runtime.GOMAXPROCS(0))
-	}
-	if got := New().Parallelism(); got != 1 {
-		t.Errorf("default parallelism = %d, want 1", got)
-	}
-}
 
 func TestLastStatsAfterRetrieve(t *testing.T) {
 	k := loadKB(t, universityKB)
@@ -41,8 +19,8 @@ func TestLastStatsAfterRetrieve(t *testing.T) {
 	if st == nil {
 		t.Fatal("no stats after retrieve")
 	}
-	if st.Engine != "seminaive" || st.Workers != 1 {
-		t.Errorf("engine=%q workers=%d", st.Engine, st.Workers)
+	if st.Engine != "seminaive" {
+		t.Errorf("engine=%q", st.Engine)
 	}
 	if st.Facts == 0 || st.Probes == 0 {
 		t.Errorf("counters empty: %+v", st)
@@ -91,25 +69,6 @@ func TestLastStatsPerEngine(t *testing.T) {
 		if st.Engine != string(ek) {
 			t.Errorf("stats engine = %q, want %q", st.Engine, ek)
 		}
-	}
-}
-
-func TestParallelKBAgreesWithSequential(t *testing.T) {
-	seq := loadKB(t, universityKB)
-	par := loadKB(t, universityKB)
-	par.SetParallelism(8)
-	for _, q := range []string{
-		`retrieve prior(X, Y).`,
-		`retrieve can_ta(X, databases).`,
-		`retrieve honor(X) where enroll(X, databases).`,
-	} {
-		if a, b := execStr(t, seq, q), execStr(t, par, q); !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: sequential %q != parallel %q", q, a, b)
-		}
-	}
-	st := par.LastStats()
-	if st == nil || st.Workers != 8 || !strings.HasSuffix(st.Engine, "-par") {
-		t.Errorf("parallel stats: %+v", st)
 	}
 }
 

@@ -36,8 +36,9 @@ type Activity struct {
 }
 
 // AddProgress adds to the activity's running fact/lookup totals. The
-// bottom-up engines call it once per finished component (including from
-// parallel scheduler workers, hence atomics). No-op on nil.
+// bottom-up engines call it once per round and per finished component;
+// `kdb top` and the activity endpoint read the totals from other
+// goroutines, hence atomics. No-op on nil.
 //
 //kdb:hotpath
 func (a *Activity) AddProgress(facts, lookups int64) {

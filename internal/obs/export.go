@@ -22,23 +22,7 @@ type jsonlSpan struct {
 	Name    string         `json:"name"`
 	StartUS int64          `json:"start_us"` // µs since the root span started
 	DurUS   int64          `json:"dur_us"`
-	Worker  int            `json:"worker,omitempty"` // omitted when -1? see marshal below
 	Attrs   map[string]any `json:"attrs,omitempty"`
-}
-
-// MarshalJSON emits Worker only when attributed (>= 0).
-func (s jsonlSpan) MarshalJSON() ([]byte, error) {
-	type alias jsonlSpan // drop the method to avoid recursion
-	if s.Worker < 0 {
-		return json.Marshal(struct {
-			alias
-			Worker *int `json:"worker,omitempty"`
-		}{alias: alias(s), Worker: nil})
-	}
-	return json.Marshal(struct {
-		alias
-		Worker int `json:"worker"`
-	}{alias: alias(s), Worker: s.Worker})
 }
 
 func attrMap(attrs []Attr) map[string]any {
@@ -70,7 +54,6 @@ func WriteJSONL(w io.Writer, root *Span) error {
 			Name:    s.Name(),
 			StartUS: s.Start().Sub(base).Microseconds(),
 			DurUS:   s.Duration().Microseconds(),
-			Worker:  s.Worker(),
 			Attrs:   attrMap(s.Attrs()),
 		}
 		if parent == -1 {
@@ -106,8 +89,7 @@ type chromeEvent struct {
 
 // WriteChromeTrace writes the given root spans as a Chrome trace-event
 // JSON array of complete ("ph":"X") events. Timestamps are microseconds
-// relative to the earliest root; each span lands on the thread lane of
-// its attributed worker (lane 0 when unattributed).
+// relative to the earliest root; every span lands on thread lane 0.
 func WriteChromeTrace(w io.Writer, roots []*Span) error {
 	var events []chromeEvent
 	var base time.Time
@@ -119,11 +101,8 @@ func WriteChromeTrace(w io.Writer, roots []*Span) error {
 			base = r.Start()
 		}
 	}
-	var walk func(s *Span, lane int)
-	walk = func(s *Span, lane int) {
-		if w := s.Worker(); w >= 0 {
-			lane = w + 1 // worker lanes start at tid 1; tid 0 is the query thread
-		}
+	var walk func(s *Span)
+	walk = func(s *Span) {
 		dur := s.Duration().Microseconds()
 		if dur < 1 {
 			dur = 1 // zero-width events are dropped by some viewers
@@ -135,16 +114,16 @@ func WriteChromeTrace(w io.Writer, roots []*Span) error {
 			TS:   s.Start().Sub(base).Microseconds(),
 			Dur:  dur,
 			PID:  1,
-			TID:  lane,
+			TID:  0,
 			Args: attrMap(s.Attrs()),
 		})
 		for _, c := range s.Children() {
-			walk(c, lane)
+			walk(c)
 		}
 	}
 	for _, r := range roots {
 		if r != nil {
-			walk(r, 0)
+			walk(r)
 		}
 	}
 	enc := json.NewEncoder(w)
@@ -163,9 +142,6 @@ func WriteTree(w io.Writer, root *Span) error {
 		b.WriteString(strings.Repeat("  ", depth))
 		b.WriteString(s.Name())
 		fmt.Fprintf(&b, " (%s)", formatDur(s.Duration()))
-		if wk := s.Worker(); wk >= 0 {
-			fmt.Fprintf(&b, " worker=%d", wk)
-		}
 		for _, a := range s.Attrs() {
 			fmt.Fprintf(&b, " %s=%v", a.Key, a.Value())
 		}

@@ -55,8 +55,9 @@ func (a Attr) Value() any {
 
 // Span is one timed phase of a query. Spans form a tree: the root is
 // created by Tracer.Start and children by Span.Child. A span is safe
-// for concurrent use — parallel workers may add children and attributes
-// to the same parent concurrently.
+// for concurrent use: exporters and live views (`kdb top`, the debug
+// endpoints) may read it while the query goroutine adds children and
+// attributes.
 //
 // All methods are nil-safe: a nil *Span ignores every call, and
 // Child on a nil span returns nil, so an untraced query threads nil
@@ -69,7 +70,6 @@ type Span struct {
 
 	mu       sync.Mutex
 	end      time.Time
-	worker   int // -1 when unattributed
 	attrs    []Attr
 	children []*Span
 }
@@ -80,7 +80,7 @@ var spanIDs atomic.Uint64
 
 func newSpan(name string) *Span {
 	id := spanIDs.Add(1)
-	return &Span{name: name, start: time.Now(), worker: -1, id: id, trace: id}
+	return &Span{name: name, start: time.Now(), id: id, trace: id}
 }
 
 // NewSpanAt constructs a detached, already-ended span with an explicit
@@ -165,16 +165,6 @@ func (s *Span) SetName(name string) {
 	s.mu.Unlock()
 }
 
-// SetWorker attributes the span to a scheduler worker.
-func (s *Span) SetWorker(w int) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.worker = w
-	s.mu.Unlock()
-}
-
 // SetInt adds an integer attribute.
 func (s *Span) SetInt(key string, v int64) {
 	if s == nil {
@@ -249,16 +239,6 @@ func (s *Span) Duration() time.Duration {
 		return time.Since(s.start)
 	}
 	return s.end.Sub(s.start)
-}
-
-// Worker returns the attributed worker index, or -1.
-func (s *Span) Worker() int {
-	if s == nil {
-		return -1
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.worker
 }
 
 // Attrs returns a copy of the span's attributes.

@@ -16,7 +16,6 @@ func TestSpanTreeBasics(t *testing.T) {
 	root := tr.Start("query")
 	root.SetStr("kind", "retrieve")
 	child := root.Child("eval")
-	child.SetWorker(2)
 	child.SetInt("facts", 7)
 	child.End()
 	tr.Finish(root)
@@ -30,9 +29,6 @@ func TestSpanTreeBasics(t *testing.T) {
 	kids := root.Children()
 	if len(kids) != 1 || kids[0].Name() != "eval" {
 		t.Fatalf("children = %v, want one eval span", kids)
-	}
-	if kids[0].Worker() != 2 {
-		t.Errorf("worker = %d, want 2", kids[0].Worker())
 	}
 	attrs := kids[0].Attrs()
 	if len(attrs) != 1 || attrs[0].Key != "facts" || attrs[0].Int != 7 {
@@ -51,7 +47,6 @@ func TestNilSafety(t *testing.T) {
 	sp.SetStr("k", "v")
 	sp.SetBool("k", true)
 	sp.SetFloat("k", 1.5)
-	sp.SetWorker(1)
 	sp.End()
 	if c := sp.Child("x"); c != nil {
 		t.Errorf("nil span Child = %v, want nil", c)
@@ -112,7 +107,7 @@ func TestConcurrentSpans(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				c := root.Child("scc")
-				c.SetWorker(w)
+				c.SetInt("w", int64(w))
 				c.SetInt("i", int64(i))
 				c.End()
 				_ = root.Children()
@@ -184,7 +179,6 @@ func buildSampleTrace() *Span {
 	a.End()
 	e := root.Child("eval")
 	s := e.Child("scc")
-	s.SetWorker(1)
 	s.SetInt("facts", 3)
 	s.End()
 	e.SetInt("facts", 3)
@@ -219,7 +213,7 @@ func TestJSONLGolden(t *testing.T) {
 		`{"id":1,"parent":0,"name":"parse","start_us":0,"dur_us":0}`,
 		`{"id":2,"parent":0,"name":"analyze","start_us":0,"dur_us":0}`,
 		`{"id":3,"parent":0,"name":"eval","start_us":0,"dur_us":0,"attrs":{"facts":3}}`,
-		`{"id":4,"parent":3,"name":"scc","start_us":0,"dur_us":0,"attrs":{"facts":3},"worker":1}`,
+		`{"id":4,"parent":3,"name":"scc","start_us":0,"dur_us":0,"attrs":{"facts":3}}`,
 		`{"id":5,"parent":0,"name":"describe","start_us":0,"dur_us":0,"attrs":{"formulas":2}}`,
 	}, "\n") + "\n"
 	if got != want {
@@ -265,20 +259,12 @@ func TestChromeTraceSchema(t *testing.T) {
 		}
 		if e.TS == nil || e.PID == nil || e.TID == nil {
 			t.Errorf("event %q: missing ts/pid/tid", e.Name)
+		} else if *e.TID != 0 {
+			t.Errorf("event %q: tid = %d, want 0", e.Name, *e.TID)
 		}
 		if e.Dur < 1 {
 			t.Errorf("event %q: dur = %d, want >= 1", e.Name, e.Dur)
 		}
-	}
-	// The worker-attributed scc span must land on its own lane.
-	found := false
-	for _, e := range events {
-		if e.Name == "scc" && e.TID != nil && *e.TID == 2 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("scc span (worker 1) should be on tid 2")
 	}
 }
 

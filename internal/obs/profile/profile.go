@@ -82,8 +82,7 @@ type Row struct {
 func tupleBytes(arity int) int64 { return 24 + 16*int64(arity) }
 
 // Profile accumulates samples into per-rule rows. It is safe for
-// concurrent use (the parallel scheduler's SCC workers all report to
-// the same collector).
+// concurrent use.
 type Profile struct {
 	mu     sync.Mutex
 	rows   map[string]*Row

@@ -92,7 +92,7 @@ func TestProfileJSON(t *testing.T) {
 }
 
 // TestProfileConcurrentAdd exercises the collector's locking (run with
-// -race): parallel SCC workers all report to one Profile.
+// -race): several goroutines report to one Profile.
 func TestProfileConcurrentAdd(t *testing.T) {
 	p := New()
 	done := make(chan struct{})

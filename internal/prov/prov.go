@@ -39,8 +39,8 @@ type recorderState struct {
 }
 
 // Recorder accumulates witnesses during one evaluation. It is safe for
-// concurrent use (the parallel scheduler shares it across SCC workers).
-// All methods are nil-safe so ungoverned call sites stay trivial.
+// concurrent use. All methods are nil-safe so ungoverned call sites stay
+// trivial.
 type Recorder struct {
 	state *recorderState
 	// rewrite, when set, maps each atom before recording and may drop
@@ -99,8 +99,7 @@ func (r *Recorder) Record(fact term.Atom, rule term.Rule, body term.Formula, s t
 	}
 	st.mu.Unlock()
 
-	// Build the witness outside the lock: Key/Apply allocate and the
-	// parallel engines contend on this recorder.
+	// Build the witness outside the lock: Key/Apply allocate.
 	w := &Witness{Fact: fact}
 	for _, a := range body {
 		ground := s.Apply(a)
@@ -120,7 +119,7 @@ func (r *Recorder) Record(fact term.Atom, rule term.Rule, body term.Formula, s t
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if _, dup := st.witnesses[key]; dup { // lost the race to another worker
+	if _, dup := st.witnesses[key]; dup { // lost the race to another goroutine
 		return len(st.witnesses)
 	}
 	id, ok := st.ruleIDs[ruleKey]

@@ -78,8 +78,6 @@ type Config struct {
 	// Engine selects the retrieve engine for every tenant (default
 	// semi-naive).
 	Engine kb.EngineKind
-	// Parallelism is the bottom-up worker count per query (default 1).
-	Parallelism int
 	// PreparedCacheSize bounds the prepared-statement LRU (default 256).
 	PreparedCacheSize int
 	// Registry collects the server's and every tenant's metrics; nil
@@ -249,7 +247,6 @@ func (s *Server) openKB(name string) (*kb.KB, error) {
 	}
 	opts := []kb.Option{
 		kb.WithQueryLimits(s.cfg.Ceiling),
-		kb.WithParallelism(s.cfg.Parallelism),
 		kb.WithMetrics(s.reg),
 		// Every tenant shares the server's activity registry, so
 		// /v1/debug/activity sees the whole process at once.

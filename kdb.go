@@ -248,11 +248,6 @@ func New(opts ...Option) *KB { return kb.New(opts...) }
 // Rules are part of the program source; reload them after opening.
 func Open(dir string, opts ...Option) (*KB, error) { return kb.Open(dir, opts...) }
 
-// WithParallelism sets how many independent strata (SCCs of the rule
-// dependency graph) the bottom-up engines may evaluate concurrently.
-// n <= 0 selects GOMAXPROCS; the default is 1 (sequential).
-func WithParallelism(n int) Option { return kb.WithParallelism(n) }
-
 // WithQueryLimits sets the per-query resource limits the query governor
 // enforces on every retrieve and describe evaluation: maximum wall
 // time, derived facts, fixpoint iterations per stratum, top-down table

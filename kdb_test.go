@@ -184,40 +184,6 @@ func TestEngineSelectionPublicAPI(t *testing.T) {
 	}
 }
 
-func TestParallelismPublicAPI(t *testing.T) {
-	k := kdb.New(kdb.WithParallelism(4))
-	if err := k.LoadFile("testdata/routes.kdb"); err != nil {
-		t.Fatal(err)
-	}
-	if got := k.Parallelism(); got != 4 {
-		t.Errorf("Parallelism() = %d, want 4", got)
-	}
-	seq := loadRoutes(t)
-	q := `retrieve reachable(la, Y).`
-	if a, b := exec(t, seq, q), exec(t, k, q); a != b {
-		t.Errorf("parallel answer %q != sequential %q", b, a)
-	}
-	st := k.LastStats()
-	if st == nil {
-		t.Fatal("LastStats() = nil after a retrieve")
-	}
-	if st.Workers != 4 {
-		t.Errorf("stats workers = %d, want 4", st.Workers)
-	}
-	if !strings.Contains(st.String(), "workers=4") {
-		t.Errorf("stats rendering: %q", st.String())
-	}
-	// Durable KBs accept the same option.
-	dk, err := kdb.Open(t.TempDir(), kdb.WithParallelism(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dk.Close()
-	if dk.Parallelism() != 2 {
-		t.Errorf("durable Parallelism() = %d, want 2", dk.Parallelism())
-	}
-}
-
 func TestDescribeOptionsPublicAPI(t *testing.T) {
 	k := loadRoutes(t)
 	k.SetDescribeOptions(kdb.DescribeOptions{KeepSteps: true})
