@@ -177,32 +177,32 @@ func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, e
 	// concurrent queries over the same store keep independent counts.
 	counters := &storage.Counters{}
 	d := newDerived(counters)
-	relevant := p.relevantPreds()
 
-	components := p.graph.SCCOrder()
+	// The schedule is the rule set's components in dependency order, then
+	// the query rule's own.
+	sccs := p.set.graph.SCCOrder()
 	stats := &EvalStats{
 		Engine:     e.Name(),
-		Components: make([]ComponentStats, len(components)),
+		Components: make([]ComponentStats, len(sccs)+1),
 	}
 	evalSp := sp.Child("eval")
 	evalSp.SetStr("engine", e.Name())
-	evalSp.SetInt("components", int64(len(components)))
+	evalSp.SetInt("components", int64(len(stats.Components)))
 	start := time.Now()
 	act := obs.ActivityFromContext(ctx)
 	evalOne := func(i int) (err error) {
 		defer governor.Recover(&err)
-		comp := components[i]
+		comp := queryComponent
+		if i < len(sccs) {
+			comp = sccs[i]
+		}
 		cs := &stats.Components[i]
 		cs.Preds = comp
 		needed := false
 		hasRules := false
 		for _, pred := range comp {
-			if relevant[pred] {
-				needed = true
-			}
-			if len(p.graph.RulesFor(pred)) > 0 {
-				hasRules = true
-			}
+			needed = needed || p.relevant(pred)
+			hasRules = hasRules || p.defines(pred)
 		}
 		if !needed || !hasRules {
 			cs.Skipped = true
@@ -226,7 +226,7 @@ func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, e
 	}
 	provStart := e.rec.Len()
 	var runErr error
-	for i := range components {
+	for i := range stats.Components {
 		if runErr = evalOne(i); runErr != nil {
 			break
 		}
@@ -277,8 +277,11 @@ type component struct {
 	rp      *ruleProfiler
 
 	// delta holds the facts new in the previous round and next collects
-	// those new in this one; fresh counts them.
+	// those new in this one; fresh counts them. Only a recursive
+	// component under semi-naive evaluation reads a delta: any other
+	// keeps next nil and derives each fact once, into d.
 	delta, next *derived
+	keepDelta   bool
 	fresh       int
 	// pin is the body position the running variant resolves against
 	// delta instead of the full extension; -1 for none.
@@ -343,7 +346,8 @@ func (c *component) resolve(p *probe) error {
 }
 
 // derive adds one derived head to the component's relations; a new fact
-// is counted, recorded and put in the next delta.
+// is counted, recorded and, when a later round reads it, put in the next
+// delta.
 func (c *component) derive(r *runner) error {
 	fact, err := r.fact()
 	if err != nil {
@@ -358,18 +362,22 @@ func (c *component) derive(r *runner) error {
 	if err := c.gov.CountFacts(1); err != nil {
 		return err
 	}
-	if err := recordProv(c.rec, c.gov, r); err != nil {
+	if err := recordProv(c.rec, c.gov, r); err != nil || c.next == nil {
 		return err
 	}
 	_, err = c.next.insert(fact)
 	return err
 }
 
-// round applies the rules once, with a new delta to fill: c.fresh is how
-// many facts were new. The counters are committed even on a governed
-// stop, so the stats attached to the error reflect the work done.
+// round applies the rules once, with a new delta to fill if one is kept:
+// c.fresh is how many facts were new. The counters are committed even on
+// a governed stop, so the stats attached to the error reflect the work
+// done.
 func (c *component) round(rules []componentRule, differentiated bool, act *obs.Activity) error {
-	c.delta, c.next, c.fresh = c.next, newDerived(c.d.counters), 0
+	c.delta, c.next, c.fresh = c.next, nil, 0
+	if c.keepDelta {
+		c.next = newDerived(c.d.counters)
+	}
 	err := c.applyRules(rules, differentiated)
 	c.cs.Iterations++
 	c.cs.Facts += c.fresh
@@ -409,30 +417,23 @@ func (c *component) applyRules(rules []componentRule, differentiated bool) error
 	return nil
 }
 
-// evalComponent computes the fixpoint of one SCC's rules, each compiled
-// once for the component's lifetime.
+// evalComponent computes the fixpoint of one SCC's rules, each run from
+// the body its plan compiled.
 func (e *bottomUp) evalComponent(p *plan, d *derived, gov *governor.Governor, comp []string, cs *ComponentStats, act *obs.Activity) error {
-	inComp := make(map[string]bool, len(comp))
-	for _, pred := range comp {
-		inComp[pred] = true
-	}
 	c := &component{store: e.in.Store, virtual: p.virtual, d: d, gov: gov, rec: e.rec, cs: cs}
 	if e.prof != nil {
 		c.rp = newRuleProfiler(e.prof, e.labels, d.counters)
 	}
 	var rules []componentRule
 	for _, pred := range comp {
-		for _, r := range p.graph.RulesFor(pred) {
-			cr := componentRule{run: newRunner(r, compileBody(r.Head, r.Body), c)}
-			for i, a := range r.Body {
-				if inComp[a.Pred] {
-					cr.rec = append(cr.rec, i)
-				}
-			}
-			cs.Recursive = cs.Recursive || len(cr.rec) > 0
-			rules = append(rules, cr)
+		prs := p.rules(pred)
+		for i := range prs {
+			pr := &prs[i]
+			rules = append(rules, componentRule{run: newRunner(pr.rule, pr.prog, c), rec: pr.rec})
+			cs.Recursive = cs.Recursive || len(pr.rec) > 0
 		}
 	}
+	c.keepDelta = cs.Recursive && e.seminaive
 
 	// First round: apply every rule once against the current state.
 	if err := c.round(rules, false, act); err != nil || !cs.Recursive {

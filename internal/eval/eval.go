@@ -17,11 +17,20 @@
 //
 // The engines differ in which rule they run when and against which
 // relations; resolving a rule body is one loop they share (frame.go). A
-// body is compiled once per use — its variables numbered into the slots
-// of a frame, its atoms put in the order they will be resolved, which
-// does not depend on the data — and a runner evaluates the compiled steps
-// against one reused frame, asking its engine for the tuples of each
-// ordinary atom and handing it each solution.
+// body is compiled once — its variables numbered into the slots of a
+// frame, its atoms put in the order they will be resolved, which does not
+// depend on the data — and a runner evaluates the compiled steps against
+// one reused frame, asking its engine for the tuples of each ordinary
+// atom and handing it each solution.
+//
+// Planning is split by lifetime. Whatever depends only on the IDB — its
+// safety verdict, its dependency graph and SCC schedule, and every rule's
+// compiled body — is a RuleSet, built by Prepare and shared by every
+// statement over the same rules; the kb layer builds one on the first
+// evaluation after a load and drops it at the next load. A statement then
+// only adds its query rule: it checks that rule's safety, schedules it
+// after the set's components and compiles it (buildPlan). An Input
+// without a RuleSet is prepared on the spot, per statement.
 //
 // The subject may be an EDB predicate, an IDB predicate, or — as in the
 // paper's Example 2 — a new predicate defined entirely by the qualifier.
@@ -30,6 +39,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -43,6 +53,10 @@ import (
 type Input struct {
 	Store *storage.Store
 	Rules []term.Rule
+	// Prepared optionally holds Prepare(Rules), analysed ahead of the
+	// statement and shared by any number of them. When it is nil every
+	// statement prepares Rules itself.
+	Prepared *RuleSet
 	// Virtual optionally serves read-only system relations (sys_*).
 	// Programs that never reference a virtual predicate evaluate
 	// exactly as if the field were nil, with zero added allocations.
@@ -66,15 +80,27 @@ type Result struct {
 	Tuples []storage.Tuple
 }
 
-// Atoms renders the result as instantiated subject atoms.
+// Atoms renders the result as instantiated subject atoms: each argument
+// that is one of Vars is taken from the tuple, every other stays as the
+// subject has it.
 func (r *Result) Atoms(subject term.Atom) []term.Atom {
-	out := make([]term.Atom, 0, len(r.Tuples))
-	for _, t := range r.Tuples {
-		s := term.NewSubst(len(r.Vars))
-		for i, v := range r.Vars {
-			s[v] = t[i]
+	from := make([]int, len(subject.Args)) // the tuple position per argument, -1 for none
+	for pos, t := range subject.Args {
+		from[pos] = -1
+		if t.IsVar() {
+			from[pos] = slices.Index(r.Vars, t)
 		}
-		out = append(out, s.Apply(subject))
+	}
+	out := make([]term.Atom, len(r.Tuples))
+	args := make([]term.Term, len(r.Tuples)*len(subject.Args))
+	for i, t := range r.Tuples {
+		a := args[i*len(from) : (i+1)*len(from) : (i+1)*len(from)]
+		for pos, j := range from {
+			if a[pos] = subject.Args[pos]; j >= 0 {
+				a[pos] = t[j]
+			}
+		}
+		out[i] = term.Atom{Pred: subject.Pred, Args: a}
 	}
 	return out
 }
@@ -125,25 +151,77 @@ type Engine interface {
 // queryPredName is the reserved head predicate of the internal query rule.
 const queryPredName = "__query__"
 
-// plan is the preprocessed form of a query shared by all engines: a query
-// rule __query__(vars of subject) :- [subject,] where-atoms, the rule set
-// extended with it, and the dependency graph.
+// RuleSet is a rule set analysed for any number of statements over it:
+// its safety verdict, its dependency graph, and every rule compiled. It is
+// immutable once Prepare returns, so concurrent statements share one.
+type RuleSet struct {
+	// unsafe is the first safety violation among the rules, nil if none.
+	unsafe error
+	graph  *depgraph.Graph
+	byHead map[string][]preparedRule
+}
+
+// preparedRule is one rule with its body compiled and the body positions
+// of its recursive atoms — those in its head's SCC, which semi-naive
+// evaluation resolves against the delta.
+type preparedRule struct {
+	rule term.Rule
+	prog *compiled
+	rec  []int
+}
+
+// Prepare analyses rules once for every statement that evaluates them:
+// pass the result as Input.Prepared. The rules must not change while the
+// set is in use.
+func Prepare(rules []term.Rule) *RuleSet {
+	rs := &RuleSet{
+		unsafe: checkSafety(rules),
+		graph:  depgraph.New(rules),
+		byHead: make(map[string][]preparedRule),
+	}
+	for _, r := range rules {
+		rs.byHead[r.Head.Pred] = append(rs.byHead[r.Head.Pred], prepareRule(r, rs.graph.SCC(r.Head.Pred)))
+	}
+	return rs
+}
+
+func prepareRule(r term.Rule, scc []string) preparedRule {
+	pr := preparedRule{rule: r, prog: compileBody(r.Head, r.Body)}
+	for i, a := range r.Body {
+		if slices.Contains(scc, a.Pred) {
+			pr.rec = append(pr.rec, i)
+		}
+	}
+	return pr
+}
+
+// queryComponent is the query rule's SCC: nothing in a rule set depends
+// on the query predicate, so it is always a component of its own, and
+// the last one evaluated.
+var queryComponent = []string{queryPredName}
+
+// plan is one statement over a rule set: its query rule
+// __query__(vars of subject) :- [subject,] where-atoms, compiled, and the
+// subject's variables.
 type plan struct {
-	rule  term.Rule
+	set *RuleSet
+	// query holds the query rule, as the one-rule definition of the
+	// query predicate.
+	query [1]preparedRule
 	vars  []term.Term
-	rules []term.Rule
-	graph *depgraph.Graph
 	// virtual holds the per-query snapshots of every virtual predicate
-	// the program references; nil when the program references none.
-	// Snapshotting at plan time gives one consistent read-only state to
-	// the whole evaluation, on every engine.
+	// the query rule reaches; nil when it reaches none. Snapshotting at
+	// plan time gives one consistent read-only state to the whole
+	// evaluation, on every engine.
 	virtual map[string]*storage.Relation
 }
 
-// buildPlan constructs and safety-checks the internal query rule. If the
-// subject's predicate is known (it has rules or stored facts), the
+// buildPlan adds the statement's query rule to the input's rule set. If
+// the subject's predicate is known (it has rules or stored facts), the
 // subject atom joins the body; otherwise the subject is a new predicate
-// defined through the qualifier (paper §3.1, Example 2).
+// defined through the qualifier (paper §3.1, Example 2). An unsafe rule
+// set fails every statement with its first violation before the query
+// rule is checked.
 func buildPlan(in Input, q Query) (*plan, error) {
 	if term.IsComparison(q.Subject) {
 		return nil, fmt.Errorf("eval: the subject of retrieve cannot be a comparison")
@@ -154,42 +232,63 @@ func buildPlan(in Input, q Query) (*plan, error) {
 			return nil, fmt.Errorf("eval: qualifier may not contain %v (variable = variable)", a)
 		}
 	}
-	known := in.Store.Relation(q.Subject.Pred) != nil
-	if !known && in.Virtual != nil && in.Virtual.IsVirtual(q.Subject.Pred) {
-		known = true
+	set := in.Prepared
+	if set == nil {
+		set = Prepare(in.Rules)
 	}
-	if !known {
-		for _, r := range in.Rules {
-			if r.Head.Pred == q.Subject.Pred {
-				known = true
-				break
-			}
-		}
+	if set.unsafe != nil {
+		return nil, set.unsafe
 	}
+	known := in.Store.Relation(q.Subject.Pred) != nil || len(set.byHead[q.Subject.Pred]) > 0 ||
+		in.Virtual != nil && in.Virtual.IsVirtual(q.Subject.Pred)
 	vars := q.Subject.Vars(nil)
-	var body term.Formula
+	body := make(term.Formula, 0, len(q.Where)+1)
 	if known {
 		body = append(body, q.Subject)
 	}
 	body = append(body, q.Where...)
 	rule := term.Rule{Head: term.NewAtom(queryPredName, vars...), Body: body}
-	rules := make([]term.Rule, 0, len(in.Rules)+1)
-	rules = append(rules, in.Rules...)
-	rules = append(rules, rule)
-	if err := checkSafety(rules); err != nil {
+	if err := checkRule(rule); err != nil {
 		return nil, err
 	}
-	virt, err := virtualSnapshots(in.Virtual, rules)
+	p := &plan{set: set, vars: vars}
+	p.query[0] = prepareRule(rule, queryComponent)
+	virt, err := virtualSnapshots(in.Virtual, p)
 	if err != nil {
 		return nil, err
 	}
-	return &plan{
-		rule:    rule,
-		vars:    vars,
-		rules:   rules,
-		graph:   depgraph.New(rules),
-		virtual: virt,
-	}, nil
+	p.virtual = virt
+	return p, nil
+}
+
+// rule is the statement's query rule.
+func (p *plan) rule() term.Rule { return p.query[0].rule }
+
+// rules returns the rules defining pred: the query rule for the query
+// predicate, the set's own for any other.
+func (p *plan) rules(pred string) []preparedRule {
+	if pred == queryPredName {
+		return p.query[:]
+	}
+	return p.set.byHead[pred]
+}
+
+// defines reports whether pred has rules.
+func (p *plan) defines(pred string) bool { return len(p.rules(pred)) > 0 }
+
+// relevant reports whether pred can contribute to the answer: it is the
+// query predicate, a predicate of the query rule's body, or one such a
+// predicate depends on.
+func (p *plan) relevant(pred string) bool {
+	if pred == queryPredName {
+		return true
+	}
+	for _, a := range p.rule().Body {
+		if !term.IsComparison(a) && (a.Pred == pred || p.set.graph.DependsOn(a.Pred, pred)) {
+			return true
+		}
+	}
+	return false
 }
 
 // CheckSafety verifies that every rule is range-restricted (evaluable by
@@ -207,93 +306,65 @@ func atPos(r term.Rule) string {
 	return fmt.Sprintf(" (at %s)", r.Pos)
 }
 
-// checkSafety verifies that every rule is range-restricted under the
-// greedy evaluation order: all head variables and all variables of
-// non-equality comparison atoms must be bound by ordinary body atoms
-// (equality atoms may propagate bindings).
+// checkSafety returns the first violation of checkRule among the rules.
 func checkSafety(rules []term.Rule) error {
 	for _, r := range rules {
-		bound := make(map[term.Term]bool)
-		for _, a := range r.Body {
-			if term.IsComparison(a) {
-				continue
-			}
-			for _, v := range a.Vars(nil) {
-				bound[v] = true
-			}
-		}
-		// Equality atoms propagate: X = c binds X; X = Y binds either from
-		// the other. Iterate to a fixpoint.
-		for changed := true; changed; {
-			changed = false
-			for _, a := range r.Body {
-				if a.Pred != term.PredEq || len(a.Args) != 2 {
-					continue
-				}
-				l, rr := a.Args[0], a.Args[1]
-				lB := !l.IsVar() || bound[l]
-				rB := !rr.IsVar() || bound[rr]
-				if lB && !rB {
-					bound[rr] = true
-					changed = true
-				}
-				if rB && !lB {
-					bound[l] = true
-					changed = true
-				}
-			}
-		}
-		for _, v := range r.Head.Vars(nil) {
-			if !bound[v] {
-				return fmt.Errorf("eval: unsafe rule %v%s: head variable %v is not bound by the body", r, atPos(r), v)
-			}
-		}
-		for _, a := range r.Body {
-			if !term.IsComparison(a) || a.Pred == term.PredEq {
-				continue
-			}
-			for _, v := range a.Vars(nil) {
-				if !bound[v] {
-					return fmt.Errorf("eval: unsafe rule %v%s: comparison variable %v is not bound", r, atPos(r), v)
-				}
-			}
+		if err := checkRule(r); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// relevantPreds returns the predicates reachable from the query rule,
-// including the query predicate itself.
-func (p *plan) relevantPreds() map[string]bool {
-	out := map[string]bool{queryPredName: true}
-	for _, a := range p.rule.Body {
+// checkRule verifies that the rule is range-restricted under the greedy
+// evaluation order: all head variables and all variables of
+// non-equality comparison atoms must be bound by ordinary body atoms
+// (equality atoms may propagate bindings).
+func checkRule(r term.Rule) error {
+	bound := make(map[term.Term]bool)
+	for _, a := range r.Body {
 		if term.IsComparison(a) {
 			continue
 		}
-		out[a.Pred] = true
-		for q := range p.graphReach(a.Pred) {
-			out[q] = true
+		for _, v := range a.Vars(nil) {
+			bound[v] = true
 		}
 	}
-	return out
-}
-
-func (p *plan) graphReach(pred string) map[string]bool {
-	reach := make(map[string]bool)
-	var stack []string
-	stack = append(stack, pred)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, r := range p.graph.RulesFor(v) {
-			for _, a := range r.Body {
-				if term.IsComparison(a) || reach[a.Pred] {
-					continue
-				}
-				reach[a.Pred] = true
-				stack = append(stack, a.Pred)
+	// Equality atoms propagate: X = c binds X; X = Y binds either from
+	// the other. Iterate to a fixpoint.
+	for changed := true; changed; {
+		changed = false
+		for _, a := range r.Body {
+			if a.Pred != term.PredEq || len(a.Args) != 2 {
+				continue
+			}
+			l, rr := a.Args[0], a.Args[1]
+			lB := !l.IsVar() || bound[l]
+			rB := !rr.IsVar() || bound[rr]
+			if lB && !rB {
+				bound[rr] = true
+				changed = true
+			}
+			if rB && !lB {
+				bound[l] = true
+				changed = true
 			}
 		}
 	}
-	return reach
+	for _, v := range r.Head.Vars(nil) {
+		if !bound[v] {
+			return fmt.Errorf("eval: unsafe rule %v%s: head variable %v is not bound by the body", r, atPos(r), v)
+		}
+	}
+	for _, a := range r.Body {
+		if !term.IsComparison(a) || a.Pred == term.PredEq {
+			continue
+		}
+		for _, v := range a.Vars(nil) {
+			if !bound[v] {
+				return fmt.Errorf("eval: unsafe rule %v%s: comparison variable %v is not bound", r, atPos(r), v)
+			}
+		}
+	}
+	return nil
 }

@@ -161,11 +161,6 @@ func magicName(pred string, a adornment) string {
 // rule-defined predicate that also has stored facts gets, per adornment,
 // one more guarded rule that reads them from st.
 func magicRewrite(p *plan, st *storage.Store) ([]term.Rule, string, map[string]profLabel, error) {
-	idb := make(map[string]bool)
-	for _, r := range p.rules {
-		idb[r.Head.Pred] = true
-	}
-
 	type job struct {
 		pred string
 		a    adornment
@@ -177,7 +172,7 @@ func magicRewrite(p *plan, st *storage.Store) ([]term.Rule, string, map[string]p
 
 	// The query rule's head has no bound arguments (its constants, if
 	// any, live in the body); its magic seed is the empty tuple.
-	queryAd := adornment(strings.Repeat("f", len(p.rule.Head.Args)))
+	queryAd := adornment(strings.Repeat("f", len(p.rule().Head.Args)))
 	queue = append(queue, job{queryPredName, queryAd})
 	seen[adornedName(queryPredName, queryAd)] = true
 	seed := term.Rule{Head: term.NewAtom(magicName(queryPredName, queryAd))}
@@ -200,8 +195,10 @@ func magicRewrite(p *plan, st *storage.Store) ([]term.Rule, string, map[string]p
 			labels[g.String()] = profLabel{label: g.String(), pred: g.Head.Pred, synthetic: true}
 			out = append(out, g)
 		}
-		for _, r := range p.graph.RulesFor(j.pred) {
-			rules, err := adornRule(r, j.a, idb, enqueue)
+		prs := p.rules(j.pred)
+		for i := range prs {
+			r := prs[i].rule
+			rules, err := adornRule(r, j.a, p.defines, enqueue)
 			if err != nil {
 				return nil, "", nil, err
 			}
@@ -243,8 +240,9 @@ func storedRule(pred string, a adornment) term.Rule {
 }
 
 // adornRule rewrites one rule for the head adornment: the guarded adorned
-// rule plus one supplementary magic rule per IDB body atom.
-func adornRule(r term.Rule, headAd adornment, idb map[string]bool, enqueue func(string, adornment)) ([]term.Rule, error) {
+// rule plus one supplementary magic rule per IDB body atom, the body
+// atoms whose predicate idb reports.
+func adornRule(r term.Rule, headAd adornment, idb func(string) bool, enqueue func(string, adornment)) ([]term.Rule, error) {
 	if len(headAd) != len(r.Head.Args) {
 		return nil, fmt.Errorf("eval: adornment %q does not fit %v", headAd, r.Head)
 	}
@@ -278,7 +276,7 @@ func adornRule(r term.Rule, headAd adornment, idb map[string]bool, enqueue func(
 			}
 			continue
 		}
-		if !idb[a.Pred] {
+		if !idb(a.Pred) {
 			// Stored predicate: binds all its variables.
 			newBody = append(newBody, a)
 			for _, t := range a.Args {

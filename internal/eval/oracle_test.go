@@ -196,14 +196,16 @@ func oracleHeads(r term.Rule, facts *oracleFacts) ([]term.Atom, error) {
 	return heads, err
 }
 
-// oracleRetrieve answers the query by applying every rule of the plan to
-// everything known until nothing new appears. It shares the engines'
-// front end (the query rule and the safety check), not their evaluation.
+// oracleRetrieve answers the query by applying every rule, and the
+// plan's query rule, to everything known until nothing new appears. It
+// shares the engines' front end (the query rule and the safety check),
+// not their evaluation.
 func oracleRetrieve(in Input, q Query) (*Result, error) {
 	p, err := buildPlan(in, q)
 	if err != nil {
 		return nil, err
 	}
+	rules := append(slices.Clone(in.Rules), p.rule())
 	var stored []term.Atom
 	for _, pred := range in.Store.Preds() {
 		stored = append(stored, in.Store.Facts(pred)...)
@@ -211,7 +213,7 @@ func oracleRetrieve(in Input, q Query) (*Result, error) {
 	facts := newOracleFacts(stored)
 	for changed := true; changed; {
 		changed = false
-		for _, r := range p.rules {
+		for _, r := range rules {
 			heads, err := oracleHeads(r, facts)
 			if err != nil {
 				return nil, err
@@ -451,17 +453,20 @@ func (g *generator) generate() genCase {
 	if g.mutual(c.rules) {
 		g.feat["mutual recursion"]++
 	}
+	c.query = g.query()
+	return c
+}
 
-	// The query: a known subject with bound and unbound arguments and an
-	// optional qualifier, or a new subject defined by its qualifier.
+// query makes a query: a known subject with bound and unbound arguments
+// and an optional qualifier, or a new subject defined by its qualifier.
+func (g *generator) query() Query {
 	if where, usable := g.body(true); g.chance(25) && len(usable) > 0 {
 		args := []term.Term{g.pick(usable)}
 		if g.chance(50) {
 			args = append(args, g.pick(usable))
 		}
-		c.query = Query{Subject: term.Atom{Pred: "ans", Args: args}, Where: where}
 		g.feat["ad-hoc subject"]++
-		return c
+		return Query{Subject: term.Atom{Pred: "ans", Args: args}, Where: where}
 	}
 	name, arity := g.pred(genIDB)
 	if g.chance(20) {
@@ -477,16 +482,16 @@ func (g *generator) generate() genCase {
 			g.feat["unbound subject argument"]++
 		}
 	}
-	c.query.Subject = term.Atom{Pred: name, Args: args}
+	q := Query{Subject: term.Atom{Pred: name, Args: args}}
 	for n := g.r.Intn(3); n > 0; n-- {
 		if g.chance(50) {
-			c.query.Where = append(c.query.Where, g.ordinary(true))
-		} else if vars := c.query.Subject.Vars(nil); len(vars) > 0 {
-			c.query.Where = append(c.query.Where,
+			q.Where = append(q.Where, g.ordinary(true))
+		} else if vars := q.Subject.Vars(nil); len(vars) > 0 {
+			q.Where = append(q.Where,
 				term.NewAtom(genOps[g.r.Intn(len(genOps))], g.pick(vars), g.pick(genSyms)))
 		}
 	}
-	return c
+	return q
 }
 
 // mutual reports whether two distinct predicates reach each other.
@@ -517,10 +522,23 @@ func (g *generator) mutual(rules []term.Rule) bool {
 // disagreement runs the case on the oracle and on every engine and
 // describes the first difference, or returns "".
 func disagreement(t testing.TB, c genCase) string {
+	return judge(c.input(t), c.query)
+}
+
+// sharedDisagreement is disagreement with the engines given the rules
+// prepared ahead of the statement.
+func sharedDisagreement(t testing.TB, c genCase) string {
 	in := c.input(t)
-	want, werr := oracleRetrieve(in, c.query)
+	in.Prepared = Prepare(in.Rules)
+	return judge(in, c.query)
+}
+
+// judge runs q on the oracle, which prepares nothing ahead, and on every
+// engine over in, and describes the first difference, or returns "".
+func judge(in Input, q Query) string {
+	want, werr := oracleRetrieve(Input{Store: in.Store, Rules: in.Rules}, q)
 	for _, e := range engines(in) {
-		got, err := e.Retrieve(c.query)
+		got, err := e.Retrieve(q)
 		switch {
 		case werr != nil && err == nil:
 			return fmt.Sprintf("%s answered %v, the oracle failed with %q", e.Name(), got.Strings(), werr)
@@ -586,6 +604,32 @@ func TestEnginesMatchOracle(t *testing.T) {
 	} {
 		if feat[want] == 0 {
 			t.Errorf("no generated case had: %s", want)
+		}
+	}
+}
+
+// TestEnginesMatchOracleSharedRuleSet: one rule set prepared per
+// generated program serves several statements over it, on every engine
+// in turn, and each answers as the oracle does or fails with its text.
+func TestEnginesMatchOracleSharedRuleSet(t *testing.T) {
+	seeds, queries := 200, 5
+	if testing.Short() {
+		seeds = 40
+	}
+	for seed := 1; seed <= seeds; seed++ {
+		g := &generator{r: rand.New(rand.NewSource(int64(seed))), feat: make(genFeatures)}
+		c := g.generate()
+		in := c.input(t)
+		in.Prepared = Prepare(in.Rules)
+		for i := 0; i < queries; i++ {
+			if i > 0 {
+				c.query = g.query()
+			}
+			if judge(in, c.query) == "" {
+				continue
+			}
+			small := shrink(c, func(d genCase) bool { return sharedDisagreement(t, d) != "" })
+			t.Fatalf("seed %d, statement %d: %s\nshrunk to:\n%v", seed, i, sharedDisagreement(t, small), small)
 		}
 	}
 }

@@ -34,10 +34,11 @@ type ComponentStats struct {
 type EvalStats struct {
 	// Engine names the evaluation strategy that produced the record.
 	Engine string `json:"engine"`
-	// Components holds one entry per SCC in dependency order (bottom-up
-	// engines; empty for top-down). The order is deterministic: it is
-	// the condensation's topological order with ties broken by sorted
-	// predicate names.
+	// Components holds one entry per SCC in evaluation order (bottom-up
+	// engines; empty for top-down): the rule set's schedule — its
+	// condensation's topological order, ties broken by sorted predicate
+	// names — followed by the query rule's own component. Predicates
+	// only the query rule mentions have no entry.
 	Components []ComponentStats `json:"components,omitempty"`
 	// Facts is the total number of facts derived.
 	Facts int `json:"facts"`

@@ -50,14 +50,11 @@ type table struct {
 }
 
 type topDownRun struct {
-	in    Input
-	graph map[string][]term.Rule
-	rn    term.Renamer
-	gov   *governor.Governor
-	rec   *prov.Recorder
-	// virt holds the plan's per-query virtual-relation snapshots (nil
-	// when the program references none).
-	virt map[string]*storage.Relation
+	in   Input
+	plan *plan
+	rn   term.Renamer
+	gov  *governor.Governor
+	rec  *prov.Recorder
 
 	tables   map[string]*table
 	pass     int
@@ -96,10 +93,9 @@ func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, er
 	// stored-relation probe, so concurrent queries stay independent.
 	run := &topDownRun{
 		in:       e.in,
-		graph:    make(map[string][]term.Rule),
+		plan:     p,
 		gov:      gov,
 		rec:      e.rec,
-		virt:     p.virtual,
 		tables:   make(map[string]*table),
 		counters: &storage.Counters{},
 	}
@@ -107,10 +103,7 @@ func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, er
 		run.prof = newRuleProfiler(e.prof, nil, run.counters)
 	}
 	provStart := e.rec.Len()
-	for _, r := range p.rules {
-		run.graph[r.Head.Pred] = append(run.graph[r.Head.Pred], r)
-	}
-	goal := p.rule.Head
+	goal := p.rule().Head
 	evalSp := sp.Child("eval")
 	evalSp.SetStr("engine", e.Name())
 	start := time.Now()
@@ -233,8 +226,9 @@ func (r *topDownRun) solveTable(goal term.Atom) (*table, error) {
 		return t, nil // already evaluated (or in progress) this pass
 	}
 	t.pass = r.pass
-	for _, rule := range r.graph[goal.Pred] {
-		if err := r.solveRule(t, goal, rule); err != nil {
+	rules := r.plan.rules(goal.Pred)
+	for i := range rules {
+		if err := r.solveRule(t, goal, rules[i].rule); err != nil {
 			return nil, err
 		}
 	}
@@ -305,10 +299,10 @@ func (r *topDownRun) resolve(p *probe) error {
 		c = pc
 	}
 	pred := p.st.atom.Pred
-	if vr := r.virt[pred]; vr != nil {
+	if vr := r.plan.virtual[pred]; vr != nil {
 		return p.selectFrom(vr, c, "derived")
 	}
-	if len(r.graph[pred]) == 0 {
+	if !r.plan.defines(pred) {
 		return p.selectStored(r.in.Store, nil, c)
 	}
 	t, err := r.solveTable(term.Atom{Pred: pred, Args: p.pattern})

@@ -9,7 +9,7 @@ import (
 // the engines. A provider answers IsVirtual for predicate names it
 // serves and materializes one relation per predicate on demand. The
 // engines consult it only while building a plan: every virtual
-// predicate referenced by the program is snapshotted exactly once per
+// predicate the statement reaches is snapshotted exactly once per
 // evaluation, so all joins inside one query — and the four engines run
 // over the same plan inputs — see a single consistent state, never a
 // live view that shifts mid-fixpoint.
@@ -27,37 +27,51 @@ type Virtual interface {
 	Snapshot(pred string) (*storage.Relation, error)
 }
 
-// virtualSnapshots materializes every virtual predicate referenced by
-// the rules (the internal query rule included, so subjects and
-// qualifiers count). It returns nil when no virtual predicate occurs:
-// on that path — the overwhelmingly common one — it performs no
-// allocation at all (enforced by TestVirtualSnapshotsNoSysAllocs), so
-// programs that never mention sys_* pay nothing for the provider.
-func virtualSnapshots(v Virtual, rules []term.Rule) (map[string]*storage.Relation, error) {
+// virtualSnapshots materializes every virtual predicate the plan's query
+// rule reaches: its own body atoms (so subjects and qualifiers count) and
+// everything they depend on. Rules the statement cannot reach take no
+// snapshot. It returns nil when no virtual predicate is reached: on that
+// path — the overwhelmingly common one — it performs no allocation at
+// all (enforced by TestVirtualSnapshotsNoSysAllocs), so programs that
+// never mention sys_* pay nothing for the provider.
+func virtualSnapshots(v Virtual, p *plan) (map[string]*storage.Relation, error) {
 	if v == nil {
 		return nil, nil
 	}
 	var snaps map[string]*storage.Relation
-	for _, r := range rules {
-		for _, a := range r.Body {
-			if !v.IsVirtual(a.Pred) {
-				continue
-			}
-			if _, ok := snaps[a.Pred]; ok {
-				continue
-			}
-			rel, err := v.Snapshot(a.Pred)
-			if err != nil {
+	var err error
+	for _, a := range p.rule().Body {
+		if term.IsComparison(a) {
+			continue
+		}
+		if snaps, err = snapshot(v, snaps, a.Pred); err != nil {
+			return nil, err
+		}
+		for pred := range p.set.graph.Reach(a.Pred) {
+			if snaps, err = snapshot(v, snaps, pred); err != nil {
 				return nil, err
 			}
-			if rel == nil {
-				continue
-			}
-			if snaps == nil {
-				snaps = make(map[string]*storage.Relation, 1)
-			}
-			snaps[a.Pred] = rel
 		}
 	}
+	return snaps, nil
+}
+
+// snapshot adds pred's snapshot to snaps when pred is virtual and not in
+// snaps yet, creating the map on first use.
+func snapshot(v Virtual, snaps map[string]*storage.Relation, pred string) (map[string]*storage.Relation, error) {
+	if !v.IsVirtual(pred) {
+		return snaps, nil
+	}
+	if _, ok := snaps[pred]; ok {
+		return snaps, nil
+	}
+	rel, err := v.Snapshot(pred)
+	if err != nil || rel == nil {
+		return snaps, err
+	}
+	if snaps == nil {
+		snaps = make(map[string]*storage.Relation, 1)
+	}
+	snaps[pred] = rel
 	return snaps, nil
 }

@@ -103,10 +103,13 @@ func TestVirtualSnapshotFreshPerQuery(t *testing.T) {
 // attached.
 func TestVirtualSnapshotsNoSysAllocs(t *testing.T) {
 	in := load(t, universityDB)
+	p, err := buildPlan(in, query(t, `retrieve can_ta(X, Y) where prior(Y, Z).`))
+	if err != nil {
+		t.Fatal(err)
+	}
 	v := defaultFake()
-	rules := in.Rules
 	allocs := testing.AllocsPerRun(200, func() {
-		m, err := virtualSnapshots(v, rules)
+		m, err := virtualSnapshots(v, p)
 		if err != nil || m != nil {
 			panic("unexpected snapshot work on a sys-free program")
 		}
@@ -124,7 +127,11 @@ func TestVirtualSnapshotsNoSysAllocs(t *testing.T) {
 // in the kb layer; eval itself treats it as unknown).
 func TestVirtualNilProviderUntouched(t *testing.T) {
 	in := load(t, universityDB)
-	m, err := virtualSnapshots(nil, in.Rules)
+	p, err := buildPlan(in, query(t, `retrieve honor(X).`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := virtualSnapshots(nil, p)
 	if err != nil || m != nil {
 		t.Fatalf("virtualSnapshots(nil) = %v, %v; want nil, nil", m, err)
 	}

@@ -85,6 +85,12 @@ type KB struct {
 	// program's analysis and leave it unchanged.
 	gen atomic.Uint64
 
+	// prepared is rules analysed for evaluation (eval.Prepare). The first
+	// evaluation after a load builds it under the read lock; a load
+	// drops it under the write lock. Nothing builds it at load time, so a
+	// KB that only answers describes never holds one.
+	prepared atomic.Pointer[eval.RuleSet]
+
 	// lastStats holds the evaluation statistics of the most recent
 	// retrieve (or constraint check), for observability.
 	lastStats atomic.Pointer[eval.EvalStats]
@@ -391,19 +397,23 @@ func (k *KB) LoadProgram(prog *parser.Program) error {
 		}
 	}
 
-	// A stored predicate gaining rules is promoted; its stored facts are
-	// re-read as bodiless rules.
-	for pred := range intensional {
-		if p := k.cat.Lookup(pred); p != nil && p.Class == catalog.ClassEDB {
-			if err := k.cat.Promote(pred); err != nil {
+	for _, ic := range prog.Constraints {
+		for _, a := range ic {
+			if err := k.checkAtomArity(a, catalog.ClassEDB); err != nil {
 				return err
 			}
-			for _, f := range k.store.Facts(pred) {
-				k.rules = append(k.rules, term.Rule{Head: f})
-			}
-			// Facts stay in the store as well; the engines read both.
 		}
 	}
+
+	// A stored predicate gaining rules is promoted, once nothing else can
+	// fail.
+	var promoted []string
+	for pred := range intensional {
+		if p := k.cat.Lookup(pred); p != nil && p.Class == catalog.ClassEDB {
+			promoted = append(promoted, pred)
+		}
+	}
+	sort.Strings(promoted)
 
 	for _, d := range prog.Declarations {
 		switch d.Kind {
@@ -427,20 +437,28 @@ func (k *KB) LoadProgram(prog *parser.Program) error {
 	if _, err := k.store.InsertAtoms(facts); err != nil {
 		return err
 	}
+
+	// The load is committed: the promotions, the rules, the constraints
+	// and the new generation take effect together, so a load that failed
+	// above leaves the program, the classes and the generation as they
+	// were. A promoted predicate's stored facts are re-read as bodiless
+	// rules; they stay in the store as well, and the engines read both.
+	for _, pred := range promoted {
+		if err := k.cat.Promote(pred); err != nil {
+			return err // unreachable: pred is a declared EDB predicate
+		}
+		for _, f := range k.store.Facts(pred) {
+			k.rules = append(k.rules, term.Rule{Head: f})
+		}
+	}
 	for _, c := range prog.Clauses {
 		if !c.IsFact() || intensional[c.Head.Pred] {
 			k.rules = append(k.rules, c)
 		}
 	}
-	for _, ic := range prog.Constraints {
-		for _, a := range ic {
-			if err := k.checkAtomArity(a, catalog.ClassEDB); err != nil {
-				return err
-			}
-		}
-		k.constraints = append(k.constraints, ic)
-	}
+	k.constraints = append(k.constraints, prog.Constraints...)
 	k.describer = nil // rebuild lazily
+	k.prepared.Store(nil)
 	k.report = rep
 	k.gen.Add(1)
 	return nil
@@ -709,7 +727,7 @@ func (k *KB) Validate() []string {
 //
 //kdb:rlocked mu
 func (k *KB) newEngine(ctx context.Context, extra ...eval.EngineOption) eval.Engine {
-	in := eval.Input{Store: k.store, Rules: k.rules}
+	in := eval.Input{Store: k.store, Rules: k.rules, Prepared: k.preparedLocked()}
 	if k.sys != nil {
 		// The view captures the store and the current rule slice; its
 		// sources read telemetry directly, never back through k (whose
@@ -727,6 +745,22 @@ func (k *KB) newEngine(ctx context.Context, extra ...eval.EngineOption) eval.Eng
 	default:
 		return eval.NewSemiNaive(in, opts...)
 	}
+}
+
+// preparedLocked returns the rules analysed for evaluation, preparing
+// them if no statement has since the last load. The rules cannot change
+// under the read lock, so concurrent first statements prepare equal sets
+// and all of them go on with the one that was stored first.
+//
+//kdb:rlocked mu
+func (k *KB) preparedLocked() *eval.RuleSet {
+	if rs := k.prepared.Load(); rs != nil {
+		return rs
+	}
+	if rs := eval.Prepare(k.rules); k.prepared.CompareAndSwap(nil, rs) {
+		return rs
+	}
+	return k.prepared.Load()
 }
 
 // Retrieve evaluates a data query (§3.1). The configured query limits
@@ -1384,6 +1418,23 @@ type ExecResult struct {
 	subject    term.Atom
 	wildcard   bool
 	provenance bool
+	lines      []string // RetrieveLines, once rendered
+}
+
+// RetrieveLines renders the answers of a retrieve as instantiated
+// subject atoms, sorted: the lines String lists. They are rendered on
+// the first call and shared by every later one, String's included;
+// callers must not modify them. Nil when there is no answer.
+func (r *ExecResult) RetrieveLines() []string {
+	if r.lines == nil && r.Retrieve != nil && len(r.Retrieve.Tuples) > 0 {
+		atoms := r.Retrieve.Atoms(r.subject)
+		r.lines = make([]string, len(atoms))
+		for i, a := range atoms {
+			r.lines[i] = a.String()
+		}
+		sort.Strings(r.lines)
+	}
+	return r.lines
 }
 
 // String renders the result for a terminal.
@@ -1396,13 +1447,7 @@ func (r *ExecResult) String() string {
 		if len(r.Retrieve.Tuples) == 0 {
 			b.WriteString("no answers")
 		} else {
-			atoms := r.Retrieve.Atoms(r.subject)
-			lines := make([]string, len(atoms))
-			for i, a := range atoms {
-				lines[i] = a.String()
-			}
-			sort.Strings(lines)
-			b.WriteString(strings.Join(lines, "\n"))
+			b.WriteString(strings.Join(r.RetrieveLines(), "\n"))
 		}
 		if r.Knowledge != nil && !r.Knowledge.Empty() {
 			b.WriteString("\nbecause:\n")

@@ -562,25 +562,13 @@ func queryKind(q parser.Query) string {
 }
 
 // answerLines extracts one line per answer from an ExecResult, sorted
-// for a stable wire shape.
+// for a stable wire shape. A retrieve's are the lines its rendering
+// lists, rendered once for both.
 func answerLines(res *kb.ExecResult) []string {
 	var out []string
 	switch {
 	case res.Retrieve != nil:
-		var subject term.Atom
-		switch q := res.Query.(type) {
-		case *parser.Retrieve:
-			subject = q.Subject
-		case *parser.Profile:
-			subject = q.Subject
-		default:
-			break
-		}
-		if subject.Pred != "" {
-			for _, a := range res.Retrieve.Atoms(subject) {
-				out = append(out, a.String())
-			}
-		}
+		return res.RetrieveLines()
 	case res.Describe != nil:
 		for _, f := range res.Describe.Formulas {
 			out = append(out, f.String())
