@@ -276,16 +276,24 @@ type component struct {
 	cs      *ComponentStats
 	rp      *ruleProfiler
 
-	// delta holds the facts new in the previous round and next collects
-	// those new in this one; fresh counts them. Only a recursive
-	// component under semi-naive evaluation reads a delta: any other
-	// keeps next nil and derives each fact once, into d.
-	delta, next *derived
-	keepDelta   bool
-	fresh       int
-	// pin is the body position the running variant resolves against
+	// windows hold, per predicate of the component, the positions its
+	// derived relation gained in the previous round: the semi-naive delta,
+	// served from the derived relation itself. Only a recursive component
+	// under semi-naive evaluation has them. fresh counts this round's new
+	// facts.
+	windows []window
+	fresh   int
+	// pin is the body position the running variant resolves against the
 	// delta instead of the full extension; -1 for none.
 	pin int
+}
+
+// window is the delta of one predicate: the positions [from, to) of its
+// derived relation. Derived relations never delete, so positions are
+// insertion order and a round's new facts are one range of them.
+type window struct {
+	pred     string
+	from, to int
 }
 
 // componentRule is one rule of the component, compiled, with the body
@@ -312,13 +320,13 @@ func (c *component) resolve(p *probe) error {
 		if err := c.gov.Tick(); err != nil {
 			return err
 		}
-		rel := c.delta.get(pred)
-		if rel == nil {
+		w := c.window(pred)
+		if w.from == w.to {
 			return nil
 		}
-		// rp.storageCounters() is nil when profiling is off; the delta
+		// rp.storageCounters() is nil when profiling is off; the derived
 		// relation then falls back to its attached (query-wide) counters.
-		return p.selectFrom(rel, c.rp.storageCounters(), "derived")
+		return p.selectWindow(c.d.get(pred), c.rp.storageCounters(), w.from, w.to)
 	}
 	c.cs.Lookups++
 	c.rp.countLookup()
@@ -345,9 +353,27 @@ func (c *component) resolve(p *probe) error {
 	return p.selectStored(c.store, rel, ctrs)
 }
 
-// derive adds one derived head to the component's relations; a new fact
-// is counted, recorded and, when a later round reads it, put in the next
-// delta.
+// window returns the delta of pred, one of the component's predicates.
+func (c *component) window(pred string) window {
+	for _, w := range c.windows {
+		if w.pred == pred {
+			return w
+		}
+	}
+	return window{}
+}
+
+// size is the length of pred's derived relation.
+func (c *component) size(pred string) int {
+	if rel := c.d.get(pred); rel != nil {
+		return rel.Len()
+	}
+	return 0
+}
+
+// derive adds one derived head to the derived relation of its predicate;
+// a new fact is counted and recorded. The next round's delta is where the
+// relation has grown to, so nothing else is stored.
 func (c *component) derive(r *runner) error {
 	fact, err := r.fact()
 	if err != nil {
@@ -362,22 +388,19 @@ func (c *component) derive(r *runner) error {
 	if err := c.gov.CountFacts(1); err != nil {
 		return err
 	}
-	if err := recordProv(c.rec, c.gov, r); err != nil || c.next == nil {
-		return err
-	}
-	_, err = c.next.insert(fact)
-	return err
+	return recordProv(c.rec, c.gov, r)
 }
 
-// round applies the rules once, with a new delta to fill if one is kept:
-// c.fresh is how many facts were new. The counters are committed even on
-// a governed stop, so the stats attached to the error reflect the work
-// done.
+// round applies the rules once, after moving each delta window to the
+// facts the previous round added: c.fresh is how many facts were new. The
+// counters are committed even on a governed stop, so the stats attached
+// to the error reflect the work done.
 func (c *component) round(rules []componentRule, differentiated bool, act *obs.Activity) error {
-	c.delta, c.next, c.fresh = c.next, nil, 0
-	if c.keepDelta {
-		c.next = newDerived(c.d.counters)
+	for i := range c.windows {
+		w := &c.windows[i]
+		w.from, w.to = w.to, c.size(w.pred)
 	}
+	c.fresh = 0
 	err := c.applyRules(rules, differentiated)
 	c.cs.Iterations++
 	c.cs.Facts += c.fresh
@@ -433,7 +456,12 @@ func (e *bottomUp) evalComponent(p *plan, d *derived, gov *governor.Governor, co
 			cs.Recursive = cs.Recursive || len(pr.rec) > 0
 		}
 	}
-	c.keepDelta = cs.Recursive && e.seminaive
+	if cs.Recursive && e.seminaive {
+		c.windows = make([]window, len(comp))
+		for i, pred := range comp {
+			c.windows[i].pred = pred
+		}
+	}
 
 	// First round: apply every rule once against the current state.
 	if err := c.round(rules, false, act); err != nil || !cs.Recursive {

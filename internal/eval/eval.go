@@ -3,7 +3,8 @@
 // interchangeable engines are provided:
 //
 //   - Naive: bottom-up naive fixpoint — the correctness baseline.
-//   - SemiNaive: bottom-up with delta relations per recursive SCC — the
+//   - SemiNaive: bottom-up, each recursive SCC's delta read as the window
+//     of its derived relations that the previous round added — the
 //     production engine.
 //   - TopDown: goal-directed SLD resolution with naive-iteration tabling,
 //     terminating on all Datalog programs.

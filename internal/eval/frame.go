@@ -420,6 +420,15 @@ func (p *probe) selectFrom(rel *storage.Relation, c *storage.Counters, side stri
 	return rel.SelectCounted(p.pattern, c, p.each)
 }
 
+// selectWindow is selectFrom over the derived tuples at positions in
+// [from, to): the semi-naive delta.
+func (p *probe) selectWindow(rel *storage.Relation, c *storage.Counters, from, to int) error {
+	if rel.Arity() != len(p.pattern) {
+		return fmt.Errorf("eval: %s used with arity %d, derived with %d", p.st.atom.Pred, len(p.pattern), rel.Arity())
+	}
+	return rel.SelectWindow(p.pattern, from, to, c, p.each)
+}
+
 // selectStored feeds the probe the stored tuples of its predicate, less
 // those in except (nil: none), which the probe has already been fed.
 func (p *probe) selectStored(st *storage.Store, except *storage.Relation, c *storage.Counters) error {

@@ -53,7 +53,7 @@ e(a, b). e(b, c). e(c, d). e(d, e). e(a, c). e(b, d).
 two(X, Z) :- e(X, Y), e(Y, Z), X != Z.
 `)
 	d := newDerived(nil)
-	c := &component{store: in.Store, d: d, cs: &ComponentStats{}, next: newDerived(nil), pin: -1}
+	c := &component{store: in.Store, d: d, cs: &ComponentStats{}, pin: -1}
 	rule := in.Rules[0]
 	r := newRunner(rule, compileBody(rule.Head, rule.Body), c)
 	if err := r.exec(); err != nil {

@@ -80,8 +80,10 @@ func TestRuleSetSharedByConcurrentStatements(t *testing.T) {
 
 // TestNonRecursiveComponentKeepsNoDelta: evaluating a non-recursive
 // component allocates what inserting its facts into the derived relation
-// does, plus a constant: no semi-naive delta is filled, since no later
-// round would read it.
+// does, plus a constant. No component creates a relation per round or
+// stores a fact twice: a recursive one reads its delta as a window over
+// the derived relation (TestSemiNaiveDeltaBuildsNoIndexPerRound), and
+// this one, which no later round reads, keeps not even the window.
 func TestNonRecursiveComponentKeepsNoDelta(t *testing.T) {
 	excess := func(n int) float64 {
 		var src strings.Builder
@@ -121,6 +123,73 @@ func TestNonRecursiveComponentKeepsNoDelta(t *testing.T) {
 	}
 	if few, many := excess(10), excess(40); few != many {
 		t.Errorf("beyond the derived relation's own, a non-recursive component allocates %.0f times for 10 facts, %.0f for 40: it keeps a delta", few, many)
+	}
+}
+
+// chainClosure loads an n-node chain, edge(c0, c1) … edge(cn-2, cn-1),
+// with the closure rules of the benchmark's closure workload. The
+// fixpoint takes a round per node, each deriving one fact fewer.
+func chainClosure(t testing.TB, n int) Input {
+	t.Helper()
+	var src strings.Builder
+	for i := 0; i+1 < n; i++ {
+		fmt.Fprintf(&src, "edge(c%d, c%d).\n", i, i+1)
+	}
+	src.WriteString("path(X, Y) :- edge(X, Y).\npath(X, Y) :- edge(X, Z), path(Z, Y).\n")
+	return load(t, src.String())
+}
+
+// retrieveClosure evaluates path(X, Y) with e and checks the answer
+// count of an n-node chain.
+func retrieveClosure(t testing.TB, e *bottomUp, n int) *EvalStats {
+	t.Helper()
+	res, err := e.Retrieve(query(t, `retrieve path(X, Y).`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tuples) != n*(n-1)/2 {
+		t.Fatalf("%d-node chain: %d answers, want %d", n, len(res.Tuples), n*(n-1)/2)
+	}
+	return e.LastStats()
+}
+
+// TestSemiNaiveDeltaBuildsNoIndexPerRound: the delta is a window over the
+// derived relation, probed through the relation's own index, so a
+// recursive closure builds as many indexes on a 32-node chain as on a
+// 128-node chain, four times as many rounds.
+func TestSemiNaiveDeltaBuildsNoIndexPerRound(t *testing.T) {
+	builds := func(n int) (builds int64, rounds int) {
+		st := retrieveClosure(t, NewSemiNaive(chainClosure(t, n)).(*bottomUp), n)
+		for _, cs := range st.Components {
+			rounds = max(rounds, cs.Iterations)
+		}
+		return st.IndexBuilds, rounds
+	}
+	few, fewRounds := builds(32)
+	many, manyRounds := builds(128)
+	if manyRounds < 3*fewRounds {
+		t.Fatalf("rounds: %d on 32 nodes, %d on 128; the chain did not lengthen the fixpoint", fewRounds, manyRounds)
+	}
+	if few != many {
+		t.Errorf("index builds: %d on a 32-node chain, %d on a 128-node chain; want equal", few, many)
+	}
+}
+
+// TestSemiNaiveAllocsPerDerivedFact: a semi-naive closure costs at most
+// 1.5 allocations per derived fact, on a 32-node chain and on a 128-node
+// one: each fact is cloned once into its derived relation and stored
+// nowhere else.
+func TestSemiNaiveAllocsPerDerivedFact(t *testing.T) {
+	for _, n := range []int{32, 128} {
+		e := NewSemiNaive(chainClosure(t, n)).(*bottomUp)
+		retrieveClosure(t, e, n) // builds the stored relation's index
+		var st *EvalStats
+		allocs := testing.AllocsPerRun(3, func() { st = retrieveClosure(t, e, n) })
+		per := allocs / float64(st.Facts)
+		t.Logf("%d-node chain: %.0f allocations for %d derived facts, %.2f per fact", n, allocs, st.Facts, per)
+		if per > 1.5 {
+			t.Errorf("%d-node chain: %.2f allocations per derived fact, want at most 1.5", n, per)
+		}
 	}
 }
 

@@ -3,11 +3,23 @@
 // bound-column patterns, a store aggregating them, and optional
 // durability via snapshot files plus a write-ahead log with CRC-checked
 // records and crash recovery.
+//
+// A relation identifies a tuple by a 64-bit hash of its terms and never
+// by the hash alone: every hit is confirmed against the stored tuple, and
+// distinct tuples that share a hash are all kept. Hashes are seeded per
+// process and never written to disk; the snapshot and the log encode
+// terms as codec.go does. Positions in a relation stay in insertion order
+// until its first Delete, which is what a window (SelectWindow) relies
+// on: a window over a relation that has had a delete is an error.
 package storage
 
 import (
+	"errors"
 	"fmt"
+	"hash/maphash"
+	"math"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -17,10 +29,15 @@ import (
 // Tuple is one stored fact's argument list. All terms are constants.
 type Tuple []term.Term
 
-// Key returns a canonical byte-string identity for the tuple.
+// Key returns a canonical byte-string identity for the tuple: the codec
+// encoding of its terms.
 func (t Tuple) Key() string {
-	var buf [keyBufLen]byte
-	return string(appendMaskKey(buf[:0], t, allColumns))
+	var buf [64]byte
+	b := buf[:0]
+	for _, x := range t {
+		b = appendTermKey(b, x)
+	}
+	return string(b)
 }
 
 // Clone returns an independent copy.
@@ -88,6 +105,14 @@ func (c *Counters) addIndexBuild() {
 // of tuples with lazily built hash indexes. All methods are safe for
 // concurrent use.
 //
+// Identity is by hash, exact on collision. A tuple is found through
+// present, keyed by the hash of all its terms, or — when another tuple
+// already holds that hash — through overflow, keyed by Tuple.Key. Every
+// hit is compared term by term with the codec's identity (kind, then the
+// name, numbers by bit pattern, so 0 and -0 are two facts). Index keys
+// are hashes of the bound columns; a colliding bucket only adds
+// candidates, which the pattern check removes.
+//
 // Readers (Scan, Select) capture the tuple slice and, for an indexed
 // probe, one posting list under a single RLock and iterate them after
 // releasing it: a callback may insert into the relation it is scanning,
@@ -96,6 +121,8 @@ func (c *Counters) addIndexBuild() {
 // place when no reader is between capture and the end of its iteration
 // (the readers count), and otherwise replaces what it touches with
 // edited copies, so a reader always iterates one consistent version.
+// Windows (SelectWindow) are served only by a relation that has never
+// had a delete.
 type Relation struct {
 	mu    sync.RWMutex
 	arity int
@@ -103,15 +130,26 @@ type Relation struct {
 	// Delete, which moves the last tuple into the freed slot.
 	//kdb:guarded-by mu
 	tuples []Tuple
-	// present maps Tuple.Key to its index in tuples, for deduplication.
+	// present maps a tuple's hash to its index in tuples, for the first
+	// tuple stored under that hash.
 	//kdb:guarded-by mu
-	present map[string]int
-	// indexes maps a bound-column bitmask to a hash index: the key of the
-	// bound column values → indices of matching tuples, never an empty
-	// list. Indexes are built on first use for a mask and maintained by
-	// every Insert and Delete afterwards.
+	present map[uint64]int
+	// overflow maps Tuple.Key to the index of a tuple whose hash present
+	// already gave to a different tuple. It is empty unless two distinct
+	// tuples have collided, and only then is a key string ever built.
 	//kdb:guarded-by mu
-	indexes map[uint64]map[string][]int
+	overflow map[string]int
+	// indexes maps a bound-column bitmask to a hash index: the hash of
+	// the bound column values → indices of the tuples with that hash, in
+	// ascending order until the first Delete, never an empty list.
+	// Indexes are built on first use for a mask and maintained by every
+	// Insert and Delete afterwards.
+	//kdb:guarded-by mu
+	indexes map[uint64]map[uint64][]int
+	// deleted is set by the first Delete: positions no longer follow
+	// insertion order, so no window can be served.
+	//kdb:guarded-by mu
+	deleted bool
 	// readers counts the Scans and Selects still iterating what they
 	// captured: raised under the lock, lowered after the last access.
 	readers atomic.Int32
@@ -130,8 +168,8 @@ func NewRelation(arity int) (*Relation, error) {
 	}
 	return &Relation{
 		arity:   arity,
-		present: make(map[string]int),
-		indexes: make(map[uint64]map[string][]int),
+		present: make(map[uint64]int),
+		indexes: make(map[uint64]map[uint64][]int),
 	}, nil
 }
 
@@ -164,19 +202,33 @@ func (r *Relation) Insert(t Tuple) (bool, error) {
 			return false, fmt.Errorf("storage: cannot store non-ground tuple containing %v", x)
 		}
 	}
-	var buf [keyBufLen]byte
-	key := appendMaskKey(buf[:0], t, allColumns)
+	h := hashTerms(t, allColumns)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.present[string(key)]; dup {
+	i, taken := r.present[h]
+	if taken && sameTuple(r.tuples[i], t) {
 		return false, nil
+	}
+	var key string
+	if taken || len(r.overflow) > 0 {
+		key = t.Key()
+		if _, dup := r.overflow[key]; dup {
+			return false, nil
+		}
 	}
 	idx := len(r.tuples)
 	r.tuples = append(r.tuples, t.Clone())
-	r.present[string(key)] = idx
+	if taken {
+		if r.overflow == nil {
+			r.overflow = make(map[string]int)
+		}
+		r.overflow[key] = idx
+	} else {
+		r.present[h] = idx
+	}
 	for mask, index := range r.indexes {
-		k := appendMaskKey(buf[:0], t, mask)
-		index[string(k)] = append(index[string(k)], idx)
+		k := hashTerms(t, mask)
+		index[k] = append(index[k], idx)
 	}
 	return true, nil
 }
@@ -190,14 +242,19 @@ func (r *Relation) Delete(t Tuple) (bool, error) {
 	if len(t) != r.arity {
 		return false, fmt.Errorf("storage: tuple arity %d, want %d", len(t), r.arity)
 	}
-	var buf [keyBufLen]byte
-	key := appendMaskKey(buf[:0], t, allColumns)
+	h := hashTerms(t, allColumns)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	idx, ok := r.present[string(key)]
-	if !ok {
+	idx := r.position(t, h)
+	if idx < 0 {
 		return false, nil
 	}
+	if p, ok := r.present[h]; ok && p == idx {
+		delete(r.present, h)
+	} else {
+		delete(r.overflow, t.Key())
+	}
+	r.deleted = true
 	shared := r.readers.Load() != 0
 	last := len(r.tuples) - 1
 	gone, moved := r.tuples[idx], r.tuples[last]
@@ -208,25 +265,44 @@ func (r *Relation) Delete(t Tuple) (bool, error) {
 	} else {
 		r.tuples[last] = nil
 	}
-	delete(r.present, string(key))
 	if idx != last {
 		next[idx] = moved
-		r.present[string(appendMaskKey(buf[:0], moved, allColumns))] = idx
+		hm := hashTerms(moved, allColumns)
+		if p, ok := r.present[hm]; ok && p == last {
+			r.present[hm] = idx
+		} else {
+			r.overflow[moved.Key()] = idx
+		}
 	}
 	r.tuples = next
 	for mask, index := range r.indexes {
-		k := appendMaskKey(buf[:0], gone, mask)
-		if list := index[string(k)]; len(list) == 1 {
-			delete(index, string(k)) // no empty list is left behind
+		k := hashTerms(gone, mask)
+		if list := index[k]; len(list) == 1 {
+			delete(index, k) // no empty list is left behind
 		} else {
-			index[string(k)] = replacePosting(list, idx, list[len(list)-1], shared)[:len(list)-1]
+			index[k] = replacePosting(list, idx, list[len(list)-1], shared)[:len(list)-1]
 		}
 		if idx != last {
-			k = appendMaskKey(buf[:0], moved, mask)
-			index[string(k)] = replacePosting(index[string(k)], last, idx, shared)
+			k = hashTerms(moved, mask)
+			index[k] = replacePosting(index[k], last, idx, shared)
 		}
 	}
 	return true, nil
+}
+
+// position returns where t is stored, or -1; h is t's hash.
+//
+//kdb:rlocked mu
+func (r *Relation) position(t Tuple, h uint64) int {
+	if i, ok := r.present[h]; ok && sameTuple(r.tuples[i], t) {
+		return i
+	}
+	if len(r.overflow) > 0 {
+		if i, ok := r.overflow[t.Key()]; ok {
+			return i
+		}
+	}
+	return -1
 }
 
 // replacePosting overwrites position old in list with pos, in a copy of
@@ -239,14 +315,16 @@ func replacePosting(list []int, old, pos int, shared bool) []int {
 	return list
 }
 
-// Contains reports whether the exact tuple is stored.
+// Contains reports whether the exact tuple is stored. A tuple of another
+// arity never is.
 func (r *Relation) Contains(t Tuple) bool {
-	var buf [keyBufLen]byte
-	key := appendMaskKey(buf[:0], t, allColumns)
+	if len(t) != r.arity {
+		return false
+	}
+	h := hashTerms(t, allColumns)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	_, ok := r.present[string(key)]
-	return ok
+	return r.position(t, h) >= 0
 }
 
 // snapshot captures the current extension for a reader, which must call
@@ -288,6 +366,26 @@ func (r *Relation) Select(pattern []term.Term, fn func(Tuple) bool) error {
 // SetCounters). Threading the sink per call keeps concurrent queries'
 // statistics independent even though they share the stored relation.
 func (r *Relation) SelectCounted(pattern []term.Term, c *Counters, fn func(Tuple) bool) error {
+	return r.selectRange(pattern, false, 0, 0, c, fn)
+}
+
+// SelectWindow is SelectCounted restricted to the tuples at positions
+// from (inclusive) to to (exclusive), clamped to the relation's length:
+// the tuples inserted between two moments at which Len was read. It uses
+// the same index as SelectCounted, narrowed to the window by binary
+// search, and is counted the same way, with only the window's tuples as
+// candidates. It serves relations that only grow: once the relation has
+// had a Delete it returns an error.
+func (r *Relation) SelectWindow(pattern []term.Term, from, to int, c *Counters, fn func(Tuple) bool) error {
+	if from < 0 || to < from {
+		return fmt.Errorf("storage: window [%d, %d) is not a range of positions", from, to)
+	}
+	return r.selectRange(pattern, true, from, to, c, fn)
+}
+
+// selectRange serves SelectCounted and, with window set, SelectWindow
+// over [from, to).
+func (r *Relation) selectRange(pattern []term.Term, window bool, from, to int, c *Counters, fn func(Tuple) bool) error {
 	if len(pattern) != r.arity {
 		return fmt.Errorf("storage: pattern arity %d, want %d", len(pattern), r.arity)
 	}
@@ -300,20 +398,31 @@ func (r *Relation) SelectCounted(pattern []term.Term, c *Counters, fn func(Tuple
 			mask |= 1 << uint(i)
 		}
 	}
+	tuples, idxs, deleted := r.lookup(mask, pattern, c)
 	defer r.done()
-	if mask == 0 {
-		all := r.snapshot()
-		if c != nil {
-			c.addProbe(true, int64(len(all)))
+	if window {
+		if deleted {
+			return errors.New("storage: window over a relation that has had a delete")
 		}
-		for _, t := range all {
+		to = min(to, len(tuples))
+		from = min(from, to)
+		if mask == 0 {
+			tuples = tuples[from:to]
+		} else {
+			idxs = idxs[sort.SearchInts(idxs, from):sort.SearchInts(idxs, to)]
+		}
+	}
+	if mask == 0 {
+		if c != nil {
+			c.addProbe(true, int64(len(tuples)))
+		}
+		for _, t := range tuples {
 			if matches(pattern, t) && !fn(t) {
 				return nil
 			}
 		}
 		return nil
 	}
-	tuples, idxs := r.lookup(mask, pattern, c)
 	if c != nil {
 		c.addProbe(false, int64(len(idxs)))
 	}
@@ -325,19 +434,22 @@ func (r *Relation) SelectCounted(pattern []term.Term, c *Counters, fn func(Tuple
 	return nil
 }
 
-// lookup captures, for a reader (see snapshot), the candidate positions
-// for the mask/pattern pair and the tuple slice they index under one
-// lock acquisition, so that both belong to one version. The index is
+// lookup captures, for a reader (see snapshot), the tuple slice, the
+// candidate positions for the mask/pattern pair (none for the empty
+// mask, which scans) and whether the relation has had a delete, under one
+// lock acquisition, so that all three belong to one version. The index is
 // built on first use; builds are charged to c, the probe's sink.
-func (r *Relation) lookup(mask uint64, pattern []term.Term, c *Counters) ([]Tuple, []int) {
-	var buf [keyBufLen]byte
-	key := appendMaskKey(buf[:0], pattern, mask)
+func (r *Relation) lookup(mask uint64, pattern []term.Term, c *Counters) ([]Tuple, []int, bool) {
+	var h uint64
+	if mask != 0 {
+		h = hashTerms(pattern, mask)
+	}
 	r.mu.RLock()
-	if index, ok := r.indexes[mask]; ok {
-		tuples, idxs := r.tuples, index[string(key)]
+	if index, ok := r.indexes[mask]; ok || mask == 0 {
+		tuples, idxs, deleted := r.tuples, index[h], r.deleted
 		r.readers.Add(1)
 		r.mu.RUnlock()
-		return tuples, idxs
+		return tuples, idxs, deleted
 	}
 	r.mu.RUnlock()
 	r.mu.Lock()
@@ -345,18 +457,17 @@ func (r *Relation) lookup(mask uint64, pattern []term.Term, c *Counters) ([]Tupl
 	r.readers.Add(1)
 	index, ok := r.indexes[mask]
 	if !ok {
-		index = make(map[string][]int)
-		var kbuf [keyBufLen]byte // key still lives in buf
+		index = make(map[uint64][]int)
 		for i, t := range r.tuples {
-			k := appendMaskKey(kbuf[:0], t, mask)
-			index[string(k)] = append(index[string(k)], i)
+			k := hashTerms(t, mask)
+			index[k] = append(index[k], i)
 		}
 		r.indexes[mask] = index
 		if c != nil {
 			c.addIndexBuild()
 		}
 	}
-	return r.tuples, index[string(key)]
+	return r.tuples, index[h], r.deleted
 }
 
 // matches reports whether the tuple agrees with the pattern's constants
@@ -384,17 +495,70 @@ func matches(pattern []term.Term, t Tuple) bool {
 	return true
 }
 
-const (
-	keyBufLen  = 64         // stack buffer a key is built in; longer keys spill to the heap
-	allColumns = ^uint64(0) // the mask of a whole-tuple key
-)
+// allColumns is the mask of a whole-tuple hash.
+const allColumns = ^uint64(0)
 
-// appendMaskKey appends the identity of the masked columns of t to b.
-func appendMaskKey(b []byte, t []term.Term, mask uint64) []byte {
+// hashSeed keys every hash a relation computes. It is drawn once per
+// process: no hash outlives the process or leaves it.
+var hashSeed = maphash.MakeSeed()
+
+// collideHook, when a test sets it, replaces every hash with its image,
+// so that a constant or two-valued hash drives the collision paths. It is
+// nil outside tests.
+var collideHook func(uint64) uint64
+
+// hashTerms hashes the masked columns of t by the identity sameTuple
+// checks: kind, then the name, numbers by bit pattern. Each term is
+// hashed on its own and folded into the running hash, so that the order
+// of the columns matters.
+func hashTerms(t []term.Term, mask uint64) uint64 {
+	var h uint64
 	for i, x := range t {
-		if mask&(1<<uint(i)) != 0 {
-			b = appendTermKey(b, x)
+		if mask&(1<<uint(i)) == 0 {
+			continue
+		}
+		var v uint64
+		if x.Kind() == term.KindNumber {
+			v = maphash.Comparable(hashSeed, math.Float64bits(x.Float()))
+		} else {
+			v = maphash.String(hashSeed, x.Name())
+		}
+		h = fold(h ^ v + uint64(x.Kind()))
+	}
+	if collideHook != nil {
+		return collideHook(h)
+	}
+	return h
+}
+
+// fold is the finalizer of SplitMix64: a bijection that spreads every
+// input bit over the whole word.
+func fold(h uint64) uint64 {
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
+// sameTuple reports whether a and b are one fact: the identity the codec
+// key encodes, so a number equals only its own bit pattern.
+func sameTuple(a, b []term.Term) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, x := range a {
+		y := b[i]
+		if x.Kind() != y.Kind() {
+			return false
+		}
+		if x.Kind() == term.KindNumber {
+			if math.Float64bits(x.Float()) != math.Float64bits(y.Float()) {
+				return false
+			}
+		} else if x.Name() != y.Name() {
+			return false
 		}
 	}
-	return b
+	return true
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -11,27 +12,42 @@ import (
 	"kdb/internal/term"
 )
 
-// checkRelationInvariants verifies that tuples, present and every built
-// index describe the same extension: each tuple is keyed to its own
-// position, and each index lists every position exactly once, under the
-// right key, with no empty list left behind.
+// checkRelationInvariants verifies that tuples, present, overflow and
+// every built index describe the same extension: each tuple is found at
+// its own position through present or the overflow, each entry of those
+// is keyed by its tuple's hash or key, and each index lists every
+// position exactly once, under the right hash, with no empty list left
+// behind and, while nothing has been deleted, in ascending order.
 func checkRelationInvariants(t *testing.T, r *Relation) {
 	t.Helper()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if len(r.present) != len(r.tuples) {
-		t.Fatalf("present has %d keys for %d tuples", len(r.present), len(r.tuples))
+	if n := len(r.present) + len(r.overflow); n != len(r.tuples) {
+		t.Fatalf("present and overflow have %d entries for %d tuples", n, len(r.tuples))
 	}
 	for i, tp := range r.tuples {
-		if got, ok := r.present[tp.Key()]; !ok || got != i {
-			t.Fatalf("present[%v] = %d, %v; the tuple is at %d", tp, got, ok, i)
+		if got := r.position(tp, hashTerms(tp, allColumns)); got != i {
+			t.Fatalf("%v is found at %d; it is at %d", tp, got, i)
+		}
+	}
+	for h, i := range r.present {
+		if got := hashTerms(r.tuples[i], allColumns); got != h {
+			t.Fatalf("present[%x] is %v, whose hash is %x", h, r.tuples[i], got)
+		}
+	}
+	for key, i := range r.overflow {
+		if got := r.tuples[i].Key(); got != key {
+			t.Fatalf("overflow[%q] is %v, whose key is %q", key, r.tuples[i], got)
 		}
 	}
 	for mask, index := range r.indexes {
 		seen := make([]bool, len(r.tuples))
 		for key, list := range index {
 			if len(list) == 0 {
-				t.Fatalf("index %b: empty posting list left under %q", mask, key)
+				t.Fatalf("index %b: empty posting list left under %x", mask, key)
+			}
+			if !r.deleted && !slices.IsSorted(list) {
+				t.Fatalf("index %b: posting list %v under %x out of order with no delete", mask, list, key)
 			}
 			for _, p := range list {
 				if p < 0 || p >= len(r.tuples) {
@@ -41,8 +57,8 @@ func checkRelationInvariants(t *testing.T, r *Relation) {
 					t.Fatalf("index %b: position %d listed twice", mask, p)
 				}
 				seen[p] = true
-				if want := string(appendMaskKey(nil, r.tuples[p], mask)); want != key {
-					t.Fatalf("index %b: position %d (%v) listed under %q", mask, p, r.tuples[p], key)
+				if want := hashTerms(r.tuples[p], mask); want != key {
+					t.Fatalf("index %b: position %d (%v) listed under %x", mask, p, r.tuples[p], key)
 				}
 			}
 		}
@@ -88,60 +104,237 @@ func modelKeys(model map[string]Tuple, pattern []term.Term) []string {
 // built and then maintained) and repeated-variable patterns, and checks
 // the relation's internal agreement after every step.
 func TestRelationModel(t *testing.T) {
-	const arity = 3
 	for seed := int64(1); seed <= 8; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			r, err := NewRelation(arity)
-			if err != nil {
-				t.Fatal(err)
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runRelationModel(t, seed) })
+	}
+}
+
+// runRelationModel is one seeded run of TestRelationModel.
+func runRelationModel(t *testing.T, seed int64) {
+	const arity = 3
+	rng := rand.New(rand.NewSource(seed))
+	r, err := NewRelation(arity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := map[string]Tuple{}
+	// A small domain, so duplicates, shared index keys and hits on
+	// repeated-variable patterns are all common.
+	randTuple := func() Tuple {
+		tp := make(Tuple, arity)
+		for i := range tp {
+			tp[i] = term.Sym(fmt.Sprintf("v%d", rng.Intn(4)))
+		}
+		return tp
+	}
+	for step := 0; step < 600; step++ {
+		tp := randTuple()
+		_, had := model[tp.Key()]
+		switch n := rng.Intn(10); {
+		case n < 4:
+			fresh, err := r.Insert(tp)
+			if err != nil || fresh == had {
+				t.Fatalf("step %d: Insert(%v) = %v, %v; model had it: %v", step, tp, fresh, err, had)
 			}
-			model := map[string]Tuple{}
-			// A small domain, so duplicates, shared index keys and hits on
-			// repeated-variable patterns are all common.
-			randTuple := func() Tuple {
-				tp := make(Tuple, arity)
-				for i := range tp {
-					tp[i] = term.Sym(fmt.Sprintf("v%d", rng.Intn(4)))
+			model[tp.Key()] = tp
+		case n < 8:
+			removed, err := r.Delete(tp)
+			if err != nil || removed != had {
+				t.Fatalf("step %d: Delete(%v) = %v, %v; model had it: %v", step, tp, removed, err, had)
+			}
+			delete(model, tp.Key())
+		default:
+			pattern := make([]term.Term, arity)
+			mask := rng.Intn(1 << arity)
+			for i := range pattern {
+				if mask&(1<<i) != 0 {
+					pattern[i] = tp[i]
+				} else {
+					// Two variable names over three columns: most
+					// patterns repeat one.
+					pattern[i] = term.Var(fmt.Sprintf("X%d", rng.Intn(2)))
 				}
-				return tp
 			}
-			for step := 0; step < 600; step++ {
-				tp := randTuple()
-				_, had := model[tp.Key()]
-				switch n := rng.Intn(10); {
-				case n < 4:
-					fresh, err := r.Insert(tp)
-					if err != nil || fresh == had {
-						t.Fatalf("step %d: Insert(%v) = %v, %v; model had it: %v", step, tp, fresh, err, had)
+			if got, want := selectKeys(t, r, pattern), modelKeys(model, pattern); !slices.Equal(got, want) {
+				t.Fatalf("step %d: Select(%v) = %q, model says %q", step, pattern, got, want)
+			}
+		}
+		if r.Len() != len(model) || r.Contains(tp) != (model[tp.Key()] != nil) {
+			t.Fatalf("step %d: Len %d, Contains(%v) %v; model has %d", step, r.Len(), tp, r.Contains(tp), len(model))
+		}
+		checkRelationInvariants(t, r)
+	}
+}
+
+// hashHooks are the hashes the tests run under: the real one, then the
+// forced collisions — every tuple and every index key on one hash, or on
+// one of two.
+var hashHooks = []struct {
+	name string
+	hook func(uint64) uint64
+}{
+	{"real", nil},
+	{"constant", func(uint64) uint64 { return 7 }},
+	{"two-valued", func(h uint64) uint64 { return h & 1 }},
+}
+
+// forceHash replaces every hash the package computes with hook until the
+// test ends.
+func forceHash(t *testing.T, hook func(uint64) uint64) {
+	t.Cleanup(func() { collideHook = nil })
+	collideHook = hook
+}
+
+// TestRelationModelUnderCollisions is TestRelationModel with a constant
+// and a two-valued hash: distinct tuples sharing a hash are all stored,
+// found, deleted and indexed, by the exact comparison and the overflow.
+func TestRelationModelUnderCollisions(t *testing.T) {
+	for _, h := range hashHooks[1:] {
+		t.Run("hash="+h.name, func(t *testing.T) {
+			forceHash(t, h.hook)
+			for seed := int64(1); seed <= 4; seed++ {
+				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runRelationModel(t, seed) })
+			}
+		})
+	}
+}
+
+// TestRelationIdentityIsTheCodecs: identity is the codec key's, whatever
+// the hash: 0 and -0 are two facts, a NaN is one fact with itself, a
+// symbol and a string of the same text are two, and a tuple of the wrong
+// arity is never contained (nor does asking panic).
+func TestRelationIdentityIsTheCodecs(t *testing.T) {
+	for _, h := range hashHooks {
+		t.Run("hash="+h.name, func(t *testing.T) {
+			forceHash(t, h.hook)
+			r := mustRelation(t, 2)
+			zero, negZero, nan := term.Num(0), term.Num(math.Copysign(0, -1)), term.Num(math.NaN())
+			facts := []Tuple{
+				{term.Sym("a"), zero}, {term.Sym("a"), negZero}, {term.Sym("a"), nan},
+				{term.Sym("a"), term.Str("a")}, {term.Sym("a"), term.Sym("a")},
+			}
+			for _, tp := range facts {
+				if fresh, err := r.Insert(tp); err != nil || !fresh {
+					t.Fatalf("Insert(%v) = %v, %v; want a new fact", tp, fresh, err)
+				}
+			}
+			for _, tp := range facts {
+				if fresh, _ := r.Insert(tp.Clone()); fresh {
+					t.Errorf("Insert(%v) again stored a second copy", tp)
+				}
+				if !r.Contains(tp.Clone()) {
+					t.Errorf("Contains(%v) = false", tp)
+				}
+			}
+			if r.Len() != len(facts) {
+				t.Fatalf("Len = %d, want %d", r.Len(), len(facts))
+			}
+			for _, tp := range []Tuple{{term.Sym("a")}, {term.Sym("a"), zero, zero}, nil} {
+				if r.Contains(tp) {
+					t.Errorf("Contains(%v) on an arity-2 relation = true", tp)
+				}
+			}
+			if removed, err := r.Delete(Tuple{term.Sym("a"), negZero}); err != nil || !removed {
+				t.Fatalf("Delete(a, -0) = %v, %v", removed, err)
+			}
+			if !r.Contains(Tuple{term.Sym("a"), zero}) || r.Contains(Tuple{term.Sym("a"), negZero}) {
+				t.Error("deleting -0 must leave 0 and only 0")
+			}
+			checkRelationInvariants(t, r)
+		})
+	}
+}
+
+// windowOf is the reference for SelectWindow: what Select yields, in
+// order, less the tuples whose position (insertion order) is outside
+// [from, to).
+func windowOf(t *testing.T, r *Relation, pattern []term.Term, from, to int) []string {
+	t.Helper()
+	pos := map[string]int{}
+	i := 0
+	r.Scan(func(tp Tuple) bool {
+		pos[tp.Key()] = i
+		i++
+		return true
+	})
+	var want []string
+	if err := r.Select(pattern, func(tp Tuple) bool {
+		if p := pos[tp.Key()]; p >= from && p < to {
+			want = append(want, tp.Key())
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestRelationSelectWindow: on random relations that only grow, and on
+// random patterns over every mask with repeated variables, SelectWindow
+// yields exactly what Select yields at positions in [from, to), in the
+// same order, whether the index was built before or after the window's
+// tuples arrived, and under forced collisions. Once the relation has had
+// a Delete it is an error.
+func TestRelationSelectWindow(t *testing.T) {
+	const arity = 3
+	for _, h := range hashHooks {
+		t.Run("hash="+h.name, func(t *testing.T) {
+			forceHash(t, h.hook)
+			for seed := int64(1); seed <= 6; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				r := mustRelation(t, arity)
+				randTuple := func() Tuple {
+					tp := make(Tuple, arity)
+					for i := range tp {
+						tp[i] = term.Sym(fmt.Sprintf("v%d", rng.Intn(4)))
 					}
-					model[tp.Key()] = tp
-				case n < 8:
-					removed, err := r.Delete(tp)
-					if err != nil || removed != had {
-						t.Fatalf("step %d: Delete(%v) = %v, %v; model had it: %v", step, tp, removed, err, had)
+					return tp
+				}
+				for step := 0; step < 300; step++ {
+					if rng.Intn(3) > 0 {
+						if _, err := r.Insert(randTuple()); err != nil {
+							t.Fatal(err)
+						}
+						continue
 					}
-					delete(model, tp.Key())
-				default:
-					pattern := make([]term.Term, arity)
+					tp, pattern := randTuple(), make([]term.Term, arity)
 					mask := rng.Intn(1 << arity)
 					for i := range pattern {
-						if mask&(1<<i) != 0 {
-							pattern[i] = tp[i]
-						} else {
-							// Two variable names over three columns: most
-							// patterns repeat one.
+						if pattern[i] = tp[i]; mask&(1<<i) == 0 {
 							pattern[i] = term.Var(fmt.Sprintf("X%d", rng.Intn(2)))
 						}
 					}
-					if got, want := selectKeys(t, r, pattern), modelKeys(model, pattern); !slices.Equal(got, want) {
-						t.Fatalf("step %d: Select(%v) = %q, model says %q", step, pattern, got, want)
+					n := r.Len()
+					from := rng.Intn(n + 1)
+					to := from + rng.Intn(n-from+2) // at times one past the end
+					var got []string
+					c := &Counters{}
+					if err := r.SelectWindow(pattern, from, to, c, func(tp Tuple) bool {
+						got = append(got, tp.Key())
+						return true
+					}); err != nil {
+						t.Fatalf("seed %d step %d: SelectWindow(%v, %d, %d): %v", seed, step, pattern, from, to, err)
+					}
+					if want := windowOf(t, r, pattern, from, min(to, n)); !slices.Equal(got, want) {
+						t.Fatalf("seed %d step %d: SelectWindow(%v, %d, %d) = %q, want %q", seed, step, pattern, from, to, got, want)
+					}
+					if c.Probes.Load() != 1 || c.Candidates.Load() > int64(min(to, n)-from) {
+						t.Fatalf("seed %d step %d: window [%d, %d) charged %d probes, %d candidates", seed, step, from, to, c.Probes.Load(), c.Candidates.Load())
 					}
 				}
-				if r.Len() != len(model) || r.Contains(tp) != (model[tp.Key()] != nil) {
-					t.Fatalf("step %d: Len %d, Contains(%v) %v; model has %d", step, r.Len(), tp, r.Contains(tp), len(model))
-				}
 				checkRelationInvariants(t, r)
+				var first Tuple
+				r.Scan(func(tp Tuple) bool { first = tp; return false })
+				if removed, err := r.Delete(first); err != nil || !removed {
+					t.Fatalf("Delete(%v) = %v, %v", first, removed, err)
+				}
+				pattern := []term.Term{term.Var("X"), term.Var("Y"), term.Var("Z")}
+				if err := r.SelectWindow(pattern, 0, r.Len(), nil, func(Tuple) bool { return true }); err == nil {
+					t.Fatal("SelectWindow after a Delete must fail")
+				}
+				if err := r.SelectWindow(pattern, 2, 1, nil, func(Tuple) bool { return true }); err == nil {
+					t.Fatal("SelectWindow(2, 1) must fail")
+				}
 			}
 		})
 	}

@@ -88,6 +88,19 @@ func (t Term) String() string {
 	}
 }
 
+// appendTo appends the term's surface syntax (String) to b, formatting
+// numbers and quoted strings in place.
+func (t Term) appendTo(b []byte) []byte {
+	switch t.kind {
+	case KindNumber:
+		return strconv.AppendFloat(b, t.num, 'g', -1, 64)
+	case KindString:
+		return strconv.AppendQuote(b, t.name)
+	default:
+		return append(b, t.String()...)
+	}
+}
+
 // Equal reports whether two terms are identical.
 func (t Term) Equal(u Term) bool { return t == u }
 
@@ -137,25 +150,33 @@ func (a Atom) Arity() int { return len(a.Args) }
 func (a Atom) Functor() string { return a.Pred + "/" + strconv.Itoa(len(a.Args)) }
 
 // String renders the atom in surface syntax. Binary comparison atoms are
-// rendered infix, matching the paper's presentation, e.g. `Z > 3.7`.
+// rendered infix, matching the paper's presentation, e.g. `Z > 3.7`. The
+// text is built in a stack buffer, so a line of up to its size costs one
+// allocation: the string itself.
 func (a Atom) String() string {
+	var buf [128]byte
+	return string(a.appendTo(buf[:0]))
+}
+
+// appendTo appends the atom's surface syntax (String) to b.
+func (a Atom) appendTo(b []byte) []byte {
 	if len(a.Args) == 2 && IsComparisonPred(a.Pred) {
-		return fmt.Sprintf("%s %s %s", a.Args[0], a.Pred, a.Args[1])
+		b = append(a.Args[0].appendTo(b), ' ')
+		b = append(append(b, a.Pred...), ' ')
+		return a.Args[1].appendTo(b)
 	}
-	var b strings.Builder
-	b.WriteString(a.Pred)
+	b = append(b, a.Pred...)
 	if len(a.Args) == 0 {
-		return b.String()
+		return b
 	}
-	b.WriteByte('(')
+	b = append(b, '(')
 	for i, t := range a.Args {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		b.WriteString(t.String())
+		b = t.appendTo(b)
 	}
-	b.WriteByte(')')
-	return b.String()
+	return append(b, ')')
 }
 
 // Equal reports structural equality of atoms.

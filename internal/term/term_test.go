@@ -1,9 +1,11 @@
 package term
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -115,6 +117,41 @@ func TestAtomComparisonRendering(t *testing.T) {
 	}
 	if IsComparisonPred("==") || IsComparisonPred("p") {
 		t.Error("IsComparisonPred accepted a non-comparison")
+	}
+}
+
+// TestAtomStringOneAllocation: an answer line renders with one
+// allocation, the string itself, and reads as the terms' own String
+// joined by the atom syntax — numbers, quoted strings with escapes,
+// comparisons infix, and lines longer than the stack buffer included.
+func TestAtomStringOneAllocation(t *testing.T) {
+	long := strings.Repeat("x", 200)
+	cases := []Atom{
+		NewAtom("honor", Sym("ann"), Num(3.75), Str("Susan \"B.\"\n"), Num(-1e-300), Num(math.Copysign(0, -1)), Var("X")),
+		NewAtom(">=", Var("Z"), Str("é\t")),
+		NewAtom("p"),
+		NewAtom("q", Sym(long), Num(math.Inf(1)), Num(math.NaN())),
+	}
+	for _, a := range cases {
+		var want string
+		if IsComparison(a) {
+			want = a.Args[0].String() + " " + a.Pred + " " + a.Args[1].String()
+		} else {
+			parts := make([]string, len(a.Args))
+			for i, x := range a.Args {
+				parts[i] = x.String()
+			}
+			want = a.Pred
+			if len(a.Args) > 0 {
+				want += "(" + strings.Join(parts, ", ") + ")"
+			}
+		}
+		if got := a.String(); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = cases[0].String() }); allocs != 1 {
+		t.Errorf("rendering %v allocates %v times, want 1", cases[0], allocs)
 	}
 }
 
