@@ -11,6 +11,7 @@ package kdb_test
 //	go test -bench=. -benchmem .
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -36,7 +37,7 @@ func benchQuery(b *testing.B, k *kdb.KB, q string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := k.Exec(query); err != nil {
+		if _, err := k.ExecContext(context.Background(), query); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -144,11 +144,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	if *debugAddr != "" {
 		reg := kdb.NewMetricsRegistry()
 		opts = append(opts, kdb.WithMetrics(reg))
-		// Retained samples back the sys_metric_history virtual relation.
-		hist := kdb.NewMetricsHistory(reg, 0, 0)
-		hist.Start()
-		defer hist.Stop()
-		opts = append(opts, kdb.WithMetricsHistory(hist), kdb.WithQueryStats())
+		opts = append(opts, kdb.WithQueryStats())
 		ln, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
 			return err

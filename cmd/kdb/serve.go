@@ -74,8 +74,8 @@ func runServe(args []string, out io.Writer) error {
 		Registry:          kdb.NewMetricsRegistry(),
 		// Spans stay in the tracer's recent ring (nothing is exported),
 		// but the trace ids they issue — or adopt from an incoming W3C
-		// traceparent — link query-log records, latency exemplars, and
-		// /v1/debug/activity entries to the request that caused them.
+		// traceparent — link query-log records and /v1/debug/activity
+		// entries to the request that caused them.
 		Tracer: kdb.NewTracer(),
 		Ceiling: kdb.QueryLimits{
 			MaxWall:              *timeout,

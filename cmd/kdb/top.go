@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"time"
 
@@ -136,119 +135,8 @@ func topFrame(client *http.Client, base string, out io.Writer, clear bool) error
 	if len(body.Queries) == 0 {
 		b.WriteString("(no queries in flight)\n")
 	}
-	writeHistory(&b, fetchHistory(client, base))
 	_, err = io.WriteString(out, b.String())
 	return err
-}
-
-// historyRow is one series of the server's /v1/debug/history response.
-type historyRow struct {
-	Name    string `json:"name"`
-	Type    string `json:"type"`
-	Samples []struct {
-		AgeSeconds float64 `json:"age_seconds"`
-		Value      float64 `json:"value"`
-	} `json:"samples"`
-}
-
-// maxSparkSeries caps how many history series one frame renders.
-const maxSparkSeries = 8
-
-// fetchHistory pulls the metrics-history snapshot; a missing endpoint
-// (older server) or any error yields nil and the frame simply omits
-// the sparkline section.
-func fetchHistory(client *http.Client, base string) []historyRow {
-	resp, err := client.Get(base + "/v1/debug/history")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
-	var body struct {
-		Series []historyRow `json:"series"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&body); err != nil {
-		return nil
-	}
-	return body.Series
-}
-
-// writeHistory renders a sparkline per retained series: gauges plot
-// their sampled values, counters and histograms their per-interval
-// increments (a flat counter draws flat, not a staircase).
-func writeHistory(b *strings.Builder, series []historyRow) {
-	var rows []historyRow
-	for _, s := range series {
-		if len(s.Samples) >= 2 {
-			rows = append(rows, s)
-		}
-	}
-	if len(rows) == 0 {
-		return
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
-	if len(rows) > maxSparkSeries {
-		rows = rows[:maxSparkSeries]
-	}
-	b.WriteString("\nhistory\n")
-	for _, s := range rows {
-		// Oldest first: ages decrease left to right.
-		sort.Slice(s.Samples, func(i, j int) bool { return s.Samples[i].AgeSeconds > s.Samples[j].AgeSeconds })
-		vals := make([]float64, len(s.Samples))
-		for i, sm := range s.Samples {
-			vals[i] = sm.Value
-		}
-		last := vals[len(vals)-1]
-		if s.Type != "gauge" {
-			vals = deltas(vals)
-		}
-		fmt.Fprintf(b, "  %-44s %s  %g\n", s.Name, sparkline(vals, 30), last)
-	}
-}
-
-// deltas converts a cumulative series to per-interval increments
-// (clamped at zero so a restart does not plot a negative spike).
-func deltas(vals []float64) []float64 {
-	out := make([]float64, 0, len(vals)-1)
-	for i := 1; i < len(vals); i++ {
-		d := vals[i] - vals[i-1]
-		if d < 0 {
-			d = 0
-		}
-		out = append(out, d)
-	}
-	return out
-}
-
-// sparkBars are the eight block glyphs a sparkline is drawn with.
-var sparkBars = []rune("▁▂▃▄▅▆▇█")
-
-// sparkline renders at most width trailing values, scaled to the
-// series' own min..max (a constant series draws its lowest bar).
-func sparkline(vals []float64, width int) string {
-	if len(vals) > width {
-		vals = vals[len(vals)-width:]
-	}
-	lo, hi := vals[0], vals[0]
-	for _, v := range vals {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	var b strings.Builder
-	for _, v := range vals {
-		i := 0
-		if hi > lo {
-			i = int((v - lo) / (hi - lo) * float64(len(sparkBars)-1))
-		}
-		b.WriteRune(sparkBars[i])
-	}
-	return b.String()
 }
 
 // scrapeGauges pulls named single-valued samples out of the server's

@@ -3,59 +3,32 @@ package main
 import (
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
-func TestSparkline(t *testing.T) {
-	for _, tc := range []struct {
-		vals  []float64
-		width int
-		want  string
-	}{
-		{[]float64{0, 1, 2, 3, 4, 5, 6, 7}, 30, "▁▂▃▄▅▆▇█"},
-		{[]float64{5, 5, 5}, 30, "▁▁▁"},      // constant: lowest bar
-		{[]float64{0, 10}, 30, "▁█"},         // two-point range
-		{[]float64{9, 0, 1, 2, 3}, 3, "▁▄█"}, // width clips to the tail before scaling
-	} {
-		if got := sparkline(tc.vals, tc.width); got != tc.want {
-			t.Errorf("sparkline(%v, %d) = %q, want %q", tc.vals, tc.width, got, tc.want)
-		}
-	}
-}
-
-func TestDeltas(t *testing.T) {
-	got := deltas([]float64{1, 4, 4, 2, 7})
-	// The 4→2 drop (counter reset) clamps to zero.
-	if want := []float64{3, 0, 0, 5}; !reflect.DeepEqual(got, want) {
-		t.Errorf("deltas = %v, want %v", got, want)
-	}
-}
-
 // TestTopFrameHistorySection: a frame against a fake server renders the
-// sparkline section, and its absence (404) degrades to no section.
+// activity table and the scraped gauges, asks for nothing else, and has
+// no history section (the metrics history is gone from the server).
 func TestTopFrameHistorySection(t *testing.T) {
-	withHistory := true
+	var (
+		mu    sync.Mutex
+		paths []string
+	)
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/debug/activity", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"queries": []}`))
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("kdb_server_inflight 0\n"))
-	})
-	mux.HandleFunc("/v1/debug/history", func(w http.ResponseWriter, r *http.Request) {
-		if !withHistory {
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		paths = append(paths, r.URL.Path)
+		mu.Unlock()
+		switch r.URL.Path {
+		case "/v1/debug/activity":
+			w.Write([]byte(`{"queries": [{"id": 7, "kind": "retrieve", "tenant": "uni", "statement": "retrieve honor(X)."}]}`))
+		case "/metrics":
+			w.Write([]byte("kdb_server_inflight 1\nkdb_server_open_kbs 2\n"))
+		default:
 			http.NotFound(w, r)
-			return
 		}
-		w.Write([]byte(`{"resolution_seconds": 5, "retention_seconds": 600, "series": [
-			{"name": "kdb_queries_total", "type": "counter", "samples": [
-				{"age_seconds": 10, "value": 1}, {"age_seconds": 5, "value": 4}, {"age_seconds": 0, "value": 9}]},
-			{"name": "kdb_server_open_kbs", "type": "gauge", "samples": [
-				{"age_seconds": 5, "value": 1}, {"age_seconds": 0, "value": 2}]},
-			{"name": "lonely", "type": "gauge", "samples": [{"age_seconds": 0, "value": 1}]}
-		]}`))
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
@@ -65,27 +38,17 @@ func TestTopFrameHistorySection(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := out.String()
-	if !strings.Contains(frame, "history") {
-		t.Fatalf("frame lacks the history section:\n%s", frame)
+	for _, want := range []string{"1 in-flight", "1 requests in data plane", "2 open KBs", "retrieve honor(X).", "uni"} {
+		if !strings.Contains(frame, want) {
+			t.Errorf("frame lacks %q:\n%s", want, frame)
+		}
 	}
-	// Counter plotted as increments: 1→4→9 gives 3,5 → low then high bar.
-	if !strings.Contains(frame, "kdb_queries_total") || !strings.Contains(frame, "▁█") {
-		t.Errorf("counter sparkline missing:\n%s", frame)
+	if strings.Contains(frame, "history") {
+		t.Errorf("frame has a history section:\n%s", frame)
 	}
-	if !strings.Contains(frame, "kdb_server_open_kbs") {
-		t.Errorf("gauge series missing:\n%s", frame)
-	}
-	// A single-sample series draws nothing.
-	if strings.Contains(frame, "lonely") {
-		t.Errorf("single-sample series rendered:\n%s", frame)
-	}
-
-	withHistory = false
-	out.Reset()
-	if err := topFrame(ts.Client(), ts.URL, &out, false); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out.String(), "history") {
-		t.Errorf("history section rendered though the endpoint is gone:\n%s", out.String())
+	mu.Lock()
+	defer mu.Unlock()
+	if got := strings.Join(paths, " "); got != "/v1/debug/activity /metrics" {
+		t.Errorf("frame fetched %s, want only the activity listing and /metrics", got)
 	}
 }

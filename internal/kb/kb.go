@@ -543,12 +543,8 @@ func (k *KB) checkAtomArity(a term.Atom, class catalog.Class) error {
 	// their fixed schema and never enter the catalog (the reserved
 	// analyzer already rejects definitions, so only body uses get here).
 	if sysrel.IsName(a.Pred) {
-		d := sysrel.Lookup(a.Pred)
-		if d == nil {
-			return fmt.Errorf("kb: unknown system relation %s (the sys_ namespace is reserved)", a.Pred)
-		}
-		if len(a.Args) != d.Arity {
-			return fmt.Errorf("kb: %s used with arity %d but the system relation is %s", a.Pred, len(a.Args), d.Signature())
+		if err := sysrel.Check(a); err != nil {
+			return fmt.Errorf("kb: %w", err)
 		}
 		return nil
 	}
@@ -794,16 +790,9 @@ func (k *KB) RetrieveContext(ctx context.Context, subject term.Atom, where term.
 	return res, nil
 }
 
-// RetrieveOr evaluates a data query with a disjunctive qualifier
+// RetrieveOrContext evaluates a data query with a disjunctive qualifier
 // (§6's second research direction): the answer is the union of the
-// per-disjunct answers.
-//
-//kdb:entrypoint
-func (k *KB) RetrieveOr(subject term.Atom, disjuncts []term.Formula) (*eval.Result, error) {
-	return k.RetrieveOrContext(context.Background(), subject, disjuncts)
-}
-
-// RetrieveOrContext is RetrieveOr under the context and the configured
+// per-disjunct answers. It runs under the context and the configured
 // query limits (per-disjunct: each disjunct is one governed evaluation).
 func (k *KB) RetrieveOrContext(ctx context.Context, subject term.Atom, disjuncts []term.Formula) (*eval.Result, error) {
 	if len(disjuncts) == 0 {
@@ -838,20 +827,14 @@ func (k *KB) RetrieveOrContext(ctx context.Context, subject term.Atom, disjuncts
 	return merged, nil
 }
 
-// Profile evaluates a data query like Retrieve while recording per-rule
-// cost rows: wall time, rounds, tuples produced, and the storage probe
-// counters split index-hit/full-scan. See ProfileContext.
-//
-//kdb:entrypoint
-func (k *KB) Profile(subject term.Atom, where term.Formula) (*eval.Result, *profile.Profile, error) {
-	return k.ProfileContext(context.Background(), subject, where)
-}
-
-// ProfileContext runs a governed retrieve of subject/where with
-// profiling on and returns the answers together with the per-rule cost
-// profile — the runtime "explain analyze" of one evaluation. On a
-// governed stop the partial profile is returned alongside the error, so
-// a query killed by a limit still shows where the time went.
+// ProfileContext evaluates a data query like RetrieveContext while
+// recording per-rule cost rows: wall time, rounds, tuples produced, and
+// the storage probe counters split index-hit/full-scan. It runs a
+// governed retrieve of subject/where with profiling on and returns the
+// answers together with the per-rule cost profile — the runtime
+// "explain analyze" of one evaluation. On a governed stop the partial
+// profile is returned alongside the error, so a query killed by a limit
+// still shows where the time went.
 func (k *KB) ProfileContext(ctx context.Context, subject term.Atom, where term.Formula) (*eval.Result, *profile.Profile, error) {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
@@ -991,8 +974,8 @@ func (k *KB) Intensional() bool {
 }
 
 // SetIntensional switches intensional answering for data queries on or
-// off (off by default). When on, Exec answers a retrieve with both the
-// extension AND the knowledge characterizing it — the combined
+// off (off by default). When on, ExecContext answers a retrieve with
+// both the extension AND the knowledge characterizing it — the combined
 // data+knowledge responses of the intensional-answer literature the
 // paper's introduction surveys (mechanism 2 of its three).
 func (k *KB) SetIntensional(on bool) {
@@ -1227,17 +1210,40 @@ func (k *KB) applyDisplayNames(ans *core.Answers) {
 	}
 }
 
-// Exec parses and runs any query statement, returning a displayable
-// result. It is the single coherent instrument the paper argues for: the
-// caller does not need to know whether the question addresses data or
-// knowledge.
-//
-//kdb:entrypoint
-func (k *KB) Exec(q parser.Query) (*ExecResult, error) {
-	return k.ExecContext(context.Background(), q)
+// checkSysRefs rejects a retrieve naming a sys_ relation that is not
+// served, or a served one at the wrong arity, before it is planned. With
+// the system relations off, sys_ names behave like any other unknown
+// predicate and are not checked.
+func (k *KB) checkSysRefs(s *parser.Retrieve) error {
+	if k.sys == nil {
+		return nil
+	}
+	check := func(f term.Formula) error {
+		for _, a := range f {
+			if err := sysrel.Check(a); err != nil {
+				return fmt.Errorf("kb: %w", err)
+			}
+		}
+		return nil
+	}
+	if err := sysrel.Check(s.Subject); err != nil {
+		return fmt.Errorf("kb: %w", err)
+	}
+	if err := check(s.Where); err != nil {
+		return err
+	}
+	for _, d := range s.Or {
+		if err := check(d); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// ExecContext is Exec under the context and the configured query limits
+// ExecContext runs any parsed query statement, returning a displayable
+// result. It is the single coherent instrument the paper argues for: the
+// caller does not need to know whether the question addresses data or
+// knowledge. It runs under the context and the configured query limits
 // (WithQueryLimits): retrieve and describe evaluations check the
 // context cooperatively, so a deadline or a Ctrl-C-driven cancel stops
 // an in-flight query with a structured error. The remaining statement
@@ -1259,6 +1265,9 @@ func (k *KB) ExecContext(ctx context.Context, q parser.Query) (*ExecResult, erro
 func (k *KB) execContext(ctx context.Context, q parser.Query) (*ExecResult, error) {
 	switch s := q.(type) {
 	case *parser.Retrieve:
+		if err := k.checkSysRefs(s); err != nil {
+			return nil, err
+		}
 		var res *eval.Result
 		var prof *profile.Profile
 		var err error
@@ -1291,7 +1300,7 @@ func (k *KB) execContext(ctx context.Context, q parser.Query) (*ExecResult, erro
 		if !s.Wildcard && !s.Subjectless && sysrel.IsName(s.Subject.Pred) {
 			d := sysrel.Lookup(s.Subject.Pred)
 			if d == nil {
-				return nil, fmt.Errorf("kb: unknown system relation %s (the sys_ namespace is reserved)", s.Subject.Pred)
+				return nil, fmt.Errorf("kb: %w", &sysrel.RefError{Pred: s.Subject.Pred})
 			}
 			return &ExecResult{Query: q, System: fmt.Sprintf("%s — virtual relation: %s", d.Signature(), d.Doc)}, nil
 		}
@@ -1393,7 +1402,7 @@ func (k *KB) ExecStringContext(ctx context.Context, src string) (*ExecResult, er
 	return res, err
 }
 
-// ExecResult is the displayable outcome of Exec: exactly one of the
+// ExecResult is the displayable outcome of ExecContext: exactly one of the
 // result fields is set, according to the query form.
 type ExecResult struct {
 	Query    parser.Query

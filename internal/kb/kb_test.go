@@ -1,6 +1,7 @@
 package kb
 
 import (
+	"context"
 	"reflect"
 	"sort"
 	"strings"
@@ -336,7 +337,7 @@ func TestRetrieveAllExamplesAgainstAllEngines(t *testing.T) {
 
 func TestExecResultStringForms(t *testing.T) {
 	k := loadKB(t, universityKB)
-	res, err := k.Exec(&parser.Retrieve{Subject: term.NewAtom("honor", term.Var("X"))})
+	res, err := k.ExecContext(context.Background(), &parser.Retrieve{Subject: term.NewAtom("honor", term.Var("X"))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +357,7 @@ func BenchmarkExecRetrieve(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := k.Exec(q); err != nil {
+		if _, err := k.ExecContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -370,7 +371,7 @@ func BenchmarkExecDescribe(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := k.Exec(q); err != nil {
+		if _, err := k.ExecContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}

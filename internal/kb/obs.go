@@ -8,7 +8,6 @@ import (
 	"kdb/internal/eval"
 	"kdb/internal/governor"
 	"kdb/internal/obs"
-	"kdb/internal/obs/history"
 	"kdb/internal/obs/profile"
 	"kdb/internal/obs/sysrel"
 	"kdb/internal/parser"
@@ -35,14 +34,6 @@ func WithMetrics(reg *obs.Registry) Option {
 		k.store.SetObserver(obs.NewStorageMetrics(reg))
 		k.sys.SetRegistry(reg)
 	}
-}
-
-// WithMetricsHistory attaches a metrics-history ring buffer: its
-// retained samples back the sys_metric_history virtual relation. The
-// caller owns the buffer's sampling lifecycle (Start/Stop); the KB
-// only reads snapshots.
-func WithMetricsHistory(b *history.Buffer) Option {
-	return func(k *KB) { k.sys.SetHistory(b) }
 }
 
 // WithQueryStats turns on per-statement execution statistics: every
@@ -209,9 +200,7 @@ func (k *KB) beginQuery(ctx context.Context) (context.Context, func(kind, stmt s
 		if err != nil {
 			root.SetBool("error", true)
 		}
-		// The latency sample carries the trace id, so the histogram
-		// bucket's exemplar links to this query's trace and log line.
-		qm.ObserveQueryTrace(kind, d, stop, err != nil, root.TraceID())
+		qm.ObserveQuery(kind, d, stop, err != nil)
 		st := k.lastStats.Load()
 		freshStats := st != nil && st != prev
 		if freshStats {

@@ -1,12 +1,11 @@
 package kb
 
 import (
+	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"kdb/internal/obs"
-	"kdb/internal/obs/history"
 	"kdb/internal/obs/sysrel"
 	"kdb/internal/term"
 )
@@ -74,23 +73,6 @@ func TestSysMetricRetrieve(t *testing.T) {
 	out := execStr(t, k, `retrieve sys_metric(N, counter, V) where V > 0.`)
 	if out == "" {
 		t.Fatal("sys_metric returned no counter rows after a query")
-	}
-}
-
-func TestSysMetricHistoryRetrieve(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.SetHelp("ticks_total", "Ticks.")
-	reg.Counter("ticks_total").Add(5)
-	buf := history.New(reg, time.Second, time.Minute)
-	buf.Sample()
-	k := New(WithMetrics(reg), WithMetricsHistory(buf))
-	defer k.Close()
-	if err := k.LoadString("edge(a, b)."); err != nil {
-		t.Fatal(err)
-	}
-	out := execStr(t, k, "retrieve sys_metric_history(ticks_total, Age, V).")
-	if !strings.Contains(out, "sys_metric_history(ticks_total, 0, 5)") {
-		t.Errorf("sys_metric_history = %q", out)
 	}
 }
 
@@ -165,11 +147,27 @@ func TestSysNamespaceRejections(t *testing.T) {
 		t.Errorf("wrong-arity load error = %v", err)
 	}
 
-	if _, err := k.ExecString("retrieve sys_bogus(X)."); err == nil {
-		t.Error("retrieving an unknown system relation succeeded")
+	// A retrieve naming an unserved sys_ relation, in its subject or its
+	// qualifier, or a served one at the wrong arity, fails with the
+	// structured reference error before it is planned.
+	var ref *sysrel.RefError
+	_, bogus := k.ExecString("retrieve sys_bogus(N, A, V).")
+	if !errors.As(bogus, &ref) || ref.Def != nil {
+		t.Errorf("retrieving an unknown system relation: %v, want a *sysrel.RefError", bogus)
 	}
-	if _, err := k.ExecString("retrieve sys_metric(X)."); err == nil {
-		t.Error("retrieving sys_metric at the wrong arity succeeded")
+	// The metrics history is gone: its old name is as unknown as any
+	// other unserved sys_ name, and fails the same way.
+	_, hist := k.ExecString("retrieve sys_metric_history(N, A, V).")
+	if hist == nil || bogus == nil ||
+		strings.ReplaceAll(hist.Error(), "sys_metric_history", "sys_bogus") != bogus.Error() {
+		t.Errorf("sys_metric_history error = %v, want the unknown-relation error %v", hist, bogus)
+	}
+	if _, err := k.ExecString("retrieve honor(X) where student(X, M, G) or sys_bogus(X)."); !errors.As(err, &ref) {
+		t.Errorf("unknown system relation in a qualifier: %v, want a *sysrel.RefError", err)
+	}
+	_, err = k.ExecString("retrieve sys_metric(X).")
+	if !errors.As(err, &ref) || !strings.Contains(err.Error(), "sys_metric(Name, Kind, Value)") {
+		t.Errorf("retrieving sys_metric at the wrong arity: %v, want a *sysrel.RefError naming the schema", err)
 	}
 }
 

@@ -9,90 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
-
-// --- Exemplars -------------------------------------------------------
-
-// TestHistogramExemplar checks the exemplar lifecycle: ObserveExemplar
-// attaches the worst-recent trace id to the right bucket, the
-// Prometheus exposition renders the OpenMetrics exemplar suffix, and
-// the in-repo validator accepts it.
-func TestHistogramExemplar(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("test_seconds", []float64{0.1, 1, 10})
-	h.ObserveExemplar(0.5, 111)
-	h.ObserveExemplar(0.3, 222) // smaller value: must NOT displace 111
-	h.ObserveExemplar(0.7, 333) // larger value: must displace 111
-	h.ObserveExemplar(5, 444)   // different bucket
-
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
-	}
-	text := buf.String()
-	if err := ValidatePrometheus(text); err != nil {
-		t.Fatalf("exposition with exemplars fails validation: %v\n%s", err, text)
-	}
-	if !strings.Contains(text, `# {trace_id="333"} 0.7`) {
-		t.Errorf("want worst-recent exemplar 333 on the le=1 bucket:\n%s", text)
-	}
-	if strings.Contains(text, `trace_id="111"`) || strings.Contains(text, `trace_id="222"`) {
-		t.Errorf("displaced or smaller exemplar leaked into exposition:\n%s", text)
-	}
-	if !strings.Contains(text, `# {trace_id="444"} 5`) {
-		t.Errorf("want exemplar 444 on the le=10 bucket:\n%s", text)
-	}
-
-	// The JSON snapshot carries the same exemplars, bucket-for-bucket.
-	var withEx int
-	for _, p := range reg.Snapshot() {
-		for _, b := range p.Buckets {
-			if b.Exemplar != nil {
-				withEx++
-				if b.Exemplar.TraceID != 333 && b.Exemplar.TraceID != 444 {
-					t.Errorf("unexpected exemplar trace id %d", b.Exemplar.TraceID)
-				}
-			}
-		}
-	}
-	if withEx != 2 {
-		t.Errorf("snapshot has %d bucket exemplars, want 2", withEx)
-	}
-}
-
-// TestQueryMetricsExemplar checks the query-latency plumbing: a traced
-// observation lands its trace id on the latency histogram.
-func TestQueryMetricsExemplar(t *testing.T) {
-	reg := NewRegistry()
-	qm := NewQueryMetrics(reg)
-	qm.ObserveQueryTrace("retrieve", 50*time.Millisecond, "", false, 987654)
-	qm.ObserveQuery("retrieve", 60*time.Millisecond, "", false) // untraced: no exemplar
-
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
-	}
-	if !strings.Contains(buf.String(), `trace_id="987654"`) {
-		t.Errorf("latency exposition missing the traced exemplar:\n%s", buf.String())
-	}
-	if err := ValidatePrometheus(buf.String()); err != nil {
-		t.Fatalf("validation: %v", err)
-	}
-}
-
-// TestValidatePrometheusRejectsMisplacedExemplar pins the validator's
-// new rule: exemplars belong to _bucket samples only.
-func TestValidatePrometheusRejectsMisplacedExemplar(t *testing.T) {
-	bad := "# TYPE x counter\nx_total 3 # {trace_id=\"1\"} 3\n"
-	if err := ValidatePrometheus(bad); err == nil {
-		t.Error("exemplar on a counter sample passed validation")
-	}
-	good := "# TYPE x histogram\nx_bucket{le=\"1\"} 3 # {trace_id=\"1\"} 0.5\nx_bucket{le=\"+Inf\"} 3\nx_sum 1.5\nx_count 3\n"
-	if err := ValidatePrometheus(good); err != nil {
-		t.Errorf("exemplar on a bucket sample rejected: %v", err)
-	}
-}
 
 // --- Build info ------------------------------------------------------
 
@@ -112,7 +29,7 @@ func TestRegisterBuildInfo(t *testing.T) {
 	if !strings.Contains(text, "kdb_build_info{") || !strings.Contains(text, `goversion="`+info.GoVersion+`"`) {
 		t.Errorf("exposition missing the build-info gauge:\n%s", text)
 	}
-	if err := ValidatePrometheus(text); err != nil {
+	if err := validatePrometheus(text); err != nil {
 		t.Fatalf("validation: %v", err)
 	}
 	if b, err := json.Marshal(info); err != nil || !strings.Contains(string(b), "go_version") {

@@ -46,21 +46,6 @@ type series struct {
 	buckets []atomic.Int64 // len(bounds)+1, last is +Inf
 	count   atomic.Int64
 	sumBits atomic.Uint64 // float64 bits, CAS-accumulated
-
-	// exemplars holds, per bucket, the worst (largest-valued) recent
-	// observation that carried a trace id, so a dashboard can jump from
-	// a latency bucket to the trace of the query that filled it.
-	// Allocated lazily on the first exemplar-carrying observation.
-	exMu      sync.Mutex
-	exemplars []Exemplar
-}
-
-// Exemplar links one histogram bucket to the trace of a concrete
-// observation: the sample's value and the trace id of the query that
-// produced it. A zero TraceID means the bucket has no exemplar yet.
-type Exemplar struct {
-	Value   float64 `json:"value"`
-	TraceID uint64  `json:"trace_id"`
 }
 
 // NewRegistry returns an empty metrics registry.
@@ -135,38 +120,6 @@ func (h *Histogram) Observe(v float64) {
 
 // ObserveDuration records d in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// ObserveExemplar records one sample and, when traceID is nonzero,
-// offers it as the exemplar of its bucket. Each bucket keeps its worst
-// recent observation: an incoming sample replaces the stored exemplar
-// when its value is at least as large, so the link always points at the
-// slowest query the bucket has seen lately rather than an arbitrary one.
-func (h *Histogram) ObserveExemplar(v float64, traceID uint64) {
-	h.Observe(v)
-	if h == nil || h.s == nil || traceID == 0 {
-		return
-	}
-	s := h.s
-	i := sort.SearchFloat64s(s.bounds, v)
-	s.exMu.Lock()
-	if s.exemplars == nil {
-		s.exemplars = make([]Exemplar, len(s.buckets))
-	}
-	if v >= s.exemplars[i].Value || s.exemplars[i].TraceID == 0 {
-		s.exemplars[i] = Exemplar{Value: v, TraceID: traceID}
-	}
-	s.exMu.Unlock()
-}
-
-// exemplar returns bucket i's exemplar, or a zero Exemplar.
-func (s *series) exemplar(i int) Exemplar {
-	s.exMu.Lock()
-	defer s.exMu.Unlock()
-	if i >= len(s.exemplars) {
-		return Exemplar{}
-	}
-	return s.exemplars[i]
-}
 
 // Count returns the number of observed samples.
 func (h *Histogram) Count() int64 {
@@ -268,9 +221,8 @@ func renderLabels(pairs []string) string {
 // SeriesID renders the canonical identity of one time series: the bare
 // metric name when it carries no labels, or name{k="v",…} with the
 // labels sorted by key — the same order and escaping the Prometheus
-// exposition uses. The metrics-history buffer and the sys_metric /
-// sys_metric_history virtual relations all key series this way, so a
-// Datalog join between them matches textually.
+// exposition uses. The sys_metric virtual relation keys its rows this
+// way.
 func SeriesID(name string, labels map[string]string) string {
 	if len(labels) == 0 {
 		return name
@@ -355,19 +307,14 @@ type MetricPoint struct {
 
 // BucketCount is one cumulative histogram bucket in a snapshot.
 type BucketCount struct {
-	LE       float64   `json:"le"` // math.Inf(1) for the overflow bucket
-	Count    int64     `json:"count"`
-	Exemplar *Exemplar `json:"exemplar,omitempty"`
+	LE    float64 `json:"le"` // math.Inf(1) for the overflow bucket
+	Count int64   `json:"count"`
 }
 
 // MarshalJSON renders the bound as a string ("+Inf" for the overflow
 // bucket) — JSON numbers cannot represent infinity, and the Prometheus
 // exposition renders le as a string too.
 func (b BucketCount) MarshalJSON() ([]byte, error) {
-	if b.Exemplar != nil {
-		return fmt.Appendf(nil, `{"le":%q,"count":%d,"exemplar":{"value":%s,"trace_id":%d}}`,
-			formatFloat(b.LE), b.Count, formatFloat(b.Exemplar.Value), b.Exemplar.TraceID), nil
-	}
 	return fmt.Appendf(nil, `{"le":%q,"count":%d}`, formatFloat(b.LE), b.Count), nil
 }
 
@@ -437,11 +384,7 @@ func (r *Registry) Snapshot() []MetricPoint {
 					if i < len(s.bounds) {
 						le = s.bounds[i]
 					}
-					bc := BucketCount{LE: le, Count: cum}
-					if ex := s.exemplar(i); ex.TraceID != 0 {
-						bc.Exemplar = &ex
-					}
-					p.Buckets = append(p.Buckets, bc)
+					p.Buckets = append(p.Buckets, BucketCount{LE: le, Count: cum})
 				}
 				p.Count = s.count.Load()
 				p.Sum = math.Float64frombits(s.sumBits.Load())
@@ -524,14 +467,7 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 			if i < len(s.bounds) {
 				le = formatFloat(s.bounds[i])
 			}
-			// Exemplar-carrying buckets get the OpenMetrics suffix:
-			//   … # {trace_id="…"} value
-			// linking the bucket to its worst recent observation's trace.
-			exs := ""
-			if ex := s.exemplar(i); ex.TraceID != 0 {
-				exs = fmt.Sprintf(` # {trace_id="%d"} %s`, ex.TraceID, formatFloat(ex.Value))
-			}
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d%s\n", f.name, brace(`le="`+le+`"`), cum, exs); err != nil {
+			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, brace(`le="`+le+`"`), cum); err != nil {
 				return err
 			}
 		}

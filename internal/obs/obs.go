@@ -116,8 +116,8 @@ func (s *Span) ID() uint64 {
 
 // TraceID returns the id shared by every span in this tree: the root
 // span's id, or the trace id adopted from a W3C traceparent header via
-// Tracer.StartWithID. Zero for a nil span. Query-log records, latency
-// exemplars, and activity entries all join on this value.
+// Tracer.StartWithID. Zero for a nil span. Query-log records and
+// activity entries join on this value.
 func (s *Span) TraceID() uint64 {
 	if s == nil {
 		return 0
@@ -127,7 +127,7 @@ func (s *Span) TraceID() uint64 {
 
 // Child creates and returns a sub-span. Returns nil if s is nil. The
 // child inherits the parent's trace id, so every span in a tree joins
-// to the same query-log and exemplar records.
+// to the same query-log record.
 func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil

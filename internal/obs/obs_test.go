@@ -163,7 +163,7 @@ func TestConcurrentMetrics(t *testing.T) {
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidatePrometheus(buf.String()); err != nil {
+	if err := validatePrometheus(buf.String()); err != nil {
 		t.Fatalf("invalid exposition after concurrent load: %v", err)
 	}
 }
@@ -364,7 +364,7 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := buf.String()
-	if err := ValidatePrometheus(text); err != nil {
+	if err := validatePrometheus(text); err != nil {
 		t.Fatalf("/metrics is not valid Prometheus text: %v", err)
 	}
 	for _, want := range []string{
@@ -398,8 +398,8 @@ func TestValidatePrometheusRejectsGarbage(t *testing.T) {
 		"just words\n", // not a sample line
 		"# TYPE x counter\n# TYPE x gauge\nx 1\n", // duplicate TYPE
 	} {
-		if err := ValidatePrometheus(bad); err == nil {
-			t.Errorf("ValidatePrometheus(%q) = nil, want error", bad)
+		if err := validatePrometheus(bad); err == nil {
+			t.Errorf("validatePrometheus(%q) = nil, want error", bad)
 		}
 	}
 }

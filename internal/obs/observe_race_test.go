@@ -7,16 +7,14 @@ import (
 	"testing"
 )
 
-// TestObserveExemplarExpositionRace hammers a histogram with
-// exemplar-carrying observations while the registry is concurrently
+// TestObserveExpositionRace hammers a histogram with observations,
+// registering new series as it goes, while the registry is concurrently
 // rendered (Prometheus text) and snapshotted. Run under -race this
-// proves the exemplar slots — lazily allocated inside the histogram —
-// are published safely to readers; without synchronization the lazy
-// `exemplars` slice and its per-bucket updates are a data race with
-// exposition.
-func TestObserveExemplarExpositionRace(t *testing.T) {
+// proves series registration and the atomic bucket, count and sum
+// updates are published safely to readers.
+func TestObserveExpositionRace(t *testing.T) {
 	reg := NewRegistry()
-	reg.SetHelp("race_seconds", "Exemplar race test histogram.")
+	reg.SetHelp("race_seconds", "Observe race test histogram.")
 	bounds := []float64{0.001, 0.01, 0.1, 1}
 
 	const writers, rounds = 4, 500
@@ -31,7 +29,7 @@ func TestObserveExemplarExpositionRace(t *testing.T) {
 			// race-free too.
 			for i := 0; i < rounds; i++ {
 				h := reg.Histogram("race_seconds", bounds, "writer", string(rune('a'+seed)))
-				h.ObserveExemplar(float64(i%7)/100, seed*uint64(rounds)+uint64(i)+1)
+				h.Observe(float64(i%7) / 100)
 			}
 		}(uint64(w))
 	}
@@ -61,7 +59,7 @@ func TestObserveExemplarExpositionRace(t *testing.T) {
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatalf("final WritePrometheus: %v", err)
 	}
-	if err := ValidatePrometheus(sb.String()); err != nil {
-		t.Fatalf("exposition does not parse after concurrent exemplars: %v", err)
+	if err := validatePrometheus(sb.String()); err != nil {
+		t.Fatalf("exposition does not parse after concurrent observations: %v", err)
 	}
 }

@@ -9,13 +9,12 @@ import (
 	"strings"
 )
 
-// ValidatePrometheus checks that text parses as Prometheus text
+// validatePrometheus checks that text parses as Prometheus text
 // exposition format (version 0.0.4): well-formed HELP/TYPE comments,
 // sample lines matching the metric grammar, histogram bucket counts
 // cumulative with a trailing +Inf bucket equal to _count. It returns
-// the first violation found, or nil. Used by the obs tests and the CI
-// /metrics assertion.
-func ValidatePrometheus(text string) error {
+// the first violation found, or nil.
+func validatePrometheus(text string) error {
 	typeRe := regexp.MustCompile(`^# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (counter|gauge|histogram|summary|untyped)$`)
 	helpRe := regexp.MustCompile(`^# HELP ([a-zA-Z_:][a-zA-Z0-9_:]*) .*$`)
 	const labelSet = `\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"(?:,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*")*\}`
@@ -24,8 +23,7 @@ func ValidatePrometheus(text string) error {
 		`^([a-zA-Z_:][a-zA-Z0-9_:]*)` + // metric name
 			`(` + labelSet + `)?` + // labels
 			` (` + number + `)` + // value
-			`( [0-9]+)?` + // optional timestamp
-			`( # ` + labelSet + ` (?:` + number + `))?$`) // optional OpenMetrics exemplar
+			`( [0-9]+)?$`) // optional timestamp
 
 	types := map[string]string{}
 	// histogram invariants, keyed by series labels minus le
@@ -92,9 +90,6 @@ func ValidatePrometheus(text string) error {
 				base, suffix = strings.TrimSuffix(name, s), s
 				break
 			}
-		}
-		if m[5] != "" && suffix != "_bucket" {
-			return fmt.Errorf("line %d: exemplar on non-bucket sample %s", n, name)
 		}
 		if typ, ok := types[base]; ok && typ == "histogram" && suffix != "" {
 			key := base + "\x00" + labelsSansLE(labels)

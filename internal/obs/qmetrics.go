@@ -91,20 +91,12 @@ func (m *QueryMetrics) kind(kind string) *kindInstruments {
 // the error tally, and — when the governor stopped it — the stop
 // reason ("deadline", "canceled", "limit:<kind>", "panic").
 func (m *QueryMetrics) ObserveQuery(kind string, d time.Duration, stopReason string, failed bool) {
-	m.ObserveQueryTrace(kind, d, stopReason, failed, 0)
-}
-
-// ObserveQueryTrace is ObserveQuery plus an exemplar: a nonzero traceID
-// offers the latency sample as its bucket's exemplar, so the /metrics
-// histogram links each bucket to the trace (and query-log line) of the
-// worst recent query that landed in it.
-func (m *QueryMetrics) ObserveQueryTrace(kind string, d time.Duration, stopReason string, failed bool, traceID uint64) {
 	if m == nil {
 		return
 	}
 	ki := m.kind(kind)
 	ki.total.Inc()
-	ki.latency.ObserveExemplar(d.Seconds(), traceID)
+	ki.latency.ObserveDuration(d)
 	if failed {
 		ki.errs.Inc()
 	}

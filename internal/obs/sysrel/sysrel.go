@@ -1,25 +1,23 @@
 // Package sysrel serves the sys_* virtual relations: the engine's own
-// telemetry — catalog, rules, metrics, metric history, in-flight
-// activity, query statistics, tenants — exposed as ordinary relations,
-// so the full Datalog stack (retrieve, describe, explain, profile)
-// works on the engine itself. A Provider is long-lived and holds the
-// telemetry sources; each query takes a short-lived View that
-// materializes one read-only snapshot per referenced relation.
+// telemetry — catalog, rules, metrics, in-flight activity, query
+// statistics, tenants — exposed as ordinary relations, so the full
+// Datalog stack (retrieve, describe, explain, profile) works on the
+// engine itself. A Provider is long-lived and holds the telemetry
+// sources; each query takes a short-lived View that materializes one
+// read-only snapshot per referenced relation.
 //
 // Sources are read directly (storage store, metrics registry, activity
-// registry, history buffer) — never through the knowledge-base layer,
-// whose locks the querying goroutine already holds.
+// registry) — never through the knowledge-base layer, whose locks the
+// querying goroutine already holds.
 package sysrel
 
 import (
 	"fmt"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"kdb/internal/depgraph"
 	"kdb/internal/obs"
-	"kdb/internal/obs/history"
 	"kdb/internal/parser"
 	"kdb/internal/storage"
 	"kdb/internal/term"
@@ -62,10 +60,6 @@ var defs = []Def{
 		Doc: "one row per metric series: its canonical name (labels rendered Prometheus-style), kind (counter, gauge, or histogram), and current value — for histograms, the cumulative observation count",
 	},
 	{
-		Name: "sys_metric_history", Arity: 3, Args: []string{"Name", "AgeSeconds", "Value"},
-		Doc: "one row per retained history sample: series name, the sample's age in whole seconds at snapshot time, and its value (histograms record their cumulative count)",
-	},
-	{
 		Name: "sys_activity", Arity: 4, Args: []string{"Id", "Kind", "Tenant", "ElapsedUs"},
 		Doc: "one row per in-flight query: its activity id, statement kind, tenant, and elapsed microseconds at snapshot time",
 	},
@@ -94,6 +88,36 @@ func Defs() []Def { return defs }
 // Lookup returns the definition of one virtual relation, or nil.
 func Lookup(pred string) *Def { return defByName[pred] }
 
+// RefError reports a reference into the reserved namespace that no
+// virtual relation serves: an unknown sys_ name, or a served relation
+// used at the wrong arity.
+type RefError struct {
+	Pred  string
+	Arity int  // the arity used; ignored when Def is nil
+	Def   *Def // the served relation, nil when the name is unknown
+}
+
+func (e *RefError) Error() string {
+	if e.Def == nil {
+		return fmt.Sprintf("unknown system relation %s (the sys_ namespace is reserved)", e.Pred)
+	}
+	return fmt.Sprintf("%s used with arity %d but the system relation is %s", e.Pred, e.Arity, e.Def.Signature())
+}
+
+// Check validates one atom against the served schemas: nil for a
+// predicate outside the namespace or a served relation at its arity, a
+// *RefError otherwise. It does not allocate on success.
+func Check(a term.Atom) error {
+	if !IsName(a.Pred) {
+		return nil
+	}
+	d := Lookup(a.Pred)
+	if d == nil || len(a.Args) != d.Arity {
+		return &RefError{Pred: a.Pred, Arity: len(a.Args), Def: d}
+	}
+	return nil
+}
+
 // TenantInfo is one row of sys_tenant, reported by the server's
 // tenant source.
 type TenantInfo struct {
@@ -110,7 +134,6 @@ type TenantInfo struct {
 // reads them once). All methods are nil-receiver safe.
 type Provider struct {
 	reg     atomic.Pointer[obs.Registry]
-	hist    atomic.Pointer[history.Buffer]
 	act     atomic.Pointer[obs.ActivityRegistry]
 	stats   atomic.Pointer[QueryStats]
 	tenants atomic.Pointer[func() []TenantInfo]
@@ -125,14 +148,6 @@ func (p *Provider) SetRegistry(r *obs.Registry) {
 		return
 	}
 	p.reg.Store(r)
-}
-
-// SetHistory attaches the history buffer behind sys_metric_history.
-func (p *Provider) SetHistory(b *history.Buffer) {
-	if p == nil {
-		return
-	}
-	p.hist.Store(b)
 }
 
 // SetActivity attaches the in-flight registry behind sys_activity.
@@ -242,21 +257,6 @@ func (v *View) Snapshot(pred string) (*storage.Relation, error) {
 				if err := ins(symOrStr(obs.SeriesID(pt.Name, pt.Labels)),
 					term.Sym(pt.Type), term.Num(val)); err != nil {
 					return nil, err
-				}
-			}
-		}
-	case "sys_metric_history":
-		if h := v.p.hist.Load(); h != nil {
-			now := time.Now()
-			for _, s := range h.Snapshot() {
-				for _, sm := range s.Samples {
-					age := int64(now.Sub(sm.At) / time.Second)
-					if age < 0 {
-						age = 0
-					}
-					if err := ins(symOrStr(s.Name), term.Num(float64(age)), term.Num(sm.Value)); err != nil {
-						return nil, err
-					}
 				}
 			}
 		}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"kdb/internal/obs"
-	"kdb/internal/obs/history"
 	"kdb/internal/storage"
 	"kdb/internal/term"
 )
@@ -53,12 +52,15 @@ func TestDefsCatalog(t *testing.T) {
 		}
 	}
 	for _, want := range []string{"sys_relation", "sys_rule", "sys_metric",
-		"sys_metric_history", "sys_activity", "sys_query_stats", "sys_tenant"} {
+		"sys_activity", "sys_query_stats", "sys_tenant"} {
 		if !names[want] {
 			t.Errorf("missing def %s", want)
 		}
 	}
-	if Lookup("sys_nonesuch") != nil || Lookup("edge") != nil {
+	if len(names) != 6 {
+		t.Errorf("%d defs, want 6: %v", len(names), names)
+	}
+	if Lookup("sys_nonesuch") != nil || Lookup("sys_metric_history") != nil || Lookup("edge") != nil {
 		t.Error("Lookup invented a relation")
 	}
 	if sig := Lookup("sys_metric").Signature(); sig != "sys_metric(Name, Kind, Value)" {
@@ -142,9 +144,6 @@ func TestSnapshotMetricAndHistory(t *testing.T) {
 
 	p := NewProvider()
 	p.SetRegistry(reg)
-	buf := history.New(reg, time.Second, time.Minute)
-	buf.Sample()
-	p.SetHistory(buf)
 	v := p.View(nil, nil)
 
 	rel, err := v.Snapshot("sys_metric")
@@ -164,22 +163,10 @@ func TestSnapshotMetricAndHistory(t *testing.T) {
 		t.Errorf("sys_metric missing histogram row: %v", got)
 	}
 
-	rel, err = v.Snapshot("sys_metric_history")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = rows(t, rel)
-	if len(got) == 0 {
-		t.Fatal("sys_metric_history empty after a sample")
-	}
-	found := false
-	for _, r := range got {
-		if strings.HasPrefix(r, "queries_total 0 3") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("sys_metric_history rows = %v, want fresh queries_total sample", got)
+	// There is no metrics history: a series' movement over time is read
+	// from sys_metric twice, or from /metrics by a scraper.
+	if _, err := v.Snapshot("sys_metric_history"); err == nil {
+		t.Error("sys_metric_history snapshots without error")
 	}
 }
 
@@ -259,7 +246,6 @@ func TestSnapshotEmptyProviderAndUnknown(t *testing.T) {
 func TestNilProviderSafe(t *testing.T) {
 	var p *Provider
 	p.SetRegistry(nil)
-	p.SetHistory(nil)
 	p.SetActivity(nil)
 	p.SetQueryStats(nil)
 	p.SetTenants(nil)
@@ -341,5 +327,32 @@ func TestQueryStatsConcurrent(t *testing.T) {
 	}
 	if total != 4*200 {
 		t.Errorf("total observations %d, want 800", total)
+	}
+}
+
+func TestCheck(t *testing.T) {
+	for _, tc := range []struct {
+		atom term.Atom
+		want string // "" for no error
+	}{
+		{term.NewAtom("edge", term.Var("X")), ""},
+		{term.NewAtom("sys_metric", term.Var("N"), term.Var("K"), term.Var("V")), ""},
+		{term.NewAtom("sys_metric_history", term.Var("N"), term.Var("A"), term.Var("V")),
+			"unknown system relation sys_metric_history (the sys_ namespace is reserved)"},
+		{term.NewAtom("sys_metric", term.Var("N")),
+			"sys_metric used with arity 1 but the system relation is sys_metric(Name, Kind, Value)"},
+	} {
+		err := Check(tc.atom)
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("Check(%v) = %q, want %q", tc.atom, got, tc.want)
+		}
+	}
+	ok := term.NewAtom("sys_relation", term.Var("N"), term.Var("A"), term.Var("F"))
+	if n := testing.AllocsPerRun(100, func() { _ = Check(ok) }); n != 0 {
+		t.Errorf("Check of a served relation allocates %v times", n)
 	}
 }

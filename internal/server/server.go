@@ -19,15 +19,14 @@
 //	GET  /v1/kbs                  list open knowledge bases
 //	GET  /v1/debug/activity       in-flight queries across all tenants
 //	POST /v1/debug/activity/{id}/cancel   cancel one in-flight query
-//	GET  /v1/debug/history        retained metrics history (ring buffer)
 //
 // plus the obs debug surface (/metrics, /debug/vars, /debug/pprof/*)
 // on the same mux.
 //
 // Query routes honor an incoming W3C `traceparent` header: its trace id
 // (low 64 bits) becomes the request's root span id, so the server's
-// spans, query-log records, activity entries, and latency exemplars all
-// correlate with the caller's distributed trace. The header is echoed
+// spans, query-log records, and activity entries all correlate with the
+// caller's distributed trace. The header is echoed
 // on the response when adopted.
 //
 // Query statements may contain $1..$n placeholders; the parsed and
@@ -53,7 +52,6 @@ import (
 	"kdb/internal/governor"
 	"kdb/internal/kb"
 	"kdb/internal/obs"
-	"kdb/internal/obs/history"
 	"kdb/internal/obs/sysrel"
 	"kdb/internal/parser"
 	"kdb/internal/storage"
@@ -83,14 +81,6 @@ type Config struct {
 	// Registry collects the server's and every tenant's metrics; nil
 	// creates a private registry.
 	Registry *obs.Registry
-	// HistoryResolution is the sampling interval of the metrics-history
-	// ring buffer behind sys_metric_history and /v1/debug/history
-	// (default 5s).
-	HistoryResolution time.Duration
-	// HistoryRetention is how far back the metrics history reaches
-	// (default 10m). Memory is bounded by retention/resolution samples
-	// per series.
-	HistoryRetention time.Duration
 	// Tracer, when set, records a "serve" span tree per request.
 	Tracer *obs.Tracer
 	// QueryLog, when set, receives one record per query, with the
@@ -136,10 +126,6 @@ type Server struct {
 	activity *obs.ActivityRegistry
 	build    obs.BuildInfo
 
-	// history samples the registry on a ticker; it backs every tenant's
-	// sys_metric_history relation and /v1/debug/history.
-	history *history.Buffer
-
 	requests  func(route, code string) *obs.Counter
 	durations func(route string) *obs.Histogram
 }
@@ -178,8 +164,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{cfg: cfg, reg: reg}
 	s.activity = obs.NewActivityRegistry()
-	s.history = history.New(reg, cfg.HistoryResolution, cfg.HistoryRetention)
-	s.history.Start()
 	s.build = obs.RegisterBuildInfo(reg)
 	s.inflight = newAdmission(cfg.MaxInFlight, reg)
 	s.breakers = newBreakers(cfg.BreakerThreshold, cfg.BreakerCooldown, reg)
@@ -232,7 +216,6 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("POST /v1/kb/{name}/checkpoint", s.admit(s.handleCheckpoint))
 	mux.HandleFunc("GET /v1/debug/activity", s.handleActivity)
 	mux.HandleFunc("POST /v1/debug/activity/{id}/cancel", s.handleActivityCancel)
-	mux.HandleFunc("GET /v1/debug/history", s.handleHistory)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /{$}", s.handleIndex)
 	s.mux = mux
@@ -251,9 +234,7 @@ func (s *Server) openKB(name string) (*kb.KB, error) {
 		// Every tenant shares the server's activity registry, so
 		// /v1/debug/activity sees the whole process at once.
 		kb.WithActivity(s.activity),
-		// Likewise the shared history buffer (sys_metric_history) and
-		// per-tenant statement statistics (sys_query_stats).
-		kb.WithMetricsHistory(s.history),
+		// Per-tenant statement statistics back sys_query_stats.
 		kb.WithQueryStats(),
 	}
 	if s.cfg.Tracer != nil {
@@ -340,13 +321,8 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close shuts the server's tenants down: the janitor stops and every
-// open KB is closed (waiting for in-flight queries to drain). The
-// metrics-history sampler stops last, once no query can reference it.
-func (s *Server) Close() error {
-	err := s.tenants.Close()
-	s.history.Stop()
-	return err
-}
+// open KB is closed (waiting for in-flight queries to drain).
+func (s *Server) Close() error { return s.tenants.Close() }
 
 // maxBodyBytes bounds a request body; a program load is the largest
 // legitimate payload.
@@ -467,7 +443,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, route string
 	}
 	// A W3C traceparent on the request donates its trace id (the low 64
 	// bits) to the serve span, so every downstream record — query log,
-	// activity entry, latency exemplar — carries the caller's trace.
+	// activity entry — carries the caller's trace.
 	var traceID uint64
 	if tp := r.Header.Get("traceparent"); tp != "" {
 		if id, ok := obs.ParseTraceparent(tp); ok {
@@ -884,52 +860,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// historyResponse is the /v1/debug/history body: the buffer's shape
-// plus every retained series, samples oldest first with ages relative
-// to the request.
-type historyResponse struct {
-	ResolutionSeconds float64         `json:"resolution_seconds"`
-	RetentionSeconds  float64         `json:"retention_seconds"`
-	DroppedSeries     int             `json:"dropped_series,omitempty"`
-	Series            []historySeries `json:"series"`
-}
-
-type historySeries struct {
-	Name    string          `json:"name"`
-	Type    string          `json:"type"`
-	Samples []historySample `json:"samples"`
-}
-
-type historySample struct {
-	AgeSeconds float64 `json:"age_seconds"`
-	Value      float64 `json:"value"`
-}
-
-// handleHistory serves the retained metrics history — the same data
-// sys_metric_history exposes to queries, shaped for dashboards and
-// `kdb top` sparklines.
-func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
-	now := time.Now()
-	resp := &historyResponse{
-		ResolutionSeconds: s.history.Resolution().Seconds(),
-		RetentionSeconds:  s.history.Retention().Seconds(),
-		DroppedSeries:     s.history.Dropped(),
-		Series:            []historySeries{},
-	}
-	for _, series := range s.history.Snapshot() {
-		hs := historySeries{Name: series.Name, Type: series.Type}
-		for _, sm := range series.Samples {
-			age := now.Sub(sm.At).Seconds()
-			if age < 0 {
-				age = 0
-			}
-			hs.Samples = append(hs.Samples, historySample{AgeSeconds: age, Value: sm.Value})
-		}
-		resp.Series = append(resp.Series, hs)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // handleIndex names the API surface at the root.
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, `kdb serve:
@@ -945,7 +875,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
   POST /v1/kb/{name}/checkpoint
   GET  /v1/debug/activity
   POST /v1/debug/activity/{id}/cancel
-  GET  /v1/debug/history
   GET  /healthz
   /metrics  /debug/vars  /debug/pprof/
 `)
@@ -1089,6 +1018,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) int {
 	var bad *badRequestError
 	var badName *errBadName
 	var degraded *errDegraded
+	var ref *sysrel.RefError
 	switch {
 	case errors.As(err, &le):
 		status = http.StatusTooManyRequests
@@ -1109,6 +1039,9 @@ func (s *Server) writeError(w http.ResponseWriter, err error) int {
 	case errors.As(err, &pse):
 		status = http.StatusBadRequest
 		detail.Code = "parse"
+	case errors.As(err, &ref):
+		status = http.StatusBadRequest
+		detail.Code = "system-relation"
 	case errors.As(err, &bad):
 		status = http.StatusBadRequest
 		detail.Code = "bad-request"

@@ -1,16 +1,15 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestSysRelationsOverHTTP: the engine's own telemetry answers through
 // the ordinary query routes — sys_metric after real traffic, sys_tenant
-// reflecting the server's tenant table, describe on the fixed schema.
+// reflecting the server's tenant table, describe on the fixed schema —
+// and the deleted metrics history is an unknown relation.
 func TestSysRelationsOverHTTP(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{})
 
@@ -85,58 +84,12 @@ func TestSysRelationsOverHTTP(t *testing.T) {
 	if code, _ := post(t, ts, "/v1/kb/alpha/assert", map[string]any{"fact": "sys_metric(a, counter, 1)"}); code == http.StatusOK {
 		t.Error("asserting a sys_ fact over HTTP succeeded")
 	}
-}
 
-// TestDebugHistoryEndpoint: /v1/debug/history serves the sampled
-// series with ages relative to now.
-func TestDebugHistoryEndpoint(t *testing.T) {
-	s, ts, _ := newTestServer(t, Config{HistoryResolution: 10 * time.Millisecond, HistoryRetention: time.Minute})
-
-	if code, out := post(t, ts, "/v1/kb/alpha/load", map[string]any{"program": "p(a)."}); code != http.StatusOK {
-		t.Fatalf("load: %d %v", code, out)
-	}
-	post(t, ts, "/v1/kb/alpha/retrieve", map[string]any{"stmt": "retrieve p(X)."})
-	s.history.Sample() // deterministic: force one sample now
-
-	resp, err := http.Get(ts.URL + "/v1/debug/history")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("history: %d", resp.StatusCode)
-	}
-	var out historyResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.ResolutionSeconds != 0.01 {
-		t.Errorf("resolution_seconds = %v", out.ResolutionSeconds)
-	}
-	if out.RetentionSeconds != 60 {
-		t.Errorf("retention_seconds = %v", out.RetentionSeconds)
-	}
-	if len(out.Series) == 0 {
-		t.Fatal("history has no series after traffic and a sample")
-	}
-	for _, s := range out.Series {
-		if s.Name == "" || s.Type == "" {
-			t.Errorf("series missing name/type: %+v", s)
-		}
-		for _, sm := range s.Samples {
-			if sm.AgeSeconds < 0 {
-				t.Errorf("%s: negative age %v", s.Name, sm.AgeSeconds)
-			}
-		}
-	}
-
-	// And the same buffer backs sys_metric_history via the query path.
-	code, out2 := post(t, ts, "/v1/kb/alpha/retrieve",
-		map[string]any{"stmt": "retrieve sys_metric_history(N, Age, V) where Age < 60."})
-	if code != http.StatusOK {
-		t.Fatalf("sys_metric_history retrieve: %d %v", code, out2)
-	}
-	if got := answers(out2); len(got) == 0 {
-		t.Error("sys_metric_history empty though /v1/debug/history has series")
+	// There is no metrics history: the relation is unknown, answering
+	// with a structured client error.
+	code, out = post(t, ts, "/v1/kb/alpha/retrieve",
+		map[string]any{"stmt": "retrieve sys_metric_history(N, A, V)."})
+	if code != http.StatusBadRequest || errCode(t, out) != "system-relation" {
+		t.Errorf("sys_metric_history retrieve: %d %v, want 400 system-relation", code, out)
 	}
 }

@@ -46,7 +46,6 @@ import (
 	"kdb/internal/governor"
 	"kdb/internal/kb"
 	"kdb/internal/obs"
-	"kdb/internal/obs/history"
 	"kdb/internal/obs/profile"
 	"kdb/internal/obs/sysrel"
 	"kdb/internal/parser"
@@ -379,10 +378,6 @@ type (
 	// RotatingWriter is a size-rotated log file writer (see
 	// NewRotatingWriter); give one to NewQueryLog for bounded logs.
 	RotatingWriter = obs.RotatingWriter
-	// MetricsHistory is a bounded time-series ring buffer sampling a
-	// MetricsRegistry on a ticker; it backs the sys_metric_history
-	// virtual relation (see NewMetricsHistory and WithMetricsHistory).
-	MetricsHistory = history.Buffer
 	// SystemRelationDef describes one sys_* virtual relation (name,
 	// arity, argument names, doc); see SystemRelations.
 	SystemRelationDef = sysrel.Def
@@ -405,20 +400,6 @@ func NewRotatingWriter(path string, maxMB, keep int) (*RotatingWriter, error) {
 	return obs.NewRotatingWriter(path, maxMB, keep)
 }
 
-// NewMetricsHistory returns a metrics-history ring buffer sampling reg
-// every resolution, retaining retention worth of samples per series
-// (non-positive values select the defaults, 5s and 10m). Call Start to
-// begin sampling and Stop to end it; memory is bounded by
-// retention/resolution samples per series and a series cap.
-func NewMetricsHistory(reg *MetricsRegistry, resolution, retention time.Duration) *MetricsHistory {
-	return history.New(reg, resolution, retention)
-}
-
-// WithMetricsHistory attaches a metrics-history buffer to the KB: its
-// retained samples become the sys_metric_history virtual relation. The
-// caller owns the buffer's Start/Stop lifecycle.
-func WithMetricsHistory(b *MetricsHistory) Option { return kb.WithMetricsHistory(b) }
-
 // WithQueryStats turns on per-statement execution statistics, queryable
 // as the sys_query_stats virtual relation (count, total and max latency
 // per distinct statement, bounded with an overflow bucket).
@@ -430,8 +411,8 @@ func WithQueryStats() Option { return kb.WithQueryStats() }
 func WithoutSystemRelations() Option { return kb.WithoutSystemRelations() }
 
 // SystemRelations lists the sys_* virtual relations the engine serves
-// about itself (sys_relation, sys_rule, sys_metric, sys_metric_history,
-// sys_activity, sys_query_stats, sys_tenant) in a stable order.
+// about itself (sys_relation, sys_rule, sys_metric, sys_activity,
+// sys_query_stats, sys_tenant) in a stable order.
 func SystemRelations() []SystemRelationDef { return sysrel.Defs() }
 
 // RegisterBuildInfo sets the kdb_build_info gauge (value 1, labeled
