@@ -3,8 +3,8 @@ package kdb_test
 // The benchmark harness of DESIGN.md: one bench per characterization
 // experiment (B1–B5 at this level; B6–B8 live in their substrate
 // packages). The paper reports no measurements — these benches
-// characterize the reproduction: engine comparisons on transitive
-// closure, Algorithm 1 scaling in rule fan-out, depth, and hypothesis
+// characterize the reproduction: retrieve on transitive closure,
+// Algorithm 1 scaling in rule fan-out, depth, and hypothesis
 // size, Algorithm 2 against recursive subjects, and redundancy
 // elimination. Run with:
 //
@@ -43,7 +43,10 @@ func benchQuery(b *testing.B, k *kdb.KB, q string) {
 	}
 }
 
-// --- B1: retrieve engines on transitive closure, size sweep ---
+// --- B1: retrieve on transitive closure, size sweep ---
+//
+// These time the KB's own evaluation path. The strategy ladder (semi-naive,
+// top-down and magic on the same goals) is the bench/ harness's traced pass.
 
 func chainKB(b *testing.B, n int) string {
 	var sb strings.Builder
@@ -57,33 +60,16 @@ path(X, Y) :- edge(X, Z), path(Z, Y).
 	return sb.String()
 }
 
-func BenchmarkRetrieveEngines(b *testing.B) {
+func BenchmarkRetrieveClosure(b *testing.B) {
 	for _, n := range []int{25, 50, 100} {
-		src := chainKB(b, n)
-		for _, engine := range []kdb.EngineKind{kdb.EngineNaive, kdb.EngineSemiNaive, kdb.EngineTopDown, kdb.EngineMagic} {
-			b.Run(fmt.Sprintf("engine=%s/chain=%d", engine, n), func(b *testing.B) {
-				k := mustKB(b, src)
-				if err := k.SetEngine(engine); err != nil {
-					b.Fatal(err)
-				}
-				benchQuery(b, k, `retrieve path(X, Y).`)
-			})
-		}
+		b.Run(fmt.Sprintf("chain=%d", n), func(b *testing.B) {
+			benchQuery(b, mustKB(b, chainKB(b, n)), `retrieve path(X, Y).`)
+		})
 	}
 }
 
 func BenchmarkRetrieveBoundGoal(b *testing.B) {
-	// Goal-directed evaluation vs bottom-up on a bound query.
-	src := chainKB(b, 200)
-	for _, engine := range []kdb.EngineKind{kdb.EngineSemiNaive, kdb.EngineTopDown, kdb.EngineMagic} {
-		b.Run(string(engine), func(b *testing.B) {
-			k := mustKB(b, src)
-			if err := k.SetEngine(engine); err != nil {
-				b.Fatal(err)
-			}
-			benchQuery(b, k, `retrieve path(n0000, Y).`)
-		})
-	}
+	benchQuery(b, mustKB(b, chainKB(b, 200)), `retrieve path(n0000, Y).`)
 }
 
 // --- B2: Algorithm 1 scaling ---

@@ -44,20 +44,6 @@ func TestExecMultipleQueries(t *testing.T) {
 	}
 }
 
-func TestEngineFlag(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"-q", "-engine", "topdown", "-exec", `retrieve honor(X).`, dataFile(t)}, strings.NewReader(""), &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "honor(ann)") {
-		t.Errorf("output = %q", out.String())
-	}
-	if err := run([]string{"-engine", "bogus"}, strings.NewReader(""), &out); err == nil {
-		t.Error("bogus engine must fail")
-	}
-}
-
 func TestReplSession(t *testing.T) {
 	session := `
 student(zoe, cs, 3.95).
@@ -67,9 +53,6 @@ describe honor(X).
 .rules
 .preds
 .validate
-.engine topdown
-retrieve honor(X).
-.engine bogus
 .help
 .unknowncmd
 .quit
@@ -86,8 +69,6 @@ retrieve honor(X).
 		"honor(X) :- student(X, M, G), G > 3.7.",   // .rules
 		"EDB: student/3",                           // .preds
 		"ok: rules are disciplined",                // .validate
-		"engine: topdown",                          // .engine
-		"unknown engine",                           // bad engine
 		"meta commands:",                           // .help
 		"unknown command",                          // bad meta
 	} {

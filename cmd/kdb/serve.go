@@ -27,7 +27,6 @@ func runServe(args []string, out io.Writer) error {
 	var (
 		addr    = fs.String("addr", "localhost:8040", "listen address")
 		root    = fs.String("root", "", "directory holding one store per knowledge base (default: in-memory tenants)")
-		engine  = fs.String("engine", "seminaive", "retrieve engine: naive, seminaive, topdown, magic")
 		maxOpen = fs.Int("max-open", 8, "maximum simultaneously open knowledge bases")
 		idle    = fs.Duration("idle", 5*time.Minute, "close knowledge bases unused for this long (negative = never)")
 		cache   = fs.Int("prepared-cache", 256, "prepared-statement cache entries")
@@ -66,7 +65,6 @@ func runServe(args []string, out io.Writer) error {
 		Root:              *root,
 		MaxOpenKBs:        *maxOpen,
 		IdleTimeout:       *idle,
-		Engine:            kdb.EngineKind(*engine),
 		PreparedCacheSize: *cache,
 		MaxInFlight:       *maxInFlight,
 		BreakerThreshold:  *brkFails,
@@ -110,7 +108,7 @@ func runServe(args []string, out io.Writer) error {
 		if *root != "" {
 			store = "root " + *root
 		}
-		fmt.Fprintf(out, "kdb serve on http://%s/ (%s, engine %s)\n", ln.Addr(), store, *engine)
+		fmt.Fprintf(out, "kdb serve on http://%s/ (%s)\n", ln.Addr(), store)
 	}
 
 	hs := &http.Server{Handler: srv.Handler()}

@@ -87,26 +87,6 @@ func TestGenealogyExtensions(t *testing.T) {
 	}
 }
 
-func TestGenealogyAllEnginesAgree(t *testing.T) {
-	k := loadGenealogy(t)
-	for _, q := range []string{
-		`retrieve ancestor(X, gina).`,
-		`retrieve married(X, Y).`,
-		`retrieve sibling(dora, Y).`,
-	} {
-		outs := map[string]bool{}
-		for _, e := range []kdb.EngineKind{kdb.EngineNaive, kdb.EngineSemiNaive, kdb.EngineTopDown, kdb.EngineMagic} {
-			if err := k.SetEngine(e); err != nil {
-				t.Fatal(err)
-			}
-			outs[exec(t, k, q)] = true
-		}
-		if len(outs) != 1 {
-			t.Errorf("%s: engines disagree: %v", q, outs)
-		}
-	}
-}
-
 func TestGenealogyDisplayName(t *testing.T) {
 	k := loadGenealogy(t)
 	k.SetDescribeOptions(kdb.DescribeOptions{KeepSteps: true})

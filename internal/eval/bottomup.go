@@ -35,8 +35,8 @@ func WithLimits(l governor.Limits) EngineOption {
 
 // WithProvenance makes the engine record one why-provenance witness
 // (firing rule plus ground parent facts) for every newly derived fact
-// into rec, bounded by the governor's MaxProvenanceEntries limit. All
-// four engines honor it. A nil recorder disables recording; the derive
+// into rec, bounded by the governor's MaxProvenanceEntries limit. Every
+// engine honors it. A nil recorder disables recording; the derive
 // path then pays a single nil check (see TestProvenanceDisabledAllocs).
 func WithProvenance(rec *prov.Recorder) EngineOption {
 	return func(c *engineConfig) { c.rec = rec }
@@ -107,23 +107,14 @@ func (d *derived) insert(a term.Atom) (bool, error) {
 	return r.Insert(storage.Tuple(a.Args))
 }
 
-// bottomUp is the shared driver for the naive and semi-naive engines.
+// bottomUp is the semi-naive bottom-up engine.
 type bottomUp struct {
-	in        Input
-	seminaive bool
-	limits    governor.Limits
-	rec       *prov.Recorder
-	prof      *profile.Profile
-	labels    map[string]profLabel
-	stats     atomic.Pointer[EvalStats]
-}
-
-// NewNaive returns the naive bottom-up engine: it recomputes every rule
-// against the full extensions until no new fact appears. It is the
-// correctness baseline the optimized engines are tested against.
-func NewNaive(in Input, opts ...EngineOption) Engine {
-	cfg := buildConfig(opts)
-	return &bottomUp{in: in, limits: cfg.limits, rec: cfg.rec, prof: cfg.prof, labels: cfg.labels}
+	in     Input
+	limits governor.Limits
+	rec    *prov.Recorder
+	prof   *profile.Profile
+	labels map[string]profLabel
+	stats  atomic.Pointer[EvalStats]
 }
 
 // NewSemiNaive returns the semi-naive bottom-up engine: within each
@@ -132,16 +123,11 @@ func NewNaive(in Input, opts ...EngineOption) Engine {
 // iteration.
 func NewSemiNaive(in Input, opts ...EngineOption) Engine {
 	cfg := buildConfig(opts)
-	return &bottomUp{in: in, seminaive: true, limits: cfg.limits, rec: cfg.rec, prof: cfg.prof, labels: cfg.labels}
+	return &bottomUp{in: in, limits: cfg.limits, rec: cfg.rec, prof: cfg.prof, labels: cfg.labels}
 }
 
 // Name identifies the engine.
-func (e *bottomUp) Name() string {
-	if e.seminaive {
-		return "seminaive"
-	}
-	return "naive"
-}
+func (e *bottomUp) Name() string { return "seminaive" }
 
 // LastStats returns the statistics of the most recent Retrieve.
 func (e *bottomUp) LastStats() *EvalStats { return e.stats.Load() }
@@ -234,8 +220,7 @@ func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, e
 	finishStats(stats, start, counters, runErr)
 	stats.ProvEntries = e.rec.Len() - provStart
 	if e.prof != nil {
-		e.prof.SetEngine(e.Name())
-		e.prof.SetWall(stats.Wall)
+		e.prof.Finish(e.Name(), stats.Wall)
 	}
 	e.stats.Store(stats)
 	endEvalSpan(evalSp, sp, stats)
@@ -279,8 +264,7 @@ type component struct {
 	// windows hold, per predicate of the component, the positions its
 	// derived relation gained in the previous round: the semi-naive delta,
 	// served from the derived relation itself. Only a recursive component
-	// under semi-naive evaluation has them. fresh counts this round's new
-	// facts.
+	// has them. fresh counts this round's new facts.
 	windows []window
 	fresh   int
 	// pin is the body position the running variant resolves against the
@@ -456,7 +440,7 @@ func (e *bottomUp) evalComponent(p *plan, d *derived, gov *governor.Governor, co
 			cs.Recursive = cs.Recursive || len(pr.rec) > 0
 		}
 	}
-	if cs.Recursive && e.seminaive {
+	if cs.Recursive {
 		c.windows = make([]window, len(comp))
 		for i, pred := range comp {
 			c.windows[i].pred = pred
@@ -475,7 +459,7 @@ func (e *bottomUp) evalComponent(p *plan, d *derived, gov *governor.Governor, co
 		if err := gov.CheckIterations(cs.Iterations + 1); err != nil {
 			return err
 		}
-		if err := c.round(rules, e.seminaive, act); err != nil {
+		if err := c.round(rules, true, act); err != nil {
 			return err
 		}
 	}

@@ -1,20 +1,21 @@
 // Package eval implements the paper's data queries (§3.1): the
-// `retrieve p where ψ` statement over a knowledge-rich database. Four
-// interchangeable engines are provided:
+// `retrieve p where ψ` statement over a knowledge-rich database. Three
+// engines are provided:
 //
-//   - Naive: bottom-up naive fixpoint — the correctness baseline.
 //   - SemiNaive: bottom-up, each recursive SCC's delta read as the window
-//     of its derived relations that the previous round added — the
-//     production engine.
+//     of its derived relations that the previous round added. The kb
+//     layer evaluates every statement with it.
 //   - TopDown: goal-directed SLD resolution with naive-iteration tabling,
 //     terminating on all Datalog programs.
 //   - Magic: the query rewritten with adorned predicates and magic
 //     filters, then evaluated semi-naively, so that bottom-up evaluation
 //     only derives facts relevant to the query's bound arguments.
 //
-// All four agree on every program (checked against a test-only oracle on
-// generated programs); retrieve answers are sets of bindings for the free
-// variables of the subject.
+// TopDown and Magic are the goal-directed strategies the benchmark's
+// ladder times on bound goals. All three agree with a test-only oracle, a
+// naive fixpoint over the seed's interpreter, on generated programs;
+// retrieve answers are sets of bindings for the free variables of the
+// subject.
 //
 // The engines differ in which rule they run when and against which
 // relations; resolving a rule body is one loop they share (frame.go). A

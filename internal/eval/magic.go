@@ -111,9 +111,9 @@ func (e *magic) RetrieveContext(ctx context.Context, q Query) (res *Result, err 
 			e.stats.Store(st)
 		}
 	}
-	// The inner run stamped the profile "seminaive"; the user asked magic.
+	// The inner run stamped the profile "seminaive"; the caller ran magic.
 	if e.prof != nil {
-		e.prof.SetEngine(e.Name())
+		e.prof.Finish(e.Name(), e.prof.Wall())
 	}
 	if err != nil {
 		return nil, err

@@ -2,7 +2,10 @@ package eval
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -198,8 +201,9 @@ func oracleHeads(r term.Rule, facts *oracleFacts) ([]term.Atom, error) {
 
 // oracleRetrieve answers the query by applying every rule, and the
 // plan's query rule, to everything known until nothing new appears. It
-// shares the engines' front end (the query rule and the safety check),
-// not their evaluation.
+// shares the engines' front end (the query rule, the safety check and
+// the snapshots of the virtual relations it reaches), not their
+// evaluation.
 func oracleRetrieve(in Input, q Query) (*Result, error) {
 	p, err := buildPlan(in, q)
 	if err != nil {
@@ -209,6 +213,12 @@ func oracleRetrieve(in Input, q Query) (*Result, error) {
 	var stored []term.Atom
 	for _, pred := range in.Store.Preds() {
 		stored = append(stored, in.Store.Facts(pred)...)
+	}
+	for _, pred := range slices.Sorted(maps.Keys(p.virtual)) {
+		p.virtual[pred].Scan(func(t storage.Tuple) bool {
+			stored = append(stored, term.Atom{Pred: pred, Args: t})
+			return true
+		})
 	}
 	facts := newOracleFacts(stored)
 	for changed := true; changed; {
@@ -536,7 +546,7 @@ func sharedDisagreement(t testing.TB, c genCase) string {
 // judge runs q on the oracle, which prepares nothing ahead, and on every
 // engine over in, and describes the first difference, or returns "".
 func judge(in Input, q Query) string {
-	want, werr := oracleRetrieve(Input{Store: in.Store, Rules: in.Rules}, q)
+	want, werr := oracleRetrieve(Input{Store: in.Store, Rules: in.Rules, Virtual: in.Virtual}, q)
 	for _, e := range engines(in) {
 		got, err := e.Retrieve(q)
 		switch {
@@ -631,6 +641,61 @@ func TestEnginesMatchOracleSharedRuleSet(t *testing.T) {
 			small := shrink(c, func(d genCase) bool { return sharedDisagreement(t, d) != "" })
 			t.Fatalf("seed %d, statement %d: %s\nshrunk to:\n%v", seed, i, sharedDisagreement(t, small), small)
 		}
+	}
+}
+
+// TestEnginesMatchOracleOnShippedPrograms: the shipped programs, with the
+// statements the examples and end-to-end tests ask of them, are fixed
+// cases beside the generated ones: every engine answers each as the
+// oracle does.
+func TestEnginesMatchOracleOnShippedPrograms(t *testing.T) {
+	shipped := func(name string) string {
+		src, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(src)
+	}
+	// A 40-course prerequisite chain, c039 down to c000.
+	var chain strings.Builder
+	for j := 1; j < 40; j++ {
+		fmt.Fprintf(&chain, "prereq(c%03d, c%03d).\n", j, j-1)
+	}
+	chain.WriteString("prior(X, Y) :- prereq(X, Y).\nprior(X, Y) :- prereq(X, Z), prior(Z, Y).\n")
+	cases := []struct {
+		program, src string
+		stmts        []string
+	}{
+		{"university.kdb", shipped("university.kdb"), []string{
+			`retrieve honor(X).`,
+			`retrieve honor(X) where enroll(X, databases).`,
+			`retrieve answer(X) where can_ta(X, databases) and student(X, math, V) and V > 3.7.`,
+			`retrieve prior(databases, Y).`,
+			`retrieve prior(X, programming).`,
+			`retrieve can_ta(X, databases).`,
+		}},
+		{"routes.kdb", shipped("routes.kdb"), []string{
+			`retrieve reachable(la, Y).`,
+			`retrieve roundtrip(la, Y).`,
+		}},
+		{"genealogy.kdb", shipped("genealogy.kdb"), []string{
+			`retrieve ancestor(X, gina).`,
+			`retrieve married(X, Y).`,
+			`retrieve sibling(dora, Y).`,
+		}},
+		{"prerequisite-chain", chain.String(), []string{
+			`retrieve prior(c039, Y).`,
+		}},
+	}
+	for _, c := range cases {
+		t.Run(strings.TrimSuffix(c.program, ".kdb"), func(t *testing.T) {
+			in := load(t, c.src)
+			for _, stmt := range c.stmts {
+				if got := retrieveAll(t, in, query(t, stmt)); len(got) == 0 {
+					t.Errorf("%s has no answer", stmt)
+				}
+			}
+		})
 	}
 }
 

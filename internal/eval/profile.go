@@ -10,8 +10,8 @@ import (
 
 // WithProfile makes the engine record one per-rule cost row into p for
 // every rule it evaluates: wall time, rounds, tuples produced, and the
-// storage probe counters split index-hit/full-scan. All four engines
-// honor it. A nil collector disables profiling; the derive path then
+// storage probe counters split index-hit/full-scan. Every engine
+// honors it. A nil collector disables profiling; the derive path then
 // pays a single nil check per rule round and per derived fact (see
 // TestProfileDisabledAllocs), mirroring the provenance hook's
 // zero-overhead contract.

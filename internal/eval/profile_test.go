@@ -33,7 +33,7 @@ func TestProfileDisabledAllocs(t *testing.T) {
 }
 
 // TestProfileAcrossEngines is the cross-engine parity check: on a
-// recursive program, all four engines must profile the same set of
+// recursive program, every engine must profile the same set of
 // source rules (synthetic machinery — the query rule, magic guards and
 // seeds — excluded), each with at least one round, and agree on the
 // answers they were profiling in the first place.
@@ -48,7 +48,6 @@ path(X, Y) :- edge(X, Z), path(Z, Y).
 		"path(X, Y) :- edge(X, Z), path(Z, Y).",
 	}
 	mks := map[string]func(Input, ...EngineOption) Engine{
-		"naive":     NewNaive,
 		"seminaive": NewSemiNaive,
 		"topdown":   NewTopDown,
 		"magic":     NewMagic,

@@ -1,8 +1,10 @@
 package eval
 
 import (
+	"errors"
 	"testing"
 
+	"kdb/internal/governor"
 	"kdb/internal/prov"
 	"kdb/internal/term"
 )
@@ -32,24 +34,20 @@ func TestProvenanceDisabledAllocs(t *testing.T) {
 
 // TestProvenanceRecordingAcrossEngines checks the engine plumbing at
 // the eval layer: with a recorder attached, every engine records one
-// witness per derived fact and reports the count in its statistics.
+// witness per derived fact and reports the count in its statistics,
+// which carry the engine's own name, and stops at MaxProvenanceEntries.
 func TestProvenanceRecordingAcrossEngines(t *testing.T) {
 	src := `
 edge(a, b). edge(b, c). edge(c, d).
 path(X, Y) :- edge(X, Y).
 path(X, Y) :- edge(X, Z), path(Z, Y).
 `
-	mks := map[string]func(Input, ...EngineOption) Engine{
-		"naive":     NewNaive,
-		"seminaive": NewSemiNaive,
-		"topdown":   NewTopDown,
-		"magic":     NewMagic,
-	}
-	for name, mk := range mks {
+	q := query(t, `retrieve path(a, Y).`)
+	for name, mk := range witnessEngines {
 		in := load(t, src)
 		rec := prov.NewRecorder()
 		e := mk(in, WithProvenance(rec))
-		res, err := e.Retrieve(query(t, `retrieve path(a, Y).`))
+		res, err := e.Retrieve(q)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -60,25 +58,151 @@ path(X, Y) :- edge(X, Z), path(Z, Y).
 			t.Errorf("%s: no witnesses recorded", name)
 		}
 		st := e.(StatsReporter).LastStats()
+		if st.Engine != name {
+			t.Errorf("%s: stats.Engine = %q", name, st.Engine)
+		}
 		if st.ProvEntries != rec.Len() {
 			t.Errorf("%s: stats.ProvEntries = %d, recorder has %d", name, st.ProvEntries, rec.Len())
 		}
-		// Every recorded answer must reconstruct without unknown nodes.
+		// Every recorded answer must reconstruct into a sound tree.
 		exp := rec.Explain(term.NewAtom("path", term.Sym("a"), term.Var("Y")),
 			res.Atoms(term.NewAtom("path", term.Sym("a"), term.Var("Y"))),
 			func(a term.Atom) bool { return in.Store.Contains(a) }, 0)
-		var check func(n *prov.Node)
-		check = func(n *prov.Node) {
-			if n.Kind == prov.NodeUnknown {
-				t.Errorf("%s: unknown node %v in tree", name, n.Fact)
+		for _, tree := range exp.Trees {
+			checkSound(t, in, tree, name)
+		}
+		_, err = mk(in, WithProvenance(prov.NewRecorder()), WithLimits(governor.Limits{MaxProvenanceEntries: 2})).Retrieve(q)
+		if le := (*governor.LimitError)(nil); !errors.As(err, &le) || le.Kind != governor.LimitProvenance {
+			t.Errorf("%s: with MaxProvenanceEntries=2, err = %v, want a provenance LimitError", name, err)
+		}
+	}
+}
+
+// explainOn answers stmt on e with a provenance recorder attached and
+// rebuilds the derivation tree of every answer, as an explain statement
+// does.
+func explainOn(t *testing.T, mk func(Input, ...EngineOption) Engine, in Input, stmt string) *prov.Explanation {
+	t.Helper()
+	q := query(t, stmt)
+	rec := prov.NewRecorder()
+	res, err := mk(in, WithProvenance(rec)).Retrieve(q)
+	if err != nil {
+		t.Fatalf("%s: %v", stmt, err)
+	}
+	return rec.Explain(q.Subject, res.Atoms(q.Subject), func(a term.Atom) bool { return in.Store.Contains(a) }, 10000)
+}
+
+// witnessEngines are the engines the explain tests compare.
+var witnessEngines = map[string]func(Input, ...EngineOption) Engine{
+	"seminaive": NewSemiNaive,
+	"topdown":   NewTopDown,
+	"magic":     NewMagic,
+}
+
+// TestExplainParityAcrossEngines pins the exact rendered derivation
+// trees of facts with a unique derivation — the recursive prior among
+// them — and requires every engine to record the identical explanation.
+func TestExplainParityAcrossEngines(t *testing.T) {
+	cases := []struct {
+		stmt string
+		want string
+	}{
+		{
+			stmt: "retrieve honor(ann).",
+			want: `honor(ann)  [r1]
+  student(ann, math, 3.9)  [edb]
+  3.9 > 3.7  [builtin]
+
+rules:
+  r1: honor(X) :- student(X, Y, Z), Z > 3.7.
+`,
+		},
+		{
+			stmt: "retrieve can_ta(ann, databases).",
+			want: `can_ta(ann, databases)  [r1]
+  honor(ann)  [r2]
+    student(ann, math, 3.9)  [edb]
+    3.9 > 3.7  [builtin]
+  complete(ann, databases, f89, 3.6)  [edb]
+  3.6 > 3.3  [builtin]
+  taught(susan, databases, f89, 3.5)  [edb]
+  teach(susan, databases)  [edb]
+
+rules:
+  r1: can_ta(X, Y) :- honor(X), complete(X, Y, Z, U), U > 3.3, taught(V, Y, Z, W), teach(V, Y).
+  r2: honor(X) :- student(X, Y, Z), Z > 3.7.
+`,
+		},
+		{
+			stmt: "retrieve prior(databases, programming).",
+			want: `prior(databases, programming)  [r1]
+  prereq(databases, datastructures)  [edb]
+  prior(datastructures, programming)  [r2]
+    prereq(datastructures, programming)  [edb]
+
+rules:
+  r1: prior(X, Y) :- prereq(X, Z), prior(Z, Y).
+  r2: prior(X, Y) :- prereq(X, Y).
+`,
+		},
+	}
+	for name, mk := range witnessEngines {
+		for _, tc := range cases {
+			if got := explainOn(t, mk, load(t, universityDB), tc.stmt).String(); got != tc.want {
+				t.Errorf("%s %s:\n got:\n%s\nwant:\n%s", name, tc.stmt, got, tc.want)
 			}
-			for _, c := range n.Children {
-				check(c)
-			}
+		}
+	}
+}
+
+// TestExplainRecursiveSoundAcrossEngines: where the first witness of a
+// fact depends on the engine (several routes between the same airports),
+// every engine still justifies every answer with a sound tree.
+func TestExplainRecursiveSoundAcrossEngines(t *testing.T) {
+	src := `
+flight(la, sf). flight(sf, sea). flight(sea, chi). flight(chi, ny).
+flight(ny, la). flight(dal, chi). flight(la, dal).
+reachable(X, Y) :- flight(X, Y).
+reachable(X, Y) :- flight(X, Z), reachable(Z, Y).
+`
+	for name, mk := range witnessEngines {
+		in := load(t, src)
+		exp := explainOn(t, mk, in, "retrieve reachable(la, Y).")
+		// Every airport is reachable from la (the graph is one cycle plus
+		// the dal chord).
+		if len(exp.Trees) != 6 {
+			t.Fatalf("%s: %d answers, want 6", name, len(exp.Trees))
 		}
 		for _, tree := range exp.Trees {
-			check(tree)
+			checkSound(t, in, tree, name)
 		}
+	}
+}
+
+// checkSound checks that a derivation tree is well formed: derived nodes
+// carry a rule and children, leaves are stored facts or comparisons, and
+// nothing is unknown or truncated.
+func checkSound(t *testing.T, in Input, n *prov.Node, engine string) {
+	t.Helper()
+	switch n.Kind {
+	case prov.NodeDerived:
+		if n.Rule < 1 {
+			t.Errorf("%s: derived node %v without a rule id", engine, n.Fact)
+		}
+		if len(n.Children) == 0 {
+			t.Errorf("%s: derived node %v has no children", engine, n.Fact)
+		}
+		for _, c := range n.Children {
+			checkSound(t, in, c, engine)
+		}
+	case prov.NodeEDB:
+		if !in.Store.Contains(n.Fact) {
+			t.Errorf("%s: edb leaf %v is not stored", engine, n.Fact)
+		}
+	case prov.NodeBuiltin, prov.NodeCycle:
+		// Comparisons hold by construction; cycles are legal cuts.
+	default:
+		t.Errorf("%s: node %v has kind %v", engine, n.Fact, n.Kind)
 	}
 }
 

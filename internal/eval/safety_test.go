@@ -56,7 +56,7 @@ func TestNonGroundDerivationRejected(t *testing.T) {
 	st := storage.NewMemory()
 	rules := []term.Rule{{Head: term.NewAtom("p", term.Var("X"))}}
 	in := Input{Store: st, Rules: rules}
-	for _, e := range []Engine{NewNaive(in), NewSemiNaive(in), NewTopDown(in)} {
+	for _, e := range []Engine{NewSemiNaive(in), NewTopDown(in)} {
 		_, err := e.Retrieve(Query{Subject: term.NewAtom("p", term.Var("X"))})
 		if err == nil {
 			t.Errorf("%s must reject a universally quantified bodiless rule", e.Name())
@@ -78,7 +78,7 @@ r(X) :- p(X, X).
 	// p is used with arity 1 (defined) and arity 2 (in r): the engines
 	// must not panic. (The kb layer rejects this at load; eval stays
 	// defensive.)
-	for _, e := range []Engine{NewNaive(in), NewSemiNaive(in), NewTopDown(in)} {
+	for _, e := range []Engine{NewSemiNaive(in), NewTopDown(in)} {
 		if _, err := e.Retrieve(Query{Subject: term.NewAtom("r", term.Var("X"))}); err == nil {
 			// Some engines may legitimately answer "empty" here; what we
 			// assert is the absence of panics and, if an error is raised,
@@ -108,7 +108,7 @@ path(X, Y) :- edge(X, Z), path(Z, Y).
 			term.NewAtom("path", term.Var("X"), term.Sym("d")),
 		},
 	}
-	for _, e := range []Engine{NewNaive(in), NewSemiNaive(in), NewTopDown(in)} {
+	for _, e := range []Engine{NewSemiNaive(in), NewTopDown(in)} {
 		res, err := e.Retrieve(q)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
@@ -134,7 +134,7 @@ cheap(X, Y) :- hop(X, Y, C), C < 3.
 cheap(X, Y) :- hop(X, Z, C), C < 3, cheap(Z, Y).
 `)
 	in := Input{Store: st, Rules: rules}
-	for _, e := range []Engine{NewNaive(in), NewSemiNaive(in), NewTopDown(in)} {
+	for _, e := range []Engine{NewSemiNaive(in), NewTopDown(in)} {
 		res, err := e.Retrieve(Query{Subject: term.NewAtom("cheap", term.Sym("a"), term.Var("Y"))})
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)

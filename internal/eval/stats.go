@@ -38,7 +38,8 @@ type EvalStats struct {
 	// engines; empty for top-down): the rule set's schedule — its
 	// condensation's topological order, ties broken by sorted predicate
 	// names — followed by the query rule's own component. Predicates
-	// only the query rule mentions have no entry.
+	// only the query rule mentions have no entry. A record merged from
+	// several evaluations holds their schedules one after another.
 	Components []ComponentStats `json:"components,omitempty"`
 	// Facts is the total number of facts derived.
 	Facts int `json:"facts"`
@@ -67,6 +68,26 @@ type EvalStats struct {
 	// stop records why ("deadline", "canceled", "limit:<kind>", "panic").
 	// The record then holds the snapshot at stop time.
 	StopReason string `json:"stop_reason,omitempty"`
+}
+
+// Merge folds o, a later evaluation of the same statement, into s:
+// counters and wall times add up, o's components follow s's, and o's stop
+// reason, if any, becomes the record's.
+func (s *EvalStats) Merge(o *EvalStats) {
+	s.Components = append(s.Components, o.Components...)
+	s.Facts += o.Facts
+	s.Lookups += o.Lookups
+	s.Passes += o.Passes
+	s.Tables += o.Tables
+	s.Probes += o.Probes
+	s.FullScans += o.FullScans
+	s.Candidates += o.Candidates
+	s.IndexBuilds += o.IndexBuilds
+	s.ProvEntries += o.ProvEntries
+	s.Wall += o.Wall
+	if o.StopReason != "" {
+		s.StopReason = o.StopReason
+	}
 }
 
 // StatsReporter is implemented by engines that record evaluation

@@ -151,8 +151,7 @@ func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, er
 	stats.ProvEntries = e.rec.Len() - provStart
 	stats.StopReason = governor.StopReason(runErr)
 	if e.prof != nil {
-		e.prof.SetEngine(e.Name())
-		e.prof.SetWall(stats.Wall)
+		e.prof.Finish(e.Name(), stats.Wall)
 	}
 	e.stats.Store(stats)
 	evalSp.SetInt("passes", int64(run.pass))

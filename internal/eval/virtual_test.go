@@ -38,7 +38,7 @@ func defaultFake() *fakeVirtual {
 
 // TestVirtualRelationEngineAgreement: every engine answers queries over
 // a virtual relation — directly and joined through rules with stored
-// data — and all agree.
+// data — as the oracle does, and the oracle as expected.
 func TestVirtualRelationEngineAgreement(t *testing.T) {
 	src := `
 edge(a, b). edge(b, c).
@@ -60,11 +60,8 @@ linked(X, Y) :- sys_fake(X, N), reach(X, Y).
 		in := load(t, src)
 		in.Virtual = defaultFake()
 		q := query(t, tc.q)
-		got := retrieveAll(t, in, q)
-		for name, answers := range got {
-			if !reflect.DeepEqual(answers, tc.want) {
-				t.Errorf("%s: %s = %v, want %v", tc.q, name, answers, tc.want)
-			}
+		if got := retrieveAll(t, in, q); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s = %v, want %v", tc.q, got, tc.want)
 		}
 	}
 }

@@ -46,25 +46,10 @@ reachable(X, Y) :- flight(X, Y).
 reachable(X, Y) :- flight(X, Z), reachable(Z, Y).
 `
 
-var allEngines = []EngineKind{EngineNaive, EngineSemiNaive, EngineTopDown, EngineMagic}
-
-func loadEngineKB(t *testing.T, src string, engine EngineKind) *KB {
-	t.Helper()
-	k := New()
-	if err := k.LoadString(src); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.SetEngine(engine); err != nil {
-		t.Fatal(err)
-	}
-	return k
-}
-
-// TestExplainParityAcrossEngines pins the exact rendered derivation
-// trees of facts with a unique derivation — including the recursive
-// prior — and requires every engine to produce the identical
-// explanation.
-func TestExplainParityAcrossEngines(t *testing.T) {
+// TestExplainTrees pins the exact rendered derivation trees of facts
+// with a unique derivation, the recursive prior included. (eval's
+// TestExplainParityAcrossEngines pins the same trees on every engine.)
+func TestExplainTrees(t *testing.T) {
 	cases := []struct {
 		stmt string
 		want string
@@ -108,66 +93,61 @@ rules:
 `,
 		},
 	}
-	for _, engine := range allEngines {
-		for _, tc := range cases {
-			k := loadEngineKB(t, universityProgram, engine)
-			res, err := k.ExecString(tc.stmt)
-			if err != nil {
-				t.Fatalf("%s %s: %v", engine, tc.stmt, err)
-			}
-			got := res.Explanation.String()
-			if got != tc.want {
-				t.Errorf("%s %s:\n got:\n%s\nwant:\n%s",
-					engine, tc.stmt, got, tc.want)
-			}
+	for _, tc := range cases {
+		k := loadKB(t, universityProgram)
+		res, err := k.ExecString(tc.stmt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.stmt, err)
+		}
+		if got := res.Explanation.String(); got != tc.want {
+			t.Errorf("%s:\n got:\n%s\nwant:\n%s", tc.stmt, got, tc.want)
 		}
 	}
 }
 
 // TestExplainRecursiveSound verifies structural soundness on a program
-// where the first witness is engine-dependent (multiple routes between
-// the same airports): every engine must still justify every answer with
-// a well-formed tree — derived nodes carry a rule and children, leaves
-// are stored facts or comparisons, and nothing is unknown or truncated.
+// with several routes between the same airports, where which witness is
+// recorded first depends on the evaluation order: every answer must
+// still be justified by a well-formed tree — derived nodes carry a rule
+// and children, leaves are stored facts or comparisons, and nothing is
+// unknown or truncated.
 func TestExplainRecursiveSound(t *testing.T) {
-	for _, engine := range allEngines {
-		k := loadEngineKB(t, routesProgram, engine)
-		exp, err := k.Explain(term.NewAtom("reachable", term.Sym("la"), term.Var("Y")), nil)
-		if err != nil {
-			t.Fatalf("%s: %v", engine, err)
-		}
-		// Every airport is reachable from la (the graph is one cycle
-		// plus the dal chord).
-		if len(exp.Trees) != 6 {
-			t.Fatalf("%s: %d answers, want 6", engine, len(exp.Trees))
-		}
-		for _, tree := range exp.Trees {
-			checkSound(t, k, tree, string(engine))
-		}
+	k := loadKB(t, routesProgram)
+	exp, err := k.Explain(term.NewAtom("reachable", term.Sym("la"), term.Var("Y")), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every airport is reachable from la (the graph is one cycle plus
+	// the dal chord).
+	if len(exp.Trees) != 6 {
+		t.Fatalf("%d answers, want 6", len(exp.Trees))
+	}
+	for _, tree := range exp.Trees {
+		checkSound(t, k, tree)
 	}
 }
 
-func checkSound(t *testing.T, k *KB, n *prov.Node, engine string) {
+func checkSound(t *testing.T, k *KB, n *prov.Node) {
 	t.Helper()
 	switch n.Kind {
 	case prov.NodeDerived:
 		if n.Rule < 1 {
-			t.Errorf("%s: derived node %v without a rule id", engine, n.Fact)
+			t.Errorf("derived node %v without a rule id", n.Fact)
 		}
 		if len(n.Children) == 0 {
-			t.Errorf("%s: derived node %v has no children", engine, n.Fact)
+			t.Errorf("derived node %v has no children", n.Fact)
 		}
 		for _, c := range n.Children {
-			checkSound(t, k, c, engine)
+			checkSound(t, k, c)
 		}
 	case prov.NodeEDB:
 		if !k.Store().Contains(n.Fact) {
-			t.Errorf("%s: edb leaf %v is not stored", engine, n.Fact)
+			t.Errorf("edb leaf %v is not stored", n.Fact)
 		}
 	case prov.NodeBuiltin, prov.NodeCycle:
 		// Comparisons hold by construction; cycles are legal cuts.
 	default:
-		t.Errorf("%s: node %v has kind %v", engine, n.Fact, n.Kind)
+		t.Errorf("node %v has kind %v", n.Fact, n.Kind)
 	}
 }
 
@@ -176,20 +156,18 @@ func checkSound(t *testing.T, k *KB, n *prov.Node, engine string) {
 // program records more witnesses than the limit allows and must stop
 // with a structured LimitError.
 func TestExplainProvenanceLimit(t *testing.T) {
-	for _, engine := range allEngines {
-		k := loadEngineKB(t, routesProgram, engine)
-		k.SetQueryLimits(governor.Limits{MaxProvenanceEntries: 3})
-		_, err := k.ExecString("explain reachable(la, ny).")
-		if err == nil {
-			t.Fatalf("%s: no error with MaxProvenanceEntries=3", engine)
-		}
-		var le *governor.LimitError
-		if !errors.As(err, &le) {
-			t.Fatalf("%s: error %v is not a LimitError", engine, err)
-		}
-		if le.Kind != governor.LimitProvenance || le.Limit != 3 {
-			t.Errorf("%s: LimitError = %+v, want kind=provenance limit=3", engine, le)
-		}
+	k := loadKB(t, routesProgram)
+	k.SetQueryLimits(governor.Limits{MaxProvenanceEntries: 3})
+	_, err := k.ExecString("explain reachable(la, ny).")
+	if err == nil {
+		t.Fatal("no error with MaxProvenanceEntries=3")
+	}
+	var le *governor.LimitError
+	if !errors.As(err, &le) {
+		t.Fatalf("error %v is not a LimitError", err)
+	}
+	if le.Kind != governor.LimitProvenance || le.Limit != 3 {
+		t.Errorf("LimitError = %+v, want kind=provenance limit=3", le)
 	}
 }
 
@@ -217,7 +195,7 @@ func TestExplainStatement(t *testing.T) {
 		}
 	}
 	// The where qualifier restricts which answers get explained.
-	k := loadEngineKB(t, routesProgram, EngineSemiNaive)
+	k := loadKB(t, routesProgram)
 	res, err := k.ExecString("explain reachable(la, X) where flight(X, la).")
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +207,7 @@ func TestExplainStatement(t *testing.T) {
 
 // TestExplainEmptyAnswer pins the no-derivation rendering.
 func TestExplainEmptyAnswer(t *testing.T) {
-	k := loadEngineKB(t, routesProgram, EngineSemiNaive)
+	k := loadKB(t, routesProgram)
 	res, err := k.ExecString("explain reachable(la, mars).")
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +221,7 @@ func TestExplainEmptyAnswer(t *testing.T) {
 // rules (an EDB predicate promoted by a later rule) must show its stored
 // tuples as edb leaves, not derived or unknown.
 func TestExplainStoredPromotedFact(t *testing.T) {
-	k := loadEngineKB(t, `vip(ann).`, EngineSemiNaive)
+	k := loadKB(t, `vip(ann).`)
 	if err := k.LoadString(`
 vip(X) :- sponsor(X, Y), vip(Y).
 sponsor(bob, ann).

@@ -2,8 +2,8 @@
 // Section 2 of the paper: an extensional database of stored facts (with
 // optional durability), an intensional database of rules, the built-in
 // comparison predicates, a catalog of schema annotations, and the query
-// machinery — retrieve engines (§3.1) and the describe engine with its §6
-// extensions.
+// machinery — the retrieve evaluator (§3.1) and the describe engine with
+// its §6 extensions.
 package kb
 
 import (
@@ -31,17 +31,6 @@ import (
 	"kdb/internal/term"
 )
 
-// EngineKind selects the retrieve evaluation strategy.
-type EngineKind string
-
-// Retrieve engines.
-const (
-	EngineNaive     EngineKind = "naive"
-	EngineSemiNaive EngineKind = "seminaive"
-	EngineTopDown   EngineKind = "topdown"
-	EngineMagic     EngineKind = "magic"
-)
-
 // ErrClosed is returned (via errors.Is) by every query and mutation
 // entry point after Close: callers holding a stale handle get a
 // structured, recognizable error instead of a raw I/O failure from the
@@ -61,8 +50,6 @@ type KB struct {
 	rules []term.Rule
 	//kdb:guarded-by mu
 	constraints []term.Formula
-	//kdb:guarded-by mu
-	engine EngineKind
 	//kdb:guarded-by mu
 	limits governor.Limits
 	//kdb:guarded-by mu
@@ -92,7 +79,7 @@ type KB struct {
 	prepared atomic.Pointer[eval.RuleSet]
 
 	// lastStats holds the evaluation statistics of the most recent
-	// retrieve (or constraint check), for observability.
+	// evaluating statement, for observability.
 	lastStats atomic.Pointer[eval.EvalStats]
 
 	// tracer and qmetrics are the optional observability hooks
@@ -146,7 +133,7 @@ func WithQueryLimits(l governor.Limits) Option {
 
 // New returns an empty in-memory knowledge base.
 func New(opts ...Option) *KB {
-	k := &KB{cat: catalog.New(), store: storage.NewMemory(), engine: EngineSemiNaive, sys: sysrel.NewProvider()}
+	k := &KB{cat: catalog.New(), store: storage.NewMemory(), sys: sysrel.NewProvider()}
 	for _, o := range opts {
 		o(k)
 	}
@@ -161,7 +148,7 @@ func Open(dir string, opts ...Option) (*KB, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := &KB{cat: catalog.New(), store: st, engine: EngineSemiNaive, sys: sysrel.NewProvider()}
+	k := &KB{cat: catalog.New(), store: st, sys: sysrel.NewProvider()}
 	for _, o := range opts {
 		o(k)
 	}
@@ -232,19 +219,6 @@ func (k *KB) DurabilityErr() error {
 // reports g.
 func (k *KB) Generation() uint64 { return k.gen.Load() }
 
-// SetEngine selects the retrieve engine (default: semi-naive).
-func (k *KB) SetEngine(e EngineKind) error {
-	switch e {
-	case EngineNaive, EngineSemiNaive, EngineTopDown, EngineMagic:
-		k.mu.Lock()
-		k.engine = e
-		k.mu.Unlock()
-		return nil
-	default:
-		return fmt.Errorf("kb: unknown engine %q", e)
-	}
-}
-
 // SetQueryLimits replaces the per-query resource limits (see
 // WithQueryLimits); it takes effect on the next query.
 func (k *KB) SetQueryLimits(l governor.Limits) {
@@ -297,20 +271,11 @@ func (k *KB) effectiveLimits(ctx context.Context) governor.Limits {
 }
 
 // LastStats returns the evaluation statistics of the most recent
-// retrieve or constraint check, or nil if none has run yet. The pointer
-// changes on every evaluation, so callers can detect fresh stats by
-// comparing pointers.
+// evaluating statement — one record, however many queries it ran — or nil
+// if none has run yet. The pointer changes on every statement, so callers
+// can detect fresh stats by comparing pointers.
 func (k *KB) LastStats() *eval.EvalStats {
 	return k.lastStats.Load()
-}
-
-// recordStats captures the engine's statistics after an evaluation.
-func (k *KB) recordStats(e eval.Engine) {
-	if sr, ok := e.(eval.StatsReporter); ok {
-		if st := sr.LastStats(); st != nil {
-			k.lastStats.Store(st)
-		}
-	}
 }
 
 // SetDescribeOptions tunes the describe engine (takes effect on the next
@@ -667,28 +632,24 @@ func (k *KB) CheckConstraints() ([]string, error) {
 
 // CheckConstraintsContext is CheckConstraints under the context and the
 // effective query limits (configured limits, clamped per-request via
-// ContextWithLimits).
+// ContextWithLimits). The constraints checked are those loaded when the
+// check begins.
 func (k *KB) CheckConstraintsContext(ctx context.Context) ([]string, error) {
-	k.mu.RLock()
-	if k.closed {
-		k.mu.RUnlock()
-		return nil, ErrClosed
+	constraints := k.Constraints()
+	queries := make([]eval.Query, len(constraints))
+	for i, ic := range constraints {
+		queries[i] = eval.Query{Subject: term.NewAtom("__ic__", ic.Vars()...), Where: ic}
 	}
-	engine := k.newEngine(ctx)
-	constraints := make([]term.Formula, len(k.constraints))
-	copy(constraints, k.constraints)
-	k.mu.RUnlock()
 	var out []string
-	for _, ic := range constraints {
-		vars := ic.Vars()
-		probe := term.NewAtom("__ic__", vars...)
-		res, err := engine.RetrieveContext(ctx, eval.Query{Subject: probe, Where: ic})
+	err := k.evaluate(ctx, queries, func(i int, res *eval.Result, err error) error {
+		ic := constraints[i]
 		if err != nil {
-			return nil, fmt.Errorf("kb: checking constraint :- %v: %w", ic, err)
+			return fmt.Errorf("kb: checking constraint :- %v: %w", ic, err)
 		}
-		for i, tuple := range res.Tuples {
-			if i == 4 {
-				out = append(out, fmt.Sprintf("constraint :- %v: … and %d more violations", ic, len(res.Tuples)-i))
+		vars := queries[i].Subject.Args
+		for n, tuple := range res.Tuples {
+			if n == 4 {
+				out = append(out, fmt.Sprintf("constraint :- %v: … and %d more violations", ic, len(res.Tuples)-n))
 				break
 			}
 			sub := term.NewSubst(len(vars))
@@ -697,8 +658,11 @@ func (k *KB) CheckConstraintsContext(ctx context.Context) ([]string, error) {
 			}
 			out = append(out, fmt.Sprintf("constraint :- %v violated by %v", ic, sub.ApplyFormula(ic)))
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	k.recordStats(engine)
 	return out, nil
 }
 
@@ -717,12 +681,19 @@ func (k *KB) Validate() []string {
 	return out
 }
 
-// newEngine builds the configured retrieve engine over the current
-// state, governed by the context's effective limits; extra options
-// (e.g. a provenance recorder) are appended. Callers hold k.mu.
-//
-//kdb:rlocked mu
-func (k *KB) newEngine(ctx context.Context, extra ...eval.EngineOption) eval.Engine {
+// evaluate runs the queries of one statement in order under the read
+// lock, on the one evaluator the KB builds: the semi-naive engine over
+// the current state, governed by the context's effective limits, plus
+// extra options (a provenance recorder, a profile). yield receives each
+// query's answers or error; an error it returns ends the statement. The
+// statement records one EvalStats: the engine's own for one query, the
+// fold of every run (eval.EvalStats.Merge) for several.
+func (k *KB) evaluate(ctx context.Context, queries []eval.Query, yield func(i int, res *eval.Result, err error) error, extra ...eval.EngineOption) error {
+	k.mu.RLock()
+	defer k.mu.RUnlock()
+	if k.closed {
+		return ErrClosed
+	}
 	in := eval.Input{Store: k.store, Rules: k.rules, Prepared: k.preparedLocked()}
 	if k.sys != nil {
 		// The view captures the store and the current rule slice; its
@@ -731,16 +702,40 @@ func (k *KB) newEngine(ctx context.Context, extra ...eval.EngineOption) eval.Eng
 		in.Virtual = k.sys.View(k.store, k.rules)
 	}
 	opts := append([]eval.EngineOption{eval.WithLimits(k.effectiveLimitsLocked(ctx))}, extra...)
-	switch k.engine {
-	case EngineNaive:
-		return eval.NewNaive(in, opts...)
-	case EngineTopDown:
-		return eval.NewTopDown(in, opts...)
-	case EngineMagic:
-		return eval.NewMagic(in, opts...)
-	default:
-		return eval.NewSemiNaive(in, opts...)
+	e := eval.NewSemiNaive(in, opts...)
+	sr := e.(eval.StatsReporter)
+	var stats, last *eval.EvalStats
+	defer func() {
+		if stats != nil {
+			k.lastStats.Store(stats)
+		}
+	}()
+	for i, q := range queries {
+		res, err := e.RetrieveContext(ctx, q)
+		// A query that fails before evaluating leaves the previous record.
+		if st := sr.LastStats(); st != last {
+			last = st
+			if stats == nil {
+				stats = st
+			} else {
+				stats.Merge(st)
+			}
+		}
+		if err := yield(i, res, err); err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// evaluateOne is evaluate for a statement of one query.
+func (k *KB) evaluateOne(ctx context.Context, q eval.Query, extra ...eval.EngineOption) (*eval.Result, error) {
+	var res *eval.Result
+	err := k.evaluate(ctx, []eval.Query{q}, func(_ int, r *eval.Result, err error) error {
+		res = r
+		return err
+	}, extra...)
+	return res, err
 }
 
 // preparedLocked returns the rules analysed for evaluation, preparing
@@ -776,54 +771,42 @@ func (k *KB) Retrieve(subject term.Atom, where term.Formula) (*eval.Result, erro
 // snapshot at stop time is still recorded (LastStats) with its
 // StopReason set.
 func (k *KB) RetrieveContext(ctx context.Context, subject term.Atom, where term.Formula) (*eval.Result, error) {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	if k.closed {
-		return nil, ErrClosed
-	}
-	engine := k.newEngine(ctx)
-	res, err := engine.RetrieveContext(ctx, eval.Query{Subject: subject, Where: where})
-	k.recordStats(engine)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return k.evaluateOne(ctx, eval.Query{Subject: subject, Where: where})
 }
 
 // RetrieveOrContext evaluates a data query with a disjunctive qualifier
 // (§6's second research direction): the answer is the union of the
 // per-disjunct answers. It runs under the context and the configured
-// query limits (per-disjunct: each disjunct is one governed evaluation).
+// query limits (per-disjunct: each disjunct is one governed evaluation),
+// and records one EvalStats covering every disjunct.
 func (k *KB) RetrieveOrContext(ctx context.Context, subject term.Atom, disjuncts []term.Formula) (*eval.Result, error) {
 	if len(disjuncts) == 0 {
 		return k.RetrieveContext(ctx, subject, nil)
 	}
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	if k.closed {
-		return nil, ErrClosed
+	queries := make([]eval.Query, len(disjuncts))
+	for i, d := range disjuncts {
+		queries[i] = eval.Query{Subject: subject, Where: d}
 	}
-	engine := k.newEngine(ctx)
 	var merged *eval.Result
 	seen := make(map[string]bool)
-	for _, d := range disjuncts {
-		res, err := engine.RetrieveContext(ctx, eval.Query{Subject: subject, Where: d})
+	err := k.evaluate(ctx, queries, func(_ int, res *eval.Result, err error) error {
 		if err != nil {
-			k.recordStats(engine)
-			return nil, err
+			return err
 		}
 		if merged == nil {
 			merged = &eval.Result{Vars: res.Vars}
 		}
 		for _, t := range res.Tuples {
-			key := storage.Tuple(t).Key()
-			if !seen[key] {
+			if key := t.Key(); !seen[key] {
 				seen[key] = true
 				merged.Tuples = append(merged.Tuples, t)
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	k.recordStats(engine)
 	return merged, nil
 }
 
@@ -836,22 +819,12 @@ func (k *KB) RetrieveOrContext(ctx context.Context, subject term.Atom, disjuncts
 // profile is returned alongside the error, so a query killed by a limit
 // still shows where the time went.
 func (k *KB) ProfileContext(ctx context.Context, subject term.Atom, where term.Formula) (*eval.Result, *profile.Profile, error) {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	if k.closed {
-		return nil, nil, ErrClosed
-	}
 	p := profile.New()
 	if h := profileHolderFromContext(ctx); h != nil {
 		h.p.Store(p)
 	}
-	engine := k.newEngine(ctx, eval.WithProfile(p))
-	res, err := engine.RetrieveContext(ctx, eval.Query{Subject: subject, Where: where})
-	k.recordStats(engine)
-	if err != nil {
-		return nil, p, err
-	}
-	return res, p, nil
+	res, err := k.evaluateOne(ctx, eval.Query{Subject: subject, Where: where}, eval.WithProfile(p))
+	return res, p, err
 }
 
 // maxExplainNodes bounds the reconstructed derivation tree of one
@@ -873,28 +846,17 @@ func (k *KB) Explain(subject term.Atom, where term.Formula) (*prov.Explanation, 
 // why-provenance recording on (the configured MaxProvenanceEntries
 // limit applies), then rebuilds the derivation trees of the answers.
 // Trees are cycle-safe for recursive predicates; leaves distinguish
-// stored facts (edb) from comparisons (builtin). The same recording
-// works on every engine, so an explain is a cross-checkable artifact:
-// all four engines must justify a fact by some valid tree.
+// stored facts (edb) from comparisons (builtin). The trees are rebuilt
+// after the evaluation, outside the read lock.
 func (k *KB) ExplainContext(ctx context.Context, subject term.Atom, where term.Formula) (*prov.Explanation, error) {
-	k.mu.RLock()
-	if k.closed {
-		k.mu.RUnlock()
-		return nil, ErrClosed
-	}
 	rec := prov.NewRecorder()
-	engine := k.newEngine(ctx, eval.WithProvenance(rec))
-	res, err := engine.RetrieveContext(ctx, eval.Query{Subject: subject, Where: where})
-	k.recordStats(engine)
+	res, err := k.evaluateOne(ctx, eval.Query{Subject: subject, Where: where}, eval.WithProvenance(rec))
 	if err != nil {
-		k.mu.RUnlock()
 		return nil, err
 	}
-	store := k.store
-	k.mu.RUnlock()
 
 	esp := obs.SpanFromContext(ctx).Child("explain")
-	isStored := func(a term.Atom) bool { return store.Contains(a) }
+	isStored := func(a term.Atom) bool { return k.store.Contains(a) }
 	exp := rec.Explain(subject, res.Atoms(subject), isStored, maxExplainNodes)
 	esp.SetInt("trees", int64(len(exp.Trees)))
 	esp.SetInt("nodes", int64(exp.Nodes))

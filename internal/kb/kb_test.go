@@ -2,8 +2,6 @@ package kb
 
 import (
 	"context"
-	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -190,23 +188,6 @@ func TestExecErrors(t *testing.T) {
 	}
 }
 
-func TestEngines(t *testing.T) {
-	k := loadKB(t, universityKB)
-	var results []string
-	for _, e := range []EngineKind{EngineNaive, EngineSemiNaive, EngineTopDown, EngineMagic} {
-		if err := k.SetEngine(e); err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, execStr(t, k, `retrieve prior(databases, Y).`))
-	}
-	if results[0] != results[1] || results[1] != results[2] {
-		t.Errorf("engines disagree: %q", results)
-	}
-	if err := k.SetEngine("quantum"); err == nil {
-		t.Error("unknown engine must fail")
-	}
-}
-
 func TestAssertAndRetrieve(t *testing.T) {
 	k := loadKB(t, universityKB)
 	if err := k.Assert(term.NewAtom("enroll", term.Sym("cora"), term.Sym("databases"))); err != nil {
@@ -307,31 +288,6 @@ func TestDurableKB(t *testing.T) {
 	got := execStr(t, k2, `retrieve honor(X).`)
 	if got != "honor(ann)" {
 		t.Errorf("= %q", got)
-	}
-}
-
-func TestRetrieveAllExamplesAgainstAllEngines(t *testing.T) {
-	queries := []string{
-		`retrieve honor(X).`,
-		`retrieve honor(X) where enroll(X, databases).`,
-		`retrieve answer(X) where can_ta(X, databases) and student(X, math, V) and V > 3.7.`,
-		`retrieve prior(databases, Y).`,
-		`retrieve prior(X, programming).`,
-		`retrieve can_ta(X, databases).`,
-	}
-	k := loadKB(t, universityKB)
-	for _, q := range queries {
-		var outs []string
-		for _, e := range []EngineKind{EngineNaive, EngineSemiNaive, EngineTopDown, EngineMagic} {
-			if err := k.SetEngine(e); err != nil {
-				t.Fatal(err)
-			}
-			outs = append(outs, execStr(t, k, q))
-		}
-		sort.Strings(outs)
-		if !reflect.DeepEqual(outs[0], outs[len(outs)-1]) {
-			t.Errorf("query %q: engines disagree: %q", q, outs)
-		}
 	}
 }
 

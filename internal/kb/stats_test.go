@@ -3,6 +3,7 @@ package kb
 import (
 	"testing"
 
+	"kdb/internal/eval"
 	"kdb/internal/term"
 )
 
@@ -53,25 +54,6 @@ func TestLastStatsAfterRetrieve(t *testing.T) {
 	_ = res
 }
 
-func TestLastStatsPerEngine(t *testing.T) {
-	for _, ek := range []EngineKind{EngineNaive, EngineSemiNaive, EngineTopDown, EngineMagic} {
-		k := loadKB(t, universityKB)
-		if err := k.SetEngine(ek); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := k.Retrieve(term.NewAtom("can_ta", term.Var("X"), term.Sym("databases")), nil); err != nil {
-			t.Fatalf("%s: %v", ek, err)
-		}
-		st := k.LastStats()
-		if st == nil {
-			t.Fatalf("%s: no stats", ek)
-		}
-		if st.Engine != string(ek) {
-			t.Errorf("stats engine = %q, want %q", st.Engine, ek)
-		}
-	}
-}
-
 func TestCheckConstraintsRecordsStats(t *testing.T) {
 	k := loadKB(t, universityKB+"\n:- honor(X), student(X, cs, G).\n")
 	if _, err := k.CheckConstraints(); err != nil {
@@ -79,5 +61,56 @@ func TestCheckConstraintsRecordsStats(t *testing.T) {
 	}
 	if k.LastStats() == nil {
 		t.Error("constraint checking must record stats")
+	}
+}
+
+// TestStatementStatsFoldEveryRun: a statement that evaluates several
+// queries records one EvalStats covering all of them. A disjunctive
+// retrieve reports the sum of its disjuncts run alone, a constraint check
+// the sum of its constraints checked alone, each from a fresh KB.
+func TestStatementStatsFoldEveryRun(t *testing.T) {
+	const program = `
+a(1). a(2). a(3). b(4). b(5).
+p(X) :- a(X).
+q(X) :- b(X).
+r(X) :- p(X).
+r(X) :- q(X).
+`
+	const c1, c2 = ":- p(X), X > 1.\n", ":- r(X), q(X).\n"
+	retrieve := func(stmt string) *eval.EvalStats {
+		k := loadKB(t, program)
+		execStr(t, k, stmt)
+		return k.LastStats()
+	}
+	check := func(constraints string) *eval.EvalStats {
+		k := loadKB(t, program+constraints)
+		if _, err := k.CheckConstraints(); err != nil {
+			t.Fatal(err)
+		}
+		return k.LastStats()
+	}
+	for _, c := range []struct {
+		name        string
+		whole, a, b *eval.EvalStats
+	}{
+		{"disjunctive retrieve",
+			retrieve("retrieve r(X) where p(X) or q(X)."),
+			retrieve("retrieve r(X) where p(X)."),
+			retrieve("retrieve r(X) where q(X).")},
+		{"constraint check", check(c1 + c2), check(c1), check(c2)},
+	} {
+		type counts struct {
+			facts, comps                             int
+			lookups, probes, candidates, indexBuilds int64
+		}
+		of := func(st *eval.EvalStats) counts {
+			return counts{st.Facts, len(st.Components), st.Lookups, st.Probes, st.Candidates, st.IndexBuilds}
+		}
+		a, b := of(c.a), of(c.b)
+		want := counts{a.facts + b.facts, a.comps + b.comps, a.lookups + b.lookups,
+			a.probes + b.probes, a.candidates + b.candidates, a.indexBuilds + b.indexBuilds}
+		if got := of(c.whole); got != want {
+			t.Errorf("%s: record %+v, want the sum of its runs %+v", c.name, got, want)
+		}
 	}
 }

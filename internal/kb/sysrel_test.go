@@ -10,35 +10,21 @@ import (
 	"kdb/internal/term"
 )
 
-// TestSysRetrieveAllEngines: the catalog-shaped virtual relations
-// answer identically on every engine.
-func TestSysRetrieveAllEngines(t *testing.T) {
+// TestSysCatalogRetrieve: the catalog-shaped virtual relations answer
+// retrieves, filtered and bound alike. (eval's
+// TestVirtualRelationEngineAgreement holds every engine to the oracle on
+// virtual relations.)
+func TestSysCatalogRetrieve(t *testing.T) {
 	k := loadKB(t, universityKB)
-	queries := []string{
+	for _, q := range []string{
 		"retrieve sys_relation(N, A, F).",
 		"retrieve sys_relation(N, A, F) where A > 3.",
 		"retrieve sys_rule(I, H, B, S).",
 		"retrieve sys_rule(I, can_ta, B, S).",
-	}
-	for _, q := range queries {
-		want := ""
-		for _, e := range []EngineKind{EngineNaive, EngineSemiNaive, EngineTopDown, EngineMagic} {
-			if err := k.SetEngine(e); err != nil {
-				t.Fatal(err)
-			}
-			got := execStr(t, k, q)
-			if got == "" {
-				t.Errorf("%s: %s returned nothing", e, q)
-			}
-			if want == "" {
-				want = got
-			} else if got != want {
-				t.Errorf("%s: %s = %q, want %q (naive)", e, q, got, want)
-			}
+	} {
+		if got := execStr(t, k, q); got == "" || got == "no answers" {
+			t.Errorf("%s returned nothing", q)
 		}
-	}
-	if err := k.SetEngine(EngineSemiNaive); err != nil {
-		t.Fatal(err)
 	}
 	// Spot-check content: student/3 holds 4 facts.
 	out := execStr(t, k, "retrieve sys_relation(student, A, F).")

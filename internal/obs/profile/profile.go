@@ -118,10 +118,13 @@ func (p *Profile) Add(s Sample) {
 	r.AllocBytes += s.Tuples * tupleBytes(s.Arity)
 }
 
-// SetEngine records which engine produced the samples.
-func (p *Profile) SetEngine(name string) {
+// Finish records which engine produced the samples and the whole
+// evaluation's wall time (the per-rule rows only cover rule-body joins,
+// not planning or scheduling).
+func (p *Profile) Finish(engine string, wall time.Duration) {
 	p.mu.Lock()
-	p.engine = name
+	p.engine = engine
+	p.wall = wall
 	p.mu.Unlock()
 }
 
@@ -130,14 +133,6 @@ func (p *Profile) Engine() string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.engine
-}
-
-// SetWall records the whole evaluation's wall time (the per-rule rows
-// only cover rule-body joins, not planning or scheduling).
-func (p *Profile) SetWall(d time.Duration) {
-	p.mu.Lock()
-	p.wall = d
-	p.mu.Unlock()
 }
 
 // Wall returns the recorded evaluation wall time.

@@ -12,8 +12,7 @@ import (
 // estimate follows tuples × (24 + 16 × arity).
 func TestProfileMerge(t *testing.T) {
 	p := New()
-	p.SetEngine("seminaive")
-	p.SetWall(5 * time.Millisecond)
+	p.Finish("seminaive", 5*time.Millisecond)
 	p.Add(Sample{Rule: "r1.", Pred: "p", Arity: 2, Wall: time.Millisecond, Tuples: 3, Probes: 4, FullScans: 1})
 	p.Add(Sample{Rule: "r1.", Pred: "p", Arity: 2, Wall: time.Millisecond, Tuples: 1, Probes: 2})
 	p.Add(Sample{Rule: "r2.", Pred: "q", Arity: 1, Wall: 3 * time.Millisecond, Tuples: 2, Lookups: 5})
@@ -46,7 +45,7 @@ func TestProfileMerge(t *testing.T) {
 // markers.
 func TestProfileText(t *testing.T) {
 	p := New()
-	p.SetEngine("magic")
+	p.Finish("magic", 0)
 	p.Add(Sample{Rule: "p(X) :- q(X).", Pred: "p", Arity: 1, Tuples: 2, Probes: 5, FullScans: 2})
 	p.Add(Sample{Rule: "m$guard.", Pred: "m$guard", Synthetic: true, Tuples: 1})
 	text := p.String()
@@ -68,8 +67,7 @@ func TestProfileText(t *testing.T) {
 // the query log.
 func TestProfileJSON(t *testing.T) {
 	p := New()
-	p.SetEngine("topdown")
-	p.SetWall(time.Millisecond)
+	p.Finish("topdown", time.Millisecond)
 	p.Add(Sample{Rule: "p(X) :- q(X).", Pred: "p", Arity: 1, Tuples: 2})
 	b, err := json.Marshal(p)
 	if err != nil {

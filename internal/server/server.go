@@ -73,9 +73,6 @@ type Config struct {
 	// clamped against it, so clients may tighten but never loosen it.
 	// The zero value leaves requests ungoverned unless they ask.
 	Ceiling governor.Limits
-	// Engine selects the retrieve engine for every tenant (default
-	// semi-naive).
-	Engine kb.EngineKind
 	// PreparedCacheSize bounds the prepared-statement LRU (default 256).
 	PreparedCacheSize int
 	// Registry collects the server's and every tenant's metrics; nil
@@ -152,9 +149,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = 5 * time.Minute
 	}
-	if cfg.Engine == "" {
-		cfg.Engine = kb.EngineSemiNaive
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -223,7 +217,7 @@ func New(cfg Config) (*Server, error) {
 }
 
 // openKB builds the KB for one tenant: durable under Root, in-memory
-// otherwise, with the server's ceiling, engine, and observability.
+// otherwise, with the server's ceiling and observability.
 func (s *Server) openKB(name string) (*kb.KB, error) {
 	if err := fault.Inject(fault.SiteTenantOpen); err != nil {
 		return nil, err
@@ -256,10 +250,6 @@ func (s *Server) openKB(name string) (*kb.KB, error) {
 		if err != nil {
 			return nil, err
 		}
-	}
-	if err := k.SetEngine(s.cfg.Engine); err != nil {
-		k.Close()
-		return nil, err
 	}
 	// Every tenant's sys_tenant relation sees the whole server, like
 	// /healthz does.

@@ -257,10 +257,10 @@ func TestErrorMapping(t *testing.T) {
 // the query governor: when the client disconnects, the evaluation
 // stops with a canceled reason, visible in the query metrics.
 func TestCanceledClientStopsQuery(t *testing.T) {
-	_, ts, reg := newTestServer(t, Config{Engine: kb.EngineNaive})
+	_, ts, reg := newTestServer(t, Config{})
 
 	// A dense transitive closure: expensive enough that cancellation
-	// lands mid-evaluation under the naive engine.
+	// lands mid-evaluation.
 	const n = 90
 	var prog strings.Builder
 	for i := 0; i < n; i++ {

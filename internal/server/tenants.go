@@ -43,7 +43,7 @@ type Manager struct {
 	maxOpen int
 	// idle is how long an unused KB stays open; 0 disables the janitor.
 	idle time.Duration
-	// newKB builds the KB for a tenant (options, engine, ceiling).
+	// newKB builds the KB for a tenant (options, ceiling).
 	newKB func(name string) (*kb.KB, error)
 	// onEvict observes every eviction (metrics); may be nil.
 	onEvict func()

@@ -3,8 +3,7 @@
 // SIGMOD 1990):
 //
 //   - retrieve p where ψ — data queries: the paper's §3.1 statement,
-//     evaluated by a choice of naive, semi-naive, tabled top-down, or
-//     magic-sets Datalog engines;
+//     evaluated bottom-up by a semi-naive Datalog engine;
 //   - describe p where ψ — knowledge queries: the paper's §3.2
 //     statement, answered with rules that are logically derived from the
 //     intensional database under the hypothesis ψ, via Algorithm 1
@@ -60,8 +59,6 @@ type (
 	// KB is a knowledge-rich database: stored facts, rules, and the twin
 	// query machinery. Safe for concurrent use.
 	KB = kb.KB
-	// EngineKind selects the retrieve evaluation strategy.
-	EngineKind = kb.EngineKind
 	// ExecResult is the displayable outcome of executing any query form.
 	ExecResult = kb.ExecResult
 	// DescribeOptions tunes the knowledge-query engine.
@@ -220,14 +217,6 @@ type (
 	Program = parser.Program
 	// Pred describes a predicate in the catalog.
 	Pred = catalog.Pred
-)
-
-// Retrieve engines.
-const (
-	EngineNaive     = kb.EngineNaive
-	EngineSemiNaive = kb.EngineSemiNaive
-	EngineTopDown   = kb.EngineTopDown
-	EngineMagic     = kb.EngineMagic
 )
 
 // Concept relations (compare statement).

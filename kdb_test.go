@@ -170,20 +170,6 @@ func TestDurablePublicAPI(t *testing.T) {
 	}
 }
 
-func TestEngineSelectionPublicAPI(t *testing.T) {
-	k := loadRoutes(t)
-	outs := map[string]bool{}
-	for _, e := range []kdb.EngineKind{kdb.EngineNaive, kdb.EngineSemiNaive, kdb.EngineTopDown, kdb.EngineMagic} {
-		if err := k.SetEngine(e); err != nil {
-			t.Fatal(err)
-		}
-		outs[exec(t, k, `retrieve roundtrip(la, Y).`)] = true
-	}
-	if len(outs) != 1 {
-		t.Errorf("engines disagree: %v", outs)
-	}
-}
-
 func TestDescribeOptionsPublicAPI(t *testing.T) {
 	k := loadRoutes(t)
 	k.SetDescribeOptions(kdb.DescribeOptions{KeepSteps: true})
