@@ -72,6 +72,27 @@ func BenchmarkRetrieveBoundGoal(b *testing.B) {
 	benchQuery(b, mustKB(b, chainKB(b, 200)), `retrieve path(n0000, Y).`)
 }
 
+// BenchmarkRetrieveRender times rendering alone: one evaluated closure,
+// rendered afresh each iteration from an unrendered copy of its result.
+func BenchmarkRetrieveRender(b *testing.B) {
+	for _, n := range []int{25, 100} {
+		b.Run(fmt.Sprintf("chain=%d", n), func(b *testing.B) {
+			res, err := mustKB(b, chainKB(b, n)).ExecString(`retrieve path(X, Y).`)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r := *res
+				renderSink = r.String()
+			}
+		})
+	}
+}
+
+var renderSink string
+
 // --- B2: Algorithm 1 scaling ---
 
 // fanoutKB builds a subject with w alternative rules over distinct EDB

@@ -7,10 +7,12 @@
 package kb
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -1389,43 +1391,105 @@ type ExecResult struct {
 	subject    term.Atom
 	wildcard   bool
 	provenance bool
-	lines      []string // RetrieveLines, once rendered
+	text       string   // a retrieve's answer lines joined by '\n', once rendered
+	lines      []string // RetrieveLines: substrings of text
 }
 
 // RetrieveLines renders the answers of a retrieve as instantiated
-// subject atoms, sorted: the lines String lists. They are rendered on
-// the first call and shared by every later one, String's included;
-// callers must not modify them. Nil when there is no answer.
+// subject atoms, in byte order: the lines String lists. They are
+// rendered on the first call and shared by every later one, String's
+// included; each is a substring of one text, so holding any line holds
+// all of them. Nil when there is no answer.
 func (r *ExecResult) RetrieveLines() []string {
 	if r.lines == nil && r.Retrieve != nil && len(r.Retrieve.Tuples) > 0 {
-		atoms := r.Retrieve.Atoms(r.subject)
-		r.lines = make([]string, len(atoms))
-		for i, a := range atoms {
-			r.lines[i] = a.String()
-		}
-		sort.Strings(r.lines)
+		r.render()
 	}
 	return r.lines
 }
 
-// String renders the result for a terminal.
+// lineSpan is where one rendered answer lies in render's buffer.
+type lineSpan struct{ start, end int }
+
+// render lays out a retrieve's answers once: every instantiated subject
+// atom is appended to one buffer, the spans are sorted by their bytes,
+// and the lines are copied in that order into one text that r.lines
+// slices. Its allocations do not grow with the number of answers.
+func (r *ExecResult) render() {
+	subject, res := r.subject, r.Retrieve
+	from := make([]int, len(subject.Args)) // the tuple position per argument, -1 for none
+	for pos, t := range subject.Args {
+		from[pos] = -1
+		if t.IsVar() {
+			from[pos] = slices.Index(res.Vars, t)
+		}
+	}
+	a := term.Atom{Pred: subject.Pred, Args: make([]term.Term, len(from))}
+	instantiate := func(tup storage.Tuple) term.Atom {
+		for pos, j := range from {
+			if a.Args[pos] = subject.Args[pos]; j >= 0 {
+				a.Args[pos] = tup[j]
+			}
+		}
+		return a
+	}
+	// The first line, measured in a stack buffer, sizes the buffer: lines
+	// of even width fill it exactly, and a wider one grows it as append
+	// does.
+	var first [128]byte
+	width := len(instantiate(res.Tuples[0]).AppendTo(first[:0]))
+	buf := make([]byte, 0, width*len(res.Tuples))
+	spans := make([]lineSpan, len(res.Tuples))
+	for i, tup := range res.Tuples {
+		start := len(buf)
+		buf = instantiate(tup).AppendTo(buf)
+		spans[i] = lineSpan{start, len(buf)}
+	}
+	// Byte order is the order sort.Strings gives the lines.
+	slices.SortFunc(spans, func(x, y lineSpan) int {
+		return bytes.Compare(buf[x.start:x.end], buf[y.start:y.end])
+	})
+	var b strings.Builder
+	b.Grow(len(buf) + len(spans) - 1)
+	for i, s := range spans {
+		if i > 0 {
+			b.WriteByte('\n')
+		}
+		b.Write(buf[s.start:s.end])
+	}
+	r.text = b.String()
+	r.lines = make([]string, len(spans))
+	off := 0
+	for i, s := range spans {
+		end := off + s.end - s.start
+		r.lines[i] = r.text[off:end]
+		off = end + 1
+	}
+}
+
+// String renders the result for a terminal. A retrieve lists its
+// answers (or "no answers"), then the knowledge characterizing them,
+// then the profile.
 func (r *ExecResult) String() string {
 	switch {
 	case r.System != "":
 		return r.System
 	case r.Retrieve != nil:
-		var b strings.Builder
-		if len(r.Retrieve.Tuples) == 0 {
-			b.WriteString("no answers")
-		} else {
-			b.WriteString(strings.Join(r.RetrieveLines(), "\n"))
+		text := "no answers"
+		if r.RetrieveLines() != nil {
+			text = r.text
 		}
-		if r.Knowledge != nil && !r.Knowledge.Empty() {
-			b.WriteString("\nbecause:\n")
+		knowledge := r.Knowledge != nil && !r.Knowledge.Empty()
+		if !knowledge && r.Profile == nil {
+			return text
+		}
+		var b strings.Builder
+		b.WriteString(text)
+		if knowledge {
+			b.WriteString("\nbecause:")
 			for _, f := range r.Knowledge.Formulas {
-				b.WriteString("  " + f.String() + "\n")
+				b.WriteString("\n  ")
+				b.WriteString(f.String())
 			}
-			return strings.TrimRight(b.String(), "\n")
 		}
 		if r.Profile != nil {
 			b.WriteString("\n\n")

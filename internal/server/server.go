@@ -363,7 +363,8 @@ type queryResponse struct {
 	// Prepared reports a prepared-statement cache hit.
 	Prepared bool `json:"prepared"`
 	// Answers renders one answer per line: instantiated subject atoms
-	// for a retrieve, derived rules for a describe.
+	// for a retrieve, derived rules for a describe. Always an array:
+	// empty for a result without answers and for a verdict.
 	Answers []string `json:"answers"`
 	// Rendered is the full terminal rendering of the result.
 	Rendered string `json:"rendered"`
@@ -528,13 +529,16 @@ func queryKind(q parser.Query) string {
 }
 
 // answerLines extracts one line per answer from an ExecResult, sorted
-// for a stable wire shape. A retrieve's are the lines its rendering
+// for a stable wire shape, and never nil: a result without answers
+// encodes as an empty array. A retrieve's are the lines its rendering
 // lists, rendered once for both.
 func answerLines(res *kb.ExecResult) []string {
-	var out []string
+	out := []string{}
 	switch {
 	case res.Retrieve != nil:
-		return res.RetrieveLines()
+		if lines := res.RetrieveLines(); lines != nil {
+			return lines
+		}
 	case res.Describe != nil:
 		for _, f := range res.Describe.Formulas {
 			out = append(out, f.String())

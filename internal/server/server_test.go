@@ -153,6 +153,42 @@ func TestQueryLifecycle(t *testing.T) {
 	}
 }
 
+// TestAnswersAlwaysArray: a result with no answer lines — an empty
+// retrieve or profile, a describe with no formulas, and the verdict
+// statements — still carries "answers" as a JSON array, never null.
+func TestAnswersAlwaysArray(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	if code, out := post(t, ts, "/v1/kb/alpha/load", map[string]any{"program": teachingProgram}); code != http.StatusOK {
+		t.Fatalf("load: %d %v", code, out)
+	}
+	for _, c := range []struct{ route, stmt, kind string }{
+		{"retrieve", "retrieve honor(bob).", "retrieve"},
+		{"profile", "profile honor(bob).", "profile"},
+		{"describe", "describe honor(X) where student(X, M, G) and G < 3.5.", "describe"},
+		{"describe", "describe honor(X) where not student(X, M, G).", "describe-not"},
+		{"describe", "describe where student(X, M, G) and G > 3.7.", "possible"},
+		{"describe", "compare (describe honor(X)) with (describe honor(Y)).", "compare"},
+	} {
+		b, _ := json.Marshal(map[string]any{"stmt": c.stmt})
+		resp, err := http.Post(ts.URL+"/v1/kb/alpha/"+c.route, "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: %d %s", c.stmt, resp.StatusCode, body)
+			continue
+		}
+		if !bytes.Contains(body, []byte(`"kind":"`+c.kind+`"`)) || !bytes.Contains(body, []byte(`"answers":[]`)) {
+			t.Errorf("%s: want kind %s and \"answers\":[], got %s", c.stmt, c.kind, body)
+		}
+	}
+}
+
 func TestPreparedInvalidationOnLoad(t *testing.T) {
 	s, ts, reg := newTestServer(t, Config{})
 	post(t, ts, "/v1/kb/alpha/load", map[string]any{"program": "p(a). p(b)."})

@@ -155,11 +155,11 @@ func (a Atom) Functor() string { return a.Pred + "/" + strconv.Itoa(len(a.Args))
 // allocation: the string itself.
 func (a Atom) String() string {
 	var buf [128]byte
-	return string(a.appendTo(buf[:0]))
+	return string(a.AppendTo(buf[:0]))
 }
 
-// appendTo appends the atom's surface syntax (String) to b.
-func (a Atom) appendTo(b []byte) []byte {
+// AppendTo appends the atom's surface syntax (String) to b.
+func (a Atom) AppendTo(b []byte) []byte {
 	if len(a.Args) == 2 && IsComparisonPred(a.Pred) {
 		b = append(a.Args[0].appendTo(b), ' ')
 		b = append(append(b, a.Pred...), ' ')
