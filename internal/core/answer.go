@@ -8,8 +8,10 @@
 package core
 
 import (
-	"fmt"
+	"bytes"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"kdb/internal/term"
@@ -57,10 +59,24 @@ func (a Answer) Provenance() []term.Rule {
 // String renders the answer in the paper's style, e.g.
 // "can_ta(X, databases) <- complete(X, databases, Z, U) and U > 3.3".
 func (a Answer) String() string {
+	var buf [256]byte
+	return string(a.appendTo(buf[:0]))
+}
+
+// appendTo appends the answer's String to b.
+func (a Answer) appendTo(b []byte) []byte {
+	b = a.Head.AppendTo(b)
 	if len(a.Body) == 0 {
-		return a.Head.String() + " <- true"
+		return append(b, " <- true"...)
 	}
-	return a.Head.String() + " <- " + a.Body.String()
+	b = append(b, " <- "...)
+	for i, atom := range a.Body {
+		if i > 0 {
+			b = append(b, " and "...)
+		}
+		b = atom.AppendTo(b)
+	}
+	return b
 }
 
 // StringWithProvenance renders the answer followed by one indented
@@ -78,38 +94,58 @@ func (a Answer) StringWithProvenance() string {
 	return b.String()
 }
 
-// key canonicalizes the answer for duplicate elimination: user variables
-// (those of the head) stay fixed, all other variables are renamed in
-// order of first occurrence, and the body is treated as a set.
-func (a Answer) key(userVars map[term.Term]bool) string {
-	renamed := canonicalizeVars(a.Body, userVars)
-	return a.Head.Key() + "\x03" + renamed.SetKey()
+// keyer builds the duplicate-elimination key of answers in buffers it
+// reuses, so checking a key that is already known allocates nothing.
+// The zero value is ready to use; a keyer belongs to one goroutine.
+type keyer struct {
+	buf   []byte
+	spans []span
+	vars  []term.Term // the body's non-user variables, by first occurrence
 }
 
-// canonicalizeVars renames every non-user variable of the formula to
-// _G1, _G2, … in order of first occurrence.
-func canonicalizeVars(f term.Formula, userVars map[term.Term]bool) term.Formula {
-	s := term.NewSubst(4)
-	n := 0
-	out := make(term.Formula, len(f))
-	for i, atom := range f {
-		args := make([]term.Term, len(atom.Args))
-		for j, t := range atom.Args {
-			if t.IsVar() && !userVars[t] {
-				v, ok := s[t]
-				if !ok {
-					n++
-					v = term.Var(fmt.Sprintf("_G%d", n))
-					s[t] = v
-				}
-				args[j] = v
-			} else {
-				args[j] = t
+// span is one atom's key within keyer.buf.
+type span struct{ from, to int }
+
+// key canonicalizes head ← body for duplicate elimination: user
+// variables stay fixed, every other variable is numbered in order of
+// first occurrence (_G1, _G2, …), and the body is treated as a set of
+// atom keys, sorted by bytes and deduplicated. The result is valid until
+// the next call. Renaming non-user variables apart injectively, as
+// prettify does, leaves the key unchanged.
+func (k *keyer) key(head term.Atom, body term.Formula, userVars map[term.Term]bool) []byte {
+	b, spans, vars := k.buf[:0], k.spans[:0], k.vars[:0]
+	for _, a := range body {
+		from := len(b)
+		b = append(b, a.Pred...)
+		for _, t := range a.Args {
+			if !t.IsVar() || userVars[t] {
+				b = t.AppendKey(b)
+				continue
 			}
+			n := slices.Index(vars, t)
+			if n < 0 {
+				n = len(vars)
+				vars = append(vars, t)
+			}
+			b = strconv.AppendInt(append(b, '\x00', '0', '_', 'G'), int64(n+1), 10)
 		}
-		out[i] = term.Atom{Pred: atom.Pred, Args: args}
+		spans = append(spans, span{from, len(b)})
 	}
-	return out
+	slices.SortFunc(spans, func(x, y span) int { return bytes.Compare(b[x.from:x.to], b[y.from:y.to]) })
+	out := len(b)
+	b = append(head.AppendKey(b), '\x03')
+	for i, s := range spans {
+		if i > 0 {
+			prev := spans[i-1]
+			if bytes.Equal(b[prev.from:prev.to], b[s.from:s.to]) {
+				continue
+			}
+			b = append(b, '\x01')
+		}
+		b = append(b, b[s.from:s.to]...)
+	}
+	k.buf, k.spans, k.vars = b, spans, vars
+	return b[out:]
 }
 
 // Answers is the complete response to a describe query.
@@ -148,11 +184,14 @@ func (as *Answers) String() string {
 	if len(as.Formulas) == 0 {
 		return "no answer"
 	}
-	lines := make([]string, len(as.Formulas))
+	b := make([]byte, 0, 64*len(as.Formulas))
 	for i, a := range as.Formulas {
-		lines[i] = a.String()
+		if i > 0 {
+			b = append(b, '\n')
+		}
+		b = a.appendTo(b)
 	}
-	return strings.Join(lines, "\n")
+	return string(b)
 }
 
 // SortedStrings renders the formulas in a deterministic order (for tests).
@@ -168,35 +207,68 @@ func (as *Answers) SortedStrings() []string {
 // prettify renames machine-generated variables (X_12) in the answer body
 // back to readable base names (X), provided the base name does not clash
 // with a user variable or another renamed variable of the same answer.
+// The body becomes a copy the answer owns: one formula over one term
+// array.
 func (a *Answer) prettify(userVars map[term.Term]bool) {
-	taken := make(map[string]bool, len(userVars)+4)
-	for v := range userVars {
-		taken[v.Name()] = true
-	}
-	rename := term.NewSubst(4)
-	fresh := 0
+	n := 0
 	for _, atom := range a.Body {
-		for _, t := range atom.Args {
-			if !t.IsVar() || userVars[t] {
-				continue
+		n += len(atom.Args)
+	}
+	terms := make([]term.Term, n)
+	body := make(term.Formula, len(a.Body))
+	var pairs [8]renamePair
+	renames := pairs[:0]
+	taken := func(name string) bool {
+		for v := range userVars {
+			if v.Name() == name {
+				return true
 			}
-			if _, done := rename[t]; done {
-				continue
+		}
+		for _, p := range renames {
+			if p.to.Name() == name {
+				return true
 			}
-			base := t.Name()
-			if i := strings.IndexByte(base, '_'); i > 0 {
-				base = base[:i]
+		}
+		return false
+	}
+	fresh := 0
+	for i, atom := range a.Body {
+		args := terms[:len(atom.Args):len(atom.Args)]
+		terms = terms[len(atom.Args):]
+		for j, t := range atom.Args {
+			if t.IsVar() && !userVars[t] {
+				to, done := lookupRename(renames, t)
+				if !done {
+					base := t.Name()
+					if cut := strings.IndexByte(base, '_'); cut > 0 {
+						base = base[:cut]
+					}
+					name := base
+					for taken(name) {
+						fresh++
+						name = base + strconv.Itoa(fresh)
+					}
+					to = term.Var(name)
+					renames = append(renames, renamePair{t, to})
+				}
+				t = to
 			}
-			name := base
-			for taken[name] {
-				fresh++
-				name = fmt.Sprintf("%s%d", base, fresh)
-			}
-			taken[name] = true
-			rename[t] = term.Var(name)
+			args[j] = t
+		}
+		body[i] = term.Atom{Pred: atom.Pred, Args: args}
+	}
+	a.Body = body
+}
+
+// renamePair is one binding of a small renaming kept as a slice.
+type renamePair struct{ from, to term.Term }
+
+// lookupRename returns the image of v under the renaming, if it has one.
+func lookupRename(renames []renamePair, v term.Term) (term.Term, bool) {
+	for _, p := range renames {
+		if p.from == v {
+			return p.to, true
 		}
 	}
-	if len(rename) > 0 {
-		a.Body = rename.ApplyFormula(a.Body)
-	}
+	return v, false
 }

@@ -173,6 +173,10 @@ func (d *Describer) Rules() []term.Rule { return d.rules }
 // TransformedRules returns the rule set after the §5.2 transformation.
 func (d *Describer) TransformedRules() []term.Rule { return d.trans.Rules }
 
+// Graph returns the dependency graph of the original rule set. Like the
+// describer, it is read-only and safe for concurrent use.
+func (d *Describer) Graph() *depgraph.Graph { return d.graph }
+
 // Describe evaluates `describe subject where hypothesis` (§3.2). The
 // subject must be an IDB predicate (it has at least one rule). The
 // hypothesis is a positive formula; its comparison conjuncts drive the §4
@@ -214,6 +218,33 @@ func (d *Describer) describe(gov *governor.Governor, sp *obs.Span, subject term.
 	if len(d.graph.RulesFor(subject.Pred)) == 0 {
 		return nil, fmt.Errorf("core: %s is not an IDB predicate; describe inquires about defined concepts", subject.Pred)
 	}
+	s := d.newSearch(gov, subject, hypothesis)
+	esp := sp.Child("eval")
+	esp.SetStr("algorithm", map[bool]string{false: "1", true: "2"}[s.alg2])
+	err := s.run()
+	esp.SetInt("nodes", int64(s.nodes))
+	esp.SetInt("answers", int64(len(s.answers)))
+	esp.SetBool("truncated", s.truncated)
+	if err != nil {
+		esp.SetStr("stop", governor.StopReason(err))
+		esp.End()
+		return nil, err
+	}
+	esp.End()
+
+	dsp := sp.Child("describe")
+	ans := &Answers{Subject: subject, Hypothesis: hypothesis, Truncated: s.truncated, Nodes: s.nodes}
+	ans.Formulas = eliminateRedundant(s.answers, s.userVars)
+	if len(ans.Formulas) == 0 && s.discarded > 0 {
+		ans.Contradiction = true
+	}
+	dsp.SetInt("formulas", int64(len(ans.Formulas)))
+	dsp.End()
+	return ans, nil
+}
+
+// newSearch sets up the search of one describe statement.
+func (d *Describer) newSearch(gov *governor.Governor, subject term.Atom, hypothesis term.Formula) *search {
 	hypOrd, hypCmp := splitHypothesis(hypothesis)
 	alg2 := d.graph.DependsOnRecursive(subject.Pred)
 	if len(hypOrd) == 0 {
@@ -265,29 +296,7 @@ func (d *Describer) describe(gov *governor.Governor, sp *obs.Span, subject term.
 		s.userList = append(s.userList, v)
 		s.userClass = append(s.userClass, inHypothesis)
 	}
-
-	esp := sp.Child("eval")
-	esp.SetStr("algorithm", map[bool]string{false: "1", true: "2"}[alg2])
-	err := s.run()
-	esp.SetInt("nodes", int64(s.nodes))
-	esp.SetInt("answers", int64(len(s.answers)))
-	esp.SetBool("truncated", s.truncated)
-	if err != nil {
-		esp.SetStr("stop", governor.StopReason(err))
-		esp.End()
-		return nil, err
-	}
-	esp.End()
-
-	dsp := sp.Child("describe")
-	ans := &Answers{Subject: subject, Hypothesis: hypothesis, Truncated: s.truncated, Nodes: s.nodes}
-	ans.Formulas = eliminateRedundant(s.answers, s.userVars)
-	if len(ans.Formulas) == 0 && s.discarded > 0 {
-		ans.Contradiction = true
-	}
-	dsp.SetInt("formulas", int64(len(ans.Formulas)))
-	dsp.End()
-	return ans, nil
+	return s
 }
 
 // indexedAtom is a hypothesis conjunct with its original index.
@@ -358,7 +367,7 @@ type search struct {
 	userList  []term.Term
 	userClass []uint8
 
-	rn term.Renamer
+	rn term.Renamer // renames rules apart, its scratch reused per expansion
 
 	// Path state (saved/restored around choices). b is the substitution
 	// of the whole search: a choice binds in place and undoes on return.
@@ -371,10 +380,22 @@ type search struct {
 
 	// Stacks of what a node records before its identification attempts:
 	// the user variables' values and the typing conflicts. A node pushes,
-	// its subtree pushes above, and the node pops on return.
+	// its subtree pushes above, and the node pops on return. satisfied
+	// holds the obligations identifications set, popped the same way.
 	vals      []term.Term
 	conflicts []string
+	satisfied []int
 	positions map[predVar]int // scratch of conflictedPreds
+
+	// Scratch reused by every expansion and every answer of the search;
+	// none of it outlives the statement. emit builds its atoms over terms
+	// and keys them in keys.
+	terms         []term.Term
+	full, alpha   term.Formula
+	removed, cmps term.Formula
+	renames       []renamePair
+	used          []int
+	keys          keyer
 
 	answers       []Answer
 	seen          map[string]bool
@@ -419,7 +440,7 @@ func (s *search) run() error {
 
 	// Root rule expansions.
 	type pending struct {
-		rule  term.Rule
+		rule  *term.Rule
 		fresh term.Rule
 	}
 	var unproductive []pending
@@ -430,13 +451,14 @@ func (s *search) run() error {
 		}
 		before := len(s.answers)
 		beforeDiscarded := s.discarded
-		agenda := s.childNodes(fresh.Body, e, node{})
+		agenda := s.childNodes(fresh.Body, e, node{}, 0)
 		s.viaRules = append(s.viaRules, *e.rule)
 		s.treeAtoms = append(s.treeAtoms, fresh.Body...)
 		oblID := len(s.obls)
 		s.obls = append(s.obls, false)
+		obligations := []int{oblID}
 		for i := range agenda {
-			agenda[i].obligations = []int{oblID}
+			agenda[i].obligations = obligations
 		}
 		if err := s.step(agenda); err != nil {
 			return err
@@ -450,7 +472,7 @@ func (s *search) run() error {
 			// the hypothesis counts as productive (§4's special answer).
 			s.anyProductive = true
 		} else if !s.anyProductive {
-			unproductive = append(unproductive, pending{rule: *e.rule, fresh: fresh})
+			unproductive = append(unproductive, pending{rule: e.rule, fresh: fresh})
 		}
 	}
 
@@ -462,7 +484,7 @@ func (s *search) run() error {
 		for _, p := range unproductive {
 			s.b.unify(s.subject, p.fresh.Head)
 			s.leaves = append(s.leaves, p.fresh.Body...)
-			s.viaRules = append(s.viaRules, p.rule)
+			s.viaRules = append(s.viaRules, *p.rule)
 			if err := s.emit(); err != nil {
 				return err
 			}
@@ -579,10 +601,11 @@ func (s *search) step(agenda []node) error {
 			if !s.b.unify(q.atom, fresh.Head) {
 				continue
 			}
-			children := s.childNodes(fresh.Body, e, q)
+			children := s.childNodes(fresh.Body, e, q, len(rest))
 			oblID := len(s.obls)
 			s.obls = append(s.obls, false)
-			inherited := append(append([]int{}, q.obligations...), oblID)
+			inherited := append(make([]int, 0, len(q.obligations)+1), q.obligations...)
+			inherited = append(inherited, oblID)
 			for i := range children {
 				children[i].obligations = inherited
 			}
@@ -647,8 +670,9 @@ func (s *search) constrainsUserVars(before []term.Term) bool {
 }
 
 // childNodes builds agenda nodes for a rule's body, assigning Algorithm 2
-// tags according to the rule kind (§5.3, Figure 3 boxes 9a–9e).
-func (s *search) childNodes(body term.Formula, e ruleEntry, parent node) []node {
+// tags according to the rule kind (§5.3, Figure 3 boxes 9a–9e). The
+// slice has room for the rest nodes of the agenda the caller appends.
+func (s *search) childNodes(body term.Formula, e ruleEntry, parent node, rest int) []node {
 	kind := transform.KindOrdinary
 	untyped := parent.untyped
 	if s.alg2 {
@@ -657,7 +681,7 @@ func (s *search) childNodes(body term.Formula, e ruleEntry, parent node) []node 
 			untyped++
 		}
 	}
-	children := make([]node, len(body))
+	children := make([]node, len(body), len(body)+rest)
 	for i, a := range body {
 		children[i] = node{atom: a, depth: parent.depth + 1, untyped: untyped}
 	}
@@ -764,30 +788,34 @@ func (s *search) conflictedPreds(dst []string) []string {
 	return dst
 }
 
-// satisfy marks obligations satisfied, returning the ones newly set so
-// the caller can restore them.
-func (s *search) satisfy(ids []int) []int {
-	var newly []int
+// satisfy marks obligations satisfied, pushing the ones newly set so
+// unsatisfy can restore them, and returns the mark to pop back to.
+func (s *search) satisfy(ids []int) int {
+	mark := len(s.satisfied)
 	for _, id := range ids {
 		if !s.obls[id] {
 			s.obls[id] = true
-			newly = append(newly, id)
+			s.satisfied = append(s.satisfied, id)
 		}
 	}
-	return newly
+	return mark
 }
 
-func (s *search) unsatisfy(ids []int) {
-	for _, id := range ids {
+func (s *search) unsatisfy(mark int) {
+	for _, id := range s.satisfied[mark:] {
 		s.obls[id] = false
 	}
+	s.satisfied = s.satisfied[:mark]
 }
 
 // emit assembles one answer from the current path state, applies the §4
-// comparison post-pass, and records it (deduplicated).
+// comparison post-pass, and records it (deduplicated). Everything before
+// the duplicate check lives in the search's scratch: the bindings and the
+// user-variable rename are applied to each leaf once, into one term
+// array, and the answer is keyed before it is built, so an answer already
+// seen allocates nothing unless comparisons need the solver.
 func (s *search) emit() error {
-	sigma := s.b.m
-	body := sigma.ApplyFormula(s.leaves)
+	s.terms, s.full, s.alpha, s.renames = s.terms[:0], s.full[:0], s.alpha[:0], s.renames[:0]
 
 	// User-variable bindings: rename fresh images back to the user's
 	// variable where possible, otherwise surface the binding as an
@@ -795,72 +823,78 @@ func (s *search) emit() error {
 	// are treated like subject variables — a binding imposed on them is
 	// part of the answer's meaning. Subject variables take rename
 	// priority.
-	var equalities term.Formula
-	rename := term.NewSubst(2)
 	for _, v := range s.userList {
-		t := sigma.Walk(v)
+		t := s.b.walk(v)
 		if t == v {
 			continue
 		}
 		if t.IsVar() && !s.userVars[t] {
-			if prev, ok := rename[t]; ok {
+			if prev, ok := lookupRename(s.renames, t); ok {
 				// Two user variables share an image: keep one rename,
 				// surface the other as an equality.
-				equalities = append(equalities, term.NewAtom(term.PredEq, v, prev))
+				s.full = append(s.full, s.equality(v, prev))
 			} else {
-				rename[t] = v
+				s.renames = append(s.renames, renamePair{t, v})
 			}
 			continue
 		}
-		equalities = append(equalities, term.NewAtom(term.PredEq, v, t))
+		s.full = append(s.full, s.equality(v, t))
 	}
-	if len(rename) > 0 {
-		body = rename.ApplyFormula(body)
+	for _, a := range s.leaves {
+		s.full = append(s.full, s.applied(a))
 	}
-	full := append(equalities, body...)
 
 	// §4 comparison post-pass. α is the hypothesis's comparison part under
-	// the answer's substitution (and the rename).
-	alpha := make(term.Formula, 0, len(s.hypCmp))
+	// the answer's substitution (and the rename), compiled once and only
+	// when the answer has a comparison to test against it.
 	for _, c := range s.hypCmp {
-		alpha = append(alpha, rename.Apply(sigma.Apply(c.atom)))
+		s.alpha = append(s.alpha, s.applied(c.atom))
 	}
-	kept := make(term.Formula, 0, len(full))
-	var removed term.Formula
-	for _, a := range full {
+	kept := s.full[:0]
+	s.removed = s.removed[:0]
+	var net *builtin.Network
+	for _, a := range s.full {
 		if !term.IsComparison(a) {
 			kept = append(kept, a)
 			continue
 		}
-		implied, err := builtin.Implies(alpha, term.Formula{a})
+		if net == nil {
+			var err error
+			if net, err = builtin.Compile(s.alpha); err != nil {
+				return err
+			}
+		}
+		implied, err := net.Entails(a)
 		if err != nil {
 			return err
 		}
 		if implied {
-			removed = append(removed, a)
+			s.removed = append(s.removed, a)
 			continue
 		}
 		kept = append(kept, a)
 	}
 	// Discard the answer when the hypothesis contradicts its comparisons.
-	var bodyCmp term.Formula
-	for _, a := range kept {
-		if term.IsComparison(a) {
-			bodyCmp = append(bodyCmp, a)
+	if len(s.alpha) > 0 {
+		s.cmps = s.cmps[:0]
+		for _, a := range kept {
+			if term.IsComparison(a) {
+				s.cmps = append(s.cmps, a)
+			}
 		}
-	}
-	if len(alpha) > 0 && len(bodyCmp) > 0 {
-		contra, err := builtin.Contradicts(alpha, bodyCmp)
-		if err != nil {
-			return err
-		}
-		if contra {
-			s.discarded++
-			return nil
+		if len(s.cmps) > 0 {
+			contra, err := builtin.Contradicts(s.alpha, s.cmps)
+			if err != nil {
+				return err
+			}
+			if contra {
+				s.discarded++
+				return nil
+			}
 		}
 	}
 
-	used := make([]int, 0, len(s.usedHyp))
+	used := s.used[:0]
 	for idx, u := range s.usedHyp {
 		if u {
 			used = append(used, idx)
@@ -869,32 +903,29 @@ func (s *search) emit() error {
 	identified := len(used)
 	// Comparison hypothesis conjuncts count as used when their removal
 	// would lose a β-elimination.
-	for _, c := range s.hypCmp {
-		needed := false
-		for _, beta := range removed {
-			reduced := make(term.Formula, 0, len(alpha)-1)
-			for _, other := range s.hypCmp {
-				if other.idx == c.idx {
-					continue
-				}
-				reduced = append(reduced, rename.Apply(sigma.Apply(other.atom)))
-			}
-			still, err := builtin.Implies(reduced, term.Formula{beta})
+	if len(s.removed) > 0 {
+		for i, c := range s.hypCmp {
+			s.cmps = append(append(s.cmps[:0], s.alpha[:i]...), s.alpha[i+1:]...)
+			reduced, err := builtin.Compile(s.cmps)
 			if err != nil {
 				return err
 			}
-			if !still {
-				needed = true
-				break
+			for _, beta := range s.removed {
+				still, err := reduced.Entails(beta)
+				if err != nil {
+					return err
+				}
+				if !still {
+					used = append(used, c.idx)
+					break
+				}
 			}
-		}
-		if needed {
-			used = append(used, c.idx)
 		}
 	}
 	if len(used) > identified {
 		slices.Sort(used)
 	}
+	s.used = used
 
 	// Prefer the original predicate over the artificial step predicate
 	// when the modified transformation applies (§5.3).
@@ -906,18 +937,41 @@ func (s *search) emit() error {
 		}
 	}
 
+	// The key of the un-prettified body is the key of the answer:
+	// prettify renames non-user variables injectively and never to a
+	// user variable's name. Only a new answer is built.
+	key := s.keys.key(s.subject, kept, s.userVars)
+	if s.seen[string(key)] {
+		return nil
+	}
+	s.seen[string(key)] = true
 	ans := Answer{
 		Head:           term.NewAtom(s.subject.Pred, s.subject.Args...),
 		Body:           kept,
-		UsedHypothesis: used,
+		UsedHypothesis: append(make([]int, 0, len(used)), used...),
 		ViaRules:       append([]term.Rule(nil), s.viaRules...),
 	}
-	ans.prettify(s.userVars)
-	key := ans.key(s.userVars)
-	if s.seen[key] {
-		return nil
-	}
-	s.seen[key] = true
+	ans.prettify(s.userVars) // copies the body out of the scratch
 	s.answers = append(s.answers, ans)
 	return nil
+}
+
+// applied returns the atom under the bindings and then the user-variable
+// rename, its arguments appended to the scratch terms.
+func (s *search) applied(a term.Atom) term.Atom {
+	from := len(s.terms)
+	for _, t := range a.Args {
+		if t = s.b.walk(t); t.IsVar() {
+			t, _ = lookupRename(s.renames, t)
+		}
+		s.terms = append(s.terms, t)
+	}
+	return term.Atom{Pred: a.Pred, Args: s.terms[from:len(s.terms):len(s.terms)]}
+}
+
+// equality returns the atom x = y over the scratch terms.
+func (s *search) equality(x, y term.Term) term.Atom {
+	s.terms = append(s.terms, x, y)
+	n := len(s.terms)
+	return term.Atom{Pred: term.PredEq, Args: s.terms[n-2 : n : n]}
 }

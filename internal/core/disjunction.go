@@ -88,6 +88,7 @@ func (d *Describer) describeOr(gov *governor.Governor, sp *obs.Span, subject ter
 	// yet all its weakenings remain valid.)
 	var kept []Answer
 	seen := make(map[string]bool)
+	var keys keyer
 	m := newMatcher(userVars)
 	conjs := make([][]conj, len(perDisjunct))
 	for i, answers := range perDisjunct {
@@ -95,11 +96,11 @@ func (d *Describer) describeOr(gov *governor.Governor, sp *obs.Span, subject ter
 	}
 	for i, answers := range perDisjunct {
 		for k, a := range answers {
-			key := a.key(userVars)
-			if seen[key] {
+			key := keys.key(a.Head, a.Body, userVars)
+			if seen[string(key)] {
 				continue
 			}
-			seen[key] = true
+			seen[string(key)] = true
 			valid := true
 			for j := range perDisjunct {
 				if i == j {

@@ -627,6 +627,40 @@ func (s *oracleSearch) emit(sigma term.Subst) error {
 	return nil
 }
 
+// key canonicalizes the answer for duplicate elimination: user variables
+// (those of the head) stay fixed, all other variables are renamed in
+// order of first occurrence, and the body is treated as a set.
+func (a Answer) key(userVars map[term.Term]bool) string {
+	renamed := canonicalizeVars(a.Body, userVars)
+	return a.Head.Key() + "\x03" + renamed.SetKey()
+}
+
+// canonicalizeVars renames every non-user variable of the formula to
+// _G1, _G2, … in order of first occurrence.
+func canonicalizeVars(f term.Formula, userVars map[term.Term]bool) term.Formula {
+	s := term.NewSubst(4)
+	n := 0
+	out := make(term.Formula, len(f))
+	for i, atom := range f {
+		args := make([]term.Term, len(atom.Args))
+		for j, t := range atom.Args {
+			if t.IsVar() && !userVars[t] {
+				v, ok := s[t]
+				if !ok {
+					n++
+					v = term.Var(fmt.Sprintf("_G%d", n))
+					s[t] = v
+				}
+				args[j] = v
+			} else {
+				args[j] = t
+			}
+		}
+		out[i] = term.Atom{Pred: atom.Pred, Args: args}
+	}
+	return out
+}
+
 // oracleEliminateRedundant removes answers that are logical consequences of
 // other answers (the paper's redundancy-free requirement, §3.2). The test
 // is θ-subsumption strengthened with comparison implication: answer a
@@ -794,6 +828,11 @@ var (
 type generator struct {
 	r    *rand.Rand
 	feat genFeatures
+	// spell, when set, respells rule variables like the search's fresh
+	// names. It draws apart from r, so the cases r makes stay the ones
+	// the seeds have always made: θ-subsumption is exponential, and a
+	// shifted stream can land on a rule set that takes minutes.
+	spell *rand.Rand
 }
 
 func (g *generator) pick(ts []term.Term) term.Term { return ts[g.r.Intn(len(ts))] }
@@ -849,7 +888,19 @@ func (g *generator) rule(idx int) term.Rule {
 			body = append(body, g.atom(g.name(genEDB), genBodyVars, 10))
 		}
 	}
-	return term.Rule{Head: term.Atom{Pred: head, Args: args}, Body: body}
+	r := term.Rule{Head: term.Atom{Pred: head, Args: args}, Body: body}
+	if g.spell != nil && g.spell.Intn(100) < 10 {
+		// A body variable spelled like a fresh name of the search: renaming
+		// the rule apart must not merge it with the variable whose image
+		// it spells (X_1 is what X becomes at the first expansion).
+		from := genBodyVars[2+g.spell.Intn(2)]
+		to := term.Var(fmt.Sprintf("%s_%d", []string{"X", "Y", "Z"}[g.spell.Intn(3)], 1+g.spell.Intn(3)))
+		if slices.Contains(r.Vars(), from) {
+			r = term.Subst{from: to}.ApplyRule(r)
+			g.feat["rule variable spelled like a fresh one"]++
+		}
+	}
+	return r
 }
 
 func mustRules(src ...string) []term.Rule {
@@ -1105,7 +1156,7 @@ func TestDescribeMatchesOracle(t *testing.T) {
 	}
 	feat := make(genFeatures)
 	for seed := 1; seed <= seeds; seed++ {
-		g := &generator{r: rand.New(rand.NewSource(int64(seed))), feat: feat}
+		g := &generator{r: rand.New(rand.NewSource(int64(seed))), feat: feat, spell: rand.New(rand.NewSource(-int64(seed)))}
 		c := g.generate()
 		diff, d, ans := disagreement(c)
 		if diff != "" {
@@ -1129,7 +1180,7 @@ func TestDescribeMatchesOracle(t *testing.T) {
 	}
 	for _, want := range []string{
 		"fan-out", "concept in body", "shared sub-concept", "comparison in body",
-		"constant in head", "repeated variable in head",
+		"constant in head", "repeated variable in head", "rule variable spelled like a fresh one",
 		"transformed recursion", "mutual recursion", "algorithm 2",
 		"untyped recursion under bound 1", "untyped recursion under bound 2", "untyped recursion under bound 4",
 		"one table for both algorithms", "a table per algorithm",

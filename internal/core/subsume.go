@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strconv"
 
 	"kdb/internal/builtin"
@@ -24,33 +25,70 @@ type matcher struct {
 	fixed map[term.Term]bool
 	b     bindings
 	err   error
+
+	// Scratch of prepare: the non-fixed variables of the conjunction
+	// being prepared, by first occurrence, and the pattern variables
+	// \x01R1, \x01R2, … named so far.
+	vars, apart []term.Term
 }
 
 func newMatcher(fixed map[term.Term]bool) *matcher {
 	return &matcher{fixed: fixed, b: newBindings()}
 }
 
-// prepare splits the conjunction and renames its pattern form apart.
+// prepare splits the conjunction and renames its pattern form apart:
+// every non-fixed variable becomes a fresh variable whose name cannot
+// occur in user programs, numbered by first occurrence, so pattern and
+// target of a matching problem never share variables. The four parts
+// are carved from one formula, and the pattern atoms share one term
+// array.
 func (m *matcher) prepare(f term.Formula) conj {
-	var c conj
-	c.cmp, c.ord = builtin.Split(f)
-	c.pcmp, c.pord = builtin.Split(renameApart(f, m.fixed))
+	if len(f) == 0 {
+		return conj{}
+	}
+	n, ncmp, nterms := len(f), 0, 0
+	for _, a := range f {
+		if term.IsComparison(a) {
+			ncmp++
+		}
+		nterms += len(a.Args)
+	}
+	all := make(term.Formula, 2*n)
+	terms := make([]term.Term, nterms)
+	c := conj{
+		cmp: all[:0:ncmp], ord: all[ncmp:ncmp:n],
+		pcmp: all[n : n : n+ncmp], pord: all[n+ncmp : n+ncmp : 2*n],
+	}
+	m.vars = m.vars[:0]
+	for _, a := range f {
+		p := term.Atom{Pred: a.Pred, Args: terms[:len(a.Args):len(a.Args)]}
+		terms = terms[len(a.Args):]
+		for i, t := range a.Args {
+			if t.IsVar() && !m.fixed[t] {
+				t = m.renameApart(t)
+			}
+			p.Args[i] = t
+		}
+		if term.IsComparison(a) {
+			c.cmp, c.pcmp = append(c.cmp, a), append(c.pcmp, p)
+		} else {
+			c.ord, c.pord = append(c.ord, a), append(c.pord, p)
+		}
+	}
 	return c
 }
 
-// renameApart replaces every non-fixed variable of the formula with a
-// fresh variable whose name cannot occur in user programs, so pattern and
-// target of a matching problem never share variables.
-func renameApart(f term.Formula, fixed map[term.Term]bool) term.Formula {
-	sub := term.NewSubst(4)
-	n := 0
-	for _, v := range f.Vars() {
-		if !fixed[v] {
-			n++
-			sub[v] = term.Var("\x01R" + strconv.Itoa(n))
-		}
+// renameApart returns the pattern variable of the non-fixed variable v.
+func (m *matcher) renameApart(v term.Term) term.Term {
+	i := slices.Index(m.vars, v)
+	if i < 0 {
+		i = len(m.vars)
+		m.vars = append(m.vars, v)
 	}
-	return sub.ApplyFormula(f)
+	for len(m.apart) <= i {
+		m.apart = append(m.apart, term.Var("\x01R"+strconv.Itoa(len(m.apart)+1)))
+	}
+	return m.apart[i]
 }
 
 // cannotMatch reports that some ordinary atom of the pattern has a

@@ -109,6 +109,20 @@ func retrieveAll(t *testing.T, in Input, q Query) []string {
 	return want.Strings()
 }
 
+// TestRetrieveRuleVariableSpelledFresh: the top-down engine renames a
+// rule apart before resolving it; a rule variable spelled like a fresh
+// name (X_1) must not merge with the variable renamed to that name, or
+// p would have no answer. The renamer has numbered other variables
+// before it reaches p's rule, so the rule spells several such names and
+// one of them is X's image.
+func TestRetrieveRuleVariableSpelledFresh(t *testing.T) {
+	in := load(t, "q(b).\nr(a).\np(X) :- q(X_1), q(X_2), q(X_3), q(X_4), r(X).\n")
+	got := retrieveAll(t, in, query(t, `retrieve p(X).`))
+	if want := []string{"a"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("p = %v, want %v", got, want)
+	}
+}
+
 func TestRetrieveEDB(t *testing.T) {
 	in := load(t, universityDB)
 	got := retrieveAll(t, in, query(t, `retrieve student(X, math, G).`))

@@ -2,10 +2,12 @@ package kb
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	"kdb/internal/analysis"
+	"kdb/internal/core"
 	"kdb/internal/term"
 )
 
@@ -66,6 +68,40 @@ reach(X, Y) :- reach(Y, X).
 	}
 	if got := k.Diagnostics().Profile.Rules; got != 3 {
 		t.Errorf("combined profile has %d rules, want 3", got)
+	}
+}
+
+// TestDescribeNotesText: the notes read the describer's graph, and say
+// what they said when each statement built its own — for the
+// undisciplined predicate and for one that depends on it, on every
+// describe form that attaches notes.
+func TestDescribeNotesText(t *testing.T) {
+	k := New()
+	if err := k.LoadString(`conn(a, b).
+reach(X, Y) :- conn(X, Y).
+reach(X, Y) :- reach(Y, X).
+near(X, Y) :- reach(X, Y), conn(Y, X).
+`); err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	want := []string{"3:1: warning: [recursion] recursive rule is not typed with respect to its head predicate (describe uses the bounded §5.3 mode)"}
+	x, y := term.Var("X"), term.Var("Y")
+	for _, pred := range []string{"reach", "near"} {
+		subject := term.NewAtom(pred, x, y)
+		hyp := term.Formula{term.NewAtom("conn", y, x)}
+		for form, describe := range map[string]func() (*core.Answers, error){
+			"plain":     func() (*core.Answers, error) { return k.Describe(subject, hyp) },
+			"necessary": func() (*core.Answers, error) { return k.DescribeNecessary(subject, hyp) },
+			"or":        func() (*core.Answers, error) { return k.DescribeOr(subject, []term.Formula{hyp}) },
+		} {
+			ans, err := describe()
+			if err != nil {
+				t.Fatalf("%s %s: %v", form, pred, err)
+			}
+			if !slices.Equal(ans.Notes, want) {
+				t.Errorf("%s %s: notes %q, want %q", form, pred, ans.Notes, want)
+			}
+		}
 	}
 }
 

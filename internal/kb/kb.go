@@ -890,7 +890,7 @@ func (k *KB) DescribeOrContext(ctx context.Context, subject term.Atom, disjuncts
 	}
 	k.observeDescribe(ans.Nodes)
 	k.applyDisplayNames(ans)
-	k.attachNotes(subject, ans)
+	k.attachNotes(d, subject, ans)
 	return ans, nil
 }
 
@@ -957,24 +957,24 @@ func (k *KB) SetIntensional(on bool) {
 func (k *KB) getDescriberFor(subject term.Atom) (*core.Describer, error) {
 	d, err := k.getDescriber()
 	if err != nil {
-		if diags := k.describeDiagnostics(subject.Pred); len(diags) > 0 {
+		k.mu.RLock()
+		rep := k.report
+		rules := append([]term.Rule(nil), k.rules...)
+		k.mu.RUnlock()
+		if diags := describeDiagnostics(rep, depgraph.New(rules), subject.Pred); len(diags) > 0 {
 			return nil, &analysis.Error{Diags: diags}
 		}
 	}
 	return d, err
 }
 
-// describeDiagnostics returns the stored diagnostics about the subject
-// predicate, its recursive component, and everything it depends on.
-func (k *KB) describeDiagnostics(pred string) []analysis.Diagnostic {
-	k.mu.RLock()
-	rep := k.report
-	rules := append([]term.Rule(nil), k.rules...)
-	k.mu.RUnlock()
+// describeDiagnostics returns the diagnostics of the report about the
+// subject predicate, its recursive component, and everything it depends
+// on in the graph.
+func describeDiagnostics(rep *analysis.Report, g *depgraph.Graph, pred string) []analysis.Diagnostic {
 	if rep == nil {
 		return nil
 	}
-	g := depgraph.New(rules)
 	seen := make(map[string]bool)
 	var out []analysis.Diagnostic
 	add := func(p string) {
@@ -995,8 +995,9 @@ func (k *KB) describeDiagnostics(pred string) []analysis.Diagnostic {
 // attachNotes records on the answers the analyzer warnings explaining a
 // degraded describe: when the subject depends on recursion outside the
 // §2.1 discipline, the bounded §5.3 mode answered, and the relevant
-// recursion diagnostics say which rules are responsible.
-func (k *KB) attachNotes(subject term.Atom, ans *core.Answers) {
+// recursion diagnostics say which rules are responsible. The describer
+// that answered holds the dependency graph of its rules.
+func (k *KB) attachNotes(d *core.Describer, subject term.Atom, ans *core.Answers) {
 	rep := k.Diagnostics()
 	if rep == nil {
 		return
@@ -1011,9 +1012,9 @@ func (k *KB) attachNotes(subject term.Atom, ans *core.Answers) {
 	if !relevant {
 		return
 	}
-	for _, d := range k.describeDiagnostics(subject.Pred) {
-		if d.Analyzer == "recursion" && d.Severity == analysis.SevWarning {
-			ans.Notes = append(ans.Notes, d.String())
+	for _, diag := range describeDiagnostics(rep, d.Graph(), subject.Pred) {
+		if diag.Analyzer == "recursion" && diag.Severity == analysis.SevWarning {
+			ans.Notes = append(ans.Notes, diag.String())
 		}
 	}
 }
@@ -1082,7 +1083,7 @@ func (k *KB) DescribeContext(ctx context.Context, subject term.Atom, where term.
 	}
 	k.observeDescribe(ans.Nodes)
 	k.applyDisplayNames(ans)
-	k.attachNotes(subject, ans)
+	k.attachNotes(d, subject, ans)
 	return ans, nil
 }
 
@@ -1108,7 +1109,7 @@ func (k *KB) DescribeNecessaryContext(ctx context.Context, subject term.Atom, wh
 	}
 	k.observeDescribe(ans.Nodes)
 	k.applyDisplayNames(ans)
-	k.attachNotes(subject, ans)
+	k.attachNotes(d, subject, ans)
 	return ans, nil
 }
 

@@ -109,6 +109,23 @@ func TestExecDescribe(t *testing.T) {
 	}
 }
 
+// TestDescribeRenamesRuleVariablesApart: a rule variable spelled like the
+// describe search's fresh names (X_1) stays apart from the variable whose
+// fresh name it spells. A retrieve over the same rule keeps them apart
+// too: merging them would leave p with no answer.
+func TestDescribeRenamesRuleVariablesApart(t *testing.T) {
+	k := loadKB(t, "q(b).\nr(a).\np(X) :- q(X_1), r(X).\n")
+	for stmt, want := range map[string]string{
+		`describe p(X).`:            "p(X) <- q(X1) and r(X)",
+		`describe p(X) where r(X).`: "p(X) <- q(X1)",
+		`retrieve p(X).`:            "p(a)",
+	} {
+		if got := execStr(t, k, stmt); got != want {
+			t.Errorf("%s = %q, want %q", stmt, got, want)
+		}
+	}
+}
+
 func TestExecDescribeUsesDisplayNames(t *testing.T) {
 	k := loadKB(t, universityKB)
 	k.SetDescribeOptions(core.Options{KeepSteps: true})

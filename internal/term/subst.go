@@ -1,6 +1,7 @@
 package term
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -214,45 +215,77 @@ func Match(pattern, ground Atom, base Subst) (Subst, bool) {
 // a single Renamer must not be shared between goroutines.
 type Renamer struct {
 	n int
+	// RenameRule's scratch: the rule's variables and their fresh images.
+	vars, fresh []Term
 }
 
 // Fresh returns a new variable guaranteed distinct from all variables the
 // renamer has produced. The base name is preserved for readability:
-// X becomes X_1, X_2, ….
+// X becomes X_1, X_2, …. The name is built on the stack, so it is the
+// one allocation.
 func (r *Renamer) Fresh(base string) Term {
 	r.n++
-	if i := strings.IndexByte(base, '_'); i > 0 {
+	if i := strings.IndexByte(base, '_'); i > 0 && isDigits(base[i+1:]) {
 		// Strip a previous rename suffix so names do not snowball.
-		if _, err := strconv.Atoi(base[i+1:]); err == nil {
-			base = base[:i]
+		base = base[:i]
+	}
+	var buf [32]byte
+	name := strconv.AppendInt(append(append(buf[:0], base...), '_'), int64(r.n), 10)
+	return Var(string(name))
+}
+
+func isDigits(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
 		}
 	}
-	return Var(base + "_" + strconv.Itoa(r.n))
+	return s != ""
 }
 
 // RenameRule returns a variant of the rule with every variable replaced by
 // a fresh one, as required before resolving a program rule against a goal
-// (the paper's footnote 3).
+// (the paper's footnote 3). The renaming is simultaneous: each variable
+// is looked up once, so a rule variable spelled like a fresh name (X_1)
+// is renamed once and never merges with the variable renamed to it.
+//
+// The rule's variables and their images live in the renamer's scratch,
+// so the variant costs one term array shared by all of its atoms, one
+// body formula, and the fresh names.
 func (r *Renamer) RenameRule(rule Rule) Rule {
-	vars := rule.Vars()
+	vars := rule.Head.Vars(r.vars[:0])
+	n := len(rule.Head.Args)
+	for _, a := range rule.Body {
+		vars = a.Vars(vars)
+		n += len(a.Args)
+	}
+	r.vars = vars
 	if len(vars) == 0 {
 		return rule
 	}
-	s := NewSubst(len(vars))
+	fresh := r.fresh[:0]
 	for _, v := range vars {
-		s[v] = r.Fresh(v.Name())
+		fresh = append(fresh, r.Fresh(v.Name()))
 	}
-	return s.ApplyRule(rule)
+	r.fresh = fresh
+	terms := make([]Term, n)
+	out := Rule{Body: make(Formula, len(rule.Body)), Pos: rule.Pos}
+	out.Head, terms = r.renameAtom(rule.Head, terms)
+	for i, a := range rule.Body {
+		out.Body[i], terms = r.renameAtom(a, terms)
+	}
+	return out
 }
 
-// RenameFormula returns a variant of the formula with fresh variables and
-// the substitution used, so callers can rename related formulas
-// consistently.
-func (r *Renamer) RenameFormula(f Formula) (Formula, Subst) {
-	vars := f.Vars()
-	s := NewSubst(len(vars))
-	for _, v := range vars {
-		s[v] = r.Fresh(v.Name())
+// renameAtom writes the atom's variant into the front of terms and
+// returns it with the rest of terms.
+func (r *Renamer) renameAtom(a Atom, terms []Term) (Atom, []Term) {
+	args := terms[:len(a.Args):len(a.Args)]
+	for i, t := range a.Args {
+		if t.IsVar() {
+			t = r.fresh[slices.Index(r.vars, t)]
+		}
+		args[i] = t
 	}
-	return s.ApplyFormula(f), s
+	return Atom{Pred: a.Pred, Args: args}, terms[len(a.Args):]
 }

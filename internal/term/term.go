@@ -211,14 +211,23 @@ func (a Atom) Compare(b Atom) int {
 // Key returns a string that uniquely identifies the atom's structure.
 // It is suitable as a map key for memoization and duplicate elimination.
 func (a Atom) Key() string {
-	var b strings.Builder
-	b.WriteString(a.Pred)
+	var buf [128]byte
+	return string(a.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the atom's Key to b.
+func (a Atom) AppendKey(b []byte) []byte {
+	b = append(b, a.Pred...)
 	for _, t := range a.Args {
-		b.WriteByte('\x00')
-		b.WriteByte(byte('0' + t.kind))
-		b.WriteString(t.String())
+		b = t.AppendKey(b)
 	}
-	return b.String()
+	return b
+}
+
+// AppendKey appends the term's part of an atom's Key to b: a separator,
+// its kind, and its surface syntax.
+func (t Term) AppendKey(b []byte) []byte {
+	return t.appendTo(append(b, '\x00', byte('0'+t.kind)))
 }
 
 // IsGround reports whether the atom contains no variables.

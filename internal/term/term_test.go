@@ -458,18 +458,38 @@ func TestRenamer(t *testing.T) {
 	}
 }
 
-func TestRenameFormula(t *testing.T) {
+// TestRenameRuleDoesNotCapture: a rule variable spelled like a fresh name
+// is renamed once. X becomes X_1 and X_1 becomes X_2; following X's image
+// on to X_2 would merge the two variables.
+func TestRenameRuleDoesNotCapture(t *testing.T) {
 	var rn Renamer
-	f := Formula{NewAtom("p", Var("X")), NewAtom("q", Var("X"), Var("Y"))}
-	g, s := rn.RenameFormula(f)
-	if g[0].Args[0] == Var("X") {
-		t.Error("variables must be renamed")
+	r := NewRule(NewAtom("p", Var("X")), NewAtom("q", Var("X_1")), NewAtom("r", Var("X")))
+	v := rn.RenameRule(r)
+	x, x1 := v.Head.Args[0], v.Body[0].Args[0]
+	if x == x1 {
+		t.Fatalf("%v renamed to %v: X and X_1 merged", r, v)
 	}
-	if g[0].Args[0] != g[1].Args[0] {
-		t.Error("sharing must be preserved")
+	if v.Body[1].Args[0] != x {
+		t.Errorf("%v renamed to %v: X's occurrences renamed apart", r, v)
 	}
-	if s.Walk(Var("X")) != g[0].Args[0] {
-		t.Error("returned substitution must record the renaming")
+	if x == Var("X") || x1 == Var("X_1") {
+		t.Errorf("%v renamed to %v: a variable kept its name", r, v)
+	}
+}
+
+// TestRenameRuleAllocs: a variant costs one term array for all of its
+// atoms, one body formula and one name per variable. A ground rule is
+// its own variant.
+func TestRenameRuleAllocs(t *testing.T) {
+	var rn Renamer
+	r := NewRule(NewAtom("p", Var("X"), Var("Y")), NewAtom("q", Var("X"), Str("a")), NewAtom("r", Var("Y"), Var("Z")))
+	rn.RenameRule(r)
+	if n := testing.AllocsPerRun(200, func() { rn.RenameRule(r) }); n != 2+3 {
+		t.Errorf("renaming %v allocates %v times, want 2 + 3", r, n)
+	}
+	g := NewRule(NewAtom("p", Str("a")), NewAtom("q", Str("a")))
+	if n := testing.AllocsPerRun(200, func() { rn.RenameRule(g) }); n != 0 {
+		t.Errorf("renaming %v allocates %v times, want 0", g, n)
 	}
 }
 
