@@ -77,7 +77,7 @@ func BenchmarkRetrieveBoundGoal(b *testing.B) {
 func BenchmarkRetrieveRender(b *testing.B) {
 	for _, n := range []int{25, 100} {
 		b.Run(fmt.Sprintf("chain=%d", n), func(b *testing.B) {
-			res, err := mustKB(b, chainKB(b, n)).ExecString(`retrieve path(X, Y).`)
+			res, err := mustKB(b, chainKB(b, n)).ExecStringContext(context.Background(), `retrieve path(X, Y).`)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -322,7 +323,7 @@ func runOne(e experiment, dataDir string, showStats bool, out io.Writer) bool {
 		fmt.Fprintf(out, "   status:   ERROR (setup: %v)\n", err)
 		return false
 	}
-	res, err := k.ExecString(e.query)
+	res, err := k.ExecStringContext(context.Background(), e.query)
 	if err != nil {
 		fmt.Fprintf(out, "   status:   ERROR (%v)\n", err)
 		return false

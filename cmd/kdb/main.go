@@ -357,7 +357,7 @@ func checkData(prog *kdb.Program) ([]string, error) {
 	if err := k.LoadProgram(prog); err != nil {
 		return nil, err
 	}
-	return k.CheckConstraints()
+	return k.CheckConstraintsContext(context.Background())
 }
 
 // shell bundles the KB with the REPL's display switches and the
@@ -609,7 +609,9 @@ other:
 		fmt.Fprint(out, k.Catalog())
 	case ".validate":
 		issues := k.Validate()
-		violations, err := k.CheckConstraints()
+		ctx, done := sh.queryContext()
+		violations, err := k.CheckConstraintsContext(ctx)
+		done()
 		if err != nil {
 			fmt.Fprintln(out, "error:", err)
 			return false

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -30,6 +31,7 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 	fmt.Println("database directory:", dir)
+	ctx := context.Background()
 
 	// Session 1: create, load, close.
 	k, err := kdb.Open(dir)
@@ -60,14 +62,14 @@ student(bob, cs, 3.5).
 		log.Fatal(err)
 	}
 	fmt.Printf("session 2: recovered %d facts from the write-ahead log\n", k2.FactCount())
-	res, err := k2.ExecString(`retrieve honor(X).`)
+	res, err := k2.ExecStringContext(ctx, `retrieve honor(X).`)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("session 2: retrieve honor(X) →\n%s\n", res)
 
 	// Checkpoint folds the log into a snapshot and truncates it.
-	if err := k2.Checkpoint(); err != nil {
+	if err := k2.CheckpointContext(ctx); err != nil {
 		log.Fatal(err)
 	}
 	walSize := fileSize(filepath.Join(dir, "kdb.wal"))
@@ -101,7 +103,7 @@ student(bob, cs, 3.5).
 	if err := k3.Assert(kdb.NewAtom("student", kdb.Sym("dan"), kdb.Sym("cs"), kdb.Num(4))); err != nil {
 		log.Fatal(err)
 	}
-	res, err = k3.ExecString(`retrieve honor(X).`)
+	res, err = k3.ExecStringContext(ctx, `retrieve honor(X).`)
 	if err != nil {
 		log.Fatal(err)
 	}

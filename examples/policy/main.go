@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,7 +44,7 @@ any_award(X)   :- need_award(X).
 
 func show(k *kdb.KB, comment, q string) {
 	fmt.Printf("%% %s\n?- %s\n", comment, q)
-	res, err := k.ExecString(q)
+	res, err := k.ExecStringContext(context.Background(), q)
 	if err != nil {
 		fmt.Printf("   error: %v\n\n", err)
 		return
@@ -68,7 +69,7 @@ func main() {
 	// The data currently violates a constraint: bob is flagged but his
 	// GPA would… actually bob has GPA 3.2 and income 52000, so no award —
 	// the data is consistent. Validate it.
-	violations, err := k.CheckConstraints()
+	violations, err := k.CheckConstraintsContext(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -47,7 +48,7 @@ honor(X) :- student(X, M, G), G > 3.7.
 		`describe honor(X) where student(X, math, V) and V > 3.8.`,
 	}
 	for _, q := range queries {
-		res, err := k.ExecString(q)
+		res, err := k.ExecStringContext(context.Background(), q)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -76,7 +77,7 @@ func main() {
 	for _, s := range sections {
 		fmt.Printf("--- %s ---\n", s.title)
 		for _, q := range s.queries {
-			res, err := k.ExecString(q)
+			res, err := k.ExecStringContext(context.Background(), q)
 			if err != nil {
 				log.Fatalf("%s: %v", q, err)
 			}
@@ -99,7 +100,7 @@ func main() {
 }
 
 func show(k *kdb.KB, q string) {
-	res, err := k.ExecString(q)
+	res, err := k.ExecStringContext(context.Background(), q)
 	if err != nil {
 		log.Fatalf("%s: %v", q, err)
 	}

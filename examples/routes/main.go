@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -32,7 +33,7 @@ func findData(name string) string {
 
 func show(k *kdb.KB, comment, q string) {
 	fmt.Printf("%% %s\n?- %s\n", comment, q)
-	res, err := k.ExecString(q)
+	res, err := k.ExecStringContext(context.Background(), q)
 	if err != nil {
 		log.Fatalf("%s: %v", q, err)
 	}

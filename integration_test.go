@@ -6,6 +6,7 @@ package kdb_test
 // durable and in-memory storage.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -67,13 +68,13 @@ func TestLargeKBEndToEnd(t *testing.T) {
 	if v := k.Validate(); len(v) != 0 {
 		t.Fatalf("discipline: %v", v)
 	}
-	violations, err := k.CheckConstraints()
+	violations, err := k.CheckConstraintsContext(context.Background())
 	if err != nil || len(violations) != 0 {
 		t.Fatalf("constraints: %v %v", violations, err)
 	}
 
 	// The long-chain recursive query reaches the whole chain.
-	res, err := k.ExecString(`retrieve prior(c039, Y).`)
+	res, err := k.ExecStringContext(context.Background(), `retrieve prior(c039, Y).`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestLargeKBEndToEnd(t *testing.T) {
 		`compare (describe honor(X)) with (describe deans_list(X)).`,
 	}
 	for _, q := range queries {
-		res, err := k.ExecString(q)
+		res, err := k.ExecStringContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -102,7 +103,7 @@ func TestLargeKBEndToEnd(t *testing.T) {
 	}
 
 	// Spot-check the semantics of the layered describe.
-	res, err = k.ExecString(`describe senior_award(X) where honor(X).`)
+	res, err = k.ExecStringContext(context.Background(), `describe senior_award(X) where honor(X).`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestConcurrentQueries(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		for _, q := range queries {
 			go func(q string) {
-				_, err := k.ExecString(q)
+				_, err := k.ExecStringContext(context.Background(), q)
 				done <- err
 			}(q)
 		}

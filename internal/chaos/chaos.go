@@ -23,6 +23,7 @@
 package chaos
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -464,7 +465,7 @@ func (tn *tenant) explain(rng *rand.Rand) error {
 	key := reach[rng.Intn(len(reach))]
 	var x, y string
 	fmt.Sscanf(key, "%1s,%1s", &x, &y)
-	res, err := tn.k.ExecString(fmt.Sprintf("explain path(%s, %s).", x, y))
+	res, err := tn.k.ExecStringContext(context.Background(), fmt.Sprintf("explain path(%s, %s).", x, y))
 	if _, cerr := classify(tn.name+": explain", err); cerr != nil {
 		return cerr
 	}
@@ -479,7 +480,7 @@ func (tn *tenant) explain(rng *rand.Rand) error {
 
 // queryPairs runs a retrieve and returns the answers as a factSet.
 func (tn *tenant) queryPairs(stmt string) (factSet, error) {
-	res, err := tn.k.ExecString(stmt)
+	res, err := tn.k.ExecStringContext(context.Background(), stmt)
 	if _, cerr := classify(tn.name+": query", err); cerr != nil {
 		return nil, cerr
 	}

@@ -177,8 +177,8 @@ func (d *Describer) TransformedRules() []term.Rule { return d.trans.Rules }
 // describer, it is read-only and safe for concurrent use.
 func (d *Describer) Graph() *depgraph.Graph { return d.graph }
 
-// Describe evaluates `describe subject where hypothesis` (§3.2). The
-// subject must be an IDB predicate (it has at least one rule). The
+// DescribeContext evaluates `describe subject where hypothesis` (§3.2).
+// The subject must be an IDB predicate (it has at least one rule). The
 // hypothesis is a positive formula; its comparison conjuncts drive the §4
 // comparison post-pass, its ordinary conjuncts are identification
 // targets.
@@ -188,18 +188,13 @@ func (d *Describer) Graph() *depgraph.Graph { return d.graph }
 // Algorithm 1 runs over the original rules; otherwise Algorithm 2 runs
 // over the transformed rules with tags and typed substitutions.
 //
-//kdb:entrypoint
-func (d *Describer) Describe(subject term.Atom, hypothesis term.Formula) (*Answers, error) {
-	return d.DescribeContext(context.Background(), subject, hypothesis, governor.Limits{})
-}
-
-// DescribeContext is Describe under a query governor: the search checks
-// the context cooperatively (amortized, once per tick interval of search
-// steps) and limits.MaxDescribeNodes bounds the steps of the search as a
-// hard error — unlike Options.MaxNodes, which truncates and returns the
-// answers found so far. A breach surfaces as an errors.Is/As-able error
-// (governor.ErrCanceled, context.DeadlineExceeded, *governor.LimitError);
-// an internal panic is contained as a *governor.PanicError.
+// The search runs under a query governor: it checks the context
+// cooperatively (amortized, once per tick interval of search steps) and
+// limits.MaxDescribeNodes bounds its steps as a hard error — unlike
+// Options.MaxNodes, which truncates and returns the answers found so far.
+// A breach surfaces as an errors.Is/As-able error (governor.ErrCanceled,
+// context.DeadlineExceeded, *governor.LimitError); an internal panic is
+// contained as a *governor.PanicError.
 func (d *Describer) DescribeContext(ctx context.Context, subject term.Atom, hypothesis term.Formula, limits governor.Limits) (ans *Answers, err error) {
 	defer governor.Recover(&err)
 	gov, cancel := governor.New(ctx, limits)

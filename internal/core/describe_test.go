@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"kdb/internal/governor"
 	"kdb/internal/parser"
 	"kdb/internal/term"
 )
@@ -49,7 +51,7 @@ func describe(t testing.TB, d *Describer, q string) *Answers {
 	if !ok {
 		t.Fatalf("not a describe: %T", pq)
 	}
-	ans, err := d.Describe(dq.Subject, dq.Where)
+	ans, err := d.DescribeContext(context.Background(), dq.Subject, dq.Where, governor.Limits{})
 	if err != nil {
 		t.Fatalf("describe %q: %v", q, err)
 	}
@@ -256,13 +258,13 @@ func TestDescribeGroundSubject(t *testing.T) {
 
 func TestDescribeSubjectMustBeIDB(t *testing.T) {
 	d := newDescriber(t, universityIDB, Options{})
-	if _, err := d.Describe(term.NewAtom("student", term.Var("X"), term.Var("Y"), term.Var("Z")), nil); err == nil {
+	if _, err := d.DescribeContext(context.Background(), term.NewAtom("student", term.Var("X"), term.Var("Y"), term.Var("Z")), nil, governor.Limits{}); err == nil {
 		t.Error("EDB subject must be rejected")
 	}
-	if _, err := d.Describe(term.NewAtom(">", term.Var("X"), term.Num(1)), nil); err == nil {
+	if _, err := d.DescribeContext(context.Background(), term.NewAtom(">", term.Var("X"), term.Num(1)), nil, governor.Limits{}); err == nil {
 		t.Error("comparison subject must be rejected")
 	}
-	if _, err := d.Describe(term.NewAtom("ghost", term.Var("X")), nil); err == nil {
+	if _, err := d.DescribeContext(context.Background(), term.NewAtom("ghost", term.Var("X")), nil, governor.Limits{}); err == nil {
 		t.Error("unknown subject must be rejected")
 	}
 }
@@ -381,7 +383,7 @@ func BenchmarkDescribeNonRecursive(b *testing.B) {
 	dq := pq.(*parser.Describe)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.Describe(dq.Subject, dq.Where); err != nil {
+		if _, err := d.DescribeContext(context.Background(), dq.Subject, dq.Where, governor.Limits{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -393,7 +395,7 @@ func BenchmarkDescribeRecursive(b *testing.B) {
 	dq := pq.(*parser.Describe)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.Describe(dq.Subject, dq.Where); err != nil {
+		if _, err := d.DescribeContext(context.Background(), dq.Subject, dq.Where, governor.Limits{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -501,7 +503,7 @@ func TestDescribeConcurrent(t *testing.T) {
 							return
 						}
 						dq := pq.(*parser.Describe)
-						ans, err := d.Describe(dq.Subject, dq.Where)
+						ans, err := d.DescribeContext(context.Background(), dq.Subject, dq.Where, governor.Limits{})
 						if err != nil {
 							t.Error(err)
 							return
@@ -591,7 +593,7 @@ func TestDescribeAllocs(t *testing.T) {
 		}
 		dq := pq.(*parser.Describe)
 		n := testing.AllocsPerRun(20, func() {
-			if _, err := d.Describe(dq.Subject, dq.Where); err != nil {
+			if _, err := d.DescribeContext(context.Background(), dq.Subject, dq.Where, governor.Limits{}); err != nil {
 				t.Fatal(err)
 			}
 		})

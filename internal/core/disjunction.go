@@ -9,9 +9,9 @@ import (
 	"kdb/internal/term"
 )
 
-// DescribeOr evaluates a describe query with a disjunctive hypothesis
-// ψ1 ∨ … ∨ ψn — the first of the research directions Section 6 lists
-// ("we are interested in generalizing this formula to allow
+// DescribeOrContext evaluates a describe query with a disjunctive
+// hypothesis ψ1 ∨ … ∨ ψn — the first of the research directions Section
+// 6 lists ("we are interested in generalizing this formula to allow
 // disjunctions"). A formula `p ← φ` is an answer exactly when it is a
 // knowledge answer under every disjunct: (ψ1 ∨ ψ2) ⊢ (p ← φ) iff
 // ψ1 ⊢ (p ← φ) and ψ2 ⊢ (p ← φ).
@@ -20,15 +20,9 @@ import (
 // (⊥ ∨ ψ ≡ ψ); if every disjunct contradicts, the special contradiction
 // answer is returned.
 //
-//kdb:entrypoint
-func (d *Describer) DescribeOr(subject term.Atom, disjuncts []term.Formula) (*Answers, error) {
-	return d.DescribeOrContext(context.Background(), subject, disjuncts, governor.Limits{})
-}
-
-// DescribeOrContext is DescribeOr under a query governor: one governor
-// (context, deadline) spans all disjunct searches, while
-// limits.MaxDescribeNodes bounds the steps of each disjunct's search
-// individually.
+// One query governor (context, deadline) spans all disjunct searches,
+// while limits.MaxDescribeNodes bounds the steps of each disjunct's
+// search individually.
 func (d *Describer) DescribeOrContext(ctx context.Context, subject term.Atom, disjuncts []term.Formula, limits governor.Limits) (ans *Answers, err error) {
 	defer governor.Recover(&err)
 	gov, cancel := governor.New(ctx, limits)

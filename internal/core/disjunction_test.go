@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"kdb/internal/governor"
 	"kdb/internal/storage"
 	"kdb/internal/term"
 )
@@ -14,7 +16,7 @@ func TestDescribeOrDegenerateForms(t *testing.T) {
 	d := newDescriber(t, universityIDB, Options{})
 	subject := atomOf(t, `honor(X)`)
 	// Zero disjuncts = no hypothesis.
-	ans, err := d.DescribeOr(subject, nil)
+	ans, err := d.DescribeOrContext(context.Background(), subject, nil, governor.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +24,7 @@ func TestDescribeOrDegenerateForms(t *testing.T) {
 		t.Errorf("= %q", ans.SortedStrings())
 	}
 	// One disjunct = plain describe.
-	one, err := d.DescribeOr(subject, []term.Formula{formula(t, `student(X, math, V) and V > 3.8`)})
+	one, err := d.DescribeOrContext(context.Background(), subject, []term.Formula{formula(t, `student(X, math, V) and V > 3.8`)}, governor.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +32,7 @@ func TestDescribeOrDegenerateForms(t *testing.T) {
 		t.Errorf("= %q", one.SortedStrings())
 	}
 	// Empty disjunct among several is rejected.
-	if _, err := d.DescribeOr(subject, []term.Formula{formula(t, `student(X, math, V)`), {}}); err == nil {
+	if _, err := d.DescribeOrContext(context.Background(), subject, []term.Formula{formula(t, `student(X, math, V)`), {}}, governor.Limits{}); err == nil {
 		t.Error("empty disjunct must be rejected")
 	}
 }
@@ -38,10 +40,10 @@ func TestDescribeOrDegenerateForms(t *testing.T) {
 func TestDescribeOrWeakestCommonAnswer(t *testing.T) {
 	d := newDescriber(t, universityIDB, Options{})
 	subject := atomOf(t, `honor(X)`)
-	ans, err := d.DescribeOr(subject, []term.Formula{
+	ans, err := d.DescribeOrContext(context.Background(), subject, []term.Formula{
 		formula(t, `student(X, math, V) and V > 3.9`),
 		formula(t, `student(X, cs, V) and V > 3.2`),
-	})
+	}, governor.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +62,10 @@ func TestDescribeOrWeakestCommonAnswer(t *testing.T) {
 func TestDescribeOrRecursiveSubject(t *testing.T) {
 	d := newDescriber(t, universityIDB, Options{})
 	subject := atomOf(t, `prior(X, Y)`)
-	ans, err := d.DescribeOr(subject, []term.Formula{
+	ans, err := d.DescribeOrContext(context.Background(), subject, []term.Formula{
 		formula(t, `prior(databases, Y)`),
 		formula(t, `prior(databases, Z)`), // a variant of the same hypothesis
-	})
+	}, governor.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +92,7 @@ func TestQuickDescribeOrSound(t *testing.T) {
 	subject := atomOf(t, `can_ta(X, Y)`)
 	d1 := formula(t, `complete(X, Y, S, 4)`)
 	d2 := formula(t, `honor(X) and teach(susan, Y)`)
-	ans, err := d.DescribeOr(subject, []term.Formula{d1, d2})
+	ans, err := d.DescribeOrContext(context.Background(), subject, []term.Formula{d1, d2}, governor.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func TestQuickDescribeOrIsIntersection(t *testing.T) {
 		b2 := bounds[r.Intn(len(bounds))]
 		d1 := formula(t, fmt.Sprintf(`student(X, math, V) and V > %g`, b1))
 		d2 := formula(t, fmt.Sprintf(`student(X, cs, V) and V > %g`, b2))
-		merged, err := d.DescribeOr(subject, []term.Formula{d1, d2})
+		merged, err := d.DescribeOrContext(context.Background(), subject, []term.Formula{d1, d2}, governor.Limits{})
 		if err != nil {
 			return false
 		}
@@ -168,7 +170,7 @@ func BenchmarkDescribeOr(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.DescribeOr(subject, disjuncts); err != nil {
+		if _, err := d.DescribeOrContext(context.Background(), subject, disjuncts, governor.Limits{}); err != nil {
 			b.Fatal(err)
 		}
 	}

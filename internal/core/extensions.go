@@ -13,18 +13,11 @@ import (
 // This file implements the four describe-statement extensions sketched in
 // Section 6 of the paper.
 
-// DescribeNecessary is extension 1: `describe p where necessary ψ` keeps
-// only the answers in which every hypothesis conjunct proved necessary —
-// ordinary conjuncts by identification, comparisons by eliminating a body
-// comparison.
-//
-//kdb:entrypoint
-func (d *Describer) DescribeNecessary(subject term.Atom, hypothesis term.Formula) (*Answers, error) {
-	return d.DescribeNecessaryContext(context.Background(), subject, hypothesis, governor.Limits{})
-}
-
-// DescribeNecessaryContext is DescribeNecessary under a query governor
-// (see DescribeContext).
+// DescribeNecessaryContext is extension 1: `describe p where necessary
+// ψ` keeps only the answers in which every hypothesis conjunct proved
+// necessary — ordinary conjuncts by identification, comparisons by
+// eliminating a body comparison. It runs under a query governor (see
+// DescribeContext).
 func (d *Describer) DescribeNecessaryContext(ctx context.Context, subject term.Atom, hypothesis term.Formula, limits governor.Limits) (*Answers, error) {
 	ans, err := d.DescribeContext(ctx, subject, hypothesis, limits)
 	if err != nil {

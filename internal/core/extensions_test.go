@@ -38,7 +38,7 @@ func TestNecessaryFiltersUnusedHypotheses(t *testing.T) {
 	// The paper's example: describe honor where necessary complete(...)
 	// and U > 3.3 — complete never participates in honor's derivations,
 	// so no answer survives.
-	ans, err := d.DescribeNecessary(subject, formula(t, `complete(X, Y, Z, U) and U > 3.3`))
+	ans, err := d.DescribeNecessaryContext(context.Background(), subject, formula(t, `complete(X, Y, Z, U) and U > 3.3`), governor.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestNecessaryFiltersUnusedHypotheses(t *testing.T) {
 	}
 
 	// A hypothesis that IS fully used survives the filter.
-	ans, err = d.DescribeNecessary(subject, formula(t, `student(X, math, V) and V > 3.7`))
+	ans, err = d.DescribeNecessaryContext(context.Background(), subject, formula(t, `student(X, math, V) and V > 3.7`), governor.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestNecessaryFiltersUnusedHypotheses(t *testing.T) {
 
 	// Partially used: student identifies, the comparison never helps
 	// (V > 3.5 does not imply Z > 3.7) — filtered out.
-	ans, err = d.DescribeNecessary(subject, formula(t, `student(X, math, V) and V > 3.5`))
+	ans, err = d.DescribeNecessaryContext(context.Background(), subject, formula(t, `student(X, math, V) and V > 3.5`), governor.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

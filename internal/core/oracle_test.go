@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -1120,7 +1121,7 @@ func disagreement(c genCase) (string, *Describer, *Answers) {
 		return "", nil, nil
 	}
 	want, werr := oracleDescribe(d, c.subject, c.hyp)
-	got, gerr := d.Describe(c.subject, c.hyp)
+	got, gerr := d.DescribeContext(context.Background(), c.subject, c.hyp, governor.Limits{})
 	return sameAnswers(got, want, gerr, werr), d, got
 }
 
@@ -1286,7 +1287,7 @@ func TestDescribeMatchesOracleOnKnownStatements(t *testing.T) {
 			}
 			q := pq.(*parser.Describe)
 			want, werr := oracleDescribe(d, q.Subject, q.Where)
-			got, gerr := d.Describe(q.Subject, q.Where)
+			got, gerr := d.DescribeContext(context.Background(), q.Subject, q.Where, governor.Limits{})
 			if diff := sameAnswers(got, want, gerr, werr); diff != "" {
 				t.Errorf("%s\nthe describer %s", stmt, diff)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -8,6 +9,7 @@ import (
 	"testing/quick"
 
 	"kdb/internal/eval"
+	"kdb/internal/governor"
 	"kdb/internal/parser"
 	"kdb/internal/storage"
 	"kdb/internal/term"
@@ -34,14 +36,14 @@ func checkAnswerSound(st *storage.Store, rules []term.Rule, subject term.Atom, h
 	witness := term.NewAtom("__witness__", vars...)
 	checkRules := append(append([]term.Rule(nil), rules...), term.Rule{Head: witness, Body: body})
 	in := eval.Input{Store: st, Rules: checkRules}
-	res, err := eval.NewSemiNaive(in).Retrieve(eval.Query{Subject: witness})
+	res, err := eval.NewSemiNaive(in).RetrieveContext(context.Background(), eval.Query{Subject: witness})
 	if err != nil {
 		// Unsafe check rule (free universal variable): sample it.
 		return sampleAndCheck(st, rules, subject, body, vars)
 	}
 	// Collect the subject predicate's full extension once.
 	subjVarsAtom := freshSubjectAtom(subject)
-	ext, err := eval.NewSemiNaive(eval.Input{Store: st, Rules: rules}).Retrieve(eval.Query{Subject: subjVarsAtom})
+	ext, err := eval.NewSemiNaive(eval.Input{Store: st, Rules: rules}).RetrieveContext(context.Background(), eval.Query{Subject: subjVarsAtom})
 	if err != nil {
 		return fmt.Errorf("evaluating subject extension: %w", err)
 	}
@@ -128,7 +130,7 @@ func sampleAndCheck(st *storage.Store, rules []term.Rule, subject term.Atom, bod
 func groundFormulaHolds(st *storage.Store, rules []term.Rule, f term.Formula) (bool, error) {
 	head := term.NewAtom("__probe__")
 	checkRules := append(append([]term.Rule(nil), rules...), term.Rule{Head: head, Body: f})
-	res, err := eval.NewSemiNaive(eval.Input{Store: st, Rules: checkRules}).Retrieve(eval.Query{Subject: head})
+	res, err := eval.NewSemiNaive(eval.Input{Store: st, Rules: checkRules}).RetrieveContext(context.Background(), eval.Query{Subject: head})
 	if err != nil {
 		return false, err
 	}
@@ -206,7 +208,7 @@ func TestQuickDescribeSoundOnUniversity(t *testing.T) {
 		// Use the step-free rendering but check against the ORIGINAL rule
 		// set: the modified transformation's claim is precisely that the
 		// rewritten atom is equivalent.
-		ans, err := d.Describe(dq.Subject, dq.Where)
+		ans, err := d.DescribeContext(context.Background(), dq.Subject, dq.Where, governor.Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +261,7 @@ connected(X, Y) :- flight(X, Z), connected(Z, Y).
 				return false
 			}
 			dq := pq.(*parser.Describe)
-			ans, err := d.Describe(dq.Subject, dq.Where)
+			ans, err := d.DescribeContext(context.Background(), dq.Subject, dq.Where, governor.Limits{})
 			if err != nil {
 				return false
 			}
@@ -395,7 +397,7 @@ func TestQuickDescribeSoundBeyondAlgorithm1(t *testing.T) {
 			}
 			dq := pq.(*parser.Describe)
 			all := describe(t, d, q).SortedStrings()
-			nec, err := d.DescribeNecessary(dq.Subject, dq.Where)
+			nec, err := d.DescribeNecessaryContext(context.Background(), dq.Subject, dq.Where, governor.Limits{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -26,8 +26,7 @@ type engineConfig struct {
 type EngineOption func(*engineConfig)
 
 // WithLimits sets the per-query resource limits the engine's governor
-// enforces on every evaluation (Retrieve delegates to RetrieveContext
-// with a background context). The zero value of each field means
+// enforces on every evaluation. The zero value of each field means
 // unlimited.
 func WithLimits(l governor.Limits) EngineOption {
 	return func(c *engineConfig) { c.limits = l }
@@ -129,16 +128,8 @@ func NewSemiNaive(in Input, opts ...EngineOption) Engine {
 // Name identifies the engine.
 func (e *bottomUp) Name() string { return "seminaive" }
 
-// LastStats returns the statistics of the most recent Retrieve.
+// LastStats returns the statistics of the most recent RetrieveContext.
 func (e *bottomUp) LastStats() *EvalStats { return e.stats.Load() }
-
-// Retrieve evaluates the query bottom-up to completion (no context).
-// Configured limits (WithLimits) still apply.
-//
-//kdb:entrypoint
-func (e *bottomUp) Retrieve(q Query) (*Result, error) {
-	return e.RetrieveContext(context.Background(), q)
-}
 
 // RetrieveContext evaluates the query bottom-up under the governor.
 // Components of the dependency graph's condensation are evaluated one

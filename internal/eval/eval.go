@@ -140,8 +140,6 @@ func (r *Result) Strings() []string {
 type Engine interface {
 	// Name identifies the evaluation strategy.
 	Name() string
-	// Retrieve evaluates one query to completion, ungoverned.
-	Retrieve(q Query) (*Result, error)
 	// RetrieveContext evaluates one query under the context and the
 	// engine's configured limits (WithLimits). Cancellation, deadline
 	// expiry, and limit breaches stop the evaluation promptly and

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -98,7 +99,7 @@ func retrieveAll(t *testing.T, in Input, q Query) []string {
 		t.Fatalf("oracle: %v", err)
 	}
 	for _, e := range engines(in) {
-		res, err := e.Retrieve(q)
+		res, err := e.RetrieveContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
@@ -319,7 +320,7 @@ func TestUnsafeRulesRejected(t *testing.T) {
 	for _, src := range cases {
 		in := load(t, src)
 		for _, e := range engines(in) {
-			if _, err := e.Retrieve(query(t, `retrieve p(X).`)); err == nil {
+			if _, err := e.RetrieveContext(context.Background(), query(t, `retrieve p(X).`)); err == nil {
 				t.Errorf("%s accepted unsafe program %q", e.Name(), src)
 			}
 		}
@@ -335,7 +336,7 @@ func TestUnsafeRulesRejected(t *testing.T) {
 func TestQualifierVarEqVarRejected(t *testing.T) {
 	in := load(t, universityDB)
 	for _, e := range engines(in) {
-		if _, err := e.Retrieve(query(t, `retrieve student(X, Y, Z) where X = Y.`)); err == nil {
+		if _, err := e.RetrieveContext(context.Background(), query(t, `retrieve student(X, Y, Z) where X = Y.`)); err == nil {
 			t.Errorf("%s accepted X = Y in qualifier (paper §3.1 prohibits it)", e.Name())
 		}
 	}
@@ -344,7 +345,7 @@ func TestQualifierVarEqVarRejected(t *testing.T) {
 func TestResultAtomsAndSorted(t *testing.T) {
 	in := load(t, universityDB)
 	e := NewSemiNaive(in)
-	res, err := e.Retrieve(query(t, `retrieve honor(X).`))
+	res, err := e.RetrieveContext(context.Background(), query(t, `retrieve honor(X).`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +511,7 @@ path(X, Y) :- edge(X, Y).
 path(X, Y) :- edge(X, Z), path(Z, Y).
 `)
 		in := Input{Store: st, Rules: p.Clauses}
-		res, err := NewSemiNaive(in).Retrieve(query(t, `retrieve path(X, Y).`))
+		res, err := NewSemiNaive(in).RetrieveContext(context.Background(), query(t, `retrieve path(X, Y).`))
 		if err != nil {
 			return false
 		}
@@ -564,7 +565,7 @@ func benchEngine(b *testing.B, mk func(Input, ...EngineOption) Engine, n int, qs
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Retrieve(q); err != nil {
+		if _, err := e.RetrieveContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -617,7 +618,7 @@ func benchEngineInput(b *testing.B, e Engine, in Input, qs string) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Retrieve(q); err != nil {
+		if _, err := e.RetrieveContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}

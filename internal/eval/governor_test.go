@@ -96,7 +96,7 @@ func TestMaxWallLimitViaOptions(t *testing.T) {
 		e := g.Engine
 		t.Run(g.label, func(t *testing.T) {
 			start := time.Now()
-			_, err := e.Retrieve(q) // plain Retrieve: the limit alone must stop it
+			_, err := e.RetrieveContext(context.Background(), q) // no deadline: the limit alone must stop it
 			if err == nil {
 				t.Fatal("expected a deadline error, query completed")
 			}
@@ -139,7 +139,7 @@ func TestMaxFactsLimit(t *testing.T) {
 	for _, g := range governedEngines(in, WithLimits(governor.Limits{MaxFacts: 100})) {
 		e := g.Engine
 		t.Run(g.label, func(t *testing.T) {
-			_, err := e.Retrieve(q)
+			_, err := e.RetrieveContext(context.Background(), q)
 			var le *governor.LimitError
 			if !errors.As(err, &le) {
 				t.Fatalf("err = %v, want *LimitError", err)
@@ -164,7 +164,7 @@ func TestMaxIterationsLimit(t *testing.T) {
 	for _, g := range governedEngines(in, WithLimits(governor.Limits{MaxIterations: 2})) {
 		e := g.Engine
 		t.Run(g.label, func(t *testing.T) {
-			_, err := e.Retrieve(q)
+			_, err := e.RetrieveContext(context.Background(), q)
 			var le *governor.LimitError
 			if !errors.As(err, &le) {
 				t.Fatalf("err = %v, want *LimitError", err)
@@ -186,7 +186,7 @@ twohop(X, Y) :- reach(X, Z), reach(Z, Y).
 `)
 	q := query(t, `retrieve twohop(X, Y).`)
 	e := NewTopDown(in, WithLimits(governor.Limits{MaxTableEntries: 1}))
-	_, err := e.Retrieve(q)
+	_, err := e.RetrieveContext(context.Background(), q)
 	var le *governor.LimitError
 	if !errors.As(err, &le) {
 		t.Fatalf("err = %v, want *LimitError", err)
@@ -207,7 +207,7 @@ func TestLimitsDoNotAffectCompletingQueries(t *testing.T) {
 	for _, g := range governedEngines(in, WithLimits(limits)) {
 		e := g.Engine
 		t.Run(g.label, func(t *testing.T) {
-			res, err := e.Retrieve(q)
+			res, err := e.RetrieveContext(context.Background(), q)
 			if err != nil {
 				t.Fatalf("generous limits must not interfere: %v", err)
 			}
@@ -227,12 +227,12 @@ func TestPanicContainment(t *testing.T) {
 	for _, g := range governedEngines(in) {
 		e := g.Engine
 		t.Run(g.label, func(t *testing.T) {
-			if _, err := e.Retrieve(q); err != nil {
+			if _, err := e.RetrieveContext(context.Background(), q); err != nil {
 				t.Fatalf("clean run: %v", err)
 			}
 			DeriveHook = func(term.Atom) { panic("injected failure") }
 			defer func() { DeriveHook = nil }()
-			_, err := e.Retrieve(q)
+			_, err := e.RetrieveContext(context.Background(), q)
 			var pe *governor.PanicError
 			if !errors.As(err, &pe) {
 				t.Fatalf("err = %v, want *PanicError", err)
@@ -289,7 +289,7 @@ func TestStatsCarryStopReason(t *testing.T) {
 	in := expensiveInput(t, 200)
 	q := query(t, `retrieve reach(X, Y).`)
 	e := NewSemiNaive(in, WithLimits(governor.Limits{MaxFacts: 50}))
-	_, err := e.Retrieve(q)
+	_, err := e.RetrieveContext(context.Background(), q)
 	var se *StopError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want *StopError", err)

@@ -60,17 +60,10 @@ func NewMagic(in Input, opts ...EngineOption) Engine {
 // Name identifies the engine.
 func (e *magic) Name() string { return "magic" }
 
-// LastStats returns the statistics of the most recent Retrieve (those of
-// the inner semi-naive run over the rewritten program, relabeled).
+// LastStats returns the statistics of the most recent RetrieveContext
+// (those of the inner semi-naive run over the rewritten program,
+// relabeled).
 func (e *magic) LastStats() *EvalStats { return e.stats.Load() }
-
-// Retrieve rewrites the query and evaluates it bottom-up to completion
-// (no context). Configured limits (WithLimits) still apply.
-//
-//kdb:entrypoint
-func (e *magic) Retrieve(q Query) (*Result, error) {
-	return e.RetrieveContext(context.Background(), q)
-}
 
 // RetrieveContext rewrites the query and evaluates it bottom-up under
 // the governor: the context and limits are forwarded to the inner

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -19,7 +20,7 @@ path(X, Y) :- edge(X, Y).
 path(X, Y) :- edge(X, Z), path(Z, Y).
 `)
 	e := NewMagic(in)
-	res, err := e.Retrieve(query(t, `retrieve path(a, Y).`))
+	res, err := e.RetrieveContext(context.Background(), query(t, `retrieve path(a, Y).`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ edge(a, b). edge(b, c).
 path(X, Y) :- edge(X, Y).
 path(X, Y) :- edge(X, Z), path(Z, Y).
 `)
-	res, err := NewMagic(in).Retrieve(query(t, `retrieve path(X, Y).`))
+	res, err := NewMagic(in).RetrieveContext(context.Background(), query(t, `retrieve path(X, Y).`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ edge(a, b). edge(b, c). edge(c, d).
 path(X, Y) :- edge(X, Y).
 path(X, Y) :- edge(X, Z), path(Z, Y).
 `)
-	res, err := NewMagic(in).Retrieve(query(t, `retrieve path(X, d).`))
+	res, err := NewMagic(in).RetrieveContext(context.Background(), query(t, `retrieve path(X, d).`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ path(X, Y) :- edge(X, Y).
 path(X, Y) :- edge(X, Z), path(Z, Y).
 `)
 	in := load(t, src.String())
-	res, err := NewMagic(in).Retrieve(query(t, `retrieve path(l00, Y).`))
+	res, err := NewMagic(in).RetrieveContext(context.Background(), query(t, `retrieve path(l00, Y).`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ hop(a, b, 1). hop(b, c, 2). hop(c, d, 3).
 cheap(X, Y) :- hop(X, Y, C), C < 3.
 cheap(X, Y) :- hop(X, Z, C), C < 3, cheap(Z, Y).
 `)
-	res, err := NewMagic(in).Retrieve(query(t, `retrieve cheap(a, Y).`))
+	res, err := NewMagic(in).RetrieveContext(context.Background(), query(t, `retrieve cheap(a, Y).`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,14 +133,14 @@ even(X) :- zero(X).
 even(X) :- succ(Y, X), odd(Y).
 odd(X) :- succ(Y, X), even(Y).
 `)
-	res, err := NewMagic(in).Retrieve(query(t, `retrieve even(n4).`))
+	res, err := NewMagic(in).RetrieveContext(context.Background(), query(t, `retrieve even(n4).`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Tuples) != 1 {
 		t.Errorf("even(n4) = %v", res.Strings())
 	}
-	res, err = NewMagic(in).Retrieve(query(t, `retrieve even(n3).`))
+	res, err = NewMagic(in).RetrieveContext(context.Background(), query(t, `retrieve even(n3).`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ edge(a, b). edge(b, c). edge(c, d).
 path(X, Y) :- edge(X, Y).
 path(X, Y) :- edge(X, Z), path(Z, Y).
 `)
-	res, err := NewMagic(in).Retrieve(query(t,
+	res, err := NewMagic(in).RetrieveContext(context.Background(), query(t,
 		`retrieve answer(X) where path(a, X) and path(X, d).`))
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +168,7 @@ path(X, Y) :- edge(X, Z), path(Z, Y).
 
 func TestMagicUnsafeRejected(t *testing.T) {
 	in := load(t, "q(a).\np(X) :- q(Y).")
-	if _, err := NewMagic(in).Retrieve(query(t, `retrieve p(X).`)); err == nil {
+	if _, err := NewMagic(in).RetrieveContext(context.Background(), query(t, `retrieve p(X).`)); err == nil {
 		t.Error("unsafe program must be rejected")
 	}
 }
@@ -189,12 +190,12 @@ func TestQuickMagicAgreesWithSemiNaive(t *testing.T) {
 		in := randomGraphInput(r, 6, 10)
 		for _, qs := range queries {
 			q := query(t, qs)
-			a, err := NewSemiNaive(in).Retrieve(q)
+			a, err := NewSemiNaive(in).RetrieveContext(context.Background(), q)
 			if err != nil {
 				t.Logf("seed %d seminaive: %v", seed, err)
 				return false
 			}
-			b, err := NewMagic(in).Retrieve(q)
+			b, err := NewMagic(in).RetrieveContext(context.Background(), q)
 			if err != nil {
 				t.Logf("seed %d magic: %v", seed, err)
 				return false
@@ -230,7 +231,7 @@ func TestMagicLongChainBoundGoal(t *testing.T) {
 path(X, Y) :- edge(X, Y).
 path(X, Y) :- edge(X, Z), path(Z, Y).
 `)}
-	res, err := NewMagic(in).Retrieve(Query{Subject: term.NewAtom("path",
+	res, err := NewMagic(in).RetrieveContext(context.Background(), Query{Subject: term.NewAtom("path",
 		term.Sym("n0000"), term.Var("Y"))})
 	if err != nil {
 		t.Fatal(err)

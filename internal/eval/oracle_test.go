@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -548,7 +549,7 @@ func sharedDisagreement(t testing.TB, c genCase) string {
 func judge(in Input, q Query) string {
 	want, werr := oracleRetrieve(Input{Store: in.Store, Rules: in.Rules, Virtual: in.Virtual}, q)
 	for _, e := range engines(in) {
-		got, err := e.Retrieve(q)
+		got, err := e.RetrieveContext(context.Background(), q)
 		switch {
 		case werr != nil && err == nil:
 			return fmt.Sprintf("%s answered %v, the oracle failed with %q", e.Name(), got.Strings(), werr)

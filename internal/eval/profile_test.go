@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"reflect"
 	"sort"
 	"testing"
@@ -56,7 +57,7 @@ path(X, Y) :- edge(X, Z), path(Z, Y).
 		t.Run(name, func(t *testing.T) {
 			p := profile.New()
 			e := mk(load(t, src), WithProfile(p))
-			res, err := e.Retrieve(query(t, `retrieve path(a, Y).`))
+			res, err := e.RetrieveContext(context.Background(), query(t, `retrieve path(a, Y).`))
 			if err != nil {
 				t.Fatalf("retrieve: %v", err)
 			}
@@ -106,7 +107,7 @@ both(X) :- pa(X), pb(X).
 `
 	p := profile.New()
 	e := NewSemiNaive(load(t, src), WithProfile(p))
-	if _, err := e.Retrieve(query(t, `retrieve both(X).`)); err != nil {
+	if _, err := e.RetrieveContext(context.Background(), query(t, `retrieve both(X).`)); err != nil {
 		t.Fatalf("retrieve: %v", err)
 	}
 	rules := 0
@@ -131,7 +132,7 @@ path(X, Y) :- edge(X, Z), path(Z, Y).
 `
 	p := profile.New()
 	e := NewSemiNaive(load(t, src), WithProfile(p))
-	if _, err := e.Retrieve(query(t, `retrieve path(X, Y).`)); err != nil {
+	if _, err := e.RetrieveContext(context.Background(), query(t, `retrieve path(X, Y).`)); err != nil {
 		t.Fatalf("retrieve: %v", err)
 	}
 	var probes, scans int64

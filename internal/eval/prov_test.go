@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -47,7 +48,7 @@ path(X, Y) :- edge(X, Z), path(Z, Y).
 		in := load(t, src)
 		rec := prov.NewRecorder()
 		e := mk(in, WithProvenance(rec))
-		res, err := e.Retrieve(q)
+		res, err := e.RetrieveContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -71,7 +72,7 @@ path(X, Y) :- edge(X, Z), path(Z, Y).
 		for _, tree := range exp.Trees {
 			checkSound(t, in, tree, name)
 		}
-		_, err = mk(in, WithProvenance(prov.NewRecorder()), WithLimits(governor.Limits{MaxProvenanceEntries: 2})).Retrieve(q)
+		_, err = mk(in, WithProvenance(prov.NewRecorder()), WithLimits(governor.Limits{MaxProvenanceEntries: 2})).RetrieveContext(context.Background(), q)
 		if le := (*governor.LimitError)(nil); !errors.As(err, &le) || le.Kind != governor.LimitProvenance {
 			t.Errorf("%s: with MaxProvenanceEntries=2, err = %v, want a provenance LimitError", name, err)
 		}
@@ -85,7 +86,7 @@ func explainOn(t *testing.T, mk func(Input, ...EngineOption) Engine, in Input, s
 	t.Helper()
 	q := query(t, stmt)
 	rec := prov.NewRecorder()
-	res, err := mk(in, WithProvenance(rec)).Retrieve(q)
+	res, err := mk(in, WithProvenance(rec)).RetrieveContext(context.Background(), q)
 	if err != nil {
 		t.Fatalf("%s: %v", stmt, err)
 	}
@@ -220,7 +221,7 @@ func benchProvenance(b *testing.B, rec bool) {
 			opts = append(opts, WithProvenance(prov.NewRecorder()))
 		}
 		e := NewSemiNaive(in, opts...)
-		if _, err := e.Retrieve(q); err != nil {
+		if _, err := e.RetrieveContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,7 +21,7 @@ type outcome struct {
 }
 
 func runStatement(e Engine, q Query) outcome {
-	res, err := e.Retrieve(q)
+	res, err := e.RetrieveContext(context.Background(), q)
 	if err != nil {
 		return outcome{err: err.Error()}
 	}
@@ -143,7 +143,7 @@ func chainClosure(t testing.TB, n int) Input {
 // count of an n-node chain.
 func retrieveClosure(t testing.TB, e *bottomUp, n int) *EvalStats {
 	t.Helper()
-	res, err := e.Retrieve(query(t, `retrieve path(X, Y).`))
+	res, err := e.RetrieveContext(context.Background(), query(t, `retrieve path(X, Y).`))
 	if err != nil {
 		t.Fatal(err)
 	}

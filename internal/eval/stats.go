@@ -30,7 +30,7 @@ type ComponentStats struct {
 	Wall time.Duration `json:"wall_ns,omitempty"`
 }
 
-// EvalStats is the observability record of one Retrieve evaluation.
+// EvalStats is the observability record of one RetrieveContext evaluation.
 type EvalStats struct {
 	// Engine names the evaluation strategy that produced the record.
 	Engine string `json:"engine"`
@@ -91,8 +91,8 @@ func (s *EvalStats) Merge(o *EvalStats) {
 }
 
 // StatsReporter is implemented by engines that record evaluation
-// statistics. LastStats returns the record of the most recent Retrieve,
-// or nil if none completed yet.
+// statistics. LastStats returns the record of the most recent
+// RetrieveContext, or nil if none completed yet.
 type StatsReporter interface {
 	LastStats() *EvalStats
 }

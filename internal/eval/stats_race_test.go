@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -53,11 +54,11 @@ func TestConcurrentQueryStatsIsolation(t *testing.T) {
 		// First run warms the store's lazy hash indexes (built once,
 		// shared by every later query), so IndexBuilds is stable in the
 		// baseline taken from the second run.
-		if _, err := mk().Retrieve(q); err != nil {
+		if _, err := mk().RetrieveContext(context.Background(), q); err != nil {
 			t.Fatalf("%s warm-up: %v", name, err)
 		}
 		e := mk()
-		res, err := e.Retrieve(q)
+		res, err := e.RetrieveContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s baseline: %v", name, err)
 		}
@@ -78,7 +79,7 @@ func TestConcurrentQueryStatsIsolation(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < rounds; i++ {
 					e := mk()
-					res, err := e.Retrieve(q)
+					res, err := e.RetrieveContext(context.Background(), q)
 					if err != nil {
 						errc <- fmt.Errorf("%s: %v", name, err)
 						return
@@ -119,7 +120,7 @@ probe(X) :- c(X).
 	var first *EvalStats
 	for run := 0; run < 3; run++ {
 		e := NewSemiNaive(in)
-		if _, err := e.Retrieve(q); err != nil {
+		if _, err := e.RetrieveContext(context.Background(), q); err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
 		st := e.(StatsReporter).LastStats()

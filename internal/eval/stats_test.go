@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -14,7 +15,7 @@ path(X, Y) :- e(X, Y).
 path(X, Y) :- e(X, Z), path(Z, Y).
 `)
 	e := NewSemiNaive(in)
-	res, err := e.Retrieve(query(t, `retrieve path(X, Y).`))
+	res, err := e.RetrieveContext(context.Background(), query(t, `retrieve path(X, Y).`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ path(X, Y) :- e(X, Z), path(Z, Y).
 func TestTopDownStats(t *testing.T) {
 	in := load(t, universityDB)
 	e := NewTopDown(in)
-	if _, err := e.Retrieve(query(t, `retrieve can_ta(X, databases).`)); err != nil {
+	if _, err := e.RetrieveContext(context.Background(), query(t, `retrieve can_ta(X, databases).`)); err != nil {
 		t.Fatal(err)
 	}
 	st := e.(StatsReporter).LastStats()

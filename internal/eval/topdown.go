@@ -38,7 +38,7 @@ func NewTopDown(in Input, opts ...EngineOption) Engine {
 // Name identifies the engine.
 func (e *topDown) Name() string { return "topdown" }
 
-// LastStats returns the statistics of the most recent Retrieve.
+// LastStats returns the statistics of the most recent RetrieveContext.
 func (e *topDown) LastStats() *EvalStats { return e.stats.Load() }
 
 // table holds the answers derived so far for one call pattern.
@@ -62,14 +62,6 @@ type topDownRun struct {
 	counters *storage.Counters
 	lookups  int64
 	prof     *ruleProfiler
-}
-
-// Retrieve evaluates the query goal-directed to completion (no
-// context). Configured limits (WithLimits) still apply.
-//
-//kdb:entrypoint
-func (e *topDown) Retrieve(q Query) (*Result, error) {
-	return e.RetrieveContext(context.Background(), q)
 }
 
 // RetrieveContext evaluates the query goal-directed under the governor:

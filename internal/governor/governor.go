@@ -184,7 +184,14 @@ func (g *Governor) Err() error {
 	if g == nil {
 		return nil
 	}
-	if err := g.ctx.Err(); err != nil {
+	return Check(g.ctx)
+}
+
+// Check is Err for work that runs without a governor: nil while ctx may
+// continue, an error matching ErrCanceled and the context cause once it
+// is done.
+func Check(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
 		return &canceledError{cause: err}
 	}
 	return nil

@@ -1,14 +1,14 @@
 package kb
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
 
 	"kdb/internal/analysis"
-	"kdb/internal/core"
-	"kdb/internal/term"
 )
 
 func TestLoadRejectsUnsafeProgram(t *testing.T) {
@@ -85,21 +85,18 @@ near(X, Y) :- reach(X, Y), conn(Y, X).
 		t.Fatalf("load: %v", err)
 	}
 	want := []string{"3:1: warning: [recursion] recursive rule is not typed with respect to its head predicate (describe uses the bounded §5.3 mode)"}
-	x, y := term.Var("X"), term.Var("Y")
 	for _, pred := range []string{"reach", "near"} {
-		subject := term.NewAtom(pred, x, y)
-		hyp := term.Formula{term.NewAtom("conn", y, x)}
-		for form, describe := range map[string]func() (*core.Answers, error){
-			"plain":     func() (*core.Answers, error) { return k.Describe(subject, hyp) },
-			"necessary": func() (*core.Answers, error) { return k.DescribeNecessary(subject, hyp) },
-			"or":        func() (*core.Answers, error) { return k.DescribeOr(subject, []term.Formula{hyp}) },
+		for form, stmt := range map[string]string{
+			"plain":     "describe %s(X, Y) where conn(Y, X).",
+			"necessary": "describe %s(X, Y) where necessary conn(Y, X).",
+			"or":        "describe %s(X, Y) where conn(Y, X) or conn(Y, X).",
 		} {
-			ans, err := describe()
+			res, err := k.ExecStringContext(context.Background(), fmt.Sprintf(stmt, pred))
 			if err != nil {
 				t.Fatalf("%s %s: %v", form, pred, err)
 			}
-			if !slices.Equal(ans.Notes, want) {
-				t.Errorf("%s %s: notes %q, want %q", form, pred, ans.Notes, want)
+			if !slices.Equal(res.Describe.Notes, want) {
+				t.Errorf("%s %s: notes %q, want %q", form, pred, res.Describe.Notes, want)
 			}
 		}
 	}
@@ -115,26 +112,26 @@ linked(X) :- conn(X, Y).
 `); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	ans, err := k.Describe(term.NewAtom("reach", term.Var("X"), term.Var("Y")), nil)
+	res, err := k.ExecStringContext(context.Background(), "describe reach(X, Y).")
 	if err != nil {
 		t.Fatalf("describe: %v", err)
 	}
 	var noted bool
-	for _, n := range ans.Notes {
+	for _, n := range res.Describe.Notes {
 		if strings.Contains(n, "not typed") {
 			noted = true
 		}
 	}
 	if !noted {
-		t.Errorf("describe answer carries no bounded-mode note: %v", ans.Notes)
+		t.Errorf("describe answer carries no bounded-mode note: %v", res.Describe.Notes)
 	}
 	// A subject outside the undisciplined component gets no note.
-	ans, err = k.Describe(term.NewAtom("linked", term.Var("X")), nil)
+	res, err = k.ExecStringContext(context.Background(), "describe linked(X).")
 	if err != nil {
 		t.Fatalf("describe linked: %v", err)
 	}
-	if len(ans.Notes) != 0 {
-		t.Errorf("linked does not depend on reach; notes: %v", ans.Notes)
+	if len(res.Describe.Notes) != 0 {
+		t.Errorf("linked does not depend on reach; notes: %v", res.Describe.Notes)
 	}
 }
 
@@ -147,7 +144,7 @@ p(X) :- p(X), q(Y).
 `); err != nil {
 		t.Fatalf("load (warnings must not reject): %v", err)
 	}
-	_, err := k.Describe(term.NewAtom("p", term.Var("X")), nil)
+	_, err := k.ExecStringContext(context.Background(), "describe p(X).")
 	if err == nil {
 		t.Fatal("describe on a degenerate recursive subject must fail")
 	}

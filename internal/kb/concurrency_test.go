@@ -64,7 +64,7 @@ func TestConcurrentQueriesAssertsCheckpoints(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := k.RetrieveContext(ctx, subject, nil); err != nil {
+				if _, err := k.retrieve(ctx, subject, nil); err != nil {
 					fail("retrieve: %v", err)
 					return
 				}
@@ -126,7 +126,7 @@ func TestCloseUnderLoad(t *testing.T) {
 				var err error
 				switch w % 3 {
 				case 0:
-					_, err = k.RetrieveContext(ctx, subject, nil)
+					_, err = k.retrieve(ctx, subject, nil)
 				case 1:
 					err = k.Assert(term.NewAtom("p", term.Sym(fmt.Sprintf("c%d_%d", w, i))))
 				case 2:
@@ -154,7 +154,7 @@ func TestCloseUnderLoad(t *testing.T) {
 		t.Errorf("second close: %v", err)
 	}
 	// Every entry point reports the structured error now.
-	if _, err := k.RetrieveContext(ctx, subject, nil); !errors.Is(err, ErrClosed) {
+	if _, err := k.retrieve(ctx, subject, nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("retrieve after close: %v", err)
 	}
 	if err := k.Assert(term.NewAtom("p", term.Sym("late"))); !errors.Is(err, ErrClosed) {
@@ -169,13 +169,13 @@ func TestCloseUnderLoad(t *testing.T) {
 	if err := k.LoadString("r(z)."); !errors.Is(err, ErrClosed) {
 		t.Errorf("load after close: %v", err)
 	}
-	if _, err := k.ExplainContext(ctx, subject, nil); !errors.Is(err, ErrClosed) {
+	if _, err := k.explain(ctx, subject, nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("explain after close: %v", err)
 	}
-	if _, err := k.Describe(subject, nil); !errors.Is(err, ErrClosed) {
+	if _, err := k.ExecStringContext(ctx, "describe q(X)."); !errors.Is(err, ErrClosed) {
 		t.Errorf("describe after close: %v", err)
 	}
-	if _, err := k.CheckConstraints(); !errors.Is(err, ErrClosed) {
+	if _, err := k.CheckConstraintsContext(ctx); !errors.Is(err, ErrClosed) {
 		t.Errorf("check after close: %v", err)
 	}
 }
@@ -207,7 +207,7 @@ func TestRetractDurable(t *testing.T) {
 	}
 	defer k2.Close()
 	subject, _ := parser.ParseAtom("p(X)")
-	res, err := k2.Retrieve(subject, nil)
+	res, err := k2.retrieve(context.Background(), subject, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

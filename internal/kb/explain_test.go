@@ -1,6 +1,7 @@
 package kb
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -95,7 +96,7 @@ rules:
 	}
 	for _, tc := range cases {
 		k := loadKB(t, universityProgram)
-		res, err := k.ExecString(tc.stmt)
+		res, err := k.ExecStringContext(context.Background(), tc.stmt)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.stmt, err)
 		}
@@ -113,7 +114,7 @@ rules:
 // unknown or truncated.
 func TestExplainRecursiveSound(t *testing.T) {
 	k := loadKB(t, routesProgram)
-	exp, err := k.Explain(term.NewAtom("reachable", term.Sym("la"), term.Var("Y")), nil)
+	exp, err := k.explain(context.Background(), term.NewAtom("reachable", term.Sym("la"), term.Var("Y")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +158,8 @@ func checkSound(t *testing.T, k *KB, n *prov.Node) {
 // with a structured LimitError.
 func TestExplainProvenanceLimit(t *testing.T) {
 	k := loadKB(t, routesProgram)
-	k.SetQueryLimits(governor.Limits{MaxProvenanceEntries: 3})
-	_, err := k.ExecString("explain reachable(la, ny).")
+	ctx := ContextWithLimits(context.Background(), governor.Limits{MaxProvenanceEntries: 3})
+	_, err := k.ExecStringContext(ctx, "explain reachable(la, ny).")
 	if err == nil {
 		t.Fatal("no error with MaxProvenanceEntries=3")
 	}
@@ -196,7 +197,7 @@ func TestExplainStatement(t *testing.T) {
 	}
 	// The where qualifier restricts which answers get explained.
 	k := loadKB(t, routesProgram)
-	res, err := k.ExecString("explain reachable(la, X) where flight(X, la).")
+	res, err := k.ExecStringContext(context.Background(), "explain reachable(la, X) where flight(X, la).")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestExplainStatement(t *testing.T) {
 // TestExplainEmptyAnswer pins the no-derivation rendering.
 func TestExplainEmptyAnswer(t *testing.T) {
 	k := loadKB(t, routesProgram)
-	res, err := k.ExecString("explain reachable(la, mars).")
+	res, err := k.ExecStringContext(context.Background(), "explain reachable(la, mars).")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ sponsor(bob, ann).
 `); err != nil {
 		t.Fatal(err)
 	}
-	res, err := k.ExecString("explain vip(bob).")
+	res, err := k.ExecStringContext(context.Background(), "explain vip(bob).")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func TestKBQueryLimitsOption(t *testing.T) {
 	if err := k.LoadString(sb.String()); err != nil {
 		t.Fatal(err)
 	}
-	_, err := k.ExecString(`retrieve reach(X, Y).`)
+	_, err := k.ExecStringContext(context.Background(), `retrieve reach(X, Y).`)
 	var le *governor.LimitError
 	if !errors.As(err, &le) {
 		t.Fatalf("err = %v, want *LimitError", err)
@@ -70,17 +70,17 @@ func TestKBQueryLimitsOption(t *testing.T) {
 	if le.Kind != governor.LimitFacts {
 		t.Errorf("kind = %q, want %q", le.Kind, governor.LimitFacts)
 	}
-	// Raising the limits at runtime lets the same query finish.
-	k.SetQueryLimits(governor.Limits{})
-	if _, err := k.ExecString(`retrieve reach(n0, Y).`); err != nil {
-		t.Fatalf("after clearing limits: %v", err)
+	// A request may tighten the configured limits but never loosen them.
+	loose := ContextWithLimits(context.Background(), governor.Limits{MaxFacts: 1 << 20})
+	if _, err := k.ExecStringContext(loose, `retrieve reach(X, Y).`); !errors.As(err, &le) {
+		t.Fatalf("a looser request lifted the configured limit: err = %v", err)
 	}
 }
 
 func TestKBDescribeNodeLimit(t *testing.T) {
 	k := loadKB(t, universityKB)
-	k.SetQueryLimits(governor.Limits{MaxDescribeNodes: 1})
-	_, err := k.ExecString(`describe can_ta(X, databases).`)
+	tight := ContextWithLimits(context.Background(), governor.Limits{MaxDescribeNodes: 1})
+	_, err := k.ExecStringContext(tight, `describe can_ta(X, databases).`)
 	var le *governor.LimitError
 	if !errors.As(err, &le) {
 		t.Fatalf("err = %v, want *LimitError", err)
@@ -88,9 +88,8 @@ func TestKBDescribeNodeLimit(t *testing.T) {
 	if le.Kind != governor.LimitDescribeNodes {
 		t.Errorf("kind = %q, want %q", le.Kind, governor.LimitDescribeNodes)
 	}
-	k.SetQueryLimits(governor.Limits{})
-	if _, err := k.ExecString(`describe can_ta(X, databases).`); err != nil {
-		t.Fatalf("after clearing limits: %v", err)
+	if _, err := k.ExecStringContext(context.Background(), `describe can_ta(X, databases).`); err != nil {
+		t.Fatalf("without the request's limit: %v", err)
 	}
 }
 
@@ -127,16 +126,15 @@ func TestKBWildcardDescribeGoverned(t *testing.T) {
 	if _, err := k.ExecStringContext(ctx, stmt); !errors.Is(err, governor.ErrCanceled) {
 		t.Errorf("cancelled context: err = %v, want governor.ErrCanceled", err)
 	}
-	k.SetQueryLimits(governor.Limits{MaxDescribeNodes: 1})
+	tight := ContextWithLimits(context.Background(), governor.Limits{MaxDescribeNodes: 1})
 	var le *governor.LimitError
-	if _, err := k.ExecString(stmt); !errors.As(err, &le) || le.Kind != governor.LimitDescribeNodes {
+	if _, err := k.ExecStringContext(tight, stmt); !errors.As(err, &le) || le.Kind != governor.LimitDescribeNodes {
 		t.Errorf("MaxDescribeNodes 1: err = %v, want a describe-nodes *LimitError", err)
 	}
-	k.SetQueryLimits(governor.Limits{})
 	before := describeNodes()
 	res, err := k.ExecStringContext(context.Background(), stmt)
 	if err != nil {
-		t.Fatalf("after clearing limits: %v", err)
+		t.Fatalf("without the request's limit: %v", err)
 	}
 	if len(res.Wildcard) != 1 {
 		t.Errorf("entries = %v, want just can_ta", res.Wildcard)
@@ -148,12 +146,12 @@ func TestKBWildcardDescribeGoverned(t *testing.T) {
 
 func TestKBPanicSurfacesAsError(t *testing.T) {
 	k := cycleKB(t, 5)
-	if _, err := k.ExecString(`retrieve reach(X, Y).`); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), `retrieve reach(X, Y).`); err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
 	eval.DeriveHook = func(term.Atom) { panic("injected kb panic") }
 	defer func() { eval.DeriveHook = nil }()
-	_, err := k.ExecString(`retrieve reach(X, Y).`)
+	_, err := k.ExecStringContext(context.Background(), `retrieve reach(X, Y).`)
 	var pe *governor.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)

@@ -48,12 +48,13 @@ type KB struct {
 	// change; the structures themselves do their own locking.
 	cat   *catalog.Catalog
 	store *storage.Store
+	// limits are the configured per-query limits (WithQueryLimits), set
+	// at construction and never changed.
+	limits governor.Limits
 	//kdb:guarded-by mu
 	rules []term.Rule
 	//kdb:guarded-by mu
 	constraints []term.Formula
-	//kdb:guarded-by mu
-	limits governor.Limits
 	//kdb:guarded-by mu
 	opts core.Options
 	//kdb:guarded-by mu
@@ -100,9 +101,9 @@ type KB struct {
 	activity atomic.Pointer[obs.ActivityRegistry]
 
 	// sys serves the sys_* virtual relations. It is created at
-	// construction (nil after WithoutSystemRelations) and the pointer
-	// never changes afterwards; the provider's sources are attached by
-	// the observability options and are internally synchronized.
+	// construction and the pointer never changes afterwards; the
+	// provider's sources are attached by the observability options and
+	// are internally synchronized.
 	sys *sysrel.Provider
 
 	// qstats is the optional per-statement aggregate (WithQueryStats)
@@ -126,11 +127,10 @@ type Option func(*KB)
 // enforces on every retrieve and describe evaluation: maximum wall time,
 // derived facts, fixpoint iterations per stratum, top-down table
 // entries, and describe search steps. The zero value of each field
-// means unlimited. Context cancellation is honored regardless.
+// means unlimited. Context cancellation is honored regardless; a
+// request tightens the limits with ContextWithLimits.
 func WithQueryLimits(l governor.Limits) Option {
-	// Construction-time: the KB is not yet published to any other
-	// goroutine when options run.
-	return func(k *KB) { k.limits = l } //kdb:nolint lockcheck
+	return func(k *KB) { k.limits = l }
 }
 
 // New returns an empty in-memory knowledge base.
@@ -221,21 +221,6 @@ func (k *KB) DurabilityErr() error {
 // reports g.
 func (k *KB) Generation() uint64 { return k.gen.Load() }
 
-// SetQueryLimits replaces the per-query resource limits (see
-// WithQueryLimits); it takes effect on the next query.
-func (k *KB) SetQueryLimits(l governor.Limits) {
-	k.mu.Lock()
-	k.limits = l
-	k.mu.Unlock()
-}
-
-// QueryLimits returns the configured per-query resource limits.
-func (k *KB) QueryLimits() governor.Limits {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	return k.limits
-}
-
 // limitsKey carries per-request limits in a context.
 type limitsKey struct{}
 
@@ -254,22 +239,13 @@ func LimitsFromContext(ctx context.Context) (governor.Limits, bool) {
 	return l, ok
 }
 
-// effectiveLimitsLocked resolves the limits governing one query:
+// effectiveLimits resolves the limits governing one query:
 // context-carried per-request limits clamped by the configured limits.
-// Callers hold k.mu in either mode.
-//
-//kdb:rlocked mu
-func (k *KB) effectiveLimitsLocked(ctx context.Context) governor.Limits {
+func (k *KB) effectiveLimits(ctx context.Context) governor.Limits {
 	if req, ok := LimitsFromContext(ctx); ok {
 		return governor.Clamp(req, k.limits)
 	}
 	return k.limits
-}
-
-func (k *KB) effectiveLimits(ctx context.Context) governor.Limits {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	return k.effectiveLimitsLocked(ctx)
 }
 
 // LastStats returns the evaluation statistics of the most recent
@@ -597,9 +573,7 @@ func (k *KB) Store() *storage.Store { return k.store }
 
 // SystemRelations exposes the sys_* virtual-relation provider, so
 // embedders (the server) can attach additional telemetry sources —
-// e.g. the per-tenant rows of sys_tenant. Nil when the provider was
-// disabled with WithoutSystemRelations; the sysrel setters are
-// nil-receiver safe, so callers need not check.
+// e.g. the per-tenant rows of sys_tenant.
 func (k *KB) SystemRelations() *sysrel.Provider { return k.sys }
 
 // FactCount returns the number of stored facts across all predicates.
@@ -622,20 +596,12 @@ func (k *KB) Constraints() []term.Formula {
 	return out
 }
 
-// CheckConstraints evaluates every integrity constraint against the
-// current database and returns one message per violating instance
+// CheckConstraintsContext evaluates every integrity constraint against
+// the current database and returns one message per violating instance
 // (capped per constraint). An empty result means the data satisfies all
-// constraints.
-//
-//kdb:entrypoint
-func (k *KB) CheckConstraints() ([]string, error) {
-	return k.CheckConstraintsContext(context.Background())
-}
-
-// CheckConstraintsContext is CheckConstraints under the context and the
-// effective query limits (configured limits, clamped per-request via
-// ContextWithLimits). The constraints checked are those loaded when the
-// check begins.
+// constraints. It runs under the context and the effective query limits
+// (configured limits, clamped per-request via ContextWithLimits). The
+// constraints checked are those loaded when the check begins.
 func (k *KB) CheckConstraintsContext(ctx context.Context) ([]string, error) {
 	constraints := k.Constraints()
 	queries := make([]eval.Query, len(constraints))
@@ -696,14 +662,11 @@ func (k *KB) evaluate(ctx context.Context, queries []eval.Query, yield func(i in
 	if k.closed {
 		return ErrClosed
 	}
-	in := eval.Input{Store: k.store, Rules: k.rules, Prepared: k.preparedLocked()}
-	if k.sys != nil {
-		// The view captures the store and the current rule slice; its
-		// sources read telemetry directly, never back through k (whose
-		// read lock this goroutine already holds).
-		in.Virtual = k.sys.View(k.store, k.rules)
-	}
-	opts := append([]eval.EngineOption{eval.WithLimits(k.effectiveLimitsLocked(ctx))}, extra...)
+	// The view captures the store and the current rule slice; its sources
+	// read telemetry directly, never back through k (whose read lock this
+	// goroutine already holds).
+	in := eval.Input{Store: k.store, Rules: k.rules, Prepared: k.preparedLocked(), Virtual: k.sys.View(k.store, k.rules)}
+	opts := append([]eval.EngineOption{eval.WithLimits(k.effectiveLimits(ctx))}, extra...)
 	e := eval.NewSemiNaive(in, opts...)
 	sr := e.(eval.StatsReporter)
 	var stats, last *eval.EvalStats
@@ -756,34 +719,24 @@ func (k *KB) preparedLocked() *eval.RuleSet {
 	return k.prepared.Load()
 }
 
-// Retrieve evaluates a data query (§3.1). The configured query limits
-// (WithQueryLimits) apply; use RetrieveContext to also support
-// cancellation.
-//
-//kdb:entrypoint
-func (k *KB) Retrieve(subject term.Atom, where term.Formula) (*eval.Result, error) {
-	return k.RetrieveContext(context.Background(), subject, where)
-}
-
-// RetrieveContext evaluates a data query under the context and the
-// configured query limits. A governed stop — cancellation, deadline
-// expiry, a breached limit, or a contained panic — returns a structured
-// error (*eval.StopError wrapping governor.ErrCanceled,
-// *governor.LimitError, or *governor.PanicError); the statistics
-// snapshot at stop time is still recorded (LastStats) with its
+// retrieve evaluates a data query (§3.1) under the context and the
+// effective query limits, with extra engine options (a profile). A
+// qualifier of several disjuncts (§6's second research direction) is
+// answered by the union of the per-disjunct answers, each disjunct one
+// governed evaluation; a single disjunct's result (or, with none, the
+// unqualified subject's) is returned as is. A governed stop —
+// cancellation, deadline expiry, a breached limit, or a contained panic —
+// returns a structured error (*eval.StopError wrapping
+// governor.ErrCanceled, *governor.LimitError, or *governor.PanicError);
+// the statement's one EvalStats is still recorded (LastStats) with its
 // StopReason set.
-func (k *KB) RetrieveContext(ctx context.Context, subject term.Atom, where term.Formula) (*eval.Result, error) {
-	return k.evaluateOne(ctx, eval.Query{Subject: subject, Where: where})
-}
-
-// RetrieveOrContext evaluates a data query with a disjunctive qualifier
-// (§6's second research direction): the answer is the union of the
-// per-disjunct answers. It runs under the context and the configured
-// query limits (per-disjunct: each disjunct is one governed evaluation),
-// and records one EvalStats covering every disjunct.
-func (k *KB) RetrieveOrContext(ctx context.Context, subject term.Atom, disjuncts []term.Formula) (*eval.Result, error) {
-	if len(disjuncts) == 0 {
-		return k.RetrieveContext(ctx, subject, nil)
+func (k *KB) retrieve(ctx context.Context, subject term.Atom, disjuncts []term.Formula, extra ...eval.EngineOption) (*eval.Result, error) {
+	if len(disjuncts) <= 1 {
+		q := eval.Query{Subject: subject}
+		if len(disjuncts) == 1 {
+			q.Where = disjuncts[0]
+		}
+		return k.evaluateOne(ctx, q, extra...)
 	}
 	queries := make([]eval.Query, len(disjuncts))
 	for i, d := range disjuncts {
@@ -805,28 +758,24 @@ func (k *KB) RetrieveOrContext(ctx context.Context, subject term.Atom, disjuncts
 			}
 		}
 		return nil
-	})
+	}, extra...)
 	if err != nil {
 		return nil, err
 	}
 	return merged, nil
 }
 
-// ProfileContext evaluates a data query like RetrieveContext while
-// recording per-rule cost rows: wall time, rounds, tuples produced, and
-// the storage probe counters split index-hit/full-scan. It runs a
-// governed retrieve of subject/where with profiling on and returns the
-// answers together with the per-rule cost profile — the runtime
-// "explain analyze" of one evaluation. On a governed stop the partial
-// profile is returned alongside the error, so a query killed by a limit
-// still shows where the time went.
-func (k *KB) ProfileContext(ctx context.Context, subject term.Atom, where term.Formula) (*eval.Result, *profile.Profile, error) {
+// newProfile starts the per-rule cost rows of one retrieve — wall time,
+// rounds, tuples produced, and the storage probe counters split
+// index-hit/full-scan: the runtime "explain analyze" of one evaluation.
+// The profile goes to the query log's record as well, so a statement
+// stopped by a limit still shows where the time went.
+func newProfile(ctx context.Context) (*profile.Profile, eval.EngineOption) {
 	p := profile.New()
 	if h := profileHolderFromContext(ctx); h != nil {
 		h.p.Store(p)
 	}
-	res, err := k.evaluateOne(ctx, eval.Query{Subject: subject, Where: where}, eval.WithProfile(p))
-	return res, p, err
+	return p, eval.WithProfile(p)
 }
 
 // maxExplainNodes bounds the reconstructed derivation tree of one
@@ -835,22 +784,13 @@ func (k *KB) ProfileContext(ctx context.Context, subject term.Atom, where term.F
 // rendering.
 const maxExplainNodes = 10000
 
-// Explain evaluates the subject like Retrieve while recording one
-// why-provenance witness per derived fact, then reconstructs the
-// derivation tree of every answer. See ExplainContext.
-//
-//kdb:entrypoint
-func (k *KB) Explain(subject term.Atom, where term.Formula) (*prov.Explanation, error) {
-	return k.ExplainContext(context.Background(), subject, where)
-}
-
-// ExplainContext runs a governed retrieve of subject/where with
-// why-provenance recording on (the configured MaxProvenanceEntries
-// limit applies), then rebuilds the derivation trees of the answers.
-// Trees are cycle-safe for recursive predicates; leaves distinguish
-// stored facts (edb) from comparisons (builtin). The trees are rebuilt
-// after the evaluation, outside the read lock.
-func (k *KB) ExplainContext(ctx context.Context, subject term.Atom, where term.Formula) (*prov.Explanation, error) {
+// explain runs a governed retrieve of subject/where with why-provenance
+// recording on — one witness per derived fact, the configured
+// MaxProvenanceEntries limit applies — then rebuilds the derivation tree
+// of every answer. Trees are cycle-safe for recursive predicates; leaves
+// distinguish stored facts (edb) from comparisons (builtin). The trees
+// are rebuilt after the evaluation, outside the read lock.
+func (k *KB) explain(ctx context.Context, subject term.Atom, where term.Formula) (*prov.Explanation, error) {
 	rec := prov.NewRecorder()
 	res, err := k.evaluateOne(ctx, eval.Query{Subject: subject, Where: where}, eval.WithProvenance(rec))
 	if err != nil {
@@ -865,33 +805,6 @@ func (k *KB) ExplainContext(ctx context.Context, subject term.Atom, where term.F
 	esp.End()
 	k.qmetrics.Load().ObserveExplain(int64(exp.Nodes))
 	return exp, nil
-}
-
-// DescribeOr evaluates a knowledge query with a disjunctive hypothesis:
-// the answers that hold under every disjunct.
-//
-//kdb:entrypoint
-func (k *KB) DescribeOr(subject term.Atom, disjuncts []term.Formula) (*core.Answers, error) {
-	return k.DescribeOrContext(context.Background(), subject, disjuncts)
-}
-
-// DescribeOrContext is DescribeOr under the context and the configured
-// query limits.
-func (k *KB) DescribeOrContext(ctx context.Context, subject term.Atom, disjuncts []term.Formula) (*core.Answers, error) {
-	asp := obs.SpanFromContext(ctx).Child("analyze")
-	d, err := k.getDescriberFor(subject)
-	asp.End()
-	if err != nil {
-		return nil, err
-	}
-	ans, err := d.DescribeOrContext(ctx, subject, disjuncts, k.effectiveLimits(ctx))
-	if err != nil {
-		return nil, err
-	}
-	k.observeDescribe(ans.Nodes)
-	k.applyDisplayNames(ans)
-	k.attachNotes(d, subject, ans)
-	return ans, nil
 }
 
 func (k *KB) showProvenance() bool {
@@ -951,17 +864,18 @@ func (k *KB) SetIntensional(on bool) {
 // getDescriberFor is getDescriber with diagnostics-aware failure: when
 // building the describe engine fails (e.g. degenerate recursion makes
 // the §5.2 transformation inapplicable), the error is replaced by the
-// stored analyzer diagnostics relevant to the subject, when there are
-// any — the caller learns which rules are at fault and why, not just
-// that the transformation failed.
-func (k *KB) getDescriberFor(subject term.Atom) (*core.Describer, error) {
+// stored analyzer diagnostics relevant to the subject predicate pred,
+// when there are any — the caller learns which rules are at fault and
+// why, not just that the transformation failed. An empty pred keeps the
+// error as it is.
+func (k *KB) getDescriberFor(pred string) (*core.Describer, error) {
 	d, err := k.getDescriber()
-	if err != nil {
+	if err != nil && pred != "" {
 		k.mu.RLock()
 		rep := k.report
 		rules := append([]term.Rule(nil), k.rules...)
 		k.mu.RUnlock()
-		if diags := describeDiagnostics(rep, depgraph.New(rules), subject.Pred); len(diags) > 0 {
+		if diags := describeDiagnostics(rep, depgraph.New(rules), pred); len(diags) > 0 {
 			return nil, &analysis.Error{Diags: diags}
 		}
 	}
@@ -1056,28 +970,21 @@ func (k *KB) getDescriber() (*core.Describer, error) {
 	return d, nil
 }
 
-// Describe evaluates a knowledge query (§3.2). Artificial step-predicate
-// names in answers are replaced by their @name display names. The
-// configured query limits apply; use DescribeContext to also support
-// cancellation.
-//
-//kdb:entrypoint
-func (k *KB) Describe(subject term.Atom, where term.Formula) (*core.Answers, error) {
-	return k.DescribeContext(context.Background(), subject, where)
-}
-
-// DescribeContext evaluates a knowledge query under the context and the
-// configured query limits: the describe search checks cancellation
-// cooperatively, and MaxDescribeNodes bounds its steps as a hard error
-// (unlike the describe engine's own MaxNodes option, which truncates).
-func (k *KB) DescribeContext(ctx context.Context, subject term.Atom, where term.Formula) (*core.Answers, error) {
+// describe runs a knowledge query (§3.2) — plain, `where necessary`, or
+// disjunctive — through run, its core call, given the describer and the
+// effective query limits: the search checks cancellation cooperatively,
+// and MaxDescribeNodes bounds its steps as a hard error (unlike the
+// describe engine's own MaxNodes option, which truncates). Artificial
+// step-predicate names in the answers are replaced by their @name display
+// names, and a degraded describe carries the notes that explain it.
+func (k *KB) describe(ctx context.Context, subject term.Atom, run func(*core.Describer, governor.Limits) (*core.Answers, error)) (*core.Answers, error) {
 	asp := obs.SpanFromContext(ctx).Child("analyze")
-	d, err := k.getDescriberFor(subject)
+	d, err := k.getDescriberFor(subject.Pred)
 	asp.End()
 	if err != nil {
 		return nil, err
 	}
-	ans, err := d.DescribeContext(ctx, subject, where, k.effectiveLimits(ctx))
+	ans, err := run(d, k.effectiveLimits(ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -1087,79 +994,16 @@ func (k *KB) DescribeContext(ctx context.Context, subject term.Atom, where term.
 	return ans, nil
 }
 
-// DescribeNecessary evaluates `describe … where necessary ψ` (§6 ext. 1).
-//
-//kdb:entrypoint
-func (k *KB) DescribeNecessary(subject term.Atom, where term.Formula) (*core.Answers, error) {
-	return k.DescribeNecessaryContext(context.Background(), subject, where)
-}
-
-// DescribeNecessaryContext is DescribeNecessary under the context and
-// the configured query limits.
-func (k *KB) DescribeNecessaryContext(ctx context.Context, subject term.Atom, where term.Formula) (*core.Answers, error) {
-	asp := obs.SpanFromContext(ctx).Child("analyze")
-	d, err := k.getDescriberFor(subject)
-	asp.End()
-	if err != nil {
+// unfolder returns the describer for a §6 verdict — describe not, the
+// subjectless describe, compare — whose core call bounds its unfolding
+// but takes no context: a statement whose context is already done stops
+// here, before the unfolding starts. pred, when set, names the subject
+// whose diagnostics explain a describer that cannot be built.
+func (k *KB) unfolder(ctx context.Context, pred string) (*core.Describer, error) {
+	if err := governor.Check(ctx); err != nil {
 		return nil, err
 	}
-	ans, err := d.DescribeNecessaryContext(ctx, subject, where, k.effectiveLimits(ctx))
-	if err != nil {
-		return nil, err
-	}
-	k.observeDescribe(ans.Nodes)
-	k.applyDisplayNames(ans)
-	k.attachNotes(d, subject, ans)
-	return ans, nil
-}
-
-// DescribeNot evaluates `describe … where not h …` (§6 ext. 2).
-func (k *KB) DescribeNot(subject term.Atom, banned, positive term.Formula) (*core.Necessity, error) {
-	d, err := k.getDescriberFor(subject)
-	if err != nil {
-		return nil, err
-	}
-	return d.DescribeNot(subject, banned, positive)
-}
-
-// Possible evaluates the subjectless describe (§6 ext. 3).
-func (k *KB) Possible(where term.Formula) (*core.Possibility, error) {
-	d, err := k.getDescriber()
-	if err != nil {
-		return nil, err
-	}
-	return d.Possible(where)
-}
-
-// DescribeWildcard evaluates `describe * where ψ` (§6 ext. 4).
-//
-//kdb:entrypoint
-func (k *KB) DescribeWildcard(where term.Formula) ([]core.WildcardEntry, error) {
-	return k.DescribeWildcardContext(context.Background(), where)
-}
-
-// DescribeWildcardContext is DescribeWildcard under the context and the
-// configured query limits.
-func (k *KB) DescribeWildcardContext(ctx context.Context, where term.Formula) ([]core.WildcardEntry, error) {
-	d, err := k.getDescriber()
-	if err != nil {
-		return nil, err
-	}
-	entries, nodes, err := d.DescribeWildcardContext(ctx, where, k.effectiveLimits(ctx))
-	if err != nil {
-		return nil, err
-	}
-	k.observeDescribe(nodes)
-	return entries, nil
-}
-
-// Compare evaluates the §6 compare statement.
-func (k *KB) Compare(left term.Atom, leftHyp term.Formula, right term.Atom, rightHyp term.Formula) (*core.ConceptComparison, error) {
-	d, err := k.getDescriber()
-	if err != nil {
-		return nil, err
-	}
-	return d.Compare(left, leftHyp, right, rightHyp)
+	return k.getDescriberFor(pred)
 }
 
 // applyDisplayNames rewrites predicate names in answers to their @name
@@ -1176,13 +1020,8 @@ func (k *KB) applyDisplayNames(ans *core.Answers) {
 }
 
 // checkSysRefs rejects a retrieve naming a sys_ relation that is not
-// served, or a served one at the wrong arity, before it is planned. With
-// the system relations off, sys_ names behave like any other unknown
-// predicate and are not checked.
-func (k *KB) checkSysRefs(s *parser.Retrieve) error {
-	if k.sys == nil {
-		return nil
-	}
+// served, or a served one at the wrong arity, before it is planned.
+func checkSysRefs(s *parser.Retrieve) error {
 	check := func(f term.Formula) error {
 		for _, a := range f {
 			if err := sysrel.Check(a); err != nil {
@@ -1209,138 +1048,16 @@ func (k *KB) checkSysRefs(s *parser.Retrieve) error {
 // result. It is the single coherent instrument the paper argues for: the
 // caller does not need to know whether the question addresses data or
 // knowledge. It runs under the context and the configured query limits
-// (WithQueryLimits): retrieve and describe evaluations check the
-// context cooperatively, so a deadline or a Ctrl-C-driven cancel stops
-// an in-flight query with a structured error. The remaining statement
-// forms (describe not, possible, wildcard, compare) run their bounded
-// unfolding un-governed.
+// (WithQueryLimits): every form that evaluates, searches or unfolds stops
+// on a canceled or expired context with a structured error (errors.Is
+// governor.ErrCanceled). Retrieve-style evaluations and the describe
+// searches, the wildcard's included, check the context cooperatively, so
+// a deadline or a Ctrl-C-driven cancel stops them in flight; describe
+// not, the subjectless describe and compare check it before their
+// bounded unfolding starts.
 func (k *KB) ExecContext(ctx context.Context, q parser.Query) (*ExecResult, error) {
 	ctx, finish := k.beginQuery(ctx)
-	ctx, done := k.beginActivity(ctx, queryKind(q), q.String())
-	res, err := k.execContext(ctx, q)
-	if done != nil {
-		done()
-	}
-	if finish != nil {
-		finish(queryKind(q), q.String(), err)
-	}
-	return res, err
-}
-
-func (k *KB) execContext(ctx context.Context, q parser.Query) (*ExecResult, error) {
-	switch s := q.(type) {
-	case *parser.Retrieve:
-		if err := k.checkSysRefs(s); err != nil {
-			return nil, err
-		}
-		var res *eval.Result
-		var prof *profile.Profile
-		var err error
-		if len(s.Or) > 0 {
-			res, err = k.RetrieveOrContext(ctx, s.Subject, s.Disjuncts())
-		} else if k.Profiling() {
-			res, prof, err = k.ProfileContext(ctx, s.Subject, s.Where)
-		} else {
-			res, err = k.RetrieveContext(ctx, s.Subject, s.Where)
-		}
-		if err != nil {
-			return nil, err
-		}
-		out := &ExecResult{Query: q, Retrieve: res, Profile: prof, subject: s.Subject}
-		k.mu.RLock()
-		intensional := k.intensional
-		k.mu.RUnlock()
-		if intensional {
-			// Intensional answering: attach the knowledge characterizing
-			// the extension, when the subject is an IDB concept.
-			if ans, derr := k.DescribeOrContext(ctx, s.Subject, s.Disjuncts()); derr == nil {
-				out.Knowledge = ans
-			}
-		}
-		return out, nil
-	case *parser.Describe:
-		// A describe of a virtual relation answers from its fixed
-		// definition: the schema is code, not loaded knowledge, so the
-		// describe engine has nothing to unfold.
-		if !s.Wildcard && !s.Subjectless && sysrel.IsName(s.Subject.Pred) {
-			d := sysrel.Lookup(s.Subject.Pred)
-			if d == nil {
-				return nil, fmt.Errorf("kb: %w", &sysrel.RefError{Pred: s.Subject.Pred})
-			}
-			return &ExecResult{Query: q, System: fmt.Sprintf("%s — virtual relation: %s", d.Signature(), d.Doc)}, nil
-		}
-		switch {
-		case s.Wildcard:
-			if len(s.Not) > 0 {
-				return nil, fmt.Errorf("kb: 'not' is not supported in a wildcard describe")
-			}
-			entries, err := k.DescribeWildcardContext(ctx, s.Where)
-			if err != nil {
-				return nil, err
-			}
-			return &ExecResult{Query: q, Wildcard: entries, wildcard: true}, nil
-		case s.Subjectless:
-			if len(s.Not) > 0 {
-				return nil, fmt.Errorf("kb: 'not' is not supported in a subjectless describe")
-			}
-			p, err := k.Possible(s.Where)
-			if err != nil {
-				return nil, err
-			}
-			return &ExecResult{Query: q, Possibility: p}, nil
-		case len(s.Not) > 0:
-			n, err := k.DescribeNot(s.Subject, s.Not, s.Where)
-			if err != nil {
-				return nil, err
-			}
-			return &ExecResult{Query: q, Necessity: n}, nil
-		case s.Necessary:
-			ans, err := k.DescribeNecessaryContext(ctx, s.Subject, s.Where)
-			if err != nil {
-				return nil, err
-			}
-			return &ExecResult{Query: q, Describe: ans, provenance: k.showProvenance()}, nil
-		case len(s.Or) > 0:
-			ans, err := k.DescribeOrContext(ctx, s.Subject, s.Disjuncts())
-			if err != nil {
-				return nil, err
-			}
-			return &ExecResult{Query: q, Describe: ans, provenance: k.showProvenance()}, nil
-		default:
-			ans, err := k.DescribeContext(ctx, s.Subject, s.Where)
-			if err != nil {
-				return nil, err
-			}
-			return &ExecResult{Query: q, Describe: ans, provenance: k.showProvenance()}, nil
-		}
-	case *parser.Explain:
-		exp, err := k.ExplainContext(ctx, s.Subject, s.Where)
-		if err != nil {
-			return nil, err
-		}
-		return &ExecResult{Query: q, Explanation: exp}, nil
-	case *parser.Profile:
-		res, prof, err := k.ProfileContext(ctx, s.Subject, s.Where)
-		if err != nil {
-			return nil, err
-		}
-		return &ExecResult{Query: q, Retrieve: res, Profile: prof, subject: s.Subject}, nil
-	case *parser.Compare:
-		c, err := k.Compare(s.Left.Subject, s.Left.Where, s.Right.Subject, s.Right.Where)
-		if err != nil {
-			return nil, err
-		}
-		return &ExecResult{Query: q, Comparison: c}, nil
-	default:
-		return nil, fmt.Errorf("kb: unsupported query %T", q)
-	}
-}
-
-// ExecString parses and runs one query given as text.
-//
-//kdb:entrypoint
-func (k *KB) ExecString(src string) (*ExecResult, error) {
-	return k.ExecStringContext(context.Background(), src)
+	return k.exec(ctx, q, finish)
 }
 
 // ExecStringContext parses and runs one query given as text, under the
@@ -1356,6 +1073,12 @@ func (k *KB) ExecStringContext(ctx context.Context, src string) (*ExecResult, er
 		}
 		return nil, err
 	}
+	return k.exec(ctx, q, finish)
+}
+
+// exec runs one statement inside the observability scope beginQuery
+// opened, registered as in flight for its duration.
+func (k *KB) exec(ctx context.Context, q parser.Query, finish func(kind, stmt string, err error)) (*ExecResult, error) {
 	ctx, done := k.beginActivity(ctx, queryKind(q), q.String())
 	res, err := k.execContext(ctx, q)
 	if done != nil {
@@ -1365,6 +1088,138 @@ func (k *KB) ExecStringContext(ctx context.Context, src string) (*ExecResult, er
 		finish(queryKind(q), q.String(), err)
 	}
 	return res, err
+}
+
+func (k *KB) execContext(ctx context.Context, q parser.Query) (*ExecResult, error) {
+	switch s := q.(type) {
+	case *parser.Retrieve:
+		if err := checkSysRefs(s); err != nil {
+			return nil, err
+		}
+		var res *eval.Result
+		var prof *profile.Profile
+		var err error
+		if len(s.Or) == 0 && k.Profiling() {
+			var opt eval.EngineOption
+			prof, opt = newProfile(ctx)
+			res, err = k.retrieve(ctx, s.Subject, s.Disjuncts(), opt)
+		} else {
+			res, err = k.retrieve(ctx, s.Subject, s.Disjuncts())
+		}
+		if err != nil {
+			return nil, err
+		}
+		out := &ExecResult{Query: q, Retrieve: res, Profile: prof, subject: s.Subject}
+		if k.Intensional() {
+			// Intensional answering: attach the knowledge characterizing
+			// the extension, when the subject is an IDB concept.
+			ans, derr := k.describe(ctx, s.Subject, func(d *core.Describer, l governor.Limits) (*core.Answers, error) {
+				return d.DescribeOrContext(ctx, s.Subject, s.Disjuncts(), l)
+			})
+			if derr == nil {
+				out.Knowledge = ans
+			}
+		}
+		return out, nil
+	case *parser.Describe:
+		return k.execDescribe(ctx, s)
+	case *parser.Explain:
+		exp, err := k.explain(ctx, s.Subject, s.Where)
+		if err != nil {
+			return nil, err
+		}
+		return &ExecResult{Query: q, Explanation: exp}, nil
+	case *parser.Profile:
+		prof, opt := newProfile(ctx)
+		res, err := k.retrieve(ctx, s.Subject, []term.Formula{s.Where}, opt)
+		if err != nil {
+			return nil, err
+		}
+		return &ExecResult{Query: q, Retrieve: res, Profile: prof, subject: s.Subject}, nil
+	case *parser.Compare:
+		d, err := k.unfolder(ctx, "")
+		if err != nil {
+			return nil, err
+		}
+		c, err := d.Compare(s.Left.Subject, s.Left.Where, s.Right.Subject, s.Right.Where)
+		if err != nil {
+			return nil, err
+		}
+		return &ExecResult{Query: q, Comparison: c}, nil
+	default:
+		return nil, fmt.Errorf("kb: unsupported query %T", q)
+	}
+}
+
+// execDescribe runs a describe statement in any of its forms.
+func (k *KB) execDescribe(ctx context.Context, s *parser.Describe) (*ExecResult, error) {
+	// A describe of a virtual relation answers from its fixed definition:
+	// the schema is code, not loaded knowledge, so the describe engine has
+	// nothing to unfold.
+	if !s.Wildcard && !s.Subjectless && sysrel.IsName(s.Subject.Pred) {
+		d := sysrel.Lookup(s.Subject.Pred)
+		if d == nil {
+			return nil, fmt.Errorf("kb: %w", &sysrel.RefError{Pred: s.Subject.Pred})
+		}
+		return &ExecResult{Query: s, System: fmt.Sprintf("%s — virtual relation: %s", d.Signature(), d.Doc)}, nil
+	}
+	var run func(*core.Describer, governor.Limits) (*core.Answers, error)
+	switch {
+	case s.Wildcard:
+		if len(s.Not) > 0 {
+			return nil, fmt.Errorf("kb: 'not' is not supported in a wildcard describe")
+		}
+		d, err := k.getDescriber()
+		if err != nil {
+			return nil, err
+		}
+		entries, nodes, err := d.DescribeWildcardContext(ctx, s.Where, k.effectiveLimits(ctx))
+		if err != nil {
+			return nil, err
+		}
+		k.observeDescribe(nodes)
+		return &ExecResult{Query: s, Wildcard: entries, wildcard: true}, nil
+	case s.Subjectless:
+		if len(s.Not) > 0 {
+			return nil, fmt.Errorf("kb: 'not' is not supported in a subjectless describe")
+		}
+		d, err := k.unfolder(ctx, "")
+		if err != nil {
+			return nil, err
+		}
+		p, err := d.Possible(s.Where)
+		if err != nil {
+			return nil, err
+		}
+		return &ExecResult{Query: s, Possibility: p}, nil
+	case len(s.Not) > 0:
+		d, err := k.unfolder(ctx, s.Subject.Pred)
+		if err != nil {
+			return nil, err
+		}
+		n, err := d.DescribeNot(s.Subject, s.Not, s.Where)
+		if err != nil {
+			return nil, err
+		}
+		return &ExecResult{Query: s, Necessity: n}, nil
+	case s.Necessary:
+		run = func(d *core.Describer, l governor.Limits) (*core.Answers, error) {
+			return d.DescribeNecessaryContext(ctx, s.Subject, s.Where, l)
+		}
+	case len(s.Or) > 0:
+		run = func(d *core.Describer, l governor.Limits) (*core.Answers, error) {
+			return d.DescribeOrContext(ctx, s.Subject, s.Disjuncts(), l)
+		}
+	default:
+		run = func(d *core.Describer, l governor.Limits) (*core.Answers, error) {
+			return d.DescribeContext(ctx, s.Subject, s.Where, l)
+		}
+	}
+	ans, err := k.describe(ctx, s.Subject, run)
+	if err != nil {
+		return nil, err
+	}
+	return &ExecResult{Query: s, Describe: ans, provenance: k.showProvenance()}, nil
 }
 
 // ExecResult is the displayable outcome of ExecContext: exactly one of the

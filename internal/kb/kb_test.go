@@ -55,7 +55,7 @@ func loadKB(t testing.TB, src string) *KB {
 
 func execStr(t testing.TB, k *KB, q string) string {
 	t.Helper()
-	res, err := k.ExecString(q)
+	res, err := k.ExecStringContext(context.Background(), q)
 	if err != nil {
 		t.Fatalf("exec %q: %v", q, err)
 	}
@@ -199,7 +199,7 @@ func TestExecErrors(t *testing.T) {
 		`describe where not honor(X).`,           // not in subjectless
 		`retrieve student(X, Y, Z) where X = Y.`, // var = var qualifier
 	} {
-		if _, err := k.ExecString(q); err == nil {
+		if _, err := k.ExecStringContext(context.Background(), q); err == nil {
 			t.Errorf("ExecString(%q) succeeded, want error", q)
 		}
 	}

@@ -13,10 +13,10 @@ import (
 	"kdb/internal/parser"
 )
 
-// WithTracer attaches a span tracer: every Exec/ExecString query records
-// a span tree (parse, analyze, eval, describe, storage phases) that the
-// tracer retains and hands to its OnFinish callback. A nil tracer keeps
-// the query path allocation-free.
+// WithTracer attaches a span tracer: every ExecContext/ExecStringContext
+// statement records a span tree (parse, analyze, eval, describe, storage
+// phases) that the tracer retains and hands to its OnFinish callback. A
+// nil tracer keeps the query path allocation-free.
 func WithTracer(t *obs.Tracer) Option {
 	return func(k *KB) { k.tracer.Store(t) }
 }
@@ -49,18 +49,6 @@ func WithQueryStats() Option {
 	}
 }
 
-// WithoutSystemRelations disables the sys_* virtual relations: the
-// provider is dropped and sys_ predicates behave like any other
-// unknown predicate in queries (the namespace itself stays reserved —
-// definitions and asserts are still rejected). Mainly for measuring
-// the provider's overhead; there is no cost to leaving it on for
-// programs that never mention sys_*.
-func WithoutSystemRelations() Option {
-	// Construction-time: the KB is not yet published to any other
-	// goroutine when options run.
-	return func(k *KB) { k.sys = nil } //kdb:nolint lockcheck
-}
-
 // WithQueryLog attaches a structured query log: every finished query
 // (or only those at or above the log's slow threshold) appends one
 // JSONL record — statement, kind, latency, stop reason, per-query
@@ -83,27 +71,9 @@ func WithActivity(reg *obs.ActivityRegistry) Option {
 	}
 }
 
-// SetActivityRegistry attaches (or, given nil, detaches) the in-flight
-// query registry at runtime; it takes effect on the next query.
-func (k *KB) SetActivityRegistry(reg *obs.ActivityRegistry) {
-	k.activity.Store(reg)
-	k.sys.SetActivity(reg)
-}
-
-// ActivityRegistry returns the attached in-flight query registry, or
-// nil.
-func (k *KB) ActivityRegistry() *obs.ActivityRegistry { return k.activity.Load() }
-
 // SetTracer attaches (or, given nil, detaches) the span tracer at
 // runtime; it takes effect on the next query.
 func (k *KB) SetTracer(t *obs.Tracer) { k.tracer.Store(t) }
-
-// Tracer returns the attached span tracer, or nil.
-func (k *KB) Tracer() *obs.Tracer { return k.tracer.Load() }
-
-// SetQueryLog attaches (or, given nil, detaches) the structured query
-// log at runtime; it takes effect on the next query.
-func (k *KB) SetQueryLog(l *obs.QueryLog) { k.qlog.Store(l) }
 
 // queryMark marks a context already inside an observed query, so nested
 // Exec paths (ExecStringContext → ExecContext, intensional answering)
@@ -111,9 +81,9 @@ func (k *KB) SetQueryLog(l *obs.QueryLog) { k.qlog.Store(l) }
 type queryMark struct{}
 
 // profileHolder lets the finish callback of beginQuery pick up the
-// per-rule profile a nested ProfileContext recorded, so slow-log
-// records carry their own cost breakdown. beginQuery plants it before
-// the statement kind is known; ProfileContext fills it.
+// per-rule profile a profiled retrieve recorded, so slow-log records
+// carry their own cost breakdown. beginQuery plants it before the
+// statement kind is known; newProfile fills it.
 type profileHolder struct {
 	p atomic.Pointer[profile.Profile]
 }

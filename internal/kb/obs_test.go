@@ -1,6 +1,7 @@
 package kb
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -43,7 +44,7 @@ func TestTracedDescribeSpanTree(t *testing.T) {
 	if err := k.LoadString(obsTestProgram); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString(`describe honor(X).`); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), `describe honor(X).`); err != nil {
 		t.Fatal(err)
 	}
 	root := tr.Last()
@@ -86,7 +87,7 @@ func TestTracedRetrieveSpanTree(t *testing.T) {
 	if err := k.LoadString(obsTestProgram); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString(`retrieve honor(X).`); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), `retrieve honor(X).`); err != nil {
 		t.Fatal(err)
 	}
 	root := tr.Last()
@@ -125,7 +126,7 @@ func TestTraceSingleRootPerQuery(t *testing.T) {
 	if err := k.LoadString(obsTestProgram); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString(`retrieve honor(X).`); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), `retrieve honor(X).`); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(tr.Recent()); got != 1 {
@@ -150,10 +151,10 @@ func TestMetricsRecording(t *testing.T) {
 	if err := k.LoadString(obsTestProgram); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString(`retrieve honor(X).`); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), `retrieve honor(X).`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString(`describe honor(X).`); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), `describe honor(X).`); err != nil {
 		t.Fatal(err)
 	}
 	got := map[string]float64{}
@@ -194,7 +195,7 @@ func TestStopReasonMetric(t *testing.T) {
 	if err := k.LoadString(sb.String()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString(`retrieve reach(X, Y).`); err == nil {
+	if _, err := k.ExecStringContext(context.Background(), `retrieve reach(X, Y).`); err == nil {
 		t.Fatal("expected a limit stop")
 	}
 	found := false
@@ -214,12 +215,12 @@ func TestSetTracerRuntimeToggle(t *testing.T) {
 	if err := k.LoadString(obsTestProgram); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString(`retrieve honor(X).`); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), `retrieve honor(X).`); err != nil {
 		t.Fatal(err)
 	}
 	tr := obs.NewTracer()
 	k.SetTracer(tr)
-	if _, err := k.ExecString(`retrieve honor(X).`); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), `retrieve honor(X).`); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Last() == nil {
@@ -227,7 +228,7 @@ func TestSetTracerRuntimeToggle(t *testing.T) {
 	}
 	k.SetTracer(nil)
 	prev := tr.Last()
-	if _, err := k.ExecString(`retrieve honor(X).`); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), `retrieve honor(X).`); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Last() != prev {

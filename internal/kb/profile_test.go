@@ -2,6 +2,7 @@ package kb
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ func TestProfileStatement(t *testing.T) {
 	if err := k.LoadString(routesProgram); err != nil {
 		t.Fatal(err)
 	}
-	res, err := k.ExecString("profile reachable(la, X).")
+	res, err := k.ExecStringContext(context.Background(), "profile reachable(la, X).")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestSetProfiling(t *testing.T) {
 		t.Fatal("profiling on by default")
 	}
 	k.SetProfiling(true)
-	res, err := k.ExecString("retrieve reachable(la, X).")
+	res, err := k.ExecStringContext(context.Background(), "retrieve reachable(la, X).")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestSetProfiling(t *testing.T) {
 		t.Error("always-on profiling attached no profile to retrieve")
 	}
 	k.SetProfiling(false)
-	res, err = k.ExecString("retrieve reachable(la, X).")
+	res, err = k.ExecStringContext(context.Background(), "retrieve reachable(la, X).")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +78,10 @@ func TestQueryLogProfileRows(t *testing.T) {
 	if err := k.LoadString(routesProgram); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString("profile reachable(la, X)."); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), "profile reachable(la, X)."); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString("retrieve reachable(la, X)."); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), "retrieve reachable(la, X)."); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

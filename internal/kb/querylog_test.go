@@ -2,6 +2,7 @@ package kb
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -22,17 +23,17 @@ func TestQueryLogRecordsQueries(t *testing.T) {
 	if err := k.LoadString(routesProgram); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString("retrieve hub(X)."); err == nil {
+	if _, err := k.ExecStringContext(context.Background(), "retrieve hub(X)."); err == nil {
 		// hub is not defined in routesProgram; either way the log gets a line.
 		t.Log("retrieve hub succeeded")
 	}
-	if _, err := k.ExecString("retrieve reachable(la, X)."); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), "retrieve reachable(la, X)."); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString("explain reachable(la, ny)."); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), "explain reachable(la, ny)."); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString("this is not a statement."); err == nil {
+	if _, err := k.ExecStringContext(context.Background(), "this is not a statement."); err == nil {
 		t.Fatal("malformed statement parsed")
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -84,7 +85,7 @@ func TestQueryLogSlowThreshold(t *testing.T) {
 	if err := k.LoadString(routesProgram); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString("retrieve reachable(la, X)."); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), "retrieve reachable(la, X)."); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 0 {
@@ -100,7 +101,7 @@ func TestQueryLogTraceID(t *testing.T) {
 	if err := k.LoadString(routesProgram); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString("retrieve reachable(la, X)."); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), "retrieve reachable(la, X)."); err != nil {
 		t.Fatal(err)
 	}
 	var rec struct {
@@ -130,20 +131,5 @@ func TestQueryLogTraceID(t *testing.T) {
 	}
 	if span.SpanID != rec.TraceID {
 		t.Errorf("trace file span_id = %d, query log trace_id = %d", span.SpanID, rec.TraceID)
-	}
-}
-
-func TestSetQueryLogDetach(t *testing.T) {
-	var buf bytes.Buffer
-	k := New(WithQueryLog(obs.NewQueryLog(&buf, 0)))
-	if err := k.LoadString(routesProgram); err != nil {
-		t.Fatal(err)
-	}
-	k.SetQueryLog(nil)
-	if _, err := k.ExecString("retrieve reachable(la, X)."); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != 0 {
-		t.Errorf("detached query log still wrote: %s", buf.String())
 	}
 }

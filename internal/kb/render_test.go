@@ -1,6 +1,7 @@
 package kb
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -234,7 +235,7 @@ func TestRetrieveRendersKnowledgeThenProfile(t *testing.T) {
 	k := loadKB(t, `s(a, 4). s(b, 3). honor(X) :- s(X, G), G > 3.5.`)
 	k.SetProfiling(true)
 	k.SetIntensional(true)
-	res, err := k.ExecString(`retrieve honor(X).`)
+	res, err := k.ExecStringContext(context.Background(), `retrieve honor(X).`)
 	if err != nil {
 		t.Fatal(err)
 	}

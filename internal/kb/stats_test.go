@@ -1,6 +1,7 @@
 package kb
 
 import (
+	"context"
 	"testing"
 
 	"kdb/internal/eval"
@@ -12,7 +13,7 @@ func TestLastStatsAfterRetrieve(t *testing.T) {
 	if k.LastStats() != nil {
 		t.Fatal("stats must be nil before any retrieve")
 	}
-	res, err := k.Retrieve(term.NewAtom("prior", term.Var("X"), term.Var("Y")), nil)
+	res, err := k.retrieve(context.Background(), term.NewAtom("prior", term.Var("X"), term.Var("Y")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestLastStatsAfterRetrieve(t *testing.T) {
 		t.Errorf("prior component missing from stats: %+v", st.Components)
 	}
 	// Pointer freshness: a new retrieve stores a new record.
-	if _, err := k.Retrieve(term.NewAtom("honor", term.Var("X")), nil); err != nil {
+	if _, err := k.retrieve(context.Background(), term.NewAtom("honor", term.Var("X")), nil); err != nil {
 		t.Fatal(err)
 	}
 	if k.LastStats() == st {
@@ -56,7 +57,7 @@ func TestLastStatsAfterRetrieve(t *testing.T) {
 
 func TestCheckConstraintsRecordsStats(t *testing.T) {
 	k := loadKB(t, universityKB+"\n:- honor(X), student(X, cs, G).\n")
-	if _, err := k.CheckConstraints(); err != nil {
+	if _, err := k.CheckConstraintsContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if k.LastStats() == nil {
@@ -84,7 +85,7 @@ r(X) :- q(X).
 	}
 	check := func(constraints string) *eval.EvalStats {
 		k := loadKB(t, program+constraints)
-		if _, err := k.CheckConstraints(); err != nil {
+		if _, err := k.CheckConstraintsContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		return k.LastStats()

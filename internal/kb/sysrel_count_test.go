@@ -1,6 +1,7 @@
 package kb
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -156,7 +157,7 @@ func runSysRelationSteps(t *testing.T, seed int64, kp **KB, reopen func() *KB) {
 // relations and the model's fact counts.
 func checkSysRelation(t *testing.T, k *KB, model map[string]map[string]bool, at string) {
 	t.Helper()
-	res, err := k.ExecString("retrieve sys_relation(N, A, F).")
+	res, err := k.ExecStringContext(context.Background(), "retrieve sys_relation(N, A, F).")
 	if err != nil {
 		t.Fatalf("%s: %v", at, err)
 	}

@@ -1,6 +1,7 @@
 package kb
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -86,7 +87,7 @@ func TestSysQueryStats(t *testing.T) {
 
 func TestDescribeSysRelation(t *testing.T) {
 	k := loadKB(t, universityKB)
-	res, err := k.ExecString("describe sys_metric.")
+	res, err := k.ExecStringContext(context.Background(), "describe sys_metric.")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestDescribeSysRelation(t *testing.T) {
 	if res.String() != res.System {
 		t.Errorf("String() = %q, want the system text", res.String())
 	}
-	if _, err := k.ExecString("describe sys_bogus."); err == nil {
+	if _, err := k.ExecStringContext(context.Background(), "describe sys_bogus."); err == nil {
 		t.Error("describe of an unknown system relation succeeded")
 	}
 }
@@ -137,46 +138,23 @@ func TestSysNamespaceRejections(t *testing.T) {
 	// qualifier, or a served one at the wrong arity, fails with the
 	// structured reference error before it is planned.
 	var ref *sysrel.RefError
-	_, bogus := k.ExecString("retrieve sys_bogus(N, A, V).")
+	_, bogus := k.ExecStringContext(context.Background(), "retrieve sys_bogus(N, A, V).")
 	if !errors.As(bogus, &ref) || ref.Def != nil {
 		t.Errorf("retrieving an unknown system relation: %v, want a *sysrel.RefError", bogus)
 	}
 	// The metrics history is gone: its old name is as unknown as any
 	// other unserved sys_ name, and fails the same way.
-	_, hist := k.ExecString("retrieve sys_metric_history(N, A, V).")
+	_, hist := k.ExecStringContext(context.Background(), "retrieve sys_metric_history(N, A, V).")
 	if hist == nil || bogus == nil ||
 		strings.ReplaceAll(hist.Error(), "sys_metric_history", "sys_bogus") != bogus.Error() {
 		t.Errorf("sys_metric_history error = %v, want the unknown-relation error %v", hist, bogus)
 	}
-	if _, err := k.ExecString("retrieve honor(X) where student(X, M, G) or sys_bogus(X)."); !errors.As(err, &ref) {
+	if _, err := k.ExecStringContext(context.Background(), "retrieve honor(X) where student(X, M, G) or sys_bogus(X)."); !errors.As(err, &ref) {
 		t.Errorf("unknown system relation in a qualifier: %v, want a *sysrel.RefError", err)
 	}
-	_, err = k.ExecString("retrieve sys_metric(X).")
+	_, err = k.ExecStringContext(context.Background(), "retrieve sys_metric(X).")
 	if !errors.As(err, &ref) || !strings.Contains(err.Error(), "sys_metric(Name, Kind, Value)") {
 		t.Errorf("retrieving sys_metric at the wrong arity: %v, want a *sysrel.RefError naming the schema", err)
-	}
-}
-
-func TestWithoutSystemRelations(t *testing.T) {
-	k := New(WithoutSystemRelations())
-	defer k.Close()
-	if k.SystemRelations() != nil {
-		t.Fatal("provider survived WithoutSystemRelations")
-	}
-	// The nil-safe setters keep embedder code unconditional.
-	k.SystemRelations().SetTenants(func() []sysrel.TenantInfo { return nil })
-	if err := k.LoadString("edge(a, b)."); err != nil {
-		t.Fatal(err)
-	}
-	if out := execStr(t, k, "retrieve edge(X, Y)."); out != "edge(a, b)" {
-		t.Errorf("plain retrieve = %q", out)
-	}
-	if _, err := k.ExecString("retrieve sys_relation(N, A, F)."); err == nil {
-		t.Error("sys_relation answered on a KB without system relations")
-	}
-	// The namespace stays reserved even with the provider off.
-	if err := k.LoadString("sys_thing(a)."); err == nil {
-		t.Error("sys_ definition accepted without system relations")
 	}
 }
 

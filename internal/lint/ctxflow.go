@@ -15,14 +15,16 @@ var ctxflowScope = []string{"internal/kb", "internal/server", "internal/eval", "
 //
 //  1. Below entry-point depth (the ctxflowScope packages), calls to
 //     context.Background and context.TODO are rejected unless the
-//     enclosing function's doc carries //kdb:entrypoint — the audited
-//     compatibility wrappers (Exec → ExecContext and friends) that ARE
-//     the documented start of a context chain.
+//     enclosing function's doc carries //kdb:entrypoint — an audited,
+//     documented start of a context chain: server.New's base context,
+//     and the context-free KB.Checkpoint and Describer.DescribeWildcard
+//     kept beside their Context forms for callers outside the module.
 //  2. Everywhere (cmd and internal alike): a function that already has
 //     a context in hand — a context.Context parameter or an
 //     *http.Request — must not call a method Foo when a FooContext
 //     sibling exists; that call drops the caller's deadline and
-//     cancellation on the floor.
+//     cancellation on the floor. Every statement enters the KB through
+//     ExecContext, so those two are the only pairs left to misuse.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc: "no context.Background/TODO below entry-point depth in request paths\n" +

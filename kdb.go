@@ -22,8 +22,13 @@
 //	    student(ann, math, 3.9).
 //	    honor(X) :- student(X, M, G), G > 3.7.
 //	`)
-//	res, err := k.ExecString(`retrieve honor(X).`)   // → honor(ann)
-//	res, err = k.ExecString(`describe honor(X).`)    // → honor(X) <- student(X, M, G) and G > 3.7
+//	ctx := context.Background()
+//	res, err := k.ExecStringContext(ctx, `retrieve honor(X).`) // → honor(ann)
+//	res, err = k.ExecStringContext(ctx, `describe honor(X).`)  // → honor(X) <- student(X, M, G) and G > 3.7
+//
+// Every statement enters through ExecStringContext (or ExecContext for
+// a parsed one): the context cancels it, and ContextWithQueryLimits
+// tightens its limits.
 //
 // Facts can be made durable with Open (snapshot + write-ahead log with
 // crash recovery). The surface language is documented in the repository
@@ -73,9 +78,9 @@ type (
 	ComponentStats = eval.ComponentStats
 )
 
-// Query-governor types: per-query resource control for every evaluation
-// path (see WithQueryLimits and the context-taking KB methods —
-// ExecContext, RetrieveContext, DescribeContext).
+// Query-governor types: per-query resource control for every statement
+// (see WithQueryLimits, ContextWithQueryLimits, and the context every
+// statement runs under — ExecContext, ExecStringContext).
 type (
 	// QueryLimits are the per-query resource bounds. The zero value of
 	// every field means unlimited.
@@ -266,9 +271,9 @@ func NewTracer() *Tracer { return obs.NewTracer() }
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// WithTracer attaches a span tracer to the KB: every Exec/ExecString
-// query records a span tree of its phases. Nil keeps tracing disabled
-// with no overhead on the query path.
+// WithTracer attaches a span tracer to the KB: every
+// ExecContext/ExecStringContext statement records a span tree of its
+// phases. Nil keeps tracing disabled with no overhead on the query path.
 func WithTracer(t *Tracer) Option { return kb.WithTracer(t) }
 
 // WithMetrics registers the KB's instruments (query latency histograms
@@ -292,7 +297,7 @@ func WriteTraceTree(w io.Writer, root *Span) error { return obs.WriteTree(w, roo
 func DebugHandler(reg *MetricsRegistry) http.Handler { return obs.DebugHandler(reg) }
 
 // Provenance & explain types: the why-provenance layer behind the
-// `explain` statement (see KB.Explain).
+// `explain` statement.
 type (
 	// Explanation is the reconstructed derivation of every answer to an
 	// explain statement: one tree per answer fact, plus the legend of
@@ -343,9 +348,8 @@ func WriteExplainChromeTrace(w io.Writer, e *Explanation) error {
 func MetricsJSON(reg *MetricsRegistry) ([]byte, error) { return obs.MetricsJSON(reg) }
 
 // Profiling & live introspection types: per-rule cost accounting behind
-// the `profile` statement (see KB.ProfileContext and KB.SetProfiling)
-// and the in-flight query registry behind /v1/debug/activity and
-// `kdb top`.
+// the `profile` statement (see KB.SetProfiling) and the in-flight query
+// registry behind /v1/debug/activity and `kdb top`.
 type (
 	// QueryProfile is the per-rule cost breakdown of one evaluation:
 	// wall time, rounds, tuples, probes (index-hit vs full-scan), and
@@ -393,11 +397,6 @@ func NewRotatingWriter(path string, maxMB, keep int) (*RotatingWriter, error) {
 // as the sys_query_stats virtual relation (count, total and max latency
 // per distinct statement, bounded with an overflow bucket).
 func WithQueryStats() Option { return kb.WithQueryStats() }
-
-// WithoutSystemRelations disables the sys_* virtual relations on the
-// KB; the namespace itself stays reserved. Mainly for measuring the
-// provider's (near-zero) overhead.
-func WithoutSystemRelations() Option { return kb.WithoutSystemRelations() }
 
 // SystemRelations lists the sys_* virtual relations the engine serves
 // about itself (sys_relation, sys_rule, sys_metric, sys_activity,

@@ -1,6 +1,8 @@
 package kdb_test
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -27,7 +29,7 @@ func loadRoutes(t testing.TB) *kdb.KB {
 
 func exec(t testing.TB, k *kdb.KB, q string) string {
 	t.Helper()
-	res, err := k.ExecString(q)
+	res, err := k.ExecStringContext(context.Background(), q)
 	if err != nil {
 		t.Fatalf("exec %q: %v", q, err)
 	}
@@ -139,12 +141,43 @@ func TestRoutesIntroQueries(t *testing.T) {
 		t.Errorf("= %q", got)
 	}
 	// "Must every roundtrip endpoint be reachable both ways?" via not:
-	res, err := k.ExecString(`describe roundtrip(X, Y) where not reachable(X, Y).`)
+	res, err := k.ExecStringContext(context.Background(), `describe roundtrip(X, Y) where not reachable(X, Y).`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Necessity == nil || res.Necessity.Possible {
 		t.Errorf("reachability is necessary for a roundtrip: %v", res)
+	}
+}
+
+// TestCanceledContextStopsEveryStatement: every statement form answers
+// under a live context and returns ErrCanceled under a canceled one —
+// the §6 verdicts, whose unfolding never consults the context, included.
+func TestCanceledContextStopsEveryStatement(t *testing.T) {
+	k := loadUniversity(t)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []struct{ form, stmt string }{
+		{"retrieve", `retrieve honor(X).`},
+		{"or-retrieve", `retrieve honor(X) where enroll(X, databases) or enroll(X, calculus).`},
+		{"profile", `profile honor(X).`},
+		{"explain", `explain honor(ann).`},
+		{"describe", `describe honor(X).`},
+		{"necessary", `describe honor(X) where necessary student(X, math, V) and V > 3.7.`},
+		{"or-describe", `describe honor(X) where enroll(X, databases) or enroll(X, calculus).`},
+		{"wildcard", `describe * where honor(X).`},
+		{"subjectless", `describe where student(X, Y, Z) and Z > 3.8 and can_ta(X, U).`},
+		{"not", `describe can_ta(X, Y) where not honor(X).`},
+		{"compare", `compare (describe honor(X)) with (describe deans_list(X)).`},
+	} {
+		t.Run(c.form, func(t *testing.T) {
+			if _, err := k.ExecStringContext(context.Background(), c.stmt); err != nil {
+				t.Fatalf("live context: %v", err)
+			}
+			if _, err := k.ExecStringContext(canceled, c.stmt); !errors.Is(err, kdb.ErrCanceled) {
+				t.Errorf("canceled context: err = %v, want kdb.ErrCanceled", err)
+			}
+		})
 	}
 }
 
