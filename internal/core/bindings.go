@@ -18,17 +18,12 @@ type binding struct{ v, prev term.Term }
 
 func newBindings() bindings { return bindings{m: term.NewSubst(8)} }
 
-//kdb:hotpath
 func (b *bindings) walk(t term.Term) term.Term { return b.m.Walk(t) }
 
 // mark returns the point undo rewinds to.
-//
-//kdb:hotpath
 func (b *bindings) mark() int { return len(b.trail) }
 
 // undo takes back every write made since the mark.
-//
-//kdb:hotpath
 func (b *bindings) undo(mark int) {
 	for i := len(b.trail) - 1; i >= mark; i-- {
 		e := b.trail[i]
@@ -63,8 +58,6 @@ func (b *bindings) rebind(v, t term.Term) {
 // leaves them as they were. Both sides are walked, so a variable is only
 // ever bound at the end of a chain and no cycle forms; the language has
 // no function symbols, so no occurs check is needed.
-//
-//kdb:hotpath
 func (b *bindings) unify(x, y term.Atom) bool {
 	if x.Pred != y.Pred || len(x.Args) != len(y.Args) {
 		return false

@@ -522,14 +522,18 @@ func TestDescribeConcurrent(t *testing.T) {
 // The allocation claims of the trail, of prepared subsumption, and of
 // keying an answer before building it.
 func TestDescribeAllocs(t *testing.T) {
-	// A failed identification attempt: three arguments bind, the fourth
-	// clashes, the trail takes the three back.
+	// A failed identification attempt at a choice point: three arguments
+	// bind, the fourth clashes, the trail takes the three back.
 	b := newBindings()
 	goal, hyp := atomOf(t, `complete(X, Y, Z, 4)`), atomOf(t, `complete(A, B, C, 3)`)
 	if b.unify(goal, hyp) {
 		t.Fatal("4 unified with 3")
 	}
-	if n := testing.AllocsPerRun(200, func() { b.unify(goal, hyp) }); n != 0 || len(b.m) != 0 {
+	if n := testing.AllocsPerRun(200, func() {
+		mark := b.mark()
+		b.unify(goal, hyp)
+		b.undo(mark)
+	}); n != 0 || len(b.m) != 0 {
 		t.Errorf("a failed unification allocates %v times and leaves %d bindings, want 0 and 0", n, len(b.m))
 	}
 

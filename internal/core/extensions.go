@@ -171,8 +171,6 @@ type WildcardEntry struct {
 // subjects derivable from the qualifier. Every IDB predicate is
 // described under ψ; entries whose answers actually use the hypothesis
 // are returned, most specific first (fewest residual conjuncts).
-//
-//kdb:entrypoint
 func (d *Describer) DescribeWildcard(hypothesis term.Formula) ([]WildcardEntry, error) {
 	entries, _, err := d.DescribeWildcardContext(context.Background(), hypothesis, governor.Limits{})
 	return entries, err

@@ -94,8 +94,6 @@ func (m *matcher) renameApart(v term.Term) term.Term {
 // cannotMatch reports that some ordinary atom of the pattern has a
 // predicate/arity no atom of the target has, so no θ exists and the
 // matcher need not run.
-//
-//kdb:hotpath
 func cannotMatch(pattern, target *conj) bool {
 next:
 	for _, p := range pattern.pord {

@@ -310,8 +310,6 @@ func (r *runner) exec() error {
 
 // run resolves the steps from i on against the frame and reports whether
 // the enumeration should go on.
-//
-//kdb:hotpath
 func (r *runner) run(i int) bool {
 	steps := r.prog.steps
 	for ; i < len(steps); i++ {
@@ -349,8 +347,6 @@ func (r *runner) run(i int) bool {
 
 // onTuple binds the probe's first occurrences from one matching tuple and
 // resolves the rest of the body.
-//
-//kdb:hotpath
 func (p *probe) onTuple(t storage.Tuple) bool {
 	if p.except != nil && p.except.Contains(t) {
 		return true
@@ -362,8 +358,6 @@ func (p *probe) onTuple(t storage.Tuple) bool {
 }
 
 // value reads an operand against the frame.
-//
-//kdb:hotpath
 func (r *runner) value(o operand) term.Term {
 	if o.slot >= 0 {
 		return r.frame[o.slot]

@@ -123,8 +123,6 @@ func (rp *ruleProfiler) end() {
 }
 
 // fresh counts one newly derived fact against the current rule.
-//
-//kdb:hotpath
 func (rp *ruleProfiler) fresh() {
 	if rp == nil {
 		return
@@ -133,8 +131,6 @@ func (rp *ruleProfiler) fresh() {
 }
 
 // countLookup counts one body-atom resolution against the current rule.
-//
-//kdb:hotpath
 func (rp *ruleProfiler) countLookup() {
 	if rp == nil {
 		return
@@ -144,8 +140,6 @@ func (rp *ruleProfiler) countLookup() {
 
 // storageCounters returns the current rule's probe sink, or nil when no
 // sample is open (callers then fall back to the query-wide sink).
-//
-//kdb:hotpath
 func (rp *ruleProfiler) storageCounters() *storage.Counters {
 	if rp == nil || !rp.cur.active {
 		return nil

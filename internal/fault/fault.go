@@ -210,8 +210,6 @@ func Hits(site string) int {
 // shared and must not be mutated. Eval is on the append/flush hot
 // path of every durable write: while no site is armed it must stay a
 // single atomic load, with zero allocation.
-//
-//kdb:hotpath
 func Eval(site string) *Outcome {
 	if armed.Load() == 0 {
 		return nil
@@ -235,8 +233,6 @@ func evalSlow(site string) *Outcome {
 // nil when the site is disarmed, the policy does not trigger, or the
 // outcome is latency-only. Like Eval, the disarmed fast path is one
 // atomic load and allocation-free.
-//
-//kdb:hotpath
 func Inject(site string) error {
 	if armed.Load() == 0 {
 		return nil

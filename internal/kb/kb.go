@@ -179,8 +179,6 @@ func (k *KB) Close() error {
 }
 
 // Checkpoint folds the write-ahead log into a snapshot (durable KBs).
-//
-//kdb:entrypoint
 func (k *KB) Checkpoint() error {
 	return k.CheckpointContext(context.Background())
 }
@@ -191,14 +189,15 @@ func (k *KB) Checkpoint() error {
 // abandoned half-checkpoint is exactly the crash window the storage
 // layer exists to survive. It holds the write lock: a checkpoint racing
 // concurrent asserts could otherwise truncate a WAL record whose fact
-// had not reached the snapshot, silently losing a durable write.
+// had not reached the snapshot, silently losing a durable write. A
+// canceled context matches governor.ErrCanceled, as every statement's does.
 func (k *KB) CheckpointContext(ctx context.Context) error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	if k.closed {
 		return ErrClosed
 	}
-	if err := ctx.Err(); err != nil {
+	if err := governor.Check(ctx); err != nil {
 		return err
 	}
 	return k.store.Checkpoint()

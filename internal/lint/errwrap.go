@@ -20,10 +20,7 @@ var errwrapScope = []string{"internal/kb", "internal/storage", "internal/server"
 // on the chain staying intact.
 var ErrWrap = &Analyzer{
 	Name: "errwrap",
-	Doc: "in internal/kb, internal/storage and internal/server, every error\n" +
-		"value given to fmt.Errorf must be wrapped with %w so errors.Is/As\n" +
-		"reach the structured taxonomy through every return path",
-	Run: runErrWrap,
+	Run:  runErrWrap,
 }
 
 func runErrWrap(pass *Pass) error {

@@ -45,10 +45,7 @@ var riskyOsFuncs = map[string]bool{
 // model.
 var FaultSite = &Analyzer{
 	Name: "faultsite",
-	Doc: "every mutating filesystem syscall in internal/storage must sit in\n" +
-		"a function that evaluates a registered fault.Site, keeping the\n" +
-		"failpoint catalog exhaustive as storage grows",
-	Run: runFaultSite,
+	Run:  runFaultSite,
 }
 
 func runFaultSite(pass *Pass) error {

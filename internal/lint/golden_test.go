@@ -5,7 +5,7 @@ import "testing"
 // The golden corpora under testdata/src mirror the analysistest
 // convention: fixture packages carry `// want "regex"` comments, and
 // runGolden checks the diagnostics against them in both directions.
-// Scoped analyzers (errwrap, ctxflow, faultsite) get fixture packages
+// Scoped analyzers (errwrap, faultsite) get fixture packages
 // whose import paths replicate the in-scope suffixes
 // (.../testdata/src/errwrap/internal/storage matches internal/storage).
 
@@ -17,18 +17,6 @@ func TestErrWrapGolden(t *testing.T) {
 	runGolden(t, "internal/lint/testdata/src/errwrap/internal/storage", ErrWrap)
 }
 
-func TestCtxFlowGolden(t *testing.T) {
-	runGolden(t, "internal/lint/testdata/src/ctxflow/internal/kb", CtxFlow)
-}
-
-func TestHotPathGolden(t *testing.T) {
-	runGolden(t, "internal/lint/testdata/src/hotpath", HotPath)
-}
-
 func TestFaultSiteGolden(t *testing.T) {
 	runGolden(t, "internal/lint/testdata/src/faultsite/internal/storage", FaultSite)
-}
-
-func TestMetricRegGolden(t *testing.T) {
-	runGolden(t, "internal/lint/testdata/src/metricreg", MetricReg)
 }

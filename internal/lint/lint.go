@@ -1,12 +1,13 @@
-// Package lint is the engine's self-analysis suite: a set of
-// repo-specific static analyzers that machine-check the invariants the
-// rest of the tree merely documents — lock discipline around the WAL
-// and the tenant tables, the structured-error taxonomy at package
-// boundaries, context propagation through request paths, zero-alloc
-// hot paths, and failpoint coverage of raw storage syscalls. The
-// cmd/kdb-vet multichecker runs every analyzer over ./... and CI fails
-// on any diagnostic, so the invariants hold by construction rather
-// than by review.
+// Package lint is the engine's self-analysis suite: repo-specific static
+// analyzers for the invariants no test in the tree catches — lock
+// discipline around the WAL, the relations and the tenant tables
+// (lockcheck), the structured-error taxonomy at package boundaries
+// (errwrap), and failpoint coverage of raw storage syscalls (faultsite).
+// TestRepoClean runs every analyzer over the module inside
+// `go test ./...`, so a finding fails like any other test. An analyzer
+// belongs here only while no test catches what it catches; the
+// invariants a test can see — allocation-free hot paths, context
+// propagation, HELP text on metrics — are held by tests.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Reportf, analysistest-style golden corpora) but is
@@ -15,15 +16,11 @@
 // deliberately has no third-party dependencies. Porting an analyzer
 // to the x/tools driver is a mechanical change of the Run signature.
 //
-// Annotation grammar (DESIGN §5h):
+// Annotation grammar (DESIGN §5h), read by lockcheck:
 //
 //	//kdb:guarded-by mu      on a struct field: accesses require mu held
 //	//kdb:locked mu          on a func: caller holds mu (write mode)
 //	//kdb:rlocked mu         on a func: caller holds mu (read mode)
-//	//kdb:hotpath            on a func: body must not allocate
-//	//kdb:coldpath           on a stmt: excluded from the hotpath check
-//	//kdb:entrypoint         on a func: may call context.Background
-//	//kdb:nolint name[,name] on a line: suppress those analyzers there
 package lint
 
 import (
@@ -38,11 +35,8 @@ import (
 // Analyzer is one invariant checker. Run inspects a single package and
 // reports findings through the Pass.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and //kdb:nolint
-	// suppressions.
+	// Name identifies the analyzer in diagnostics.
 	Name string
-	// Doc is the one-paragraph description kdb-vet prints for -help.
-	Doc string
 	// Run executes the analyzer over one package.
 	Run func(*Pass) error
 }
@@ -80,7 +74,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // PathHasSuffix reports whether the package import path ends in one of
 // the given slash-separated suffixes. Scoped analyzers (errwrap,
-// ctxflow, faultsite) match real packages and their testdata replicas
+// faultsite) match real packages and their testdata replicas
 // by suffix: both kdb/internal/storage and
 // kdb/internal/lint/testdata/src/faultsite/internal/storage are "the
 // storage package" to faultsite.
@@ -96,12 +90,11 @@ func (p *Pass) PathHasSuffix(suffixes ...string) bool {
 
 // All returns every analyzer in the suite, in a stable order.
 func All() []*Analyzer {
-	return []*Analyzer{LockCheck, ErrWrap, CtxFlow, HotPath, FaultSite, MetricReg}
+	return []*Analyzer{LockCheck, ErrWrap, FaultSite}
 }
 
-// Run executes the analyzers over the loaded packages and returns the
-// surviving diagnostics (after //kdb:nolint suppression), sorted by
-// position.
+// Run executes the analyzers over the loaded packages and returns their
+// diagnostics, sorted by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
@@ -118,7 +111,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 			}
 		}
-		diags = suppress(pkg, diags)
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -136,56 +128,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return diags, nil
 }
 
-// suppress drops diagnostics sitting on a line that carries a
-// //kdb:nolint directive naming their analyzer (or naming none, which
-// suppresses all of them).
-func suppress(pkg *Package, diags []Diagnostic) []Diagnostic {
-	type lineKey struct {
-		file string
-		line int
-	}
-	nolint := map[lineKey][]string{}
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				arg, ok := directiveArg(c.Text, "nolint")
-				if !ok {
-					continue
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				names := []string{}
-				for _, n := range strings.Split(arg, ",") {
-					if n = strings.TrimSpace(n); n != "" {
-						names = append(names, n)
-					}
-				}
-				nolint[lineKey{pos.Filename, pos.Line}] = names
-			}
-		}
-	}
-	if len(nolint) == 0 {
-		return diags
-	}
-	kept := diags[:0]
-	for _, d := range diags {
-		names, ok := nolint[lineKey{d.Pos.Filename, d.Pos.Line}]
-		if ok && (len(names) == 0 || contains(names, d.Analyzer)) {
-			continue
-		}
-		kept = append(kept, d)
-	}
-	return kept
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
 // --- //kdb: directive helpers -------------------------------------------
 
 // directiveArg parses one comment line of the form "//kdb:name arg".
@@ -201,7 +143,7 @@ func directiveArg(comment, name string) (string, bool) {
 		return "", false
 	}
 	if text != "" && text[0] != ' ' && text[0] != '\t' {
-		return "", false // a longer directive name, e.g. kdb:nolintfoo
+		return "", false // a longer directive name, e.g. kdb:lockedfoo
 	}
 	return strings.TrimSpace(text), true
 }
@@ -220,11 +162,6 @@ func groupDirective(name string, groups ...*ast.CommentGroup) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// funcDirective reads a //kdb: directive off a function's doc comment.
-func funcDirective(fn *ast.FuncDecl, name string) (string, bool) {
-	return groupDirective(name, fn.Doc)
 }
 
 // exprPath renders a selector chain (w, s.wal, k.store) as a dotted

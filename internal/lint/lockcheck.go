@@ -25,10 +25,7 @@ import (
 // RLock.
 var LockCheck = &Analyzer{
 	Name: "lockcheck",
-	Doc: "report accesses to //kdb:guarded-by fields outside the declared lock\n" +
-		"(write accesses require the write lock; //kdb:locked and //kdb:rlocked\n" +
-		"assert that the caller holds it)",
-	Run: runLockCheck,
+	Run:  runLockCheck,
 }
 
 // lockMode distinguishes read-held from write-held locks.
@@ -135,7 +132,7 @@ func checkLockBody(pass *Pass, fn *ast.FuncDecl, guarded map[*types.Var]guardedF
 		recvName = fn.Recv.List[0].Names[0].Name
 	}
 	applyDirective := func(name string, mode lockMode) {
-		if arg, ok := funcDirective(fn, name); ok && arg != "" {
+		if arg, ok := groupDirective(name, fn.Doc); ok && arg != "" {
 			for _, mu := range splitFields(arg) {
 				key := mu
 				if recvName != "" && !containsDot(mu) {

@@ -39,8 +39,6 @@ type Activity struct {
 // bottom-up engines call it once per round and per finished component;
 // `kdb top` and the activity endpoint read the totals from other
 // goroutines, hence atomics. No-op on nil.
-//
-//kdb:hotpath
 func (a *Activity) AddProgress(facts, lookups int64) {
 	if a == nil {
 		return
@@ -51,8 +49,6 @@ func (a *Activity) AddProgress(facts, lookups int64) {
 
 // SetProgress replaces the running totals. The top-down engine calls it
 // once per naive-iteration pass with the table totals. No-op on nil.
-//
-//kdb:hotpath
 func (a *Activity) SetProgress(facts, lookups int64) {
 	if a == nil {
 		return

@@ -56,8 +56,6 @@ type Counter struct{ s *series }
 
 // Add increments the counter by d (d < 0 is ignored). Counters sit on
 // request and evaluation hot paths; Add must not allocate.
-//
-//kdb:hotpath
 func (c *Counter) Add(d int64) {
 	if c == nil || c.s == nil || d < 0 {
 		return
@@ -80,8 +78,6 @@ func (c *Counter) Value() int64 {
 type Gauge struct{ s *series }
 
 // Set stores v. Allocation-free, like Counter.Add.
-//
-//kdb:hotpath
 func (g *Gauge) Set(v float64) {
 	if g == nil || g.s == nil {
 		return

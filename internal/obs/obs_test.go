@@ -126,6 +126,9 @@ func TestConcurrentSpans(t *testing.T) {
 // -race it verifies the atomic internals.
 func TestConcurrentMetrics(t *testing.T) {
 	reg := NewRegistry()
+	reg.SetHelp("ops_total", "Operations.")
+	reg.SetHelp("depth", "Depth.")
+	reg.SetHelp("lat_seconds", "Latency.")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -333,9 +336,11 @@ func TestSetHelpBeforeAndAfterRegistration(t *testing.T) {
 
 // TestMetricsEndpointPrometheusFormat is the CI gate: the /metrics
 // endpoint must serve text that parses as Prometheus exposition format,
-// including the query-latency histograms.
+// including the query-latency histograms, over a registry holding every
+// kdb_* family this package registers — so each must carry HELP text.
 func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 	reg := NewRegistry()
+	RegisterBuildInfo(reg)
 	qm := NewQueryMetrics(reg)
 	sm := NewStorageMetrics(reg)
 	qm.ObserveQuery("retrieve", 2*time.Millisecond, "", false)
@@ -396,7 +401,9 @@ func TestValidatePrometheusRejectsGarbage(t *testing.T) {
 	for _, bad := range []string{
 		"",             // no samples
 		"just words\n", // not a sample line
-		"# TYPE x counter\n# TYPE x gauge\nx 1\n", // duplicate TYPE
+		"# HELP x X.\n# TYPE x counter\n# TYPE x gauge\nx 1\n", // duplicate TYPE
+		"# TYPE x counter\nx 1\n",                              // no HELP
+		"# HELP x \n# TYPE x counter\nx 1\n",                   // empty HELP
 	} {
 		if err := validatePrometheus(bad); err == nil {
 			t.Errorf("validatePrometheus(%q) = nil, want error", bad)
@@ -421,11 +428,14 @@ func TestMetricsJSONHandlesInf(t *testing.T) {
 }
 
 // TestDisabledPathAllocs asserts the zero-cost contract: with no tracer
-// and no metrics, the instrumentation call sites allocate nothing.
+// and no metrics, the instrumentation call sites allocate nothing. A
+// gauge set on a live registry allocates nothing either.
 func TestDisabledPathAllocs(t *testing.T) {
 	var tr *Tracer
 	var reg *Registry
 	c := reg.Counter("x")
+	g := reg.Gauge("g")
+	live := NewRegistry().Gauge("g")
 	h := reg.Histogram("h", nil)
 	ctx := t.Context()
 	allocs := testing.AllocsPerRun(100, func() {
@@ -437,6 +447,8 @@ func TestDisabledPathAllocs(t *testing.T) {
 		child.End()
 		tr.Finish(sp)
 		c.Inc()
+		g.Set(1)
+		live.Set(2)
 		h.Observe(0.001)
 	})
 	if allocs != 0 {

@@ -11,12 +11,14 @@ import (
 
 // validatePrometheus checks that text parses as Prometheus text
 // exposition format (version 0.0.4): well-formed HELP/TYPE comments,
+// every TYPE preceded by a non-empty HELP for its family (a metric
+// registered without SetHelp renders as an undocumented bare name),
 // sample lines matching the metric grammar, histogram bucket counts
 // cumulative with a trailing +Inf bucket equal to _count. It returns
 // the first violation found, or nil.
 func validatePrometheus(text string) error {
 	typeRe := regexp.MustCompile(`^# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (counter|gauge|histogram|summary|untyped)$`)
-	helpRe := regexp.MustCompile(`^# HELP ([a-zA-Z_:][a-zA-Z0-9_:]*) .*$`)
+	helpRe := regexp.MustCompile(`^# HELP ([a-zA-Z_:][a-zA-Z0-9_:]*) (.*)$`)
 	const labelSet = `\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"(?:,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*")*\}`
 	const number = `NaN|[+-]?Inf|[-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?`
 	sampleRe := regexp.MustCompile(
@@ -26,6 +28,7 @@ func validatePrometheus(text string) error {
 			`( [0-9]+)?$`) // optional timestamp
 
 	types := map[string]string{}
+	helped := map[string]bool{}
 	// histogram invariants, keyed by series labels minus le
 	type histState struct {
 		lastCum  float64
@@ -68,10 +71,17 @@ func validatePrometheus(text string) error {
 				if _, dup := types[m[1]]; dup {
 					return fmt.Errorf("line %d: duplicate TYPE for %s", n, m[1])
 				}
+				if !helped[m[1]] {
+					return fmt.Errorf("line %d: TYPE for %s without HELP text", n, m[1])
+				}
 				types[m[1]] = m[2]
 				continue
 			}
-			if helpRe.MatchString(line) {
+			if m := helpRe.FindStringSubmatch(line); m != nil {
+				if strings.TrimSpace(m[2]) == "" {
+					return fmt.Errorf("line %d: empty HELP for %s", n, m[1])
+				}
+				helped[m[1]] = true
 				continue
 			}
 			return fmt.Errorf("line %d: malformed comment: %q", n, line)

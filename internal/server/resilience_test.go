@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -58,16 +60,54 @@ func healthTenantField(t *testing.T, h map[string]any, tenant, field string) any
 	return entry[field]
 }
 
+// checkMetricsHelp scrapes /metrics and fails for every family whose
+// TYPE line has no non-empty HELP line before it — a metric registered
+// without SetHelp renders as an undocumented bare name — and for every
+// wanted family the exposition lacks.
+func checkMetricsHelp(t *testing.T, ts *httptest.Server, want ...string) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	helped, typed := map[string]bool{}, map[string]bool{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
+			name, help, _ := strings.Cut(rest, " ")
+			helped[name] = strings.TrimSpace(help) != ""
+		} else if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			typed[name] = true
+			if !helped[name] {
+				t.Errorf("/metrics: family %s has no HELP text", name)
+			}
+		}
+	}
+	for _, name := range want {
+		if !typed[name] {
+			t.Errorf("/metrics: no family %s", name)
+		}
+	}
+}
+
 // TestBreakerDegradedMode drives a tenant through the full breaker
 // lifecycle: repeated storage failures trip it into read-only degraded
 // mode (writes 503, reads keep serving off the in-RAM relations), and
 // once the fault clears, a cooldown-gated probe write closes it again.
+// By then every server metric family is registered, and each must
+// carry HELP text.
 func TestBreakerDegradedMode(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	s, ts, _ := newTestServer(t, Config{
 		Root:             t.TempDir(),
 		BreakerThreshold: 2,
 		BreakerCooldown:  time.Hour,
+		MaxInFlight:      8,
 	})
 
 	resp, out := postResp(t, ts, "/v1/kb/alpha/load", map[string]any{"program": teachingProgram})
@@ -149,6 +189,13 @@ func TestBreakerDegradedMode(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("write after recovery: %d %v", resp.StatusCode, out)
 	}
+
+	checkMetricsHelp(t, ts,
+		"kdb_build_info", "kdb_queries_total", "kdb_wal_append_seconds", "kdb_snapshots_total",
+		"kdb_server_requests_total", "kdb_server_request_seconds", "kdb_server_open_kbs",
+		"kdb_server_evictions_total", "kdb_server_inflight", "kdb_server_shed_total",
+		"kdb_server_breaker_state", "kdb_server_breaker_transitions_total",
+		"kdb_server_breaker_probes_total", "kdb_server_prepared_total")
 }
 
 // TestBreakerProbeFailureReopens: a probe that hits a still-failing

@@ -128,11 +128,8 @@ type Server struct {
 }
 
 // New builds a Server. When cfg.Root is set it must be an existing
-// directory (tenant stores are created beneath it on demand). New is a
-// chain root: the context.Background fallback below is the documented
-// meaning of a nil cfg.BaseContext, not a lost request context.
-//
-//kdb:entrypoint
+// directory (tenant stores are created beneath it on demand). A nil
+// cfg.BaseContext leaves the background work to stop at Close alone.
 func New(cfg Config) (*Server, error) {
 	if cfg.Root != "" {
 		fi, err := os.Stat(cfg.Root)

@@ -339,6 +339,44 @@ func TestCanceledClientStopsQuery(t *testing.T) {
 	}
 }
 
+// TestCanceledClientStopsCheckAndCheckpoint: the two routes that run no
+// statement hand the request context to the KB too, so a canceled
+// request ends in 499 rather than running to completion.
+func TestCanceledClientStopsCheckAndCheckpoint(t *testing.T) {
+	s, ts, _ := newTestServer(t, Config{})
+	if code, out := post(t, ts, "/v1/kb/alpha/load", map[string]any{"program": "p(a). q(a).\n:- p(X), q(X).\n"}); code != http.StatusOK {
+		t.Fatalf("load: %d %v", code, out)
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, route := range []string{"check", "checkpoint"} {
+		req := httptest.NewRequestWithContext(canceled, "POST", "/v1/kb/alpha/"+route, nil)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != statusClientClosedRequest {
+			t.Errorf("/%s under a canceled request: %d %s, want %d", route, rec.Code, rec.Body, statusClientClosedRequest)
+		}
+	}
+}
+
+// TestBaseContextStopsJanitor: canceling Config.BaseContext stops the
+// tenant janitor without Close.
+func TestBaseContextStopsJanitor(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	s, _, _ := newTestServer(t, Config{BaseContext: ctx, IdleTimeout: time.Hour})
+	cancel()
+	done := make(chan struct{})
+	go func() {
+		s.tenants.janitor.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the janitor outlived its base context")
+	}
+}
+
 // TestConcurrentClients is the acceptance workload: 64 concurrent
 // clients mixing retrieve, assert, and explain against two tenants of
 // one serve process, with the race detector watching (the CI race job

@@ -317,10 +317,16 @@ func TestSyncDirTolerance(t *testing.T) {
 // TestWALFailpointDisabledZeroAlloc is the acceptance gate: with no
 // failpoint armed, the checks compiled into the WAL hot path cost
 // zero allocations (and, by the benchmark in internal/fault, one
-// atomic load each).
+// atomic load each). So does reading the observer slot every append
+// consults, with an observer attached and without.
 func TestWALFailpointDisabledZeroAlloc(t *testing.T) {
 	fault.Reset()
+	var none, some observerHolder
+	some.set(&syncCounter{})
 	allocs := testing.AllocsPerRun(1000, func() {
+		if none.get() != nil || some.get() == nil {
+			t.Fatal("observer slot read back wrong")
+		}
 		if o := fault.Eval(fault.SiteWALAppend); o != nil {
 			t.Fatal("disabled failpoint triggered")
 		}

@@ -32,8 +32,6 @@ type observerHolder struct{ p atomic.Pointer[obsBox] }
 
 // get returns the current Observer, or nil. It runs on every WAL
 // append, so it must stay a bare atomic load.
-//
-//kdb:hotpath
 func (h *observerHolder) get() Observer {
 	if h == nil {
 		return nil

@@ -80,8 +80,6 @@ func (c *Counters) Chain(parent *Counters) { c.next = parent }
 
 // addProbe charges one probe with its candidate count (and, when the
 // probe had no usable index, a full scan) to the sink and its chain.
-//
-//kdb:hotpath
 func (c *Counters) addProbe(fullScan bool, candidates int64) {
 	for s := c; s != nil; s = s.next {
 		s.Probes.Add(1)
@@ -93,8 +91,6 @@ func (c *Counters) addProbe(fullScan bool, candidates int64) {
 }
 
 // addIndexBuild charges one index build to the sink and its chain.
-//
-//kdb:hotpath
 func (c *Counters) addIndexBuild() {
 	for s := c; s != nil; s = s.next {
 		s.IndexBuilds.Add(1)
@@ -473,8 +469,6 @@ func (r *Relation) lookup(mask uint64, pattern []term.Term, c *Counters) ([]Tupl
 // matches reports whether the tuple agrees with the pattern's constants
 // and with repeated pattern variables: a variable's position must hold
 // what the variable's earlier position holds.
-//
-//kdb:hotpath
 func matches(pattern []term.Term, t Tuple) bool {
 	for i, p := range pattern {
 		if p.IsConst() {

@@ -540,4 +540,15 @@ func TestRelationSelectRepeatedVariableAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, probe); allocs != 0 {
 		t.Errorf("full-scan Select with a repeated variable allocates %v per call, want 0", allocs)
 	}
+	// Charging an index build costs nothing either, to no sink or to a
+	// sink chained to a wider one.
+	var rule, query Counters
+	rule.Chain(&query)
+	var none *Counters
+	if allocs := testing.AllocsPerRun(200, func() {
+		none.addIndexBuild()
+		rule.addIndexBuild()
+	}); allocs != 0 {
+		t.Errorf("charging an index build allocates %v per call, want 0", allocs)
+	}
 }

@@ -3,6 +3,9 @@ package kdb_test
 import (
 	"context"
 	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -152,11 +155,13 @@ func TestRoutesIntroQueries(t *testing.T) {
 
 // TestCanceledContextStopsEveryStatement: every statement form answers
 // under a live context and returns ErrCanceled under a canceled one —
-// the §6 verdicts, whose unfolding never consults the context, included.
+// the §6 verdicts, whose unfolding never consults the context, included —
+// and so under per-request limits attached to the canceled context.
 func TestCanceledContextStopsEveryStatement(t *testing.T) {
 	k := loadUniversity(t)
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
+	limited := kdb.ContextWithQueryLimits(canceled, kdb.QueryLimits{MaxFacts: 1 << 20})
 	for _, c := range []struct{ form, stmt string }{
 		{"retrieve", `retrieve honor(X).`},
 		{"or-retrieve", `retrieve honor(X) where enroll(X, databases) or enroll(X, calculus).`},
@@ -177,7 +182,57 @@ func TestCanceledContextStopsEveryStatement(t *testing.T) {
 			if _, err := k.ExecStringContext(canceled, c.stmt); !errors.Is(err, kdb.ErrCanceled) {
 				t.Errorf("canceled context: err = %v, want kdb.ErrCanceled", err)
 			}
+			if _, err := k.ExecStringContext(limited, c.stmt); !errors.Is(err, kdb.ErrCanceled) {
+				t.Errorf("canceled context with limits: err = %v, want kdb.ErrCanceled", err)
+			}
 		})
+	}
+}
+
+// TestCanceledConstraintCheck: the constraint check, which is not a
+// statement, stops on a canceled context like one.
+func TestCanceledConstraintCheck(t *testing.T) {
+	k := kdb.New()
+	if err := k.LoadString("enroll(bob, db).\nsuspended(bob).\n:- enroll(X, C), suspended(X).\n"); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := k.CheckConstraintsContext(context.Background()); err != nil || len(v) != 1 {
+		t.Fatalf("live context: %d violations, err = %v; want 1, nil", len(v), err)
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := k.CheckConstraintsContext(canceled); !errors.Is(err, kdb.ErrCanceled) {
+		t.Errorf("canceled context: err = %v, want kdb.ErrCanceled", err)
+	}
+}
+
+// TestCanceledCheckpointWritesNoSnapshot: a checkpoint under a canceled
+// context returns ErrCanceled, as a statement does, and leaves the WAL
+// unfolded; a live one then writes the snapshot.
+func TestCanceledCheckpointWritesNoSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	k, err := kdb.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer k.Close()
+	if err := k.LoadString(`flight(la, sf).`); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := filepath.Join(dir, "kdb.snap")
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := k.CheckpointContext(canceled); !errors.Is(err, kdb.ErrCanceled) {
+		t.Errorf("canceled context: err = %v, want kdb.ErrCanceled", err)
+	}
+	if _, err := os.Stat(snapshot); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("a canceled checkpoint left a snapshot: stat err = %v", err)
+	}
+	if err := k.CheckpointContext(context.Background()); err != nil {
+		t.Fatalf("live context: %v", err)
+	}
+	if _, err := os.Stat(snapshot); err != nil {
+		t.Errorf("a checkpoint wrote no snapshot: %v", err)
 	}
 }
 
