@@ -33,10 +33,11 @@ func WithLimits(l governor.Limits) EngineOption {
 }
 
 // WithProvenance makes the engine record one why-provenance witness
-// (firing rule plus ground parent facts) for every newly derived fact
-// into rec, bounded by the governor's MaxProvenanceEntries limit. Every
-// engine honors it. A nil recorder disables recording; the derive
-// path then pays a single nil check (see TestProvenanceDisabledAllocs).
+// (the firing rule and the frame its body was solved in) for every newly
+// derived fact into rec, bounded by the governor's MaxProvenanceEntries
+// limit. No other goroutine may use rec meanwhile. Every engine honors
+// it. A nil recorder disables recording; the derive path then pays a
+// single nil check (see TestProvenanceDisabledAllocs).
 func WithProvenance(rec *prov.Recorder) EngineOption {
 	return func(c *engineConfig) { c.rec = rec }
 }

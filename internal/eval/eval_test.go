@@ -540,7 +540,7 @@ path(X, Y) :- edge(X, Z), path(Z, Y).
 
 // --- benchmarks: engine comparison on transitive closure (DESIGN B1) ---
 
-func chainInput(b *testing.B, n int) Input {
+func chainInput(b testing.TB, n int) Input {
 	st := storage.NewMemory()
 	for i := 0; i < n; i++ {
 		if _, err := st.InsertAtom(term.NewAtom("edge",

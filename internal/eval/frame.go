@@ -268,6 +268,7 @@ type runner struct {
 	head   term.Atom // reused: valid until the next solution
 	cmp    [2]term.Term
 	err    error // set once; the enumeration then unwinds
+	provID int   // the recorder's id for rule, -1 until its first witness
 }
 
 func newRunner(rule term.Rule, c *compiled, drv driver) *runner {
@@ -283,7 +284,7 @@ func newRunner(rule term.Rule, c *compiled, drv driver) *runner {
 		buf = buf[k:]
 		return out
 	}
-	r := &runner{rule: rule, prog: c, drv: drv, probes: make([]probe, len(c.steps))}
+	r := &runner{rule: rule, prog: c, drv: drv, probes: make([]probe, len(c.steps)), provID: -1}
 	r.frame = take(c.nslots)
 	r.head = term.Atom{Pred: c.head.Pred, Args: take(len(c.head.Args))}
 	copy(r.head.Args, c.head.Args)
@@ -393,17 +394,6 @@ func (r *runner) fact() (term.Atom, error) {
 	return r.head, nil
 }
 
-// subst returns the solution the frame holds as a substitution.
-func (r *runner) subst() term.Subst {
-	s := term.NewSubst(len(r.prog.vars))
-	for i, v := range r.prog.vars {
-		if slot := r.prog.slots[i]; slot >= 0 {
-			s[v] = r.frame[slot]
-		}
-	}
-	return s
-}
-
 // selectFrom feeds the probe every tuple of rel that matches its pattern,
 // charging the probe to c (nil: the counters attached to rel). side says
 // which extension rel is, for the arity error.
@@ -439,12 +429,23 @@ func (p *probe) selectStored(st *storage.Store, except *storage.Relation, c *sto
 // recordProv is the only provenance code on the derive path: with
 // recording disabled (nil recorder) it is a single branch, adding no
 // allocations per derived fact (enforced by TestProvenanceDisabledAllocs
-// and the provenance benchmarks). With a recorder it copies the head out
-// of the runner's buffer and turns the frame into a substitution.
+// and the provenance benchmarks). With a recorder it interns the rule on
+// the runner's first witness and hands the recorder the head and the
+// frame, which it copies only for a fact it has not seen.
 func recordProv(rec *prov.Recorder, gov *governor.Governor, r *runner) error {
 	if rec == nil {
 		return nil
 	}
-	fact := term.NewAtom(r.head.Pred, r.head.Args...)
-	return gov.CheckProvenanceEntries(rec.Record(fact, r.rule, r.prog.body, r.subst()))
+	if recordTap != nil {
+		recordTap(rec, r)
+	}
+	if r.provID < 0 {
+		r.provID = rec.Intern(r.rule, r.prog.head, r.prog.body, r.prog.vars, r.prog.slots)
+	}
+	return gov.CheckProvenanceEntries(rec.Record(r.provID, r.head, r.frame))
 }
+
+// recordTap, when non-nil, sees every solution recordProv is handed,
+// before the recorder does. Tests set it to feed the eager recorder they
+// hold the recorder to; production code leaves it nil.
+var recordTap func(rec *prov.Recorder, r *runner)

@@ -645,11 +645,16 @@ func TestEnginesMatchOracleSharedRuleSet(t *testing.T) {
 	}
 }
 
-// TestEnginesMatchOracleOnShippedPrograms: the shipped programs, with the
-// statements the examples and end-to-end tests ask of them, are fixed
-// cases beside the generated ones: every engine answers each as the
-// oracle does.
-func TestEnginesMatchOracleOnShippedPrograms(t *testing.T) {
+// shippedCase is a shipped program with the statements the examples and
+// end-to-end tests ask of it.
+type shippedCase struct {
+	program, src string
+	stmts        []string
+}
+
+// shippedCases are the shipped programs and a 40-course prerequisite
+// chain, c039 down to c000.
+func shippedCases(t testing.TB) []shippedCase {
 	shipped := func(name string) string {
 		src, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
 		if err != nil {
@@ -657,16 +662,12 @@ func TestEnginesMatchOracleOnShippedPrograms(t *testing.T) {
 		}
 		return string(src)
 	}
-	// A 40-course prerequisite chain, c039 down to c000.
 	var chain strings.Builder
 	for j := 1; j < 40; j++ {
 		fmt.Fprintf(&chain, "prereq(c%03d, c%03d).\n", j, j-1)
 	}
 	chain.WriteString("prior(X, Y) :- prereq(X, Y).\nprior(X, Y) :- prereq(X, Z), prior(Z, Y).\n")
-	cases := []struct {
-		program, src string
-		stmts        []string
-	}{
+	return []shippedCase{
 		{"university.kdb", shipped("university.kdb"), []string{
 			`retrieve honor(X).`,
 			`retrieve honor(X) where enroll(X, databases).`,
@@ -688,7 +689,14 @@ func TestEnginesMatchOracleOnShippedPrograms(t *testing.T) {
 			`retrieve prior(c039, Y).`,
 		}},
 	}
-	for _, c := range cases {
+}
+
+// TestEnginesMatchOracleOnShippedPrograms: the shipped programs, with the
+// statements the examples and end-to-end tests ask of them, are fixed
+// cases beside the generated ones: every engine answers each as the
+// oracle does.
+func TestEnginesMatchOracleOnShippedPrograms(t *testing.T) {
+	for _, c := range shippedCases(t) {
 		t.Run(strings.TrimSuffix(c.program, ".kdb"), func(t *testing.T) {
 			in := load(t, c.src)
 			for _, stmt := range c.stmts {

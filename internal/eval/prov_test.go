@@ -33,6 +33,32 @@ func TestProvenanceDisabledAllocs(t *testing.T) {
 	}
 }
 
+// TestProvenanceRecordAllocsPerFact is the price gate for recording: on
+// benchProvenance's 50-node chain, a run with a recorder may allocate at
+// most two more times per recorded witness than a run without one. A
+// witness is a rule id and a frame copied into the recorder's arena, so
+// the measured price is well under one (the arena's chunks and the
+// index's growth).
+func TestProvenanceRecordAllocsPerFact(t *testing.T) {
+	in := chainInput(t, 50)
+	q := query(t, `retrieve path(X, Y).`)
+	var witnesses int
+	run := func(rec *prov.Recorder) {
+		if _, err := NewSemiNaive(in, WithProvenance(rec)).RetrieveContext(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+		witnesses = rec.Len()
+	}
+	off := testing.AllocsPerRun(10, func() { run(nil) })
+	on := testing.AllocsPerRun(10, func() { run(prov.NewRecorder()) })
+	if witnesses == 0 {
+		t.Fatal("nothing recorded")
+	}
+	if per := (on - off) / float64(witnesses); per > 2 {
+		t.Errorf("recording allocates %.2f per witness (%v with, %v without, %d witnesses), want at most 2", per, on, off, witnesses)
+	}
+}
+
 // TestProvenanceRecordingAcrossEngines checks the engine plumbing at
 // the eval layer: with a recorder attached, every engine records one
 // witness per derived fact and reports the count in its statistics,

@@ -242,3 +242,48 @@ sponsor(bob, ann).
 		t.Errorf("promoted fact leaf = %v [%v], want vip(ann) [edb]", leaf.Fact, leaf.Kind)
 	}
 }
+
+// TestExplainLeavesConsistentUnderWrites: an explain classifies its
+// leaves against the store it evaluated, under the same read lock. A
+// writer retracts and re-asserts the stored fact honor(ann) rests on
+// while explains run: each answer is the whole derivation or none, never
+// a stored leaf shown as unknown.
+func TestExplainLeavesConsistentUnderWrites(t *testing.T) {
+	k := loadKB(t, universityProgram)
+	fact := term.NewAtom("student", term.Sym("ann"), term.Sym("math"), term.Num(3.9))
+	stop := make(chan struct{})
+	writer := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				writer <- nil
+				return
+			default:
+			}
+			if _, err := k.Retract(fact); err != nil {
+				writer <- err
+				return
+			}
+			if err := k.Assert(fact); err != nil {
+				writer <- err
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		if err := <-writer; err != nil {
+			t.Error(err)
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		res, err := k.ExecStringContext(context.Background(), "explain honor(ann).")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Explanation.String(); strings.Contains(got, "[unknown]") {
+			t.Fatalf("explain %d read the store after the evaluation:\n%s", i, got)
+		}
+	}
+}

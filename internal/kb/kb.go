@@ -788,20 +788,25 @@ const maxExplainNodes = 10000
 // MaxProvenanceEntries limit applies — then rebuilds the derivation tree
 // of every answer. Trees are cycle-safe for recursive predicates; leaves
 // distinguish stored facts (edb) from comparisons (builtin). The trees
-// are rebuilt after the evaluation, outside the read lock.
+// are rebuilt inside the evaluation, under its read lock, so every leaf
+// is classified against the store the answers were derived from.
 func (k *KB) explain(ctx context.Context, subject term.Atom, where term.Formula) (*prov.Explanation, error) {
 	rec := prov.NewRecorder()
-	res, err := k.evaluateOne(ctx, eval.Query{Subject: subject, Where: where}, eval.WithProvenance(rec))
+	var exp *prov.Explanation
+	err := k.evaluate(ctx, []eval.Query{{Subject: subject, Where: where}}, func(_ int, res *eval.Result, err error) error {
+		if err != nil {
+			return err
+		}
+		esp := obs.SpanFromContext(ctx).Child("explain")
+		exp = rec.Explain(subject, res.Atoms(subject), k.store.Contains, maxExplainNodes)
+		esp.SetInt("trees", int64(len(exp.Trees)))
+		esp.SetInt("nodes", int64(exp.Nodes))
+		esp.End()
+		return nil
+	}, eval.WithProvenance(rec))
 	if err != nil {
 		return nil, err
 	}
-
-	esp := obs.SpanFromContext(ctx).Child("explain")
-	isStored := func(a term.Atom) bool { return k.store.Contains(a) }
-	exp := rec.Explain(subject, res.Atoms(subject), isStored, maxExplainNodes)
-	esp.SetInt("trees", int64(len(exp.Trees)))
-	esp.SetInt("nodes", int64(exp.Nodes))
-	esp.End()
 	k.qmetrics.Load().ObserveExplain(int64(exp.Nodes))
 	return exp, nil
 }

@@ -25,13 +25,34 @@ var (
 		term.NewAtom("edge", x, z), term.NewAtom("path", z, y))
 )
 
+// record records fact as derived by rule with its variables bound as in
+// s: the frame holds one slot per variable of the rule, in order of first
+// occurrence.
+func record(r *Recorder, fact term.Atom, rule term.Rule, s term.Subst) int {
+	vars := rule.Vars()
+	slots := make([]int, len(vars))
+	frame := make([]term.Term, len(vars))
+	for i, v := range vars {
+		slots[i] = -1
+		if t, ok := s[v]; ok {
+			slots[i], frame[i] = i, t
+		}
+	}
+	return r.Record(r.Intern(rule, rule.Head, rule.Body, vars, slots), fact, frame)
+}
+
 func recordPath(t *testing.T, r *Recorder) {
 	t.Helper()
 	// path(b,c) :- edge(b,c).   path(a,c) :- edge(a,b), path(b,c).
-	r.Record(atom("path", "b", "c"), baseRule, baseRule.Body,
-		term.Subst{x: term.Sym("b"), y: term.Sym("c")})
-	r.Record(atom("path", "a", "c"), stepRule, stepRule.Body,
+	record(r, atom("path", "b", "c"), baseRule, term.Subst{x: term.Sym("b"), y: term.Sym("c")})
+	record(r, atom("path", "a", "c"), stepRule,
 		term.Subst{x: term.Sym("a"), y: term.Sym("c"), z: term.Sym("b")})
+}
+
+// explainText explains the ground facts with edge as the only stored
+// predicate.
+func explainText(r *Recorder, facts ...term.Atom) string {
+	return r.Explain(facts[0], facts, func(a term.Atom) bool { return a.Pred == "edge" }, 0).String()
 }
 
 func TestRecordFirstWitnessWins(t *testing.T) {
@@ -41,20 +62,50 @@ func TestRecordFirstWitnessWins(t *testing.T) {
 		t.Fatalf("Len = %d, want 2", r.Len())
 	}
 	// A second derivation of path(b,c) must not replace the first.
-	n := r.Record(atom("path", "b", "c"), stepRule, stepRule.Body,
+	n := record(r, atom("path", "b", "c"), stepRule,
 		term.Subst{x: term.Sym("b"), y: term.Sym("c"), z: term.Sym("q")})
 	if n != 2 || r.Len() != 2 {
 		t.Fatalf("duplicate record changed the store: n=%d len=%d", n, r.Len())
 	}
-	w := r.witness(atom("path", "b", "c").Key())
-	if w == nil || len(w.Body) != 1 || w.Body[0].Pred != "edge" {
-		t.Fatalf("first witness replaced: %+v", w)
+	want := `path(b, c)  [r1]
+  edge(b, c)  [edb]
+
+rules:
+  r1: path(X, Y) :- edge(X, Y).
+`
+	if got := explainText(r, atom("path", "b", "c")); got != want {
+		t.Fatalf("first witness replaced:\n%s", got)
+	}
+}
+
+// TestRecordCopiesFrame: the fact and the frame are buffers the engines
+// reuse for the next solution, so a witness must not alias them.
+func TestRecordCopiesFrame(t *testing.T) {
+	r := NewRecorder()
+	vars := []term.Term{x, y}
+	id := r.Intern(baseRule, baseRule.Head, baseRule.Body, vars, []int{0, 1})
+	fact := term.NewAtom("path", term.Sym("a"), term.Sym("b"))
+	frame := []term.Term{term.Sym("a"), term.Sym("b")}
+	r.Record(id, fact, frame)
+	fact.Args[1], frame[1] = term.Sym("c"), term.Sym("c")
+	r.Record(id, fact, frame)
+	want := `path(a, b)  [r1]
+  edge(a, b)  [edb]
+
+path(a, c)  [r1]
+  edge(a, c)  [edb]
+
+rules:
+  r1: path(X, Y) :- edge(X, Y).
+`
+	if got := explainText(r, atom("path", "a", "b"), atom("path", "a", "c")); got != want {
+		t.Fatalf("got:\n%s\nwant:\n%s", got, want)
 	}
 }
 
 func TestNilRecorder(t *testing.T) {
 	var r *Recorder
-	if n := r.Record(atom("p", "a"), baseRule, baseRule.Body, nil); n != 0 {
+	if n := r.Record(r.Intern(baseRule, baseRule.Head, baseRule.Body, nil, nil), atom("p", "a"), nil); n != 0 {
 		t.Errorf("nil Record = %d, want 0", n)
 	}
 	if r.Len() != 0 {
@@ -80,27 +131,25 @@ func TestRewrittenView(t *testing.T) {
 	guard := term.NewAtom("m$path#bf", x)
 	head := term.NewAtom("path#bf", x, y)
 	rule := term.NewRule(head, guard, term.NewAtom("edge", x, y))
-	view.Record(term.NewAtom("path#bf", term.Sym("a"), term.Sym("b")), rule, rule.Body,
+	record(view, term.NewAtom("path#bf", term.Sym("a"), term.Sym("b")), rule,
 		term.Subst{x: term.Sym("a"), y: term.Sym("b")})
 
-	// The shared store sees the original predicate name...
+	// The shared store sees the original predicate name, the guard atom
+	// vanished from the body, and the display rule is back in source form.
 	if r.Len() != 1 {
 		t.Fatalf("shared store Len = %d, want 1", r.Len())
 	}
-	w := r.witness(atom("path", "a", "b").Key())
-	if w == nil {
-		t.Fatal("witness not recorded under the unadorned name")
-	}
-	// ...the guard atom vanished from the body...
-	if len(w.Body) != 1 || w.Body[0].Pred != "edge" {
-		t.Fatalf("guard survived in witness body: %v", w.Body)
-	}
-	// ...and the display rule is back in source form.
-	if got := r.rule(w.RuleID).String(); got != "path(X, Y) :- edge(X, Y)." {
-		t.Fatalf("display rule = %q", got)
+	want := `path(a, b)  [r1]
+  edge(a, b)  [edb]
+
+rules:
+  r1: path(X, Y) :- edge(X, Y).
+`
+	if got := explainText(r, atom("path", "a", "b")); got != want {
+		t.Fatalf("got:\n%s\nwant:\n%s", got, want)
 	}
 	// A fact dropped by the rewrite records nothing.
-	view.Record(term.NewAtom("m$path#bf", term.Sym("a")), rule, nil, nil)
+	record(view, term.NewAtom("m$path#bf", term.Sym("a")), rule, nil)
 	if r.Len() != 1 {
 		t.Fatalf("dropped fact was recorded: Len = %d", r.Len())
 	}
@@ -134,7 +183,7 @@ func TestExplainCycleSafe(t *testing.T) {
 	// A self-supporting witness (possible after the magic engine collapses
 	// adorned variants onto one fact): p(a) witnessed by p(a) itself.
 	self := term.NewRule(term.NewAtom("p", x), term.NewAtom("p", x))
-	r.Record(atom("p", "a"), self, self.Body, term.Subst{x: term.Sym("a")})
+	record(r, atom("p", "a"), self, term.Subst{x: term.Sym("a")})
 	e := r.Explain(atom("p", "a"), []term.Atom{atom("p", "a")}, nil, 0)
 	tree := e.Trees[0]
 	if tree.Kind != NodeDerived || len(tree.Children) != 1 {
@@ -150,8 +199,7 @@ func TestExplainLeafKinds(t *testing.T) {
 	gt := term.NewAtom(">", term.Var("G"), term.Num(3.7))
 	rule := term.NewRule(term.NewAtom("honor", x),
 		term.NewAtom("student", x, term.Var("G")), gt)
-	r.Record(atom("honor", "ann"), rule, rule.Body,
-		term.Subst{x: term.Sym("ann"), term.Var("G"): term.Num(3.9)})
+	record(r, atom("honor", "ann"), rule, term.Subst{x: term.Sym("ann"), term.Var("G"): term.Num(3.9)})
 	isEDB := func(a term.Atom) bool { return a.Pred == "student" }
 	e := r.Explain(atom("honor", "ann"), []term.Atom{atom("honor", "ann"), atom("honor", "zoe")}, isEDB, 0)
 	root := e.Trees[0]

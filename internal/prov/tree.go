@@ -88,11 +88,12 @@ type Explanation struct {
 func (r *Recorder) Explain(subject term.Atom, facts []term.Atom, isEDB func(term.Atom) bool, maxNodes int) *Explanation {
 	e := &Explanation{Subject: subject, Entries: r.Len()}
 	b := &builder{
-		rec:      r,
+		st:       r.state,
 		isEDB:    isEDB,
 		maxNodes: maxNodes,
 		ruleIDs:  make(map[int]int),
-		onPath:   make(map[string]bool),
+		ruleKeys: make(map[string]int),
+		onPath:   make(map[int]bool),
 	}
 	for _, f := range facts {
 		e.Trees = append(e.Trees, b.build(f))
@@ -104,14 +105,15 @@ func (r *Recorder) Explain(subject term.Atom, facts []term.Atom, isEDB func(term
 }
 
 type builder struct {
-	rec       *Recorder
+	st        *recorderState
 	isEDB     func(term.Atom) bool
 	maxNodes  int
 	nodes     int
 	truncated bool
-	ruleIDs   map[int]int // recorder rule id → 1-based display id
+	ruleIDs   map[int]int    // recorder rule id → 1-based display id
+	ruleKeys  map[string]int // display rule key → 1-based display id
 	rules     []term.Rule
-	onPath    map[string]bool
+	onPath    map[int]bool // witnesses being expanded
 }
 
 func (b *builder) build(a term.Atom) *Node {
@@ -123,30 +125,54 @@ func (b *builder) build(a term.Atom) *Node {
 	if term.IsComparison(a) {
 		return &Node{Fact: a, Kind: NodeBuiltin}
 	}
-	key := a.Key()
-	if b.onPath[key] {
-		return &Node{Fact: a, Kind: NodeCycle}
-	}
+	// A fact on the path was not stored when it was expanded, so the
+	// store is asked first.
 	if b.isEDB != nil && b.isEDB(a) {
 		return &Node{Fact: a, Kind: NodeEDB}
 	}
-	w := b.rec.witness(key)
-	if w == nil {
+	_, _, i := b.st.lookup(a)
+	switch {
+	case i < 0:
 		return &Node{Fact: a, Kind: NodeUnknown}
+	case b.onPath[i]:
+		return &Node{Fact: a, Kind: NodeCycle}
 	}
-	id, ok := b.ruleIDs[w.RuleID]
-	if !ok {
-		b.rules = append(b.rules, b.rec.rule(w.RuleID))
-		id = len(b.rules)
-		b.ruleIDs[w.RuleID] = id
+	w := b.st.witnesses[i]
+	s := &b.st.rules[w.rule]
+	n := &Node{Fact: a, Kind: NodeDerived, Rule: b.displayID(int(w.rule))}
+	b.onPath[i] = true
+	frame := b.st.frame(i)
+	for _, p := range s.body {
+		g := s.ground(p, frame)
+		if s.rewrite != nil && !term.IsComparison(g) {
+			var keep bool
+			if g, keep = s.rewrite(g); !keep {
+				continue
+			}
+		}
+		n.Children = append(n.Children, b.build(g))
 	}
-	n := &Node{Fact: a, Kind: NodeDerived, Rule: id}
-	b.onPath[key] = true
-	for _, p := range w.Body {
-		n.Children = append(n.Children, b.build(p))
-	}
-	delete(b.onPath, key)
+	delete(b.onPath, i)
 	return n
+}
+
+// displayID numbers the rule interned as id in first-use order. Rules
+// that display alike share a number: magic interns one adorned variant
+// of a source rule per binding pattern.
+func (b *builder) displayID(id int) int {
+	if d, ok := b.ruleIDs[id]; ok {
+		return d
+	}
+	r := b.st.rules[id].display()
+	key := r.Key()
+	d, ok := b.ruleKeys[key]
+	if !ok {
+		b.rules = append(b.rules, r)
+		d = len(b.rules)
+		b.ruleKeys[key] = d
+	}
+	b.ruleIDs[id] = d
+	return d
 }
 
 // WriteText renders the explanation as an indented tree followed by the
