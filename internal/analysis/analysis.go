@@ -115,13 +115,18 @@ func (e *Error) Error() string {
 	return "analysis: program rejected:\n  " + strings.Join(lines, "\n  ")
 }
 
-// Program is the unit of analysis: the IDB rules, the integrity
-// constraints, and the EDB schema (stored or declared relations with
-// their arities). Build one with FromProgram (a freshly parsed source)
-// or assemble it from a live knowledge base.
+// Program is the unit of analysis: the IDB rules and their dependency
+// graph, the integrity constraints, and the EDB schema (stored or
+// declared relations with their arities). Build one with FromProgram (a
+// freshly parsed source) or assemble it from a live knowledge base.
 type Program struct {
 	// Rules are the IDB rules, including bodiless IDB clauses.
 	Rules []term.Rule
+	// Graph is the dependency analysis of Rules. A knowledge base passes
+	// the graph of the rules its load commits, which add to Rules the
+	// stored facts of every predicate the load promotes, as bodiless
+	// rules: they change no dependency, and they ground the predicate.
+	Graph *depgraph.Graph
 	// Facts are the EDB fact clauses, with positions, kept so the arity
 	// analyzer can compare every use site (the EDB map records only one
 	// arity per predicate).
@@ -167,15 +172,15 @@ func FromProgram(prog *parser.Program) *Program {
 	}
 	p.Constraints = append(p.Constraints, prog.Constraints...)
 	p.ConstraintPos = append(p.ConstraintPos, prog.ConstraintPos...)
+	p.Graph = depgraph.New(p.Rules)
 	return p
 }
 
 // Pass is the shared, read-only state one analyzer run sees: the program
-// plus its dependency analysis, computed once for the whole suite.
+// (its dependency analysis included) and what the suite derives from it
+// once.
 type Pass struct {
 	Program *Program
-	// Graph is the dependency analysis of Program.Rules.
-	Graph *depgraph.Graph
 	// Defined maps every predicate that is defined — heads a rule or has
 	// an EDB relation — to true.
 	Defined map[string]bool
@@ -221,7 +226,6 @@ func Run(prog *Program, analyzers ...*Analyzer) *Report {
 	}
 	pass := &Pass{
 		Program: prog,
-		Graph:   depgraph.New(prog.Rules),
 		Defined: make(map[string]bool, len(prog.EDB)),
 	}
 	for pred := range prog.EDB {
@@ -236,7 +240,7 @@ func Run(prog *Program, analyzers ...*Analyzer) *Report {
 	for _, d := range sysrel.Defs() {
 		pass.Defined[d.Name] = true
 	}
-	rep := &Report{Profile: ProfileOf(prog, pass.Graph)}
+	rep := &Report{Profile: ProfileOf(prog)}
 	for _, a := range analyzers {
 		rep.Diagnostics = append(rep.Diagnostics, a.Run(pass)...)
 	}

@@ -251,7 +251,9 @@ var unusedAnalyzer = &Analyzer{
 		}
 		// Groundedness fixpoint: EDB relations (and, optimistically,
 		// undefined predicates) are grounded; a rule head is grounded once
-		// every ordinary body atom is.
+		// every ordinary body atom is. It reads the graph's rules, which
+		// include the stored facts of a predicate a knowledge-base load
+		// promotes.
 		grounded := make(map[string]bool)
 		for p := range pass.Program.EDB {
 			grounded[p] = true
@@ -261,7 +263,7 @@ var unusedAnalyzer = &Analyzer{
 		}
 		for changed := true; changed; {
 			changed = false
-			for _, r := range pass.Program.Rules {
+			for _, r := range pass.Program.Graph.Rules() {
 				if grounded[r.Head.Pred] {
 					continue
 				}
@@ -321,18 +323,19 @@ var unusedAnalyzer = &Analyzer{
 
 // recursionAnalyzer classifies every recursive component and checks the
 // paper's §2.1 discipline (all recursive rules strongly linear and typed
-// with respect to their head), subsuming depgraph.CheckDiscipline: the
-// classification decides whether describe can run the exact Algorithm 2
-// (via the §5.2 transformation) or must fall back to the bounded §5.3
-// mode, and whether the transformation itself is degenerate.
+// with respect to their head) through depgraph.CheckDiscipline and
+// transform.Of over the program's graph: the classification decides
+// whether describe can run the exact Algorithm 2 (via the §5.2
+// transformation) or must fall back to the bounded §5.3 mode, and
+// whether the transformation itself is degenerate.
 var recursionAnalyzer = &Analyzer{
 	Name: "recursion",
 	Doc:  "per-component recursion classification and §2.1 discipline",
 	Run: func(pass *Pass) []Diagnostic {
-		g := pass.Graph
+		g := pass.Program.Graph
 		var out []Diagnostic
 		// Per-rule discipline violations, with positions.
-		for _, v := range checkDiscipline(g, pass.Program.Rules) {
+		for _, v := range g.CheckDiscipline() {
 			out = append(out, Diagnostic{
 				Analyzer: "recursion",
 				Severity: SevWarning,
@@ -344,7 +347,8 @@ var recursionAnalyzer = &Analyzer{
 		}
 		// Degenerate disciplined recursion: the §5.2 transformation
 		// cannot apply, so describe on the predicate fails outright.
-		probe := transform.Probe(pass.Program.Rules)
+		trans, _ := transform.Of(g)
+		probe := trans.Degenerate
 		probePreds := make([]string, 0, len(probe))
 		for p := range probe {
 			probePreds = append(probePreds, p)
@@ -405,24 +409,6 @@ var recursionAnalyzer = &Analyzer{
 		}
 		return out
 	},
-}
-
-// checkDiscipline mirrors depgraph.CheckDiscipline over an existing
-// graph (avoiding a second dependency analysis).
-func checkDiscipline(g *depgraph.Graph, rules []term.Rule) []depgraph.Violation {
-	var out []depgraph.Violation
-	for _, r := range rules {
-		if !g.IsRecursiveRule(r) {
-			continue
-		}
-		if !g.IsStronglyLinear(r) {
-			out = append(out, depgraph.Violation{Rule: r, Reason: "recursive rule is not strongly linear"})
-		}
-		if !depgraph.TypedWRT(r, r.Head.Pred) {
-			out = append(out, depgraph.Violation{Rule: r, Reason: "recursive rule is not typed with respect to its head predicate"})
-		}
-	}
-	return out
 }
 
 // RecursionClass classifies the recursive rules of one component, from

@@ -3,8 +3,6 @@ package analysis
 import (
 	"fmt"
 	"strings"
-
-	"kdb/internal/depgraph"
 )
 
 // Profile summarizes the shape of a program: predicate and clause
@@ -39,9 +37,9 @@ type Profile struct {
 	Typed int `json:"typed_rules"`
 }
 
-// ProfileOf computes the profile of a program given its dependency
-// graph.
-func ProfileOf(prog *Program, g *depgraph.Graph) Profile {
+// ProfileOf computes the profile of a program.
+func ProfileOf(prog *Program) Profile {
+	g := prog.Graph
 	p := Profile{
 		EDBPreds:    len(prog.EDB),
 		Rules:       len(prog.Rules),

@@ -59,7 +59,8 @@ func (o Options) withDefaults() Options {
 // Describer answers knowledge queries over a fixed rule set. Build one
 // with New; it is safe for concurrent use.
 type Describer struct {
-	rules []term.Rule
+	// graph is the dependency analysis of the original rules, which it
+	// holds.
 	graph *depgraph.Graph
 	table ruleTable
 
@@ -119,12 +120,21 @@ func newRuleTable(rules []term.Rule, trans *transform.Result) ruleTable {
 	return t
 }
 
-// New builds a describer for the rule set. keys may be nil.
+// New builds a describer for the rule set: Build over a graph of its
+// own. It is kept for the benchmark harness (bench/), which pins it until
+// ROADMAP item 1(c).
 func New(rules []term.Rule, keys map[string][][]int, opts Options) (*Describer, error) {
-	trans, err := transform.Apply(rules)
+	return Build(depgraph.New(rules), keys, opts)
+}
+
+// Build builds a describer for the rules of the dependency graph, which
+// it keeps and shares. keys may be nil.
+func Build(g *depgraph.Graph, keys map[string][][]int, opts Options) (*Describer, error) {
+	trans, err := transform.Of(g)
 	if err != nil {
 		return nil, err
 	}
+	rules := g.Rules()
 	// The typed-substitution guard applies to the predicates that went
 	// through the transformation and their step predicates. Undisciplined
 	// recursive rules are exempt from the typing requirement (§5.3, end):
@@ -138,8 +148,7 @@ func New(rules []term.Rule, keys map[string][][]int, opts Options) (*Describer, 
 		keys = map[string][][]int{}
 	}
 	d := &Describer{
-		rules:    rules,
-		graph:    depgraph.New(rules),
+		graph:    g,
 		trans:    trans,
 		recPreds: rec,
 		keys:     keys,
@@ -168,14 +177,10 @@ func New(rules []term.Rule, keys map[string][][]int, opts Options) (*Describer, 
 }
 
 // Rules returns the original rule set.
-func (d *Describer) Rules() []term.Rule { return d.rules }
+func (d *Describer) Rules() []term.Rule { return d.graph.Rules() }
 
 // TransformedRules returns the rule set after the §5.2 transformation.
 func (d *Describer) TransformedRules() []term.Rule { return d.trans.Rules }
-
-// Graph returns the dependency graph of the original rule set. Like the
-// describer, it is read-only and safe for concurrent use.
-func (d *Describer) Graph() *depgraph.Graph { return d.graph }
 
 // DescribeContext evaluates `describe subject where hypothesis` (§3.2).
 // The subject must be an IDB predicate (it has at least one rule). The

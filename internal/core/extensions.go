@@ -196,7 +196,7 @@ func (d *Describer) DescribeWildcardContext(ctx context.Context, hypothesis term
 	}
 	seen := make(map[string]int) // pred → arity
 	var preds []string
-	for _, r := range d.rules {
+	for _, r := range d.graph.Rules() {
 		if _, ok := seen[r.Head.Pred]; !ok {
 			seen[r.Head.Pred] = r.Head.Arity()
 			preds = append(preds, r.Head.Pred)

@@ -43,7 +43,7 @@ func oracleDescribe(d *Describer, subject term.Atom, hypothesis term.Formula) (*
 	if len(hypOrd) == 0 {
 		alg2 = false
 	}
-	rules := d.rules
+	rules := d.graph.Rules()
 	g := d.graph
 	if alg2 {
 		rules = d.trans.Rules

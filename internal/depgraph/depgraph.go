@@ -151,6 +151,10 @@ func (g *Graph) computeReach(nodes map[string]bool) {
 	}
 }
 
+// Rules returns the analysed rule set. The slice is shared with the
+// graph; callers must not mutate it.
+func (g *Graph) Rules() []term.Rule { return g.rules }
+
 // RulesFor returns the rules whose head predicate is pred.
 func (g *Graph) RulesFor(pred string) []term.Rule { return g.byHead[pred] }
 
@@ -248,6 +252,15 @@ func (g *Graph) SCC(p string) []string {
 	return g.sccs[id]
 }
 
+// SCCIndex returns the index in SCCOrder of the component containing p,
+// or -1 when p is not in the graph.
+func (g *Graph) SCCIndex(p string) int {
+	if id, ok := g.sccOf[p]; ok {
+		return id
+	}
+	return -1
+}
+
 // SCCOrder returns the components in dependency order: every component
 // appears after the components it depends on, so a bottom-up engine can
 // evaluate them front to back.
@@ -338,14 +351,15 @@ func (g *Graph) CheckDiscipline() []Violation {
 // itself appears (the paper's footnote 2). maxDepth bounds the unfolding;
 // rule sets whose recursion cycles are longer fail with an error.
 //
-// The returned slice contains all rules, with rewritten rules replacing
-// their originals. Non-recursive and already-strongly-linear rules pass
-// through unchanged.
-func MakeStronglyLinear(rules []term.Rule, maxDepth int) ([]term.Rule, error) {
-	g := New(rules)
+// The result is the graph of all rules, with rewritten rules replacing
+// their originals; non-recursive and already-strongly-linear rules pass
+// through unchanged. When no rule needed rewriting it is g itself, so a
+// second graph is built only when the rewrite changed the rules.
+func MakeStronglyLinear(g *Graph, maxDepth int) (*Graph, error) {
 	var rn term.Renamer
 	var out []term.Rule
-	for _, r := range rules {
+	changed := false
+	for _, r := range g.rules {
 		if !g.IsRecursiveRule(r) || g.IsStronglyLinear(r) {
 			out = append(out, r)
 			continue
@@ -358,8 +372,12 @@ func MakeStronglyLinear(rules []term.Rule, maxDepth int) ([]term.Rule, error) {
 			return nil, err
 		}
 		out = append(out, rewritten...)
+		changed = true
 	}
-	return out, nil
+	if !changed {
+		return g, nil
+	}
+	return New(out), nil
 }
 
 // unfoldToStronglyLinear repeatedly unfolds the single mutually recursive

@@ -187,6 +187,9 @@ func TestSCCOrder(t *testing.T) {
 	for i, comp := range order {
 		for _, p := range comp {
 			pos[p] = i
+			if j := g.SCCIndex(p); j != i {
+				t.Errorf("SCCIndex(%s) = %d, want %d", p, j, i)
+			}
 		}
 	}
 	// Dependencies must come before dependents.
@@ -236,10 +239,15 @@ anc(X, Y) :- anc(X, Z), anc(Z, Y).
 
 func TestMakeStronglyLinearPassThrough(t *testing.T) {
 	rs := rules(t, universityIDB)
-	out, err := MakeStronglyLinear(rs, 8)
+	g := New(rs)
+	lin, err := MakeStronglyLinear(g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if lin != g {
+		t.Error("a rule set needing no rewrite got a second graph")
+	}
+	out := lin.Rules()
 	if len(out) != len(rs) {
 		t.Fatalf("rule count changed: %d → %d", len(rs), len(out))
 	}
@@ -256,11 +264,11 @@ even(X) :- zero(X).
 even(X) :- succ(Y, X), odd(Y).
 odd(X) :- succ(Y, X), even(Y).
 `)
-	out, err := MakeStronglyLinear(rs, 8)
+	g, err := MakeStronglyLinear(New(rs), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := New(out)
+	out := g.Rules()
 	for _, r := range out {
 		if g.IsRecursiveRule(r) && !g.IsStronglyLinear(r) {
 			t.Errorf("rule %v is recursive but not strongly linear after rewrite", r)
@@ -285,7 +293,7 @@ func TestMakeStronglyLinearNonLinearFails(t *testing.T) {
 anc(X, Y) :- par(X, Y).
 anc(X, Y) :- anc(X, Z), anc(Z, Y).
 `)
-	if _, err := MakeStronglyLinear(rs, 8); err == nil {
+	if _, err := MakeStronglyLinear(New(rs), 8); err == nil {
 		t.Error("non-linear recursion must fail to rewrite")
 	}
 }
@@ -294,6 +302,9 @@ func TestSCCUnknownPredicate(t *testing.T) {
 	g := New(nil)
 	if scc := g.SCC("ghost"); len(scc) != 1 || scc[0] != "ghost" {
 		t.Errorf("SCC(ghost) = %v", scc)
+	}
+	if i := g.SCCIndex("ghost"); i != -1 {
+		t.Errorf("SCCIndex(ghost) = %d, want -1", i)
 	}
 }
 

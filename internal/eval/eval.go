@@ -28,8 +28,9 @@
 // Planning is split by lifetime. Whatever depends only on the IDB — its
 // safety verdict, its dependency graph and SCC schedule, and every rule's
 // compiled body — is a RuleSet, built by Prepare and shared by every
-// statement over the same rules; the kb layer builds one on the first
-// evaluation after a load and drops it at the next load. A statement then
+// statement over the same rules, and it shares the dependency graph it is
+// given; the kb layer builds one per load, on the first evaluation over
+// it, from the graph the load analysed. A statement then
 // only adds its query rule: it checks that rule's safety, schedules it
 // after the set's components and compiles it (buildPlan). An Input
 // without a RuleSet is prepared on the spot, per statement.
@@ -55,9 +56,9 @@ import (
 type Input struct {
 	Store *storage.Store
 	Rules []term.Rule
-	// Prepared optionally holds Prepare(Rules), analysed ahead of the
-	// statement and shared by any number of them. When it is nil every
-	// statement prepares Rules itself.
+	// Prepared optionally holds Rules analysed ahead of the statement
+	// (Prepare over their dependency graph) and shared by any number of
+	// them. When it is nil every statement prepares Rules itself.
 	Prepared *RuleSet
 	// Virtual optionally serves read-only system relations (sys_*).
 	// Programs that never reference a virtual predicate evaluate
@@ -170,13 +171,14 @@ type preparedRule struct {
 	rec  []int
 }
 
-// Prepare analyses rules once for every statement that evaluates them:
-// pass the result as Input.Prepared. The rules must not change while the
-// set is in use.
-func Prepare(rules []term.Rule) *RuleSet {
+// Prepare analyses the rules of a dependency graph once for every
+// statement that evaluates them, sharing the graph: pass the result as
+// Input.Prepared, with the graph's rules as Input.Rules.
+func Prepare(g *depgraph.Graph) *RuleSet {
+	rules := g.Rules()
 	rs := &RuleSet{
 		unsafe: checkSafety(rules),
-		graph:  depgraph.New(rules),
+		graph:  g,
 		byHead: make(map[string][]preparedRule),
 	}
 	for _, r := range rules {
@@ -234,7 +236,7 @@ func buildPlan(in Input, q Query) (*plan, error) {
 	}
 	set := in.Prepared
 	if set == nil {
-		set = Prepare(in.Rules)
+		set = Prepare(depgraph.New(in.Rules))
 	}
 	if set.unsafe != nil {
 		return nil, set.unsafe

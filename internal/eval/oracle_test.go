@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"kdb/internal/builtin"
+	"kdb/internal/depgraph"
 	"kdb/internal/storage"
 	"kdb/internal/term"
 )
@@ -540,7 +541,7 @@ func disagreement(t testing.TB, c genCase) string {
 // prepared ahead of the statement.
 func sharedDisagreement(t testing.TB, c genCase) string {
 	in := c.input(t)
-	in.Prepared = Prepare(in.Rules)
+	in.Prepared = Prepare(depgraph.New(in.Rules))
 	return judge(in, c.query)
 }
 
@@ -631,7 +632,7 @@ func TestEnginesMatchOracleSharedRuleSet(t *testing.T) {
 		g := &generator{r: rand.New(rand.NewSource(int64(seed))), feat: make(genFeatures)}
 		c := g.generate()
 		in := c.input(t)
-		in.Prepared = Prepare(in.Rules)
+		in.Prepared = Prepare(depgraph.New(in.Rules))
 		for i := 0; i < queries; i++ {
 			if i > 0 {
 				c.query = g.query()

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"kdb/internal/depgraph"
 	"kdb/internal/governor"
 	"kdb/internal/term"
 )
@@ -34,7 +35,7 @@ func runStatement(e Engine, q Query) outcome {
 // write to the set, its graph or a compiled body shows here.
 func TestRuleSetSharedByConcurrentStatements(t *testing.T) {
 	in := load(t, universityDB)
-	in.Prepared = Prepare(in.Rules)
+	in.Prepared = Prepare(depgraph.New(in.Rules))
 	var queries []Query
 	var want []outcome
 	for _, s := range []string{
@@ -205,7 +206,7 @@ path(X, Y) :- edge(X, Z), path(Z, Y).
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		runtime.KeepAlive(Prepare(rules))
+		runtime.KeepAlive(Prepare(depgraph.New(rules)))
 	}
 	runtime.ReadMemStats(&after)
 	kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024

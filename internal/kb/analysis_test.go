@@ -156,3 +156,22 @@ p(X) :- p(X), q(Y).
 		t.Errorf("error does not carry the analyzer finding: %v", err)
 	}
 }
+
+// TestPromotedPredicateIsGrounded: a stored predicate that a later load
+// gives rules is grounded by its stored facts, so the load reports no
+// "can never derive facts" warning for it — and the facts it derives
+// agree.
+func TestPromotedPredicateIsGrounded(t *testing.T) {
+	k := loadKB(t, `likes(ann, bob).`)
+	if err := k.LoadString(`likes(X, Y) :- likes(Y, X).`); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range k.Diagnostics().ForPred("likes") {
+		if d.Analyzer == "unused" {
+			t.Errorf("promoted predicate reported as unused: %v", d)
+		}
+	}
+	if got := execStr(t, k, "retrieve likes(X, Y)."); got != "likes(ann, bob)\nlikes(bob, ann)" {
+		t.Errorf("likes = %q", got)
+	}
+}

@@ -51,12 +51,9 @@ type KB struct {
 	// limits are the configured per-query limits (WithQueryLimits), set
 	// at construction and never changed.
 	limits governor.Limits
+	// prog is the current generation of the program.
 	//kdb:guarded-by mu
-	rules []term.Rule
-	//kdb:guarded-by mu
-	constraints []term.Formula
-	//kdb:guarded-by mu
-	opts core.Options
+	prog *program
 	//kdb:guarded-by mu
 	intensional bool
 	//kdb:guarded-by mu
@@ -74,12 +71,6 @@ type KB struct {
 	// staleness; fact-only mutations do not invalidate a prepared
 	// program's analysis and leave it unchanged.
 	gen atomic.Uint64
-
-	// prepared is rules analysed for evaluation (eval.Prepare). The first
-	// evaluation after a load builds it under the read lock; a load
-	// drops it under the write lock. Nothing builds it at load time, so a
-	// KB that only answers describes never holds one.
-	prepared atomic.Pointer[eval.RuleSet]
 
 	// lastStats holds the evaluation statistics of the most recent
 	// evaluating statement, for observability.
@@ -109,15 +100,6 @@ type KB struct {
 	// qstats is the optional per-statement aggregate (WithQueryStats)
 	// behind sys_query_stats; nil-safe like the other hooks.
 	qstats atomic.Pointer[sysrel.QueryStats]
-
-	// describer is rebuilt lazily after each load.
-	//kdb:guarded-by mu
-	describer *core.Describer
-
-	// report is the static-analysis report of the most recent successful
-	// load, covering the whole accumulated program.
-	//kdb:guarded-by mu
-	report *analysis.Report
 }
 
 // Option configures a KB at construction time.
@@ -135,7 +117,12 @@ func WithQueryLimits(l governor.Limits) Option {
 
 // New returns an empty in-memory knowledge base.
 func New(opts ...Option) *KB {
-	k := &KB{cat: catalog.New(), store: storage.NewMemory(), sys: sysrel.NewProvider()}
+	return newKB(storage.NewMemory(), opts)
+}
+
+func newKB(st *storage.Store, opts []Option) *KB {
+	k := &KB{cat: catalog.New(), store: st, sys: sysrel.NewProvider(),
+		prog: newProgram(noRules, nil, nil, core.Options{})}
 	for _, o := range opts {
 		o(k)
 	}
@@ -150,10 +137,7 @@ func Open(dir string, opts ...Option) (*KB, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := &KB{cat: catalog.New(), store: st, sys: sysrel.NewProvider()}
-	for _, o := range opts {
-		o(k)
-	}
+	k := newKB(st, opts)
 	// Register recovered predicates in the catalog.
 	for _, pred := range st.Preds() {
 		if _, err := k.cat.Declare(pred, st.Relation(pred).Arity(), catalog.ClassEDB); err != nil {
@@ -259,8 +243,7 @@ func (k *KB) LastStats() *eval.EvalStats {
 // describe).
 func (k *KB) SetDescribeOptions(opts core.Options) {
 	k.mu.Lock()
-	k.opts = opts
-	k.describer = nil
+	k.prog = k.prog.withOptions(opts)
 	k.mu.Unlock()
 }
 
@@ -302,22 +285,57 @@ func (k *KB) LoadProgram(prog *parser.Program) error {
 	if k.closed {
 		return ErrClosed
 	}
-
-	rep := analysis.Run(k.analysisProgramLocked(prog))
-	if rep.HasErrors() {
-		return &analysis.Error{Diags: rep.Errors()}
-	}
+	cur := k.prog
 
 	// Classify head predicates: any non-fact clause makes the predicate
 	// intensional. Include predicates that are already intensional.
 	intensional := make(map[string]bool)
-	for _, r := range k.rules {
+	for _, r := range cur.graph.Rules() {
 		intensional[r.Head.Pred] = true
 	}
 	for _, c := range prog.Clauses {
 		if !c.IsFact() {
 			intensional[c.Head.Pred] = true
 		}
+	}
+
+	// The rules of the new generation: the accumulated rules, the stored
+	// facts of every stored predicate gaining rules, re-read as bodiless
+	// rules (they stay in the store as well, and the engines read both),
+	// and the new clauses. One dependency graph of them serves the
+	// analysis and everything the generation builds. Appending past the
+	// end of the accumulated rules changes no earlier generation's slice,
+	// so a load that fails below leaves them all as they were.
+	var promoted []string
+	for pred := range intensional {
+		if k.cat.IsEDB(pred) {
+			promoted = append(promoted, pred)
+		}
+	}
+	sort.Strings(promoted)
+	accumulated := cur.graph.Rules()
+	rules := accumulated
+	for _, pred := range promoted {
+		for _, f := range k.store.Facts(pred) {
+			rules = append(rules, term.Rule{Head: f})
+		}
+	}
+	promotedFacts := len(rules) - len(accumulated)
+	for _, c := range prog.Clauses {
+		if !c.IsFact() || intensional[c.Head.Pred] {
+			rules = append(rules, c)
+		}
+	}
+	g := depgraph.New(rules)
+	// The analysis reads the rules without the promoted facts, which only
+	// its graph holds: the duplicate analyzer is quadratic per predicate.
+	analysed := rules
+	if promotedFacts > 0 {
+		analysed = slices.Concat(accumulated, rules[len(accumulated)+promotedFacts:])
+	}
+	rep := analysis.Run(k.analysisProgramLocked(prog, cur, analysed, g, intensional))
+	if rep.HasErrors() {
+		return &analysis.Error{Diags: rep.Errors()}
 	}
 
 	// Validate arities and classes against the catalog.
@@ -347,16 +365,6 @@ func (k *KB) LoadProgram(prog *parser.Program) error {
 		}
 	}
 
-	// A stored predicate gaining rules is promoted, once nothing else can
-	// fail.
-	var promoted []string
-	for pred := range intensional {
-		if p := k.cat.Lookup(pred); p != nil && p.Class == catalog.ClassEDB {
-			promoted = append(promoted, pred)
-		}
-	}
-	sort.Strings(promoted)
-
 	for _, d := range prog.Declarations {
 		switch d.Kind {
 		case parser.DeclKey:
@@ -380,59 +388,38 @@ func (k *KB) LoadProgram(prog *parser.Program) error {
 		return err
 	}
 
-	// The load is committed: the promotions, the rules, the constraints
-	// and the new generation take effect together, so a load that failed
-	// above leaves the program, the classes and the generation as they
-	// were. A promoted predicate's stored facts are re-read as bodiless
-	// rules; they stay in the store as well, and the engines read both.
-	for _, pred := range promoted {
-		if err := k.cat.Promote(pred); err != nil {
-			return err // unreachable: pred is a declared EDB predicate
-		}
-		for _, f := range k.store.Facts(pred) {
-			k.rules = append(k.rules, term.Rule{Head: f})
-		}
-	}
-	for _, c := range prog.Clauses {
-		if !c.IsFact() || intensional[c.Head.Pred] {
-			k.rules = append(k.rules, c)
+	// The load is committed: the promotions and the new generation take
+	// effect together, so a load that failed above leaves the program,
+	// the classes and the generation as they were. A predicate is promoted
+	// when it gains rules while stored, or when this load used it in a
+	// body before a clause defined it.
+	for pred := range intensional {
+		if k.cat.IsEDB(pred) {
+			if err := k.cat.Promote(pred); err != nil {
+				return err // unreachable: pred is a declared EDB predicate
+			}
 		}
 	}
-	k.constraints = append(k.constraints, prog.Constraints...)
-	k.describer = nil // rebuild lazily
-	k.prepared.Store(nil)
-	k.report = rep
+	k.prog = newProgram(g, append(cur.constraints, prog.Constraints...), rep, cur.opts)
 	k.gen.Add(1)
 	return nil
 }
 
 // analysisProgramLocked assembles the analysis view of the knowledge
-// base as it would look after loading prog: the accumulated rules and
-// constraints plus the new clauses, and the EDB schema restricted to
-// predicates that actually hold facts or carry a @key declaration (the
-// catalog also auto-declares body predicates on first use; counting
-// those as defined would blind the undefined-predicate analyzer).
+// base as it would look after loading prog over the generation cur: the
+// given rules with their graph, the accumulated constraints plus the new
+// ones, and the EDB schema restricted to predicates that actually hold
+// facts or carry a @key declaration (the catalog also auto-declares body
+// predicates on first use; counting those as defined would blind the
+// undefined-predicate analyzer).
 //
 //kdb:rlocked mu
-func (k *KB) analysisProgramLocked(prog *parser.Program) *analysis.Program {
-	intensional := make(map[string]bool)
-	for _, r := range k.rules {
-		intensional[r.Head.Pred] = true
-	}
-	for _, c := range prog.Clauses {
-		if !c.IsFact() {
-			intensional[c.Head.Pred] = true
-		}
-	}
-	ap := &analysis.Program{EDB: make(map[string]int)}
-	ap.Rules = append(ap.Rules, k.rules...)
-	ap.Constraints = append(ap.Constraints, k.constraints...)
-	ap.ConstraintPos = make([]term.Pos, len(k.constraints))
+func (k *KB) analysisProgramLocked(prog *parser.Program, cur *program, rules []term.Rule, g *depgraph.Graph, intensional map[string]bool) *analysis.Program {
+	ap := &analysis.Program{Rules: rules, Graph: g, EDB: make(map[string]int)}
+	ap.Constraints = append(ap.Constraints, cur.constraints...)
+	ap.ConstraintPos = make([]term.Pos, len(cur.constraints))
 	for _, p := range k.cat.Preds(catalog.ClassEDB) {
-		if intensional[p.Name] {
-			continue
-		}
-		if k.store.Count(p.Name) > 0 || len(p.Keys) > 0 {
+		if !intensional[p.Name] && (k.store.Count(p.Name) > 0 || len(p.Keys) > 0) {
 			ap.EDB[p.Name] = p.Arity
 		}
 	}
@@ -442,8 +429,6 @@ func (k *KB) analysisProgramLocked(prog *parser.Program) *analysis.Program {
 				ap.EDB[c.Head.Pred] = c.Head.Arity()
 			}
 			ap.Facts = append(ap.Facts, c)
-		} else {
-			ap.Rules = append(ap.Rules, c)
 		}
 	}
 	for _, d := range prog.Declarations {
@@ -471,7 +456,7 @@ func (k *KB) analysisProgramLocked(prog *parser.Program) *analysis.Program {
 func (k *KB) Diagnostics() *analysis.Report {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
-	return k.report
+	return k.prog.report
 }
 
 func (k *KB) checkAtomArity(a term.Atom, class catalog.Class) error {
@@ -554,7 +539,7 @@ func (k *KB) Retract(a term.Atom) (bool, error) {
 func (k *KB) Rules() []term.Rule {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
-	return append([]term.Rule(nil), k.rules...)
+	return append([]term.Rule(nil), k.prog.graph.Rules()...)
 }
 
 // Catalog exposes the schema. The catalog is internally synchronized
@@ -588,8 +573,8 @@ func (k *KB) FactCount() int {
 func (k *KB) Constraints() []term.Formula {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
-	out := make([]term.Formula, len(k.constraints))
-	for i, ic := range k.constraints {
+	out := make([]term.Formula, len(k.prog.constraints))
+	for i, ic := range k.prog.constraints {
 		out[i] = ic.Clone()
 	}
 	return out
@@ -638,8 +623,8 @@ func (k *KB) CheckConstraintsContext(ctx context.Context) ([]string, error) {
 // describe handles them in bounded mode.
 func (k *KB) Validate() []string {
 	k.mu.RLock()
-	defer k.mu.RUnlock()
-	g := depgraph.New(k.rules)
+	g := k.prog.graph
+	k.mu.RUnlock()
 	var out []string
 	for _, v := range g.CheckDiscipline() {
 		out = append(out, v.String())
@@ -661,10 +646,11 @@ func (k *KB) evaluate(ctx context.Context, queries []eval.Query, yield func(i in
 	if k.closed {
 		return ErrClosed
 	}
-	// The view captures the store and the current rule slice; its sources
+	// The view captures the store and the generation's graph; its sources
 	// read telemetry directly, never back through k (whose read lock this
 	// goroutine already holds).
-	in := eval.Input{Store: k.store, Rules: k.rules, Prepared: k.preparedLocked(), Virtual: k.sys.View(k.store, k.rules)}
+	p := k.prog
+	in := eval.Input{Store: k.store, Rules: p.graph.Rules(), Prepared: p.prepared(), Virtual: k.sys.View(k.store, p.graph)}
 	opts := append([]eval.EngineOption{eval.WithLimits(k.effectiveLimits(ctx))}, extra...)
 	e := eval.NewSemiNaive(in, opts...)
 	sr := e.(eval.StatsReporter)
@@ -700,22 +686,6 @@ func (k *KB) evaluateOne(ctx context.Context, q eval.Query, extra ...eval.Engine
 		return err
 	}, extra...)
 	return res, err
-}
-
-// preparedLocked returns the rules analysed for evaluation, preparing
-// them if no statement has since the last load. The rules cannot change
-// under the read lock, so concurrent first statements prepare equal sets
-// and all of them go on with the one that was stored first.
-//
-//kdb:rlocked mu
-func (k *KB) preparedLocked() *eval.RuleSet {
-	if rs := k.prepared.Load(); rs != nil {
-		return rs
-	}
-	if rs := eval.Prepare(k.rules); k.prepared.CompareAndSwap(nil, rs) {
-		return rs
-	}
-	return k.prepared.Load()
 }
 
 // retrieve evaluates a data query (§3.1) under the context and the
@@ -865,25 +835,27 @@ func (k *KB) SetIntensional(on bool) {
 	k.mu.Unlock()
 }
 
-// getDescriberFor is getDescriber with diagnostics-aware failure: when
-// building the describe engine fails (e.g. degenerate recursion makes
-// the §5.2 transformation inapplicable), the error is replaced by the
-// stored analyzer diagnostics relevant to the subject predicate pred,
-// when there are any — the caller learns which rules are at fault and
-// why, not just that the transformation failed. An empty pred keeps the
-// error as it is.
-func (k *KB) getDescriberFor(pred string) (*core.Describer, error) {
-	d, err := k.getDescriber()
+// describer returns the current generation and its describe engine.
+// When building the engine fails (e.g. degenerate recursion makes the
+// §5.2 transformation inapplicable), the error is replaced by the
+// generation's analyzer diagnostics relevant to the subject predicate
+// pred, when there are any — the caller learns which rules are at fault
+// and why, not just that the transformation failed. An empty pred keeps
+// the error as it is.
+func (k *KB) describer(pred string) (*program, *core.Describer, error) {
+	k.mu.RLock()
+	p, closed := k.prog, k.closed
+	k.mu.RUnlock()
+	if closed {
+		return nil, nil, ErrClosed
+	}
+	d, err := p.describe(k.cat)
 	if err != nil && pred != "" {
-		k.mu.RLock()
-		rep := k.report
-		rules := append([]term.Rule(nil), k.rules...)
-		k.mu.RUnlock()
-		if diags := describeDiagnostics(rep, depgraph.New(rules), pred); len(diags) > 0 {
-			return nil, &analysis.Error{Diags: diags}
+		if diags := describeDiagnostics(p.report, p.graph, pred); len(diags) > 0 {
+			return nil, nil, &analysis.Error{Diags: diags}
 		}
 	}
-	return d, err
+	return p, d, err
 }
 
 // describeDiagnostics returns the diagnostics of the report about the
@@ -913,10 +885,10 @@ func describeDiagnostics(rep *analysis.Report, g *depgraph.Graph, pred string) [
 // attachNotes records on the answers the analyzer warnings explaining a
 // degraded describe: when the subject depends on recursion outside the
 // §2.1 discipline, the bounded §5.3 mode answered, and the relevant
-// recursion diagnostics say which rules are responsible. The describer
-// that answered holds the dependency graph of its rules.
-func (k *KB) attachNotes(d *core.Describer, subject term.Atom, ans *core.Answers) {
-	rep := k.Diagnostics()
+// recursion diagnostics of the generation that answered say which rules
+// are responsible.
+func attachNotes(p *program, subject term.Atom, ans *core.Answers) {
+	rep := p.report
 	if rep == nil {
 		return
 	}
@@ -930,48 +902,11 @@ func (k *KB) attachNotes(d *core.Describer, subject term.Atom, ans *core.Answers
 	if !relevant {
 		return
 	}
-	for _, diag := range describeDiagnostics(rep, d.Graph(), subject.Pred) {
+	for _, diag := range describeDiagnostics(rep, p.graph, subject.Pred) {
 		if diag.Analyzer == "recursion" && diag.Severity == analysis.SevWarning {
 			ans.Notes = append(ans.Notes, diag.String())
 		}
 	}
-}
-
-func (k *KB) getDescriber() (*core.Describer, error) {
-	k.mu.RLock()
-	d := k.describer
-	closed := k.closed
-	k.mu.RUnlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	if d != nil {
-		return d, nil
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if k.closed {
-		return nil, ErrClosed
-	}
-	if k.describer != nil {
-		return k.describer, nil
-	}
-	keys := make(map[string][][]int)
-	for _, class := range []catalog.Class{catalog.ClassEDB, catalog.ClassIDB} {
-		for _, p := range k.cat.Preds(class) {
-			if len(p.Keys) > 0 {
-				keys[p.Name] = p.Keys
-			}
-		}
-	}
-	opts := k.opts
-	opts.Constraints = append(append([]term.Formula{}, opts.Constraints...), k.constraints...)
-	d, err := core.New(k.rules, keys, opts)
-	if err != nil {
-		return nil, err
-	}
-	k.describer = d
-	return d, nil
 }
 
 // describe runs a knowledge query (§3.2) — plain, `where necessary`, or
@@ -983,7 +918,7 @@ func (k *KB) getDescriber() (*core.Describer, error) {
 // names, and a degraded describe carries the notes that explain it.
 func (k *KB) describe(ctx context.Context, subject term.Atom, run func(*core.Describer, governor.Limits) (*core.Answers, error)) (*core.Answers, error) {
 	asp := obs.SpanFromContext(ctx).Child("analyze")
-	d, err := k.getDescriberFor(subject.Pred)
+	p, d, err := k.describer(subject.Pred)
 	asp.End()
 	if err != nil {
 		return nil, err
@@ -994,7 +929,7 @@ func (k *KB) describe(ctx context.Context, subject term.Atom, run func(*core.Des
 	}
 	k.observeDescribe(ans.Nodes)
 	k.applyDisplayNames(ans)
-	k.attachNotes(d, subject, ans)
+	attachNotes(p, subject, ans)
 	return ans, nil
 }
 
@@ -1007,7 +942,8 @@ func (k *KB) unfolder(ctx context.Context, pred string) (*core.Describer, error)
 	if err := governor.Check(ctx); err != nil {
 		return nil, err
 	}
-	return k.getDescriberFor(pred)
+	_, d, err := k.describer(pred)
+	return d, err
 }
 
 // applyDisplayNames rewrites predicate names in answers to their @name
@@ -1173,7 +1109,7 @@ func (k *KB) execDescribe(ctx context.Context, s *parser.Describe) (*ExecResult,
 		if len(s.Not) > 0 {
 			return nil, fmt.Errorf("kb: 'not' is not supported in a wildcard describe")
 		}
-		d, err := k.getDescriber()
+		_, d, err := k.describer("")
 		if err != nil {
 			return nil, err
 		}

@@ -9,38 +9,48 @@ import (
 	"sync"
 	"testing"
 
+	"kdb/internal/core"
 	"kdb/internal/fault"
 	"kdb/internal/storage"
 	"kdb/internal/term"
 )
 
 // TestPreparedRuleSetLifetime: the prepared rule set is built by the
-// first evaluation after a load, never by the load or by a describe, and
-// a load drops it, so the next retrieve sees the new rules.
+// first evaluation over a generation, never by the load or by a describe;
+// new describe options keep it and drop only the describer, and a load
+// commits a generation without one, so the next retrieve sees the new
+// rules.
 func TestPreparedRuleSetLifetime(t *testing.T) {
 	k := loadKB(t, universityKB)
-	if k.prepared.Load() != nil {
+	if k.prog.ruleSet.v != nil {
 		t.Fatal("the load prepared the rules")
 	}
 	execStr(t, k, "describe honor(X).")
-	if k.prepared.Load() != nil {
+	if k.prog.ruleSet.v != nil {
 		t.Fatal("a describe prepared the rules")
 	}
 	if got := execStr(t, k, "retrieve honor(X)."); got != "honor(ann)\nhonor(cora)\nhonor(dan)" {
 		t.Fatalf("honor = %q", got)
 	}
-	rs := k.prepared.Load()
+	rs := k.prog.ruleSet.v
 	if rs == nil {
 		t.Fatal("a retrieve left no prepared rules behind")
 	}
 	execStr(t, k, "retrieve prior(X, Y).")
-	if k.prepared.Load() != rs {
+	if k.prog.ruleSet.v != rs {
 		t.Fatal("a second retrieve prepared the rules again")
+	}
+	if k.prog.describer.v == nil {
+		t.Fatal("a describe left no describer behind")
+	}
+	k.SetDescribeOptions(core.Options{MaxDepth: 8})
+	if k.prog.ruleSet.v != rs || k.prog.describer.v != nil {
+		t.Fatal("new describe options must keep the prepared rules and drop the describer")
 	}
 	if err := k.LoadString("tutor(X) :- honor(X), enroll(X, databases)."); err != nil {
 		t.Fatal(err)
 	}
-	if k.prepared.Load() != nil {
+	if k.prog.ruleSet.v != nil {
 		t.Fatal("a load kept the rules prepared before it")
 	}
 	if got := execStr(t, k, "retrieve tutor(X)."); got != "tutor(ann)\ntutor(dan)" {
@@ -48,8 +58,10 @@ func TestPreparedRuleSetLifetime(t *testing.T) {
 	}
 }
 
-// TestPreparedRuleSetUnderConcurrentLoads: readers keep retrieving while
-// loads add rules, and the loader's own next retrieve always sees the
+// TestPreparedRuleSetUnderConcurrentLoads: readers keep retrieving and
+// describing while loads add rules and describe options change, so the
+// first statements over each generation build its rule set and its
+// describer concurrently; the loader's own next retrieve always sees the
 // rule it just loaded: no statement keeps evaluating a set prepared
 // before a load that has returned. Run with -race.
 func TestPreparedRuleSetUnderConcurrentLoads(t *testing.T) {
@@ -72,10 +84,15 @@ func TestPreparedRuleSetUnderConcurrentLoads(t *testing.T) {
 					t.Errorf("retrieve q(X) during loads = %v, %v", res, err)
 					return
 				}
+				if res, err := k.ExecStringContext(context.Background(), "describe q(X)."); err != nil || res.String() != "q(X) <- p(X)" {
+					t.Errorf("describe q(X) during loads = %v, %v", res, err)
+					return
+				}
 			}
 		}()
 	}
 	for i := 0; i < loads; i++ {
+		k.SetDescribeOptions(core.Options{MaxDepth: 8 + i})
 		if err := k.LoadString(fmt.Sprintf("r%d(X) :- q(X).", i)); err != nil {
 			t.Error(err)
 			break

@@ -131,7 +131,7 @@ type TenantInfo struct {
 // zero value serves the catalog-shaped relations (sys_relation,
 // sys_rule) and empty rows for the rest; sources are attached with the
 // Set* methods, which are safe to call at any time (each query's view
-// reads them once). All methods are nil-receiver safe.
+// reads them once).
 type Provider struct {
 	reg     atomic.Pointer[obs.Registry]
 	act     atomic.Pointer[obs.ActivityRegistry]
@@ -144,34 +144,22 @@ func NewProvider() *Provider { return &Provider{} }
 
 // SetRegistry attaches the metrics registry behind sys_metric.
 func (p *Provider) SetRegistry(r *obs.Registry) {
-	if p == nil {
-		return
-	}
 	p.reg.Store(r)
 }
 
 // SetActivity attaches the in-flight registry behind sys_activity.
 func (p *Provider) SetActivity(r *obs.ActivityRegistry) {
-	if p == nil {
-		return
-	}
 	p.act.Store(r)
 }
 
 // SetQueryStats attaches the statement statistics behind
 // sys_query_stats.
 func (p *Provider) SetQueryStats(s *QueryStats) {
-	if p == nil {
-		return
-	}
 	p.stats.Store(s)
 }
 
 // QueryStats returns the attached statement statistics, or nil.
 func (p *Provider) QueryStats() *QueryStats {
-	if p == nil {
-		return nil
-	}
 	return p.stats.Load()
 }
 
@@ -179,7 +167,7 @@ func (p *Provider) QueryStats() *QueryStats {
 // installs one; standalone KBs leave the relation empty). The source
 // must not call back into the knowledge-base layer.
 func (p *Provider) SetTenants(fn func() []TenantInfo) {
-	if p == nil || fn == nil {
+	if fn == nil {
 		return
 	}
 	p.tenants.Store(&fn)
@@ -193,29 +181,26 @@ func (p *Provider) SetTenants(fn func() []TenantInfo) {
 type View struct {
 	p     *Provider
 	store *storage.Store
-	rules []term.Rule
+	graph *depgraph.Graph
 }
 
-// View returns the per-query view over store and rules. The rules
-// slice is captured as-is; callers pass the same snapshot the engines
-// evaluate.
-func (p *Provider) View(store *storage.Store, rules []term.Rule) *View {
-	if p == nil {
-		return nil
-	}
-	return &View{p: p, store: store, rules: rules}
+// View returns the per-query view over store and the dependency graph of
+// the rules the engines evaluate, which sys_rule lists with their
+// components.
+func (p *Provider) View(store *storage.Store, g *depgraph.Graph) *View {
+	return &View{p: p, store: store, graph: g}
 }
 
 // IsVirtual reports whether pred is a served virtual relation. It does
 // not allocate (a prefix check plus one map read).
 func (v *View) IsVirtual(pred string) bool {
-	return v != nil && IsName(pred) && defByName[pred] != nil
+	return IsName(pred) && defByName[pred] != nil
 }
 
 // Snapshot materializes the current contents of one virtual relation.
 func (v *View) Snapshot(pred string) (*storage.Relation, error) {
 	d := Lookup(pred)
-	if v == nil || d == nil {
+	if d == nil {
 		return nil, fmt.Errorf("sysrel: unknown system relation %s", pred)
 	}
 	rel, err := storage.NewRelation(d.Arity)
@@ -240,10 +225,9 @@ func (v *View) Snapshot(pred string) (*storage.Relation, error) {
 			}
 		}
 	case "sys_rule":
-		scc := sccIndex(v.rules)
-		for i, r := range v.rules {
+		for i, r := range v.graph.Rules() {
 			if err := ins(term.Num(float64(i)), symOrStr(r.Head.Pred),
-				term.Num(float64(len(r.Body))), term.Num(float64(scc[r.Head.Pred]))); err != nil {
+				term.Num(float64(len(r.Body))), term.Num(float64(v.graph.SCCIndex(r.Head.Pred)))); err != nil {
 				return nil, err
 			}
 		}
@@ -289,19 +273,6 @@ func (v *View) Snapshot(pred string) (*storage.Relation, error) {
 		}
 	}
 	return rel, nil
-}
-
-// sccIndex maps each rule-head predicate to the index of its strongly
-// connected component in dependency order, so sys_rule rows can be
-// grouped and ordered by evaluation stratum.
-func sccIndex(rules []term.Rule) map[string]int {
-	idx := make(map[string]int)
-	for i, comp := range depgraph.New(rules).SCCOrder() {
-		for _, pred := range comp {
-			idx[pred] = i
-		}
-	}
-	return idx
 }
 
 // symOrStr renders a telemetry string as a symbol when it is shaped

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"kdb/internal/depgraph"
 	"kdb/internal/obs"
 	"kdb/internal/storage"
 	"kdb/internal/term"
@@ -84,10 +85,6 @@ func TestViewIsVirtual(t *testing.T) {
 			t.Errorf("IsVirtual(%s) = %v, want %v", tc.pred, got, tc.want)
 		}
 	}
-	var nilv *View
-	if nilv.IsVirtual("sys_metric") {
-		t.Error("nil view claims to serve relations")
-	}
 }
 
 func TestSnapshotRelationAndRule(t *testing.T) {
@@ -108,7 +105,7 @@ func TestSnapshotRelationAndRule(t *testing.T) {
 			term.NewAtom("edge", term.Var("X"), term.Var("Z")),
 			term.NewAtom("reach", term.Var("Z"), term.Var("Y"))),
 	}
-	v := NewProvider().View(st, rules)
+	v := NewProvider().View(st, depgraph.New(rules))
 
 	rel, err := v.Snapshot("sys_relation")
 	if err != nil {
@@ -225,7 +222,7 @@ func TestSnapshotActivityStatsTenants(t *testing.T) {
 }
 
 func TestSnapshotEmptyProviderAndUnknown(t *testing.T) {
-	v := NewProvider().View(nil, nil)
+	v := NewProvider().View(nil, depgraph.New(nil))
 	for _, d := range Defs() {
 		rel, err := v.Snapshot(d.Name)
 		if err != nil {
@@ -240,20 +237,6 @@ func TestSnapshotEmptyProviderAndUnknown(t *testing.T) {
 	}
 	if _, err := v.Snapshot("sys_nonesuch"); err == nil {
 		t.Error("unknown relation snapshots without error")
-	}
-}
-
-func TestNilProviderSafe(t *testing.T) {
-	var p *Provider
-	p.SetRegistry(nil)
-	p.SetActivity(nil)
-	p.SetQueryStats(nil)
-	p.SetTenants(nil)
-	if p.QueryStats() != nil {
-		t.Error("nil provider has stats")
-	}
-	if p.View(nil, nil) != nil {
-		t.Error("nil provider yields a view")
 	}
 }
 

@@ -93,6 +93,10 @@ type Result struct {
 	// typedness discipline; they are kept verbatim in Rules and must be
 	// handled by Algorithm 2's bounded mode (§5.3, end).
 	Untyped []term.Rule
+	// Degenerate maps each disciplined recursive predicate the
+	// transformation cannot apply to (degenerate recursion) to why. Its
+	// rules are kept verbatim in Rules; nil when there is none.
+	Degenerate map[string]error
 
 	kinds map[string]RuleKind // rule key → kind
 	steps map[string]*Transformed
@@ -125,19 +129,33 @@ func (res *Result) IsUntypedRule(r term.Rule) bool {
 	return false
 }
 
-// Apply transforms every disciplined recursive predicate of the rule set.
-// Recursive rules that are not strongly linear or not typed are left in
-// place and reported in Result.Untyped. Mutually recursive predicates are
-// first rewritten to direct recursion via depgraph.MakeStronglyLinear
-// when possible.
+// Apply transforms the rule set: Of over a graph of its own, failing
+// with the first degenerate predicate's error. It is kept for the
+// benchmark harness (bench/), which pins it until ROADMAP item 1(c).
 func Apply(rules []term.Rule) (*Result, error) {
+	res, err := Of(depgraph.New(rules))
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// Of transforms every disciplined recursive predicate of the graph's
+// rules. Recursive rules that are not strongly linear or not typed are
+// left in place and reported in Result.Untyped. Mutually recursive
+// predicates are first rewritten to direct recursion via
+// depgraph.MakeStronglyLinear when possible. A predicate whose
+// transformation is degenerate is recorded in Result.Degenerate, and the
+// error is the first such failure in rule order: a Result that comes with
+// an error serves the diagnostics, not Algorithm 2.
+func Of(g *depgraph.Graph) (*Result, error) {
 	// Best-effort strong-linearization of linear mutual recursion
 	// (footnote 2). If it fails (non-linear recursion), keep the original
 	// rules; they will land in Untyped.
-	if lin, err := depgraph.MakeStronglyLinear(rules, 8); err == nil {
-		rules = lin
+	if lin, err := depgraph.MakeStronglyLinear(g, 8); err == nil {
+		g = lin
 	}
-	g := depgraph.New(rules)
+	rules := g.Rules()
 	res := &Result{
 		ByPred: make(map[string]*Transformed),
 		kinds:  make(map[string]RuleKind),
@@ -169,6 +187,7 @@ func Apply(rules []term.Rule) (*Result, error) {
 		}
 	}
 
+	var first error
 	transformed := make(map[string]bool)
 	for _, pred := range order {
 		recRules, ok := recByPred[pred]
@@ -183,7 +202,12 @@ func Apply(rules []term.Rule) (*Result, error) {
 		}
 		tr, err := transformPred(pred, recRules, nonRec)
 		if err != nil {
-			return nil, err
+			if res.Degenerate == nil {
+				res.Degenerate = make(map[string]error)
+				first = err
+			}
+			res.Degenerate[pred] = err
+			continue
 		}
 		res.ByPred[pred] = tr
 		res.steps[tr.StepPred] = tr
@@ -212,48 +236,7 @@ func Apply(rules []term.Rule) (*Result, error) {
 		res.Rules = append(res.Rules, tr.RC)
 		res.kinds[tr.RC.Key()] = KindRC
 	}
-	return res, nil
-}
-
-// Probe dry-runs the transformation and reports, per disciplined
-// recursive predicate, why it cannot be transformed (degenerate
-// recursion, as surfaced by Apply's error). Predicates that transform
-// cleanly produce no entry; undisciplined recursive rules are not
-// probed — they are exempt from the transformation and handled by the
-// bounded mode (§5.3, end).
-func Probe(rules []term.Rule) map[string]error {
-	if lin, err := depgraph.MakeStronglyLinear(rules, 8); err == nil {
-		rules = lin
-	}
-	g := depgraph.New(rules)
-	recByPred := make(map[string][]term.Rule)
-	undisciplined := make(map[string]bool)
-	for _, r := range rules {
-		if !g.IsRecursiveRule(r) {
-			continue
-		}
-		if g.IsStronglyLinear(r) && depgraph.TypedWRT(r, r.Head.Pred) {
-			recByPred[r.Head.Pred] = append(recByPred[r.Head.Pred], r)
-		} else {
-			undisciplined[r.Head.Pred] = true
-		}
-	}
-	out := make(map[string]error)
-	for pred, recRules := range recByPred {
-		if undisciplined[pred] {
-			continue // whole predicate exempted, as in Apply
-		}
-		var nonRec []term.Rule
-		for _, r := range g.RulesFor(pred) {
-			if !g.IsRecursiveRule(r) {
-				nonRec = append(nonRec, r)
-			}
-		}
-		if _, err := transformPred(pred, recRules, nonRec); err != nil {
-			out[pred] = err
-		}
-	}
-	return out
+	return res, first
 }
 
 // transformPred builds rT, rI and rC for one predicate.
