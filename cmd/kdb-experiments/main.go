@@ -332,7 +332,7 @@ func runOne(e experiment, dataDir string, showStats bool, out io.Writer) bool {
 	printAligned(out, "paper:", e.paper)
 	printAligned(out, "measured:", measured)
 	if showStats {
-		if st := k.LastStats(); st != nil {
+		if st := res.Stats; st != nil {
 			printAligned(out, "stats:", strings.Split(st.String(), "\n"))
 		}
 	}

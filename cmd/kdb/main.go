@@ -209,7 +209,6 @@ func run(args []string, in io.Reader, out io.Writer) error {
 			return err
 		}
 		for _, q := range queries {
-			before := k.LastStats()
 			ctx, done := sh.queryContext()
 			var res *kdb.ExecResult
 			if len(queries) == 1 {
@@ -224,7 +223,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 				return err
 			}
 			fmt.Fprintln(out, res)
-			sh.printStats(before, out)
+			sh.printStats(res, nil, out)
 		}
 		return nil
 	}
@@ -405,14 +404,22 @@ func (sh *shell) interrupt(out io.Writer) {
 	fmt.Fprintln(out, "\ninterrupt: no query in flight (.quit to leave)")
 }
 
-// printStats emits the last evaluation record when -stats is on and the
-// statement actually ran an evaluation (detected by pointer change).
-func (sh *shell) printStats(before *kdb.EvalStats, out io.Writer) {
+// printStats emits a statement's evaluation record when -stats is on:
+// the result's, or, on a governed stop, the stop's. A statement that
+// evaluated nothing prints nothing.
+func (sh *shell) printStats(res *kdb.ExecResult, err error, out io.Writer) {
 	if !sh.stats {
 		return
 	}
-	st := sh.k.LastStats()
-	if st == nil || st == before {
+	var st *kdb.EvalStats
+	var se *kdb.StopError
+	switch {
+	case res != nil:
+		st = res.Stats
+	case errors.As(err, &se):
+		st = se.Stats
+	}
+	if st == nil {
 		return
 	}
 	if sh.statsJSON {
@@ -491,18 +498,17 @@ func (sh *shell) execute(stmt string, out io.Writer) {
 	trimmed := strings.TrimSpace(stmt)
 	for _, kw := range []string{"retrieve", "describe", "compare", "explain", "profile"} {
 		if strings.HasPrefix(trimmed, kw) {
-			before := k.LastStats()
 			ctx, done := sh.queryContext()
 			res, err := k.ExecStringContext(ctx, stmt)
 			done()
 			if err != nil {
 				fmt.Fprintln(out, "error:", err)
-				sh.printStats(before, out)
+				sh.printStats(nil, err, out)
 				sh.printTrace(out)
 				return
 			}
 			fmt.Fprintln(out, res)
-			sh.printStats(before, out)
+			sh.printStats(res, nil, out)
 			sh.printTrace(out)
 			return
 		}

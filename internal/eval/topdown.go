@@ -99,7 +99,6 @@ func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, er
 	evalSp := sp.Child("eval")
 	evalSp.SetStr("engine", e.Name())
 	start := time.Now()
-	act := obs.ActivityFromContext(ctx)
 	// Naive-iteration driver: re-run until no table grows.
 	var answers *table
 	var runErr error
@@ -114,13 +113,6 @@ func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, er
 		run.grew = false
 		if answers, runErr = run.solvePass(goal); runErr != nil {
 			break
-		}
-		if act != nil {
-			facts := int64(0)
-			for _, t := range run.tables {
-				facts += int64(t.answers.Len())
-			}
-			act.SetProgress(facts, run.lookups)
 		}
 		if !run.grew {
 			break

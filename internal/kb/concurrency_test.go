@@ -14,7 +14,7 @@ import (
 )
 
 // TestConcurrentQueriesAssertsCheckpoints is the lock-discipline
-// stress test: readers (RetrieveContext, LastStats), writers (Assert),
+// stress test: readers (retrieve and the stats it returns), writers (Assert),
 // and Checkpoint all run concurrently against a durable KB. On the
 // seed this raced — Checkpoint and Close bypassed k.mu, so a
 // checkpoint could truncate the WAL under a running assert. Run with
@@ -64,11 +64,15 @@ func TestConcurrentQueriesAssertsCheckpoints(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := k.retrieve(ctx, subject, nil); err != nil {
+				_, st, err := k.retrieve(ctx, subject, nil)
+				if err != nil {
 					fail("retrieve: %v", err)
 					return
 				}
-				_ = k.LastStats()
+				if st == nil || st.Facts == 0 {
+					fail("retrieve returned stats %+v, want its own record", st)
+					return
+				}
 			}
 		}()
 	}
@@ -126,7 +130,7 @@ func TestCloseUnderLoad(t *testing.T) {
 				var err error
 				switch w % 3 {
 				case 0:
-					_, err = k.retrieve(ctx, subject, nil)
+					_, _, err = k.retrieve(ctx, subject, nil)
 				case 1:
 					err = k.Assert(term.NewAtom("p", term.Sym(fmt.Sprintf("c%d_%d", w, i))))
 				case 2:
@@ -154,7 +158,7 @@ func TestCloseUnderLoad(t *testing.T) {
 		t.Errorf("second close: %v", err)
 	}
 	// Every entry point reports the structured error now.
-	if _, err := k.retrieve(ctx, subject, nil); !errors.Is(err, ErrClosed) {
+	if _, _, err := k.retrieve(ctx, subject, nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("retrieve after close: %v", err)
 	}
 	if err := k.Assert(term.NewAtom("p", term.Sym("late"))); !errors.Is(err, ErrClosed) {
@@ -169,7 +173,7 @@ func TestCloseUnderLoad(t *testing.T) {
 	if err := k.LoadString("r(z)."); !errors.Is(err, ErrClosed) {
 		t.Errorf("load after close: %v", err)
 	}
-	if _, err := k.explain(ctx, subject, nil); !errors.Is(err, ErrClosed) {
+	if _, _, err := k.explain(ctx, subject, nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("explain after close: %v", err)
 	}
 	if _, err := k.ExecStringContext(ctx, "describe q(X)."); !errors.Is(err, ErrClosed) {
@@ -207,7 +211,7 @@ func TestRetractDurable(t *testing.T) {
 	}
 	defer k2.Close()
 	subject, _ := parser.ParseAtom("p(X)")
-	res, err := k2.retrieve(context.Background(), subject, nil)
+	res, _, err := k2.retrieve(context.Background(), subject, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

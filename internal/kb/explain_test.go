@@ -114,7 +114,7 @@ rules:
 // unknown or truncated.
 func TestExplainRecursiveSound(t *testing.T) {
 	k := loadKB(t, routesProgram)
-	exp, err := k.explain(context.Background(), term.NewAtom("reachable", term.Sym("la"), term.Var("Y")), nil)
+	exp, _, err := k.explain(context.Background(), term.NewAtom("reachable", term.Sym("la"), term.Var("Y")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

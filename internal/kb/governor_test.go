@@ -43,9 +43,10 @@ func TestKBContextDeadline(t *testing.T) {
 			if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
 				t.Errorf("took %v to observe the deadline", elapsed)
 			}
-			// The governed stop must be observable after the fact.
-			if st := k.LastStats(); st == nil || st.StopReason != "deadline" {
-				t.Errorf("LastStats = %+v, want StopReason deadline", st)
+			// The governed stop carries the statement's record.
+			var se *eval.StopError
+			if !errors.As(err, &se) || se.Stats == nil || se.Stats.StopReason != "deadline" {
+				t.Errorf("err = %v, want a *eval.StopError whose stats stop at the deadline", err)
 			}
 		})
 	}
@@ -156,8 +157,9 @@ func TestKBPanicSurfacesAsError(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
 	}
-	// The panicking statement's record replaces the clean run's.
-	if st := k.LastStats(); st == nil || st.StopReason != "panic" {
-		t.Errorf("LastStats = %+v, want StopReason panic", st)
+	// The panicking statement carries its own record.
+	var se *eval.StopError
+	if !errors.As(err, &se) || se.Stats == nil || se.Stats.StopReason != "panic" {
+		t.Errorf("err = %v, want a *eval.StopError whose stats stop on the panic", err)
 	}
 }

@@ -72,10 +72,6 @@ type KB struct {
 	// program's analysis and leave it unchanged.
 	gen atomic.Uint64
 
-	// lastStats holds the evaluation statistics of the most recent
-	// evaluating statement, for observability.
-	lastStats atomic.Pointer[eval.EvalStats]
-
 	// tracer and qmetrics are the optional observability hooks
 	// (WithTracer, WithMetrics). Both are nil-safe throughout: when
 	// unset, the query path does no observability work and no
@@ -229,14 +225,6 @@ func (k *KB) effectiveLimits(ctx context.Context) governor.Limits {
 		return governor.Clamp(req, k.limits)
 	}
 	return k.limits
-}
-
-// LastStats returns the evaluation statistics of the most recent
-// evaluating statement — one record, however many queries it ran — or nil
-// if none has run yet. The pointer changes on every statement, so callers
-// can detect fresh stats by comparing pointers.
-func (k *KB) LastStats() *eval.EvalStats {
-	return k.lastStats.Load()
 }
 
 // SetDescribeOptions tunes the describe engine (takes effect on the next
@@ -593,7 +581,7 @@ func (k *KB) CheckConstraintsContext(ctx context.Context) ([]string, error) {
 		queries[i] = eval.Query{Subject: term.NewAtom("__ic__", ic.Vars()...), Where: ic}
 	}
 	var out []string
-	err := k.evaluate(ctx, queries, func(i int, res *eval.Result, err error) error {
+	_, err := k.evaluate(ctx, queries, func(i int, res *eval.Result, err error) error {
 		ic := constraints[i]
 		if err != nil {
 			return fmt.Errorf("kb: checking constraint :- %v: %w", ic, err)
@@ -637,14 +625,16 @@ func (k *KB) Validate() []string {
 // lock, on the one evaluator the KB builds: the semi-naive engine over
 // the current state, governed by the context's effective limits, plus
 // extra options (a provenance recorder, a profile). yield receives each
-// query's answers or error; an error it returns ends the statement. The
-// statement records one EvalStats: the engine's own for one query, the
-// fold of every run (eval.EvalStats.Merge) for several.
-func (k *KB) evaluate(ctx context.Context, queries []eval.Query, yield func(i int, res *eval.Result, err error) error, extra ...eval.EngineOption) error {
+// query's answers or error; an error it returns ends the statement. It
+// returns the statement's one EvalStats, with the error if any: the
+// engine's own record for one query, the fold of every run
+// (eval.EvalStats.Merge) for several, nil when no query evaluated. A
+// governed stop's *eval.StopError carries the same record.
+func (k *KB) evaluate(ctx context.Context, queries []eval.Query, yield func(i int, res *eval.Result, err error) error, extra ...eval.EngineOption) (*eval.EvalStats, error) {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
 	if k.closed {
-		return ErrClosed
+		return nil, ErrClosed
 	}
 	// The view captures the store and the generation's graph; its sources
 	// read telemetry directly, never back through k (whose read lock this
@@ -655,14 +645,9 @@ func (k *KB) evaluate(ctx context.Context, queries []eval.Query, yield func(i in
 	e := eval.NewSemiNaive(in, opts...)
 	sr := e.(eval.StatsReporter)
 	var stats, last *eval.EvalStats
-	defer func() {
-		if stats != nil {
-			k.lastStats.Store(stats)
-		}
-	}()
 	for i, q := range queries {
 		res, err := e.RetrieveContext(ctx, q)
-		// A query that fails before evaluating leaves the previous record.
+		// A query that fails before evaluating adds nothing to the record.
 		if st := sr.LastStats(); st != last {
 			last = st
 			if stats == nil {
@@ -672,20 +657,24 @@ func (k *KB) evaluate(ctx context.Context, queries []eval.Query, yield func(i in
 			}
 		}
 		if err := yield(i, res, err); err != nil {
-			return err
+			var se *eval.StopError
+			if errors.As(err, &se) && stats != nil {
+				se.Stats = stats // a stop after the first query: the fold so far
+			}
+			return stats, err
 		}
 	}
-	return nil
+	return stats, nil
 }
 
 // evaluateOne is evaluate for a statement of one query.
-func (k *KB) evaluateOne(ctx context.Context, q eval.Query, extra ...eval.EngineOption) (*eval.Result, error) {
+func (k *KB) evaluateOne(ctx context.Context, q eval.Query, extra ...eval.EngineOption) (*eval.Result, *eval.EvalStats, error) {
 	var res *eval.Result
-	err := k.evaluate(ctx, []eval.Query{q}, func(_ int, r *eval.Result, err error) error {
+	stats, err := k.evaluate(ctx, []eval.Query{q}, func(_ int, r *eval.Result, err error) error {
 		res = r
 		return err
 	}, extra...)
-	return res, err
+	return res, stats, err
 }
 
 // retrieve evaluates a data query (§3.1) under the context and the
@@ -697,9 +686,9 @@ func (k *KB) evaluateOne(ctx context.Context, q eval.Query, extra ...eval.Engine
 // cancellation, deadline expiry, a breached limit, or a contained panic —
 // returns a structured error (*eval.StopError wrapping
 // governor.ErrCanceled, *governor.LimitError, or *governor.PanicError);
-// the statement's one EvalStats is still recorded (LastStats) with its
-// StopReason set.
-func (k *KB) retrieve(ctx context.Context, subject term.Atom, disjuncts []term.Formula, extra ...eval.EngineOption) (*eval.Result, error) {
+// the statement's one EvalStats is returned either way, on a stop with
+// its StopReason set.
+func (k *KB) retrieve(ctx context.Context, subject term.Atom, disjuncts []term.Formula, extra ...eval.EngineOption) (*eval.Result, *eval.EvalStats, error) {
 	if len(disjuncts) <= 1 {
 		q := eval.Query{Subject: subject}
 		if len(disjuncts) == 1 {
@@ -713,7 +702,7 @@ func (k *KB) retrieve(ctx context.Context, subject term.Atom, disjuncts []term.F
 	}
 	var merged *eval.Result
 	seen := make(map[string]bool)
-	err := k.evaluate(ctx, queries, func(_ int, res *eval.Result, err error) error {
+	stats, err := k.evaluate(ctx, queries, func(_ int, res *eval.Result, err error) error {
 		if err != nil {
 			return err
 		}
@@ -729,9 +718,9 @@ func (k *KB) retrieve(ctx context.Context, subject term.Atom, disjuncts []term.F
 		return nil
 	}, extra...)
 	if err != nil {
-		return nil, err
+		return nil, stats, err
 	}
-	return merged, nil
+	return merged, stats, nil
 }
 
 // newProfile starts the per-rule cost rows of one retrieve — wall time,
@@ -739,11 +728,8 @@ func (k *KB) retrieve(ctx context.Context, subject term.Atom, disjuncts []term.F
 // index-hit/full-scan: the runtime "explain analyze" of one evaluation.
 // The profile goes to the query log's record as well, so a statement
 // stopped by a limit still shows where the time went.
-func newProfile(ctx context.Context) (*profile.Profile, eval.EngineOption) {
+func newProfile() (*profile.Profile, eval.EngineOption) {
 	p := profile.New()
-	if h := profileHolderFromContext(ctx); h != nil {
-		h.p.Store(p)
-	}
 	return p, eval.WithProfile(p)
 }
 
@@ -759,11 +745,12 @@ const maxExplainNodes = 10000
 // of every answer. Trees are cycle-safe for recursive predicates; leaves
 // distinguish stored facts (edb) from comparisons (builtin). The trees
 // are rebuilt inside the evaluation, under its read lock, so every leaf
-// is classified against the store the answers were derived from.
-func (k *KB) explain(ctx context.Context, subject term.Atom, where term.Formula) (*prov.Explanation, error) {
+// is classified against the store the answers were derived from. The
+// evaluation's EvalStats is returned either way.
+func (k *KB) explain(ctx context.Context, subject term.Atom, where term.Formula) (*prov.Explanation, *eval.EvalStats, error) {
 	rec := prov.NewRecorder()
 	var exp *prov.Explanation
-	err := k.evaluate(ctx, []eval.Query{{Subject: subject, Where: where}}, func(_ int, res *eval.Result, err error) error {
+	stats, err := k.evaluate(ctx, []eval.Query{{Subject: subject, Where: where}}, func(_ int, res *eval.Result, err error) error {
 		if err != nil {
 			return err
 		}
@@ -775,10 +762,9 @@ func (k *KB) explain(ctx context.Context, subject term.Atom, where term.Formula)
 		return nil
 	}, eval.WithProvenance(rec))
 	if err != nil {
-		return nil, err
+		return nil, stats, err
 	}
-	k.qmetrics.Load().ObserveExplain(int64(exp.Nodes))
-	return exp, nil
+	return exp, stats, nil
 }
 
 func (k *KB) showProvenance() bool {
@@ -927,7 +913,6 @@ func (k *KB) describe(ctx context.Context, subject term.Atom, run func(*core.Des
 	if err != nil {
 		return nil, err
 	}
-	k.observeDescribe(ans.Nodes)
 	k.applyDisplayNames(ans)
 	attachNotes(p, subject, ans)
 	return ans, nil
@@ -996,60 +981,64 @@ func checkSysRefs(s *parser.Retrieve) error {
 // not, the subjectless describe and compare check it before their
 // bounded unfolding starts.
 func (k *KB) ExecContext(ctx context.Context, q parser.Query) (*ExecResult, error) {
-	ctx, finish := k.beginQuery(ctx)
-	return k.exec(ctx, q, finish)
+	return k.exec(ctx, q, "")
 }
 
 // ExecStringContext parses and runs one query given as text, under the
 // context and the configured query limits (see ExecContext).
 func (k *KB) ExecStringContext(ctx context.Context, src string) (*ExecResult, error) {
-	ctx, finish := k.beginQuery(ctx)
-	psp := obs.SpanFromContext(ctx).Child("parse")
-	q, err := parser.ParseQuery(src)
-	psp.End()
-	if err != nil {
-		if finish != nil {
-			finish("parse", strings.TrimSpace(src), err)
+	return k.exec(ctx, nil, src)
+}
+
+// exec runs one statement — q, or, when q is nil, the statement src
+// parses to — inside one observation scope, registered as in flight for
+// its duration. The scope's finish reads the statement's result, a
+// governed stop's partial one included; callers get the result, or nil
+// and the error.
+func (k *KB) exec(ctx context.Context, q parser.Query, src string) (*ExecResult, error) {
+	var sc scope
+	ctx = k.begin(ctx, &sc)
+	if q == nil {
+		psp := obs.SpanFromContext(ctx).Child("parse")
+		var err error
+		q, err = parser.ParseQuery(src)
+		psp.End()
+		if err != nil {
+			sc.kind, sc.text = "parse", strings.TrimSpace(src)
+			sc.finish(nil, err)
+			return nil, err
 		}
+	}
+	ctx = sc.run(ctx, q)
+	res, err := k.execContext(ctx, q)
+	sc.finish(res, err)
+	if err != nil {
 		return nil, err
 	}
-	return k.exec(ctx, q, finish)
+	return res, nil
 }
 
-// exec runs one statement inside the observability scope beginQuery
-// opened, registered as in flight for its duration.
-func (k *KB) exec(ctx context.Context, q parser.Query, finish func(kind, stmt string, err error)) (*ExecResult, error) {
-	ctx, done := k.beginActivity(ctx, queryKind(q), q.String())
-	res, err := k.execContext(ctx, q)
-	if done != nil {
-		done()
-	}
-	if finish != nil {
-		finish(queryKind(q), q.String(), err)
-	}
-	return res, err
-}
-
+// execContext runs one parsed statement. An evaluating statement that
+// fails returns its partial result with the error: the EvalStats and
+// profile up to a governed stop, for the scope to record.
 func (k *KB) execContext(ctx context.Context, q parser.Query) (*ExecResult, error) {
 	switch s := q.(type) {
 	case *parser.Retrieve:
 		if err := checkSysRefs(s); err != nil {
 			return nil, err
 		}
-		var res *eval.Result
-		var prof *profile.Profile
+		out := &ExecResult{Query: q, subject: s.Subject}
 		var err error
 		if len(s.Or) == 0 && k.Profiling() {
 			var opt eval.EngineOption
-			prof, opt = newProfile(ctx)
-			res, err = k.retrieve(ctx, s.Subject, s.Disjuncts(), opt)
+			out.Profile, opt = newProfile()
+			out.Retrieve, out.Stats, err = k.retrieve(ctx, s.Subject, s.Disjuncts(), opt)
 		} else {
-			res, err = k.retrieve(ctx, s.Subject, s.Disjuncts())
+			out.Retrieve, out.Stats, err = k.retrieve(ctx, s.Subject, s.Disjuncts())
 		}
 		if err != nil {
-			return nil, err
+			return out, err
 		}
-		out := &ExecResult{Query: q, Retrieve: res, Profile: prof, subject: s.Subject}
 		if k.Intensional() {
 			// Intensional answering: attach the knowledge characterizing
 			// the extension, when the subject is an IDB concept.
@@ -1064,18 +1053,15 @@ func (k *KB) execContext(ctx context.Context, q parser.Query) (*ExecResult, erro
 	case *parser.Describe:
 		return k.execDescribe(ctx, s)
 	case *parser.Explain:
-		exp, err := k.explain(ctx, s.Subject, s.Where)
-		if err != nil {
-			return nil, err
-		}
-		return &ExecResult{Query: q, Explanation: exp}, nil
+		exp, stats, err := k.explain(ctx, s.Subject, s.Where)
+		return &ExecResult{Query: q, Explanation: exp, Stats: stats}, err
 	case *parser.Profile:
-		prof, opt := newProfile(ctx)
-		res, err := k.retrieve(ctx, s.Subject, []term.Formula{s.Where}, opt)
-		if err != nil {
-			return nil, err
-		}
-		return &ExecResult{Query: q, Retrieve: res, Profile: prof, subject: s.Subject}, nil
+		out := &ExecResult{Query: q, subject: s.Subject}
+		var opt eval.EngineOption
+		out.Profile, opt = newProfile()
+		var err error
+		out.Retrieve, out.Stats, err = k.retrieve(ctx, s.Subject, []term.Formula{s.Where}, opt)
+		return out, err
 	case *parser.Compare:
 		d, err := k.unfolder(ctx, "")
 		if err != nil {
@@ -1117,8 +1103,7 @@ func (k *KB) execDescribe(ctx context.Context, s *parser.Describe) (*ExecResult,
 		if err != nil {
 			return nil, err
 		}
-		k.observeDescribe(nodes)
-		return &ExecResult{Query: s, Wildcard: entries, wildcard: true}, nil
+		return &ExecResult{Query: s, Wildcard: entries, wildcard: true, wildcardNodes: nodes}, nil
 	case s.Subjectless:
 		if len(s.Not) > 0 {
 			return nil, fmt.Errorf("kb: 'not' is not supported in a subjectless describe")
@@ -1167,6 +1152,11 @@ func (k *KB) execDescribe(ctx context.Context, s *parser.Describe) (*ExecResult,
 type ExecResult struct {
 	Query    parser.Query
 	Retrieve *eval.Result
+	// Stats is the statement's one evaluation record — every query it
+	// ran folded into one — for retrieve, profile and explain; nil for
+	// the forms that evaluate nothing. A governed stop's record is on its
+	// *eval.StopError.
+	Stats *eval.EvalStats
 	// Profile carries the per-rule cost rows of a `profile p(…)`
 	// statement (or of any retrieve when SetProfiling is on), rendered
 	// after the answers as an annotated plan.
@@ -1184,11 +1174,12 @@ type ExecResult struct {
 	// statement over a virtual relation.
 	System string
 
-	subject    term.Atom
-	wildcard   bool
-	provenance bool
-	text       string   // a retrieve's answer lines joined by '\n', once rendered
-	lines      []string // RetrieveLines: substrings of text
+	subject       term.Atom
+	wildcard      bool
+	wildcardNodes int // the nodes a wildcard describe's searches expanded
+	provenance    bool
+	text          string   // a retrieve's answer lines joined by '\n', once rendered
+	lines         []string // RetrieveLines: substrings of text
 }
 
 // RetrieveLines renders the answers of a retrieve as instantiated

@@ -2,13 +2,11 @@ package kb
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 
 	"kdb/internal/eval"
 	"kdb/internal/governor"
 	"kdb/internal/obs"
-	"kdb/internal/obs/profile"
 	"kdb/internal/obs/sysrel"
 	"kdb/internal/parser"
 )
@@ -75,141 +73,153 @@ func WithActivity(reg *obs.ActivityRegistry) Option {
 // runtime; it takes effect on the next query.
 func (k *KB) SetTracer(t *obs.Tracer) { k.tracer.Store(t) }
 
-// queryMark marks a context already inside an observed query, so nested
-// Exec paths (ExecStringContext → ExecContext, intensional answering)
-// neither open a second root span nor double-count metrics.
-type queryMark struct{}
+// scope observes one statement from its begin to its finish: the sinks
+// attached when it began, its clock, its root span and its activity
+// entry. Its kind and text are computed once, and only when something
+// observes. A scope that found no sink attached observes nothing and
+// costs nothing.
+type scope struct {
+	tr  *obs.Tracer
+	qm  *obs.QueryMetrics
+	ql  *obs.QueryLog
+	qs  *sysrel.QueryStats
+	reg *obs.ActivityRegistry
 
-// profileHolder lets the finish callback of beginQuery pick up the
-// per-rule profile a profiled retrieve recorded, so slow-log records
-// carry their own cost breakdown. beginQuery plants it before the
-// statement kind is known; newProfile fills it.
-type profileHolder struct {
-	p atomic.Pointer[profile.Profile]
+	on     bool
+	start  time.Time
+	root   *obs.Span
+	owned  bool // root was started on tr, not as a child of the caller's span
+	client obs.ClientInfo
+	act    *obs.Activity
+	cancel context.CancelFunc
+	kind   string
+	text   string
 }
 
-type profileHolderKey struct{}
-
-func profileHolderFromContext(ctx context.Context) *profileHolder {
-	h, _ := ctx.Value(profileHolderKey{}).(*profileHolder)
-	return h
-}
-
-// activityMark mirrors queryMark for the activity registry: nested Exec
-// paths must not register a second in-flight entry.
-type activityMark struct{}
-
-// beginActivity registers the query in the attached activity registry
-// under a cancelable child context and returns it with a done func;
-// done deregisters. Returns ctx, nil when no registry is attached or
-// the context is already inside a registered query.
-func (k *KB) beginActivity(ctx context.Context, kind, stmt string) (context.Context, func()) {
-	reg := k.activity.Load()
-	if reg == nil || ctx.Value(activityMark{}) != nil {
-		return ctx, nil
+// begin opens the scope of one statement when any sink is attached: the
+// latency clock, and a root "query" span placed in the context for the
+// engines to hang children on. When the context already carries a span
+// (the server's "serve" phase), the query span is created as its child
+// and the parent owns trace retention; otherwise a fresh root is started
+// on the KB's tracer and finished there. With no sink attached, ctx comes
+// back untouched.
+func (k *KB) begin(ctx context.Context, s *scope) context.Context {
+	*s = scope{tr: k.tracer.Load(), qm: k.qmetrics.Load(), ql: k.qlog.Load(),
+		qs: k.qstats.Load(), reg: k.activity.Load()}
+	if s.tr == nil && s.qm == nil && s.ql == nil && s.qs == nil && s.reg == nil {
+		return ctx
 	}
-	ctx = context.WithValue(ctx, activityMark{}, true)
-	cctx, cancel := context.WithCancel(ctx)
-	ci, _ := obs.ClientFromContext(ctx)
-	a := reg.Begin(stmt, kind, ci.Tenant, ci.Client, obs.SpanFromContext(ctx).TraceID(), cancel)
-	cctx = obs.ContextWithActivity(cctx, a)
-	return cctx, func() {
-		reg.End(a)
-		cancel()
-	}
-}
-
-// beginQuery opens the per-query observability scope: a root "query"
-// span placed in the context for the engines to hang children on, and a
-// latency clock. When the context already carries a span (the server's
-// "serve" phase), the query span is created as its child and the parent
-// owns trace retention; otherwise a fresh root is started on the KB's
-// tracer and finished there. The returned finish func ends the scope;
-// call it exactly once with the statement kind, the statement text, and
-// the query's error. When no tracer, metrics, query log, or query
-// statistics is configured — or when the context is already inside an
-// observed query — ctx comes back untouched and finish is nil, keeping
-// the disabled path free of allocations.
-func (k *KB) beginQuery(ctx context.Context) (context.Context, func(kind, stmt string, err error)) {
-	tr := k.tracer.Load()
-	qm := k.qmetrics.Load()
-	ql := k.qlog.Load()
-	qs := k.qstats.Load()
-	if (tr == nil && qm == nil && ql == nil && qs == nil) || ctx.Value(queryMark{}) != nil {
-		return ctx, nil
-	}
-	ctx = context.WithValue(ctx, queryMark{}, true)
-	var root *obs.Span
-	owned := true
+	s.on = true
+	s.start = time.Now()
 	if parent := obs.SpanFromContext(ctx); parent != nil {
-		root = parent.Child("query")
-		owned = false
+		s.root = parent.Child("query")
 	} else {
-		root = tr.Start("query")
+		s.root, s.owned = s.tr.Start("query"), true
 	}
-	ctx = obs.ContextWithSpan(ctx, root)
-	var holder *profileHolder
-	if ql != nil {
-		holder = &profileHolder{}
-		ctx = context.WithValue(ctx, profileHolderKey{}, holder)
+	s.client, _ = obs.ClientFromContext(ctx)
+	return obs.ContextWithSpan(ctx, s.root)
+}
+
+// run names the statement q the scope observes and, when an activity
+// registry is attached, registers it as in flight under a cancelable
+// child context: canceling the entry cancels the statement.
+func (s *scope) run(ctx context.Context, q parser.Query) context.Context {
+	if !s.on {
+		return ctx
 	}
-	start := time.Now()
-	prev := k.lastStats.Load()
-	ci, _ := obs.ClientFromContext(ctx)
-	return ctx, func(kind, stmt string, err error) {
-		d := time.Since(start)
-		qs.Observe(stmt, d)
-		stop := governor.StopReason(err)
-		if stop == "error" {
-			stop = "" // plain failures are not governed stops
-		}
-		root.SetStr("kind", kind)
-		if stop != "" {
-			root.SetStr("stop", stop)
+	s.kind = parser.Kind(q)
+	if s.ql == nil && s.qs == nil && s.reg == nil {
+		return ctx
+	}
+	s.text = q.String()
+	if s.reg == nil {
+		return ctx
+	}
+	ctx, s.cancel = context.WithCancel(ctx)
+	s.act = s.reg.Begin(s.text, s.kind, s.client.Tenant, s.client.Client, s.root.TraceID(), s.cancel)
+	return obs.ContextWithActivity(ctx, s.act)
+}
+
+// finish ends the scope. It builds the statement's one record from its
+// kind, text, latency and error and from res — the result, or a governed
+// stop's partial result carrying the stats and profile up to the stop —
+// and projects it onto every attached sink: the activity entry, the
+// sys_query_stats aggregate, the root span's attributes, the metrics and
+// the query log.
+func (s *scope) finish(res *ExecResult, err error) {
+	if !s.on {
+		return
+	}
+	d := time.Since(s.start)
+	if s.act != nil {
+		s.reg.End(s.act)
+		s.cancel()
+	}
+	s.qs.Observe(s.text, d)
+	stop := governor.StopReason(err)
+	if stop == "error" {
+		stop = "" // plain failures are not governed stops
+	}
+	s.root.SetStr("kind", s.kind)
+	if stop != "" {
+		s.root.SetStr("stop", stop)
+	}
+	if err != nil {
+		s.root.SetBool("error", true)
+	}
+	if s.qm != nil || s.ql != nil {
+		rec := obs.QueryLogRecord{
+			Statement: s.text,
+			Kind:      s.kind,
+			DurUS:     d.Microseconds(),
+			Stop:      stop,
+			TraceID:   s.root.TraceID(),
+			Tenant:    s.client.Tenant,
+			Client:    s.client.Client,
 		}
 		if err != nil {
-			root.SetBool("error", true)
+			rec.Error = err.Error()
 		}
-		qm.ObserveQuery(kind, d, stop, err != nil)
-		st := k.lastStats.Load()
-		freshStats := st != nil && st != prev
-		if freshStats {
-			qm.ObserveEval(int64(st.Facts), st.Lookups, st.Probes,
-				st.Candidates, st.IndexBuilds, sumIterations(st), int64(st.ProvEntries))
+		if res != nil {
+			res.record(&rec, s.ql != nil)
 		}
-		if ql != nil {
-			rec := obs.QueryLogRecord{
-				Statement: stmt,
-				Kind:      kind,
-				DurUS:     d.Microseconds(),
-				Stop:      stop,
-				TraceID:   root.TraceID(),
-				Tenant:    ci.Tenant,
-				Client:    ci.Client,
-			}
-			if err != nil {
-				rec.Error = err.Error()
-			}
-			if freshStats {
-				rec.Engine = st.Engine
-				rec.Facts = int64(st.Facts)
-				rec.Lookups = st.Lookups
-				rec.Probes = st.Probes
-				rec.FullScans = st.FullScans
-				rec.Candidates = st.Candidates
-				rec.IndexBuilds = st.IndexBuilds
-				rec.ProvEntries = int64(st.ProvEntries)
-			}
-			if p := holder.p.Load(); p != nil {
-				rec.Profile = p.Rows()
-			}
-			ql.Observe(rec) // best-effort: a full disk must not fail the query
-		}
-		if owned {
-			tr.Finish(root)
-		} else {
-			root.End()
-		}
+		s.qm.Observe(rec)
+		s.ql.Observe(rec) // best-effort: a full disk must not fail the query
+	}
+	if s.owned {
+		s.tr.Finish(s.root)
+	} else {
+		s.root.End()
+	}
+}
+
+// record fills a statement's log record from its result: the
+// evaluation's stats, the nodes its describe searches expanded or its
+// explain trees hold, and, when rows is set, the profile's rows.
+func (r *ExecResult) record(rec *obs.QueryLogRecord, rows bool) {
+	if st := r.Stats; st != nil {
+		rec.Engine = st.Engine
+		rec.Facts = int64(st.Facts)
+		rec.Lookups = st.Lookups
+		rec.Probes = st.Probes
+		rec.FullScans = st.FullScans
+		rec.Candidates = st.Candidates
+		rec.IndexBuilds = st.IndexBuilds
+		rec.ProvEntries = int64(st.ProvEntries)
+		rec.Iterations = sumIterations(st)
+	}
+	rec.DescribeNodes = int64(r.wildcardNodes)
+	if r.Describe != nil {
+		rec.DescribeNodes += int64(r.Describe.Nodes)
+	}
+	if r.Knowledge != nil {
+		rec.DescribeNodes += int64(r.Knowledge.Nodes)
+	}
+	if r.Explanation != nil {
+		rec.ExplainNodes = int64(r.Explanation.Nodes)
+	}
+	if rows && r.Profile != nil {
+		rec.Profile = r.Profile.Rows()
 	}
 }
 
@@ -220,36 +230,4 @@ func sumIterations(st *eval.EvalStats) int64 {
 		n += int64(c.Iterations)
 	}
 	return n
-}
-
-// observeDescribe folds a finished describe search into the metrics.
-func (k *KB) observeDescribe(nodes int) {
-	k.qmetrics.Load().ObserveDescribe(int64(nodes))
-}
-
-// queryKind names the statement form for metrics and span labels.
-func queryKind(q parser.Query) string {
-	switch s := q.(type) {
-	case *parser.Retrieve:
-		return "retrieve"
-	case *parser.Describe:
-		switch {
-		case s.Wildcard:
-			return "describe-wildcard"
-		case s.Subjectless:
-			return "possible"
-		case len(s.Not) > 0:
-			return "describe-not"
-		default:
-			return "describe"
-		}
-	case *parser.Compare:
-		return "compare"
-	case *parser.Explain:
-		return "explain"
-	case *parser.Profile:
-		return "profile"
-	default:
-		return "unknown"
-	}
 }

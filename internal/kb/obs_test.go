@@ -8,6 +8,7 @@ import (
 
 	"kdb/internal/governor"
 	"kdb/internal/obs"
+	"kdb/internal/parser"
 )
 
 const obsTestProgram = `
@@ -236,19 +237,43 @@ func TestSetTracerRuntimeToggle(t *testing.T) {
 	}
 }
 
-// TestDisabledObservabilityAllocs asserts the kb-layer zero-cost
-// contract: with neither tracer nor metrics, beginQuery adds no
-// allocations.
-func TestDisabledObservabilityAllocs(t *testing.T) {
-	k := New()
-	ctx := t.Context()
-	allocs := testing.AllocsPerRun(200, func() {
-		ctx2, finish := k.beginQuery(ctx)
-		if ctx2 != ctx || finish != nil {
-			t.Fatal("disabled beginQuery must return ctx unchanged and nil finish")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("disabled beginQuery allocates %v per op, want 0", allocs)
+// TestExecObservationAllocs gates what ExecContext's observation scope
+// adds to a statement, measured as ExecContext minus execContext: nothing
+// with no sink attached, and at most 10 allocations with the sinks the
+// server attaches to every tenant (metrics, activity, query stats).
+func TestExecObservationAllocs(t *testing.T) {
+	q, err := parser.ParseQuery("retrieve edge(a, Y).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		opts []Option
+		max  float64
+	}{
+		{"nothing attached", nil, 0},
+		{"metrics, activity, query stats", []Option{WithMetrics(obs.NewRegistry()),
+			WithActivity(obs.NewActivityRegistry()), WithQueryStats()}, 10},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			k := New(c.opts...)
+			if err := k.LoadString("edge(a, b). edge(a, c). edge(b, c)."); err != nil {
+				t.Fatal(err)
+			}
+			ctx := t.Context()
+			exec := testing.AllocsPerRun(200, func() {
+				if _, err := k.ExecContext(ctx, q); err != nil {
+					t.Fatal(err)
+				}
+			})
+			inner := testing.AllocsPerRun(200, func() {
+				if _, err := k.execContext(ctx, q); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got := exec - inner; got > c.max {
+				t.Errorf("observation adds %v allocations per statement (%v - %v), want <= %v", got, exec, inner, c.max)
+			}
+		})
 	}
 }

@@ -8,16 +8,15 @@ import (
 	"kdb/internal/term"
 )
 
-func TestLastStatsAfterRetrieve(t *testing.T) {
+// TestRetrieveReturnsItsStats: a retrieve returns its own evaluation
+// record, the recursive component's iteration trail included, and every
+// statement gets a fresh one.
+func TestRetrieveReturnsItsStats(t *testing.T) {
 	k := loadKB(t, universityKB)
-	if k.LastStats() != nil {
-		t.Fatal("stats must be nil before any retrieve")
-	}
-	res, err := k.retrieve(context.Background(), term.NewAtom("prior", term.Var("X"), term.Var("Y")), nil)
+	_, st, err := k.retrieve(context.Background(), term.NewAtom("prior", term.Var("X"), term.Var("Y")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := k.LastStats()
 	if st == nil {
 		t.Fatal("no stats after retrieve")
 	}
@@ -45,23 +44,12 @@ func TestLastStatsAfterRetrieve(t *testing.T) {
 	if !found {
 		t.Errorf("prior component missing from stats: %+v", st.Components)
 	}
-	// Pointer freshness: a new retrieve stores a new record.
-	if _, err := k.retrieve(context.Background(), term.NewAtom("honor", term.Var("X")), nil); err != nil {
+	_, again, err := k.retrieve(context.Background(), term.NewAtom("honor", term.Var("X")), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if k.LastStats() == st {
-		t.Error("LastStats must change after another retrieve")
-	}
-	_ = res
-}
-
-func TestCheckConstraintsRecordsStats(t *testing.T) {
-	k := loadKB(t, universityKB+"\n:- honor(X), student(X, cs, G).\n")
-	if _, err := k.CheckConstraintsContext(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if k.LastStats() == nil {
-		t.Error("constraint checking must record stats")
+	if again == nil || again == st {
+		t.Error("another retrieve must return a record of its own")
 	}
 }
 
@@ -80,15 +68,25 @@ r(X) :- q(X).
 	const c1, c2 = ":- p(X), X > 1.\n", ":- r(X), q(X).\n"
 	retrieve := func(stmt string) *eval.EvalStats {
 		k := loadKB(t, program)
-		execStr(t, k, stmt)
-		return k.LastStats()
-	}
-	check := func(constraints string) *eval.EvalStats {
-		k := loadKB(t, program+constraints)
-		if _, err := k.CheckConstraintsContext(context.Background()); err != nil {
+		res, err := k.ExecStringContext(context.Background(), stmt)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return k.LastStats()
+		return res.Stats
+	}
+	// check evaluates the constraints as CheckConstraintsContext does and
+	// returns the record evaluate folds.
+	check := func(constraints string) *eval.EvalStats {
+		k := loadKB(t, program+constraints)
+		var queries []eval.Query
+		for _, ic := range k.Constraints() {
+			queries = append(queries, eval.Query{Subject: term.NewAtom("__ic__", ic.Vars()...), Where: ic})
+		}
+		st, err := k.evaluate(context.Background(), queries, func(_ int, _ *eval.Result, err error) error { return err })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
 	for _, c := range []struct {
 		name        string

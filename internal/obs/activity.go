@@ -17,9 +17,8 @@ import (
 // counterpart of a database's pg_stat_activity.
 
 // Activity is one in-flight query. The engines update FactsSoFar and
-// LookupsSoFar through AddProgress/SetProgress, which (like the span
-// API) are nil-receiver-safe so an unregistered evaluation pays only a
-// nil check.
+// LookupsSoFar through AddProgress, which (like the span API) is
+// nil-receiver-safe so an unregistered evaluation pays only a nil check.
 type Activity struct {
 	id        uint64
 	statement string
@@ -45,16 +44,6 @@ func (a *Activity) AddProgress(facts, lookups int64) {
 	}
 	a.facts.Add(facts)
 	a.lookups.Add(lookups)
-}
-
-// SetProgress replaces the running totals. The top-down engine calls it
-// once per naive-iteration pass with the table totals. No-op on nil.
-func (a *Activity) SetProgress(facts, lookups int64) {
-	if a == nil {
-		return
-	}
-	a.facts.Store(facts)
-	a.lookups.Store(lookups)
 }
 
 // ID returns the registry-issued id, or 0 for a nil or unregistered

@@ -179,7 +179,7 @@ func TestActivityRegistry(t *testing.T) {
 	b := reg.Begin("describe q(X).", "describe", "t2", "", 0, nil)
 	a.AddProgress(10, 5)
 	a.AddProgress(1, 1)
-	b.SetProgress(7, 3)
+	b.AddProgress(7, 3)
 
 	snap := reg.Snapshot()
 	if len(snap) != 2 {
@@ -224,7 +224,6 @@ func TestActivityRegistry(t *testing.T) {
 	}
 	var nilAct *Activity
 	nilAct.AddProgress(1, 1)
-	nilAct.SetProgress(1, 1)
 	if nilAct.ID() != 0 {
 		t.Error("nil activity has nonzero id")
 	}
@@ -236,7 +235,6 @@ func TestActivityProgressDisabledAllocs(t *testing.T) {
 	var a *Activity
 	allocs := testing.AllocsPerRun(200, func() {
 		a.AddProgress(1, 2)
-		a.SetProgress(3, 4)
 	})
 	if allocs != 0 {
 		t.Errorf("disabled activity hooks allocate %v per call, want 0", allocs)

@@ -69,10 +69,7 @@ func TestNilSafety(t *testing.T) {
 	}
 
 	var qm *QueryMetrics
-	qm.ObserveQuery("retrieve", time.Millisecond, "", false)
-	qm.ObserveEval(1, 2, 3, 4, 5, 6, 7)
-	qm.ObserveDescribe(1)
-	qm.ObserveExplain(3)
+	qm.Observe(QueryLogRecord{Kind: "retrieve", DurUS: 1000, Facts: 1, DescribeNodes: 1, ExplainNodes: 3})
 	var sm *StorageMetrics
 	sm.ObserveWALAppend(time.Millisecond, 10)
 	sm.ObserveWALSync(time.Millisecond)
@@ -343,10 +340,10 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 	RegisterBuildInfo(reg)
 	qm := NewQueryMetrics(reg)
 	sm := NewStorageMetrics(reg)
-	qm.ObserveQuery("retrieve", 2*time.Millisecond, "", false)
-	qm.ObserveQuery("describe", 5*time.Millisecond, "limit:describe-nodes", true)
-	qm.ObserveEval(10, 20, 30, 40, 1, 3, 2)
-	qm.ObserveDescribe(12)
+	qm.Observe(QueryLogRecord{Kind: "retrieve", DurUS: 2000, Facts: 10, Lookups: 20, Probes: 30,
+		Candidates: 40, IndexBuilds: 1, Iterations: 3, ProvEntries: 2, ExplainNodes: 5})
+	qm.Observe(QueryLogRecord{Kind: "describe", DurUS: 5000, Stop: "limit:describe-nodes",
+		Error: "limit", DescribeNodes: 12})
 	sm.ObserveWALAppend(time.Millisecond, 128)
 	sm.ObserveWALSync(time.Millisecond)
 	sm.ObserveSnapshot(3*time.Millisecond, 4096)

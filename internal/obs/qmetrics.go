@@ -87,62 +87,40 @@ func (m *QueryMetrics) kind(kind string) *kindInstruments {
 	return ki
 }
 
-// ObserveQuery records one completed query: latency by statement kind,
-// the error tally, and — when the governor stopped it — the stop
-// reason ("deadline", "canceled", "limit:<kind>", "panic").
-func (m *QueryMetrics) ObserveQuery(kind string, d time.Duration, stopReason string, failed bool) {
+// Observe folds one finished statement into the registry: its latency,
+// count and error by statement kind; the governor's stop reason
+// ("deadline", "canceled", "limit:<kind>", "panic"), if it stopped; and
+// the statement's evaluation, describe and explain counts. rec is the
+// record the query log writes for the same statement.
+func (m *QueryMetrics) Observe(rec QueryLogRecord) {
 	if m == nil {
 		return
 	}
-	ki := m.kind(kind)
+	ki := m.kind(rec.Kind)
 	ki.total.Inc()
-	ki.latency.ObserveDuration(d)
-	if failed {
+	ki.latency.ObserveDuration(time.Duration(rec.DurUS) * time.Microsecond)
+	if rec.Error != "" {
 		ki.errs.Inc()
 	}
-	if stopReason != "" && stopReason != "ok" {
+	if rec.Stop != "" && rec.Stop != "ok" {
 		m.mu.Lock()
-		c := m.byStop[stopReason]
+		c := m.byStop[rec.Stop]
 		if c == nil {
-			c = m.reg.Counter("kdb_query_stops_total", "reason", stopReason)
-			m.byStop[stopReason] = c
+			c = m.reg.Counter("kdb_query_stops_total", "reason", rec.Stop)
+			m.byStop[rec.Stop] = c
 		}
 		m.mu.Unlock()
 		c.Inc()
 	}
-}
-
-// ObserveEval folds one retrieve evaluation's counters into the
-// registry.
-func (m *QueryMetrics) ObserveEval(facts, lookups, probes, candidates, indexBuilds, iterations, provEntries int64) {
-	if m == nil {
-		return
-	}
-	m.facts.Add(facts)
-	m.lookups.Add(lookups)
-	m.probes.Add(probes)
-	m.cands.Add(candidates)
-	m.idxB.Add(indexBuilds)
-	m.iters.Add(iterations)
-	m.provE.Add(provEntries)
-}
-
-// ObserveExplain folds one explain query's reconstructed node count
-// into the registry.
-func (m *QueryMetrics) ObserveExplain(nodes int64) {
-	if m == nil {
-		return
-	}
-	m.explN.Add(nodes)
-}
-
-// ObserveDescribe folds one describe search's node count into the
-// registry.
-func (m *QueryMetrics) ObserveDescribe(nodes int64) {
-	if m == nil {
-		return
-	}
-	m.descN.Add(nodes)
+	m.facts.Add(rec.Facts)
+	m.lookups.Add(rec.Lookups)
+	m.probes.Add(rec.Probes)
+	m.cands.Add(rec.Candidates)
+	m.idxB.Add(rec.IndexBuilds)
+	m.iters.Add(rec.Iterations)
+	m.provE.Add(rec.ProvEntries)
+	m.descN.Add(rec.DescribeNodes)
+	m.explN.Add(rec.ExplainNodes)
 }
 
 // StorageMetrics bundles the storage-path instruments. Its methods

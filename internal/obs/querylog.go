@@ -10,7 +10,9 @@ import (
 )
 
 // QueryLogRecord is one line of the structured query log: what ran, how
-// long it took, why it stopped, and the per-query EvalStats deltas. The
+// long it took, why it stopped, and the per-query EvalStats deltas. It
+// is also the value QueryMetrics.Observe folds, so the log and the
+// metrics read one record of each statement. The
 // trace id matches the root span's ID() when tracing was enabled for
 // the same query, so a slow-log line can be joined against its trace.
 type QueryLogRecord struct {
@@ -41,6 +43,12 @@ type QueryLogRecord struct {
 	// profiling enabled, so a slow-log line carries its own "explain
 	// analyze" instead of requiring a re-run.
 	Profile []profile.Row `json:"profile,omitempty"`
+	// Counts only QueryMetrics reads: the fixpoint rounds summed over
+	// the evaluation's components, the nodes a describe search expanded,
+	// and the nodes an explain's trees hold.
+	Iterations    int64 `json:"-"`
+	DescribeNodes int64 `json:"-"`
+	ExplainNodes  int64 `json:"-"`
 }
 
 // QueryLog appends one JSONL record per finished query to a writer —

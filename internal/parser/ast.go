@@ -73,6 +73,35 @@ type Query interface {
 	isQuery()
 }
 
+// Kind names the statement form of q, as metrics, span attributes, the
+// query log and server responses label it: retrieve, describe,
+// describe-wildcard, possible, describe-not, compare, explain or profile.
+func Kind(q Query) string {
+	switch s := q.(type) {
+	case *Retrieve:
+		return "retrieve"
+	case *Describe:
+		switch {
+		case s.Wildcard:
+			return "describe-wildcard"
+		case s.Subjectless:
+			return "possible"
+		case len(s.Not) > 0:
+			return "describe-not"
+		default:
+			return "describe"
+		}
+	case *Compare:
+		return "compare"
+	case *Explain:
+		return "explain"
+	case *Profile:
+		return "profile"
+	default:
+		return "unknown"
+	}
+}
+
 // Retrieve is the paper's data-query statement (§3.1), extended with the
 // disjunctive qualifiers of §6's second research direction:
 //

@@ -450,7 +450,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, route string
 		return s.writeError(w, err)
 	}
 	resp := &queryResponse{
-		Kind:     queryKind(bound),
+		Kind:     parser.Kind(bound),
 		Prepared: hit,
 		Answers:  answerLines(res),
 		Rendered: res.String(),
@@ -493,36 +493,9 @@ func checkRoute(route string, q parser.Query) error {
 		_, ok = q.(*parser.Profile)
 	}
 	if !ok {
-		return &badRequestError{fmt.Errorf("statement kind %s does not match route /%s", queryKind(q), route)}
+		return &badRequestError{fmt.Errorf("statement kind %s does not match route /%s", parser.Kind(q), route)}
 	}
 	return nil
-}
-
-// queryKind names a parsed statement for responses and span labels.
-func queryKind(q parser.Query) string {
-	switch s := q.(type) {
-	case *parser.Retrieve:
-		return "retrieve"
-	case *parser.Describe:
-		switch {
-		case s.Wildcard:
-			return "describe-wildcard"
-		case s.Subjectless:
-			return "possible"
-		case len(s.Not) > 0:
-			return "describe-not"
-		default:
-			return "describe"
-		}
-	case *parser.Compare:
-		return "compare"
-	case *parser.Explain:
-		return "explain"
-	case *parser.Profile:
-		return "profile"
-	default:
-		return "unknown"
-	}
 }
 
 // answerLines extracts one line per answer from an ExecResult, sorted

@@ -72,7 +72,8 @@ type (
 	Option = kb.Option
 	// EvalStats is the observability record of one retrieve evaluation:
 	// per-SCC fixpoint iterations, facts derived, delta sizes, lookup and
-	// probe counts, and wall times. See KB.LastStats.
+	// probe counts, and wall times. A statement's own record is
+	// ExecResult.Stats, or StopError.Stats on a governed stop.
 	EvalStats = eval.EvalStats
 	// ComponentStats records the evaluation of one SCC of the rule graph.
 	ComponentStats = eval.ComponentStats
