@@ -8,7 +8,6 @@ import (
 
 	"kdb/internal/governor"
 	"kdb/internal/obs"
-	"kdb/internal/obs/profile"
 	"kdb/internal/prov"
 	"kdb/internal/storage"
 	"kdb/internal/term"
@@ -18,8 +17,7 @@ import (
 type engineConfig struct {
 	limits governor.Limits
 	rec    *prov.Recorder
-	prof   *profile.Profile
-	labels map[string]profLabel
+	prof   bool
 }
 
 // EngineOption tunes an engine at construction.
@@ -50,59 +48,38 @@ func buildConfig(opts []EngineOption) engineConfig {
 	return cfg
 }
 
-// finishStats finalizes a stats record after the component loop: wall
-// time, per-component sums, storage counters, and — for a governed
-// stop — the stop reason.
-func finishStats(stats *EvalStats, start time.Time, counters *storage.Counters, err error) {
+// finishStats finalizes a stats record after the evaluation: wall time,
+// per-component sums, the statement's storage counters, the profile rows,
+// and — for a governed stop — the stop reason.
+func finishStats(stats *EvalStats, start time.Time, counters *storage.Counters, rp *ruleProfiler, err error) {
 	stats.Wall = time.Since(start)
 	for i := range stats.Components {
 		stats.Facts += stats.Components[i].Facts
 		stats.Lookups += stats.Components[i].Lookups
 	}
-	stats.Probes = counters.Probes.Load()
-	stats.Candidates = counters.Candidates.Load()
-	stats.IndexBuilds = counters.IndexBuilds.Load()
-	stats.FullScans = counters.FullScans.Load()
+	stats.Probes = counters.Probes
+	stats.Candidates = counters.Candidates
+	stats.IndexBuilds = counters.IndexBuilds
+	stats.FullScans = counters.FullScans
+	stats.Profile = rp.finish()
 	stats.StopReason = governor.StopReason(err)
 }
 
 // derived holds the materialized extensions of IDB predicates during a
 // bottom-up evaluation. It belongs to one statement evaluated on one
 // goroutine, so the map needs no lock.
-type derived struct {
-	rels     map[string]*storage.Relation
-	counters *storage.Counters // attached to every relation created here
-}
+type derived map[string]*storage.Relation
 
-func newDerived(c *storage.Counters) *derived {
-	return &derived{rels: make(map[string]*storage.Relation), counters: c}
-}
-
-// get returns the relation for pred, or nil if no fact for pred has been
-// derived yet.
-func (d *derived) get(pred string) *storage.Relation {
-	return d.rels[pred]
-}
-
-func (d *derived) relation(pred string, arity int) (*storage.Relation, error) {
-	if r, ok := d.rels[pred]; ok {
-		return r, nil
-	}
-	r, err := storage.NewRelation(arity)
-	if err != nil {
-		return nil, err
-	}
-	if d.counters != nil {
-		r.SetCounters(d.counters)
-	}
-	d.rels[pred] = r
-	return r, nil
-}
-
-func (d *derived) insert(a term.Atom) (bool, error) {
-	r, err := d.relation(a.Pred, len(a.Args))
-	if err != nil {
-		return false, err
+// insert adds a derived fact to its predicate's relation, creating the
+// relation on the predicate's first fact.
+func (d derived) insert(a term.Atom) (bool, error) {
+	r, ok := d[a.Pred]
+	if !ok {
+		var err error
+		if r, err = storage.NewRelation(len(a.Args)); err != nil {
+			return false, err
+		}
+		d[a.Pred] = r
 	}
 	return r.Insert(storage.Tuple(a.Args))
 }
@@ -112,7 +89,7 @@ type bottomUp struct {
 	in     Input
 	limits governor.Limits
 	rec    *prov.Recorder
-	prof   *profile.Profile
+	prof   bool
 	labels map[string]profLabel
 	stats  atomic.Pointer[EvalStats]
 }
@@ -123,7 +100,7 @@ type bottomUp struct {
 // iteration.
 func NewSemiNaive(in Input, opts ...EngineOption) Engine {
 	cfg := buildConfig(opts)
-	return &bottomUp{in: in, limits: cfg.limits, rec: cfg.rec, prof: cfg.prof, labels: cfg.labels}
+	return &bottomUp{in: in, limits: cfg.limits, rec: cfg.rec, prof: cfg.prof}
 }
 
 // Name identifies the engine.
@@ -151,10 +128,13 @@ func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, e
 	}
 	asp.End()
 	// The observability counters are private to this query and threaded
-	// through every storage probe (SelectCounted), so
-	// concurrent queries over the same store keep independent counts.
+	// through every storage probe, so concurrent queries over the same
+	// store keep independent counts.
 	counters := &storage.Counters{}
-	d := newDerived(counters)
+	base := component{store: e.in.Store, virtual: p.virtual, d: make(derived), gov: gov, rec: e.rec, ctrs: counters}
+	if e.prof {
+		base.rp = newRuleProfiler(counters, e.labels)
+	}
 
 	// The schedule is the rule set's components in dependency order, then
 	// the query rule's own.
@@ -192,7 +172,7 @@ func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, e
 		csp := evalSp.Child("scc")
 		csp.SetStr("preds", strings.Join(comp, " "))
 		t0 := time.Now()
-		err = e.evalComponent(p, d, gov, comp, cs, act)
+		err = evalComponent(base, p, comp, cs, act)
 		cs.Wall = time.Since(t0)
 		act.AddProgress(0, cs.Lookups)
 		csp.SetInt("iterations", int64(cs.Iterations))
@@ -209,17 +189,14 @@ func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, e
 			break
 		}
 	}
-	finishStats(stats, start, counters, runErr)
+	finishStats(stats, start, counters, base.rp, runErr)
 	stats.ProvEntries = e.rec.Len() - provStart
-	if e.prof != nil {
-		e.prof.Finish(e.Name(), stats.Wall)
-	}
 	e.stats.Store(stats)
 	endEvalSpan(evalSp, sp, stats)
 	if runErr != nil {
 		return nil, &StopError{Stats: stats, Err: runErr}
 	}
-	return e.collect(p, d), nil
+	return e.collect(p, base.d), nil
 }
 
 // endEvalSpan folds the finished stats into the eval span and emits the
@@ -247,11 +224,12 @@ func endEvalSpan(evalSp, parent *obs.Span, stats *EvalStats) {
 type component struct {
 	store   *storage.Store
 	virtual map[string]*storage.Relation
-	d       *derived
+	d       derived
 	gov     *governor.Governor
 	rec     *prov.Recorder
 	cs      *ComponentStats
 	rp      *ruleProfiler
+	ctrs    *storage.Counters // the statement's probe sink
 
 	// windows hold, per predicate of the component, the positions its
 	// derived relation gained in the previous round: the semi-naive delta,
@@ -300,33 +278,25 @@ func (c *component) resolve(p *probe) error {
 		if w.from == w.to {
 			return nil
 		}
-		// rp.storageCounters() is nil when profiling is off; the derived
-		// relation then falls back to its attached (query-wide) counters.
-		return p.selectWindow(c.d.get(pred), c.rp.storageCounters(), w.from, w.to)
+		return p.selectWindow(c.d[pred], c.ctrs, w.from, w.to)
 	}
 	c.cs.Lookups++
 	c.rp.countLookup()
 	if err := c.gov.Tick(); err != nil {
 		return err
 	}
-	// With profiling on, probes are charged to the current rule's sink,
-	// which chains onto the query-wide counters.
-	ctrs := c.d.counters
-	if rc := c.rp.storageCounters(); rc != nil {
-		ctrs = rc
-	}
 	if vr := c.virtual[pred]; vr != nil {
-		return p.selectFrom(vr, ctrs, "derived")
+		return p.selectFrom(vr, c.ctrs, "derived")
 	}
-	rel := c.d.get(pred)
+	rel := c.d[pred]
 	if rel != nil {
 		// Stop here on a probe error, or when the enumeration was ended
 		// from inside (the runner holds the error that ended it).
-		if err := p.selectFrom(rel, ctrs, "derived"); err != nil || p.r.err != nil {
+		if err := p.selectFrom(rel, c.ctrs, "derived"); err != nil || p.r.err != nil {
 			return err
 		}
 	}
-	return p.selectStored(c.store, rel, ctrs)
+	return p.selectStored(c.store, rel, c.ctrs)
 }
 
 // window returns the delta of pred, one of the component's predicates.
@@ -341,7 +311,7 @@ func (c *component) window(pred string) window {
 
 // size is the length of pred's derived relation.
 func (c *component) size(pred string) int {
-	if rel := c.d.get(pred); rel != nil {
+	if rel := c.d[pred]; rel != nil {
 		return rel.Len()
 	}
 	return 0
@@ -417,12 +387,10 @@ func (c *component) applyRules(rules []componentRule, differentiated bool) error
 }
 
 // evalComponent computes the fixpoint of one SCC's rules, each run from
-// the body its plan compiled.
-func (e *bottomUp) evalComponent(p *plan, d *derived, gov *governor.Governor, comp []string, cs *ComponentStats, act *obs.Activity) error {
-	c := &component{store: e.in.Store, virtual: p.virtual, d: d, gov: gov, rec: e.rec, cs: cs}
-	if e.prof != nil {
-		c.rp = newRuleProfiler(e.prof, e.labels, d.counters)
-	}
+// the body its plan compiled, on base's statement state.
+func evalComponent(base component, p *plan, comp []string, cs *ComponentStats, act *obs.Activity) error {
+	c := &base
+	c.cs = cs
 	var rules []componentRule
 	for _, pred := range comp {
 		prs := p.rules(pred)
@@ -445,10 +413,10 @@ func (e *bottomUp) evalComponent(p *plan, d *derived, gov *governor.Governor, co
 	}
 	// Iterate to fixpoint, checking the governor between rounds.
 	for c.fresh > 0 {
-		if err := gov.Err(); err != nil {
+		if err := c.gov.Err(); err != nil {
 			return err
 		}
-		if err := gov.CheckIterations(cs.Iterations + 1); err != nil {
+		if err := c.gov.CheckIterations(cs.Iterations + 1); err != nil {
 			return err
 		}
 		if err := c.round(rules, true, act); err != nil {
@@ -460,9 +428,9 @@ func (e *bottomUp) evalComponent(p *plan, d *derived, gov *governor.Governor, co
 
 // collect hands over the tuples of the derived query relation, which
 // nothing else can reach once the evaluation has returned.
-func (e *bottomUp) collect(p *plan, d *derived) *Result {
+func (e *bottomUp) collect(p *plan, d derived) *Result {
 	res := &Result{Vars: p.vars}
-	r := d.get(queryPredName)
+	r := d[queryPredName]
 	if r == nil {
 		return res
 	}

@@ -52,7 +52,7 @@ func TestCompiledJoinRoundAllocs(t *testing.T) {
 e(a, b). e(b, c). e(c, d). e(d, e). e(a, c). e(b, d).
 two(X, Z) :- e(X, Y), e(Y, Z), X != Z.
 `)
-	d := newDerived(nil)
+	d := make(derived)
 	c := &component{store: in.Store, d: d, cs: &ComponentStats{}, pin: -1}
 	rule := in.Rules[0]
 	r := newRunner(rule, compileBody(rule.Head, rule.Body), c)
@@ -77,7 +77,7 @@ two(X, Z) :- e(X, Y), e(Y, Z), X != Z.
 // fact once — stored tuples already derived are suppressed.
 func TestFullLookupSuppressesStoredDuplicates(t *testing.T) {
 	in := load(t, `p(a). p(b).`)
-	d := newDerived(nil)
+	d := make(derived)
 	// p(a) is both stored and derived; p(c) only derived; p(b) only stored.
 	for _, name := range []string{"a", "c"} {
 		if _, err := d.insert(term.NewAtom("p", term.Sym(name))); err != nil {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"kdb/internal/governor"
-	"kdb/internal/obs/profile"
 	"kdb/internal/prov"
 	"kdb/internal/term"
 )
@@ -44,7 +43,7 @@ type governedEngine struct {
 func governedEngines(in Input, opts ...EngineOption) []governedEngine {
 	instrumented := func() []EngineOption {
 		return append(append([]EngineOption{}, opts...),
-			WithProvenance(prov.NewRecorder()), WithProfile(profile.New()))
+			WithProvenance(prov.NewRecorder()), WithProfile())
 	}
 	return []governedEngine{
 		{"2-seminaive", NewSemiNaive(in, opts...)},

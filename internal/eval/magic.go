@@ -10,7 +10,6 @@ import (
 
 	"kdb/internal/governor"
 	"kdb/internal/obs"
-	"kdb/internal/obs/profile"
 	"kdb/internal/prov"
 	"kdb/internal/storage"
 	"kdb/internal/term"
@@ -43,7 +42,7 @@ type magic struct {
 	in     Input
 	limits governor.Limits
 	rec    *prov.Recorder
-	prof   *profile.Profile
+	prof   bool
 	stats  atomic.Pointer[EvalStats]
 }
 
@@ -90,23 +89,15 @@ func (e *magic) RetrieveContext(ctx context.Context, q Query) (res *Result, err 
 	// predicates), and the inner plan re-snapshots them through the same
 	// view, so magic answers match the other engines.
 	inner := Input{Store: e.in.Store, Rules: rewritten, Virtual: e.in.Virtual}
-	engine := NewSemiNaive(inner, WithLimits(e.limits),
-		WithProvenance(e.rec.Rewritten(magicProvRewrite)),
-		WithProfile(e.prof), withProfileLabels(labels))
+	engine := &bottomUp{in: inner, limits: e.limits, rec: e.rec.Rewritten(magicProvRewrite), prof: e.prof, labels: labels}
 	res, err = engine.RetrieveContext(ctx, Query{
 		Subject: term.NewAtom(queryPred, p.vars...),
 	})
-	// Relabel the inner run's record (the StopError of a governed stop
-	// carries the same *EvalStats pointer) on both paths.
-	if sr, ok := engine.(StatsReporter); ok {
-		if st := sr.LastStats(); st != nil {
-			st.Engine = e.Name()
-			e.stats.Store(st)
-		}
-	}
-	// The inner run stamped the profile "seminaive"; the caller ran magic.
-	if e.prof != nil {
-		e.prof.Finish(e.Name(), e.prof.Wall())
+	// The inner run's record, profile rows included, is the magic run's
+	// (the StopError of a governed stop carries the same pointer).
+	if st := engine.LastStats(); st != nil {
+		st.Engine = e.Name()
+		e.stats.Store(st)
 	}
 	if err != nil {
 		return nil, err

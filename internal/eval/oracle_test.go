@@ -735,7 +735,7 @@ type headsDriver struct {
 }
 
 func newHeadsDriver(st *storage.Store) *headsDriver {
-	return &headsDriver{component: &component{store: st, d: newDerived(nil), cs: &ComponentStats{}, pin: -1}}
+	return &headsDriver{component: &component{store: st, d: make(derived), cs: &ComponentStats{}, pin: -1}}
 }
 
 func (d *headsDriver) derive(r *runner) error {

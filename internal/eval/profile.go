@@ -8,15 +8,15 @@ import (
 	"kdb/internal/term"
 )
 
-// WithProfile makes the engine record one per-rule cost row into p for
-// every rule it evaluates: wall time, rounds, tuples produced, and the
-// storage probe counters split index-hit/full-scan. Every engine
-// honors it. A nil collector disables profiling; the derive path then
+// WithProfile makes the engine record one per-rule cost row for every
+// rule it evaluates into its record, EvalStats.Profile: wall time,
+// rounds, tuples produced, and the storage probe counters split
+// index-hit/full-scan. Every engine honors it. Without it the derive path
 // pays a single nil check per rule round and per derived fact (see
 // TestProfileDisabledAllocs), mirroring the provenance hook's
 // zero-overhead contract.
-func WithProfile(p *profile.Profile) EngineOption {
-	return func(c *engineConfig) { c.prof = p }
+func WithProfile() EngineOption {
+	return func(c *engineConfig) { c.prof = true }
 }
 
 // profLabel maps a rewrite-generated rule back to its display identity:
@@ -29,120 +29,133 @@ type profLabel struct {
 	synthetic bool
 }
 
-// withProfileLabels attaches the generated-rule → source-rule relabel
-// table (keyed by the generated rule's String()). Unexported: only the
-// magic engine hands it to its inner semi-naive run.
-func withProfileLabels(m map[string]profLabel) EngineOption {
-	return func(c *engineConfig) { c.labels = m }
-}
-
-// ruleSample is one in-progress rule-round measurement.
-type ruleSample struct {
+// ruleRound is one open rule round. start and at are the clock and the
+// statement's counters when it opened, each less what closed rounds had
+// been charged by then: what they gain until it closes, less what the
+// rounds closing meanwhile (those nested in it) are charged, is its own.
+type ruleRound struct {
 	rule    term.Rule
-	active  bool
 	start   time.Time
-	child   time.Duration // time spent in nested rules (top-down subgoals)
+	at      storage.Counters
 	tuples  int64
 	lookups int64
-	ctrs    *storage.Counters
 }
 
-// ruleProfiler adapts one evaluation thread (a bottom-up component, or
-// a whole top-down run) to the profile collector: begin/end bracket one
-// rule round, fresh counts a derived fact, and storageCounters exposes
-// a per-rule probe sink chained onto the query-wide counters so engine
-// totals stay intact. It is single-goroutine by construction; the
-// shared *profile.Profile does its own locking. All methods are
-// nil-receiver-safe, so an unprofiled evaluation pays only the nil
-// checks.
+// ruleProfiler keeps the rows of one evaluation, which runs on one
+// goroutine: begin/end bracket one rule round, fresh and countLookup
+// count a derived fact and a body-atom resolution against the innermost
+// open round. A round's probes, full scans, candidates and index builds
+// are what the statement's counters gained while it was open, less what
+// the rounds nested in it (top-down subgoals) were charged; its wall time
+// likewise. All methods are nil-receiver-safe, so an unprofiled
+// evaluation pays only the nil checks.
 type ruleProfiler struct {
-	p      *profile.Profile
+	ctrs   *storage.Counters // the statement's probe sink
 	labels map[string]profLabel
-	parent *storage.Counters
 
-	cur   ruleSample
-	stack []ruleSample // saved enclosing samples (top-down nesting)
+	rows  []profile.Row
+	index map[string]int // the row of each rule label
+	open  []ruleRound    // innermost last
+	// chargedWall and charged are what closed rounds were charged.
+	chargedWall time.Duration
+	charged     storage.Counters
 }
 
-func newRuleProfiler(p *profile.Profile, labels map[string]profLabel, parent *storage.Counters) *ruleProfiler {
-	return &ruleProfiler{p: p, labels: labels, parent: parent}
+func newRuleProfiler(ctrs *storage.Counters, labels map[string]profLabel) *ruleProfiler {
+	return &ruleProfiler{ctrs: ctrs, labels: labels, rows: []profile.Row{}, index: make(map[string]int)}
 }
 
-// begin opens a sample for one round of r, saving any enclosing sample
-// (a top-down rule solving a subgoal's rules).
+// mark reads the clock and the statement's counters, less what closed
+// rounds were charged.
+func (rp *ruleProfiler) mark() (time.Time, storage.Counters) {
+	c, ch := *rp.ctrs, rp.charged
+	return time.Now().Add(-rp.chargedWall), storage.Counters{
+		Probes:      c.Probes - ch.Probes,
+		Candidates:  c.Candidates - ch.Candidates,
+		IndexBuilds: c.IndexBuilds - ch.IndexBuilds,
+		FullScans:   c.FullScans - ch.FullScans,
+	}
+}
+
+// begin opens a round of r, inside any round still open (a top-down rule
+// solving a subgoal's rules).
 func (rp *ruleProfiler) begin(r term.Rule) {
 	if rp == nil {
 		return
 	}
-	if rp.cur.active {
-		rp.stack = append(rp.stack, rp.cur)
-	}
-	c := &storage.Counters{}
-	c.Chain(rp.parent)
-	rp.cur = ruleSample{rule: r, active: true, start: time.Now(), ctrs: c}
+	start, at := rp.mark()
+	rp.open = append(rp.open, ruleRound{rule: r, start: start, at: at})
 }
 
-// end closes the current sample and merges it into the collector. Wall
-// time is self time: nested rule rounds are subtracted, so a profile's
-// rows partition the evaluation instead of double-counting callers.
+// end closes the innermost round and adds it to its rule's row. Wall
+// time and counts are self: a profile's rows partition the evaluation
+// instead of double-counting callers.
 func (rp *ruleProfiler) end() {
-	if rp == nil || !rp.cur.active {
+	if rp == nil {
 		return
 	}
-	total := time.Since(rp.cur.start)
-	self := total - rp.cur.child
-	if self < 0 {
-		self = 0
+	n := len(rp.open) - 1
+	rd := rp.open[n]
+	rp.open = rp.open[:n]
+	now, c := rp.mark()
+	own := profile.Row{
+		Iterations:  1,
+		Tuples:      rd.tuples,
+		Wall:        now.Sub(rd.start),
+		Lookups:     rd.lookups,
+		Probes:      c.Probes - rd.at.Probes,
+		FullScans:   c.FullScans - rd.at.FullScans,
+		Candidates:  c.Candidates - rd.at.Candidates,
+		IndexBuilds: c.IndexBuilds - rd.at.IndexBuilds,
+		DeltaSizes:  []int64{rd.tuples},
+		AllocBytes:  rd.tuples * profile.TupleBytes(len(rd.rule.Head.Args)),
 	}
-	r := rp.cur.rule
+	rp.row(rd.rule).Add(own)
+	rp.chargedWall += own.Wall
+	rp.charged.Probes += own.Probes
+	rp.charged.FullScans += own.FullScans
+	rp.charged.Candidates += own.Candidates
+	rp.charged.IndexBuilds += own.IndexBuilds
+}
+
+// row returns the row of r's label, added on the rule's first round.
+func (rp *ruleProfiler) row(r term.Rule) *profile.Row {
 	label, pred, synthetic := r.String(), r.Head.Pred, r.Head.Pred == queryPredName
 	if pl, ok := rp.labels[label]; ok {
 		label, pred, synthetic = pl.label, pl.pred, pl.synthetic
 	}
-	rp.p.Add(profile.Sample{
-		Rule:        label,
-		Pred:        pred,
-		Arity:       len(r.Head.Args),
-		Synthetic:   synthetic,
-		Wall:        self,
-		Tuples:      rp.cur.tuples,
-		Lookups:     rp.cur.lookups,
-		Probes:      rp.cur.ctrs.Probes.Load(),
-		FullScans:   rp.cur.ctrs.FullScans.Load(),
-		Candidates:  rp.cur.ctrs.Candidates.Load(),
-		IndexBuilds: rp.cur.ctrs.IndexBuilds.Load(),
-	})
-	if n := len(rp.stack); n > 0 {
-		enclosing := rp.stack[n-1]
-		rp.stack = rp.stack[:n-1]
-		enclosing.child += total
-		rp.cur = enclosing
-	} else {
-		rp.cur = ruleSample{}
+	i, ok := rp.index[label]
+	if !ok {
+		i = len(rp.rows)
+		rp.index[label] = i
+		rp.rows = append(rp.rows, profile.Row{Rule: label, Pred: pred, Synthetic: synthetic})
 	}
+	return &rp.rows[i]
 }
 
-// fresh counts one newly derived fact against the current rule.
+// fresh counts one newly derived fact against the innermost round.
 func (rp *ruleProfiler) fresh() {
 	if rp == nil {
 		return
 	}
-	rp.cur.tuples++
+	rp.open[len(rp.open)-1].tuples++
 }
 
-// countLookup counts one body-atom resolution against the current rule.
+// countLookup counts one body-atom resolution against the innermost
+// round.
 func (rp *ruleProfiler) countLookup() {
 	if rp == nil {
 		return
 	}
-	rp.cur.lookups++
+	rp.open[len(rp.open)-1].lookups++
 }
 
-// storageCounters returns the current rule's probe sink, or nil when no
-// sample is open (callers then fall back to the query-wide sink).
-func (rp *ruleProfiler) storageCounters() *storage.Counters {
-	if rp == nil || !rp.cur.active {
+// finish returns the rows in display order; nil when profiling is off,
+// never nil when it is on.
+func (rp *ruleProfiler) finish() []profile.Row {
+	if rp == nil {
 		return nil
 	}
-	return rp.cur.ctrs
+	profile.Sort(rp.rows)
+	return rp.rows
 }

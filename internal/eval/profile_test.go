@@ -4,7 +4,9 @@ import (
 	"context"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"kdb/internal/obs/profile"
 	"kdb/internal/term"
@@ -22,11 +24,11 @@ func TestProfileDisabledAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		rp.begin(rule)
 		rp.countLookup()
-		if rp.storageCounters() != nil {
-			t.Fatal("nil profiler returned counters")
-		}
 		rp.fresh()
 		rp.end()
+		if rp.finish() != nil {
+			t.Fatal("nil profiler returned rows")
+		}
 	})
 	if allocs != 0 {
 		t.Errorf("disabled profile hook allocates %v per rule round, want 0", allocs)
@@ -55,8 +57,7 @@ path(X, Y) :- edge(X, Z), path(Z, Y).
 	}
 	for name, mk := range mks {
 		t.Run(name, func(t *testing.T) {
-			p := profile.New()
-			e := mk(load(t, src), WithProfile(p))
+			e := mk(load(t, src), WithProfile())
 			res, err := e.RetrieveContext(context.Background(), query(t, `retrieve path(a, Y).`))
 			if err != nil {
 				t.Fatalf("retrieve: %v", err)
@@ -64,15 +65,16 @@ path(X, Y) :- edge(X, Z), path(Z, Y).
 			if got := len(res.Tuples); got != 3 {
 				t.Fatalf("answers = %d, want 3", got)
 			}
-			if p.Engine() != name {
-				t.Errorf("profile engine = %q, want %q", p.Engine(), name)
+			st := e.(StatsReporter).LastStats()
+			if st.Engine != name {
+				t.Errorf("profile engine = %q, want %q", st.Engine, name)
 			}
-			if p.Wall() <= 0 {
-				t.Errorf("profile wall = %v, want > 0", p.Wall())
+			if st.Wall <= 0 {
+				t.Errorf("profile wall = %v, want > 0", st.Wall)
 			}
 			var got []string
 			var tuples int64
-			for _, r := range p.Rows() {
+			for _, r := range st.Profile {
 				if r.Synthetic {
 					continue
 				}
@@ -97,7 +99,7 @@ path(X, Y) :- edge(X, Z), path(Z, Y).
 }
 
 // TestProfileIndependentComponents: the rules of independent SCCs and of
-// the component joining them all report into one Profile.
+// the component joining them all have rows in the one record.
 func TestProfileIndependentComponents(t *testing.T) {
 	src := `
 a(1). a(2). b(1). b(2).
@@ -105,13 +107,12 @@ pa(X) :- a(X).
 pb(X) :- b(X).
 both(X) :- pa(X), pb(X).
 `
-	p := profile.New()
-	e := NewSemiNaive(load(t, src), WithProfile(p))
+	e := NewSemiNaive(load(t, src), WithProfile())
 	if _, err := e.RetrieveContext(context.Background(), query(t, `retrieve both(X).`)); err != nil {
 		t.Fatalf("retrieve: %v", err)
 	}
 	rules := 0
-	for _, r := range p.Rows() {
+	for _, r := range e.(StatsReporter).LastStats().Profile {
 		if !r.Synthetic {
 			rules++
 		}
@@ -122,42 +123,60 @@ both(X) :- pa(X), pb(X).
 }
 
 // TestProfileProbeSplit checks the index/full-scan split: probes served
-// by an index must appear as Probes - FullScans, and the per-rule
-// counter chain must not lose the engine-total counts.
+// by an index must appear as Probes - FullScans, and the rows must add
+// up to the engine totals.
 func TestProfileProbeSplit(t *testing.T) {
 	src := `
 edge(a, b). edge(b, c). edge(c, d). edge(d, e).
 path(X, Y) :- edge(X, Y).
 path(X, Y) :- edge(X, Z), path(Z, Y).
 `
-	p := profile.New()
-	e := NewSemiNaive(load(t, src), WithProfile(p))
+	e := NewSemiNaive(load(t, src), WithProfile())
 	if _, err := e.RetrieveContext(context.Background(), query(t, `retrieve path(X, Y).`)); err != nil {
 		t.Fatalf("retrieve: %v", err)
 	}
+	st := e.(StatsReporter).LastStats()
 	var probes, scans int64
-	for _, r := range p.Rows() {
+	for _, r := range st.Profile {
 		probes += r.Probes
 		scans += r.FullScans
 		if r.FullScans > r.Probes {
 			t.Errorf("rule %q: full_scans %d > probes %d", r.Rule, r.FullScans, r.Probes)
 		}
 	}
-	if probes == 0 {
-		t.Fatal("no probes attributed to any rule")
+	if probes == 0 || scans == probes {
+		t.Fatalf("probes %d, full scans %d: want some, and some index-served", probes, scans)
 	}
-	if scans > probes {
-		t.Fatalf("full scans %d exceed probes %d", scans, probes)
+	if st.Probes != probes || st.FullScans != scans {
+		t.Errorf("engine totals: probes %d, full scans %d; the rows sum to %d, %d", st.Probes, st.FullScans, probes, scans)
 	}
-	// The chained per-rule counters must feed the engine totals too.
+}
+
+// TestProfileAllocEstimate: a rule's allocation estimate is its tuples
+// times the size of a tuple of its arity, a slice header and one
+// term.Term per column: an arity-2 rule deriving 7 tuples reads 616 B.
+func TestProfileAllocEstimate(t *testing.T) {
+	src := `
+e(1, 2). e(2, 3). e(3, 4). e(4, 5). e(5, 6). e(6, 7). e(7, 8).
+p(X, Y) :- e(X, Y).
+`
+	e := NewSemiNaive(load(t, src), WithProfile())
+	if _, err := e.RetrieveContext(context.Background(), query(t, `retrieve p(X, Y).`)); err != nil {
+		t.Fatalf("retrieve: %v", err)
+	}
 	st := e.(StatsReporter).LastStats()
-	if st == nil {
-		t.Fatal("no stats recorded")
+	for _, r := range st.Profile {
+		if r.Rule != "p(X, Y) :- e(X, Y)." {
+			continue
+		}
+		want := r.Tuples * int64(unsafe.Sizeof([]term.Term(nil))+2*unsafe.Sizeof(term.Term{}))
+		if r.Tuples != 7 || r.AllocBytes != want || want != 616 {
+			t.Errorf("%d tuples estimate %d B, want 7 and %d (616)", r.Tuples, r.AllocBytes, want)
+		}
+		if text := profile.Text(st.Engine, st.Wall, st.Profile); !strings.Contains(text, "alloc~616B") {
+			t.Errorf("rendering lacks alloc~616B:\n%s", text)
+		}
+		return
 	}
-	if st.Probes < probes {
-		t.Errorf("engine total probes %d < per-rule sum %d (chain dropped counts)", st.Probes, probes)
-	}
-	if st.FullScans < scans {
-		t.Errorf("engine total full scans %d < per-rule sum %d", st.FullScans, scans)
-	}
+	t.Fatalf("no row for p: %+v", st.Profile)
 }

@@ -99,13 +99,13 @@ func TestNonRecursiveComponentKeepsNoDelta(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := NewSemiNaive(in).(*bottomUp)
 		var cs ComponentStats
 		component := testing.AllocsPerRun(20, func() {
 			gov, cancel := governor.New(context.Background(), governor.Limits{})
 			defer cancel()
 			cs = ComponentStats{}
-			if err := e.evalComponent(p, newDerived(nil), gov, []string{"q"}, &cs, nil); err != nil {
+			base := component{store: in.Store, d: make(derived), gov: gov}
+			if err := evalComponent(base, p, []string{"q"}, &cs, nil); err != nil {
 				panic(err)
 			}
 		})
@@ -113,7 +113,7 @@ func TestNonRecursiveComponentKeepsNoDelta(t *testing.T) {
 			t.Fatalf("component %+v: want %d facts, not recursive", cs, n)
 		}
 		inserts := testing.AllocsPerRun(20, func() {
-			d := newDerived(nil)
+			d := make(derived)
 			for _, h := range heads {
 				if _, err := d.insert(h); err != nil {
 					panic(err)

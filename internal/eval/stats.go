@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"kdb/internal/obs/profile"
 )
 
 // ComponentStats records the evaluation of one strongly connected
@@ -68,11 +70,17 @@ type EvalStats struct {
 	// stop records why ("deadline", "canceled", "limit:<kind>", "panic").
 	// The record then holds the snapshot at stop time.
 	StopReason string `json:"stop_reason,omitempty"`
+	// Profile holds one cost row per evaluated rule, in display order,
+	// when the engine was built WithProfile (never nil then, nil
+	// otherwise). The rows partition the record: their tuples, lookups,
+	// probes, full scans, candidates and index builds sum to its totals.
+	Profile []profile.Row `json:"-"`
 }
 
 // Merge folds o, a later evaluation of the same statement, into s:
-// counters and wall times add up, o's components follow s's, and o's stop
-// reason, if any, becomes the record's.
+// counters and wall times add up, o's components follow s's, o's profile
+// rows fold into s's by rule, and o's stop reason, if any, becomes the
+// record's.
 func (s *EvalStats) Merge(o *EvalStats) {
 	s.Components = append(s.Components, o.Components...)
 	s.Facts += o.Facts
@@ -85,6 +93,9 @@ func (s *EvalStats) Merge(o *EvalStats) {
 	s.IndexBuilds += o.IndexBuilds
 	s.ProvEntries += o.ProvEntries
 	s.Wall += o.Wall
+	if o.Profile != nil {
+		s.Profile = profile.Fold(s.Profile, o.Profile)
+	}
 	if o.StopReason != "" {
 		s.StopReason = o.StopReason
 	}

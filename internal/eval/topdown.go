@@ -8,7 +8,6 @@ import (
 
 	"kdb/internal/governor"
 	"kdb/internal/obs"
-	"kdb/internal/obs/profile"
 	"kdb/internal/prov"
 	"kdb/internal/storage"
 	"kdb/internal/term"
@@ -24,7 +23,7 @@ type topDown struct {
 	in     Input
 	limits governor.Limits
 	rec    *prov.Recorder
-	prof   *profile.Profile
+	prof   bool
 	stats  atomic.Pointer[EvalStats]
 }
 
@@ -44,8 +43,8 @@ func (e *topDown) LastStats() *EvalStats { return e.stats.Load() }
 // table holds the answers derived so far for one call pattern.
 type table struct {
 	answers *storage.Relation
-	// inPass marks that this table's rules are being (or have been)
-	// evaluated in the current pass, to avoid re-entering.
+	// pass is the last pass in which this table's rules were (or are
+	// being) evaluated, so that a pass does not re-enter them.
 	pass int
 }
 
@@ -91,8 +90,8 @@ func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, er
 		tables:   make(map[string]*table),
 		counters: &storage.Counters{},
 	}
-	if e.prof != nil {
-		run.prof = newRuleProfiler(e.prof, nil, run.counters)
+	if e.prof {
+		run.prof = newRuleProfiler(run.counters, nil)
 	}
 	provStart := e.rec.Len()
 	goal := p.rule().Head
@@ -123,20 +122,12 @@ func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, er
 		Passes:  run.pass,
 		Tables:  len(run.tables),
 		Lookups: run.lookups,
-		Wall:    time.Since(start),
 	}
 	for _, t := range run.tables {
 		stats.Facts += t.answers.Len()
 	}
-	stats.Probes = run.counters.Probes.Load()
-	stats.Candidates = run.counters.Candidates.Load()
-	stats.IndexBuilds = run.counters.IndexBuilds.Load()
-	stats.FullScans = run.counters.FullScans.Load()
+	finishStats(stats, start, run.counters, run.prof, runErr)
 	stats.ProvEntries = e.rec.Len() - provStart
-	stats.StopReason = governor.StopReason(runErr)
-	if e.prof != nil {
-		e.prof.Finish(e.Name(), stats.Wall)
-	}
 	e.stats.Store(stats)
 	evalSp.SetInt("passes", int64(run.pass))
 	evalSp.SetInt("tables", int64(len(run.tables)))
@@ -202,7 +193,6 @@ func (r *topDownRun) solveTable(goal term.Atom) (*table, error) {
 			return nil, err
 		}
 		t = &table{answers: rel}
-		t.answers.SetCounters(r.counters)
 		r.tables[key] = t
 	}
 	if t.pass == r.pass {
@@ -275,18 +265,12 @@ func (r *topDownRun) resolve(p *probe) error {
 	if err := r.gov.Tick(); err != nil {
 		return err
 	}
-	// With profiling on, probes are charged to the current rule's sink,
-	// which chains onto the run-wide counters.
-	c := r.counters
-	if pc := r.prof.storageCounters(); pc != nil {
-		c = pc
-	}
 	pred := p.st.atom.Pred
 	if vr := r.plan.virtual[pred]; vr != nil {
-		return p.selectFrom(vr, c, "derived")
+		return p.selectFrom(vr, r.counters, "derived")
 	}
 	if !r.plan.defines(pred) {
-		return p.selectStored(r.in.Store, nil, c)
+		return p.selectStored(r.in.Store, nil, r.counters)
 	}
 	t, err := r.solveTable(term.Atom{Pred: pred, Args: p.pattern})
 	if err != nil {
@@ -308,5 +292,5 @@ func (r *topDownRun) resolve(p *probe) error {
 	}
 	// A predicate may also have stored facts (robustness; the kb layer
 	// normally rewrites those into bodiless rules).
-	return p.selectStored(r.in.Store, nil, c)
+	return p.selectStored(r.in.Store, nil, r.counters)
 }

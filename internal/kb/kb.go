@@ -723,16 +723,6 @@ func (k *KB) retrieve(ctx context.Context, subject term.Atom, disjuncts []term.F
 	return merged, stats, nil
 }
 
-// newProfile starts the per-rule cost rows of one retrieve — wall time,
-// rounds, tuples produced, and the storage probe counters split
-// index-hit/full-scan: the runtime "explain analyze" of one evaluation.
-// The profile goes to the query log's record as well, so a statement
-// stopped by a limit still shows where the time went.
-func newProfile() (*profile.Profile, eval.EngineOption) {
-	p := profile.New()
-	return p, eval.WithProfile(p)
-}
-
 // maxExplainNodes bounds the reconstructed derivation tree of one
 // explain statement: generous enough for real programs, small enough
 // that a pathological witness graph cannot exhaust memory while
@@ -1028,14 +1018,12 @@ func (k *KB) execContext(ctx context.Context, q parser.Query) (*ExecResult, erro
 			return nil, err
 		}
 		out := &ExecResult{Query: q, subject: s.Subject}
-		var err error
-		if len(s.Or) == 0 && k.Profiling() {
-			var opt eval.EngineOption
-			out.Profile, opt = newProfile()
-			out.Retrieve, out.Stats, err = k.retrieve(ctx, s.Subject, s.Disjuncts(), opt)
-		} else {
-			out.Retrieve, out.Stats, err = k.retrieve(ctx, s.Subject, s.Disjuncts())
+		var opts []eval.EngineOption
+		if k.Profiling() {
+			opts = append(opts, eval.WithProfile())
 		}
+		var err error
+		out.Retrieve, out.Stats, err = k.retrieve(ctx, s.Subject, s.Disjuncts(), opts...)
 		if err != nil {
 			return out, err
 		}
@@ -1057,10 +1045,8 @@ func (k *KB) execContext(ctx context.Context, q parser.Query) (*ExecResult, erro
 		return &ExecResult{Query: q, Explanation: exp, Stats: stats}, err
 	case *parser.Profile:
 		out := &ExecResult{Query: q, subject: s.Subject}
-		var opt eval.EngineOption
-		out.Profile, opt = newProfile()
 		var err error
-		out.Retrieve, out.Stats, err = k.retrieve(ctx, s.Subject, []term.Formula{s.Where}, opt)
+		out.Retrieve, out.Stats, err = k.retrieve(ctx, s.Subject, []term.Formula{s.Where}, eval.WithProfile())
 		return out, err
 	case *parser.Compare:
 		d, err := k.unfolder(ctx, "")
@@ -1155,12 +1141,10 @@ type ExecResult struct {
 	// Stats is the statement's one evaluation record — every query it
 	// ran folded into one — for retrieve, profile and explain; nil for
 	// the forms that evaluate nothing. A governed stop's record is on its
-	// *eval.StopError.
+	// *eval.StopError. The record of a `profile p(…)` statement, or of
+	// any retrieve when SetProfiling is on, carries per-rule cost rows
+	// (Stats.Profile), rendered after the answers as an annotated plan.
 	Stats *eval.EvalStats
-	// Profile carries the per-rule cost rows of a `profile p(…)`
-	// statement (or of any retrieve when SetProfiling is on), rendered
-	// after the answers as an annotated plan.
-	Profile *profile.Profile
 	// Knowledge carries the intensional characterization of a retrieve
 	// answer when intensional answering is on (SetIntensional).
 	Knowledge   *core.Answers
@@ -1253,6 +1237,10 @@ func (r *ExecResult) render() {
 	}
 }
 
+// Profiled reports whether the statement's record carries per-rule cost
+// rows: a profile statement's, or a retrieve's with SetProfiling on.
+func (r *ExecResult) Profiled() bool { return r.Stats != nil && r.Stats.Profile != nil }
+
 // String renders the result for a terminal. A retrieve lists its
 // answers (or "no answers"), then the knowledge characterizing them,
 // then the profile.
@@ -1266,7 +1254,8 @@ func (r *ExecResult) String() string {
 			text = r.text
 		}
 		knowledge := r.Knowledge != nil && !r.Knowledge.Empty()
-		if !knowledge && r.Profile == nil {
+		profiled := r.Profiled()
+		if !knowledge && !profiled {
 			return text
 		}
 		var b strings.Builder
@@ -1278,9 +1267,9 @@ func (r *ExecResult) String() string {
 				b.WriteString(f.String())
 			}
 		}
-		if r.Profile != nil {
+		if profiled {
 			b.WriteString("\n\n")
-			b.WriteString(strings.TrimRight(r.Profile.String(), "\n"))
+			b.WriteString(strings.TrimRight(profile.Text(r.Stats.Engine, r.Stats.Wall, r.Stats.Profile), "\n"))
 		}
 		return b.String()
 	case r.Describe != nil:

@@ -218,8 +218,8 @@ func (r *ExecResult) record(rec *obs.QueryLogRecord, rows bool) {
 	if r.Explanation != nil {
 		rec.ExplainNodes = int64(r.Explanation.Nodes)
 	}
-	if rows && r.Profile != nil {
-		rec.Profile = r.Profile.Rows()
+	if rows && r.Profiled() {
+		rec.Profile = r.Stats.Profile
 	}
 }
 

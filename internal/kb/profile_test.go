@@ -22,13 +22,13 @@ func TestProfileStatement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Profile == nil {
+	if !res.Profiled() {
 		t.Fatal("profile statement returned no profile")
 	}
 	if len(res.Retrieve.Tuples) == 0 {
 		t.Error("profile statement returned no answers")
 	}
-	if len(res.Profile.Rows()) == 0 {
+	if len(res.Stats.Profile) == 0 {
 		t.Error("profile has no rows")
 	}
 	out := res.String()
@@ -55,7 +55,7 @@ func TestSetProfiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Profile == nil || len(res.Profile.Rows()) == 0 {
+	if len(res.Stats.Profile) == 0 {
 		t.Error("always-on profiling attached no profile to retrieve")
 	}
 	k.SetProfiling(false)
@@ -63,8 +63,40 @@ func TestSetProfiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Profile != nil {
+	if res.Profiled() {
 		t.Error("profile attached with profiling off")
+	}
+}
+
+// TestProfilingOrRetrieve: with always-on profiling, a retrieve of
+// several disjuncts is profiled like one of a single disjunct — the
+// disjuncts' rows fold into the statement's record, their tuples sum to
+// its facts, and the rendering shows the profile after the answers.
+func TestProfilingOrRetrieve(t *testing.T) {
+	k := New()
+	if err := k.LoadString(routesProgram); err != nil {
+		t.Fatal(err)
+	}
+	k.SetProfiling(true)
+	res, err := k.ExecStringContext(context.Background(), "retrieve reachable(la, Y) where Y = sf or Y = ny.")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.RetrieveLines(); len(got) != 2 {
+		t.Fatalf("answers = %q, want reachable(la, ny) and reachable(la, sf)", got)
+	}
+	if len(res.Stats.Profile) == 0 {
+		t.Fatal("an or retrieve under profiling has no profile rows")
+	}
+	var tuples int64
+	for _, r := range res.Stats.Profile {
+		tuples += r.Tuples
+	}
+	if tuples != int64(res.Stats.Facts) {
+		t.Errorf("the rows' tuples sum to %d, the record's facts are %d", tuples, res.Stats.Facts)
+	}
+	if out := res.String(); !strings.Contains(out, "profile: engine=") {
+		t.Errorf("rendering missing the profile section:\n%s", out)
 	}
 }
 

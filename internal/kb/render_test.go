@@ -239,8 +239,8 @@ func TestRetrieveRendersKnowledgeThenProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Knowledge == nil || res.Profile == nil {
-		t.Fatalf("knowledge %v, profile %v: want both attached", res.Knowledge, res.Profile)
+	if res.Knowledge == nil || !res.Profiled() {
+		t.Fatalf("knowledge %v, profiled %v: want both attached", res.Knowledge, res.Profiled())
 	}
 	out := res.String()
 	answer := strings.Index(out, "honor(a)")

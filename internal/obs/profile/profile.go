@@ -1,56 +1,29 @@
-// Package profile implements per-rule cost accounting for the
-// evaluation engines: while a query runs with profiling enabled, every
-// engine reports one Sample per (rule, evaluation round) — wall time,
-// tuples produced, join probe counts split index-hit/full-scan — and
-// the Profile merges them into one Row per rule. The result is the
-// runtime twin of the paper's explain machinery: explain answers "why
-// is this fact derived", a profile answers "why is this query slow".
+// Package profile holds the per-rule cost rows of one profiled
+// evaluation and renders them: wall time, rounds, tuples produced, join
+// probe counts split index-hit/full-scan, per rule. The rows are part of
+// the statement's one record (eval.EvalStats.Profile); the engine that
+// fills them folds every round of a rule into its row, and a statement
+// of several evaluations folds theirs with Fold. The result is the
+// runtime twin of the paper's explain machinery: explain answers "why is
+// this fact derived", a profile answers "why is this query slow".
 //
-// The package is deliberately self-contained (no engine imports): rules
-// are identified by their source text, so the same collector serves the
-// bottom-up, top-down, and magic engines, and the magic rewrite can
-// relabel its generated rules with the source rules they came from.
+// Rows are keyed by the rule's source text, so a rewriting engine (magic
+// sets) can label its generated rules with the source rules they came
+// from and every engine's profile reads in terms of the user's program.
 package profile
 
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
-	"sync"
 	"time"
+	"unsafe"
+
+	"kdb/internal/term"
 )
 
-// Sample is one engine report: the cost of evaluating one rule once
-// (one semi-naive round, one top-down pass, one naive re-derivation).
-type Sample struct {
-	// Rule is the rule's source text, the merge key across samples and
-	// engines.
-	Rule string
-	// Pred is the rule's head predicate.
-	Pred string
-	// Arity is the head arity, used for the allocation estimate.
-	Arity int
-	// Synthetic marks rules the evaluation invented (the query rule,
-	// magic guards and seeds); renderers set them apart and parity
-	// checks skip them.
-	Synthetic bool
-	// Wall is the time spent joining the rule's body this round.
-	Wall time.Duration
-	// Tuples is the number of new facts the rule derived this round.
-	Tuples int64
-	// Lookups counts body-atom resolutions.
-	Lookups int64
-	// Probes / FullScans / Candidates / IndexBuilds are the storage
-	// counter deltas attributed to the rule (see storage.Counters).
-	Probes      int64
-	FullScans   int64
-	Candidates  int64
-	IndexBuilds int64
-}
-
-// Row is the merged, per-rule account of one evaluation.
+// Row is the per-rule account of one evaluation.
 type Row struct {
 	Rule      string `json:"rule"`
 	Pred      string `json:"pred"`
@@ -71,119 +44,75 @@ type Row struct {
 	// (the semi-naive delta trajectory; top-down: per-pass growth).
 	DeltaSizes []int64 `json:"delta_sizes,omitempty"`
 	// AllocBytes estimates the memory the rule's derived tuples
-	// retain: Tuples × (24 + 16 × arity) — a slice header plus one
-	// two-word term per column. An estimate, not a measurement: the
-	// engines do not instrument the allocator.
+	// retain: Tuples × TupleBytes(arity). An estimate, not a
+	// measurement: the engines do not instrument the allocator.
 	AllocBytes int64 `json:"alloc_bytes"`
 }
 
-// tupleBytes estimates the retained size of one derived tuple of the
-// given arity (slice header + two words per term).
-func tupleBytes(arity int) int64 { return 24 + 16*int64(arity) }
-
-// Profile accumulates samples into per-rule rows. It is safe for
-// concurrent use.
-type Profile struct {
-	mu     sync.Mutex
-	rows   map[string]*Row
-	order  []string // first-report order, for stable output
-	engine string
-	wall   time.Duration
+// TupleBytes estimates the retained size of one derived tuple of the
+// given arity: a slice header plus one term.Term per column.
+func TupleBytes(arity int) int64 {
+	return int64(unsafe.Sizeof([]term.Term(nil))) + int64(arity)*int64(unsafe.Sizeof(term.Term{}))
 }
 
-// New returns an empty collector.
-func New() *Profile {
-	return &Profile{rows: make(map[string]*Row)}
+// Add folds o, a later account of the same rule, into r: the counts add
+// up and o's rounds follow r's.
+func (r *Row) Add(o Row) {
+	r.Iterations += o.Iterations
+	r.Tuples += o.Tuples
+	r.Wall += o.Wall
+	r.Lookups += o.Lookups
+	r.Probes += o.Probes
+	r.FullScans += o.FullScans
+	r.Candidates += o.Candidates
+	r.IndexBuilds += o.IndexBuilds
+	r.DeltaSizes = append(r.DeltaSizes, o.DeltaSizes...)
+	r.AllocBytes += o.AllocBytes
 }
 
-// Add merges one sample. Safe for concurrent use.
-func (p *Profile) Add(s Sample) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	r, ok := p.rows[s.Rule]
-	if !ok {
-		r = &Row{Rule: s.Rule, Pred: s.Pred, Synthetic: s.Synthetic}
-		p.rows[s.Rule] = r
-		p.order = append(p.order, s.Rule)
-	}
-	r.Iterations++
-	r.Tuples += s.Tuples
-	r.Wall += s.Wall
-	r.Lookups += s.Lookups
-	r.Probes += s.Probes
-	r.FullScans += s.FullScans
-	r.Candidates += s.Candidates
-	r.IndexBuilds += s.IndexBuilds
-	r.DeltaSizes = append(r.DeltaSizes, s.Tuples)
-	r.AllocBytes += s.Tuples * tupleBytes(s.Arity)
-}
-
-// Finish records which engine produced the samples and the whole
-// evaluation's wall time (the per-rule rows only cover rule-body joins,
-// not planning or scheduling).
-func (p *Profile) Finish(engine string, wall time.Duration) {
-	p.mu.Lock()
-	p.engine = engine
-	p.wall = wall
-	p.mu.Unlock()
-}
-
-// Engine returns the recorded engine name.
-func (p *Profile) Engine() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.engine
-}
-
-// Wall returns the recorded evaluation wall time.
-func (p *Profile) Wall() time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.wall
-}
-
-// Rows returns a deep copy of the merged rows, most expensive (by
-// wall time, then tuples, then rule text) first.
-func (p *Profile) Rows() []Row {
-	p.mu.Lock()
-	out := make([]Row, 0, len(p.order))
-	for _, key := range p.order {
-		r := *p.rows[key]
-		r.DeltaSizes = append([]int64(nil), r.DeltaSizes...)
-		out = append(out, r)
-	}
-	p.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Wall != out[j].Wall {
-			return out[i].Wall > out[j].Wall
+// Fold adds each of more to the row of rows with the same rule, or
+// appends it, and returns the rows in display order (see Sort).
+func Fold(rows, more []Row) []Row {
+	for _, o := range more {
+		i := 0
+		for i < len(rows) && rows[i].Rule != o.Rule {
+			i++
 		}
-		if out[i].Tuples != out[j].Tuples {
-			return out[i].Tuples > out[j].Tuples
+		if i == len(rows) {
+			rows = append(rows, Row{Rule: o.Rule, Pred: o.Pred, Synthetic: o.Synthetic})
 		}
-		return out[i].Rule < out[j].Rule
+		rows[i].Add(o)
+	}
+	Sort(rows)
+	return rows
+}
+
+// Sort puts rows in display order: most expensive (by wall time, then
+// tuples, then rule text) first.
+func Sort(rows []Row) {
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].Wall != rows[j].Wall {
+			return rows[i].Wall > rows[j].Wall
+		}
+		if rows[i].Tuples != rows[j].Tuples {
+			return rows[i].Tuples > rows[j].Tuples
+		}
+		return rows[i].Rule < rows[j].Rule
 	})
-	return out
 }
 
-// Len returns the number of distinct rules sampled.
-func (p *Profile) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.rows)
-}
-
-// WriteText renders the profile as an annotated plan in the style of
-// the explain tree: one indented block per rule, most expensive first,
-// followed by a rule legend keyed r1, r2, … in display order.
-func (p *Profile) WriteText(w io.Writer) error {
-	rows := p.Rows()
+// Text renders the rows of one evaluation by engine, in display order,
+// as an annotated plan in the style of the explain tree: a header with
+// the engine and the evaluation's wall time, one indented block per
+// rule, and a rule legend keyed r1, r2, ….
+func Text(engine string, wall time.Duration, rows []Row) string {
 	var b strings.Builder
 	var tuples int64
 	for _, r := range rows {
 		tuples += r.Tuples
 	}
 	fmt.Fprintf(&b, "profile: engine=%s wall=%s rules=%d tuples=%d\n",
-		p.Engine(), p.Wall(), len(rows), tuples)
+		engine, wall, len(rows), tuples)
 	for i, r := range rows {
 		marker := fmt.Sprintf("r%d", i+1)
 		if r.Synthetic {
@@ -207,14 +136,6 @@ func (p *Profile) WriteText(w io.Writer) error {
 			fmt.Fprintf(&b, "  r%d: %s%s\n", i+1, r.Rule, star)
 		}
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// String renders the profile as text.
-func (p *Profile) String() string {
-	var b strings.Builder
-	p.WriteText(&b) // strings.Builder never errors
 	return b.String()
 }
 
@@ -244,20 +165,13 @@ func sizeString(n int64) string {
 	}
 }
 
-// MarshalJSON emits the engine, total wall time, and merged rows
-// (most expensive first).
-func (p *Profile) MarshalJSON() ([]byte, error) {
+// JSON renders the rows of one evaluation by engine as one object: the
+// engine, the evaluation's wall time and the rows in display order.
+func JSON(engine string, wall time.Duration, rows []Row) ([]byte, error) {
 	type wire struct {
 		Engine string `json:"engine"`
 		WallNS int64  `json:"wall_ns"`
 		Rows   []Row  `json:"rows"`
 	}
-	return json.Marshal(wire{Engine: p.Engine(), WallNS: int64(p.Wall()), Rows: p.Rows()})
-}
-
-// WriteJSON writes the profile as one indented JSON document.
-func (p *Profile) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(p)
+	return json.Marshal(wire{Engine: engine, WallNS: int64(wall), Rows: rows})
 }

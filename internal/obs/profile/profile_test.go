@@ -2,22 +2,24 @@ package profile
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
+
+	"kdb/internal/term"
 )
 
-// TestProfileMerge checks sample merging: rows key on rule text,
-// iterations count rounds, deltas keep round order, and the allocation
-// estimate follows tuples × (24 + 16 × arity).
+// TestProfileMerge checks folding: rows key on rule text, iterations
+// and counts add up, deltas keep round order, and the result is in
+// display order, most expensive first.
 func TestProfileMerge(t *testing.T) {
-	p := New()
-	p.Finish("seminaive", 5*time.Millisecond)
-	p.Add(Sample{Rule: "r1.", Pred: "p", Arity: 2, Wall: time.Millisecond, Tuples: 3, Probes: 4, FullScans: 1})
-	p.Add(Sample{Rule: "r1.", Pred: "p", Arity: 2, Wall: time.Millisecond, Tuples: 1, Probes: 2})
-	p.Add(Sample{Rule: "r2.", Pred: "q", Arity: 1, Wall: 3 * time.Millisecond, Tuples: 2, Lookups: 5})
-
-	rows := p.Rows()
+	rows := Fold(nil, []Row{
+		{Rule: "r1.", Pred: "p", Iterations: 1, Wall: time.Millisecond, Tuples: 3, Probes: 4, FullScans: 1, DeltaSizes: []int64{3}},
+		{Rule: "r2.", Pred: "q", Iterations: 1, Wall: 3 * time.Millisecond, Tuples: 2, Lookups: 5, DeltaSizes: []int64{2}},
+	})
+	rows = Fold(rows, []Row{{Rule: "r1.", Pred: "p", Iterations: 1, Wall: time.Millisecond, Tuples: 1, Probes: 2, DeltaSizes: []int64{1}}})
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(rows))
 	}
@@ -32,11 +34,23 @@ func TestProfileMerge(t *testing.T) {
 	if r1.Probes != 6 || r1.FullScans != 1 {
 		t.Errorf("r1 probes = %d/%d, want 6/1", r1.Probes, r1.FullScans)
 	}
-	if len(r1.DeltaSizes) != 2 || r1.DeltaSizes[0] != 3 || r1.DeltaSizes[1] != 1 {
+	if !slices.Equal(r1.DeltaSizes, []int64{3, 1}) {
 		t.Errorf("r1 deltas = %v, want [3 1]", r1.DeltaSizes)
 	}
-	if want := int64(4 * (24 + 16*2)); r1.AllocBytes != want {
-		t.Errorf("r1 alloc = %d, want %d", r1.AllocBytes, want)
+}
+
+// TestTupleBytes pins the allocation estimate to what a derived tuple
+// holds: a slice header and one term.Term per column. An arity-2 rule
+// deriving 7 tuples reads 616 B.
+func TestTupleBytes(t *testing.T) {
+	for arity := range 4 {
+		want := int64(unsafe.Sizeof([]term.Term(nil)) + uintptr(arity)*unsafe.Sizeof(term.Term{}))
+		if got := TupleBytes(arity); got != want {
+			t.Errorf("TupleBytes(%d) = %d, want %d", arity, got, want)
+		}
+	}
+	if got := 7 * TupleBytes(2); got != 616 {
+		t.Errorf("7 arity-2 tuples estimate %d B, want 616", got)
 	}
 }
 
@@ -44,15 +58,15 @@ func TestProfileMerge(t *testing.T) {
 // with the index/scan probe split, and the rule legend with synthetic
 // markers.
 func TestProfileText(t *testing.T) {
-	p := New()
-	p.Finish("magic", 0)
-	p.Add(Sample{Rule: "p(X) :- q(X).", Pred: "p", Arity: 1, Tuples: 2, Probes: 5, FullScans: 2})
-	p.Add(Sample{Rule: "m$guard.", Pred: "m$guard", Synthetic: true, Tuples: 1})
-	text := p.String()
+	text := Text("magic", 0, []Row{
+		{Rule: "p(X) :- q(X).", Pred: "p", Iterations: 1, Tuples: 2, Probes: 5, FullScans: 2, AllocBytes: 616},
+		{Rule: "m$guard.", Pred: "m$guard", Synthetic: true, Iterations: 1, Tuples: 1},
+	})
 	for _, want := range []string{
 		"profile: engine=magic",
 		"rules=2 tuples=3",
 		"probes=5 (index 3, scan 2)",
+		"alloc~616B",
 		"r1: p(X) :- q(X).",
 		"r2: m$guard. (synthetic)",
 		"r2*",
@@ -63,13 +77,9 @@ func TestProfileText(t *testing.T) {
 	}
 }
 
-// TestProfileJSON checks the wire form consumed by the serve route and
-// the query log.
+// TestProfileJSON checks the wire form consumed by the serve route.
 func TestProfileJSON(t *testing.T) {
-	p := New()
-	p.Finish("topdown", time.Millisecond)
-	p.Add(Sample{Rule: "p(X) :- q(X).", Pred: "p", Arity: 1, Tuples: 2})
-	b, err := json.Marshal(p)
+	b, err := JSON("topdown", time.Millisecond, []Row{{Rule: "p(X) :- q(X).", Pred: "p", Tuples: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,27 +96,5 @@ func TestProfileJSON(t *testing.T) {
 	}
 	if wire.Rows[0].Pred != "p" || wire.Rows[0].Tuples != 2 {
 		t.Errorf("row = %+v", wire.Rows[0])
-	}
-}
-
-// TestProfileConcurrentAdd exercises the collector's locking (run with
-// -race): several goroutines report to one Profile.
-func TestProfileConcurrentAdd(t *testing.T) {
-	p := New()
-	done := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 100; i++ {
-				p.Add(Sample{Rule: "r.", Pred: "r", Tuples: 1})
-			}
-		}()
-	}
-	for g := 0; g < 4; g++ {
-		<-done
-	}
-	rows := p.Rows()
-	if len(rows) != 1 || rows[0].Iterations != 400 || rows[0].Tuples != 400 {
-		t.Errorf("rows = %+v", rows)
 	}
 }

@@ -52,6 +52,7 @@ import (
 	"kdb/internal/governor"
 	"kdb/internal/kb"
 	"kdb/internal/obs"
+	"kdb/internal/obs/profile"
 	"kdb/internal/obs/sysrel"
 	"kdb/internal/parser"
 	"kdb/internal/storage"
@@ -460,8 +461,8 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, route string
 			resp.Explanation = b
 		}
 	}
-	if res.Profile != nil {
-		if b, err := json.Marshal(res.Profile); err == nil {
+	if res.Profiled() {
+		if b, err := profile.JSON(res.Stats.Engine, res.Stats.Wall, res.Stats.Profile); err == nil {
 			resp.Profile = b
 		}
 	}

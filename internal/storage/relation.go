@@ -47,53 +47,31 @@ func (t Tuple) Clone() Tuple {
 	return c
 }
 
-// Counters is the optional observability hook of a Relation: a set of
-// monotonically increasing atomic counters an evaluation layer can attach
-// to the relations it touches. All fields are safe for concurrent use.
+// Counters is the observability sink of one statement's probes: the
+// statement passes it to every SelectCounted and SelectWindow it issues,
+// and reads it on its own goroutine, so the counts are plain integers.
 type Counters struct {
 	// Probes counts Select calls served by the relation.
-	Probes atomic.Int64
+	Probes int64
 	// Candidates counts candidate tuples examined while serving probes
 	// (after index narrowing, before the final pattern check).
-	Candidates atomic.Int64
+	Candidates int64
 	// IndexBuilds counts hash indexes built on first use of a bound-column
 	// mask.
-	IndexBuilds atomic.Int64
+	IndexBuilds int64
 	// FullScans counts the subset of Probes served without an index (no
 	// bound position): the whole extension was enumerated. Index-served
 	// probes are Probes - FullScans.
-	FullScans atomic.Int64
-
-	// next, when set, receives a copy of every event charged to this
-	// sink, so a narrow-scope sink (one rule's join work) can feed a
-	// wider one (the whole query) without double bookkeeping at the
-	// probe sites. Set via Chain before the sink is shared; the chain
-	// itself is immutable afterwards.
-	next *Counters
+	FullScans int64
 }
-
-// Chain links parent downstream of c: every probe, candidate, index
-// build, and full scan charged to c is also charged to parent (and to
-// parent's own chain, transitively). It must be called before c is
-// handed to any concurrent user.
-func (c *Counters) Chain(parent *Counters) { c.next = parent }
 
 // addProbe charges one probe with its candidate count (and, when the
-// probe had no usable index, a full scan) to the sink and its chain.
+// probe had no usable index, a full scan) to the sink.
 func (c *Counters) addProbe(fullScan bool, candidates int64) {
-	for s := c; s != nil; s = s.next {
-		s.Probes.Add(1)
-		s.Candidates.Add(candidates)
-		if fullScan {
-			s.FullScans.Add(1)
-		}
-	}
-}
-
-// addIndexBuild charges one index build to the sink and its chain.
-func (c *Counters) addIndexBuild() {
-	for s := c; s != nil; s = s.next {
-		s.IndexBuilds.Add(1)
+	c.Probes++
+	c.Candidates += candidates
+	if fullScan {
+		c.FullScans++
 	}
 }
 
@@ -149,9 +127,6 @@ type Relation struct {
 	// readers counts the Scans and Selects still iterating what they
 	// captured: raised under the lock, lowered after the last access.
 	readers atomic.Int32
-	// counters, when set, receives observability events. Attaching is
-	// last-writer-wins: counts accrue to the most recently attached sink.
-	counters atomic.Pointer[Counters]
 }
 
 // NewRelation returns an empty relation of the given arity. The arity
@@ -171,14 +146,6 @@ func NewRelation(arity int) (*Relation, error) {
 
 // Arity returns the relation's arity.
 func (r *Relation) Arity() int { return r.arity }
-
-// SetCounters attaches (or, with nil, detaches) an observability sink
-// used when a probe does not carry its own (Select). It suits relations
-// private to one evaluation (derived relations, top-down tables); for
-// relations shared by concurrent queries, pass a per-query sink to
-// SelectCounted instead, so counts can never accrue to another query's
-// statistics.
-func (r *Relation) SetCounters(c *Counters) { r.counters.Store(c) }
 
 // Len returns the number of stored tuples.
 func (r *Relation) Len() int {
@@ -357,10 +324,10 @@ func (r *Relation) Select(pattern []term.Term, fn func(Tuple) bool) error {
 	return r.SelectCounted(pattern, nil, fn)
 }
 
-// SelectCounted is Select with an explicit observability sink for this
-// probe. A nil sink falls back to the relation-attached counters (see
-// SetCounters). Threading the sink per call keeps concurrent queries'
-// statistics independent even though they share the stored relation.
+// SelectCounted is Select with an observability sink for this probe; a
+// nil sink counts nothing. Threading the sink per call keeps concurrent
+// queries' statistics independent even though they share the stored
+// relation.
 func (r *Relation) SelectCounted(pattern []term.Term, c *Counters, fn func(Tuple) bool) error {
 	return r.selectRange(pattern, false, 0, 0, c, fn)
 }
@@ -384,9 +351,6 @@ func (r *Relation) SelectWindow(pattern []term.Term, from, to int, c *Counters, 
 func (r *Relation) selectRange(pattern []term.Term, window bool, from, to int, c *Counters, fn func(Tuple) bool) error {
 	if len(pattern) != r.arity {
 		return fmt.Errorf("storage: pattern arity %d, want %d", len(pattern), r.arity)
-	}
-	if c == nil {
-		c = r.counters.Load()
 	}
 	var mask uint64
 	for i, p := range pattern {
@@ -460,7 +424,7 @@ func (r *Relation) lookup(mask uint64, pattern []term.Term, c *Counters) ([]Tupl
 		}
 		r.indexes[mask] = index
 		if c != nil {
-			c.addIndexBuild()
+			c.IndexBuilds++
 		}
 	}
 	return r.tuples, index[h], r.deleted

@@ -352,12 +352,9 @@ func MetricsJSON(reg *MetricsRegistry) ([]byte, error) { return obs.MetricsJSON(
 // the `profile` statement (see KB.SetProfiling) and the in-flight query
 // registry behind /v1/debug/activity and `kdb top`.
 type (
-	// QueryProfile is the per-rule cost breakdown of one evaluation:
-	// wall time, rounds, tuples, probes (index-hit vs full-scan), and
-	// an allocation estimate per rule, renderable as an annotated plan
-	// (String) or JSON (MarshalJSON).
-	QueryProfile = profile.Profile
-	// ProfileRow is one rule's cost row in a QueryProfile.
+	// ProfileRow is one rule's cost row in a profiled statement's
+	// record (EvalStats.Profile): wall time, rounds, tuples, probes
+	// (index-hit vs full-scan), and an allocation estimate.
 	ProfileRow = profile.Row
 	// ProfileQuery is a parsed profile statement.
 	ProfileQuery = parser.Profile
