@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -91,7 +92,11 @@ type bottomUp struct {
 	rec    *prov.Recorder
 	prof   bool
 	labels map[string]profLabel
-	stats  atomic.Pointer[EvalStats]
+	// full derives every relevant predicate in full: magic's inner run,
+	// whose rewrite has already pushed the statement's constants into
+	// its magic predicates.
+	full  bool
+	stats atomic.Pointer[EvalStats]
 }
 
 // NewSemiNaive returns the semi-naive bottom-up engine: within each
@@ -125,6 +130,9 @@ func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, e
 	if err != nil {
 		asp.End()
 		return nil, err
+	}
+	if !e.full {
+		p.calls = p.demands()
 	}
 	asp.End()
 	// The observability counters are private to this query and threaded
@@ -250,11 +258,23 @@ type window struct {
 	from, to int
 }
 
-// componentRule is one rule of the component, compiled, with the body
-// positions of its recursive atoms.
+// componentRule is one rule of the component, with the body positions
+// of its recursive atoms and the calls it runs for each round.
 type componentRule struct {
-	run *runner
-	rec []int
+	rule term.Rule
+	rec  []int
+	// calls are what a round runs: full alone — the body as the rule set
+	// compiled it, with no constants — unless the statement specialised
+	// the component, and then one entry per call the head admits.
+	calls []bodyCall
+	full  [1]bodyCall
+}
+
+// bodyCall is one call of a rule: a runner of its body compiled with the
+// head positions the call fixes bound, and the call's arguments.
+type bodyCall struct {
+	run  *runner
+	args []term.Term
 }
 
 // noPin is the variant list of an undifferentiated round.
@@ -371,11 +391,14 @@ func (c *component) applyRules(rules []componentRule, differentiated bool) error
 				continue
 			}
 		}
-		c.rp.begin(cr.run.rule)
+		c.rp.begin(cr.rule)
 		var err error
-		for _, c.pin = range pins {
-			if err = cr.run.exec(); err != nil {
-				break
+	calls:
+		for _, call := range cr.calls {
+			for _, c.pin = range pins {
+				if err = call.run.call(call.args); err != nil {
+					break calls
+				}
 			}
 		}
 		c.rp.end()
@@ -387,16 +410,29 @@ func (c *component) applyRules(rules []componentRule, differentiated bool) error
 }
 
 // evalComponent computes the fixpoint of one SCC's rules, each run from
-// the body its plan compiled, on base's statement state.
+// the body its plan compiled, on base's statement state. A component the
+// plan specialised runs each rule once per call its head admits instead.
 func evalComponent(base component, p *plan, comp []string, cs *ComponentStats, act *obs.Activity) error {
 	c := &base
 	c.cs = cs
-	var rules []componentRule
+	n := 0
+	for _, pred := range comp {
+		n += len(p.rules(pred))
+	}
+	rules := make([]componentRule, 0, n)
 	for _, pred := range comp {
 		prs := p.rules(pred)
+		calls := p.calls[pred]
+		cs.Calls = len(calls)
 		for i := range prs {
 			pr := &prs[i]
-			rules = append(rules, componentRule{run: newRunner(pr.rule, pr.prog, c), rec: pr.rec})
+			rules = append(rules, componentRule{rule: pr.rule, rec: pr.rec})
+			cr := &rules[len(rules)-1]
+			cr.full[0].run = newRunner(pr.rule, pr.prog, c)
+			cr.calls = cr.full[:]
+			if calls != nil {
+				cr.calls = specialise(p.set, pr, calls, cr.full[0].run, c)
+			}
 			cs.Recursive = cs.Recursive || len(pr.rec) > 0
 		}
 	}
@@ -424,6 +460,30 @@ func evalComponent(base component, p *plan, comp []string, cs *ComponentStats, a
 		}
 	}
 	return nil
+}
+
+// specialise returns the calls of a rule's body for the calls of its
+// predicate that its head admits, one runner per set of head positions
+// they fix. A call that fixes no head variable asks for everything the
+// rule derives, which is its full run.
+func specialise(rs *RuleSet, pr *preparedRule, calls [][]term.Term, full *runner, drv driver) []bodyCall {
+	out := make([]bodyCall, 0, len(calls))
+	for _, args := range calls {
+		given, ok := admits(pr.rule.Head, args)
+		switch {
+		case !ok:
+			continue
+		case given == 0:
+			return []bodyCall{{run: full}}
+		}
+		prog := rs.compiledFor(pr, given)
+		if i := slices.IndexFunc(out, func(bc bodyCall) bool { return bc.run.prog == prog }); i >= 0 {
+			out = append(out, bodyCall{run: out[i].run, args: args})
+		} else {
+			out = append(out, bodyCall{run: newRunner(pr.rule, prog, drv), args: args})
+		}
+	}
+	return out
 }
 
 // collect hands over the tuples of the derived query relation, which

@@ -35,6 +35,16 @@
 // after the set's components and compiles it (buildPlan). An Input
 // without a RuleSet is prepared on the spot, per statement.
 //
+// The semi-naive engine then lets the statement's constants reach the
+// rules they constrain (plan.demands): walking from the query rule down,
+// it finds every non-recursive derived predicate that is only ever called
+// with constants — the statement's, a rule's own, or a caller's carried
+// through head variables — and runs each of its rules once per call the
+// head admits, with the call's constants in the head's frame slots and
+// the body compiled with those slots bound. A predicate called with no
+// constant anywhere, or recursive, is derived in full: the call with no
+// constants, which runs the body the RuleSet compiled.
+//
 // The subject may be an EDB predicate, an IDB predicate, or — as in the
 // paper's Example 2 — a new predicate defined entirely by the qualifier.
 package eval
@@ -45,6 +55,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"kdb/internal/depgraph"
 	"kdb/internal/storage"
@@ -154,12 +165,51 @@ const queryPredName = "__query__"
 
 // RuleSet is a rule set analysed for any number of statements over it:
 // its safety verdict, its dependency graph, and every rule compiled. It is
-// immutable once Prepare returns, so concurrent statements share one.
+// immutable once Prepare returns, apart from the bodies compiled for calls
+// (bound), which only grows, so concurrent statements share one.
 type RuleSet struct {
 	// unsafe is the first safety violation among the rules, nil if none.
 	unsafe error
 	graph  *depgraph.Graph
 	byHead map[string][]preparedRule
+	// textCalls reports whether some rule's body calls a non-recursive
+	// derived predicate with a constant of its own text: only then can a
+	// statement whose query rule calls none with a constant specialise.
+	textCalls bool
+
+	mu sync.Mutex
+	// bound holds each rule body compiled with the head positions a call
+	// fixes bound (compileBody's given), built by the first statement
+	// that makes such a call and kept for every later one.
+	//kdb:guarded-by mu
+	bound map[boundKey]*compiled
+}
+
+// boundKey names a rule body compiled for calls fixing the given head
+// positions.
+type boundKey struct {
+	rule  *preparedRule
+	given uint64
+}
+
+// compiledFor returns pr's body compiled with the head positions in given
+// bound: the body Prepare compiled when given is 0.
+func (rs *RuleSet) compiledFor(pr *preparedRule, given uint64) *compiled {
+	if given == 0 {
+		return pr.prog
+	}
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	k := boundKey{pr, given}
+	c := rs.bound[k]
+	if c == nil {
+		c = compileBody(pr.rule.Head, pr.rule.Body, given)
+		if rs.bound == nil {
+			rs.bound = make(map[boundKey]*compiled)
+		}
+		rs.bound[k] = c
+	}
+	return c
 }
 
 // preparedRule is one rule with its body compiled and the body positions
@@ -184,17 +234,40 @@ func Prepare(g *depgraph.Graph) *RuleSet {
 	for _, r := range rules {
 		rs.byHead[r.Head.Pred] = append(rs.byHead[r.Head.Pred], prepareRule(r, rs.graph.SCC(r.Head.Pred)))
 	}
+	for _, r := range rules {
+		rs.textCalls = rs.textCalls || rs.callsWithConstant(r.Body)
+	}
 	return rs
 }
 
 func prepareRule(r term.Rule, scc []string) preparedRule {
-	pr := preparedRule{rule: r, prog: compileBody(r.Head, r.Body)}
+	pr := preparedRule{rule: r, prog: compileBody(r.Head, r.Body, 0)}
 	for i, a := range r.Body {
 		if slices.Contains(scc, a.Pred) {
 			pr.rec = append(pr.rec, i)
 		}
 	}
 	return pr
+}
+
+// recursive reports whether pred's component needs a fixpoint: one of
+// its rules has a body atom in pred's SCC.
+func (rs *RuleSet) recursive(pred string) bool {
+	return slices.ContainsFunc(rs.byHead[pred], func(pr preparedRule) bool { return len(pr.rec) > 0 })
+}
+
+// specialisable reports whether a call of pred can be run for its
+// constants alone: pred has rules and is not recursive.
+func (rs *RuleSet) specialisable(pred string) bool {
+	return len(rs.byHead[pred]) > 0 && !rs.recursive(pred)
+}
+
+// callsWithConstant reports whether the body calls a specialisable
+// predicate with a constant argument.
+func (rs *RuleSet) callsWithConstant(body []term.Atom) bool {
+	return slices.ContainsFunc(body, func(a term.Atom) bool {
+		return !term.IsComparison(a) && slices.ContainsFunc(a.Args, term.Term.IsConst) && rs.specialisable(a.Pred)
+	})
 }
 
 // queryComponent is the query rule's SCC: nothing in a rule set depends
@@ -216,6 +289,11 @@ type plan struct {
 	// plan time gives one consistent read-only state to the whole
 	// evaluation, on every engine.
 	virtual map[string]*storage.Relation
+	// calls holds, per non-recursive derived predicate that the statement
+	// only ever calls with constants, those calls (see demands); a
+	// predicate without an entry is derived in full. Only the bottom-up
+	// engine sets it.
+	calls map[string][][]term.Term
 }
 
 // buildPlan adds the statement's query rule to the input's rule set. If
@@ -291,6 +369,153 @@ func (p *plan) relevant(pred string) bool {
 		}
 	}
 	return false
+}
+
+// demand is what a statement asks of one derived predicate: every fact
+// (full), or only the facts matching one of its calls.
+type demand struct {
+	full bool
+	// calls are argument lists of the predicate's arity: a constant
+	// where the call fixes the argument, a variable elsewhere. None is
+	// more general than another.
+	calls [][]term.Term
+}
+
+// add records one call of the predicate. A call without a constant, of
+// a recursive predicate, or of an arity some rule head does not have is
+// a demand for everything.
+func (d *demand) add(rs *RuleSet, pred string, args []term.Term) {
+	if d.full {
+		return
+	}
+	if !rs.specialisable(pred) || !slices.ContainsFunc(args, term.Term.IsConst) ||
+		slices.ContainsFunc(rs.byHead[pred], func(pr preparedRule) bool { return len(pr.rule.Head.Args) != len(args) }) {
+		d.full, d.calls = true, nil
+		return
+	}
+	for _, c := range d.calls {
+		if subsumes(c, args) {
+			return
+		}
+	}
+	d.calls = slices.DeleteFunc(d.calls, func(c []term.Term) bool { return subsumes(args, c) })
+	d.calls = append(d.calls, args)
+}
+
+// subsumes reports whether every fact call b asks for is one call a asks
+// for too: a fixes a subset of b's positions to b's constants.
+func subsumes(a, b []term.Term) bool {
+	for i, t := range a {
+		if t.IsConst() && t != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// demands walks the statement's rules top-down, from the query rule
+// through every component in reverse dependency order, so that each
+// predicate has heard from all its callers before its own rules pass
+// calls on; a recursive group reached at all is walked whole, in full.
+// A rule run for a call passes on, in each body atom, the constants of
+// its text and the call's constants in the head variables the atom
+// shares; a rule run in full passes on its text's. It returns
+// the calls of every predicate not demanded in full — nil, without a
+// walk, when no constant reaches a specialisable predicate.
+func (p *plan) demands() map[string][][]term.Term {
+	if !p.set.textCalls && !p.set.callsWithConstant(p.rule().Body) {
+		return nil
+	}
+	dem := make(map[string]*demand)
+	call := func(a term.Atom, fixed term.Subst) {
+		if term.IsComparison(a) || len(p.set.byHead[a.Pred]) == 0 {
+			return
+		}
+		d := dem[a.Pred]
+		if d == nil {
+			d = &demand{}
+			dem[a.Pred] = d
+		}
+		d.add(p.set, a.Pred, fixed.Apply(a).Args)
+	}
+	for _, a := range p.rule().Body {
+		call(a, nil)
+	}
+	sccs := p.set.graph.SCCOrder()
+	for i := len(sccs) - 1; i >= 0; i-- {
+		scc := sccs[i]
+		if len(scc) > 1 && slices.ContainsFunc(scc, func(pred string) bool { return dem[pred] != nil }) {
+			// The members of a recursive group reach one another, so one
+			// reached is all reached, in full: a member the walk below
+			// passes before a sibling calls it must still pass its
+			// rules' calls on.
+			for _, pred := range scc {
+				dem[pred] = &demand{full: true}
+			}
+		}
+		for _, pred := range scc {
+			d := dem[pred]
+			if d == nil {
+				continue // not reached
+			}
+			for _, pr := range p.set.byHead[pred] {
+				if d.full {
+					for _, a := range pr.rule.Body {
+						call(a, nil)
+					}
+					continue
+				}
+				for _, args := range d.calls {
+					if _, ok := admits(pr.rule.Head, args); !ok {
+						continue
+					}
+					fixed := term.NewSubst(len(args))
+					for i, c := range args {
+						if h := pr.rule.Head.Args[i]; h.IsVar() && c.IsConst() {
+							fixed.Bind(h, c)
+						}
+					}
+					for _, a := range pr.rule.Body {
+						call(a, fixed)
+					}
+				}
+			}
+		}
+	}
+	out := make(map[string][][]term.Term)
+	for pred, d := range dem {
+		if !d.full {
+			out[pred] = d.calls
+		}
+	}
+	return out
+}
+
+// admits reports whether a rule with this head can derive a fact the
+// call asks for — each head constant equals the call's constant there,
+// and a repeated head variable is not fixed to two constants — and
+// returns the mask of head positions whose variable the call fixes.
+func admits(head term.Atom, args []term.Term) (uint64, bool) {
+	var given uint64
+	for i, c := range args {
+		if !c.IsConst() {
+			continue
+		}
+		h := head.Args[i]
+		if h.IsConst() {
+			if h != c {
+				return 0, false
+			}
+			continue
+		}
+		for j := range i {
+			if head.Args[j] == h && args[j].IsConst() && args[j] != c {
+				return 0, false
+			}
+		}
+		given |= 1 << uint(i)
+	}
+	return given, true
 }
 
 // CheckSafety verifies that every rule is range-restricted (evaluable by

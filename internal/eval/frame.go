@@ -73,15 +73,20 @@ type compiled struct {
 	head     term.Atom
 	headFill []posSlot
 	ground   bool // every head variable is bound
+	// params are the head positions a call fixes, with the slots of the
+	// variables there: runner.call writes the call's constants into them
+	// before the first step, which compiled them as bound.
+	params []posSlot
 }
 
 // nextAtom picks the next unresolved body atom given which terms are
 // bound: the first comparison that is ready (both sides bound, or an
-// equality with one side bound), else the first ordinary atom, else an
-// equality between unbound variables, else — only unevaluable comparisons
-// remain — the first of those.
-func nextAtom(body []term.Atom, done []bool, bound func(term.Term) bool) (int, stepKind) {
-	firstOrdinary, firstEq, firstStuck := -1, -1, -1
+// equality with one side bound), else the first ordinary atom — with
+// preferBound, the first one that has a bound variable if any does —,
+// else an equality between unbound variables, else — only unevaluable
+// comparisons remain — the first of those.
+func nextAtom(body []term.Atom, done []bool, bound func(term.Term) bool, preferBound bool) (int, stepKind) {
+	firstOrdinary, firstBound, firstEq, firstStuck := -1, -1, -1, -1
 	for i, a := range body {
 		if done[i] {
 			continue
@@ -89,6 +94,9 @@ func nextAtom(body []term.Atom, done []bool, bound func(term.Term) bool) (int, s
 		if !term.IsComparison(a) {
 			if firstOrdinary < 0 {
 				firstOrdinary = i
+			}
+			if preferBound && firstBound < 0 && slices.ContainsFunc(a.Args, func(t term.Term) bool { return t.IsVar() && bound(t) }) {
+				firstBound = i
 			}
 			continue
 		}
@@ -112,6 +120,8 @@ func nextAtom(body []term.Atom, done []bool, bound func(term.Term) bool) (int, s
 		}
 	}
 	switch {
+	case firstBound >= 0:
+		return firstBound, stepProbe
 	case firstOrdinary >= 0:
 		return firstOrdinary, stepProbe
 	case firstEq >= 0:
@@ -125,7 +135,12 @@ func nextAtom(body []term.Atom, done []bool, bound func(term.Term) bool) (int, s
 // becomes a stepStuck that raises its error only if evaluation reaches
 // it, and a head variable nothing binds is reported by runner.fact when a
 // solution is found.
-func compileBody(head term.Atom, body []term.Atom) *compiled {
+//
+// given is a mask of head positions holding variables that a call fixes
+// (0 for a body run in full): those variables start bound, and the order
+// then prefers an ordinary atom they reach (nextAtom's preferBound), so
+// the call's constants narrow the first probe.
+func compileBody(head term.Atom, body []term.Atom, given uint64) *compiled {
 	c := &compiled{body: body}
 	slotOf := make(map[term.Term]int)
 	var bound []bool // per slot
@@ -153,10 +168,18 @@ func compileBody(head term.Atom, body []term.Atom) *compiled {
 		return operand{slot: s}
 	}
 
+	for pos, t := range head.Args {
+		if given&(1<<uint(pos)) != 0 {
+			s := slot(t)
+			bound[s] = true
+			c.params = append(c.params, posSlot{pos, s})
+		}
+	}
+
 	done := make([]bool, len(body))
 compile:
 	for range body {
-		i, kind := nextAtom(body, done, isBound)
+		i, kind := nextAtom(body, done, isBound, given != 0)
 		done[i] = true
 		a := body[i]
 		st := step{kind: kind, atom: a, idx: i}
@@ -299,6 +322,16 @@ func newRunner(rule term.Rule, c *compiled, drv driver) *runner {
 		p.each = p.onTuple
 	}
 	return r
+}
+
+// call is exec with the constants of a call in the head variables the
+// body was compiled to take as given (compiled.params); args is the
+// call's argument list, nil for a body compiled with none.
+func (r *runner) call(args []term.Term) error {
+	for _, b := range r.prog.params {
+		r.frame[b.slot] = args[b.pos]
+	}
+	return r.exec()
 }
 
 // exec enumerates the body's solutions, calling the driver's derive for

@@ -89,7 +89,7 @@ func (e *magic) RetrieveContext(ctx context.Context, q Query) (res *Result, err 
 	// predicates), and the inner plan re-snapshots them through the same
 	// view, so magic answers match the other engines.
 	inner := Input{Store: e.in.Store, Rules: rewritten, Virtual: e.in.Virtual}
-	engine := &bottomUp{in: inner, limits: e.limits, rec: e.rec.Rewritten(magicProvRewrite), prof: e.prof, labels: labels}
+	engine := &bottomUp{in: inner, limits: e.limits, rec: e.rec.Rewritten(magicProvRewrite), prof: e.prof, labels: labels, full: true}
 	res, err = engine.RetrieveContext(ctx, Query{
 		Subject: term.NewAtom(queryPred, p.vars...),
 	})

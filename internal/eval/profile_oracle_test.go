@@ -4,7 +4,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -97,7 +96,7 @@ func TestProfileRowsSumToStats(t *testing.T) {
 		seeds = 60
 	}
 	for seed := 1; seed <= seeds; seed++ {
-		g := &generator{r: rand.New(rand.NewSource(int64(seed))), feat: make(genFeatures)}
+		g := newGenerator(int64(seed), make(genFeatures))
 		c := g.generate()
 		check(fmt.Sprintf("seed %d", seed), c.input(t), c.query)
 	}

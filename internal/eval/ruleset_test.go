@@ -32,7 +32,8 @@ func runStatement(e Engine, q Query) outcome {
 // TestRuleSetSharedByConcurrentStatements: eight goroutines run every
 // engine over one prepared rule set at once, and each statement answers
 // as it does alone, with the rules prepared for it. Run with -race: a
-// write to the set, its graph or a compiled body shows here.
+// write to the set, its graph or a compiled body outside the lock that
+// guards the set's bodies compiled for calls shows here.
 func TestRuleSetSharedByConcurrentStatements(t *testing.T) {
 	in := load(t, universityDB)
 	in.Prepared = Prepare(depgraph.New(in.Rules))
@@ -44,6 +45,11 @@ func TestRuleSetSharedByConcurrentStatements(t *testing.T) {
 		`retrieve honor(X) where enroll(X, databases).`,
 		`retrieve ta(X) where can_ta(X, Y) and prior(Y, Z).`,
 		`retrieve honor(X) where Y > 3.`,
+		// Specialised: the first statement to make a call compiles the
+		// bound body into the shared set, the others read it.
+		`retrieve can_ta(ann, Y).`,
+		`retrieve can_ta(X, databases).`,
+		`retrieve answer(Y, Z) where can_ta(ann, Y) and can_ta(cora, Z).`,
 	} {
 		q := query(t, s)
 		queries = append(queries, q)

@@ -18,6 +18,9 @@ type ComponentStats struct {
 	Skipped bool `json:"skipped,omitempty"`
 	// Recursive reports whether the component required fixpoint iteration.
 	Recursive bool `json:"recursive,omitempty"`
+	// Calls counts the constant call patterns the component's rules were
+	// run for; 0 means they were run in full.
+	Calls int `json:"calls,omitempty"`
 	// Iterations counts rule-application rounds, the first included.
 	Iterations int `json:"iterations,omitempty"`
 	// Facts counts the facts newly derived by this component.
@@ -135,6 +138,9 @@ func (s *EvalStats) String() string {
 			strings.Join(c.Preds, " "), kind, c.Iterations, c.Facts, c.Lookups, c.Wall.Round(time.Microsecond))
 		if len(c.DeltaSizes) > 0 {
 			fmt.Fprintf(&b, " delta=%v", c.DeltaSizes)
+		}
+		if c.Calls > 0 {
+			fmt.Fprintf(&b, " calls=%d", c.Calls)
 		}
 	}
 	return b.String()

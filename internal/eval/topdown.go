@@ -229,7 +229,7 @@ func (r *topDownRun) solveRule(t *table, goal term.Atom, rule term.Rule) error {
 	}
 	r.prof.begin(rule)
 	defer r.prof.end()
-	prog := compileBody(mgu.Apply(fresh.Head), mgu.ApplyFormula(fresh.Body))
+	prog := compileBody(mgu.Apply(fresh.Head), mgu.ApplyFormula(fresh.Body), 0)
 	return newRunner(rule, prog, &ruleCall{r, t}).exec()
 }
 

@@ -57,7 +57,8 @@ type Counters struct {
 	// (after index narrowing, before the final pattern check).
 	Candidates int64
 	// IndexBuilds counts hash indexes built on first use of a bound-column
-	// mask.
+	// mask. A mask is served without a build while an index on a subset
+	// of its columns is selective (see Relation.lookup).
 	IndexBuilds int64
 	// FullScans counts the subset of Probes served without an index (no
 	// bound position): the whole extension was enumerated. Index-served
@@ -397,15 +398,25 @@ func (r *Relation) selectRange(pattern []term.Term, window bool, from, to int, c
 // lookup captures, for a reader (see snapshot), the tuple slice, the
 // candidate positions for the mask/pattern pair (none for the empty
 // mask, which scans) and whether the relation has had a delete, under one
-// lock acquisition, so that all three belong to one version. The index is
-// built on first use; builds are charged to c, the probe's sink.
+// lock acquisition, so that all three belong to one version. The index on
+// the mask serves if it exists; otherwise a selective index on a subset
+// of its columns (subsetIndex) does, its candidates a superset the
+// pattern check narrows; otherwise the mask's index is built, and the
+// build charged to c, the probe's sink.
 func (r *Relation) lookup(mask uint64, pattern []term.Term, c *Counters) ([]Tuple, []int, bool) {
 	var h uint64
 	if mask != 0 {
 		h = hashTerms(pattern, mask)
 	}
 	r.mu.RLock()
-	if index, ok := r.indexes[mask]; ok || mask == 0 {
+	index, ok := r.indexes[mask]
+	if !ok && mask != 0 {
+		var sub uint64
+		if sub, index = r.subsetIndex(mask); index != nil {
+			ok, h = true, hashTerms(pattern, sub)
+		}
+	}
+	if ok || mask == 0 {
 		tuples, idxs, deleted := r.tuples, index[h], r.deleted
 		r.readers.Add(1)
 		r.mu.RUnlock()
@@ -415,7 +426,7 @@ func (r *Relation) lookup(mask uint64, pattern []term.Term, c *Counters) ([]Tupl
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.readers.Add(1)
-	index, ok := r.indexes[mask]
+	index, ok = r.indexes[mask]
 	if !ok {
 		index = make(map[uint64][]int)
 		for i, t := range r.tuples {
@@ -428,6 +439,30 @@ func (r *Relation) lookup(mask uint64, pattern []term.Term, c *Counters) ([]Tupl
 		}
 	}
 	return r.tuples, index[h], r.deleted
+}
+
+// subsetIndex returns the built index on a proper subset of mask's
+// columns with the most keys, and that subset, if the index is selective:
+// the relation holds at most four tuples per key. Ties go to the smaller
+// mask, so the choice does not depend on map order. It returns a nil
+// index when there is none.
+//
+//kdb:rlocked mu
+func (r *Relation) subsetIndex(mask uint64) (uint64, map[uint64][]int) {
+	var best uint64
+	var index map[uint64][]int
+	for m, idx := range r.indexes {
+		if m == mask || m&^mask != 0 {
+			continue
+		}
+		if len(idx) > len(index) || len(idx) == len(index) && index != nil && m < best {
+			best, index = m, idx
+		}
+	}
+	if index == nil || len(r.tuples) > 4*len(index) {
+		return 0, nil
+	}
+	return best, index
 }
 
 // matches reports whether the tuple agrees with the pattern's constants

@@ -105,12 +105,24 @@ func modelKeys(model map[string]Tuple, pattern []term.Term) []string {
 // the relation's internal agreement after every step.
 func TestRelationModel(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runRelationModel(t, seed) })
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runRelationModel(t, seed, narrowDomain) })
 	}
 }
 
-// runRelationModel is one seeded run of TestRelationModel.
-func runRelationModel(t *testing.T, seed int64) {
+// narrowDomain draws every column from four values, so duplicates,
+// shared index keys and hits on repeated-variable patterns are all
+// common. wideDomain gives the first column a hundred: an index on the
+// first column alone is selective, so probes binding it and more are
+// served through it.
+var (
+	narrowDomain = [3]int{4, 4, 4}
+	wideDomain   = [3]int{100, 3, 3}
+)
+
+// runRelationModel is one seeded run of TestRelationModel over the
+// column domains given, and returns how many probes an index on a
+// subset of their bound columns served.
+func runRelationModel(t *testing.T, seed int64, domain [3]int) (subsetProbes int) {
 	const arity = 3
 	rng := rand.New(rand.NewSource(seed))
 	r, err := NewRelation(arity)
@@ -118,12 +130,10 @@ func runRelationModel(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 	model := map[string]Tuple{}
-	// A small domain, so duplicates, shared index keys and hits on
-	// repeated-variable patterns are all common.
 	randTuple := func() Tuple {
 		tp := make(Tuple, arity)
 		for i := range tp {
-			tp[i] = term.Sym(fmt.Sprintf("v%d", rng.Intn(4)))
+			tp[i] = term.Sym(fmt.Sprintf("v%d", rng.Intn(domain[i])))
 		}
 		return tp
 	}
@@ -155,6 +165,9 @@ func runRelationModel(t *testing.T, seed int64) {
 					pattern[i] = term.Var(fmt.Sprintf("X%d", rng.Intn(2)))
 				}
 			}
+			if servedBySubset(r, uint64(mask)) {
+				subsetProbes++
+			}
 			if got, want := selectKeys(t, r, pattern), modelKeys(model, pattern); !slices.Equal(got, want) {
 				t.Fatalf("step %d: Select(%v) = %q, model says %q", step, pattern, got, want)
 			}
@@ -163,6 +176,37 @@ func runRelationModel(t *testing.T, seed int64) {
 			t.Fatalf("step %d: Len %d, Contains(%v) %v; model has %d", step, r.Len(), tp, r.Contains(tp), len(model))
 		}
 		checkRelationInvariants(t, r)
+	}
+	return subsetProbes
+}
+
+// servedBySubset reports whether a probe binding the mask's columns
+// would be served now through an index on a subset of them.
+func servedBySubset(r *Relation, mask uint64) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	_, exact := r.indexes[mask]
+	_, sub := r.subsetIndex(mask)
+	return mask != 0 && !exact && sub != nil
+}
+
+// TestRelationModelSubsetIndexes is TestRelationModel over a wide first
+// column, under the real hash and forced collisions: probes are served
+// through selective indexes on a subset of their bound columns (and,
+// with every hash colliding, through none, since one key is never
+// selective), and still yield exactly the model's tuples.
+func TestRelationModelSubsetIndexes(t *testing.T) {
+	for _, h := range hashHooks {
+		t.Run("hash="+h.name, func(t *testing.T) {
+			forceHash(t, h.hook)
+			served := 0
+			for seed := int64(1); seed <= 6; seed++ {
+				served += runRelationModel(t, seed, wideDomain)
+			}
+			if h.hook == nil && served == 0 {
+				t.Fatal("no probe was served through a subset index")
+			}
+		})
 	}
 }
 
@@ -193,7 +237,7 @@ func TestRelationModelUnderCollisions(t *testing.T) {
 		t.Run("hash="+h.name, func(t *testing.T) {
 			forceHash(t, h.hook)
 			for seed := int64(1); seed <= 4; seed++ {
-				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runRelationModel(t, seed) })
+				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runRelationModel(t, seed, narrowDomain) })
 			}
 		})
 	}
@@ -336,6 +380,137 @@ func TestRelationSelectWindow(t *testing.T) {
 					t.Fatal("SelectWindow(2, 1) must fail")
 				}
 			}
+		})
+	}
+}
+
+// TestRelationSubsetIndexWindows: on relations that only grow, with an
+// index built on the first column, window probes binding it and more
+// are served through that index without building another, and yield
+// exactly the window's tuples that match, in insertion order; the
+// candidates are at most the subset bucket's tuples.
+func TestRelationSubsetIndexWindows(t *testing.T) {
+	const arity = 3
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := mustRelation(t, arity)
+		randTuple := func() Tuple {
+			tp := make(Tuple, arity)
+			for i := range tp {
+				tp[i] = term.Sym(fmt.Sprintf("v%d", rng.Intn(wideDomain[i])))
+			}
+			return tp
+		}
+		for r.Len() < 128 {
+			if _, err := r.Insert(randTuple()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		first := []term.Term{term.Sym("v0"), term.Var("Y"), term.Var("Z")}
+		if err := r.Select(first, func(Tuple) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 200; step++ {
+			if _, err := r.Insert(randTuple()); err != nil {
+				t.Fatal(err)
+			}
+			tp, pattern := randTuple(), make([]term.Term, arity)
+			mask := 1 | rng.Intn(1<<arity)
+			for i := range pattern {
+				if pattern[i] = tp[i]; mask&(1<<i) == 0 {
+					pattern[i] = term.Var(fmt.Sprintf("X%d", rng.Intn(2)))
+				}
+			}
+			n := r.Len()
+			from := rng.Intn(n + 1)
+			to := from + rng.Intn(n-from+1)
+			var got []string
+			c := &Counters{}
+			if err := r.SelectWindow(pattern, from, to, c, func(tp Tuple) bool {
+				got = append(got, tp.Key())
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			var want []string
+			i := 0
+			r.Scan(func(u Tuple) bool {
+				if i >= from && i < to && matches(pattern, u) {
+					want = append(want, u.Key())
+				}
+				i++
+				return true
+			})
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: SelectWindow(%v, %d, %d) = %q, want %q", seed, step, pattern, from, to, got, want)
+			}
+			if mask == 1 {
+				continue
+			}
+			bucket := 0
+			r.Scan(func(u Tuple) bool {
+				if u[0] == tp[0] {
+					bucket++
+				}
+				return true
+			})
+			if c.IndexBuilds != 0 || c.Candidates > int64(bucket) {
+				t.Fatalf("seed %d step %d: window probe %v built %d indexes over %d candidates; the first column's bucket holds %d",
+					seed, step, pattern, c.IndexBuilds, c.Candidates, bucket)
+			}
+		}
+		checkRelationInvariants(t, r)
+		if r.mu.RLock(); len(r.indexes) != 1 {
+			t.Errorf("seed %d: %d indexes built, want the first column's alone", seed, len(r.indexes))
+		}
+		r.mu.RUnlock()
+	}
+}
+
+// TestRelationSubsetIndexSelectivity pins when an index on a subset of a
+// probe's columns serves it: a selective one with the most keys does; a
+// relation holding more than four tuples per key of every subset index
+// builds the probe's own index, whatever the relation's size.
+func TestRelationSubsetIndexSelectivity(t *testing.T) {
+	// fill makes a relation of n tuples (i mod a, i mod b, i).
+	fill := func(n, a, b int) *Relation {
+		r := mustRelation(t, 3)
+		for i := 0; i < n; i++ {
+			if _, err := r.Insert(Tuple{term.Num(float64(i % a)), term.Num(float64(i % b)), term.Num(float64(i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return r
+	}
+	probe := func(r *Relation, pattern ...term.Term) Counters {
+		var c Counters
+		if err := r.SelectCounted(pattern, &c, func(Tuple) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	x, y, z := term.Var("X"), term.Var("Y"), term.Var("Z")
+	for _, tc := range []struct {
+		name       string
+		n, a, b    int
+		builds     int64 // of the probe binding columns 1 and 2
+		candidates int64
+	}{
+		{"selective first column", 200, 100, 3, 0, 2}, // column 1, the most keyed, has 2 tuples per key
+		{"four per key", 200, 50, 3, 0, 4},            // the bound: still selective
+		{"five per key", 200, 40, 3, 1, 2},            // past it: the exact index is built
+		{"low selectivity", 200, 2, 3, 1, 34},         // 67 per key of column 2, the most keyed: built
+		{"small relation", 8, 8, 2, 0, 1},             // one per key: size does not matter
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := fill(tc.n, tc.a, tc.b)
+			probe(r, term.Num(0), y, z) // builds the index on column 1
+			probe(r, x, term.Num(0), z) // and on column 2
+			c := probe(r, term.Num(0), term.Num(0), z)
+			if c.IndexBuilds != tc.builds || c.Candidates != tc.candidates {
+				t.Errorf("probe (0, 0, Z): %d builds, %d candidates; want %d, %d", c.IndexBuilds, c.Candidates, tc.builds, tc.candidates)
+			}
+			checkRelationInvariants(t, r)
 		})
 	}
 }
