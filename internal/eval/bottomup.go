@@ -145,7 +145,7 @@ func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, e
 	}
 
 	// The schedule is the rule set's components in dependency order, then
-	// the query rule's own.
+	// the query rules' own.
 	sccs := p.set.graph.SCCOrder()
 	stats := &EvalStats{
 		Engine:     e.Name(),
@@ -489,7 +489,7 @@ func specialise(rs *RuleSet, pr *preparedRule, calls [][]term.Term, full *runner
 // collect hands over the tuples of the derived query relation, which
 // nothing else can reach once the evaluation has returned.
 func (e *bottomUp) collect(p *plan, d derived) *Result {
-	res := &Result{Vars: p.vars}
+	res := &Result{Vars: p.vars()}
 	r := d[queryPredName]
 	if r == nil {
 		return res

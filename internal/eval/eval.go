@@ -30,13 +30,17 @@
 // compiled body — is a RuleSet, built by Prepare and shared by every
 // statement over the same rules, and it shares the dependency graph it is
 // given; the kb layer builds one per load, on the first evaluation over
-// it, from the graph the load analysed. A statement then
-// only adds its query rule: it checks that rule's safety, schedules it
-// after the set's components and compiles it (buildPlan). An Input
+// it, from the graph the load analysed. A statement then only adds its
+// query predicate, defined by one rule per disjunct of its qualifier:
+// §6's `where ψ1 or ψ2` read as Horn clauses, like the rest of the
+// paper. buildPlan checks each rule's safety, schedules the predicate
+// after the set's components as one component, and compiles its rules.
+// A disjunctive statement is therefore one evaluation: the predicates
+// its disjuncts share are derived once, under one governor. An Input
 // without a RuleSet is prepared on the spot, per statement.
 //
 // The semi-naive engine then lets the statement's constants reach the
-// rules they constrain (plan.demands): walking from the query rule down,
+// rules they constrain (plan.demands): walking from the query rules down,
 // it finds every non-recursive derived predicate that is only ever called
 // with constants — the statement's, a rule's own, or a caller's carried
 // through head variables — and runs each of its rules once per call the
@@ -77,10 +81,14 @@ type Input struct {
 	Virtual Virtual
 }
 
-// Query is one retrieve statement.
+// Query is one retrieve statement: its subject and its qualifier, a
+// disjunction of conjunctions — Where, then each of Or (§6's `where ψ1 or
+// ψ2`). The query predicate has one rule per disjunct, so a statement is
+// one evaluation however many disjuncts it has.
 type Query struct {
 	Subject term.Atom
 	Where   term.Formula
+	Or      []term.Formula
 }
 
 // Result is the extensional answer to a retrieve: one binding tuple per
@@ -160,7 +168,8 @@ type Engine interface {
 	RetrieveContext(ctx context.Context, q Query) (*Result, error)
 }
 
-// queryPredName is the reserved head predicate of the internal query rule.
+// queryPredName is the reserved head predicate of the internal query
+// rules.
 const queryPredName = "__query__"
 
 // RuleSet is a rule set analysed for any number of statements over it:
@@ -174,7 +183,7 @@ type RuleSet struct {
 	byHead map[string][]preparedRule
 	// textCalls reports whether some rule's body calls a non-recursive
 	// derived predicate with a constant of its own text: only then can a
-	// statement whose query rule calls none with a constant specialise.
+	// statement whose query rules call none with a constant specialise.
 	textCalls bool
 
 	mu sync.Mutex
@@ -270,22 +279,23 @@ func (rs *RuleSet) callsWithConstant(body []term.Atom) bool {
 	})
 }
 
-// queryComponent is the query rule's SCC: nothing in a rule set depends
+// queryComponent is the query rules' SCC: nothing in a rule set depends
 // on the query predicate, so it is always a component of its own, and
 // the last one evaluated.
 var queryComponent = []string{queryPredName}
 
-// plan is one statement over a rule set: its query rule
-// __query__(vars of subject) :- [subject,] where-atoms, compiled, and the
-// subject's variables.
+// plan is one statement over a rule set: its query rules
+// __query__(vars of subject) :- [subject,] disjunct, one per disjunct of
+// the qualifier, compiled.
 type plan struct {
 	set *RuleSet
-	// query holds the query rule, as the one-rule definition of the
-	// query predicate.
-	query [1]preparedRule
-	vars  []term.Term
+	// query holds the query rules, the definition of the query
+	// predicate. For a qualifier of one disjunct it is backed by one, so
+	// the plan allocates nothing more for it.
+	query []preparedRule
+	one   [1]preparedRule
 	// virtual holds the per-query snapshots of every virtual predicate
-	// the query rule reaches; nil when it reaches none. Snapshotting at
+	// the query rules reach; nil when they reach none. Snapshotting at
 	// plan time gives one consistent read-only state to the whole
 	// evaluation, on every engine.
 	virtual map[string]*storage.Relation
@@ -296,43 +306,55 @@ type plan struct {
 	calls map[string][][]term.Term
 }
 
-// buildPlan adds the statement's query rule to the input's rule set. If
-// the subject's predicate is known (it has rules or stored facts), the
-// subject atom joins the body; otherwise the subject is a new predicate
-// defined through the qualifier (paper §3.1, Example 2). An unsafe rule
-// set fails every statement with its first violation before the query
-// rule is checked.
+// buildPlan adds the statement's query rules to the input's rule set, one
+// per disjunct of the qualifier. If the subject's predicate is known (it
+// has rules or stored facts), the subject atom joins each body; otherwise
+// the subject is a new predicate defined through the qualifier (paper
+// §3.1, Example 2). The disjuncts are checked in order, each as if it
+// were the statement's only one: an unsafe rule set fails every statement
+// with its first violation, after the first disjunct's own `X = Y` check
+// and before its query rule's safety check.
 func buildPlan(in Input, q Query) (*plan, error) {
 	if term.IsComparison(q.Subject) {
 		return nil, fmt.Errorf("eval: the subject of retrieve cannot be a comparison")
-	}
-	for _, a := range q.Where {
-		// The paper prohibits X = Y atoms in qualifiers (§3.1).
-		if a.Pred == term.PredEq && a.Args[0].IsVar() && a.Args[1].IsVar() {
-			return nil, fmt.Errorf("eval: qualifier may not contain %v (variable = variable)", a)
-		}
 	}
 	set := in.Prepared
 	if set == nil {
 		set = Prepare(depgraph.New(in.Rules))
 	}
-	if set.unsafe != nil {
-		return nil, set.unsafe
-	}
 	known := in.Store.Relation(q.Subject.Pred) != nil || len(set.byHead[q.Subject.Pred]) > 0 ||
 		in.Virtual != nil && in.Virtual.IsVirtual(q.Subject.Pred)
-	vars := q.Subject.Vars(nil)
-	body := make(term.Formula, 0, len(q.Where)+1)
-	if known {
-		body = append(body, q.Subject)
+	head := term.Atom{Pred: queryPredName, Args: q.Subject.Vars(nil)}
+	p := &plan{set: set}
+	p.query = p.one[:]
+	if len(q.Or) > 0 {
+		p.query = make([]preparedRule, 1+len(q.Or))
 	}
-	body = append(body, q.Where...)
-	rule := term.Rule{Head: term.NewAtom(queryPredName, vars...), Body: body}
-	if err := checkRule(rule); err != nil {
-		return nil, err
+	for i := range p.query {
+		where := q.Where
+		if i > 0 {
+			where = q.Or[i-1]
+		}
+		for _, a := range where {
+			// The paper prohibits X = Y atoms in qualifiers (§3.1).
+			if a.Pred == term.PredEq && a.Args[0].IsVar() && a.Args[1].IsVar() {
+				return nil, fmt.Errorf("eval: qualifier may not contain %v (variable = variable)", a)
+			}
+		}
+		if set.unsafe != nil {
+			return nil, set.unsafe
+		}
+		body := make(term.Formula, 0, len(where)+1)
+		if known {
+			body = append(body, q.Subject)
+		}
+		body = append(body, where...)
+		rule := term.Rule{Head: head, Body: body}
+		if err := checkRule(rule); err != nil {
+			return nil, err
+		}
+		p.query[i] = prepareRule(rule, queryComponent)
 	}
-	p := &plan{set: set, vars: vars}
-	p.query[0] = prepareRule(rule, queryComponent)
 	virt, err := virtualSnapshots(in.Virtual, p)
 	if err != nil {
 		return nil, err
@@ -341,14 +363,15 @@ func buildPlan(in Input, q Query) (*plan, error) {
 	return p, nil
 }
 
-// rule is the statement's query rule.
-func (p *plan) rule() term.Rule { return p.query[0].rule }
+// vars are the free variables of the subject, in order of occurrence:
+// the arguments of the query rules' one head.
+func (p *plan) vars() []term.Term { return p.query[0].rule.Head.Args }
 
-// rules returns the rules defining pred: the query rule for the query
+// rules returns the rules defining pred: the query rules for the query
 // predicate, the set's own for any other.
 func (p *plan) rules(pred string) []preparedRule {
 	if pred == queryPredName {
-		return p.query[:]
+		return p.query
 	}
 	return p.set.byHead[pred]
 }
@@ -357,15 +380,17 @@ func (p *plan) rules(pred string) []preparedRule {
 func (p *plan) defines(pred string) bool { return len(p.rules(pred)) > 0 }
 
 // relevant reports whether pred can contribute to the answer: it is the
-// query predicate, a predicate of the query rule's body, or one such a
+// query predicate, a predicate of a query rule's body, or one such a
 // predicate depends on.
 func (p *plan) relevant(pred string) bool {
 	if pred == queryPredName {
 		return true
 	}
-	for _, a := range p.rule().Body {
-		if !term.IsComparison(a) && (a.Pred == pred || p.set.graph.DependsOn(a.Pred, pred)) {
-			return true
+	for i := range p.query {
+		for _, a := range p.query[i].rule.Body {
+			if !term.IsComparison(a) && (a.Pred == pred || p.set.graph.DependsOn(a.Pred, pred)) {
+				return true
+			}
 		}
 	}
 	return false
@@ -413,7 +438,7 @@ func subsumes(a, b []term.Term) bool {
 	return true
 }
 
-// demands walks the statement's rules top-down, from the query rule
+// demands walks the statement's rules top-down, from the query rules
 // through every component in reverse dependency order, so that each
 // predicate has heard from all its callers before its own rules pass
 // calls on; a recursive group reached at all is walked whole, in full.
@@ -423,7 +448,7 @@ func subsumes(a, b []term.Term) bool {
 // the calls of every predicate not demanded in full — nil, without a
 // walk, when no constant reaches a specialisable predicate.
 func (p *plan) demands() map[string][][]term.Term {
-	if !p.set.textCalls && !p.set.callsWithConstant(p.rule().Body) {
+	if !p.set.textCalls && !slices.ContainsFunc(p.query, func(pr preparedRule) bool { return p.set.callsWithConstant(pr.rule.Body) }) {
 		return nil
 	}
 	dem := make(map[string]*demand)
@@ -438,8 +463,10 @@ func (p *plan) demands() map[string][][]term.Term {
 		}
 		d.add(p.set, a.Pred, fixed.Apply(a).Args)
 	}
-	for _, a := range p.rule().Body {
-		call(a, nil)
+	for i := range p.query {
+		for _, a := range p.query[i].rule.Body {
+			call(a, nil)
+		}
 	}
 	sccs := p.set.graph.SCCOrder()
 	for i := len(sccs) - 1; i >= 0; i-- {

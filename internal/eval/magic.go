@@ -91,7 +91,7 @@ func (e *magic) RetrieveContext(ctx context.Context, q Query) (res *Result, err 
 	inner := Input{Store: e.in.Store, Rules: rewritten, Virtual: e.in.Virtual}
 	engine := &bottomUp{in: inner, limits: e.limits, rec: e.rec.Rewritten(magicProvRewrite), prof: e.prof, labels: labels, full: true}
 	res, err = engine.RetrieveContext(ctx, Query{
-		Subject: term.NewAtom(queryPred, p.vars...),
+		Subject: term.NewAtom(queryPred, p.vars()...),
 	})
 	// The inner run's record, profile rows included, is the magic run's
 	// (the StopError of a governed stop carries the same pointer).
@@ -102,7 +102,7 @@ func (e *magic) RetrieveContext(ctx context.Context, q Query) (res *Result, err 
 	if err != nil {
 		return nil, err
 	}
-	res.Vars = p.vars
+	res.Vars = p.vars()
 	return res, nil
 }
 
@@ -138,9 +138,9 @@ func magicName(pred string, a adornment) string {
 }
 
 // magicRewrite produces the adorned + magic program for the plan's query
-// rule, the name of the adorned query predicate, and a profiling relabel
+// rules, the name of the adorned query predicate, and a profiling relabel
 // table mapping each generated rule back to its source rule (magic
-// guards, seeds, and the adorned query rule are marked synthetic) so
+// guards, seeds, and the adorned query rules are marked synthetic) so
 // profiles of a magic run read in terms of the user's program. A
 // rule-defined predicate that also has stored facts gets, per adornment,
 // one more guarded rule that reads them from st.
@@ -154,9 +154,9 @@ func magicRewrite(p *plan, st *storage.Store) ([]term.Rule, string, map[string]p
 	seen := map[string]bool{}
 	var queue []job
 
-	// The query rule's head has no bound arguments (its constants, if
-	// any, live in the body); its magic seed is the empty tuple.
-	queryAd := adornment(strings.Repeat("f", len(p.rule().Head.Args)))
+	// The query rules' head has no bound arguments (their constants, if
+	// any, live in the bodies); its magic seed is the empty tuple.
+	queryAd := adornment(strings.Repeat("f", len(p.vars())))
 	queue = append(queue, job{queryPredName, queryAd})
 	seen[adornedName(queryPredName, queryAd)] = true
 	seed := term.Rule{Head: term.NewAtom(magicName(queryPredName, queryAd))}

@@ -203,15 +203,21 @@ func oracleHeads(r term.Rule, facts *oracleFacts) ([]term.Atom, error) {
 
 // oracleRetrieve answers the query by applying every rule, and the
 // plan's query rule, to everything known until nothing new appears. It
-// shares the engines' front end (the query rule, the safety check and
-// the snapshots of the virtual relations it reaches), not their
-// evaluation.
+// shares the engines' front end for a qualifier of one disjunct (the
+// query rule, the safety check and the snapshots of the virtual
+// relations it reaches), not their evaluation. A qualifier of several
+// disjuncts is answered by the union of the disjuncts retrieved one at a
+// time, or fails with the first failing disjunct's error, so the
+// engines' one rule per disjunct is judged from outside.
 func oracleRetrieve(in Input, q Query) (*Result, error) {
+	if len(q.Or) > 0 {
+		return oracleUnion(in, q)
+	}
 	p, err := buildPlan(in, q)
 	if err != nil {
 		return nil, err
 	}
-	rules := append(slices.Clone(in.Rules), p.rule())
+	rules := append(slices.Clone(in.Rules), p.query[0].rule)
 	var stored []term.Atom
 	for _, pred := range in.Store.Preds() {
 		stored = append(stored, in.Store.Facts(pred)...)
@@ -237,11 +243,34 @@ func oracleRetrieve(in Input, q Query) (*Result, error) {
 			}
 		}
 	}
-	res := &Result{Vars: p.vars}
+	res := &Result{Vars: p.vars()}
 	for _, a := range facts.byPred[queryPredName] {
 		res.Tuples = append(res.Tuples, storage.Tuple(a.Args))
 	}
 	return res, nil
+}
+
+// oracleUnion answers a qualifier of several disjuncts as the union of
+// the answers to each disjunct alone, in disjunct order.
+func oracleUnion(in Input, q Query) (*Result, error) {
+	var out *Result
+	seen := make(map[string]bool)
+	for _, d := range append([]term.Formula{q.Where}, q.Or...) {
+		res, err := oracleRetrieve(in, Query{Subject: q.Subject, Where: d})
+		if err != nil {
+			return nil, err
+		}
+		if out == nil {
+			out = &Result{Vars: res.Vars}
+		}
+		for _, t := range res.Tuples {
+			if k := t.Key(); !seen[k] {
+				seen[k] = true
+				out.Tuples = append(out.Tuples, t)
+			}
+		}
+	}
+	return out, nil
 }
 
 // --- the generator ---
@@ -262,8 +291,11 @@ func (c genCase) String() string {
 		fmt.Fprintf(&b, "%v.\n", r)
 	}
 	fmt.Fprintf(&b, "retrieve %v", c.query.Subject)
-	if len(c.query.Where) > 0 {
+	if len(c.query.Where) > 0 || len(c.query.Or) > 0 {
 		fmt.Fprintf(&b, " where %v", c.query.Where)
+	}
+	for _, d := range c.query.Or {
+		fmt.Fprintf(&b, " or %v", d)
 	}
 	return b.String() + ".\n"
 }
@@ -295,14 +327,20 @@ var (
 
 type generator struct {
 	r *rand.Rand
-	// calls draws the callee shapes (generator.callee) from a stream of
-	// its own, so that adding them moved no case the main stream makes.
-	calls *rand.Rand
-	feat  genFeatures
+	// calls draws the callee shapes (generator.callee) and ors the extra
+	// disjuncts (generator.disjuncts), each from a stream of its own, so
+	// that adding them moved no case the main stream makes.
+	calls, ors *rand.Rand
+	feat       genFeatures
 }
 
 func newGenerator(seed int64, feat genFeatures) *generator {
-	return &generator{r: rand.New(rand.NewSource(seed)), calls: rand.New(rand.NewSource(-seed)), feat: feat}
+	return &generator{
+		r:     rand.New(rand.NewSource(seed)),
+		calls: rand.New(rand.NewSource(-seed)),
+		ors:   rand.New(rand.NewSource(seed + 1<<32)),
+		feat:  feat,
+	}
 }
 
 func (g *generator) pick(ts []term.Term) term.Term { return ts[g.r.Intn(len(ts))] }
@@ -474,7 +512,53 @@ func (g *generator) generate() genCase {
 	}
 	c.query = g.query()
 	g.callee(&c)
+	g.disjuncts(&c.query)
 	return c
+}
+
+// disjuncts gives the qualifier, at times, one or two more disjuncts:
+// a repeat of one it has, its first with some constants of ordinary
+// atoms replaced by other constants or by a fresh variable, or a new
+// qualifier made as query makes one — for an ad-hoc subject a new body,
+// which may leave the subject's variables unbound. It draws from the
+// generator's ors stream alone.
+func (g *generator) disjuncts(q *Query) {
+	main := g.r
+	g.r = g.ors
+	defer func() { g.r = main }()
+	if !g.chance(35) {
+		return
+	}
+	for n := 1 + g.r.Intn(2); n > 0; n-- {
+		var d term.Formula
+		switch k := g.r.Intn(4); {
+		case k == 0:
+			all := append([]term.Formula{q.Where}, q.Or...)
+			d = slices.Clone(all[g.r.Intn(len(all))])
+		case k == 1:
+			d = make(term.Formula, len(q.Where))
+			for i, a := range q.Where {
+				d[i] = term.Atom{Pred: a.Pred, Args: slices.Clone(a.Args)}
+				if term.IsComparison(a) {
+					continue
+				}
+				for j, t := range a.Args {
+					switch {
+					case !t.IsConst() || g.chance(30):
+					case g.chance(30):
+						d[i].Args[j] = term.Var("OV")
+					default:
+						d[i].Args[j] = g.constFor(a.Pred, j)
+					}
+				}
+			}
+		case q.Subject.Pred == "ans":
+			d, _ = g.body(true)
+		default:
+			d = g.qualifier(q.Subject)
+		}
+		q.Or = append(q.Or, d)
+	}
 }
 
 // callee adds, at times, a non-recursive predicate q/2 over stored atoms
@@ -558,16 +642,23 @@ func (g *generator) query() Query {
 			g.feat["unbound subject argument"]++
 		}
 	}
-	q := Query{Subject: term.Atom{Pred: name, Args: args}}
+	subject := term.Atom{Pred: name, Args: args}
+	return Query{Subject: subject, Where: g.qualifier(subject)}
+}
+
+// qualifier makes up to two atoms of a known subject's qualifier:
+// ordinary atoms, or comparisons of a subject variable with a constant.
+func (g *generator) qualifier(subject term.Atom) term.Formula {
+	var where term.Formula
 	for n := g.r.Intn(3); n > 0; n-- {
 		if g.chance(50) {
-			q.Where = append(q.Where, g.ordinary(true))
-		} else if vars := q.Subject.Vars(nil); len(vars) > 0 {
-			q.Where = append(q.Where,
+			where = append(where, g.ordinary(true))
+		} else if vars := subject.Vars(nil); len(vars) > 0 {
+			where = append(where,
 				term.NewAtom(genOps[g.r.Intn(len(genOps))], g.pick(vars), g.pick(genSyms)))
 		}
 	}
-	return q
+	return where
 }
 
 // mutual reports whether two distinct predicates reach each other.
@@ -604,7 +695,9 @@ func (g *generator) noteCalls(in Input, q Query) {
 	calls := p.demands()
 	for pred, cs := range calls {
 		g.feat["a constant reaches a non-recursive predicate"]++
-		if !slices.ContainsFunc(p.rule().Body, func(a term.Atom) bool { return a.Pred == pred }) {
+		if !slices.ContainsFunc(p.query, func(pr preparedRule) bool {
+			return slices.ContainsFunc(pr.rule.Body, func(a term.Atom) bool { return a.Pred == pred })
+		}) {
 			g.feat["a constant reaches one two rule levels down"]++
 		}
 		for _, pr := range p.set.byHead[pred] {
@@ -633,10 +726,78 @@ func (g *generator) noteCalls(in Input, q Query) {
 		if calls[pred] != nil || !p.set.specialisable(pred) || !p.relevant(pred) {
 			continue
 		}
-		if bound(pred, p.rule().Body) || slices.ContainsFunc(in.Rules, func(r term.Rule) bool {
-			return p.relevant(r.Head.Pred) && bound(pred, r.Body)
-		}) {
+		if slices.ContainsFunc(p.query, func(pr preparedRule) bool { return bound(pred, pr.rule.Body) }) ||
+			slices.ContainsFunc(in.Rules, func(r term.Rule) bool {
+				return p.relevant(r.Head.Pred) && bound(pred, r.Body)
+			}) {
 			g.feat["one predicate is called both bound and free in one statement"]++
+		}
+	}
+}
+
+// noteDisjuncts counts the shapes a qualifier of several disjuncts takes
+// over the case's rules. It draws nothing from the generator.
+func (g *generator) noteDisjuncts(in Input, q Query) {
+	if len(q.Or) == 0 {
+		return
+	}
+	all := append([]term.Formula{q.Where}, q.Or...)
+	if q.Subject.Pred == "ans" {
+		unbound := slices.ContainsFunc(all, func(d term.Formula) bool {
+			err := checkRule(term.Rule{Head: q.Subject, Body: d})
+			return err != nil && strings.Contains(err.Error(), "head variable")
+		})
+		if unbound {
+			g.feat["a disjunct leaves the ad-hoc subject unbound"]++
+		} else {
+			g.feat["every disjunct binds the ad-hoc subject"]++
+		}
+	}
+	for i, d := range all {
+		if slices.ContainsFunc(all[:i], d.Equal) {
+			g.feat["a repeated disjunct"]++
+		}
+	}
+	rs := Prepare(depgraph.New(in.Rules))
+	// calls holds, per disjunct, the argument lists of its calls of each
+	// specialisable predicate.
+	calls := make([]map[string][][]term.Term, len(all))
+	for i, d := range all {
+		calls[i] = make(map[string][][]term.Term)
+		for _, a := range d {
+			if term.IsComparison(a) {
+				continue
+			}
+			if rs.specialisable(a.Pred) {
+				calls[i][a.Pred] = append(calls[i][a.Pred], a.Args)
+			}
+			recursive := rs.recursive(a.Pred)
+			for pred := range rs.graph.Reach(a.Pred) {
+				recursive = recursive || rs.recursive(pred)
+			}
+			if recursive {
+				g.feat["a disjunct reaches a recursive predicate"]++
+			}
+		}
+	}
+	constants := func(args []term.Term) bool { return slices.ContainsFunc(args, term.Term.IsConst) }
+	for i := range all {
+		for j := range all {
+			if i == j {
+				continue
+			}
+			for pred, cs := range calls[i] {
+				for _, a := range cs {
+					for _, b := range calls[j][pred] {
+						switch {
+						case constants(a) && constants(b) && !slices.Equal(a, b):
+							g.feat["two disjuncts call one non-recursive predicate with different constants"]++
+						case constants(a) && !constants(b):
+							g.feat["one disjunct calls a predicate bound and another calls it free"]++
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -695,6 +856,7 @@ func shrink(c genCase, fails func(genCase) bool) genCase {
 		try(len(c.rules), func(d *genCase, i int) { d.rules = dropAt(d.rules, i) })
 		try(len(c.facts), func(d *genCase, i int) { d.facts = dropAt(d.facts, i) })
 		try(len(c.query.Where), func(d *genCase, i int) { d.query.Where = dropAt(d.query.Where, i) })
+		try(len(c.query.Or), func(d *genCase, i int) { d.query.Or = dropAt(d.query.Or, i) })
 	}
 	return c
 }
@@ -713,6 +875,7 @@ func TestEnginesMatchOracle(t *testing.T) {
 		g := newGenerator(int64(seed), feat)
 		c := g.generate()
 		g.noteCalls(c.input(t), c.query)
+		g.noteDisjuncts(c.input(t), c.query)
 		if disagreement(t, c) == "" {
 			continue
 		}
@@ -730,6 +893,10 @@ func TestEnginesMatchOracle(t *testing.T) {
 		"a head constant refuses the call", "a repeated head variable is called with two different constants",
 		"one predicate is called both bound and free in one statement",
 		"a recursive group calls a non-recursive predicate",
+		"two disjuncts call one non-recursive predicate with different constants",
+		"one disjunct calls a predicate bound and another calls it free",
+		"a disjunct reaches a recursive predicate", "a repeated disjunct",
+		"every disjunct binds the ad-hoc subject", "a disjunct leaves the ad-hoc subject unbound",
 	} {
 		if feat[want] == 0 {
 			t.Errorf("no generated case had: %s", want)
@@ -785,6 +952,7 @@ func TestEnginesMatchOracleSharedRuleSet(t *testing.T) {
 		for i := 0; i < queries; i++ {
 			if i > 0 {
 				c.query = g.query()
+				g.disjuncts(&c.query)
 			}
 			if judge(in, c.query) == "" {
 				continue
@@ -870,9 +1038,49 @@ func TestShrinkKeepsWhatFails(t *testing.T) {
 		return slices.ContainsFunc(d.rules, func(r term.Rule) bool { return r.Equal(rule) }) &&
 			slices.ContainsFunc(d.facts, func(f term.Atom) bool { return f.Equal(fact) })
 	})
-	if len(small.rules) != 1 || len(small.facts) != 1 || len(small.query.Where) != 0 {
-		t.Fatalf("shrunk to %d rules, %d facts, %d qualifier atoms:\n%v",
-			len(small.rules), len(small.facts), len(small.query.Where), small)
+	if len(small.rules) != 1 || len(small.facts) != 1 || len(small.query.Where) != 0 || len(small.query.Or) != 0 {
+		t.Fatalf("shrunk to %d rules, %d facts, %d qualifier atoms, %d more disjuncts:\n%v",
+			len(small.rules), len(small.facts), len(small.query.Where), len(small.query.Or), small)
+	}
+}
+
+// TestDisjunctOrderDoesNotChangeAnswers: on the generated cases whose
+// qualifier has several disjuncts, every engine answers the disjuncts
+// reversed, and with one of them repeated, as it answers them in order;
+// a statement that fails fails either way.
+func TestDisjunctOrderDoesNotChangeAnswers(t *testing.T) {
+	seeds := 400
+	if testing.Short() {
+		seeds = 60
+	}
+	judged := 0
+	for seed := 1; seed <= seeds; seed++ {
+		c := newGenerator(int64(seed), make(genFeatures)).generate()
+		if len(c.query.Or) == 0 {
+			continue
+		}
+		all := append([]term.Formula{c.query.Where}, c.query.Or...)
+		reversed := slices.Clone(all)
+		slices.Reverse(reversed)
+		repeated := append(slices.Clone(all), all[seed%len(all)])
+		in := c.input(t)
+		for _, e := range engines(in) {
+			want, werr := e.RetrieveContext(context.Background(), c.query)
+			for _, ds := range [][]term.Formula{reversed, repeated} {
+				q := Query{Subject: c.query.Subject, Where: ds[0], Or: ds[1:]}
+				got, err := e.RetrieveContext(context.Background(), q)
+				switch {
+				case (err != nil) != (werr != nil):
+					t.Fatalf("seed %d, %s: %v answers %v, %v; in order: %v, %v", seed, e.Name(), ds, got, err, want, werr)
+				case err == nil && !reflect.DeepEqual(got.Strings(), want.Strings()):
+					t.Fatalf("seed %d, %s: %v answers %v; in order %v", seed, e.Name(), ds, got.Strings(), want.Strings())
+				}
+			}
+		}
+		judged++
+	}
+	if judged < seeds/5 {
+		t.Errorf("only %d of %d cases had several disjuncts", judged, seeds)
 	}
 }
 

@@ -42,9 +42,9 @@ type EvalStats struct {
 	// Components holds one entry per SCC in evaluation order (bottom-up
 	// engines; empty for top-down): the rule set's schedule — its
 	// condensation's topological order, ties broken by sorted predicate
-	// names — followed by the query rule's own component. Predicates
-	// only the query rule mentions have no entry. A record merged from
-	// several evaluations holds their schedules one after another.
+	// names — followed by the query rules' own component, one however
+	// many disjuncts the qualifier has. Predicates only the query rules
+	// mention have no entry.
 	Components []ComponentStats `json:"components,omitempty"`
 	// Facts is the total number of facts derived.
 	Facts int `json:"facts"`
@@ -78,30 +78,6 @@ type EvalStats struct {
 	// otherwise). The rows partition the record: their tuples, lookups,
 	// probes, full scans, candidates and index builds sum to its totals.
 	Profile []profile.Row `json:"-"`
-}
-
-// Merge folds o, a later evaluation of the same statement, into s:
-// counters and wall times add up, o's components follow s's, o's profile
-// rows fold into s's by rule, and o's stop reason, if any, becomes the
-// record's.
-func (s *EvalStats) Merge(o *EvalStats) {
-	s.Components = append(s.Components, o.Components...)
-	s.Facts += o.Facts
-	s.Lookups += o.Lookups
-	s.Passes += o.Passes
-	s.Tables += o.Tables
-	s.Probes += o.Probes
-	s.FullScans += o.FullScans
-	s.Candidates += o.Candidates
-	s.IndexBuilds += o.IndexBuilds
-	s.ProvEntries += o.ProvEntries
-	s.Wall += o.Wall
-	if o.Profile != nil {
-		s.Profile = profile.Fold(s.Profile, o.Profile)
-	}
-	if o.StopReason != "" {
-		s.StopReason = o.StopReason
-	}
 }
 
 // StatsReporter is implemented by engines that record evaluation

@@ -94,7 +94,7 @@ func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, er
 		run.prof = newRuleProfiler(run.counters, nil)
 	}
 	provStart := e.rec.Len()
-	goal := p.rule().Head
+	goal := p.query[0].rule.Head // the query rules' one head
 	evalSp := sp.Child("eval")
 	evalSp.SetStr("engine", e.Name())
 	start := time.Now()
@@ -136,7 +136,7 @@ func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, er
 		return nil, &StopError{Stats: stats, Err: runErr}
 	}
 	// The goal's table dies with the run: its tuples are handed over.
-	res = &Result{Vars: p.vars}
+	res = &Result{Vars: p.vars()}
 	answers.answers.Scan(func(tp storage.Tuple) bool {
 		res.Tuples = append(res.Tuples, tp)
 		return true

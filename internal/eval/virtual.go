@@ -28,8 +28,8 @@ type Virtual interface {
 }
 
 // virtualSnapshots materializes every virtual predicate the plan's query
-// rule reaches: its own body atoms (so subjects and qualifiers count) and
-// everything they depend on. Rules the statement cannot reach take no
+// rules reach: their own body atoms (so subjects and every disjunct of
+// the qualifier count) and everything they depend on. Rules the statement cannot reach take no
 // snapshot. It returns nil when no virtual predicate is reached: on that
 // path — the overwhelmingly common one — it performs no allocation at
 // all (enforced by TestVirtualSnapshotsNoSysAllocs), so programs that
@@ -40,16 +40,18 @@ func virtualSnapshots(v Virtual, p *plan) (map[string]*storage.Relation, error) 
 	}
 	var snaps map[string]*storage.Relation
 	var err error
-	for _, a := range p.rule().Body {
-		if term.IsComparison(a) {
-			continue
-		}
-		if snaps, err = snapshot(v, snaps, a.Pred); err != nil {
-			return nil, err
-		}
-		for pred := range p.set.graph.Reach(a.Pred) {
-			if snaps, err = snapshot(v, snaps, pred); err != nil {
+	for i := range p.query {
+		for _, a := range p.query[i].rule.Body {
+			if term.IsComparison(a) {
+				continue
+			}
+			if snaps, err = snapshot(v, snaps, a.Pred); err != nil {
 				return nil, err
+			}
+			for pred := range p.set.graph.Reach(a.Pred) {
+				if snaps, err = snapshot(v, snaps, pred); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}

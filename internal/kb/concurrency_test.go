@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"kdb/internal/eval"
 	"kdb/internal/parser"
 	"kdb/internal/term"
 )
@@ -64,7 +65,7 @@ func TestConcurrentQueriesAssertsCheckpoints(t *testing.T) {
 					return
 				default:
 				}
-				_, st, err := k.retrieve(ctx, subject, nil)
+				_, st, err := k.evaluate(ctx, eval.Query{Subject: subject}, nil)
 				if err != nil {
 					fail("retrieve: %v", err)
 					return
@@ -130,7 +131,7 @@ func TestCloseUnderLoad(t *testing.T) {
 				var err error
 				switch w % 3 {
 				case 0:
-					_, _, err = k.retrieve(ctx, subject, nil)
+					_, _, err = k.evaluate(ctx, eval.Query{Subject: subject}, nil)
 				case 1:
 					err = k.Assert(term.NewAtom("p", term.Sym(fmt.Sprintf("c%d_%d", w, i))))
 				case 2:
@@ -158,7 +159,7 @@ func TestCloseUnderLoad(t *testing.T) {
 		t.Errorf("second close: %v", err)
 	}
 	// Every entry point reports the structured error now.
-	if _, _, err := k.retrieve(ctx, subject, nil); !errors.Is(err, ErrClosed) {
+	if _, _, err := k.evaluate(ctx, eval.Query{Subject: subject}, nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("retrieve after close: %v", err)
 	}
 	if err := k.Assert(term.NewAtom("p", term.Sym("late"))); !errors.Is(err, ErrClosed) {
@@ -211,7 +212,7 @@ func TestRetractDurable(t *testing.T) {
 	}
 	defer k2.Close()
 	subject, _ := parser.ParseAtom("p(X)")
-	res, _, err := k2.retrieve(context.Background(), subject, nil)
+	res, _, err := k2.evaluate(context.Background(), eval.Query{Subject: subject}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,6 +52,37 @@ func TestKBContextDeadline(t *testing.T) {
 	}
 }
 
+// TestOrRetrieveQuotaIsPerStatement: MaxFacts bounds a statement, not
+// each of its disjuncts. Each disjunct alone derives 16 facts, within a
+// quota of 20; together they derive 32 and stop, and so do the same
+// disjuncts repeated.
+func TestOrRetrieveQuotaIsPerStatement(t *testing.T) {
+	var sb strings.Builder
+	for i := 0; i < 8; i++ {
+		fmt.Fprintf(&sb, "a(%d).\nb(%d).\n", i, i+8)
+	}
+	sb.WriteString("p(X) :- a(X).\nq(X) :- b(X).\n")
+	k := New(WithQueryLimits(governor.Limits{MaxFacts: 20}))
+	if err := k.LoadString(sb.String()); err != nil {
+		t.Fatal(err)
+	}
+	for _, stmt := range []string{`retrieve ans(X) where p(X).`, `retrieve ans(X) where q(X).`} {
+		if res, err := k.ExecStringContext(context.Background(), stmt); err != nil || res.Stats.Facts != 16 {
+			t.Fatalf("%s: err = %v, want 16 facts within the quota", stmt, err)
+		}
+	}
+	for _, stmt := range []string{
+		`retrieve ans(X) where p(X) or q(X).`,
+		`retrieve ans(X) where p(X) or q(X) or p(X) or q(X).`,
+	} {
+		_, err := k.ExecStringContext(context.Background(), stmt)
+		var le *governor.LimitError
+		if !errors.As(err, &le) || le.Kind != governor.LimitFacts {
+			t.Errorf("%s: err = %v, want a *LimitError on facts", stmt, err)
+		}
+	}
+}
+
 func TestKBQueryLimitsOption(t *testing.T) {
 	var sb strings.Builder
 	for i := 0; i < 200; i++ {

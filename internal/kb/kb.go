@@ -573,20 +573,22 @@ func (k *KB) Constraints() []term.Formula {
 // (capped per constraint). An empty result means the data satisfies all
 // constraints. It runs under the context and the effective query limits
 // (configured limits, clamped per-request via ContextWithLimits). The
-// constraints checked are those loaded when the check begins.
+// constraints checked are those loaded when the check begins, each one
+// query on one evaluator under one read lock.
 func (k *KB) CheckConstraintsContext(ctx context.Context) ([]string, error) {
-	constraints := k.Constraints()
-	queries := make([]eval.Query, len(constraints))
-	for i, ic := range constraints {
-		queries[i] = eval.Query{Subject: term.NewAtom("__ic__", ic.Vars()...), Where: ic}
+	k.mu.RLock()
+	defer k.mu.RUnlock()
+	e, err := k.engineLocked(ctx)
+	if err != nil {
+		return nil, err
 	}
 	var out []string
-	_, err := k.evaluate(ctx, queries, func(i int, res *eval.Result, err error) error {
-		ic := constraints[i]
+	for _, ic := range k.prog.constraints {
+		vars := ic.Vars()
+		res, err := e.RetrieveContext(ctx, eval.Query{Subject: term.NewAtom("__ic__", vars...), Where: ic})
 		if err != nil {
-			return fmt.Errorf("kb: checking constraint :- %v: %w", ic, err)
+			return nil, fmt.Errorf("kb: checking constraint :- %v: %w", ic, err)
 		}
-		vars := queries[i].Subject.Args
 		for n, tuple := range res.Tuples {
 			if n == 4 {
 				out = append(out, fmt.Sprintf("constraint :- %v: … and %d more violations", ic, len(res.Tuples)-n))
@@ -598,10 +600,6 @@ func (k *KB) CheckConstraintsContext(ctx context.Context) ([]string, error) {
 			}
 			out = append(out, fmt.Sprintf("constraint :- %v violated by %v", ic, sub.ApplyFormula(ic)))
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -621,18 +619,13 @@ func (k *KB) Validate() []string {
 	return out
 }
 
-// evaluate runs the queries of one statement in order under the read
-// lock, on the one evaluator the KB builds: the semi-naive engine over
-// the current state, governed by the context's effective limits, plus
-// extra options (a provenance recorder, a profile). yield receives each
-// query's answers or error; an error it returns ends the statement. It
-// returns the statement's one EvalStats, with the error if any: the
-// engine's own record for one query, the fold of every run
-// (eval.EvalStats.Merge) for several, nil when no query evaluated. A
-// governed stop's *eval.StopError carries the same record.
-func (k *KB) evaluate(ctx context.Context, queries []eval.Query, yield func(i int, res *eval.Result, err error) error, extra ...eval.EngineOption) (*eval.EvalStats, error) {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
+// engineLocked returns the one evaluator the KB builds: the semi-naive
+// engine over the current state, governed by the context's effective
+// limits, plus extra options (a provenance recorder, a profile). The
+// caller holds the read lock for as long as it evaluates.
+//
+//kdb:rlocked mu
+func (k *KB) engineLocked(ctx context.Context, extra ...eval.EngineOption) (eval.Engine, error) {
 	if k.closed {
 		return nil, ErrClosed
 	}
@@ -642,85 +635,31 @@ func (k *KB) evaluate(ctx context.Context, queries []eval.Query, yield func(i in
 	p := k.prog
 	in := eval.Input{Store: k.store, Rules: p.graph.Rules(), Prepared: p.prepared(), Virtual: k.sys.View(k.store, p.graph)}
 	opts := append([]eval.EngineOption{eval.WithLimits(k.effectiveLimits(ctx))}, extra...)
-	e := eval.NewSemiNaive(in, opts...)
-	sr := e.(eval.StatsReporter)
-	var stats, last *eval.EvalStats
-	for i, q := range queries {
-		res, err := e.RetrieveContext(ctx, q)
-		// A query that fails before evaluating adds nothing to the record.
-		if st := sr.LastStats(); st != last {
-			last = st
-			if stats == nil {
-				stats = st
-			} else {
-				stats.Merge(st)
-			}
-		}
-		if err := yield(i, res, err); err != nil {
-			var se *eval.StopError
-			if errors.As(err, &se) && stats != nil {
-				se.Stats = stats // a stop after the first query: the fold so far
-			}
-			return stats, err
-		}
-	}
-	return stats, nil
+	return eval.NewSemiNaive(in, opts...), nil
 }
 
-// evaluateOne is evaluate for a statement of one query.
-func (k *KB) evaluateOne(ctx context.Context, q eval.Query, extra ...eval.EngineOption) (*eval.Result, *eval.EvalStats, error) {
-	var res *eval.Result
-	stats, err := k.evaluate(ctx, []eval.Query{q}, func(_ int, r *eval.Result, err error) error {
-		res = r
-		return err
-	}, extra...)
-	return res, stats, err
-}
-
-// retrieve evaluates a data query (§3.1) under the context and the
-// effective query limits, with extra engine options (a profile). A
-// qualifier of several disjuncts (§6's second research direction) is
-// answered by the union of the per-disjunct answers, each disjunct one
-// governed evaluation; a single disjunct's result (or, with none, the
-// unqualified subject's) is returned as is. A governed stop —
-// cancellation, deadline expiry, a breached limit, or a contained panic —
-// returns a structured error (*eval.StopError wrapping
-// governor.ErrCanceled, *governor.LimitError, or *governor.PanicError);
-// the statement's one EvalStats is returned either way, on a stop with
-// its StopReason set.
-func (k *KB) retrieve(ctx context.Context, subject term.Atom, disjuncts []term.Formula, extra ...eval.EngineOption) (*eval.Result, *eval.EvalStats, error) {
-	if len(disjuncts) <= 1 {
-		q := eval.Query{Subject: subject}
-		if len(disjuncts) == 1 {
-			q.Where = disjuncts[0]
-		}
-		return k.evaluateOne(ctx, q, extra...)
-	}
-	queries := make([]eval.Query, len(disjuncts))
-	for i, d := range disjuncts {
-		queries[i] = eval.Query{Subject: subject, Where: d}
-	}
-	var merged *eval.Result
-	seen := make(map[string]bool)
-	stats, err := k.evaluate(ctx, queries, func(_ int, res *eval.Result, err error) error {
-		if err != nil {
-			return err
-		}
-		if merged == nil {
-			merged = &eval.Result{Vars: res.Vars}
-		}
-		for _, t := range res.Tuples {
-			if key := t.Key(); !seen[key] {
-				seen[key] = true
-				merged.Tuples = append(merged.Tuples, t)
-			}
-		}
-		return nil
-	}, extra...)
+// evaluate runs a statement's one query — a data query (§3.1), of any
+// number of disjuncts — under the read lock, on engineLocked's
+// evaluator, and then after, when given, on its answers under the same
+// lock. It returns the answers and the statement's one EvalStats, with
+// the error if any; the record is nil when the query failed before
+// evaluating. A governed stop — cancellation, deadline expiry, a
+// breached limit, or a contained panic — returns an *eval.StopError
+// (wrapping governor.ErrCanceled, *governor.LimitError, or
+// *governor.PanicError) that carries the same record, its StopReason
+// set.
+func (k *KB) evaluate(ctx context.Context, q eval.Query, after func(*eval.Result), extra ...eval.EngineOption) (*eval.Result, *eval.EvalStats, error) {
+	k.mu.RLock()
+	defer k.mu.RUnlock()
+	e, err := k.engineLocked(ctx, extra...)
 	if err != nil {
-		return nil, stats, err
+		return nil, nil, err
 	}
-	return merged, stats, nil
+	res, err := e.RetrieveContext(ctx, q)
+	if err == nil && after != nil {
+		after(res)
+	}
+	return res, e.(eval.StatsReporter).LastStats(), err
 }
 
 // maxExplainNodes bounds the reconstructed derivation tree of one
@@ -740,21 +679,14 @@ const maxExplainNodes = 10000
 func (k *KB) explain(ctx context.Context, subject term.Atom, where term.Formula) (*prov.Explanation, *eval.EvalStats, error) {
 	rec := prov.NewRecorder()
 	var exp *prov.Explanation
-	stats, err := k.evaluate(ctx, []eval.Query{{Subject: subject, Where: where}}, func(_ int, res *eval.Result, err error) error {
-		if err != nil {
-			return err
-		}
+	_, stats, err := k.evaluate(ctx, eval.Query{Subject: subject, Where: where}, func(res *eval.Result) {
 		esp := obs.SpanFromContext(ctx).Child("explain")
 		exp = rec.Explain(subject, res.Atoms(subject), k.store.Contains, maxExplainNodes)
 		esp.SetInt("trees", int64(len(exp.Trees)))
 		esp.SetInt("nodes", int64(exp.Nodes))
 		esp.End()
-		return nil
 	}, eval.WithProvenance(rec))
-	if err != nil {
-		return nil, stats, err
-	}
-	return exp, stats, nil
+	return exp, stats, err
 }
 
 func (k *KB) showProvenance() bool {
@@ -1023,7 +955,7 @@ func (k *KB) execContext(ctx context.Context, q parser.Query) (*ExecResult, erro
 			opts = append(opts, eval.WithProfile())
 		}
 		var err error
-		out.Retrieve, out.Stats, err = k.retrieve(ctx, s.Subject, s.Disjuncts(), opts...)
+		out.Retrieve, out.Stats, err = k.evaluate(ctx, eval.Query{Subject: s.Subject, Where: s.Where, Or: s.Or}, nil, opts...)
 		if err != nil {
 			return out, err
 		}
@@ -1046,7 +978,7 @@ func (k *KB) execContext(ctx context.Context, q parser.Query) (*ExecResult, erro
 	case *parser.Profile:
 		out := &ExecResult{Query: q, subject: s.Subject}
 		var err error
-		out.Retrieve, out.Stats, err = k.retrieve(ctx, s.Subject, []term.Formula{s.Where}, eval.WithProfile())
+		out.Retrieve, out.Stats, err = k.evaluate(ctx, eval.Query{Subject: s.Subject, Where: s.Where}, nil, eval.WithProfile())
 		return out, err
 	case *parser.Compare:
 		d, err := k.unfolder(ctx, "")

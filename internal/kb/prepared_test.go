@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"kdb/internal/core"
+	"kdb/internal/eval"
 	"kdb/internal/fault"
 	"kdb/internal/storage"
 	"kdb/internal/term"
@@ -80,7 +81,7 @@ func TestPreparedRuleSetUnderConcurrentLoads(t *testing.T) {
 					return
 				default:
 				}
-				if res, _, err := k.retrieve(context.Background(), q, nil); err != nil || len(res.Tuples) != 2 {
+				if res, _, err := k.evaluate(context.Background(), eval.Query{Subject: q}, nil); err != nil || len(res.Tuples) != 2 {
 					t.Errorf("retrieve q(X) during loads = %v, %v", res, err)
 					return
 				}
@@ -97,7 +98,7 @@ func TestPreparedRuleSetUnderConcurrentLoads(t *testing.T) {
 			t.Error(err)
 			break
 		}
-		res, _, err := k.retrieve(context.Background(), term.NewAtom(fmt.Sprintf("r%d", i), term.Var("X")), nil)
+		res, _, err := k.evaluate(context.Background(), eval.Query{Subject: term.NewAtom(fmt.Sprintf("r%d", i), term.Var("X"))}, nil)
 		if err != nil || len(res.Tuples) != 2 {
 			t.Errorf("retrieve r%d(X) right after its load = %v, %v", i, res, err)
 			break
@@ -172,12 +173,12 @@ func TestPointRetrieveAllocsIgnoreUnrelatedRules(t *testing.T) {
 		}
 		k := loadKB(t, src.String())
 		want := []string{"math, 3.9"}
-		res, _, err := k.retrieve(context.Background(), subject, nil)
+		res, _, err := k.evaluate(context.Background(), eval.Query{Subject: subject}, nil)
 		if err != nil || !reflect.DeepEqual(res.Strings(), want) {
 			t.Fatalf("%d unrelated rules: retrieve = %v, %v; want %v", unrelated, res, err, want)
 		}
 		return testing.AllocsPerRun(100, func() {
-			if _, _, err := k.retrieve(context.Background(), subject, nil); err != nil {
+			if _, _, err := k.evaluate(context.Background(), eval.Query{Subject: subject}, nil); err != nil {
 				panic(err)
 			}
 		})

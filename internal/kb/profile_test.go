@@ -69,9 +69,10 @@ func TestSetProfiling(t *testing.T) {
 }
 
 // TestProfilingOrRetrieve: with always-on profiling, a retrieve of
-// several disjuncts is profiled like one of a single disjunct — the
-// disjuncts' rows fold into the statement's record, their tuples sum to
-// its facts, and the rendering shows the profile after the answers.
+// several disjuncts is profiled like one of a single disjunct — one
+// evaluation, one row per rule it ran, the query rule of each disjunct
+// among them; the rows' tuples sum to the record's facts, and the
+// rendering shows the profile after the answers.
 func TestProfilingOrRetrieve(t *testing.T) {
 	k := New()
 	if err := k.LoadString(routesProgram); err != nil {

@@ -2,6 +2,7 @@ package kb
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"kdb/internal/eval"
@@ -13,7 +14,7 @@ import (
 // statement gets a fresh one.
 func TestRetrieveReturnsItsStats(t *testing.T) {
 	k := loadKB(t, universityKB)
-	_, st, err := k.retrieve(context.Background(), term.NewAtom("prior", term.Var("X"), term.Var("Y")), nil)
+	_, st, err := k.evaluate(context.Background(), eval.Query{Subject: term.NewAtom("prior", term.Var("X"), term.Var("Y"))}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestRetrieveReturnsItsStats(t *testing.T) {
 	if !found {
 		t.Errorf("prior component missing from stats: %+v", st.Components)
 	}
-	_, again, err := k.retrieve(context.Background(), term.NewAtom("honor", term.Var("X")), nil)
+	_, again, err := k.evaluate(context.Background(), eval.Query{Subject: term.NewAtom("honor", term.Var("X"))}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,63 +54,38 @@ func TestRetrieveReturnsItsStats(t *testing.T) {
 	}
 }
 
-// TestStatementStatsFoldEveryRun: a statement that evaluates several
-// queries records one EvalStats covering all of them. A disjunctive
-// retrieve reports the sum of its disjuncts run alone, a constraint check
-// the sum of its constraints checked alone, each from a fresh KB.
-func TestStatementStatsFoldEveryRun(t *testing.T) {
-	const program = `
-a(1). a(2). a(3). b(4). b(5).
+// TestOrRetrieveIsOneEvaluation: a retrieve of several disjuncts is one
+// evaluation. Its record lists the schedule once, as many components as
+// the statement with one of its disjuncts, and a predicate both disjuncts
+// call is derived once: its component derives its extension, and the
+// record's facts are that extension and the answers.
+func TestOrRetrieveIsOneEvaluation(t *testing.T) {
+	k := loadKB(t, `
+a(1). a(2). a(3). a(4). a(5).
+b(1). b(2). c(4). c(5). c(6).
 p(X) :- a(X).
-q(X) :- b(X).
-r(X) :- p(X).
-r(X) :- q(X).
-`
-	const c1, c2 = ":- p(X), X > 1.\n", ":- r(X), q(X).\n"
-	retrieve := func(stmt string) *eval.EvalStats {
-		k := loadKB(t, program)
+`)
+	run := func(stmt string) *ExecResult {
 		res, err := k.ExecStringContext(context.Background(), stmt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Stats
+		return res
 	}
-	// check evaluates the constraints as CheckConstraintsContext does and
-	// returns the record evaluate folds.
-	check := func(constraints string) *eval.EvalStats {
-		k := loadKB(t, program+constraints)
-		var queries []eval.Query
-		for _, ic := range k.Constraints() {
-			queries = append(queries, eval.Query{Subject: term.NewAtom("__ic__", ic.Vars()...), Where: ic})
-		}
-		st, err := k.evaluate(context.Background(), queries, func(_ int, _ *eval.Result, err error) error { return err })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
+	one := run(`retrieve ans(X) where p(X) and b(X).`)
+	or := run(`retrieve ans(X) where p(X) and b(X) or p(X) and c(X).`)
+	if got := or.RetrieveLines(); !slices.Equal(got, []string{"ans(1)", "ans(2)", "ans(4)", "ans(5)"}) {
+		t.Fatalf("answers = %q", got)
 	}
-	for _, c := range []struct {
-		name        string
-		whole, a, b *eval.EvalStats
-	}{
-		{"disjunctive retrieve",
-			retrieve("retrieve r(X) where p(X) or q(X)."),
-			retrieve("retrieve r(X) where p(X)."),
-			retrieve("retrieve r(X) where q(X).")},
-		{"constraint check", check(c1 + c2), check(c1), check(c2)},
-	} {
-		type counts struct {
-			facts, comps                             int
-			lookups, probes, candidates, indexBuilds int64
-		}
-		of := func(st *eval.EvalStats) counts {
-			return counts{st.Facts, len(st.Components), st.Lookups, st.Probes, st.Candidates, st.IndexBuilds}
-		}
-		a, b := of(c.a), of(c.b)
-		want := counts{a.facts + b.facts, a.comps + b.comps, a.lookups + b.lookups,
-			a.probes + b.probes, a.candidates + b.candidates, a.indexBuilds + b.indexBuilds}
-		if got := of(c.whole); got != want {
-			t.Errorf("%s: record %+v, want the sum of its runs %+v", c.name, got, want)
-		}
+	if len(or.Stats.Components) != len(one.Stats.Components) {
+		t.Errorf("%d components, the statement with one disjunct has %d: the schedule is listed more than once",
+			len(or.Stats.Components), len(one.Stats.Components))
+	}
+	i := slices.IndexFunc(or.Stats.Components, func(c eval.ComponentStats) bool { return slices.Equal(c.Preds, []string{"p"}) })
+	if i < 0 || or.Stats.Components[i].Facts != 5 {
+		t.Errorf("components %+v: want p's to derive its 5 facts once", or.Stats.Components)
+	}
+	if or.Stats.Facts != 5+4 {
+		t.Errorf("facts = %d, want p's 5 and the 4 answers", or.Stats.Facts)
 	}
 }

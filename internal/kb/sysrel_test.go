@@ -48,6 +48,16 @@ crowded(N) :- sys_relation(N, A, F), F > 2.
 	}
 }
 
+// TestSysRelationInLaterDisjunct: a virtual relation only a later
+// disjunct names is snapshotted like one the first names.
+func TestSysRelationInLaterDisjunct(t *testing.T) {
+	k := loadKB(t, universityKB)
+	out := execStr(t, k, "retrieve big(N) where teach(N, databases) or sys_relation(N, A, F) and F > 3.")
+	if out != "big(student)\nbig(susan)" {
+		t.Errorf("= %q, want big(student) (4 facts) and big(susan)", out)
+	}
+}
+
 func TestSysMetricRetrieve(t *testing.T) {
 	reg := obs.NewRegistry()
 	k := New(WithMetrics(reg))

@@ -2,8 +2,7 @@
 // evaluation and renders them: wall time, rounds, tuples produced, join
 // probe counts split index-hit/full-scan, per rule. The rows are part of
 // the statement's one record (eval.EvalStats.Profile); the engine that
-// fills them folds every round of a rule into its row, and a statement
-// of several evaluations folds theirs with Fold. The result is the
+// fills them folds every round of a rule into its row. The result is the
 // runtime twin of the paper's explain machinery: explain answers "why is
 // this fact derived", a profile answers "why is this query slow".
 //
@@ -68,23 +67,6 @@ func (r *Row) Add(o Row) {
 	r.IndexBuilds += o.IndexBuilds
 	r.DeltaSizes = append(r.DeltaSizes, o.DeltaSizes...)
 	r.AllocBytes += o.AllocBytes
-}
-
-// Fold adds each of more to the row of rows with the same rule, or
-// appends it, and returns the rows in display order (see Sort).
-func Fold(rows, more []Row) []Row {
-	for _, o := range more {
-		i := 0
-		for i < len(rows) && rows[i].Rule != o.Rule {
-			i++
-		}
-		if i == len(rows) {
-			rows = append(rows, Row{Rule: o.Rule, Pred: o.Pred, Synthetic: o.Synthetic})
-		}
-		rows[i].Add(o)
-	}
-	Sort(rows)
-	return rows
 }
 
 // Sort puts rows in display order: most expensive (by wall time, then

@@ -2,7 +2,6 @@ package profile
 
 import (
 	"encoding/json"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,34 +9,6 @@ import (
 
 	"kdb/internal/term"
 )
-
-// TestProfileMerge checks folding: rows key on rule text, iterations
-// and counts add up, deltas keep round order, and the result is in
-// display order, most expensive first.
-func TestProfileMerge(t *testing.T) {
-	rows := Fold(nil, []Row{
-		{Rule: "r1.", Pred: "p", Iterations: 1, Wall: time.Millisecond, Tuples: 3, Probes: 4, FullScans: 1, DeltaSizes: []int64{3}},
-		{Rule: "r2.", Pred: "q", Iterations: 1, Wall: 3 * time.Millisecond, Tuples: 2, Lookups: 5, DeltaSizes: []int64{2}},
-	})
-	rows = Fold(rows, []Row{{Rule: "r1.", Pred: "p", Iterations: 1, Wall: time.Millisecond, Tuples: 1, Probes: 2, DeltaSizes: []int64{1}}})
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(rows))
-	}
-	// Sorted most-expensive (wall) first: r2's 3ms beats r1's 2ms.
-	if rows[0].Rule != "r2." || rows[1].Rule != "r1." {
-		t.Fatalf("order = %s, %s; want r2., r1.", rows[0].Rule, rows[1].Rule)
-	}
-	r1 := rows[1]
-	if r1.Iterations != 2 || r1.Tuples != 4 || r1.Wall != 2*time.Millisecond {
-		t.Errorf("r1 merged wrong: %+v", r1)
-	}
-	if r1.Probes != 6 || r1.FullScans != 1 {
-		t.Errorf("r1 probes = %d/%d, want 6/1", r1.Probes, r1.FullScans)
-	}
-	if !slices.Equal(r1.DeltaSizes, []int64{3, 1}) {
-		t.Errorf("r1 deltas = %v, want [3 1]", r1.DeltaSizes)
-	}
-}
 
 // TestTupleBytes pins the allocation estimate to what a derived tuple
 // holds: a slice header and one term.Term per column. An arity-2 rule

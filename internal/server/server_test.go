@@ -267,6 +267,19 @@ func TestErrorMapping(t *testing.T) {
 	if lim["kind"] != "facts" || lim["max"] != float64(50) {
 		t.Errorf("limit detail = %v", lim)
 	}
+	// The ceiling holds per statement: each disjunct alone derives 40
+	// facts, the two together 80.
+	code, out = post(t, ts, "/v1/kb/alpha/retrieve", map[string]any{"stmt": "retrieve hop(X, Y) where edge(X, Y)."})
+	if code != http.StatusOK {
+		t.Fatalf("one disjunct within the ceiling: %d %v", code, out)
+	}
+	code, out = post(t, ts, "/v1/kb/alpha/retrieve", map[string]any{"stmt": "retrieve hop(X, Y) where edge(X, Y) or edge(Y, X)."})
+	if code != http.StatusTooManyRequests || errCode(t, out) != "limit" {
+		t.Fatalf("or retrieve past the ceiling: %d %v", code, out)
+	}
+	if lim := out["error"].(map[string]any)["limit"].(map[string]any); lim["kind"] != "facts" {
+		t.Errorf("or retrieve limit detail = %v", lim)
+	}
 
 	// A request may tighten but never loosen the ceiling.
 	code, out = post(t, ts, "/v1/kb/alpha/retrieve", map[string]any{
