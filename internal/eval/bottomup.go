@@ -67,22 +67,22 @@ func finishStats(stats *EvalStats, start time.Time, counters *storage.Counters, 
 }
 
 // derived holds the materialized extensions of IDB predicates during a
-// bottom-up evaluation. It belongs to one statement evaluated on one
-// goroutine, so the map needs no lock.
-type derived map[string]*storage.Relation
+// bottom-up evaluation, one table each. It belongs to one statement
+// evaluated on one goroutine, so the map needs no lock.
+type derived map[string]*table
 
-// insert adds a derived fact to its predicate's relation, creating the
-// relation on the predicate's first fact.
+// insert adds a derived fact to its predicate's table, creating the table
+// on the predicate's first fact.
 func (d derived) insert(a term.Atom) (bool, error) {
-	r, ok := d[a.Pred]
+	t, ok := d[a.Pred]
 	if !ok {
 		var err error
-		if r, err = storage.NewRelation(len(a.Args)); err != nil {
+		if t, err = newTable(len(a.Args)); err != nil {
 			return false, err
 		}
-		d[a.Pred] = r
+		d[a.Pred] = t
 	}
-	return r.Insert(storage.Tuple(a.Args))
+	return t.insert(a.Args)
 }
 
 // bottomUp is the semi-naive bottom-up engine.
@@ -250,9 +250,9 @@ type component struct {
 	pin int
 }
 
-// window is the delta of one predicate: the positions [from, to) of its
-// derived relation. Derived relations never delete, so positions are
-// insertion order and a round's new facts are one range of them.
+// window is the delta of one predicate: the rows [from, to) of its
+// derived table. A table only grows, in insertion order, so a round's new
+// facts are one range of its rows.
 type window struct {
 	pred     string
 	from, to int
@@ -298,7 +298,7 @@ func (c *component) resolve(p *probe) error {
 		if w.from == w.to {
 			return nil
 		}
-		return p.selectWindow(c.d[pred], c.ctrs, w.from, w.to)
+		return p.selectTable(c.d[pred], c.ctrs, w.from, w.to)
 	}
 	c.cs.Lookups++
 	c.rp.countLookup()
@@ -308,15 +308,15 @@ func (c *component) resolve(p *probe) error {
 	if vr := c.virtual[pred]; vr != nil {
 		return p.selectFrom(vr, c.ctrs, "derived")
 	}
-	rel := c.d[pred]
-	if rel != nil {
+	t := c.d[pred]
+	if t != nil {
 		// Stop here on a probe error, or when the enumeration was ended
 		// from inside (the runner holds the error that ended it).
-		if err := p.selectFrom(rel, c.ctrs, "derived"); err != nil || p.r.err != nil {
+		if err := p.selectTable(t, c.ctrs, 0, t.n); err != nil || p.r.err != nil {
 			return err
 		}
 	}
-	return p.selectStored(c.store, rel, c.ctrs)
+	return p.selectStored(c.store, t, c.ctrs)
 }
 
 // window returns the delta of pred, one of the component's predicates.
@@ -329,17 +329,17 @@ func (c *component) window(pred string) window {
 	return window{}
 }
 
-// size is the length of pred's derived relation.
+// size is the number of rows of pred's derived table.
 func (c *component) size(pred string) int {
-	if rel := c.d[pred]; rel != nil {
-		return rel.Len()
+	if t := c.d[pred]; t != nil {
+		return t.n
 	}
 	return 0
 }
 
-// derive adds one derived head to the derived relation of its predicate;
-// a new fact is counted and recorded. The next round's delta is where the
-// relation has grown to, so nothing else is stored.
+// derive adds one derived head to the derived table of its predicate; a
+// new fact is counted and recorded. The next round's delta is where the
+// table has grown to, so nothing else is stored.
 func (c *component) derive(r *runner) error {
 	fact, err := r.fact()
 	if err != nil {
@@ -486,17 +486,12 @@ func specialise(rs *RuleSet, pr *preparedRule, calls [][]term.Term, full *runner
 	return out
 }
 
-// collect hands over the tuples of the derived query relation, which
-// nothing else can reach once the evaluation has returned.
+// collect hands over the rows of the derived query table, which nothing
+// else can reach once the evaluation has returned.
 func (e *bottomUp) collect(p *plan, d derived) *Result {
 	res := &Result{Vars: p.vars()}
-	r := d[queryPredName]
-	if r == nil {
-		return res
+	if t := d[queryPredName]; t != nil {
+		res.Tuples = t.rows()
 	}
-	r.Scan(func(t storage.Tuple) bool {
-		res.Tuples = append(res.Tuples, t)
-		return true
-	})
 	return res
 }

@@ -3,8 +3,8 @@
 // engines are provided:
 //
 //   - SemiNaive: bottom-up, each recursive SCC's delta read as the window
-//     of its derived relations that the previous round added. The kb
-//     layer evaluates every statement with it.
+//     of its derived tables that the previous round added. The kb layer
+//     evaluates every statement with it.
 //   - TopDown: goal-directed SLD resolution with naive-iteration tabling,
 //     terminating on all Datalog programs.
 //   - Magic: the query rewritten with adorned predicates and magic
@@ -24,6 +24,14 @@
 // depend on the data — and a runner evaluates the compiled steps against
 // one reused frame, asking its engine for the tuples of each ordinary
 // atom and handing it each solution.
+//
+// What an evaluation derives it keeps in tables of its own (table.go),
+// not in storage: append-only, one goroutine, gone with the statement.
+// A derived fact is copied into a chunk of its predicate's table and
+// costs no allocation of its own; a Result's tuples are views of those
+// rows. The table shares storage's identity of a tuple and its rule for
+// serving and counting a probe, so the statistics of a statement do not
+// depend on where its facts are kept.
 //
 // Planning is split by lifetime. Whatever depends only on the IDB — its
 // safety verdict, its dependency graph and SCC schedule, and every rule's
@@ -97,8 +105,10 @@ type Query struct {
 type Result struct {
 	// Vars are the free variables of the subject, in order of occurrence.
 	Vars []term.Term
-	// Tuples are the bindings, parallel to Vars. They are the result's
-	// own: no relation of the evaluation outlives it to share them.
+	// Tuples are the bindings, parallel to Vars: views of the rows of the
+	// evaluation's query table, each clipped to its length, so appending
+	// to one copies it. They are the result's own: nothing else of the
+	// evaluation outlives it, and no later statement reuses their memory.
 	Tuples []storage.Tuple
 }
 

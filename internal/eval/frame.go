@@ -270,11 +270,11 @@ type probe struct {
 	// pattern is the atom's argument list with the bound positions filled
 	// in for the current probe; the rest are the atom's own variables.
 	pattern []term.Term
-	// except, while set, names a relation whose tuples are skipped: how a
-	// predicate with both derived and stored tuples (the kb layer turns
+	// except, while set, names a derived table whose rows are skipped: how
+	// a predicate with both derived and stored tuples (the kb layer turns
 	// stored facts of rule-defined predicates into bodiless rules, but
 	// eval stays robust either way) is enumerated once.
-	except *storage.Relation
+	except *table
 	each   func(storage.Tuple) bool // p.onTuple, built once
 }
 
@@ -382,7 +382,7 @@ func (r *runner) run(i int) bool {
 // onTuple binds the probe's first occurrences from one matching tuple and
 // resolves the rest of the body.
 func (p *probe) onTuple(t storage.Tuple) bool {
-	if p.except != nil && p.except.Contains(t) {
+	if p.except != nil && p.except.contains(t) {
 		return true
 	}
 	for _, b := range p.st.binds {
@@ -437,18 +437,20 @@ func (p *probe) selectFrom(rel *storage.Relation, c *storage.Counters, side stri
 	return rel.SelectCounted(p.pattern, c, p.each)
 }
 
-// selectWindow is selectFrom over the derived tuples at positions in
-// [from, to): the semi-naive delta.
-func (p *probe) selectWindow(rel *storage.Relation, c *storage.Counters, from, to int) error {
-	if rel.Arity() != len(p.pattern) {
-		return fmt.Errorf("eval: %s used with arity %d, derived with %d", p.st.atom.Pred, len(p.pattern), rel.Arity())
+// selectTable feeds the probe every row of a derived table at ids in
+// [from, to) that matches its pattern: the whole table, or the
+// semi-naive delta.
+func (p *probe) selectTable(t *table, c *storage.Counters, from, to int) error {
+	if t.arity != len(p.pattern) {
+		return fmt.Errorf("eval: %s used with arity %d, derived with %d", p.st.atom.Pred, len(p.pattern), t.arity)
 	}
-	return rel.SelectWindow(p.pattern, from, to, c, p.each)
+	t.selectRange(p.pattern, from, to, c, p.each)
+	return nil
 }
 
 // selectStored feeds the probe the stored tuples of its predicate, less
-// those in except (nil: none), which the probe has already been fed.
-func (p *probe) selectStored(st *storage.Store, except *storage.Relation, c *storage.Counters) error {
+// the rows of except (nil: none), which the probe has already been fed.
+func (p *probe) selectStored(st *storage.Store, except *table, c *storage.Counters) error {
 	rel := st.Relation(p.st.atom.Pred)
 	if rel == nil {
 		return nil // unknown predicate: empty extension

@@ -153,8 +153,8 @@ path(X, Y) :- edge(X, Z), path(Z, Y).
 }
 
 // TestProfileAllocEstimate: a rule's allocation estimate is its tuples
-// times the size of a tuple of its arity, a slice header and one
-// term.Term per column: an arity-2 rule deriving 7 tuples reads 616 B.
+// times the size of a tuple of its arity, one term.Term per column: an
+// arity-2 rule deriving 7 tuples reads 448 B.
 func TestProfileAllocEstimate(t *testing.T) {
 	src := `
 e(1, 2). e(2, 3). e(3, 4). e(4, 5). e(5, 6). e(6, 7). e(7, 8).
@@ -169,12 +169,12 @@ p(X, Y) :- e(X, Y).
 		if r.Rule != "p(X, Y) :- e(X, Y)." {
 			continue
 		}
-		want := r.Tuples * int64(unsafe.Sizeof([]term.Term(nil))+2*unsafe.Sizeof(term.Term{}))
-		if r.Tuples != 7 || r.AllocBytes != want || want != 616 {
-			t.Errorf("%d tuples estimate %d B, want 7 and %d (616)", r.Tuples, r.AllocBytes, want)
+		want := r.Tuples * int64(2*unsafe.Sizeof(term.Term{}))
+		if r.Tuples != 7 || r.AllocBytes != want || want != 448 {
+			t.Errorf("%d tuples estimate %d B, want 7 and %d (448)", r.Tuples, r.AllocBytes, want)
 		}
-		if text := profile.Text(st.Engine, st.Wall, st.Profile); !strings.Contains(text, "alloc~616B") {
-			t.Errorf("rendering lacks alloc~616B:\n%s", text)
+		if text := profile.Text(st.Engine, st.Wall, st.Profile); !strings.Contains(text, "alloc~448B") {
+			t.Errorf("rendering lacks alloc~448B:\n%s", text)
 		}
 		return
 	}

@@ -183,19 +183,27 @@ func TestSemiNaiveDeltaBuildsNoIndexPerRound(t *testing.T) {
 }
 
 // TestSemiNaiveAllocsPerDerivedFact: a semi-naive closure costs at most
-// 1.5 allocations per derived fact, on a 32-node chain and on a 128-node
-// one: each fact is cloned once into its derived relation and stored
-// nowhere else.
+// 0.1 allocations per derived fact, on a 32-node chain and on a 128-node
+// one. A derived fact is copied into a chunk of its predicate's table, so
+// what it costs is its share of the chunk, membership and index growth.
+// The statement's own cost — parsing the query, preparing the rules,
+// compiling the bodies — is what the same closure costs on a 2-node
+// chain, which derives one fact, and is not counted against the facts.
 func TestSemiNaiveAllocsPerDerivedFact(t *testing.T) {
-	for _, n := range []int{32, 128} {
+	closure := func(n int) (allocs float64, facts int) {
 		e := NewSemiNaive(chainClosure(t, n)).(*bottomUp)
 		retrieveClosure(t, e, n) // builds the stored relation's index
 		var st *EvalStats
-		allocs := testing.AllocsPerRun(3, func() { st = retrieveClosure(t, e, n) })
-		per := allocs / float64(st.Facts)
-		t.Logf("%d-node chain: %.0f allocations for %d derived facts, %.2f per fact", n, allocs, st.Facts, per)
-		if per > 1.5 {
-			t.Errorf("%d-node chain: %.2f allocations per derived fact, want at most 1.5", n, per)
+		allocs = testing.AllocsPerRun(3, func() { st = retrieveClosure(t, e, n) })
+		return allocs, st.Facts
+	}
+	fixed, one := closure(2)
+	for _, n := range []int{32, 128} {
+		allocs, facts := closure(n)
+		per := (allocs - fixed) / float64(facts-one)
+		t.Logf("%d-node chain: %.0f allocations for %d derived facts, %.0f of them the statement's; %.3f per fact", n, allocs, facts, fixed, per)
+		if per > 0.1 {
+			t.Errorf("%d-node chain: %.3f allocations per derived fact, want at most 0.1", n, per)
 		}
 	}
 }

@@ -40,9 +40,9 @@ func (e *topDown) Name() string { return "topdown" }
 // LastStats returns the statistics of the most recent RetrieveContext.
 func (e *topDown) LastStats() *EvalStats { return e.stats.Load() }
 
-// table holds the answers derived so far for one call pattern.
-type table struct {
-	answers *storage.Relation
+// answerTable holds the answers derived so far for one call pattern.
+type answerTable struct {
+	answers *table
 	// pass is the last pass in which this table's rules were (or are
 	// being) evaluated, so that a pass does not re-enter them.
 	pass int
@@ -55,7 +55,7 @@ type topDownRun struct {
 	gov  *governor.Governor
 	rec  *prov.Recorder
 
-	tables   map[string]*table
+	tables   map[string]*answerTable
 	pass     int
 	grew     bool
 	counters *storage.Counters
@@ -87,7 +87,7 @@ func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, er
 		plan:     p,
 		gov:      gov,
 		rec:      e.rec,
-		tables:   make(map[string]*table),
+		tables:   make(map[string]*answerTable),
 		counters: &storage.Counters{},
 	}
 	if e.prof {
@@ -99,7 +99,7 @@ func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, er
 	evalSp.SetStr("engine", e.Name())
 	start := time.Now()
 	// Naive-iteration driver: re-run until no table grows.
-	var answers *table
+	var answers *answerTable
 	var runErr error
 	for {
 		if runErr = gov.Err(); runErr != nil {
@@ -124,7 +124,7 @@ func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, er
 		Lookups: run.lookups,
 	}
 	for _, t := range run.tables {
-		stats.Facts += t.answers.Len()
+		stats.Facts += t.answers.n
 	}
 	finishStats(stats, start, run.counters, run.prof, runErr)
 	stats.ProvEntries = e.rec.Len() - provStart
@@ -135,13 +135,8 @@ func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, er
 	if runErr != nil {
 		return nil, &StopError{Stats: stats, Err: runErr}
 	}
-	// The goal's table dies with the run: its tuples are handed over.
-	res = &Result{Vars: p.vars()}
-	answers.answers.Scan(func(tp storage.Tuple) bool {
-		res.Tuples = append(res.Tuples, tp)
-		return true
-	})
-	return res, nil
+	// The goal's table dies with the run: its rows are handed over.
+	return &Result{Vars: p.vars(), Tuples: answers.answers.rows()}, nil
 }
 
 // callKey canonicalizes a call: predicate plus the constants at bound
@@ -173,7 +168,7 @@ func callKey(goal term.Atom) string {
 
 // solvePass runs one pass of the driver from the query goal. A panic
 // inside it is contained here, so the stop is recorded like any other.
-func (r *topDownRun) solvePass(goal term.Atom) (t *table, err error) {
+func (r *topDownRun) solvePass(goal term.Atom) (t *answerTable, err error) {
 	defer governor.Recover(&err)
 	return r.solveTable(goal)
 }
@@ -181,18 +176,18 @@ func (r *topDownRun) solvePass(goal term.Atom) (t *table, err error) {
 // solveTable returns the table for the goal's call pattern, having made
 // sure it was evaluated in this pass: new answers are derived from the
 // goal's rules.
-func (r *topDownRun) solveTable(goal term.Atom) (*table, error) {
+func (r *topDownRun) solveTable(goal term.Atom) (*answerTable, error) {
 	key := callKey(goal)
 	t, ok := r.tables[key]
 	if !ok {
 		if err := r.gov.CheckTableEntries(len(r.tables) + 1); err != nil {
 			return nil, err
 		}
-		rel, err := storage.NewRelation(len(goal.Args))
+		answers, err := newTable(len(goal.Args))
 		if err != nil {
 			return nil, err
 		}
-		t = &table{answers: rel}
+		t = &answerTable{answers: answers}
 		r.tables[key] = t
 	}
 	if t.pass == r.pass {
@@ -212,7 +207,7 @@ func (r *topDownRun) solveTable(goal term.Atom) (*table, error) {
 // solutions are answers for the goal's table.
 type ruleCall struct {
 	*topDownRun
-	t *table
+	t *answerTable
 }
 
 // solveRule evaluates one rule against the goal's table. The rule is
@@ -221,7 +216,7 @@ type ruleCall struct {
 // The round is bracketed by the profiler; nested subgoal work (resolve
 // re-entering solveTable) is attributed to the rules it evaluates, not
 // this one.
-func (r *topDownRun) solveRule(t *table, goal term.Atom, rule term.Rule) error {
+func (r *topDownRun) solveRule(t *answerTable, goal term.Atom, rule term.Rule) error {
 	fresh := r.rn.RenameRule(rule)
 	mgu, ok := term.Unify(goal, fresh.Head, nil)
 	if !ok {
@@ -244,7 +239,7 @@ func (c *ruleCall) derive(jr *runner) error {
 	if err != nil {
 		return err
 	}
-	added, err := c.t.answers.Insert(storage.Tuple(head.Args))
+	added, err := c.t.answers.insert(head.Args)
 	if err != nil || !added {
 		return err
 	}
@@ -279,9 +274,10 @@ func (r *topDownRun) resolve(p *probe) error {
 	// Every answer in the table is an instance of the subgoal, so none
 	// needs checking against the pattern. Answer tables can hold many
 	// tuples; tick per tuple (amortized) so a scan inside a big join
-	// stays cancelable.
+	// stays cancelable. The scan never sees answers a nested call adds
+	// to this table while it runs.
 	var terr error
-	t.answers.Scan(func(tp storage.Tuple) bool {
+	t.answers.scan(func(tp storage.Tuple) bool {
 		if terr = r.gov.Tick(); terr != nil {
 			return false
 		}

@@ -49,9 +49,10 @@ type Row struct {
 }
 
 // TupleBytes estimates the retained size of one derived tuple of the
-// given arity: a slice header plus one term.Term per column.
+// given arity: one term.Term per column, its row of a derived table's
+// slab. The row has no slice header of its own.
 func TupleBytes(arity int) int64 {
-	return int64(unsafe.Sizeof([]term.Term(nil))) + int64(arity)*int64(unsafe.Sizeof(term.Term{}))
+	return int64(arity) * int64(unsafe.Sizeof(term.Term{}))
 }
 
 // Add folds o, a later account of the same rule, into r: the counts add

@@ -108,6 +108,12 @@ func decodeFact(b []byte) (string, Tuple, error) {
 		return "", nil, fmt.Errorf("storage: truncated arity")
 	}
 	b = b[sz:]
+	// Every term takes at least two bytes (a tag and a length, or a tag
+	// and eight), so a larger arity is a truncated or corrupt record, and
+	// is refused before it sizes an allocation.
+	if arity > uint64(len(b)/2) {
+		return "", nil, fmt.Errorf("storage: arity %d exceeds the %d bytes of the record", arity, len(b))
+	}
 	t := make(Tuple, 0, arity)
 	for i := uint64(0); i < arity; i++ {
 		var x term.Term

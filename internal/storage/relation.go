@@ -4,22 +4,18 @@
 // durability via snapshot files plus a write-ahead log with CRC-checked
 // records and crash recovery.
 //
-// A relation identifies a tuple by a 64-bit hash of its terms and never
-// by the hash alone: every hit is confirmed against the stored tuple, and
-// distinct tuples that share a hash are all kept. Hashes are seeded per
-// process and never written to disk; the snapshot and the log encode
-// terms as codec.go does. Positions in a relation stay in insertion order
-// until its first Delete, which is what a window (SelectWindow) relies
-// on: a window over a relation that has had a delete is an error.
+// A relation holds stored facts only; the facts an evaluation derives
+// live in the evaluator's own tables, which share this package's tuple
+// identity (identity.go). A relation identifies a tuple by a 64-bit hash
+// of its terms and never by the hash alone: every hit is confirmed
+// against the stored tuple, and distinct tuples that share a hash are all
+// kept. Hashes are seeded per process and never written to disk; the
+// snapshot and the log encode terms as codec.go does.
 package storage
 
 import (
-	"errors"
 	"fmt"
-	"hash/maphash"
-	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -48,17 +44,18 @@ func (t Tuple) Clone() Tuple {
 }
 
 // Counters is the observability sink of one statement's probes: the
-// statement passes it to every SelectCounted and SelectWindow it issues,
-// and reads it on its own goroutine, so the counts are plain integers.
+// statement passes it to every probe it issues, stored or derived, and
+// reads it on its own goroutine, so the counts are plain integers.
 type Counters struct {
-	// Probes counts Select calls served by the relation.
+	// Probes counts the probes served, by a stored relation or a derived
+	// table.
 	Probes int64
 	// Candidates counts candidate tuples examined while serving probes
 	// (after index narrowing, before the final pattern check).
 	Candidates int64
 	// IndexBuilds counts hash indexes built on first use of a bound-column
 	// mask. A mask is served without a build while an index on a subset
-	// of its columns is selective (see Relation.lookup).
+	// of its columns is selective (see SubsetChoice).
 	IndexBuilds int64
 	// FullScans counts the subset of Probes served without an index (no
 	// bound position): the whole extension was enumerated. Index-served
@@ -66,9 +63,9 @@ type Counters struct {
 	FullScans int64
 }
 
-// addProbe charges one probe with its candidate count (and, when the
+// AddProbe charges one probe with its candidate count (and, when the
 // probe had no usable index, a full scan) to the sink.
-func (c *Counters) addProbe(fullScan bool, candidates int64) {
+func (c *Counters) AddProbe(fullScan bool, candidates int64) {
 	c.Probes++
 	c.Candidates += candidates
 	if fullScan {
@@ -96,8 +93,6 @@ func (c *Counters) addProbe(fullScan bool, candidates int64) {
 // place when no reader is between capture and the end of its iteration
 // (the readers count), and otherwise replaces what it touches with
 // edited copies, so a reader always iterates one consistent version.
-// Windows (SelectWindow) are served only by a relation that has never
-// had a delete.
 type Relation struct {
 	mu    sync.RWMutex
 	arity int
@@ -115,16 +110,11 @@ type Relation struct {
 	//kdb:guarded-by mu
 	overflow map[string]int
 	// indexes maps a bound-column bitmask to a hash index: the hash of
-	// the bound column values → indices of the tuples with that hash, in
-	// ascending order until the first Delete, never an empty list.
-	// Indexes are built on first use for a mask and maintained by every
-	// Insert and Delete afterwards.
+	// the bound column values → indices of the tuples with that hash,
+	// never an empty list. Indexes are built on first use for a mask and
+	// maintained by every Insert and Delete afterwards.
 	//kdb:guarded-by mu
 	indexes map[uint64]map[uint64][]int
-	// deleted is set by the first Delete: positions no longer follow
-	// insertion order, so no window can be served.
-	//kdb:guarded-by mu
-	deleted bool
 	// readers counts the Scans and Selects still iterating what they
 	// captured: raised under the lock, lowered after the last access.
 	readers atomic.Int32
@@ -166,11 +156,11 @@ func (r *Relation) Insert(t Tuple) (bool, error) {
 			return false, fmt.Errorf("storage: cannot store non-ground tuple containing %v", x)
 		}
 	}
-	h := hashTerms(t, allColumns)
+	h := HashTerms(t, AllColumns)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	i, taken := r.present[h]
-	if taken && sameTuple(r.tuples[i], t) {
+	if taken && SameTuple(r.tuples[i], t) {
 		return false, nil
 	}
 	var key string
@@ -191,7 +181,7 @@ func (r *Relation) Insert(t Tuple) (bool, error) {
 		r.present[h] = idx
 	}
 	for mask, index := range r.indexes {
-		k := hashTerms(t, mask)
+		k := HashTerms(t, mask)
 		index[k] = append(index[k], idx)
 	}
 	return true, nil
@@ -206,7 +196,7 @@ func (r *Relation) Delete(t Tuple) (bool, error) {
 	if len(t) != r.arity {
 		return false, fmt.Errorf("storage: tuple arity %d, want %d", len(t), r.arity)
 	}
-	h := hashTerms(t, allColumns)
+	h := HashTerms(t, AllColumns)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	idx := r.position(t, h)
@@ -218,7 +208,6 @@ func (r *Relation) Delete(t Tuple) (bool, error) {
 	} else {
 		delete(r.overflow, t.Key())
 	}
-	r.deleted = true
 	shared := r.readers.Load() != 0
 	last := len(r.tuples) - 1
 	gone, moved := r.tuples[idx], r.tuples[last]
@@ -231,7 +220,7 @@ func (r *Relation) Delete(t Tuple) (bool, error) {
 	}
 	if idx != last {
 		next[idx] = moved
-		hm := hashTerms(moved, allColumns)
+		hm := HashTerms(moved, AllColumns)
 		if p, ok := r.present[hm]; ok && p == last {
 			r.present[hm] = idx
 		} else {
@@ -240,14 +229,14 @@ func (r *Relation) Delete(t Tuple) (bool, error) {
 	}
 	r.tuples = next
 	for mask, index := range r.indexes {
-		k := hashTerms(gone, mask)
+		k := HashTerms(gone, mask)
 		if list := index[k]; len(list) == 1 {
 			delete(index, k) // no empty list is left behind
 		} else {
 			index[k] = replacePosting(list, idx, list[len(list)-1], shared)[:len(list)-1]
 		}
 		if idx != last {
-			k = hashTerms(moved, mask)
+			k = HashTerms(moved, mask)
 			index[k] = replacePosting(index[k], last, idx, shared)
 		}
 	}
@@ -258,7 +247,7 @@ func (r *Relation) Delete(t Tuple) (bool, error) {
 //
 //kdb:rlocked mu
 func (r *Relation) position(t Tuple, h uint64) int {
-	if i, ok := r.present[h]; ok && sameTuple(r.tuples[i], t) {
+	if i, ok := r.present[h]; ok && SameTuple(r.tuples[i], t) {
 		return i
 	}
 	if len(r.overflow) > 0 {
@@ -285,7 +274,7 @@ func (r *Relation) Contains(t Tuple) bool {
 	if len(t) != r.arity {
 		return false
 	}
-	h := hashTerms(t, allColumns)
+	h := HashTerms(t, AllColumns)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.position(t, h) >= 0
@@ -330,26 +319,6 @@ func (r *Relation) Select(pattern []term.Term, fn func(Tuple) bool) error {
 // queries' statistics independent even though they share the stored
 // relation.
 func (r *Relation) SelectCounted(pattern []term.Term, c *Counters, fn func(Tuple) bool) error {
-	return r.selectRange(pattern, false, 0, 0, c, fn)
-}
-
-// SelectWindow is SelectCounted restricted to the tuples at positions
-// from (inclusive) to to (exclusive), clamped to the relation's length:
-// the tuples inserted between two moments at which Len was read. It uses
-// the same index as SelectCounted, narrowed to the window by binary
-// search, and is counted the same way, with only the window's tuples as
-// candidates. It serves relations that only grow: once the relation has
-// had a Delete it returns an error.
-func (r *Relation) SelectWindow(pattern []term.Term, from, to int, c *Counters, fn func(Tuple) bool) error {
-	if from < 0 || to < from {
-		return fmt.Errorf("storage: window [%d, %d) is not a range of positions", from, to)
-	}
-	return r.selectRange(pattern, true, from, to, c, fn)
-}
-
-// selectRange serves SelectCounted and, with window set, SelectWindow
-// over [from, to).
-func (r *Relation) selectRange(pattern []term.Term, window bool, from, to int, c *Counters, fn func(Tuple) bool) error {
 	if len(pattern) != r.arity {
 		return fmt.Errorf("storage: pattern arity %d, want %d", len(pattern), r.arity)
 	}
@@ -359,68 +328,55 @@ func (r *Relation) selectRange(pattern []term.Term, window bool, from, to int, c
 			mask |= 1 << uint(i)
 		}
 	}
-	tuples, idxs, deleted := r.lookup(mask, pattern, c)
+	tuples, idxs := r.lookup(mask, pattern, c)
 	defer r.done()
-	if window {
-		if deleted {
-			return errors.New("storage: window over a relation that has had a delete")
-		}
-		to = min(to, len(tuples))
-		from = min(from, to)
-		if mask == 0 {
-			tuples = tuples[from:to]
-		} else {
-			idxs = idxs[sort.SearchInts(idxs, from):sort.SearchInts(idxs, to)]
-		}
-	}
 	if mask == 0 {
 		if c != nil {
-			c.addProbe(true, int64(len(tuples)))
+			c.AddProbe(true, int64(len(tuples)))
 		}
 		for _, t := range tuples {
-			if matches(pattern, t) && !fn(t) {
+			if Matches(pattern, t) && !fn(t) {
 				return nil
 			}
 		}
 		return nil
 	}
 	if c != nil {
-		c.addProbe(false, int64(len(idxs)))
+		c.AddProbe(false, int64(len(idxs)))
 	}
 	for _, i := range idxs {
-		if t := tuples[i]; matches(pattern, t) && !fn(t) {
+		if t := tuples[i]; Matches(pattern, t) && !fn(t) {
 			return nil
 		}
 	}
 	return nil
 }
 
-// lookup captures, for a reader (see snapshot), the tuple slice, the
-// candidate positions for the mask/pattern pair (none for the empty
-// mask, which scans) and whether the relation has had a delete, under one
-// lock acquisition, so that all three belong to one version. The index on
-// the mask serves if it exists; otherwise a selective index on a subset
-// of its columns (subsetIndex) does, its candidates a superset the
-// pattern check narrows; otherwise the mask's index is built, and the
-// build charged to c, the probe's sink.
-func (r *Relation) lookup(mask uint64, pattern []term.Term, c *Counters) ([]Tuple, []int, bool) {
+// lookup captures, for a reader (see snapshot), the tuple slice and the
+// candidate positions for the mask/pattern pair (none for the empty mask,
+// which scans) under one lock acquisition, so that both belong to one
+// version. The index on the mask serves if it exists; otherwise a
+// selective index on a subset of its columns (subsetIndex) does, its
+// candidates a superset the pattern check narrows; otherwise the mask's
+// index is built, and the build charged to c, the probe's sink.
+func (r *Relation) lookup(mask uint64, pattern []term.Term, c *Counters) ([]Tuple, []int) {
 	var h uint64
 	if mask != 0 {
-		h = hashTerms(pattern, mask)
+		h = HashTerms(pattern, mask)
 	}
 	r.mu.RLock()
 	index, ok := r.indexes[mask]
 	if !ok && mask != 0 {
 		var sub uint64
 		if sub, index = r.subsetIndex(mask); index != nil {
-			ok, h = true, hashTerms(pattern, sub)
+			ok, h = true, HashTerms(pattern, sub)
 		}
 	}
 	if ok || mask == 0 {
-		tuples, idxs, deleted := r.tuples, index[h], r.deleted
+		tuples, idxs := r.tuples, index[h]
 		r.readers.Add(1)
 		r.mu.RUnlock()
-		return tuples, idxs, deleted
+		return tuples, idxs
 	}
 	r.mu.RUnlock()
 	r.mu.Lock()
@@ -430,7 +386,7 @@ func (r *Relation) lookup(mask uint64, pattern []term.Term, c *Counters) ([]Tupl
 	if !ok {
 		index = make(map[uint64][]int)
 		for i, t := range r.tuples {
-			k := hashTerms(t, mask)
+			k := HashTerms(t, mask)
 			index[k] = append(index[k], i)
 		}
 		r.indexes[mask] = index
@@ -438,120 +394,50 @@ func (r *Relation) lookup(mask uint64, pattern []term.Term, c *Counters) ([]Tupl
 			c.IndexBuilds++
 		}
 	}
-	return r.tuples, index[h], r.deleted
+	return r.tuples, index[h]
 }
 
-// subsetIndex returns the built index on a proper subset of mask's
-// columns with the most keys, and that subset, if the index is selective:
-// the relation holds at most four tuples per key. Ties go to the smaller
-// mask, so the choice does not depend on map order. It returns a nil
-// index when there is none.
+// subsetIndex returns the built index SubsetChoice picks to serve a probe
+// on mask's columns, and that index's mask, or a nil index when none may.
 //
 //kdb:rlocked mu
 func (r *Relation) subsetIndex(mask uint64) (uint64, map[uint64][]int) {
-	var best uint64
+	choice := SubsetChoice{Mask: mask}
 	var index map[uint64][]int
 	for m, idx := range r.indexes {
-		if m == mask || m&^mask != 0 {
-			continue
-		}
-		if len(idx) > len(index) || len(idx) == len(index) && index != nil && m < best {
-			best, index = m, idx
+		if choice.Offer(m, len(idx)) {
+			index = idx
 		}
 	}
-	if index == nil || len(r.tuples) > 4*len(index) {
+	if !choice.Serves(len(r.tuples)) {
 		return 0, nil
 	}
-	return best, index
+	return choice.Best, index
 }
 
-// matches reports whether the tuple agrees with the pattern's constants
-// and with repeated pattern variables: a variable's position must hold
-// what the variable's earlier position holds.
-func matches(pattern []term.Term, t Tuple) bool {
-	for i, p := range pattern {
-		if p.IsConst() {
-			if p != t[i] {
-				return false
-			}
-			continue
-		}
-		for j := range i {
-			if pattern[j] == p {
-				if t[j] != t[i] {
-					return false
-				}
-				break
-			}
-		}
-	}
-	return true
+// SubsetChoice picks the index that serves a probe whose bound columns
+// have no index of their own: among the built indexes on a proper subset
+// of the probe's columns, the one with the most keys, ties to the smaller
+// mask, so that the choice does not depend on the order they are offered
+// in — and only if it is selective, its relation holding at most four
+// tuples per key. A stored relation and the evaluator's derived tables
+// both choose through it, so they build and probe alike.
+type SubsetChoice struct {
+	Mask uint64 // the probe's bound columns
+	Best uint64 // the mask of the index chosen so far
+	Keys int    // that index's key count; 0 while none is chosen
 }
 
-// allColumns is the mask of a whole-tuple hash.
-const allColumns = ^uint64(0)
-
-// hashSeed keys every hash a relation computes. It is drawn once per
-// process: no hash outlives the process or leaves it.
-var hashSeed = maphash.MakeSeed()
-
-// collideHook, when a test sets it, replaces every hash with its image,
-// so that a constant or two-valued hash drives the collision paths. It is
-// nil outside tests.
-var collideHook func(uint64) uint64
-
-// hashTerms hashes the masked columns of t by the identity sameTuple
-// checks: kind, then the name, numbers by bit pattern. Each term is
-// hashed on its own and folded into the running hash, so that the order
-// of the columns matters.
-func hashTerms(t []term.Term, mask uint64) uint64 {
-	var h uint64
-	for i, x := range t {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		var v uint64
-		if x.Kind() == term.KindNumber {
-			v = maphash.Comparable(hashSeed, math.Float64bits(x.Float()))
-		} else {
-			v = maphash.String(hashSeed, x.Name())
-		}
-		h = fold(h ^ v + uint64(x.Kind()))
-	}
-	if collideHook != nil {
-		return collideHook(h)
-	}
-	return h
-}
-
-// fold is the finalizer of SplitMix64: a bijection that spreads every
-// input bit over the whole word.
-func fold(h uint64) uint64 {
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	return h ^ h>>31
-}
-
-// sameTuple reports whether a and b are one fact: the identity the codec
-// key encodes, so a number equals only its own bit pattern.
-func sameTuple(a, b []term.Term) bool {
-	if len(a) != len(b) {
+// Offer considers the built index on mask m, holding keys keys, and
+// reports whether it is now the one chosen.
+func (s *SubsetChoice) Offer(m uint64, keys int) bool {
+	if m == s.Mask || m&^s.Mask != 0 || keys == 0 || keys < s.Keys || keys == s.Keys && m > s.Best {
 		return false
 	}
-	for i, x := range a {
-		y := b[i]
-		if x.Kind() != y.Kind() {
-			return false
-		}
-		if x.Kind() == term.KindNumber {
-			if math.Float64bits(x.Float()) != math.Float64bits(y.Float()) {
-				return false
-			}
-		} else if x.Name() != y.Name() {
-			return false
-		}
-	}
+	s.Best, s.Keys = m, keys
 	return true
 }
+
+// Serves reports whether the index chosen may serve the probe over a
+// relation of rows tuples.
+func (s *SubsetChoice) Serves(rows int) bool { return s.Keys > 0 && rows <= 4*s.Keys }

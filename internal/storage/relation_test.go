@@ -17,7 +17,7 @@ import (
 // its own position through present or the overflow, each entry of those
 // is keyed by its tuple's hash or key, and each index lists every
 // position exactly once, under the right hash, with no empty list left
-// behind and, while nothing has been deleted, in ascending order.
+// behind.
 func checkRelationInvariants(t *testing.T, r *Relation) {
 	t.Helper()
 	r.mu.RLock()
@@ -26,12 +26,12 @@ func checkRelationInvariants(t *testing.T, r *Relation) {
 		t.Fatalf("present and overflow have %d entries for %d tuples", n, len(r.tuples))
 	}
 	for i, tp := range r.tuples {
-		if got := r.position(tp, hashTerms(tp, allColumns)); got != i {
+		if got := r.position(tp, HashTerms(tp, AllColumns)); got != i {
 			t.Fatalf("%v is found at %d; it is at %d", tp, got, i)
 		}
 	}
 	for h, i := range r.present {
-		if got := hashTerms(r.tuples[i], allColumns); got != h {
+		if got := HashTerms(r.tuples[i], AllColumns); got != h {
 			t.Fatalf("present[%x] is %v, whose hash is %x", h, r.tuples[i], got)
 		}
 	}
@@ -46,9 +46,6 @@ func checkRelationInvariants(t *testing.T, r *Relation) {
 			if len(list) == 0 {
 				t.Fatalf("index %b: empty posting list left under %x", mask, key)
 			}
-			if !r.deleted && !slices.IsSorted(list) {
-				t.Fatalf("index %b: posting list %v under %x out of order with no delete", mask, list, key)
-			}
 			for _, p := range list {
 				if p < 0 || p >= len(r.tuples) {
 					t.Fatalf("index %b: dangling position %d of %d", mask, p, len(r.tuples))
@@ -57,7 +54,7 @@ func checkRelationInvariants(t *testing.T, r *Relation) {
 					t.Fatalf("index %b: position %d listed twice", mask, p)
 				}
 				seen[p] = true
-				if want := hashTerms(r.tuples[p], mask); want != key {
+				if want := HashTerms(r.tuples[p], mask); want != key {
 					t.Fatalf("index %b: position %d (%v) listed under %x", mask, p, r.tuples[p], key)
 				}
 			}
@@ -74,7 +71,7 @@ func selectKeys(t *testing.T, r *Relation, pattern []term.Term) []string {
 	t.Helper()
 	var got []string
 	err := r.Select(pattern, func(tp Tuple) bool {
-		if !matches(pattern, tp) {
+		if !Matches(pattern, tp) {
 			t.Fatalf("Select(%v) yielded %v", pattern, tp)
 		}
 		got = append(got, tp.Key())
@@ -91,7 +88,7 @@ func selectKeys(t *testing.T, r *Relation, pattern []term.Term) []string {
 func modelKeys(model map[string]Tuple, pattern []term.Term) []string {
 	var want []string
 	for k, tp := range model {
-		if matches(pattern, tp) {
+		if Matches(pattern, tp) {
 			want = append(want, k)
 		}
 	}
@@ -225,8 +222,8 @@ var hashHooks = []struct {
 // forceHash replaces every hash the package computes with hook until the
 // test ends.
 func forceHash(t *testing.T, hook func(uint64) uint64) {
-	t.Cleanup(func() { collideHook = nil })
-	collideHook = hook
+	t.Cleanup(func() { CollideHook = nil })
+	CollideHook = hook
 }
 
 // TestRelationModelUnderCollisions is TestRelationModel with a constant
@@ -286,184 +283,6 @@ func TestRelationIdentityIsTheCodecs(t *testing.T) {
 			}
 			checkRelationInvariants(t, r)
 		})
-	}
-}
-
-// windowOf is the reference for SelectWindow: what Select yields, in
-// order, less the tuples whose position (insertion order) is outside
-// [from, to).
-func windowOf(t *testing.T, r *Relation, pattern []term.Term, from, to int) []string {
-	t.Helper()
-	pos := map[string]int{}
-	i := 0
-	r.Scan(func(tp Tuple) bool {
-		pos[tp.Key()] = i
-		i++
-		return true
-	})
-	var want []string
-	if err := r.Select(pattern, func(tp Tuple) bool {
-		if p := pos[tp.Key()]; p >= from && p < to {
-			want = append(want, tp.Key())
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return want
-}
-
-// TestRelationSelectWindow: on random relations that only grow, and on
-// random patterns over every mask with repeated variables, SelectWindow
-// yields exactly what Select yields at positions in [from, to), in the
-// same order, whether the index was built before or after the window's
-// tuples arrived, and under forced collisions. Once the relation has had
-// a Delete it is an error.
-func TestRelationSelectWindow(t *testing.T) {
-	const arity = 3
-	for _, h := range hashHooks {
-		t.Run("hash="+h.name, func(t *testing.T) {
-			forceHash(t, h.hook)
-			for seed := int64(1); seed <= 6; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				r := mustRelation(t, arity)
-				randTuple := func() Tuple {
-					tp := make(Tuple, arity)
-					for i := range tp {
-						tp[i] = term.Sym(fmt.Sprintf("v%d", rng.Intn(4)))
-					}
-					return tp
-				}
-				for step := 0; step < 300; step++ {
-					if rng.Intn(3) > 0 {
-						if _, err := r.Insert(randTuple()); err != nil {
-							t.Fatal(err)
-						}
-						continue
-					}
-					tp, pattern := randTuple(), make([]term.Term, arity)
-					mask := rng.Intn(1 << arity)
-					for i := range pattern {
-						if pattern[i] = tp[i]; mask&(1<<i) == 0 {
-							pattern[i] = term.Var(fmt.Sprintf("X%d", rng.Intn(2)))
-						}
-					}
-					n := r.Len()
-					from := rng.Intn(n + 1)
-					to := from + rng.Intn(n-from+2) // at times one past the end
-					var got []string
-					c := &Counters{}
-					if err := r.SelectWindow(pattern, from, to, c, func(tp Tuple) bool {
-						got = append(got, tp.Key())
-						return true
-					}); err != nil {
-						t.Fatalf("seed %d step %d: SelectWindow(%v, %d, %d): %v", seed, step, pattern, from, to, err)
-					}
-					if want := windowOf(t, r, pattern, from, min(to, n)); !slices.Equal(got, want) {
-						t.Fatalf("seed %d step %d: SelectWindow(%v, %d, %d) = %q, want %q", seed, step, pattern, from, to, got, want)
-					}
-					if c.Probes != 1 || c.Candidates > int64(min(to, n)-from) {
-						t.Fatalf("seed %d step %d: window [%d, %d) charged %d probes, %d candidates", seed, step, from, to, c.Probes, c.Candidates)
-					}
-				}
-				checkRelationInvariants(t, r)
-				var first Tuple
-				r.Scan(func(tp Tuple) bool { first = tp; return false })
-				if removed, err := r.Delete(first); err != nil || !removed {
-					t.Fatalf("Delete(%v) = %v, %v", first, removed, err)
-				}
-				pattern := []term.Term{term.Var("X"), term.Var("Y"), term.Var("Z")}
-				if err := r.SelectWindow(pattern, 0, r.Len(), nil, func(Tuple) bool { return true }); err == nil {
-					t.Fatal("SelectWindow after a Delete must fail")
-				}
-				if err := r.SelectWindow(pattern, 2, 1, nil, func(Tuple) bool { return true }); err == nil {
-					t.Fatal("SelectWindow(2, 1) must fail")
-				}
-			}
-		})
-	}
-}
-
-// TestRelationSubsetIndexWindows: on relations that only grow, with an
-// index built on the first column, window probes binding it and more
-// are served through that index without building another, and yield
-// exactly the window's tuples that match, in insertion order; the
-// candidates are at most the subset bucket's tuples.
-func TestRelationSubsetIndexWindows(t *testing.T) {
-	const arity = 3
-	for seed := int64(1); seed <= 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		r := mustRelation(t, arity)
-		randTuple := func() Tuple {
-			tp := make(Tuple, arity)
-			for i := range tp {
-				tp[i] = term.Sym(fmt.Sprintf("v%d", rng.Intn(wideDomain[i])))
-			}
-			return tp
-		}
-		for r.Len() < 128 {
-			if _, err := r.Insert(randTuple()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		first := []term.Term{term.Sym("v0"), term.Var("Y"), term.Var("Z")}
-		if err := r.Select(first, func(Tuple) bool { return true }); err != nil {
-			t.Fatal(err)
-		}
-		for step := 0; step < 200; step++ {
-			if _, err := r.Insert(randTuple()); err != nil {
-				t.Fatal(err)
-			}
-			tp, pattern := randTuple(), make([]term.Term, arity)
-			mask := 1 | rng.Intn(1<<arity)
-			for i := range pattern {
-				if pattern[i] = tp[i]; mask&(1<<i) == 0 {
-					pattern[i] = term.Var(fmt.Sprintf("X%d", rng.Intn(2)))
-				}
-			}
-			n := r.Len()
-			from := rng.Intn(n + 1)
-			to := from + rng.Intn(n-from+1)
-			var got []string
-			c := &Counters{}
-			if err := r.SelectWindow(pattern, from, to, c, func(tp Tuple) bool {
-				got = append(got, tp.Key())
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
-			var want []string
-			i := 0
-			r.Scan(func(u Tuple) bool {
-				if i >= from && i < to && matches(pattern, u) {
-					want = append(want, u.Key())
-				}
-				i++
-				return true
-			})
-			if !slices.Equal(got, want) {
-				t.Fatalf("seed %d step %d: SelectWindow(%v, %d, %d) = %q, want %q", seed, step, pattern, from, to, got, want)
-			}
-			if mask == 1 {
-				continue
-			}
-			bucket := 0
-			r.Scan(func(u Tuple) bool {
-				if u[0] == tp[0] {
-					bucket++
-				}
-				return true
-			})
-			if c.IndexBuilds != 0 || c.Candidates > int64(bucket) {
-				t.Fatalf("seed %d step %d: window probe %v built %d indexes over %d candidates; the first column's bucket holds %d",
-					seed, step, pattern, c.IndexBuilds, c.Candidates, bucket)
-			}
-		}
-		checkRelationInvariants(t, r)
-		if r.mu.RLock(); len(r.indexes) != 1 {
-			t.Errorf("seed %d: %d indexes built, want the first column's alone", seed, len(r.indexes))
-		}
-		r.mu.RUnlock()
 	}
 }
 
@@ -661,7 +480,7 @@ func TestRelationConcurrentProbeDelete(t *testing.T) {
 				}
 				for _, pattern := range [][]term.Term{bound, open} {
 					if err := r.Select(pattern, func(tp Tuple) bool {
-						if len(tp) != 2 || !matches(pattern, tp) {
+						if len(tp) != 2 || !Matches(pattern, tp) {
 							t.Errorf("Select(%v) yielded %v", pattern, tp)
 						}
 						return true
