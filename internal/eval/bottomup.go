@@ -34,9 +34,10 @@ func WithLimits(l governor.Limits) EngineOption {
 // WithProvenance makes the engine record one why-provenance witness
 // (the firing rule and the frame its body was solved in) for every newly
 // derived fact into rec, bounded by the governor's MaxProvenanceEntries
-// limit. No other goroutine may use rec meanwhile. Every engine honors
-// it. A nil recorder disables recording; the derive path then pays a
-// single nil check (see TestProvenanceDisabledAllocs).
+// limit. No other goroutine may use rec meanwhile. The semi-naive engine
+// honors it; top-down and magic ignore it. A nil recorder disables
+// recording; the derive path then pays a single nil check (see
+// TestProvenanceDisabledAllocs).
 func WithProvenance(rec *prov.Recorder) EngineOption {
 	return func(c *engineConfig) { c.rec = rec }
 }
@@ -91,7 +92,6 @@ type bottomUp struct {
 	limits governor.Limits
 	rec    *prov.Recorder
 	prof   bool
-	labels map[string]profLabel
 	// full derives every relevant predicate in full: magic's inner run,
 	// whose rewrite has already pushed the statement's constants into
 	// its magic predicates.
@@ -141,7 +141,7 @@ func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, e
 	counters := &storage.Counters{}
 	base := component{store: e.in.Store, virtual: p.virtual, d: make(derived), gov: gov, rec: e.rec, ctrs: counters}
 	if e.prof {
-		base.rp = newRuleProfiler(counters, e.labels)
+		base.rp = newRuleProfiler(counters)
 	}
 
 	// The schedule is the rule set's components in dependency order, then

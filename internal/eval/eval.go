@@ -12,10 +12,12 @@
 //     only derives facts relevant to the query's bound arguments.
 //
 // TopDown and Magic are the goal-directed strategies the benchmark's
-// ladder times on bound goals. All three agree with a test-only oracle, a
-// naive fixpoint over the seed's interpreter, on generated programs;
-// retrieve answers are sets of bindings for the free variables of the
-// subject.
+// ladder times on bound goals. They answer a retrieve under the governor
+// and report its EvalStats, and nothing else: provenance, profiles and
+// trace spans are the semi-naive engine's alone, since it is the one the
+// kb layer runs. All three agree with a test-only oracle, a naive
+// fixpoint over the seed's interpreter, on generated programs; retrieve
+// answers are sets of bindings for the free variables of the subject.
 //
 // The engines differ in which rule they run when and against which
 // relations; resolving a rule body is one loop they share (frame.go). A

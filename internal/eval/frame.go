@@ -472,7 +472,7 @@ func recordProv(rec *prov.Recorder, gov *governor.Governor, r *runner) error {
 		return nil
 	}
 	if recordTap != nil {
-		recordTap(rec, r)
+		recordTap(r)
 	}
 	if r.provID < 0 {
 		r.provID = rec.Intern(r.rule, r.prog.head, r.prog.body, r.prog.vars, r.prog.slots)
@@ -483,4 +483,4 @@ func recordProv(rec *prov.Recorder, gov *governor.Governor, r *runner) error {
 // recordTap, when non-nil, sees every solution recordProv is handed,
 // before the recorder does. Tests set it to feed the eager recorder they
 // hold the recorder to; production code leaves it nil.
-var recordTap func(rec *prov.Recorder, r *runner)
+var recordTap func(r *runner)

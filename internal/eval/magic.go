@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 
 	"kdb/internal/governor"
-	"kdb/internal/obs"
-	"kdb/internal/prov"
 	"kdb/internal/storage"
 	"kdb/internal/term"
 )
@@ -41,27 +39,21 @@ import (
 type magic struct {
 	in     Input
 	limits governor.Limits
-	rec    *prov.Recorder
-	prof   bool
 	stats  atomic.Pointer[EvalStats]
 }
 
-// NewMagic returns the magic-sets engine. WithLimits is forwarded to the
-// semi-naive engine that evaluates the rewritten program. WithProvenance is forwarded through a rewriting view that
-// records witnesses under the original (unadorned) predicate names,
-// with magic-guard parents dropped, so explain trees agree with the
-// other engines.
+// NewMagic returns the magic-sets engine. It honors WithLimits only,
+// forwarded to the semi-naive engine that evaluates the rewritten
+// program; provenance and profiles are the semi-naive engine's alone.
 func NewMagic(in Input, opts ...EngineOption) Engine {
-	cfg := buildConfig(opts)
-	return &magic{in: in, limits: cfg.limits, rec: cfg.rec, prof: cfg.prof}
+	return &magic{in: in, limits: buildConfig(opts).limits}
 }
 
 // Name identifies the engine.
 func (e *magic) Name() string { return "magic" }
 
 // LastStats returns the statistics of the most recent RetrieveContext
-// (those of the inner semi-naive run over the rewritten program,
-// relabeled).
+// (those of the inner semi-naive run over the rewritten program).
 func (e *magic) LastStats() *EvalStats { return e.stats.Load() }
 
 // RetrieveContext rewrites the query and evaluates it bottom-up under
@@ -70,17 +62,11 @@ func (e *magic) LastStats() *EvalStats { return e.stats.Load() }
 // program (magic seeds included).
 func (e *magic) RetrieveContext(ctx context.Context, q Query) (res *Result, err error) {
 	defer governor.Recover(&err)
-	sp := obs.SpanFromContext(ctx)
-	asp := sp.Child("analyze")
 	p, err := buildPlan(e.in, q)
-	asp.End()
 	if err != nil {
 		return nil, err
 	}
-	rsp := sp.Child("magic-rewrite")
-	rewritten, queryPred, labels, err := magicRewrite(p, e.in.Store)
-	rsp.SetInt("rules", int64(len(rewritten)))
-	rsp.End()
+	rewritten, queryPred, err := magicRewrite(p, e.in.Store)
 	if err != nil {
 		return nil, err
 	}
@@ -89,12 +75,12 @@ func (e *magic) RetrieveContext(ctx context.Context, q Query) (res *Result, err 
 	// predicates), and the inner plan re-snapshots them through the same
 	// view, so magic answers match the other engines.
 	inner := Input{Store: e.in.Store, Rules: rewritten, Virtual: e.in.Virtual}
-	engine := &bottomUp{in: inner, limits: e.limits, rec: e.rec.Rewritten(magicProvRewrite), prof: e.prof, labels: labels, full: true}
+	engine := &bottomUp{in: inner, limits: e.limits, full: true}
 	res, err = engine.RetrieveContext(ctx, Query{
 		Subject: term.NewAtom(queryPred, p.vars()...),
 	})
-	// The inner run's record, profile rows included, is the magic run's
-	// (the StopError of a governed stop carries the same pointer).
+	// The inner run's record is the magic run's (the StopError of a
+	// governed stop carries the same pointer).
 	if st := engine.LastStats(); st != nil {
 		st.Engine = e.Name()
 		e.stats.Store(st)
@@ -104,22 +90,6 @@ func (e *magic) RetrieveContext(ctx context.Context, q Query) (res *Result, err 
 	}
 	res.Vars = p.vars()
 	return res, nil
-}
-
-// magicProvRewrite maps an atom of the rewritten program back to source
-// form for provenance recording: magic guards (m$…) are dropped and
-// adorned predicates (p#bf…) recover their original name. Distinct
-// adorned variants of the same ground fact collapse onto one witness
-// (first recorded wins), which is why reconstruction must stay
-// cycle-safe.
-func magicProvRewrite(a term.Atom) (term.Atom, bool) {
-	if strings.HasPrefix(a.Pred, "m$") {
-		return term.Atom{}, false
-	}
-	if i := strings.IndexByte(a.Pred, '#'); i >= 0 {
-		return term.Atom{Pred: a.Pred[:i], Args: a.Args}, true
-	}
-	return a, true
 }
 
 // adornment is a binding pattern: 'b' for bound, 'f' for free, one byte
@@ -138,19 +108,15 @@ func magicName(pred string, a adornment) string {
 }
 
 // magicRewrite produces the adorned + magic program for the plan's query
-// rules, the name of the adorned query predicate, and a profiling relabel
-// table mapping each generated rule back to its source rule (magic
-// guards, seeds, and the adorned query rules are marked synthetic) so
-// profiles of a magic run read in terms of the user's program. A
-// rule-defined predicate that also has stored facts gets, per adornment,
-// one more guarded rule that reads them from st.
-func magicRewrite(p *plan, st *storage.Store) ([]term.Rule, string, map[string]profLabel, error) {
+// rules and the name of the adorned query predicate. A rule-defined
+// predicate that also has stored facts gets, per adornment, one more
+// guarded rule that reads them from st.
+func magicRewrite(p *plan, st *storage.Store) ([]term.Rule, string, error) {
 	type job struct {
 		pred string
 		a    adornment
 	}
 	var out []term.Rule
-	labels := make(map[string]profLabel)
 	seen := map[string]bool{}
 	var queue []job
 
@@ -159,9 +125,7 @@ func magicRewrite(p *plan, st *storage.Store) ([]term.Rule, string, map[string]p
 	queryAd := adornment(strings.Repeat("f", len(p.vars())))
 	queue = append(queue, job{queryPredName, queryAd})
 	seen[adornedName(queryPredName, queryAd)] = true
-	seed := term.Rule{Head: term.NewAtom(magicName(queryPredName, queryAd))}
-	out = append(out, seed)
-	labels[seed.String()] = profLabel{label: seed.String(), pred: seed.Head.Pred, synthetic: true}
+	out = append(out, term.Rule{Head: term.NewAtom(magicName(queryPredName, queryAd))})
 
 	enqueue := func(pred string, a adornment) {
 		key := adornedName(pred, a)
@@ -175,35 +139,18 @@ func magicRewrite(p *plan, st *storage.Store) ([]term.Rule, string, map[string]p
 		j := queue[0]
 		queue = queue[1:]
 		if st.Relation(j.pred) != nil {
-			g := storedRule(j.pred, j.a)
-			labels[g.String()] = profLabel{label: g.String(), pred: g.Head.Pred, synthetic: true}
-			out = append(out, g)
+			out = append(out, storedRule(j.pred, j.a))
 		}
 		prs := p.rules(j.pred)
 		for i := range prs {
-			r := prs[i].rule
-			rules, err := adornRule(r, j.a, p.defines, enqueue)
+			rules, err := adornRule(prs[i].rule, j.a, p.defines, enqueue)
 			if err != nil {
-				return nil, "", nil, err
-			}
-			// adornRule returns the supplementary magic rules first and
-			// the adorned source rule last: the adorned rule profiles
-			// under its source text, the machinery as synthetic.
-			for i, g := range rules {
-				if i == len(rules)-1 {
-					labels[g.String()] = profLabel{
-						label:     r.String(),
-						pred:      r.Head.Pred,
-						synthetic: r.Head.Pred == queryPredName,
-					}
-				} else {
-					labels[g.String()] = profLabel{label: g.String(), pred: g.Head.Pred, synthetic: true}
-				}
+				return nil, "", err
 			}
 			out = append(out, rules...)
 		}
 	}
-	return out, adornedName(queryPredName, queryAd), labels, nil
+	return out, adornedName(queryPredName, queryAd), nil
 }
 
 // storedRule is the adorned predicate's view of the stored facts of pred:
@@ -377,7 +324,7 @@ func MagicProgram(in Input, q Query) ([]term.Rule, error) {
 	if err != nil {
 		return nil, err
 	}
-	rules, _, _, err := magicRewrite(p, in.Store)
+	rules, _, err := magicRewrite(p, in.Store)
 	if err != nil {
 		return nil, err
 	}

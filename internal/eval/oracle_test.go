@@ -1084,6 +1084,68 @@ func TestDisjunctOrderDoesNotChangeAnswers(t *testing.T) {
 	}
 }
 
+// TestRuleOrderDoesNotChangeAnswers: on every generated case, every
+// engine answers the program with its rule list reversed, with each rule
+// body reversed, and with every rule's variables renamed as it answers
+// the program as written; a statement that fails fails either way.
+func TestRuleOrderDoesNotChangeAnswers(t *testing.T) {
+	seeds := 400
+	if testing.Short() {
+		seeds = 60
+	}
+	var rn term.Renamer
+	rewrites := []struct {
+		name  string
+		apply func([]term.Rule) []term.Rule
+	}{
+		{"rules reversed", func(rs []term.Rule) []term.Rule {
+			out := slices.Clone(rs)
+			slices.Reverse(out)
+			return out
+		}},
+		{"bodies reversed", func(rs []term.Rule) []term.Rule {
+			out := make([]term.Rule, len(rs))
+			for i, r := range rs {
+				out[i] = term.Rule{Head: r.Head, Body: slices.Clone(r.Body), Pos: r.Pos}
+				slices.Reverse(out[i].Body)
+			}
+			return out
+		}},
+		{"rules renamed", func(rs []term.Rule) []term.Rule {
+			out := make([]term.Rule, len(rs))
+			for i, r := range rs {
+				out[i] = rn.RenameRule(r)
+			}
+			return out
+		}},
+	}
+	reordered := 0
+	for seed := 1; seed <= seeds; seed++ {
+		c := newGenerator(int64(seed), make(genFeatures)).generate()
+		if len(c.rules) > 1 && slices.ContainsFunc(c.rules, func(r term.Rule) bool { return len(r.Body) > 1 }) {
+			reordered++
+		}
+		in := c.input(t)
+		for i, e := range engines(in) {
+			want, werr := e.RetrieveContext(context.Background(), c.query)
+			for _, rw := range rewrites {
+				d := c
+				d.rules = rw.apply(c.rules)
+				got, err := engines(d.input(t))[i].RetrieveContext(context.Background(), c.query)
+				switch {
+				case (err != nil) != (werr != nil):
+					t.Fatalf("seed %d, %s, %s: %v, %v; as written: %v, %v\n%v", seed, e.Name(), rw.name, got, err, want, werr, d)
+				case err == nil && !reflect.DeepEqual(got.Strings(), want.Strings()):
+					t.Fatalf("seed %d, %s, %s: %v; as written %v\n%v", seed, e.Name(), rw.name, got.Strings(), want.Strings(), d)
+				}
+			}
+		}
+	}
+	if reordered < seeds/2 {
+		t.Errorf("only %d of %d cases had two rules and a body of two atoms", reordered, seeds)
+	}
+}
+
 // --- the compiled loop against the interpreter ---
 
 // headsDriver resolves like a component with nothing derived yet and,

@@ -11,28 +11,17 @@ import (
 // WithProfile makes the engine record one per-rule cost row for every
 // rule it evaluates into its record, EvalStats.Profile: wall time,
 // rounds, tuples produced, and the storage probe counters split
-// index-hit/full-scan. Every engine honors it. Without it the derive path
-// pays a single nil check per rule round and per derived fact (see
-// TestProfileDisabledAllocs), mirroring the provenance hook's
-// zero-overhead contract.
+// index-hit/full-scan. The semi-naive engine honors it; top-down and
+// magic ignore it. Without it the derive path pays a single nil check
+// per rule round and per derived fact (see TestProfileDisabledAllocs),
+// mirroring the provenance hook's zero-overhead contract.
 func WithProfile() EngineOption {
 	return func(c *engineConfig) { c.prof = true }
 }
 
-// profLabel maps a rewrite-generated rule back to its display identity:
-// the magic engine labels each adorned rule with the source rule it was
-// derived from and marks its guard/seed machinery synthetic, so
-// profiles agree across engines.
-type profLabel struct {
-	label     string
-	pred      string
-	synthetic bool
-}
-
-// ruleRound is one open rule round. start and at are the clock and the
-// statement's counters when it opened, each less what closed rounds had
-// been charged by then: what they gain until it closes, less what the
-// rounds closing meanwhile (those nested in it) are charged, is its own.
+// ruleRound is the open rule round: the rule, the clock and the
+// statement's counters when it opened, and what it has derived and looked
+// up since.
 type ruleRound struct {
 	rule    term.Rule
 	start   time.Time
@@ -42,66 +31,41 @@ type ruleRound struct {
 }
 
 // ruleProfiler keeps the rows of one evaluation, which runs on one
-// goroutine: begin/end bracket one rule round, fresh and countLookup
-// count a derived fact and a body-atom resolution against the innermost
-// open round. A round's probes, full scans, candidates and index builds
-// are what the statement's counters gained while it was open, less what
-// the rounds nested in it (top-down subgoals) were charged; its wall time
-// likewise. All methods are nil-receiver-safe, so an unprofiled
-// evaluation pays only the nil checks.
+// goroutine: begin/end bracket one rule round, and fresh and countLookup
+// count a derived fact and a body-atom resolution against it. Rounds do
+// not nest, so a round's probes, full scans, candidates and index builds
+// are what the statement's counters gained while it was open, and its
+// wall time is the clock's. All methods are nil-receiver-safe, so an
+// unprofiled evaluation pays only the nil checks.
 type ruleProfiler struct {
-	ctrs   *storage.Counters // the statement's probe sink
-	labels map[string]profLabel
-
+	ctrs  *storage.Counters // the statement's probe sink
 	rows  []profile.Row
-	index map[string]int // the row of each rule label
-	open  []ruleRound    // innermost last
-	// chargedWall and charged are what closed rounds were charged.
-	chargedWall time.Duration
-	charged     storage.Counters
+	index map[string]int // the row of each rule
+	open  ruleRound
 }
 
-func newRuleProfiler(ctrs *storage.Counters, labels map[string]profLabel) *ruleProfiler {
-	return &ruleProfiler{ctrs: ctrs, labels: labels, rows: []profile.Row{}, index: make(map[string]int)}
+func newRuleProfiler(ctrs *storage.Counters) *ruleProfiler {
+	return &ruleProfiler{ctrs: ctrs, rows: []profile.Row{}, index: make(map[string]int)}
 }
 
-// mark reads the clock and the statement's counters, less what closed
-// rounds were charged.
-func (rp *ruleProfiler) mark() (time.Time, storage.Counters) {
-	c, ch := *rp.ctrs, rp.charged
-	return time.Now().Add(-rp.chargedWall), storage.Counters{
-		Probes:      c.Probes - ch.Probes,
-		Candidates:  c.Candidates - ch.Candidates,
-		IndexBuilds: c.IndexBuilds - ch.IndexBuilds,
-		FullScans:   c.FullScans - ch.FullScans,
-	}
-}
-
-// begin opens a round of r, inside any round still open (a top-down rule
-// solving a subgoal's rules).
+// begin opens a round of r.
 func (rp *ruleProfiler) begin(r term.Rule) {
 	if rp == nil {
 		return
 	}
-	start, at := rp.mark()
-	rp.open = append(rp.open, ruleRound{rule: r, start: start, at: at})
+	rp.open = ruleRound{rule: r, start: time.Now(), at: *rp.ctrs}
 }
 
-// end closes the innermost round and adds it to its rule's row. Wall
-// time and counts are self: a profile's rows partition the evaluation
-// instead of double-counting callers.
+// end closes the round and adds it to its rule's row.
 func (rp *ruleProfiler) end() {
 	if rp == nil {
 		return
 	}
-	n := len(rp.open) - 1
-	rd := rp.open[n]
-	rp.open = rp.open[:n]
-	now, c := rp.mark()
-	own := profile.Row{
+	rd, c := &rp.open, rp.ctrs
+	rp.row(rd.rule).Add(profile.Row{
 		Iterations:  1,
 		Tuples:      rd.tuples,
-		Wall:        now.Sub(rd.start),
+		Wall:        time.Since(rd.start),
 		Lookups:     rd.lookups,
 		Probes:      c.Probes - rd.at.Probes,
 		FullScans:   c.FullScans - rd.at.FullScans,
@@ -109,45 +73,35 @@ func (rp *ruleProfiler) end() {
 		IndexBuilds: c.IndexBuilds - rd.at.IndexBuilds,
 		DeltaSizes:  []int64{rd.tuples},
 		AllocBytes:  rd.tuples * profile.TupleBytes(len(rd.rule.Head.Args)),
-	}
-	rp.row(rd.rule).Add(own)
-	rp.chargedWall += own.Wall
-	rp.charged.Probes += own.Probes
-	rp.charged.FullScans += own.FullScans
-	rp.charged.Candidates += own.Candidates
-	rp.charged.IndexBuilds += own.IndexBuilds
+	})
 }
 
-// row returns the row of r's label, added on the rule's first round.
+// row returns r's row, added on the rule's first round.
 func (rp *ruleProfiler) row(r term.Rule) *profile.Row {
-	label, pred, synthetic := r.String(), r.Head.Pred, r.Head.Pred == queryPredName
-	if pl, ok := rp.labels[label]; ok {
-		label, pred, synthetic = pl.label, pl.pred, pl.synthetic
-	}
+	label := r.String()
 	i, ok := rp.index[label]
 	if !ok {
 		i = len(rp.rows)
 		rp.index[label] = i
-		rp.rows = append(rp.rows, profile.Row{Rule: label, Pred: pred, Synthetic: synthetic})
+		rp.rows = append(rp.rows, profile.Row{Rule: label, Pred: r.Head.Pred, Synthetic: r.Head.Pred == queryPredName})
 	}
 	return &rp.rows[i]
 }
 
-// fresh counts one newly derived fact against the innermost round.
+// fresh counts one newly derived fact against the open round.
 func (rp *ruleProfiler) fresh() {
 	if rp == nil {
 		return
 	}
-	rp.open[len(rp.open)-1].tuples++
+	rp.open.tuples++
 }
 
-// countLookup counts one body-atom resolution against the innermost
-// round.
+// countLookup counts one body-atom resolution against the open round.
 func (rp *ruleProfiler) countLookup() {
 	if rp == nil {
 		return
 	}
-	rp.open[len(rp.open)-1].lookups++
+	rp.open.lookups++
 }
 
 // finish returns the rows in display order; nil when profiling is off,

@@ -31,57 +31,29 @@ type eagerRecorder struct {
 	facts     []term.Atom              // the witnessed facts, in record order
 	ruleIDs   map[string]int           // display rule key → index into rules
 	rules     []term.Rule
-	repeats   int // records of a fact witnessed already
 }
 
 func newEagerRecorder() *eagerRecorder {
 	return &eagerRecorder{witnesses: make(map[string]*eagerWitness), ruleIDs: make(map[string]int)}
 }
 
-// record stores the first witness for fact: rule fired under s, body is
-// the rule body as solved, and rewrite is the recording view's hook (nil
-// for none). It returns the number of witnessed facts.
-func (r *eagerRecorder) record(fact term.Atom, rule term.Rule, body term.Formula, s term.Subst, rewrite func(term.Atom) (term.Atom, bool)) int {
-	if rewrite != nil {
-		var ok bool
-		if fact, ok = rewrite(fact); !ok {
-			return len(r.witnesses)
-		}
-	}
+// record stores the first witness for fact: rule fired under s, and body
+// is the rule body as solved. It returns the number of witnessed facts.
+func (r *eagerRecorder) record(fact term.Atom, rule term.Rule, body term.Formula, s term.Subst) int {
 	key := fact.Key()
 	if _, dup := r.witnesses[key]; dup {
-		r.repeats++
 		return len(r.witnesses)
 	}
 	w := &eagerWitness{}
 	for _, a := range body {
-		ground := s.Apply(a)
-		if !term.IsComparison(ground) && rewrite != nil {
-			var ok bool
-			if ground, ok = rewrite(ground); !ok {
-				continue
-			}
-		}
-		w.body = append(w.body, ground)
+		w.body = append(w.body, s.Apply(a))
 	}
-	display := rule
-	if rewrite != nil {
-		head, _ := rewrite(rule.Head)
-		display = term.Rule{Head: head, Pos: rule.Pos}
-		for _, a := range rule.Body {
-			if term.IsComparison(a) {
-				display.Body = append(display.Body, a)
-			} else if b, ok := rewrite(a); ok {
-				display.Body = append(display.Body, b)
-			}
-		}
-	}
-	ruleKey := display.Key()
+	ruleKey := rule.Key()
 	id, ok := r.ruleIDs[ruleKey]
 	if !ok {
 		id = len(r.rules)
 		r.ruleIDs[ruleKey] = id
-		r.rules = append(r.rules, display)
+		r.rules = append(r.rules, rule)
 	}
 	w.ruleID = id
 	r.witnesses[key] = w
@@ -148,15 +120,10 @@ func frameSubst(r *runner) term.Subst {
 }
 
 // tapEager hands every solution recordProv is given to oracle as well,
-// until the returned function is called. base is the recorder the engine
-// was given; any other is the view the magic engine makes of it.
-func tapEager(base *prov.Recorder, oracle *eagerRecorder) (untap func()) {
-	recordTap = func(rec *prov.Recorder, r *runner) {
-		var rewrite func(term.Atom) (term.Atom, bool)
-		if rec != base {
-			rewrite = magicProvRewrite
-		}
-		oracle.record(term.NewAtom(r.head.Pred, r.head.Args...), r.rule, r.prog.body, frameSubst(r), rewrite)
+// until the returned function is called.
+func tapEager(oracle *eagerRecorder) (untap func()) {
+	recordTap = func(r *runner) {
+		oracle.record(term.NewAtom(r.head.Pred, r.head.Args...), r.rule, r.prog.body, frameSubst(r))
 	}
 	return func() { recordTap = nil }
 }
@@ -165,7 +132,7 @@ func tapEager(base *prov.Recorder, oracle *eagerRecorder) (untap func()) {
 // beside it, under MaxProvenanceEntries max (0: none).
 func provRun(mk func(Input, ...EngineOption) Engine, in Input, q Query, max int) (*Result, *prov.Recorder, *eagerRecorder, error) {
 	rec, oracle := prov.NewRecorder(), newEagerRecorder()
-	defer tapEager(rec, oracle)()
+	defer tapEager(oracle)()
 	e := mk(in, WithProvenance(rec), WithLimits(governor.Limits{MaxProvenanceEntries: max}))
 	res, err := e.RetrieveContext(context.Background(), q)
 	return res, rec, oracle, err
@@ -183,9 +150,6 @@ func provDisagreement(mk func(Input, ...EngineOption) Engine, in Input, q Query,
 	}
 	if rec.Len() != len(oracle.witnesses) {
 		return fmt.Sprintf("recorded %d witnesses, the oracle %d", rec.Len(), len(oracle.witnesses))
-	}
-	if oracle.repeats > 0 {
-		feat["fact derived again"]++
 	}
 	facts := append(res.Atoms(q.Subject), oracle.facts...)
 	facts = append(facts, term.NewAtom("nobody", term.Sym("derived")))
@@ -237,7 +201,7 @@ func countKinds(nodes []*prov.Node, feat genFeatures) {
 	}
 }
 
-// provCaseDisagreement is provDisagreement on every engine.
+// provCaseDisagreement is provDisagreement on every witness engine.
 func provCaseDisagreement(t testing.TB, c genCase, feat genFeatures) string {
 	for name, mk := range witnessEngines {
 		if d := provDisagreement(mk, c.input(t), c.query, feat); d != "" {
@@ -248,7 +212,7 @@ func provCaseDisagreement(t testing.TB, c genCase, feat genFeatures) string {
 }
 
 // TestProvenanceMatchesEagerOracle: on generated programs and on the
-// shipped ones, every engine's recorder builds the trees the eager
+// shipped ones, the engine's recorder builds the trees the eager
 // recorder builds from the same solutions, byte for byte in text and
 // JSON, with the same entry count and the same provenance limit error.
 func TestProvenanceMatchesEagerOracle(t *testing.T) {
@@ -280,7 +244,7 @@ func TestProvenanceMatchesEagerOracle(t *testing.T) {
 	// facts witnessed before it. prov's TestExplainCycleSafe builds one.
 	for _, want := range []string{
 		"derived node", "edb node", "builtin node", "unknown node", "truncated node",
-		"fact derived again", "provenance limit",
+		"provenance limit",
 	} {
 		if feat[want] == 0 {
 			t.Errorf("no case had a %s", want)
@@ -345,10 +309,10 @@ func rederive(e *prov.Explanation, stored func(term.Atom) bool, checked *int) st
 	return ""
 }
 
-// rederiveDisagreement explains q's answers on every engine, recording
-// every witness, and checks each explanation with rederive. A subject the
-// qualifier defines (paper Example 2) has no witnesses of its own to
-// explain, so such a statement is not checked.
+// rederiveDisagreement explains q's answers on every witness engine,
+// recording every witness, and checks each explanation with rederive. A
+// subject the qualifier defines (paper Example 2) has no witnesses of its
+// own to explain, so such a statement is not checked.
 func rederiveDisagreement(in Input, q Query, checked *int) string {
 	if in.Store.Relation(q.Subject.Pred) == nil &&
 		!slices.ContainsFunc(in.Rules, func(r term.Rule) bool { return r.Head.Pred == q.Subject.Pred }) {
@@ -369,10 +333,10 @@ func rederiveDisagreement(in Input, q Query, checked *int) string {
 }
 
 // TestExplainTreesRederive: on the oracle generator's programs and the
-// shipped ones, every engine's explain trees re-derive their facts —
-// each derived node an instance of its rule over its children, each leaf
-// a stored fact or a true comparison — so specialising a component's
-// rules to its calls leaves every witness a proof.
+// shipped ones, the explain trees re-derive their facts — each derived
+// node an instance of its rule over its children, each leaf a stored fact
+// or a true comparison — so specialising a component's rules to its calls
+// leaves every witness a proof.
 func TestExplainTreesRederive(t *testing.T) {
 	seeds := 400
 	if testing.Short() {

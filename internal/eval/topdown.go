@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"kdb/internal/governor"
-	"kdb/internal/obs"
-	"kdb/internal/prov"
 	"kdb/internal/storage"
 	"kdb/internal/term"
 )
@@ -22,16 +20,13 @@ import (
 type topDown struct {
 	in     Input
 	limits governor.Limits
-	rec    *prov.Recorder
-	prof   bool
 	stats  atomic.Pointer[EvalStats]
 }
 
-// NewTopDown returns the tabled top-down engine. It honors WithLimits,
-// WithProvenance, and WithProfile.
+// NewTopDown returns the tabled top-down engine. It honors WithLimits
+// only: provenance and profiles are the semi-naive engine's alone.
 func NewTopDown(in Input, opts ...EngineOption) Engine {
-	cfg := buildConfig(opts)
-	return &topDown{in: in, limits: cfg.limits, rec: cfg.rec, prof: cfg.prof}
+	return &topDown{in: in, limits: buildConfig(opts).limits}
 }
 
 // Name identifies the engine.
@@ -53,14 +48,12 @@ type topDownRun struct {
 	plan *plan
 	rn   term.Renamer
 	gov  *governor.Governor
-	rec  *prov.Recorder
 
 	tables   map[string]*answerTable
 	pass     int
 	grew     bool
 	counters *storage.Counters
 	lookups  int64
-	prof     *ruleProfiler
 }
 
 // RetrieveContext evaluates the query goal-directed under the governor:
@@ -72,31 +65,20 @@ func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, er
 	defer governor.Recover(&err)
 	gov, cancel := governor.New(ctx, e.limits)
 	defer cancel()
-	sp := obs.SpanFromContext(ctx)
-	asp := sp.Child("analyze")
 	p, err := buildPlan(e.in, q)
 	if err != nil {
-		asp.End()
 		return nil, err
 	}
-	asp.End()
 	// The counters are private to this query and threaded through every
 	// stored-relation probe, so concurrent queries stay independent.
 	run := &topDownRun{
 		in:       e.in,
 		plan:     p,
 		gov:      gov,
-		rec:      e.rec,
 		tables:   make(map[string]*answerTable),
 		counters: &storage.Counters{},
 	}
-	if e.prof {
-		run.prof = newRuleProfiler(run.counters, nil)
-	}
-	provStart := e.rec.Len()
 	goal := p.query[0].rule.Head // the query rules' one head
-	evalSp := sp.Child("eval")
-	evalSp.SetStr("engine", e.Name())
 	start := time.Now()
 	// Naive-iteration driver: re-run until no table grows.
 	var answers *answerTable
@@ -126,12 +108,8 @@ func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, er
 	for _, t := range run.tables {
 		stats.Facts += t.answers.n
 	}
-	finishStats(stats, start, run.counters, run.prof, runErr)
-	stats.ProvEntries = e.rec.Len() - provStart
+	finishStats(stats, start, run.counters, nil, runErr)
 	e.stats.Store(stats)
-	evalSp.SetInt("passes", int64(run.pass))
-	evalSp.SetInt("tables", int64(len(run.tables)))
-	endEvalSpan(evalSp, sp, stats)
 	if runErr != nil {
 		return nil, &StopError{Stats: stats, Err: runErr}
 	}
@@ -213,17 +191,12 @@ type ruleCall struct {
 // solveRule evaluates one rule against the goal's table. The rule is
 // compiled with the goal's bindings applied and gets a runner of its own:
 // a subgoal may re-enter the same rule while this body is being solved.
-// The round is bracketed by the profiler; nested subgoal work (resolve
-// re-entering solveTable) is attributed to the rules it evaluates, not
-// this one.
 func (r *topDownRun) solveRule(t *answerTable, goal term.Atom, rule term.Rule) error {
 	fresh := r.rn.RenameRule(rule)
 	mgu, ok := term.Unify(goal, fresh.Head, nil)
 	if !ok {
 		return nil
 	}
-	r.prof.begin(rule)
-	defer r.prof.end()
 	prog := compileBody(mgu.Apply(fresh.Head), mgu.ApplyFormula(fresh.Body), 0)
 	return newRunner(rule, prog, &ruleCall{r, t}).exec()
 }
@@ -244,11 +217,7 @@ func (c *ruleCall) derive(jr *runner) error {
 		return err
 	}
 	c.grew = true
-	c.prof.fresh()
-	if err := c.gov.CountFacts(1); err != nil {
-		return err
-	}
-	return recordProv(c.rec, c.gov, jr)
+	return c.gov.CountFacts(1)
 }
 
 // resolve serves one body atom: EDB predicates from the store, IDB
@@ -256,7 +225,6 @@ func (c *ruleCall) derive(jr *runner) error {
 // pattern is the subgoal.
 func (r *topDownRun) resolve(p *probe) error {
 	r.lookups++
-	r.prof.countLookup()
 	if err := r.gov.Tick(); err != nil {
 		return err
 	}

@@ -49,7 +49,7 @@ reachable(X, Y) :- flight(X, Z), reachable(Z, Y).
 
 // TestExplainTrees pins the exact rendered derivation trees of facts
 // with a unique derivation, the recursive prior included. (eval's
-// TestExplainParityAcrossEngines pins the same trees on every engine.)
+// TestExplainTreesPinned pins the same trees on the engine itself.)
 func TestExplainTrees(t *testing.T) {
 	cases := []struct {
 		stmt string

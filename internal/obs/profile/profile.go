@@ -6,9 +6,8 @@
 // runtime twin of the paper's explain machinery: explain answers "why is
 // this fact derived", a profile answers "why is this query slow".
 //
-// Rows are keyed by the rule's source text, so a rewriting engine (magic
-// sets) can label its generated rules with the source rules they came
-// from and every engine's profile reads in terms of the user's program.
+// Rows are keyed by the rule's source text, so a profile reads in terms
+// of the user's program.
 package profile
 
 import (
@@ -40,7 +39,7 @@ type Row struct {
 	Candidates  int64 `json:"candidates"`
 	IndexBuilds int64 `json:"index_builds"`
 	// DeltaSizes is the per-round count of new tuples, in round order
-	// (the semi-naive delta trajectory; top-down: per-pass growth).
+	// (the semi-naive delta trajectory).
 	DeltaSizes []int64 `json:"delta_sizes,omitempty"`
 	// AllocBytes estimates the memory the rule's derived tuples
 	// retain: Tuples × TupleBytes(arity). An estimate, not a

@@ -427,11 +427,12 @@ func (p *parser) parseTerm() (term.Term, error) {
 func (p *parser) parseQuery() (Query, error) {
 	pos := p.tok.Pos
 	switch {
-	case p.atKeyword("retrieve"):
+	case p.atKeyword("retrieve"), p.atKeyword("explain"), p.atKeyword("profile"):
+		kw := p.tok.Text
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return p.parseRetrieve(pos)
+		return p.parseRetrieve(kw, pos)
 	case p.atKeyword("describe"):
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -442,128 +443,55 @@ func (p *parser) parseQuery() (Query, error) {
 			return nil, err
 		}
 		return p.parseCompare(pos)
-	case p.atKeyword("explain"):
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		return p.parseExplain(pos)
-	case p.atKeyword("profile"):
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		return p.parseProfile(pos)
 	default:
 		return nil, errf(pos, "expected retrieve, describe, compare, explain, or profile, found %s", p.tok)
 	}
 }
 
-// parseProfile parses `profile p(…) [where ψ].` — a retrieve-shaped
-// statement without disjunction, mirroring explain: the cost rows
-// account for one evaluation, not a union of them.
-func (p *parser) parseProfile(pos Pos) (Query, error) {
+// parseRetrieve parses the rest of a retrieve-shaped statement after its
+// keyword kw, `kw p(…) [where ψ1 [or ψ2 …]].`, and builds it: a Retrieve,
+// an Explain or a Profile. Only retrieve takes more than one disjunct.
+func (p *parser) parseRetrieve(kw string, pos Pos) (Query, error) {
 	subject, err := p.parseAtom()
 	if err != nil {
 		return nil, err
 	}
 	if term.IsComparison(subject) {
-		return nil, errf(pos, "the subject of profile cannot be a comparison")
+		return nil, errf(pos, "the subject of %s cannot be a comparison", kw)
 	}
-	q := &Profile{Subject: subject, Pos: pos}
+	var where term.Formula
+	var or []term.Formula
 	if p.atKeyword("where") {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		where, nots, err := p.parseConjunction(false)
-		if err != nil {
+		if where, _, err = p.parseConjunction(false); err != nil {
 			return nil, err
 		}
-		if len(nots) > 0 {
-			return nil, errf(pos, "profile qualifiers are positive formulas; 'not' is not allowed")
-		}
-		q.Where = where
-		if p.atKeyword("or") {
-			return nil, errf(pos, "'or' is not allowed in profile qualifiers")
-		}
-	}
-	if _, err := p.expect(TokDot); err != nil {
-		return nil, err
-	}
-	return q, nil
-}
-
-// parseExplain parses `explain p(…) [where ψ].` — a retrieve-shaped
-// statement without disjunction (a derivation tree explains one
-// evaluation, not a union of them).
-func (p *parser) parseExplain(pos Pos) (Query, error) {
-	subject, err := p.parseAtom()
-	if err != nil {
-		return nil, err
-	}
-	if term.IsComparison(subject) {
-		return nil, errf(pos, "the subject of explain cannot be a comparison")
-	}
-	q := &Explain{Subject: subject, Pos: pos}
-	if p.atKeyword("where") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		where, nots, err := p.parseConjunction(false)
-		if err != nil {
-			return nil, err
-		}
-		if len(nots) > 0 {
-			return nil, errf(pos, "explain qualifiers are positive formulas; 'not' is not allowed")
-		}
-		q.Where = where
-		if p.atKeyword("or") {
-			return nil, errf(pos, "'or' is not allowed in explain qualifiers")
-		}
-	}
-	if _, err := p.expect(TokDot); err != nil {
-		return nil, err
-	}
-	return q, nil
-}
-
-func (p *parser) parseRetrieve(pos Pos) (Query, error) {
-	subject, err := p.parseAtom()
-	if err != nil {
-		return nil, err
-	}
-	if term.IsComparison(subject) {
-		return nil, errf(pos, "the subject of retrieve cannot be a comparison")
-	}
-	q := &Retrieve{Subject: subject, Pos: pos}
-	if p.atKeyword("where") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		where, nots, err := p.parseConjunction(false)
-		if err != nil {
-			return nil, err
-		}
-		if len(nots) > 0 {
-			return nil, errf(pos, "retrieve qualifiers are positive formulas; 'not' is not allowed")
-		}
-		q.Where = where
 		for p.atKeyword("or") {
+			if kw != "retrieve" {
+				return nil, errf(pos, "'or' is not allowed in %s qualifiers", kw)
+			}
 			if err := p.advance(); err != nil {
 				return nil, err
 			}
-			d, nots, err := p.parseConjunction(false)
+			d, _, err := p.parseConjunction(false)
 			if err != nil {
 				return nil, err
 			}
-			if len(nots) > 0 {
-				return nil, errf(pos, "'not' is not allowed in retrieve qualifiers")
-			}
-			q.Or = append(q.Or, d)
+			or = append(or, d)
 		}
 	}
 	if _, err := p.expect(TokDot); err != nil {
 		return nil, err
 	}
-	return q, nil
+	switch kw {
+	case "explain":
+		return &Explain{Subject: subject, Where: where, Pos: pos}, nil
+	case "profile":
+		return &Profile{Subject: subject, Where: where, Pos: pos}, nil
+	}
+	return &Retrieve{Subject: subject, Where: where, Or: or, Pos: pos}, nil
 }
 
 // parseDescribe parses the describe body after the keyword, with an

@@ -329,6 +329,29 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestRetrieveShapedErrors pins the errors of the three retrieve-shaped
+// statements, which share one parser.
+func TestRetrieveShapedErrors(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{`retrieve X > 3 .`, `1:1: the subject of retrieve cannot be a comparison`},
+		{`retrieve honor(X) where not p(X).`, `1:25: 'not' is not allowed here`},
+		{`retrieve honor(X) where p(X) or q(X) and not r(X).`, `1:42: 'not' is not allowed here`},
+		{`retrieve honor(X) or q(X).`, `1:19: expected '.', found "or"`},
+		{`explain X < Y .`, `1:1: the subject of explain cannot be a comparison`},
+		{`explain honor(X) where p(X) and not q(X).`, `1:33: 'not' is not allowed here`},
+		{`explain honor(X) where p(X) or q(X).`, `1:1: 'or' is not allowed in explain qualifiers`},
+		{`profile X > 3 .`, `1:1: the subject of profile cannot be a comparison`},
+		{`profile honor(X) where not p(X).`, `1:24: 'not' is not allowed here`},
+		{`profile honor(X) where p(X) or not q(X).`, `1:1: 'or' is not allowed in profile qualifiers`},
+	}
+	for _, c := range cases {
+		_, err := ParseQuery(c.src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: err = %v, want %s", c.src, err, c.want)
+		}
+	}
+}
+
 func TestParseTrueQualifier(t *testing.T) {
 	// `where true` is the explicit empty hypothesis.
 	q := mustQuery(t, `describe honor(X) where true.`)

@@ -27,15 +27,14 @@ import (
 // a witness's frame back into the fact the rule derived and the ground
 // body it fired with.
 type shape struct {
-	rule term.Rule   // as it fired; shown in trees after rewrite
+	rule term.Rule   // as it fired, and as trees show it
 	head term.Atom   // the fact it derives, over vars
 	body []term.Atom // as solved, over vars
 	vars []term.Term
 	// slots[i] is the frame slot holding vars[i] once the body is solved,
 	// -1 if nothing binds it. A witness keeps the first width slots.
-	slots   []int
-	width   int
-	rewrite func(term.Atom) (term.Atom, bool) // the interning view's, or nil
+	slots []int
+	width int
 }
 
 // witness is one recorded derivation: the hash of the fact's key, the
@@ -46,9 +45,11 @@ type witness struct {
 	rule, chunk, frame int32
 }
 
-// recorderState is the shared core of a Recorder; rewritten views (see
-// Rewritten) alias it so the magic engine records into the same store.
-type recorderState struct {
+// Recorder accumulates witnesses during one evaluation, which runs on
+// one goroutine: a recorder is not safe for concurrent use. Intern,
+// Record and Len are nil-safe, so an unrecorded evaluation's call sites
+// stay trivial.
+type Recorder struct {
 	witnesses []witness
 	// index finds a witness by the hash of its fact's key: open
 	// addressing, at most half full, each slot 1 + a witness or 0.
@@ -67,33 +68,9 @@ type recorderState struct {
 // seed hashes fact keys for the index.
 var seed = maphash.MakeSeed()
 
-// Recorder accumulates witnesses during one evaluation, which runs on
-// one goroutine: a recorder is not safe for concurrent use. All methods
-// are nil-safe so ungoverned call sites stay trivial.
-type Recorder struct {
-	state *recorderState
-	// rewrite, when set, maps each atom before recording and may drop
-	// it (the magic engine strips adornments and discards magic
-	// guards). Returning ok=false for a fact skips the whole witness;
-	// for a parent it removes just that parent.
-	rewrite func(term.Atom) (term.Atom, bool)
-}
-
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{state: &recorderState{}}
-}
-
-// Rewritten returns a view of r that applies fn to every fact, parent,
-// and rule atom of what it records, into the same underlying store. The
-// magic engine uses it to record witnesses under the original
-// (unadorned) predicate names of the source program. Facts are rewritten
-// as they are recorded; bodies and rules when a tree is built.
-func (r *Recorder) Rewritten(fn func(term.Atom) (term.Atom, bool)) *Recorder {
-	if r == nil {
-		return nil
-	}
-	return &Recorder{state: r.state, rewrite: fn}
+	return &Recorder{}
 }
 
 // Intern registers a rule whose solutions Record will be given and
@@ -106,13 +83,12 @@ func (r *Recorder) Intern(rule term.Rule, head term.Atom, body []term.Atom, vars
 	if r == nil {
 		return -1
 	}
-	st := r.state
 	width := 0
 	for _, s := range slots {
 		width = max(width, s+1)
 	}
-	st.rules = append(st.rules, shape{rule: rule, head: head, body: body, vars: vars, slots: slots, width: width, rewrite: r.rewrite})
-	return len(st.rules) - 1
+	r.rules = append(r.rules, shape{rule: rule, head: head, body: body, vars: vars, slots: slots, width: width})
+	return len(r.rules) - 1
 }
 
 // Record stores the first witness for fact: the rule interned as id
@@ -128,26 +104,19 @@ func (r *Recorder) Record(id int, fact term.Atom, frame []term.Term) int {
 	if r == nil {
 		return 0
 	}
-	st := r.state
-	if r.rewrite != nil {
-		var ok bool
-		if fact, ok = r.rewrite(fact); !ok {
-			return len(st.witnesses)
-		}
-	}
-	h, slot, i := st.lookup(fact)
+	h, slot, i := r.lookup(fact)
 	if i >= 0 {
-		return len(st.witnesses)
+		return len(r.witnesses)
 	}
-	if 2*(len(st.witnesses)+1) > len(st.index) {
-		st.grow()
-		slot = st.free(h)
+	if 2*(len(r.witnesses)+1) > len(r.index) {
+		r.grow()
+		slot = r.free(h)
 	}
-	st.index[slot] = int32(len(st.witnesses) + 1)
+	r.index[slot] = int32(len(r.witnesses) + 1)
 	w := witness{hash: h, rule: int32(id)}
-	w.chunk, w.frame = st.keep(frame[:st.rules[id].width])
-	st.witnesses = append(st.witnesses, w)
-	return len(st.witnesses)
+	w.chunk, w.frame = r.keep(frame[:r.rules[id].width])
+	r.witnesses = append(r.witnesses, w)
+	return len(r.witnesses)
 }
 
 // Len returns the number of recorded witnesses.
@@ -155,22 +124,22 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.state.witnesses)
+	return len(r.witnesses)
 }
 
 // lookup returns the hash of fact's key, the index slot where the probe
 // for it ended, and fact's witness (-1 for none). The slot is free when
 // there is no witness, and -1 when the index is empty.
-func (st *recorderState) lookup(fact term.Atom) (h uint64, slot, i int) {
-	st.key = fact.AppendKey(st.key[:0])
-	h = maphash.Bytes(seed, st.key)
-	if len(st.index) == 0 {
+func (r *Recorder) lookup(fact term.Atom) (h uint64, slot, i int) {
+	r.key = fact.AppendKey(r.key[:0])
+	h = maphash.Bytes(seed, r.key)
+	if len(r.index) == 0 {
 		return h, -1, -1
 	}
-	mask := len(st.index) - 1
-	for slot = int(h) & mask; st.index[slot] != 0; slot = (slot + 1) & mask {
-		i = int(st.index[slot] - 1)
-		if st.witnesses[i].hash == h && bytes.Equal(st.factKey(i), st.key) {
+	mask := len(r.index) - 1
+	for slot = int(h) & mask; r.index[slot] != 0; slot = (slot + 1) & mask {
+		i = int(r.index[slot] - 1)
+		if r.witnesses[i].hash == h && bytes.Equal(r.factKey(i), r.key) {
 			return h, slot, i
 		}
 	}
@@ -178,56 +147,52 @@ func (st *recorderState) lookup(fact term.Atom) (h uint64, slot, i int) {
 }
 
 // free returns the first free slot of the probe for hash h.
-func (st *recorderState) free(h uint64) int {
-	mask := len(st.index) - 1
+func (r *Recorder) free(h uint64) int {
+	mask := len(r.index) - 1
 	slot := int(h) & mask
-	for st.index[slot] != 0 {
+	for r.index[slot] != 0 {
 		slot = (slot + 1) & mask
 	}
 	return slot
 }
 
 // grow doubles the index and enters every witness again.
-func (st *recorderState) grow() {
-	st.index = make([]int32, max(64, 2*len(st.index)))
-	for i, w := range st.witnesses {
-		st.index[st.free(w.hash)] = int32(i + 1)
+func (r *Recorder) grow() {
+	r.index = make([]int32, max(64, 2*len(r.index)))
+	for i, w := range r.witnesses {
+		r.index[r.free(w.hash)] = int32(i + 1)
 	}
 }
 
 // factKey rebuilds, in scratch, the key of the fact witness i records.
-func (st *recorderState) factKey(i int) []byte {
-	s := &st.rules[st.witnesses[i].rule]
-	st.other = s.groundInto(st.other[:0], s.head, st.frame(i))
-	fact := term.Atom{Pred: s.head.Pred, Args: st.other}
-	if s.rewrite != nil {
-		fact, _ = s.rewrite(fact)
-	}
-	st.otherKey = fact.AppendKey(st.otherKey[:0])
-	return st.otherKey
+func (r *Recorder) factKey(i int) []byte {
+	s := &r.rules[r.witnesses[i].rule]
+	r.other = s.groundInto(r.other[:0], s.head, r.frame(i))
+	r.otherKey = term.Atom{Pred: s.head.Pred, Args: r.other}.AppendKey(r.otherKey[:0])
+	return r.otherKey
 }
 
 // keep copies frame into the arena and says where it went.
-func (st *recorderState) keep(frame []term.Term) (chunk, at int32) {
-	last := len(st.frames) - 1
-	if last < 0 || cap(st.frames[last])-len(st.frames[last]) < len(frame) {
+func (r *Recorder) keep(frame []term.Term) (chunk, at int32) {
+	last := len(r.frames) - 1
+	if last < 0 || cap(r.frames[last])-len(r.frames[last]) < len(frame) {
 		n := 64
 		if last >= 0 {
-			n = 2 * cap(st.frames[last])
+			n = 2 * cap(r.frames[last])
 		}
-		st.frames = append(st.frames, make([]term.Term, 0, max(n, len(frame))))
+		r.frames = append(r.frames, make([]term.Term, 0, max(n, len(frame))))
 		last++
 	}
-	c := &st.frames[last]
+	c := &r.frames[last]
 	at = int32(len(*c))
 	*c = append(*c, frame...)
 	return int32(last), at
 }
 
 // frame returns the frame of witness i.
-func (st *recorderState) frame(i int) []term.Term {
-	w := st.witnesses[i]
-	return st.frames[w.chunk][w.frame:][:st.rules[w.rule].width]
+func (r *Recorder) frame(i int) []term.Term {
+	w := r.witnesses[i]
+	return r.frames[w.chunk][w.frame:][:r.rules[w.rule].width]
 }
 
 // ground instantiates a, an atom of the rule's body, with the values
@@ -248,25 +213,4 @@ func (s *shape) groundInto(dst []term.Term, a term.Atom, frame []term.Term) []te
 		dst = append(dst, t)
 	}
 	return dst
-}
-
-// display is the rule as trees show it: under a rewriting view the head
-// and every body atom go through the rewrite hook, and dropped atoms
-// (magic guards) disappear from the body. Comparisons are kept as-is.
-func (s *shape) display() term.Rule {
-	if s.rewrite == nil {
-		return s.rule
-	}
-	head, _ := s.rewrite(s.rule.Head)
-	out := term.Rule{Head: head, Pos: s.rule.Pos}
-	for _, a := range s.rule.Body {
-		if term.IsComparison(a) {
-			out.Body = append(out.Body, a)
-			continue
-		}
-		if b, ok := s.rewrite(a); ok {
-			out.Body = append(out.Body, b)
-		}
-	}
-	return out
 }

@@ -111,48 +111,6 @@ func TestNilRecorder(t *testing.T) {
 	if r.Len() != 0 {
 		t.Errorf("nil Len = %d, want 0", r.Len())
 	}
-	if r.Rewritten(nil) != nil {
-		t.Error("nil Rewritten must stay nil")
-	}
-}
-
-func TestRewrittenView(t *testing.T) {
-	r := NewRecorder()
-	// Magic-style rewrite: strip '#bf' adornments, drop 'm$' guards.
-	view := r.Rewritten(func(a term.Atom) (term.Atom, bool) {
-		if strings.HasPrefix(a.Pred, "m$") {
-			return term.Atom{}, false
-		}
-		if i := strings.IndexByte(a.Pred, '#'); i >= 0 {
-			return term.Atom{Pred: a.Pred[:i], Args: a.Args}, true
-		}
-		return a, true
-	})
-	guard := term.NewAtom("m$path#bf", x)
-	head := term.NewAtom("path#bf", x, y)
-	rule := term.NewRule(head, guard, term.NewAtom("edge", x, y))
-	record(view, term.NewAtom("path#bf", term.Sym("a"), term.Sym("b")), rule,
-		term.Subst{x: term.Sym("a"), y: term.Sym("b")})
-
-	// The shared store sees the original predicate name, the guard atom
-	// vanished from the body, and the display rule is back in source form.
-	if r.Len() != 1 {
-		t.Fatalf("shared store Len = %d, want 1", r.Len())
-	}
-	want := `path(a, b)  [r1]
-  edge(a, b)  [edb]
-
-rules:
-  r1: path(X, Y) :- edge(X, Y).
-`
-	if got := explainText(r, atom("path", "a", "b")); got != want {
-		t.Fatalf("got:\n%s\nwant:\n%s", got, want)
-	}
-	// A fact dropped by the rewrite records nothing.
-	record(view, term.NewAtom("m$path#bf", term.Sym("a")), rule, nil)
-	if r.Len() != 1 {
-		t.Fatalf("dropped fact was recorded: Len = %d", r.Len())
-	}
 }
 
 func TestExplainTree(t *testing.T) {
@@ -180,8 +138,8 @@ rules:
 
 func TestExplainCycleSafe(t *testing.T) {
 	r := NewRecorder()
-	// A self-supporting witness (possible after the magic engine collapses
-	// adorned variants onto one fact): p(a) witnessed by p(a) itself.
+	// A self-supporting witness, which no evaluation records but a tree
+	// must still survive: p(a) witnessed by p(a) itself.
 	self := term.NewRule(term.NewAtom("p", x), term.NewAtom("p", x))
 	record(r, atom("p", "a"), self, term.Subst{x: term.Sym("a")})
 	e := r.Explain(atom("p", "a"), []term.Atom{atom("p", "a")}, nil, 0)

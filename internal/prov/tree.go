@@ -24,8 +24,8 @@ const (
 	// NodeBuiltin is a ground comparison that held (e.g. 3.9 > 3.7).
 	NodeBuiltin
 	// NodeCycle marks a fact already being expanded higher on the same
-	// path; reconstruction cuts here so recursive witnesses (possible
-	// after the magic engine collapses adorned variants) terminate.
+	// path; reconstruction cuts here, so a tree terminates even over
+	// witnesses that support each other.
 	NodeCycle
 	// NodeUnknown is a fact with no witness and no stored tuple — the
 	// recorder was bounded, or the fact came from outside the query.
@@ -88,7 +88,7 @@ type Explanation struct {
 func (r *Recorder) Explain(subject term.Atom, facts []term.Atom, isEDB func(term.Atom) bool, maxNodes int) *Explanation {
 	e := &Explanation{Subject: subject, Entries: r.Len()}
 	b := &builder{
-		st:       r.state,
+		rec:      r,
 		isEDB:    isEDB,
 		maxNodes: maxNodes,
 		ruleIDs:  make(map[int]int),
@@ -105,7 +105,7 @@ func (r *Recorder) Explain(subject term.Atom, facts []term.Atom, isEDB func(term
 }
 
 type builder struct {
-	st        *recorderState
+	rec       *Recorder
 	isEDB     func(term.Atom) bool
 	maxNodes  int
 	nodes     int
@@ -130,40 +130,34 @@ func (b *builder) build(a term.Atom) *Node {
 	if b.isEDB != nil && b.isEDB(a) {
 		return &Node{Fact: a, Kind: NodeEDB}
 	}
-	_, _, i := b.st.lookup(a)
+	_, _, i := b.rec.lookup(a)
 	switch {
 	case i < 0:
 		return &Node{Fact: a, Kind: NodeUnknown}
 	case b.onPath[i]:
 		return &Node{Fact: a, Kind: NodeCycle}
 	}
-	w := b.st.witnesses[i]
-	s := &b.st.rules[w.rule]
+	w := b.rec.witnesses[i]
+	s := &b.rec.rules[w.rule]
 	n := &Node{Fact: a, Kind: NodeDerived, Rule: b.displayID(int(w.rule))}
 	b.onPath[i] = true
-	frame := b.st.frame(i)
+	frame := b.rec.frame(i)
 	for _, p := range s.body {
-		g := s.ground(p, frame)
-		if s.rewrite != nil && !term.IsComparison(g) {
-			var keep bool
-			if g, keep = s.rewrite(g); !keep {
-				continue
-			}
-		}
-		n.Children = append(n.Children, b.build(g))
+		n.Children = append(n.Children, b.build(s.ground(p, frame)))
 	}
 	delete(b.onPath, i)
 	return n
 }
 
 // displayID numbers the rule interned as id in first-use order. Rules
-// that display alike share a number: magic interns one adorned variant
-// of a source rule per binding pattern.
+// that display alike share a number: the semi-naive engine interns a
+// rule once per runner, and a rule its statement calls with two sets of
+// bound head positions has a runner for each.
 func (b *builder) displayID(id int) int {
 	if d, ok := b.ruleIDs[id]; ok {
 		return d
 	}
-	r := b.st.rules[id].display()
+	r := b.rec.rules[id].rule
 	key := r.Key()
 	d, ok := b.ruleKeys[key]
 	if !ok {
