@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"kdb/internal/term"
 )
@@ -160,17 +161,30 @@ type Answers struct {
 	// discarded because the hypothesis contradicts the IDB's comparison
 	// constraints (§4, end).
 	Contradiction bool
-	// Truncated reports that the search hit a resource bound (MaxNodes or
-	// MaxAnswers) and the answer may be incomplete.
-	Truncated bool
-	// Nodes counts the derivation-tree search steps the query took — a
-	// machine-independent cost measure for the ablation benchmarks.
-	Nodes int
+	// SearchStats is what the statement's searches did.
+	SearchStats
 	// Notes carry advisory findings about how the answer was produced
 	// (e.g. the subject depends on recursion outside the §2.1 discipline,
 	// so the bounded §5.3 mode answered). They are attached by the caller
 	// and deliberately not rendered by String.
 	Notes []string
+}
+
+// SearchStats is the record of one describe statement's searches, every
+// search of a disjunction's disjuncts or a wildcard's subjects folded in.
+type SearchStats struct {
+	// Nodes counts the derivation-tree search steps — a
+	// machine-independent cost measure for the ablation benchmarks.
+	Nodes int
+	// Algorithm is the paper's algorithm that searched: 1, or 2 when any
+	// search ran Algorithm 2 (§5.3).
+	Algorithm int
+	// Truncated reports that a search hit a resource bound (MaxNodes or
+	// MaxAnswers) and the answer may be incomplete.
+	Truncated bool
+	// SearchWall is the wall time of the searches (derivation trees built
+	// and cut), PostWall that of redundancy elimination and merging.
+	SearchWall, PostWall time.Duration
 }
 
 // Empty reports whether the answer carries no information.

@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"time"
 
 	"kdb/internal/builtin"
 	"kdb/internal/depgraph"
 	"kdb/internal/governor"
-	"kdb/internal/obs"
 	"kdb/internal/term"
 	"kdb/internal/transform"
 )
@@ -204,43 +204,42 @@ func (d *Describer) DescribeContext(ctx context.Context, subject term.Atom, hypo
 	defer governor.Recover(&err)
 	gov, cancel := governor.New(ctx, limits)
 	defer cancel()
-	return d.describe(gov, obs.SpanFromContext(ctx), subject, hypothesis)
-}
-
-// describe runs one governed describe search. sp, when non-nil, is the
-// query span the search phases are recorded under: "eval" covers the
-// derivation-tree construction and cutting, "describe" the redundancy
-// elimination and comparison post-processing.
-func (d *Describer) describe(gov *governor.Governor, sp *obs.Span, subject term.Atom, hypothesis term.Formula) (*Answers, error) {
-	if term.IsComparison(subject) {
-		return nil, fmt.Errorf("core: the subject of describe cannot be a comparison")
-	}
-	if len(d.graph.RulesFor(subject.Pred)) == 0 {
-		return nil, fmt.Errorf("core: %s is not an IDB predicate; describe inquires about defined concepts", subject.Pred)
-	}
-	s := d.newSearch(gov, subject, hypothesis)
-	esp := sp.Child("eval")
-	esp.SetStr("algorithm", map[bool]string{false: "1", true: "2"}[s.alg2])
-	err := s.run()
-	esp.SetInt("nodes", int64(s.nodes))
-	esp.SetInt("answers", int64(len(s.answers)))
-	esp.SetBool("truncated", s.truncated)
-	if err != nil {
-		esp.SetStr("stop", governor.StopReason(err))
-		esp.End()
+	ans = &Answers{Subject: subject, Hypothesis: hypothesis}
+	if ans.Formulas, ans.Contradiction, err = d.describe(gov, &ans.SearchStats, subject, hypothesis); err != nil {
 		return nil, err
 	}
-	esp.End()
-
-	dsp := sp.Child("describe")
-	ans := &Answers{Subject: subject, Hypothesis: hypothesis, Truncated: s.truncated, Nodes: s.nodes}
-	ans.Formulas = eliminateRedundant(s.answers, s.userVars)
-	if len(ans.Formulas) == 0 && s.discarded > 0 {
-		ans.Contradiction = true
-	}
-	dsp.SetInt("formulas", int64(len(ans.Formulas)))
-	dsp.End()
 	return ans, nil
+}
+
+// describe runs one governed search of a statement whose earlier
+// searches st records: its nodes count against the statement's
+// MaxDescribeNodes quota and its work is added to st. It returns the
+// search's answers, redundancy-eliminated, and whether it found the
+// hypothesis contradicting the knowledge base (§4, end).
+func (d *Describer) describe(gov *governor.Governor, st *SearchStats, subject term.Atom, hypothesis term.Formula) ([]Answer, bool, error) {
+	if term.IsComparison(subject) {
+		return nil, false, fmt.Errorf("core: the subject of describe cannot be a comparison")
+	}
+	if len(d.graph.RulesFor(subject.Pred)) == 0 {
+		return nil, false, fmt.Errorf("core: %s is not an IDB predicate; describe inquires about defined concepts", subject.Pred)
+	}
+	start := time.Now()
+	s := d.newSearch(gov, subject, hypothesis)
+	s.spent = st.Nodes
+	err := s.run()
+	searched := time.Now()
+	st.Nodes += s.nodes
+	st.SearchWall += searched.Sub(start)
+	if st.Algorithm = max(st.Algorithm, 1); s.alg2 {
+		st.Algorithm = 2
+	}
+	st.Truncated = st.Truncated || s.truncated
+	if err != nil {
+		return nil, false, err
+	}
+	formulas := eliminateRedundant(s.answers, s.userVars)
+	st.PostWall += time.Since(searched)
+	return formulas, len(formulas) == 0 && s.discarded > 0, nil
 }
 
 // newSearch sets up the search of one describe statement.
@@ -403,6 +402,7 @@ type search struct {
 	anyProductive bool
 	truncated     bool
 	nodes         int
+	spent         int // nodes the statement's earlier searches expanded
 }
 
 // run explores the root choices: identification of the subject with
@@ -508,7 +508,7 @@ func (s *search) step(agenda []node) error {
 	if err := s.gov.Err(); err != nil {
 		return err
 	}
-	if err := s.gov.CheckDescribeNodes(s.nodes); err != nil {
+	if err := s.gov.CheckDescribeNodes(s.spent + s.nodes); err != nil {
 		return err
 	}
 	if s.nodes > s.d.opts.MaxNodes || len(s.answers) >= s.d.opts.MaxAnswers {

@@ -3,9 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"kdb/internal/governor"
-	"kdb/internal/obs"
 	"kdb/internal/term"
 )
 
@@ -20,23 +20,18 @@ import (
 // (⊥ ∨ ψ ≡ ψ); if every disjunct contradicts, the special contradiction
 // answer is returned.
 //
-// One query governor (context, deadline) spans all disjunct searches,
-// while limits.MaxDescribeNodes bounds the steps of each disjunct's
-// search individually.
+// One query governor (context, deadline) and one MaxDescribeNodes quota
+// span all disjunct searches, and the answers' SearchStats sum them.
 func (d *Describer) DescribeOrContext(ctx context.Context, subject term.Atom, disjuncts []term.Formula, limits governor.Limits) (ans *Answers, err error) {
+	switch len(disjuncts) {
+	case 0:
+		return d.DescribeContext(ctx, subject, nil, limits)
+	case 1:
+		return d.DescribeContext(ctx, subject, disjuncts[0], limits)
+	}
 	defer governor.Recover(&err)
 	gov, cancel := governor.New(ctx, limits)
 	defer cancel()
-	return d.describeOr(gov, obs.SpanFromContext(ctx), subject, disjuncts)
-}
-
-func (d *Describer) describeOr(gov *governor.Governor, sp *obs.Span, subject term.Atom, disjuncts []term.Formula) (*Answers, error) {
-	if len(disjuncts) == 0 {
-		return d.describe(gov, sp, subject, nil)
-	}
-	if len(disjuncts) == 1 {
-		return d.describe(gov, sp, subject, disjuncts[0])
-	}
 	if err := validateDisjuncts(disjuncts); err != nil {
 		return nil, err
 	}
@@ -53,26 +48,25 @@ func (d *Describer) describeOr(gov *governor.Governor, sp *obs.Span, subject ter
 	}
 
 	// Evaluate each disjunct independently.
+	out := &Answers{Subject: subject, Hypothesis: full}
 	perDisjunct := make([][]Answer, 0, len(disjuncts))
 	contradictions := 0
-	truncated := false
 	for _, dis := range disjuncts {
-		ans, err := d.describe(gov, sp, subject, dis)
+		formulas, contradiction, err := d.describe(gov, &out.SearchStats, subject, dis)
 		if err != nil {
 			return nil, err
 		}
-		truncated = truncated || ans.Truncated
-		if ans.Contradiction {
+		if contradiction {
 			contradictions++
 			continue // an impossible disjunct never weakens the others
 		}
-		perDisjunct = append(perDisjunct, ans.Formulas)
+		perDisjunct = append(perDisjunct, formulas)
 	}
-	out := &Answers{Subject: subject, Hypothesis: full, Truncated: truncated}
 	if contradictions == len(disjuncts) {
 		out.Contradiction = true
 		return out, nil
 	}
+	merge := time.Now()
 
 	// A candidate (from any disjunct) is an answer when it is valid under
 	// every disjunct. Validity under disjunct j holds when one of j's own
@@ -121,6 +115,7 @@ func (d *Describer) describeOr(gov *governor.Governor, sp *obs.Span, subject ter
 		}
 	}
 	out.Formulas = eliminateRedundant(kept, userVars)
+	out.PostWall += time.Since(merge)
 	return out, nil
 }
 

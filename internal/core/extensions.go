@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"kdb/internal/governor"
-	"kdb/internal/obs"
 	"kdb/internal/term"
 )
 
@@ -177,15 +176,14 @@ func (d *Describer) DescribeWildcard(hypothesis term.Formula) ([]WildcardEntry, 
 }
 
 // DescribeWildcardContext is DescribeWildcard under a query governor: one
-// governor (context, deadline) spans the searches of all subjects, while
-// limits.MaxDescribeNodes bounds the steps of each subject's search
-// individually. nodes is the search steps of all of them together.
-func (d *Describer) DescribeWildcardContext(ctx context.Context, hypothesis term.Formula, limits governor.Limits) (out []WildcardEntry, nodes int, err error) {
+// governor (context, deadline) and one MaxDescribeNodes quota span the
+// searches of all subjects, and st is the record of all of them together.
+func (d *Describer) DescribeWildcardContext(ctx context.Context, hypothesis term.Formula, limits governor.Limits) (out []WildcardEntry, st SearchStats, err error) {
 	defer governor.Recover(&err)
 	gov, cancel := governor.New(ctx, limits)
 	defer cancel()
 	if len(hypothesis) == 0 {
-		return nil, 0, fmt.Errorf("core: describe * needs a hypothesis")
+		return nil, st, fmt.Errorf("core: describe * needs a hypothesis")
 	}
 	// Enumerate IDB predicates (those with rules). Predicates named by
 	// the hypothesis itself are skipped — "honor is derivable from
@@ -212,13 +210,12 @@ func (d *Describer) DescribeWildcardContext(ctx context.Context, hypothesis term
 			args[i] = term.Var(fmt.Sprintf("W%d", i+1))
 		}
 		subject := term.NewAtom(pred, args...)
-		ans, err := d.describe(gov, obs.SpanFromContext(ctx), subject, hypothesis)
+		formulas, _, err := d.describe(gov, &st, subject, hypothesis)
 		if err != nil {
-			return nil, nodes, err
+			return nil, st, err
 		}
-		nodes += ans.Nodes
 		var used []Answer
-		for _, a := range ans.Formulas {
+		for _, a := range formulas {
 			if len(a.UsedHypothesis) > 0 {
 				used = append(used, inlineSubjectEqualities(a))
 			}
@@ -237,7 +234,7 @@ func (d *Describer) DescribeWildcardContext(ctx context.Context, hypothesis term
 			Answers: &Answers{Subject: subject, Hypothesis: hypothesis, Formulas: used},
 		})
 	}
-	return out, nodes, nil
+	return out, st, nil
 }
 
 // inlineSubjectEqualities folds `W = X` equalities between the synthetic

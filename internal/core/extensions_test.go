@@ -304,7 +304,7 @@ func TestWildcardDescribeGoverned(t *testing.T) {
 	d := newDescriber(t, universityIDB, Options{})
 	hyp := formula(t, `honor(X)`)
 
-	entries, nodes, err := d.DescribeWildcardContext(context.Background(), hyp, governor.Limits{})
+	entries, st, err := d.DescribeWildcardContext(context.Background(), hyp, governor.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,8 +315,8 @@ func TestWildcardDescribeGoverned(t *testing.T) {
 	for _, q := range []string{`describe can_ta(W1, W2) where honor(X).`, `describe prior(W1, W2) where honor(X).`} {
 		perConcept += describe(t, d, q).Nodes
 	}
-	if len(entries) != 1 || nodes != perConcept {
-		t.Errorf("%d entries, %d nodes; want 1 entry and the %d nodes of the per-concept searches", len(entries), nodes, perConcept)
+	if len(entries) != 1 || st.Nodes != perConcept {
+		t.Errorf("%d entries, %d nodes; want 1 entry and the %d nodes of the per-concept searches", len(entries), st.Nodes, perConcept)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

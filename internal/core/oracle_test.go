@@ -81,7 +81,7 @@ func oracleDescribe(d *Describer, subject term.Atom, hypothesis term.Formula) (*
 	if err := s.run(); err != nil {
 		return nil, err
 	}
-	ans := &Answers{Subject: subject, Hypothesis: hypothesis, Truncated: s.truncated, Nodes: s.nodes}
+	ans := &Answers{Subject: subject, Hypothesis: hypothesis, SearchStats: SearchStats{Nodes: s.nodes, Truncated: s.truncated}}
 	ans.Formulas = oracleEliminateRedundant(s.answers, userVars)
 	if len(ans.Formulas) == 0 && s.discarded > 0 {
 		ans.Contradiction = true

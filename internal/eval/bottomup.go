@@ -3,7 +3,6 @@ package eval
 import (
 	"context"
 	"slices"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -124,17 +123,14 @@ func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, e
 	defer governor.Recover(&err)
 	gov, cancel := governor.New(ctx, e.limits)
 	defer cancel()
-	sp := obs.SpanFromContext(ctx)
-	asp := sp.Child("analyze")
+	planStart := time.Now()
 	p, err := buildPlan(e.in, q)
 	if err != nil {
-		asp.End()
 		return nil, err
 	}
 	if !e.full {
 		p.calls = p.demands()
 	}
-	asp.End()
 	// The observability counters are private to this query and threaded
 	// through every storage probe, so concurrent queries over the same
 	// store keep independent counts.
@@ -151,10 +147,8 @@ func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, e
 		Engine:     e.Name(),
 		Components: make([]ComponentStats, len(sccs)+1),
 	}
-	evalSp := sp.Child("eval")
-	evalSp.SetStr("engine", e.Name())
-	evalSp.SetInt("components", int64(len(stats.Components)))
 	start := time.Now()
+	stats.Plan = start.Sub(planStart)
 	act := obs.ActivityFromContext(ctx)
 	evalOne := func(i int) (err error) {
 		defer governor.Recover(&err)
@@ -177,17 +171,10 @@ func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, e
 		if err := gov.Err(); err != nil {
 			return err
 		}
-		csp := evalSp.Child("scc")
-		csp.SetStr("preds", strings.Join(comp, " "))
 		t0 := time.Now()
 		err = evalComponent(base, p, comp, cs, act)
 		cs.Wall = time.Since(t0)
 		act.AddProgress(0, cs.Lookups)
-		csp.SetInt("iterations", int64(cs.Iterations))
-		csp.SetInt("facts", int64(cs.Facts))
-		csp.SetInt("lookups", int64(cs.Lookups))
-		csp.SetBool("recursive", cs.Recursive)
-		csp.End()
 		return err
 	}
 	provStart := e.rec.Len()
@@ -200,30 +187,10 @@ func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, e
 	finishStats(stats, start, counters, base.rp, runErr)
 	stats.ProvEntries = e.rec.Len() - provStart
 	e.stats.Store(stats)
-	endEvalSpan(evalSp, sp, stats)
 	if runErr != nil {
 		return nil, &StopError{Stats: stats, Err: runErr}
 	}
 	return e.collect(p, base.d), nil
-}
-
-// endEvalSpan folds the finished stats into the eval span and emits the
-// storage-probe summary span. Nil-safe (untraced queries pass nil).
-func endEvalSpan(evalSp, parent *obs.Span, stats *EvalStats) {
-	evalSp.SetInt("facts", int64(stats.Facts))
-	evalSp.SetInt("lookups", stats.Lookups)
-	if stats.StopReason != "" && stats.StopReason != "ok" {
-		evalSp.SetStr("stop", stats.StopReason)
-	}
-	evalSp.End()
-	if parent == nil {
-		return
-	}
-	ssp := parent.Child("storage")
-	ssp.SetInt("probes", stats.Probes)
-	ssp.SetInt("candidates", stats.Candidates)
-	ssp.SetInt("index_builds", stats.IndexBuilds)
-	ssp.End()
 }
 
 // component is the evaluation of one SCC's rules and the driver of their

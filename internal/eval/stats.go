@@ -67,7 +67,10 @@ type EvalStats struct {
 	// ProvEntries is the number of why-provenance witnesses this
 	// evaluation recorded (zero when recording was disabled).
 	ProvEntries int `json:"provenance_entries,omitempty"`
-	// Wall is the end-to-end evaluation time.
+	// Plan is the time spent planning the statement: its query rules
+	// compiled and its constants' calls walked (semi-naive only).
+	Plan time.Duration `json:"plan_ns,omitempty"`
+	// Wall is the evaluation time, planning excluded.
 	Wall time.Duration `json:"wall_ns"`
 	// StopReason is empty for a run-to-completion evaluation; a governed
 	// stop records why ("deadline", "canceled", "limit:<kind>", "panic").

@@ -26,7 +26,7 @@ func chainProgram(n int) string {
 // identical fingerprints, no matter what ran concurrently.
 func statsFingerprint(st *EvalStats) EvalStats {
 	out := *st
-	out.Wall = 0
+	out.Plan, out.Wall = 0, 0
 	out.Components = append([]ComponentStats(nil), st.Components...)
 	for i := range out.Components {
 		out.Components[i].Wall = 0

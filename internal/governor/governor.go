@@ -42,9 +42,10 @@ type Limits struct {
 	// the top-down engine may allocate.
 	MaxTableEntries int
 	// MaxDescribeNodes bounds the search steps of one describe
-	// evaluation. Unlike the describe engine's own MaxNodes option
-	// (which truncates and returns partial answers), a governor breach
-	// is an error.
+	// statement, summed over all its searches (a disjunction's
+	// disjuncts, a wildcard's subjects). Unlike the describe engine's own
+	// MaxNodes option (which truncates one search and returns partial
+	// answers), a governor breach is an error.
 	MaxDescribeNodes int
 	// MaxProvenanceEntries bounds the number of derivation witnesses a
 	// query may record when provenance recording is enabled. It governs

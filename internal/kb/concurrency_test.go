@@ -174,7 +174,7 @@ func TestCloseUnderLoad(t *testing.T) {
 	if err := k.LoadString("r(z)."); !errors.Is(err, ErrClosed) {
 		t.Errorf("load after close: %v", err)
 	}
-	if _, _, err := k.explain(ctx, subject, nil); !errors.Is(err, ErrClosed) {
+	if _, err := k.explain(ctx, subject, nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("explain after close: %v", err)
 	}
 	if _, err := k.ExecStringContext(ctx, "describe q(X)."); !errors.Is(err, ErrClosed) {

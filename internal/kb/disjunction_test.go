@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"kdb/internal/obs"
 	"kdb/internal/parser"
 )
 
@@ -175,5 +176,54 @@ func TestIntensionalAnswers(t *testing.T) {
 	}
 	if res.Knowledge != nil {
 		t.Error("intensional off must not attach knowledge")
+	}
+}
+
+// TestOrDescribeCountsEveryDisjunctsNodes: a disjunctive describe's
+// record sums the search nodes of its disjuncts, each described one at a
+// time, and so does kdb_describe_nodes_total, which reads the record.
+func TestOrDescribeCountsEveryDisjunctsNodes(t *testing.T) {
+	reg := obs.NewRegistry()
+	k := New(WithMetrics(reg))
+	if err := k.LoadFile("../../testdata/university.kdb"); err != nil {
+		t.Fatal(err)
+	}
+	nodesOf := func(stmt string) int {
+		t.Helper()
+		res, err := k.ExecStringContext(context.Background(), stmt)
+		if err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+		return res.Describe.Nodes
+	}
+	metric := func() (n float64) {
+		for _, p := range reg.Snapshot() {
+			if p.Name == "kdb_describe_nodes_total" {
+				n += p.Value
+			}
+		}
+		return n
+	}
+	student, enroll := `student(X, M, G)`, `enroll(X, C)`
+	one, other := nodesOf(`describe honor(X) where `+student+`.`), nodesOf(`describe honor(X) where `+enroll+`.`)
+	if one != 3 {
+		t.Errorf("describe honor(X) where %s: %d nodes, want 3", student, one)
+	}
+	for _, c := range []struct {
+		disjuncts []string
+		want      int
+	}{
+		{[]string{student, student}, 2 * one},
+		{[]string{student, enroll}, one + other},
+		{[]string{enroll, student, student}, other + 2*one},
+	} {
+		stmt := `describe honor(X) where ` + strings.Join(c.disjuncts, " or ") + `.`
+		before := metric()
+		if got := nodesOf(stmt); got != c.want {
+			t.Errorf("%s: %d nodes, want the disjuncts' %d", stmt, got, c.want)
+		}
+		if got := metric() - before; got != float64(c.want) {
+			t.Errorf("%s: kdb_describe_nodes_total grew by %v, want %d", stmt, got, c.want)
+		}
 	}
 }

@@ -114,10 +114,11 @@ rules:
 // unknown or truncated.
 func TestExplainRecursiveSound(t *testing.T) {
 	k := loadKB(t, routesProgram)
-	exp, _, err := k.explain(context.Background(), term.NewAtom("reachable", term.Sym("la"), term.Var("Y")), nil)
+	res, err := k.explain(context.Background(), term.NewAtom("reachable", term.Sym("la"), term.Var("Y")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	exp := res.Explanation
 	// Every airport is reachable from la (the graph is one cycle plus
 	// the dal chord).
 	if len(exp.Trees) != 6 {

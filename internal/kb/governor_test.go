@@ -194,3 +194,66 @@ func TestKBPanicSurfacesAsError(t *testing.T) {
 		t.Errorf("err = %v, want a *eval.StopError whose stats stop on the panic", err)
 	}
 }
+
+// TestDescribeQuotaIsPerStatement: MaxDescribeNodes bounds a describe
+// statement, not each of its searches. One disjunct's search expands 3
+// nodes, within a quota of 3; the same disjunct written three times
+// expands 9 and stops. A wildcard whose every subject searches within a
+// quota stops when all of them together do not.
+func TestDescribeQuotaIsPerStatement(t *testing.T) {
+	k := New()
+	if err := k.LoadFile("../../testdata/university.kdb"); err != nil {
+		t.Fatal(err)
+	}
+	within := func(limit int, stmt string) (*ExecResult, error) {
+		return k.ExecStringContext(ContextWithLimits(context.Background(), governor.Limits{MaxDescribeNodes: limit}), stmt)
+	}
+	stopped := func(err error) bool {
+		var le *governor.LimitError
+		return errors.As(err, &le) && le.Kind == governor.LimitDescribeNodes
+	}
+	const one = `describe honor(X) where student(X, M, G).`
+	if res, err := within(3, one); err != nil || res.Describe.Nodes != 3 {
+		t.Fatalf("%s within a quota of 3: err = %v, want 3 nodes", one, err)
+	}
+	const thrice = `describe honor(X) where student(X, M, G) or student(X, M, G) or student(X, M, G).`
+	if _, err := within(3, thrice); !stopped(err) {
+		t.Errorf("%s within a quota of 3: err = %v, want a describe-nodes *LimitError", thrice, err)
+	}
+	if res, err := within(9, thrice); err != nil || res.Describe.Nodes != 9 {
+		t.Errorf("%s within a quota of 9: err = %v, want 9 nodes", thrice, err)
+	}
+
+	// The wildcard searches every concept the hypothesis does not name.
+	const hyp = `enroll(X, C)`
+	res, err := k.ExecStringContext(context.Background(), `describe * where `+hyp+`.`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total, most, subjects := res.wildcardSearch.Nodes, 0, 0
+	seen := map[string]bool{}
+	for _, r := range k.Rules() {
+		if seen[r.Head.Pred] {
+			continue
+		}
+		seen[r.Head.Pred] = true
+		subject := term.NewAtom(r.Head.Pred, variables("W", len(r.Head.Args))...)
+		one, err := k.ExecStringContext(context.Background(), `describe `+subject.String()+` where `+hyp+`.`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		most = max(most, one.Describe.Nodes)
+		subjects++
+	}
+	if subjects < 2 || most >= total {
+		t.Fatalf("%d subjects, the largest search %d nodes of %d: the wildcard needs two searches", subjects, most, total)
+	}
+	wildcard := `describe * where ` + hyp + `.`
+	if _, err := within(most, wildcard); !stopped(err) {
+		t.Errorf("%s within a quota of %d (every subject's search fits, all %d nodes do not): err = %v, want a describe-nodes *LimitError",
+			wildcard, most, total, err)
+	}
+	if _, err := within(total, wildcard); err != nil {
+		t.Errorf("%s within a quota of its %d nodes: %v", wildcard, total, err)
+	}
+}

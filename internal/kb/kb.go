@@ -8,6 +8,7 @@ package kb
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -17,6 +18,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"kdb/internal/analysis"
 	"kdb/internal/catalog"
@@ -675,18 +677,16 @@ const maxExplainNodes = 10000
 // distinguish stored facts (edb) from comparisons (builtin). The trees
 // are rebuilt inside the evaluation, under its read lock, so every leaf
 // is classified against the store the answers were derived from. The
-// evaluation's EvalStats is returned either way.
-func (k *KB) explain(ctx context.Context, subject term.Atom, where term.Formula) (*prov.Explanation, *eval.EvalStats, error) {
-	rec := prov.NewRecorder()
-	var exp *prov.Explanation
-	_, stats, err := k.evaluate(ctx, eval.Query{Subject: subject, Where: where}, func(res *eval.Result) {
-		esp := obs.SpanFromContext(ctx).Child("explain")
-		exp = rec.Explain(subject, res.Atoms(subject), k.store.Contains, maxExplainNodes)
-		esp.SetInt("trees", int64(len(exp.Trees)))
-		esp.SetInt("nodes", int64(exp.Nodes))
-		esp.End()
+// result carries the evaluation's EvalStats either way.
+func (k *KB) explain(ctx context.Context, subject term.Atom, where term.Formula) (*ExecResult, error) {
+	out, rec := &ExecResult{}, prov.NewRecorder()
+	var err error
+	_, out.Stats, err = k.evaluate(ctx, eval.Query{Subject: subject, Where: where}, func(res *eval.Result) {
+		start := time.Now()
+		out.Explanation = rec.Explain(subject, res.Atoms(subject), k.store.Contains, maxExplainNodes)
+		out.explainWall = time.Since(start)
 	}, eval.WithProvenance(rec))
-	return exp, stats, err
+	return out, err
 }
 
 func (k *KB) showProvenance() bool {
@@ -817,21 +817,29 @@ func attachNotes(p *program, subject term.Atom, ans *core.Answers) {
 	}
 }
 
-// describe runs a knowledge query (§3.2) — plain, `where necessary`, or
-// disjunctive — through run, its core call, given the describer and the
-// effective query limits: the search checks cancellation cooperatively,
+// describe runs a knowledge query (§3.2) — `where necessary`, plain or
+// disjunctive — under the effective query limits, getting the describer
+// as out's analyze phase: the search checks cancellation cooperatively,
 // and MaxDescribeNodes bounds its steps as a hard error (unlike the
 // describe engine's own MaxNodes option, which truncates). Artificial
-// step-predicate names in the answers are replaced by their @name display
-// names, and a degraded describe carries the notes that explain it.
-func (k *KB) describe(ctx context.Context, subject term.Atom, run func(*core.Describer, governor.Limits) (*core.Answers, error)) (*core.Answers, error) {
-	asp := obs.SpanFromContext(ctx).Child("analyze")
+// step-predicate names in the answers are replaced by their @name
+// display names, and a degraded describe carries the notes that explain it.
+func (k *KB) describe(ctx context.Context, out *ExecResult, subject term.Atom, where term.Formula, or []term.Formula, necessary bool) (*core.Answers, error) {
+	start := time.Now()
 	p, d, err := k.describer(subject.Pred)
-	asp.End()
+	out.analyzeWall += time.Since(start)
 	if err != nil {
 		return nil, err
 	}
-	ans, err := run(d, k.effectiveLimits(ctx))
+	var ans *core.Answers
+	switch l := k.effectiveLimits(ctx); {
+	case necessary:
+		ans, err = d.DescribeNecessaryContext(ctx, subject, where, l)
+	case len(or) > 0:
+		ans, err = d.DescribeOrContext(ctx, subject, append([]term.Formula{where}, or...), l)
+	default:
+		ans, err = d.DescribeContext(ctx, subject, where, l)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -919,12 +927,12 @@ func (k *KB) ExecStringContext(ctx context.Context, src string) (*ExecResult, er
 // and the error.
 func (k *KB) exec(ctx context.Context, q parser.Query, src string) (*ExecResult, error) {
 	var sc scope
-	ctx = k.begin(ctx, &sc)
+	k.begin(ctx, &sc)
 	if q == nil {
-		psp := obs.SpanFromContext(ctx).Child("parse")
+		start := time.Now()
 		var err error
 		q, err = parser.ParseQuery(src)
-		psp.End()
+		sc.parse, sc.parsed = time.Since(start), true
 		if err != nil {
 			sc.kind, sc.text = "parse", strings.TrimSpace(src)
 			sc.finish(nil, err)
@@ -962,10 +970,7 @@ func (k *KB) execContext(ctx context.Context, q parser.Query) (*ExecResult, erro
 		if k.Intensional() {
 			// Intensional answering: attach the knowledge characterizing
 			// the extension, when the subject is an IDB concept.
-			ans, derr := k.describe(ctx, s.Subject, func(d *core.Describer, l governor.Limits) (*core.Answers, error) {
-				return d.DescribeOrContext(ctx, s.Subject, s.Disjuncts(), l)
-			})
-			if derr == nil {
+			if ans, derr := k.describe(ctx, out, s.Subject, s.Where, s.Or, false); derr == nil {
 				out.Knowledge = ans
 			}
 		}
@@ -973,8 +978,9 @@ func (k *KB) execContext(ctx context.Context, q parser.Query) (*ExecResult, erro
 	case *parser.Describe:
 		return k.execDescribe(ctx, s)
 	case *parser.Explain:
-		exp, stats, err := k.explain(ctx, s.Subject, s.Where)
-		return &ExecResult{Query: q, Explanation: exp, Stats: stats}, err
+		out, err := k.explain(ctx, s.Subject, s.Where)
+		out.Query = q
+		return out, err
 	case *parser.Profile:
 		out := &ExecResult{Query: q, subject: s.Subject}
 		var err error
@@ -1007,21 +1013,20 @@ func (k *KB) execDescribe(ctx context.Context, s *parser.Describe) (*ExecResult,
 		}
 		return &ExecResult{Query: s, System: fmt.Sprintf("%s — virtual relation: %s", d.Signature(), d.Doc)}, nil
 	}
-	var run func(*core.Describer, governor.Limits) (*core.Answers, error)
 	switch {
 	case s.Wildcard:
 		if len(s.Not) > 0 {
 			return nil, fmt.Errorf("kb: 'not' is not supported in a wildcard describe")
 		}
+		out := &ExecResult{Query: s, wildcard: true}
+		start := time.Now()
 		_, d, err := k.describer("")
+		out.analyzeWall = time.Since(start)
 		if err != nil {
-			return nil, err
+			return out, err
 		}
-		entries, nodes, err := d.DescribeWildcardContext(ctx, s.Where, k.effectiveLimits(ctx))
-		if err != nil {
-			return nil, err
-		}
-		return &ExecResult{Query: s, Wildcard: entries, wildcard: true, wildcardNodes: nodes}, nil
+		out.Wildcard, out.wildcardSearch, err = d.DescribeWildcardContext(ctx, s.Where, k.effectiveLimits(ctx))
+		return out, err
 	case s.Subjectless:
 		if len(s.Not) > 0 {
 			return nil, fmt.Errorf("kb: 'not' is not supported in a subjectless describe")
@@ -1045,24 +1050,11 @@ func (k *KB) execDescribe(ctx context.Context, s *parser.Describe) (*ExecResult,
 			return nil, err
 		}
 		return &ExecResult{Query: s, Necessity: n}, nil
-	case s.Necessary:
-		run = func(d *core.Describer, l governor.Limits) (*core.Answers, error) {
-			return d.DescribeNecessaryContext(ctx, s.Subject, s.Where, l)
-		}
-	case len(s.Or) > 0:
-		run = func(d *core.Describer, l governor.Limits) (*core.Answers, error) {
-			return d.DescribeOrContext(ctx, s.Subject, s.Disjuncts(), l)
-		}
-	default:
-		run = func(d *core.Describer, l governor.Limits) (*core.Answers, error) {
-			return d.DescribeContext(ctx, s.Subject, s.Where, l)
-		}
 	}
-	ans, err := k.describe(ctx, s.Subject, run)
-	if err != nil {
-		return nil, err
-	}
-	return &ExecResult{Query: s, Describe: ans, provenance: k.showProvenance()}, nil
+	out := &ExecResult{Query: s, provenance: k.showProvenance()}
+	var err error
+	out.Describe, err = k.describe(ctx, out, s.Subject, s.Where, s.Or, s.Necessary)
+	return out, err
 }
 
 // ExecResult is the displayable outcome of ExecContext: exactly one of the
@@ -1090,12 +1082,30 @@ type ExecResult struct {
 	// statement over a virtual relation.
 	System string
 
-	subject       term.Atom
-	wildcard      bool
-	wildcardNodes int // the nodes a wildcard describe's searches expanded
-	provenance    bool
-	text          string   // a retrieve's answer lines joined by '\n', once rendered
-	lines         []string // RetrieveLines: substrings of text
+	subject        term.Atom
+	wildcard       bool
+	wildcardSearch core.SearchStats // a wildcard describe's searches, every subject's
+	// kb's own phases: getting the describer, rebuilding explain's trees
+	analyzeWall, explainWall time.Duration
+	provenance               bool
+	text                     string   // a retrieve's answer lines joined by '\n', once rendered
+	lines                    []string // RetrieveLines: substrings of text
+}
+
+// searched returns the record of the statement's describe searches, or
+// nil when it ran none, and the number of formulas they answered with.
+func (r *ExecResult) searched() (*core.SearchStats, int) {
+	if a := cmp.Or(r.Describe, r.Knowledge); a != nil {
+		return &a.SearchStats, len(a.Formulas)
+	}
+	if !r.wildcard || r.wildcardSearch.Algorithm == 0 { // a wildcard that never searched
+		return nil, 0
+	}
+	n := 0
+	for _, e := range r.Wildcard {
+		n += len(e.Answers.Formulas)
+	}
+	return &r.wildcardSearch, n
 }
 
 // RetrieveLines renders the answers of a retrieve as instantiated

@@ -2,9 +2,9 @@ package kb
 
 import (
 	"context"
+	"strings"
 	"time"
 
-	"kdb/internal/eval"
 	"kdb/internal/governor"
 	"kdb/internal/obs"
 	"kdb/internal/obs/sysrel"
@@ -12,9 +12,10 @@ import (
 )
 
 // WithTracer attaches a span tracer: every ExecContext/ExecStringContext
-// statement records a span tree (parse, analyze, eval, describe, storage
-// phases) that the tracer retains and hands to its OnFinish callback. A
-// nil tracer keeps the query path allocation-free.
+// statement's record is projected, when it finishes, onto a span tree
+// (parse, analyze, eval, storage, describe, explain phases) that the
+// tracer retains and hands to its OnFinish callback. A nil tracer keeps
+// the query path allocation-free.
 func WithTracer(t *obs.Tracer) Option {
 	return func(k *KB) { k.tracer.Store(t) }
 }
@@ -94,20 +95,21 @@ type scope struct {
 	cancel context.CancelFunc
 	kind   string
 	text   string
+	parse  time.Duration // parsing the statement, when it came as text (parsed)
+	parsed bool
 }
 
 // begin opens the scope of one statement when any sink is attached: the
-// latency clock, and a root "query" span placed in the context for the
-// engines to hang children on. When the context already carries a span
-// (the server's "serve" phase), the query span is created as its child
-// and the parent owns trace retention; otherwise a fresh root is started
-// on the KB's tracer and finished there. With no sink attached, ctx comes
-// back untouched.
-func (k *KB) begin(ctx context.Context, s *scope) context.Context {
+// latency clock, and a root "query" span that finish projects the
+// statement's phases under. When the context carries a span (the
+// server's "serve" phase), the query span is created as its child and
+// the parent owns trace retention; otherwise a fresh root is started on
+// the KB's tracer and finished there.
+func (k *KB) begin(ctx context.Context, s *scope) {
 	*s = scope{tr: k.tracer.Load(), qm: k.qmetrics.Load(), ql: k.qlog.Load(),
 		qs: k.qstats.Load(), reg: k.activity.Load()}
 	if s.tr == nil && s.qm == nil && s.ql == nil && s.qs == nil && s.reg == nil {
-		return ctx
+		return
 	}
 	s.on = true
 	s.start = time.Now()
@@ -117,7 +119,6 @@ func (k *KB) begin(ctx context.Context, s *scope) context.Context {
 		s.root, s.owned = s.tr.Start("query"), true
 	}
 	s.client, _ = obs.ClientFromContext(ctx)
-	return obs.ContextWithSpan(ctx, s.root)
 }
 
 // run names the statement q the scope observes and, when an activity
@@ -144,8 +145,8 @@ func (s *scope) run(ctx context.Context, q parser.Query) context.Context {
 // kind, text, latency and error and from res — the result, or a governed
 // stop's partial result carrying the stats and profile up to the stop —
 // and projects it onto every attached sink: the activity entry, the
-// sys_query_stats aggregate, the root span's attributes, the metrics and
-// the query log.
+// sys_query_stats aggregate, the span tree, the metrics and the query
+// log.
 func (s *scope) finish(res *ExecResult, err error) {
 	if !s.on {
 		return
@@ -186,10 +187,64 @@ func (s *scope) finish(res *ExecResult, err error) {
 		s.qm.Observe(rec)
 		s.ql.Observe(rec) // best-effort: a full disk must not fail the query
 	}
+	if s.root != nil {
+		s.project(res)
+	}
 	if s.owned {
 		s.tr.Finish(s.root)
 	} else {
 		s.root.End()
+	}
+}
+
+// project lays the statement's phases out under the root span from its
+// record alone, end to end in the order they ran: each is as long as the
+// wall its record holds and carries its record's counts. A describe has
+// one eval and one describe phase however many searches it ran.
+func (s *scope) project(res *ExecResult) {
+	if s.parsed {
+		s.root.Then("parse", s.parse)
+	}
+	if res == nil {
+		return
+	}
+	if st := res.Stats; st != nil {
+		s.root.Then("analyze", st.Plan)
+		ev := s.root.Then("eval", st.Wall)
+		ev.SetStr("engine", st.Engine)
+		ev.SetInt("components", int64(len(st.Components)))
+		ev.SetInt("facts", int64(st.Facts))
+		ev.SetInt("lookups", st.Lookups)
+		if st.StopReason != "" {
+			ev.SetStr("stop", st.StopReason)
+		}
+		for _, c := range st.Components {
+			if !c.Skipped {
+				sp := ev.Then("scc", c.Wall)
+				sp.SetStr("preds", strings.Join(c.Preds, " "))
+				sp.SetInt("iterations", int64(c.Iterations))
+				sp.SetInt("facts", int64(c.Facts))
+				sp.SetInt("lookups", c.Lookups)
+				sp.SetBool("recursive", c.Recursive)
+			}
+		}
+		sp := s.root.Then("storage", 0)
+		sp.SetInt("probes", st.Probes)
+		sp.SetInt("candidates", st.Candidates)
+		sp.SetInt("index_builds", st.IndexBuilds)
+	}
+	if st, formulas := res.searched(); st != nil {
+		s.root.Then("analyze", res.analyzeWall)
+		ev := s.root.Then("eval", st.SearchWall)
+		ev.SetInt("algorithm", int64(st.Algorithm))
+		ev.SetInt("nodes", int64(st.Nodes))
+		ev.SetBool("truncated", st.Truncated)
+		s.root.Then("describe", st.PostWall).SetInt("formulas", int64(formulas))
+	}
+	if e := res.Explanation; e != nil {
+		sp := s.root.Then("explain", res.explainWall)
+		sp.SetInt("trees", int64(len(e.Trees)))
+		sp.SetInt("nodes", int64(e.Nodes))
 	}
 }
 
@@ -206,14 +261,12 @@ func (r *ExecResult) record(rec *obs.QueryLogRecord, rows bool) {
 		rec.Candidates = st.Candidates
 		rec.IndexBuilds = st.IndexBuilds
 		rec.ProvEntries = int64(st.ProvEntries)
-		rec.Iterations = sumIterations(st)
+		for _, c := range st.Components {
+			rec.Iterations += int64(c.Iterations)
+		}
 	}
-	rec.DescribeNodes = int64(r.wildcardNodes)
-	if r.Describe != nil {
-		rec.DescribeNodes += int64(r.Describe.Nodes)
-	}
-	if r.Knowledge != nil {
-		rec.DescribeNodes += int64(r.Knowledge.Nodes)
+	if st, _ := r.searched(); st != nil {
+		rec.DescribeNodes = int64(st.Nodes)
 	}
 	if r.Explanation != nil {
 		rec.ExplainNodes = int64(r.Explanation.Nodes)
@@ -221,13 +274,4 @@ func (r *ExecResult) record(rec *obs.QueryLogRecord, rows bool) {
 	if rows && r.Profiled() {
 		rec.Profile = r.Stats.Profile
 	}
-}
-
-// sumIterations totals the fixpoint rounds across an evaluation's SCCs.
-func sumIterations(st *eval.EvalStats) int64 {
-	n := int64(st.Passes) // top-down naive-iteration passes
-	for _, c := range st.Components {
-		n += int64(c.Iterations)
-	}
-	return n
 }

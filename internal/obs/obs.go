@@ -4,11 +4,15 @@
 //
 // The package is stdlib-only and designed around a zero-cost contract:
 // every method on *Tracer and *Span is safe on a nil receiver and does
-// nothing, so instrumentation sites never need a guard and a KB built
-// without WithTracer pays no allocation on the query hot path. Span
-// attributes use typed setters (SetInt, SetStr, SetBool, SetFloat)
-// rather than interface{} values so that disabled call sites do not box
-// their arguments.
+// nothing, so a KB built without WithTracer pays no allocation on the
+// query hot path. Span attributes use typed setters (SetInt, SetStr,
+// SetBool, SetFloat) rather than interface{} values so that setting one
+// never boxes its argument.
+//
+// A query's span tree is a view of its record, not a second account of
+// its work: the engines and the describer open no spans. The knowledge
+// base builds the tree when a statement finishes, laying each phase out
+// with Span.Then as long as the wall time the record holds.
 package obs
 
 import (
@@ -135,6 +139,27 @@ func (s *Span) Child(name string) *Span {
 	c := newSpan(name)
 	c.trace = s.trace
 	s.mu.Lock()
+	s.children = append(s.children, c)
+	s.mu.Unlock()
+	return c
+}
+
+// Then adds a finished sub-span d long, laid out where the previous
+// child ends (at s's start for the first): a phase placed after it ran,
+// from a record of its wall time, so children added by Then lie end to
+// end. Like Child, it inherits the parent's trace id. Returns nil if s
+// is nil.
+func (s *Span) Then(name string, d time.Duration) *Span {
+	if s == nil {
+		return nil
+	}
+	c := &Span{name: name, id: spanIDs.Add(1), trace: s.trace}
+	s.mu.Lock()
+	c.start = s.start
+	if n := len(s.children); n > 0 {
+		c.start = s.children[n-1].start.Add(s.children[n-1].Duration())
+	}
+	c.end = c.start.Add(d)
 	s.children = append(s.children, c)
 	s.mu.Unlock()
 	return c

@@ -36,6 +36,36 @@ func TestSpanTreeBasics(t *testing.T) {
 	}
 }
 
+// TestSpanThen: children added by Then lie end to end from the parent's
+// start, each exactly as long as asked, finished, in the parent's trace.
+func TestSpanThen(t *testing.T) {
+	root := NewTracer().StartWithID("query", 42)
+	a := root.Then("parse", 3*time.Microsecond)
+	b := root.Then("storage", 0)
+	c := root.Then("eval", 5*time.Microsecond)
+	scc := c.Then("scc", 2*time.Microsecond)
+	for _, x := range []struct {
+		sp    *Span
+		start time.Time
+		d     time.Duration
+	}{
+		{a, root.Start(), 3 * time.Microsecond},
+		{b, root.Start().Add(3 * time.Microsecond), 0},
+		{c, root.Start().Add(3 * time.Microsecond), 5 * time.Microsecond},
+		{scc, c.Start(), 2 * time.Microsecond},
+	} {
+		if !x.sp.Start().Equal(x.start) || x.sp.Duration() != x.d {
+			t.Errorf("%s spans [%v, +%v), want [%v, +%v)", x.sp.Name(), x.sp.Start(), x.sp.Duration(), x.start, x.d)
+		}
+		if x.sp.TraceID() != 42 {
+			t.Errorf("%s trace id = %d, want the root's 42", x.sp.Name(), x.sp.TraceID())
+		}
+	}
+	if got := len(root.Children()); got != 3 {
+		t.Errorf("root has %d children, want 3", got)
+	}
+}
+
 func TestNilSafety(t *testing.T) {
 	// Every method must no-op on a nil receiver — the disabled path.
 	var tr *Tracer
@@ -50,6 +80,9 @@ func TestNilSafety(t *testing.T) {
 	sp.End()
 	if c := sp.Child("x"); c != nil {
 		t.Errorf("nil span Child = %v, want nil", c)
+	}
+	if c := sp.Then("x", time.Second); c != nil {
+		t.Errorf("nil span Then = %v, want nil", c)
 	}
 	tr.Finish(sp)
 	if tr.Last() != nil || tr.Recent() != nil {

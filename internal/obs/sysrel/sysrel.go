@@ -279,28 +279,10 @@ func (v *View) Snapshot(pred string) (*storage.Relation, error) {
 // like one (lowercase identifier, not a reserved word) so it joins
 // with bare atoms users type, and as a string constant otherwise.
 func symOrStr(s string) term.Term {
-	if isSymbolName(s) {
+	if parser.IsSymbolName(s) {
 		return term.Sym(s)
 	}
 	return term.Str(s)
-}
-
-func isSymbolName(s string) bool {
-	if s == "" || parser.IsReserved(s) {
-		return false
-	}
-	c := s[0]
-	if c < 'a' || c > 'z' {
-		return false
-	}
-	for i := 1; i < len(s); i++ {
-		c := s[i]
-		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_' {
-			continue
-		}
-		return false
-	}
-	return true
 }
 
 // boolTerm encodes a flag as 1/0: "true" is a reserved word, so a

@@ -92,6 +92,26 @@ var keywords = map[string]bool{
 // IsReserved reports whether name is a reserved word of the language.
 func IsReserved(name string) bool { return keywords[name] }
 
+// IsSymbolName reports whether s is an ASCII lower-case identifier, not a
+// reserved word, that the parser reads back as a symbolic constant.
+func IsSymbolName(s string) bool {
+	if s == "" || IsReserved(s) {
+		return false
+	}
+	c := s[0]
+	if c < 'a' || c > 'z' {
+		return false
+	}
+	for i := 1; i < len(s); i++ {
+		c := s[i]
+		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_' {
+			continue
+		}
+		return false
+	}
+	return true
+}
+
 // Error is a lexical or syntactic error with a source position.
 type Error struct {
 	Pos Pos

@@ -184,3 +184,30 @@ func BenchmarkLex(b *testing.B) {
 		}
 	}
 }
+
+func TestIsSymbolName(t *testing.T) {
+	for _, c := range []struct {
+		s    string
+		want bool
+	}{
+		{"", false},
+		{"where", false},   // reserved word
+		{"profile", false}, // reserved word
+		{"Ann", false},     // upper-case start reads as a variable
+		{"_tmp", false},    // so does an underscore start
+		{"9lives", false},
+		{"ann", true},
+		{"a", true},
+		{"cs101", true},
+		{"can_ta", true},
+		{"mixedCase_9", true},
+		{"ann smith", false},
+		{"a-b", false},
+		{"émile", false}, // non-ASCII start
+		{"café", false},  // non-ASCII tail
+	} {
+		if got := IsSymbolName(c.s); got != c.want {
+			t.Errorf("IsSymbolName(%q) = %v, want %v", c.s, got, c.want)
+		}
+	}
+}

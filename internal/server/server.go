@@ -880,7 +880,7 @@ func decodeArg(m json.RawMessage) (term.Term, error) {
 	case float64:
 		return term.Num(x), nil
 	case string:
-		if isSymbolName(x) {
+		if parser.IsSymbolName(x) {
 			return term.Sym(x), nil
 		}
 		return term.Str(x), nil
@@ -892,7 +892,7 @@ func decodeArg(m json.RawMessage) (term.Term, error) {
 			switch k {
 			case "sym":
 				s, ok := val.(string)
-				if !ok || !isSymbolName(s) {
+				if !ok || !parser.IsSymbolName(s) {
 					return term.Term{}, fmt.Errorf("sym wants an identifier-shaped string")
 				}
 				return term.Sym(s), nil
@@ -914,26 +914,6 @@ func decodeArg(m json.RawMessage) (term.Term, error) {
 	default:
 		return term.Term{}, fmt.Errorf("unsupported argument type %T (want number, string, or {sym|str|num: v})", v)
 	}
-}
-
-// isSymbolName reports whether s is a lower-case identifier that the
-// parser would read back as a symbolic constant.
-func isSymbolName(s string) bool {
-	if s == "" || parser.IsReserved(s) {
-		return false
-	}
-	c := s[0]
-	if c < 'a' || c > 'z' {
-		return false
-	}
-	for i := 1; i < len(s); i++ {
-		c := s[i]
-		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_' {
-			continue
-		}
-		return false
-	}
-	return true
 }
 
 // badRequestError marks a client error mapped to 400.

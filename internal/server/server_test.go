@@ -302,6 +302,29 @@ func TestErrorMapping(t *testing.T) {
 	}
 }
 
+// TestDescribeCeilingIsPerStatement: the server's MaxDescribeNodes
+// ceiling bounds a describe statement, all its searches together. One
+// disjunct searches 3 nodes, within the ceiling; the same disjunct
+// written three times searches 9, and a request that asks for more than
+// the ceiling is clamped to it.
+func TestDescribeCeilingIsPerStatement(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{Ceiling: governor.Limits{MaxDescribeNodes: 3}})
+	post(t, ts, "/v1/kb/alpha/load", map[string]any{"program": "student(ann, math, 3.9).\nhonor(X) :- student(X, Y, Z), Z > 3.7."})
+	if code, out := post(t, ts, "/v1/kb/alpha/describe", map[string]any{"stmt": "describe honor(X) where student(X, M, G)."}); code != http.StatusOK {
+		t.Fatalf("one disjunct within the ceiling: %d %v", code, out)
+	}
+	code, out := post(t, ts, "/v1/kb/alpha/describe", map[string]any{
+		"stmt":   "describe honor(X) where student(X, M, G) or student(X, M, G) or student(X, M, G).",
+		"limits": map[string]any{"max_describe_nodes": 100},
+	})
+	if code != http.StatusTooManyRequests || errCode(t, out) != "limit" {
+		t.Fatalf("three disjuncts past the ceiling: %d %v", code, out)
+	}
+	if lim := out["error"].(map[string]any)["limit"].(map[string]any); lim["kind"] != "describe-nodes" || lim["max"] != float64(3) {
+		t.Errorf("limit detail = %v, want the ceiling's describe-nodes bound of 3", lim)
+	}
+}
+
 // TestCanceledClientStopsQuery verifies the request context reaches
 // the query governor: when the client disconnects, the evaluation
 // stops with a canceled reason, visible in the query metrics.
