@@ -61,7 +61,7 @@ func TestGoldenExplainJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := kdb.WriteExplainJSON(&out, res.Explanation); err != nil {
+	if err := res.Explanation.WriteJSON(&out); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "explain_can_ta.json.golden", out.Bytes())

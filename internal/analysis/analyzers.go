@@ -39,7 +39,7 @@ var safetyAnalyzer = &Analyzer{
 
 // unsafeVar returns the first range-restriction violation of the rule:
 // the unbound variable and whether it occurs in the head or in a
-// comparison. The binding semantics mirror eval.CheckSafety.
+// comparison. The binding semantics mirror eval's checkSafety.
 func unsafeVar(r term.Rule) (term.Term, string, bool) {
 	bound := make(map[term.Term]bool)
 	for _, a := range r.Body {

@@ -141,12 +141,6 @@ func (c *Catalog) IsEDB(name string) bool {
 	return ok && cl == ClassEDB
 }
 
-// IsBuiltin reports whether the predicate is a built-in comparison.
-func (c *Catalog) IsBuiltin(name string) bool {
-	cl, ok := c.Class(name)
-	return ok && cl == ClassBuiltin
-}
-
 // Preds returns copies of all registered predicates of the given class,
 // sorted by name for deterministic iteration.
 func (c *Catalog) Preds(class Class) []*Pred {
@@ -271,20 +265,6 @@ func (c *Catalog) DisplayName(name string) string {
 		return p.Display
 	}
 	return name
-}
-
-// CheckAtom validates one atom occurrence against the catalog: known
-// predicates must be used with a consistent arity. Unknown predicates are
-// registered with the given default class.
-func (c *Catalog) CheckAtom(a term.Atom, defaultClass Class) error {
-	if term.IsComparisonPred(a.Pred) {
-		if len(a.Args) != 2 {
-			return fmt.Errorf("catalog: comparison %s used with arity %d, want 2", a.Pred, len(a.Args))
-		}
-		return nil
-	}
-	_, err := c.Declare(a.Pred, len(a.Args), defaultClass)
-	return err
 }
 
 // String summarizes the catalog for diagnostics.

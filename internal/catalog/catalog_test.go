@@ -3,15 +3,13 @@ package catalog
 import (
 	"strings"
 	"testing"
-
-	"kdb/internal/term"
 )
 
 func TestNewHasBuiltins(t *testing.T) {
 	c := New()
 	for _, op := range []string{"=", "!=", "<", "<=", ">", ">="} {
-		if !c.IsBuiltin(op) {
-			t.Errorf("IsBuiltin(%q) = false", op)
+		if cl, ok := c.Class(op); !ok || cl != ClassBuiltin {
+			t.Errorf("Class(%q) = %v, %v, want builtin", op, cl, ok)
 		}
 		p := c.Lookup(op)
 		if p == nil || p.Arity != 2 {
@@ -29,7 +27,7 @@ func TestDeclareAndLookup(t *testing.T) {
 	if p.Functor() != "student/3" {
 		t.Errorf("Functor = %q", p.Functor())
 	}
-	if !c.IsEDB("student") || c.IsIDB("student") || c.IsBuiltin("student") {
+	if !c.IsEDB("student") || c.IsIDB("student") {
 		t.Error("class predicates misreport")
 	}
 	// Identical re-declaration is a no-op.
@@ -133,25 +131,6 @@ func TestDisplayName(t *testing.T) {
 	c.SetDisplay("prior", "before")
 	if got := c.DisplayName("prior"); got != "before" {
 		t.Errorf("display = %q", got)
-	}
-}
-
-func TestCheckAtom(t *testing.T) {
-	c := New()
-	if err := c.CheckAtom(term.NewAtom("student", term.Var("X"), term.Var("Y"), term.Var("Z")), ClassEDB); err != nil {
-		t.Fatal(err)
-	}
-	if !c.IsEDB("student") {
-		t.Error("CheckAtom must register unknown predicates")
-	}
-	if err := c.CheckAtom(term.NewAtom("student", term.Var("X")), ClassEDB); err == nil {
-		t.Error("arity conflict must fail")
-	}
-	if err := c.CheckAtom(term.NewAtom(">", term.Var("X"), term.Num(1)), ClassEDB); err != nil {
-		t.Errorf("comparison atom: %v", err)
-	}
-	if err := c.CheckAtom(term.NewAtom(">", term.Var("X")), ClassEDB); err == nil {
-		t.Error("unary comparison must fail")
 	}
 }
 

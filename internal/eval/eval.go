@@ -557,12 +557,6 @@ func admits(head term.Atom, args []term.Term) (uint64, bool) {
 	return given, true
 }
 
-// CheckSafety verifies that every rule is range-restricted (evaluable by
-// the engines): all head variables and all variables of non-equality
-// comparisons must be bound by ordinary body atoms, with equality atoms
-// propagating bindings. It returns the first violation.
-func CheckSafety(rules []term.Rule) error { return checkSafety(rules) }
-
 // atPos renders " (at file:line:col)" for rules with a known source
 // position, so safety errors point at the offending clause.
 func atPos(r term.Rule) string {

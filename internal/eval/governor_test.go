@@ -174,26 +174,6 @@ func TestMaxIterationsLimit(t *testing.T) {
 	}
 }
 
-func TestMaxTableEntriesLimit(t *testing.T) {
-	// Two IDB predicates guarantee at least two call-pattern tables.
-	in := load(t, `
-edge(a, b). edge(b, c). edge(c, d).
-reach(X, Y) :- edge(X, Y).
-reach(X, Y) :- edge(X, Z), reach(Z, Y).
-twohop(X, Y) :- reach(X, Z), reach(Z, Y).
-`)
-	q := query(t, `retrieve twohop(X, Y).`)
-	e := NewTopDown(in, WithLimits(governor.Limits{MaxTableEntries: 1}))
-	_, err := e.RetrieveContext(context.Background(), q)
-	var le *governor.LimitError
-	if !errors.As(err, &le) {
-		t.Fatalf("err = %v, want *LimitError", err)
-	}
-	if le.Kind != governor.LimitTableEntries {
-		t.Errorf("kind = %q, want %q", le.Kind, governor.LimitTableEntries)
-	}
-}
-
 func TestLimitsDoNotAffectCompletingQueries(t *testing.T) {
 	in := load(t, universityDB)
 	q := query(t, `retrieve prior(databases, X).`)

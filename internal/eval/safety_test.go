@@ -25,7 +25,7 @@ p(X, Z) :- q(X, Y), Z = Y.
 r(X) :- s(X), X != a.
 fact(a, 1).
 `)
-	if err := CheckSafety(good); err != nil {
+	if err := checkSafety(good); err != nil {
 		t.Errorf("safe rules rejected: %v", err)
 	}
 	cases := []struct {
@@ -38,15 +38,15 @@ fact(a, 1).
 		{`p(X) :- X = Y.`, "head variable"}, // neither side bound
 	}
 	for _, c := range cases {
-		err := CheckSafety(parseRules(t, c.src))
+		err := checkSafety(parseRules(t, c.src))
 		if c.wantSub == "" {
 			if err != nil {
-				t.Errorf("CheckSafety(%q) = %v, want nil", c.src, err)
+				t.Errorf("checkSafety(%q) = %v, want nil", c.src, err)
 			}
 			continue
 		}
 		if err == nil {
-			t.Errorf("CheckSafety(%q) = nil, want error about %q", c.src, c.wantSub)
+			t.Errorf("checkSafety(%q) = nil, want error about %q", c.src, c.wantSub)
 		}
 	}
 }

@@ -58,9 +58,8 @@ type topDownRun struct {
 
 // RetrieveContext evaluates the query goal-directed under the governor:
 // the naive-iteration driver checks cancellation and the pass budget
-// between passes, every lookup performs an amortized check, and table
-// allocation and answer insertion are bounded by MaxTableEntries and
-// MaxFacts.
+// between passes, every lookup performs an amortized check, and answer
+// insertion is bounded by MaxFacts.
 func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, err error) {
 	defer governor.Recover(&err)
 	gov, cancel := governor.New(ctx, e.limits)
@@ -158,9 +157,6 @@ func (r *topDownRun) solveTable(goal term.Atom) (*answerTable, error) {
 	key := callKey(goal)
 	t, ok := r.tables[key]
 	if !ok {
-		if err := r.gov.CheckTableEntries(len(r.tables) + 1); err != nil {
-			return nil, err
-		}
 		answers, err := newTable(len(goal.Args))
 		if err != nil {
 			return nil, err

@@ -38,9 +38,6 @@ type Limits struct {
 	// SCC (bottom-up engines) and the naive-iteration passes of the
 	// top-down driver.
 	MaxIterations int
-	// MaxTableEntries bounds the number of distinct call-pattern tables
-	// the top-down engine may allocate.
-	MaxTableEntries int
 	// MaxDescribeNodes bounds the search steps of one describe
 	// statement, summed over all its searches (a disjunction's
 	// disjuncts, a wildcard's subjects). Unlike the describe engine's own
@@ -63,7 +60,6 @@ func Clamp(req, ceiling Limits) Limits {
 	req.MaxWall = clampDur(req.MaxWall, ceiling.MaxWall)
 	req.MaxFacts = clampInt(req.MaxFacts, ceiling.MaxFacts)
 	req.MaxIterations = clampInt(req.MaxIterations, ceiling.MaxIterations)
-	req.MaxTableEntries = clampInt(req.MaxTableEntries, ceiling.MaxTableEntries)
 	req.MaxDescribeNodes = clampInt(req.MaxDescribeNodes, ceiling.MaxDescribeNodes)
 	req.MaxProvenanceEntries = clampInt(req.MaxProvenanceEntries, ceiling.MaxProvenanceEntries)
 	return req
@@ -91,7 +87,6 @@ type LimitKind string
 const (
 	LimitFacts         LimitKind = "facts"
 	LimitIterations    LimitKind = "iterations"
-	LimitTableEntries  LimitKind = "tables"
 	LimitDescribeNodes LimitKind = "describe-nodes"
 	LimitProvenance    LimitKind = "provenance"
 )
@@ -239,18 +234,6 @@ func (g *Governor) CheckIterations(n int) error {
 	}
 	if max := g.limits.MaxIterations; max > 0 && n > max {
 		return &LimitError{Kind: LimitIterations, Limit: int64(max)}
-	}
-	return nil
-}
-
-// CheckTableEntries guards the top-down engine's call-pattern table
-// count.
-func (g *Governor) CheckTableEntries(n int) error {
-	if g == nil {
-		return nil
-	}
-	if max := g.limits.MaxTableEntries; max > 0 && n > max {
-		return &LimitError{Kind: LimitTableEntries, Limit: int64(max)}
 	}
 	return nil
 }

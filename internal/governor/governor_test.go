@@ -21,9 +21,6 @@ func TestNilGovernorIsUnlimited(t *testing.T) {
 	if err := g.CheckIterations(1 << 30); err != nil {
 		t.Errorf("nil CheckIterations = %v", err)
 	}
-	if err := g.CheckTableEntries(1 << 30); err != nil {
-		t.Errorf("nil CheckTableEntries = %v", err)
-	}
 	if err := g.CheckDescribeNodes(1 << 30); err != nil {
 		t.Errorf("nil CheckDescribeNodes = %v", err)
 	}
@@ -60,16 +57,13 @@ func TestFactLimit(t *testing.T) {
 }
 
 func TestIterationTableAndDescribeLimits(t *testing.T) {
-	g, cancel := New(context.Background(), Limits{MaxIterations: 3, MaxTableEntries: 5, MaxDescribeNodes: 7})
+	g, cancel := New(context.Background(), Limits{MaxIterations: 3, MaxDescribeNodes: 7})
 	defer cancel()
 	if err := g.CheckIterations(3); err != nil {
 		t.Errorf("iterations at limit: %v", err)
 	}
 	if err := g.CheckIterations(4); err == nil || StopReason(err) != "limit:iterations" {
 		t.Errorf("iterations over limit = %v", err)
-	}
-	if err := g.CheckTableEntries(6); err == nil || StopReason(err) != "limit:tables" {
-		t.Errorf("tables over limit = %v", err)
 	}
 	if err := g.CheckDescribeNodes(8); err == nil || StopReason(err) != "limit:describe-nodes" {
 		t.Errorf("describe nodes over limit = %v", err)

@@ -17,7 +17,6 @@ var fuzzLimits = governor.Limits{
 	MaxWall:              200 * time.Millisecond,
 	MaxFacts:             2000,
 	MaxIterations:        50,
-	MaxTableEntries:      200,
 	MaxDescribeNodes:     20000,
 	MaxProvenanceEntries: 2000,
 }

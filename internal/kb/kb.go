@@ -214,16 +214,10 @@ func ContextWithLimits(ctx context.Context, l governor.Limits) context.Context {
 	return context.WithValue(ctx, limitsKey{}, l)
 }
 
-// LimitsFromContext returns the limits attached by ContextWithLimits.
-func LimitsFromContext(ctx context.Context) (governor.Limits, bool) {
-	l, ok := ctx.Value(limitsKey{}).(governor.Limits)
-	return l, ok
-}
-
 // effectiveLimits resolves the limits governing one query:
 // context-carried per-request limits clamped by the configured limits.
 func (k *KB) effectiveLimits(ctx context.Context) governor.Limits {
-	if req, ok := LimitsFromContext(ctx); ok {
+	if req, ok := ctx.Value(limitsKey{}).(governor.Limits); ok {
 		return governor.Clamp(req, k.limits)
 	}
 	return k.limits

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"expvar"
 	"fmt"
 	"net/http"
@@ -67,10 +66,4 @@ func PublishExpvar(reg *Registry) {
 			return r.Snapshot()
 		}))
 	})
-}
-
-// MetricsJSON renders the registry snapshot as indented JSON (the
-// --stats-json surface reuses this encoding).
-func MetricsJSON(reg *Registry) ([]byte, error) {
-	return json.MarshalIndent(reg.Snapshot(), "", "  ")
 }

@@ -349,8 +349,8 @@ func splitLabelPairs(s string) []string {
 }
 
 // Snapshot returns every series in the registry, sorted by family name
-// then label set, in a JSON-friendly shape (used by --stats-json, the
-// expvar surface, and kdb-experiments).
+// then label set, in a JSON-friendly shape: the value /debug/vars
+// publishes and the rows of the sys_metric relation.
 func (r *Registry) Snapshot() []MetricPoint {
 	if r == nil {
 		return nil

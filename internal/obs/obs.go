@@ -6,8 +6,8 @@
 // every method on *Tracer and *Span is safe on a nil receiver and does
 // nothing, so a KB built without WithTracer pays no allocation on the
 // query hot path. Span attributes use typed setters (SetInt, SetStr,
-// SetBool, SetFloat) rather than interface{} values so that setting one
-// never boxes its argument.
+// SetBool) rather than interface{} values so that setting one never
+// boxes its argument.
 //
 // A query's span tree is a view of its record, not a second account of
 // its work: the engines and the describer open no spans. The knowledge
@@ -30,7 +30,6 @@ const (
 	AttrInt AttrKind = iota
 	AttrStr
 	AttrBool
-	AttrFloat
 )
 
 // Attr is one key/value annotation on a span. Exactly one payload field
@@ -40,7 +39,6 @@ type Attr struct {
 	Kind AttrKind
 	Int  int64
 	Str  string
-	Flt  float64
 }
 
 // Value returns the payload as an interface value (for export).
@@ -50,18 +48,16 @@ func (a Attr) Value() any {
 		return a.Str
 	case AttrBool:
 		return a.Int != 0
-	case AttrFloat:
-		return a.Flt
 	default:
 		return a.Int
 	}
 }
 
 // Span is one timed phase of a query. Spans form a tree: the root is
-// created by Tracer.Start and children by Span.Child. A span is safe
-// for concurrent use: exporters and live views (`kdb top`, the debug
-// endpoints) may read it while the query goroutine adds children and
-// attributes.
+// created by Tracer.Start and children by Span.Child or Span.Then. A
+// span is safe for concurrent use: the readers are the tracer's ring of
+// recent traces (Tracer.Recent, Tracer.Last) and its OnFinish callback,
+// which hand trees to goroutines other than the one that built them.
 //
 // All methods are nil-safe: a nil *Span ignores every call, and
 // Child on a nil span returns nil, so an untraced query threads nil
@@ -85,29 +81,6 @@ var spanIDs atomic.Uint64
 func newSpan(name string) *Span {
 	id := spanIDs.Add(1)
 	return &Span{name: name, start: time.Now(), id: id, trace: id}
-}
-
-// NewSpanAt constructs a detached, already-ended span with an explicit
-// time interval. It exists for synthetic span trees — structures that
-// are not timed phases of a query but want to reuse the span exporters,
-// such as derivation trees rendered as a Chrome trace where width
-// encodes subtree size.
-func NewSpanAt(name string, start, end time.Time) *Span {
-	s := newSpan(name)
-	s.start = start
-	s.end = end
-	return s
-}
-
-// AddChild attaches an existing span as a child of s. No-op when either
-// is nil. Used alongside NewSpanAt to assemble synthetic trees.
-func (s *Span) AddChild(c *Span) {
-	if s == nil || c == nil {
-		return
-	}
-	s.mu.Lock()
-	s.children = append(s.children, c)
-	s.mu.Unlock()
 }
 
 // ID returns the process-unique span id, or 0 for a nil span.
@@ -179,17 +152,6 @@ func (s *Span) End() {
 	s.mu.Unlock()
 }
 
-// SetName renames the span (used when the statement kind is only known
-// after parsing).
-func (s *Span) SetName(name string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.name = name
-	s.mu.Unlock()
-}
-
 // SetInt adds an integer attribute.
 func (s *Span) SetInt(key string, v int64) {
 	if s == nil {
@@ -224,23 +186,11 @@ func (s *Span) SetBool(key string, v bool) {
 	s.mu.Unlock()
 }
 
-// SetFloat adds a float attribute.
-func (s *Span) SetFloat(key string, v float64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Kind: AttrFloat, Flt: v})
-	s.mu.Unlock()
-}
-
 // Name returns the span name. Empty for a nil span.
 func (s *Span) Name() string {
 	if s == nil {
 		return ""
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.name
 }
 

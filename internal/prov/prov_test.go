@@ -222,31 +222,3 @@ func TestExplainJSON(t *testing.T) {
 		t.Errorf("rules=%v nodes=%d", wire.Rules, wire.Nodes)
 	}
 }
-
-func TestExplainChromeTrace(t *testing.T) {
-	r := NewRecorder()
-	recordPath(t, r)
-	e := r.Explain(atom("path", "a", "c"), []term.Atom{atom("path", "a", "c")},
-		func(a term.Atom) bool { return a.Pred == "edge" }, 0)
-	var buf bytes.Buffer
-	if err := e.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("chrome trace is not a JSON array: %v", err)
-	}
-	if len(events) != 4 {
-		t.Fatalf("got %d events, want 4 (one per node)", len(events))
-	}
-	// The root spans the whole two-leaf interval.
-	names := map[string]bool{}
-	for _, ev := range events {
-		names[ev["name"].(string)] = true
-	}
-	for _, want := range []string{"path(a, c)", "edge(a, b)", "path(b, c)", "edge(b, c)"} {
-		if !names[want] {
-			t.Errorf("missing event %q", want)
-		}
-	}
-}

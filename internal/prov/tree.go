@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
-	"kdb/internal/obs"
 	"kdb/internal/term"
 )
 
@@ -265,47 +263,4 @@ func (e *Explanation) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(e)
-}
-
-// WriteChromeTrace renders the derivation trees as a Chrome/Perfetto
-// trace via the obs exporter: each node becomes a synthetic complete
-// event whose width is its leaf count, so the trace viewer shows the
-// derivation as a flame graph (children partition their parent).
-func (e *Explanation) WriteChromeTrace(w io.Writer) error {
-	base := time.Unix(0, 0)
-	var roots []*obs.Span
-	offset := int64(0)
-	for _, t := range e.Trees {
-		sp, width := syntheticSpan(t, base, offset)
-		roots = append(roots, sp)
-		offset += width
-	}
-	return obs.WriteChromeTrace(w, roots)
-}
-
-// syntheticSpan converts a node into an ended span covering one
-// microsecond per leaf under it, starting at base+offset µs. Children
-// partition the parent's interval left to right in body order.
-func syntheticSpan(n *Node, base time.Time, offset int64) (*obs.Span, int64) {
-	width := int64(0)
-	var kids []*obs.Span
-	for _, c := range n.Children {
-		sp, w := syntheticSpan(c, base, offset+width)
-		kids = append(kids, sp)
-		width += w
-	}
-	if width == 0 {
-		width = 1 // a leaf occupies one unit
-	}
-	start := base.Add(time.Duration(offset) * time.Microsecond)
-	end := base.Add(time.Duration(offset+width) * time.Microsecond)
-	sp := obs.NewSpanAt(n.Fact.String(), start, end)
-	sp.SetStr("kind", n.Kind.String())
-	if n.Kind == NodeDerived {
-		sp.SetInt("rule", int64(n.Rule))
-	}
-	for _, k := range kids {
-		sp.AddChild(k)
-	}
-	return sp, width
 }

@@ -337,7 +337,6 @@ type limitsJSON struct {
 	MaxWallMS        int `json:"max_wall_ms,omitempty"`
 	MaxFacts         int `json:"max_facts,omitempty"`
 	MaxIterations    int `json:"max_iterations,omitempty"`
-	MaxTableEntries  int `json:"max_table_entries,omitempty"`
 	MaxDescribeNodes int `json:"max_describe_nodes,omitempty"`
 	MaxProvenance    int `json:"max_provenance_entries,omitempty"`
 }
@@ -347,7 +346,6 @@ func (l *limitsJSON) toLimits() governor.Limits {
 		MaxWall:              time.Duration(l.MaxWallMS) * time.Millisecond,
 		MaxFacts:             l.MaxFacts,
 		MaxIterations:        l.MaxIterations,
-		MaxTableEntries:      l.MaxTableEntries,
 		MaxDescribeNodes:     l.MaxDescribeNodes,
 		MaxProvenanceEntries: l.MaxProvenance,
 	}

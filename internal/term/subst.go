@@ -95,32 +95,6 @@ func (s Subst) ApplyRule(r Rule) Rule {
 	return Rule{Head: s.Apply(r.Head), Body: s.ApplyFormula(r.Body), Pos: r.Pos}
 }
 
-// Compose returns the composition s∘u: applying the result is equivalent
-// to applying s first and then u. Neither input is modified.
-func (s Subst) Compose(u Subst) Subst {
-	out := make(Subst, len(s)+len(u))
-	for k, v := range s {
-		out[k] = u.Walk(v)
-	}
-	for k, v := range u {
-		if _, ok := out[k]; !ok {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-// Restrict returns the sub-substitution covering only the given variables.
-func (s Subst) Restrict(vars []Term) Subst {
-	out := make(Subst, len(vars))
-	for _, v := range vars {
-		if t := s.Walk(v); t != v {
-			out[v] = t
-		}
-	}
-	return out
-}
-
 // Equal reports whether two substitutions contain the same bindings.
 func (s Subst) Equal(u Subst) bool {
 	if len(s) != len(u) {

@@ -377,12 +377,6 @@ func NewRule(head Atom, body ...Atom) Rule {
 	return Rule{Head: NewAtom(head.Pred, head.Args...), Body: Formula(body).Clone()}
 }
 
-// At returns a copy of the rule carrying the given source position.
-func (r Rule) At(pos Pos) Rule {
-	r.Pos = pos
-	return r
-}
-
 // IsFact reports whether the rule is a ground fact.
 func (r Rule) IsFact() bool { return len(r.Body) == 0 && r.Head.IsGround() }
 

@@ -44,14 +44,11 @@ import (
 	"time"
 
 	"kdb/internal/analysis"
-	"kdb/internal/catalog"
 	"kdb/internal/core"
 	"kdb/internal/eval"
 	"kdb/internal/governor"
 	"kdb/internal/kb"
 	"kdb/internal/obs"
-	"kdb/internal/obs/profile"
-	"kdb/internal/obs/sysrel"
 	"kdb/internal/parser"
 	"kdb/internal/prov"
 	"kdb/internal/server"
@@ -75,8 +72,6 @@ type (
 	// probe counts, and wall times. A statement's own record is
 	// ExecResult.Stats, or StopError.Stats on a governed stop.
 	EvalStats = eval.EvalStats
-	// ComponentStats records the evaluation of one SCC of the rule graph.
-	ComponentStats = eval.ComponentStats
 )
 
 // Query-governor types: per-query resource control for every statement
@@ -102,10 +97,6 @@ type (
 // Static-analysis types: the diagnostics engine behind KB.Diagnostics,
 // load-time gating, and the `kdb check` command.
 type (
-	// Diagnostic is one source-anchored finding of one analyzer.
-	Diagnostic = analysis.Diagnostic
-	// Severity grades a diagnostic (info, warning, error).
-	Severity = analysis.Severity
 	// Report aggregates the diagnostics and the program profile of one
 	// analysis run.
 	Report = analysis.Report
@@ -113,16 +104,6 @@ type (
 	// diagnostics reject the program (errors.As-able; carries the
 	// structured diagnostics).
 	AnalysisError = analysis.Error
-	// Profile summarizes a program's shape: predicate/rule counts and
-	// rule counts per recursion classification.
-	Profile = analysis.Profile
-)
-
-// Diagnostic severities.
-const (
-	SevInfo    = analysis.SevInfo
-	SevWarning = analysis.SevWarning
-	SevError   = analysis.SevError
 )
 
 // Analyze runs the full static-analysis suite over a parsed program and
@@ -150,29 +131,15 @@ var ErrDurability = storage.ErrDurability
 // ContextWithQueryLimits attaches per-request query limits to a
 // context: they govern every evaluation under it, clamped against the
 // KB's configured limits (a request may tighten but never loosen the
-// ceiling — see ClampQueryLimits).
+// ceiling).
 func ContextWithQueryLimits(ctx context.Context, l QueryLimits) context.Context {
 	return kb.ContextWithLimits(ctx, l)
-}
-
-// QueryLimitsFromContext returns the limits attached by
-// ContextWithQueryLimits.
-func QueryLimitsFromContext(ctx context.Context) (QueryLimits, bool) {
-	return kb.LimitsFromContext(ctx)
-}
-
-// ClampQueryLimits merges requested limits against a ceiling: for each
-// field the result never exceeds a nonzero ceiling bound, and a zero
-// (unlimited) request is replaced by the ceiling.
-func ClampQueryLimits(req, ceiling QueryLimits) QueryLimits {
-	return governor.Clamp(req, ceiling)
 }
 
 // Limit kinds reported by LimitError.
 const (
 	LimitFacts         = governor.LimitFacts
 	LimitIterations    = governor.LimitIterations
-	LimitTableEntries  = governor.LimitTableEntries
 	LimitDescribeNodes = governor.LimitDescribeNodes
 	LimitProvenance    = governor.LimitProvenance
 )
@@ -185,53 +152,14 @@ type (
 	Atom = term.Atom
 	// Formula is a conjunction of atoms.
 	Formula = term.Formula
-	// Rule is a Horn clause head ← body.
-	Rule = term.Rule
-	// Subst is a substitution over variables.
-	Subst = term.Subst
 )
 
-// Query and answer types.
+// Parsed source types.
 type (
 	// Query is any parsed query statement.
 	Query = parser.Query
-	// RetrieveQuery is a parsed data query.
-	RetrieveQuery = parser.Retrieve
-	// DescribeQuery is a parsed knowledge query.
-	DescribeQuery = parser.Describe
-	// CompareQuery is a parsed concept comparison.
-	CompareQuery = parser.Compare
-	// ExplainQuery is a parsed why-provenance query.
-	ExplainQuery = parser.Explain
-	// Result is the extensional answer to a retrieve.
-	Result = eval.Result
-	// Answers is the set of rules answering a describe.
-	Answers = core.Answers
-	// Answer is one rule of a knowledge answer.
-	Answer = core.Answer
-	// Necessity answers `describe … where not h`.
-	Necessity = core.Necessity
-	// Possibility answers a subjectless describe.
-	Possibility = core.Possibility
-	// WildcardEntry is one subject of a `describe *` answer.
-	WildcardEntry = core.WildcardEntry
-	// ConceptComparison answers a compare statement.
-	ConceptComparison = core.ConceptComparison
-	// Relation classifies how two concepts relate.
-	Relation = core.Relation
 	// Program is a parsed knowledge-base source.
 	Program = parser.Program
-	// Pred describes a predicate in the catalog.
-	Pred = catalog.Pred
-)
-
-// Concept relations (compare statement).
-const (
-	RelUnrelated         = core.RelUnrelated
-	RelOverlapping       = core.RelOverlapping
-	RelLeftSubsumesRight = core.RelLeftSubsumesRight
-	RelRightSubsumesLeft = core.RelRightSubsumesLeft
-	RelEquivalent        = core.RelEquivalent
 )
 
 // New returns an empty in-memory knowledge base.
@@ -244,9 +172,9 @@ func Open(dir string, opts ...Option) (*KB, error) { return kb.Open(dir, opts...
 
 // WithQueryLimits sets the per-query resource limits the query governor
 // enforces on every retrieve and describe evaluation: maximum wall
-// time, derived facts, fixpoint iterations per stratum, top-down table
-// entries, and describe search steps. Zero fields are unlimited;
-// context cancellation (ExecContext and friends) is honored regardless.
+// time, derived facts, fixpoint iterations per stratum, describe search
+// steps, and provenance entries. Zero fields are unlimited; context
+// cancellation (ExecContext and friends) is honored regardless.
 func WithQueryLimits(l QueryLimits) Option { return kb.WithQueryLimits(l) }
 
 // Observability types: the tracing and metrics layer (see WithTracer and
@@ -261,9 +189,6 @@ type (
 	// MetricsRegistry is a process-wide registry of counters, gauges,
 	// and histograms with Prometheus text exposition.
 	MetricsRegistry = obs.Registry
-	// MetricPoint is one exported metric sample (see MetricsRegistry
-	// Snapshot).
-	MetricPoint = obs.MetricPoint
 )
 
 // NewTracer returns a query tracer retaining the most recent traces.
@@ -301,29 +226,19 @@ func DebugHandler(reg *MetricsRegistry) http.Handler { return obs.DebugHandler(r
 // `explain` statement.
 type (
 	// Explanation is the reconstructed derivation of every answer to an
-	// explain statement: one tree per answer fact, plus the legend of
-	// rules the trees reference.
+	// explain statement (ExecResult.Explanation): one tree per answer
+	// fact, plus the legend of rules the trees reference. Its WriteJSON
+	// method exports it as indented JSON.
 	Explanation = prov.Explanation
 	// ExplainNode is one node of a derivation tree.
 	ExplainNode = prov.Node
-	// ExplainNodeKind classifies a derivation-tree node (derived, edb,
-	// builtin, cycle, unknown, truncated).
-	ExplainNodeKind = prov.NodeKind
 	// QueryLog appends one JSONL record per finished query (optionally
 	// only slow ones); see WithQueryLog.
 	QueryLog = obs.QueryLog
-	// QueryLogRecord is one line of the structured query log.
-	QueryLogRecord = obs.QueryLogRecord
 )
 
-// Derivation-tree node kinds.
-const (
-	ExplainDerived   = prov.NodeDerived
-	ExplainEDB       = prov.NodeEDB
-	ExplainBuiltin   = prov.NodeBuiltin
-	ExplainCycle     = prov.NodeCycle
-	ExplainTruncated = prov.NodeTruncated
-)
+// ExplainEDB marks a derivation-tree leaf that is a stored fact.
+const ExplainEDB = prov.NodeEDB
 
 // NewQueryLog returns a structured query log writing JSONL to w. With
 // slow > 0 only queries of at least that duration are logged; 0 logs
@@ -335,43 +250,17 @@ func NewQueryLog(w io.Writer, slow time.Duration) *QueryLog { return obs.NewQuer
 // evaluation deltas, and the root-span trace id when tracing is on.
 func WithQueryLog(l *QueryLog) Option { return kb.WithQueryLog(l) }
 
-// WriteExplainJSON exports an explanation as indented JSON.
-func WriteExplainJSON(w io.Writer, e *Explanation) error { return e.WriteJSON(w) }
-
-// WriteExplainChromeTrace exports an explanation's derivation trees in
-// the Chrome trace-event format (load in Perfetto or chrome://tracing):
-// a flame graph where width is subtree size.
-func WriteExplainChromeTrace(w io.Writer, e *Explanation) error {
-	return e.WriteChromeTrace(w)
-}
-
-// MetricsJSON renders the registry's current state as indented JSON.
-func MetricsJSON(reg *MetricsRegistry) ([]byte, error) { return obs.MetricsJSON(reg) }
-
-// Profiling & live introspection types: per-rule cost accounting behind
-// the `profile` statement (see KB.SetProfiling) and the in-flight query
-// registry behind /v1/debug/activity and `kdb top`.
+// Live introspection types: the in-flight query registry behind
+// /v1/debug/activity and `kdb top`, and a rotating log writer.
 type (
-	// ProfileRow is one rule's cost row in a profiled statement's
-	// record (EvalStats.Profile): wall time, rounds, tuples, probes
-	// (index-hit vs full-scan), and an allocation estimate.
-	ProfileRow = profile.Row
-	// ProfileQuery is a parsed profile statement.
-	ProfileQuery = parser.Profile
 	// ActivityRegistry tracks the queries currently executing; cancel an
 	// entry to stop its evaluation through the governor.
 	ActivityRegistry = obs.ActivityRegistry
 	// ActivityInfo is the wire snapshot of one in-flight query.
 	ActivityInfo = obs.ActivityInfo
-	// BuildInfo identifies the running binary (version, go version, VCS
-	// revision); see RegisterBuildInfo.
-	BuildInfo = obs.BuildInfo
 	// RotatingWriter is a size-rotated log file writer (see
 	// NewRotatingWriter); give one to NewQueryLog for bounded logs.
 	RotatingWriter = obs.RotatingWriter
-	// SystemRelationDef describes one sys_* virtual relation (name,
-	// arity, argument names, doc); see SystemRelations.
-	SystemRelationDef = sysrel.Def
 )
 
 // NewActivityRegistry returns an empty in-flight query registry, shared
@@ -396,22 +285,6 @@ func NewRotatingWriter(path string, maxMB, keep int) (*RotatingWriter, error) {
 // per distinct statement, bounded with an overflow bucket).
 func WithQueryStats() Option { return kb.WithQueryStats() }
 
-// SystemRelations lists the sys_* virtual relations the engine serves
-// about itself (sys_relation, sys_rule, sys_metric, sys_activity,
-// sys_query_stats, sys_tenant) in a stable order.
-func SystemRelations() []SystemRelationDef { return sysrel.Defs() }
-
-// RegisterBuildInfo sets the kdb_build_info gauge (value 1, labeled
-// with version, go version, and VCS revision) on the registry and
-// returns the build identity for other surfaces (e.g. a health
-// endpoint).
-func RegisterBuildInfo(reg *MetricsRegistry) BuildInfo { return obs.RegisterBuildInfo(reg) }
-
-// ParseTraceparent extracts the low 64 bits of the trace id from a W3C
-// traceparent header value; ok is false when the header is malformed or
-// carries an all-zero trace id.
-func ParseTraceparent(h string) (id uint64, ok bool) { return obs.ParseTraceparent(h) }
-
 // Server types: the HTTP+JSON data plane of `kdb serve` — named
 // multi-tenant knowledge bases, prepared parameterized statements, and
 // per-tenant quotas over the library's concurrency guarantees.
@@ -421,9 +294,6 @@ type (
 	// ServerConfig assembles a Server (root directory, open-KB bound,
 	// idle eviction, quota ceiling, observability hooks).
 	ServerConfig = server.Config
-	// ClientInfo identifies a request's tenant and client in query-log
-	// records (see ContextWithClientInfo).
-	ClientInfo = obs.ClientInfo
 )
 
 // ErrServerOverloaded matches (via errors.Is) the error a Server
@@ -434,12 +304,6 @@ var ErrServerOverloaded = server.ErrOverloaded
 // NewServer builds the HTTP data plane over a set of tenant KBs; serve
 // its Handler with net/http and Close it on shutdown.
 func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
-
-// ContextWithClientInfo labels every query run under the context with
-// a tenant and client identity; the structured query log records both.
-func ContextWithClientInfo(ctx context.Context, ci ClientInfo) context.Context {
-	return obs.ContextWithClient(ctx, ci)
-}
 
 // ParseProgram parses knowledge-base source text (facts, rules,
 // declarations).
