@@ -1,10 +1,13 @@
 // Package chaos is a deterministic fault-and-crash test harness for
-// the durable knowledge base. A scenario drives seeded random
-// workloads (assert / load / retract / retrieve / explain /
-// checkpoint / close) across tenants while failpoints inject WAL fsync failures,
-// torn writes, and checkpoint crashes, and processes "die" by
-// abandoning the KB handle mid-flight. After every recovery the
-// harness checks the durability contract:
+// the durable knowledge base. A scenario runs its tenants on one
+// simulated disk (fault.SimDisk) and drives seeded random workloads
+// (assert / load / retract / retrieve / explain / checkpoint / close)
+// across them while the disk fails writes, fsyncs, truncates and
+// renames, and now and then the machine loses power: the disk keeps
+// only what was synced, plus for each unsynced tail nothing, a torn
+// prefix or all of it, drawn from the scenario's rng, and every tenant
+// recovers from it. After every recovery the harness checks the
+// durability contract:
 //
 //   - the reopened KB holds exactly one of the consistent durable
 //     states the model predicted — no torn facts, no phantoms;
@@ -14,12 +17,13 @@
 //   - in-RAM query results always match the model's RAM state, even
 //     while the WAL underneath is poisoned.
 //
-// The model is reactive: it never peeks at fault-registry state but
+// The model is reactive: it never peeks at the disk's faults but
 // classifies each operation by its returned error. An acknowledged
 // write is durable; a write failing with ErrDurability changed RAM
-// only; a failed checkpoint forks the set of possible durable states
-// (the snapshot may or may not have been published) and a reopen
-// collapses it to whichever state the disk actually held.
+// only, unless it poisoned the log, when its record may have reached
+// the disk; a failed checkpoint forks the set of possible durable
+// states (the snapshot may or may not have been published) and a
+// reopen collapses it to whichever state the disk actually held.
 package chaos
 
 import (
@@ -29,6 +33,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"syscall"
 
 	"kdb/internal/fault"
 	"kdb/internal/governor"
@@ -72,7 +77,8 @@ type Config struct {
 	// larger domain with a larger share crash-tests deletion from
 	// relations big enough to have posting lists worth maintaining.
 	RetractPct int
-	// Dir is the scratch root; one subdirectory per tenant.
+	// Dir is the root of the tenants' directories, one each, on the
+	// scenario's simulated disk; nothing reaches the real one.
 	Dir string
 	// Trace, when set, receives one line per operation — the repro log
 	// for a failing seed.
@@ -111,8 +117,18 @@ func (s factSet) equal(o factSet) bool {
 	return true
 }
 
+// machine is what a scenario's tenants share: the disk they live on,
+// the rng and each other. A crash is the machine's, so it takes every
+// tenant down.
+type machine struct {
+	disk    *fault.SimDisk
+	rng     *rand.Rand
+	tenants []*tenant
+}
+
 // tenant is one KB under test plus its model state.
 type tenant struct {
+	m          *machine
 	name       string
 	dir        string
 	k          *kb.KB
@@ -151,13 +167,14 @@ func Run(cfg Config) error {
 	if cfg.RetractPct <= 0 {
 		cfg.RetractPct = 15
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	fault.Reset()
-	defer fault.Reset()
+	m := &machine{disk: fault.NewSimDisk(), rng: rand.New(rand.NewSource(cfg.Seed))}
+	defer fault.SetDisk(fault.SetDisk(m.disk)) // the previous disk comes back when Run returns
 
 	tenants := make([]*tenant, cfg.Tenants)
+	m.tenants = tenants
 	for i := range tenants {
 		tn := &tenant{
+			m:          m,
 			name:       fmt.Sprintf("t%d", i),
 			dir:        fmt.Sprintf("%s/t%d", cfg.Dir, i),
 			trace:      cfg.Trace,
@@ -184,17 +201,17 @@ func Run(cfg Config) error {
 	}()
 
 	for op := 0; op < cfg.Ops; op++ {
-		tn := tenants[rng.Intn(len(tenants))]
-		if err := tn.step(rng); err != nil {
+		tn := tenants[m.rng.Intn(len(tenants))]
+		if err := tn.step(m.rng); err != nil {
 			return fmt.Errorf("op %d: %w", op, err)
 		}
 	}
-	// Final crash on every tenant: the recovery invariant must hold
-	// whatever mid-flight state the workload left behind.
+	// A final crash: the recovery invariant must hold whatever
+	// mid-flight state the workload left behind.
+	if err := m.crash(); err != nil {
+		return fmt.Errorf("final crash: %w", err)
+	}
 	for _, tn := range tenants {
-		if err := tn.crashAndRecover(); err != nil {
-			return fmt.Errorf("final crash: %w", err)
-		}
 		if err := tn.k.Close(); err != nil {
 			return fmt.Errorf("%s: final close: %w", tn.name, err)
 		}
@@ -225,7 +242,7 @@ func (tn *tenant) step(rng *rand.Rand) error {
 	case n < 79:
 		return tn.checkpoint()
 	case n < 82:
-		return tn.crashAndRecover()
+		return tn.m.crash()
 	default:
 		return tn.closeAndRecover()
 	}
@@ -274,7 +291,8 @@ func classify(opName string, err error) (durability bool, _ error) {
 		return true, nil
 	case errors.Is(err, fault.ErrInjected):
 		// An injected fault that escaped without the durability tag:
-		// legal only for non-write paths (open, replay).
+		// legal only off the write path (a close flushing a poisoned
+		// log).
 		return false, nil
 	case errors.Is(err, kb.ErrClosed), errors.Is(err, governor.ErrCanceled):
 		return false, nil
@@ -289,9 +307,12 @@ func classify(opName string, err error) (durability bool, _ error) {
 
 // assert inserts edge(x, y), updating the model by the outcome: an
 // acknowledged insert is durable everywhere; a durability failure
-// changed RAM only (the WAL frame was rewound or will be truncated).
+// changed RAM only (the WAL frame was rewound), unless the rewind
+// failed too and poisoned the log, leaving the frame on disk for a
+// crash to keep or lose.
 func (tn *tenant) assert(x, y string) error {
 	key := x + "," + y
+	healthy := tn.k.DurabilityErr() == nil
 	err := tn.k.Assert(edgeAtom(x, y))
 	tn.trace("%s assert %s,%s err=%v", tn.name, x, y, err)
 	durability, cerr := classify(tn.name+": assert", err)
@@ -309,7 +330,10 @@ func (tn *tenant) assert(x, y string) error {
 			s[key] = true
 		}
 	case durability:
-		tn.ram[key] = true // reached RAM, not the log
+		tn.ram[key] = true
+		if healthy && tn.k.DurabilityErr() != nil {
+			tn.fork(func(s factSet) { s[key] = true })
+		}
 	default:
 		return fmt.Errorf("%s: assert edge(%s, %s): unexpected class %v", tn.name, x, y, err)
 	}
@@ -367,7 +391,7 @@ func (tn *tenant) load(rng *rand.Rand) error {
 		for _, key := range fresh {
 			tn.ram[key] = true
 		}
-		if err := tn.crashAndRecover(); err != nil {
+		if err := tn.m.crash(); err != nil {
 			return err
 		}
 		for _, key := range fresh {
@@ -383,9 +407,11 @@ func (tn *tenant) load(rng *rand.Rand) error {
 
 // retract removes edge(x, y): an acknowledged tombstone is durable
 // everywhere; a durability failure removed the fact from RAM while
-// the durable copy (if any) survives.
+// the durable copy (if any) survives — or may not, if the failure
+// poisoned the log with the tombstone on disk.
 func (tn *tenant) retract(x, y string) error {
 	key := x + "," + y
+	healthy := tn.k.DurabilityErr() == nil
 	removed, err := tn.k.Retract(edgeAtom(x, y))
 	tn.trace("%s retract %s,%s removed=%v err=%v", tn.name, x, y, removed, err)
 	durability, cerr := classify(tn.name+": retract", err)
@@ -405,6 +431,9 @@ func (tn *tenant) retract(x, y string) error {
 		}
 	case durability:
 		delete(tn.ram, key)
+		if healthy && tn.k.DurabilityErr() != nil {
+			tn.fork(func(s factSet) { delete(s, key) })
+		}
 	default:
 		return fmt.Errorf("%s: retract edge(%s, %s): unexpected class %v", tn.name, x, y, err)
 	}
@@ -501,29 +530,25 @@ func (tn *tenant) queryPairs(stmt string) (factSet, error) {
 	return out, nil
 }
 
-// armFault arms one random failpoint for its next pass. The model
-// does not remember what was armed — every operation classifies its
-// own outcome — so faults may fire on any tenant, or never.
+// armFault makes one of the next few disk operations of a random kind
+// fail. The model does not remember what was armed — every operation
+// classifies its own outcome — so the fault may hit any tenant, or
+// none before the next crash disarms it.
 func (tn *tenant) armFault(rng *rand.Rand) error {
-	type arm struct {
-		site string
-		out  fault.Outcome
-	}
-	choices := []arm{
-		{fault.SiteWALSync, fault.Outcome{Err: fault.ErrInjected}},
-		{fault.SiteWALFlush, fault.Outcome{Err: fault.ErrInjected}},
-		{fault.SiteWALAppend, fault.Outcome{TornBytes: 1 + rng.Intn(8)}},
-		{fault.SiteSnapshotSync, fault.Outcome{Err: fault.ErrInjected}},
-		{fault.SiteSnapshotRename, fault.Outcome{Err: fault.ErrInjected}},
-		{fault.SiteCheckpointReset, fault.Outcome{Err: fault.ErrInjected}},
+	choices := []struct {
+		op    fault.Op
+		errno syscall.Errno
+	}{
+		{fault.OpSync, syscall.EIO},
+		{fault.OpWrite, syscall.ENOSPC},
+		{fault.OpTruncate, syscall.EIO},
+		{fault.OpSyncDir, syscall.EIO},
+		{fault.OpRename, syscall.EIO},
 	}
 	c := choices[rng.Intn(len(choices))]
-	// Enable replaces any previous arming of the same site; one-shot
-	// policies keep the blast radius of each fault classifiable.
-	tn.trace("arm %s torn=%d", c.site, c.out.TornBytes)
-	if err := fault.Enable(c.site, c.out, fault.Policy{Times: 1}); err != nil {
-		return fmt.Errorf("arming %s: %w", c.site, err)
-	}
+	skip := rng.Intn(3)
+	tn.trace("arm %s skip %d %v", c.op, skip, c.errno)
+	tn.m.disk.Fail(c.op, skip, 1, c.errno)
 	return nil
 }
 
@@ -555,6 +580,16 @@ func (tn *tenant) checkpoint() error {
 		return fmt.Errorf("%s: checkpoint: unexpected class %v", tn.name, err)
 	}
 	return nil
+}
+
+// fork adds, for every candidate durable state, that state with change
+// applied: the effect of a failed write whose record may be on disk.
+func (tn *tenant) fork(change func(factSet)) {
+	for _, s := range append([]factSet(nil), tn.states...) {
+		c := s.clone()
+		change(c)
+		tn.addState(c)
+	}
 }
 
 // addState appends a candidate durable state unless an equal one is
@@ -589,24 +624,40 @@ func (tn *tenant) replayCandidate() factSet {
 	return out
 }
 
-// crashAndRecover simulates a process death: the KB handle is
-// abandoned without Close (every acknowledged append was already
-// flushed, so nothing acked is buffered) and the store is reopened
-// from disk. The observed fact set must equal exactly one candidate
-// durable state; the model then collapses onto the observation.
-func (tn *tenant) crashAndRecover() error {
-	// The faulty environment does not survive the "reboot": pending
-	// one-shot faults are cleared so recovery itself runs clean.
-	fault.Reset()
-	tn.trace("%s crash", tn.name)
-	tn.k = nil // crash: no Close, no flush, fd abandoned
-	return tn.recover()
+// crash cuts the power: the disk keeps what was synced, and each
+// unsynced tail keeps nothing, a torn prefix or all of it, a third of
+// the time each, drawn from the scenario's rng. Every tenant's handle
+// dies with it (no Close, no flush), and every tenant reopens from the
+// disk: the observed fact set must equal exactly one candidate durable
+// state, and the model then collapses onto the observation.
+func (m *machine) crash() error {
+	m.disk.Crash(func(n int) int {
+		switch m.rng.Intn(3) {
+		case 0:
+			return 0
+		case 1:
+			if n > 1 {
+				return 1 + m.rng.Intn(n-1)
+			}
+		}
+		return n
+	})
+	for _, tn := range m.tenants {
+		tn.trace("%s crash", tn.name)
+		tn.k = nil
+		if err := tn.recover(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // closeAndRecover is the clean variant: Close flushes and releases
-// the store, and reopening must still land on a candidate state.
+// the store, and reopening must still land on a candidate state. The
+// faulty environment does not outlive the close: pending faults are
+// disarmed so recovery itself runs clean.
 func (tn *tenant) closeAndRecover() error {
-	fault.Reset()
+	tn.m.disk.Heal()
 	tn.trace("%s clean close", tn.name)
 	err := tn.k.Close()
 	if _, cerr := classify(tn.name+": close", err); cerr != nil {

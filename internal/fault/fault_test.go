@@ -2,8 +2,6 @@ package fault
 
 import (
 	"errors"
-	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,11 +10,8 @@ import (
 func TestDisabledIsZeroCost(t *testing.T) {
 	Reset()
 	allocs := testing.AllocsPerRun(1000, func() {
-		if err := Inject(SiteWALAppend); err != nil {
+		if err := Inject(SiteRequest); err != nil {
 			t.Fatal(err)
-		}
-		if o := Eval(SiteWALAppend); o != nil {
-			t.Fatal("disabled site evaluated an outcome")
 		}
 	})
 	if allocs != 0 {
@@ -25,26 +20,29 @@ func TestDisabledIsZeroCost(t *testing.T) {
 }
 
 func TestUnknownSiteRejected(t *testing.T) {
-	if err := Enable("storage/wal.apend", Outcome{Err: ErrInjected}, Policy{}); err == nil {
+	if err := Enable("server/reqest", Outcome{Err: ErrInjected}, Policy{}); err == nil {
 		t.Fatal("misspelled site must be rejected")
 	}
 }
 
 func TestErrorInjectionAndHits(t *testing.T) {
 	t.Cleanup(Reset)
-	if err := Enable(SiteWALSync, Outcome{Err: ErrInjected}, Policy{}); err != nil {
+	if err := Enable(SiteTenantOpen, Outcome{Err: ErrInjected}, Policy{Times: 3}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := Inject(SiteWALSync); !errors.Is(err, ErrInjected) {
+		if err := Inject(SiteTenantOpen); !errors.Is(err, ErrInjected) {
 			t.Fatalf("pass %d: err = %v, want ErrInjected", i, err)
 		}
 	}
-	if got := Hits(SiteWALSync); got != 3 {
+	if err := Inject(SiteTenantOpen); err != nil {
+		t.Fatalf("pass past Times injected %v", err)
+	}
+	if got := Hits(SiteTenantOpen); got != 3 {
 		t.Fatalf("Hits = %d, want 3", got)
 	}
-	Disable(SiteWALSync)
-	if err := Inject(SiteWALSync); err != nil {
+	Reset()
+	if err := Inject(SiteTenantOpen); err != nil || Hits(SiteTenantOpen) != 0 {
 		t.Fatalf("disarmed site injected %v", err)
 	}
 }
@@ -52,89 +50,13 @@ func TestErrorInjectionAndHits(t *testing.T) {
 func TestBareErrorsWrapped(t *testing.T) {
 	t.Cleanup(Reset)
 	cause := errors.New("disk on fire")
-	if err := Enable(SiteSnapshotSync, Outcome{Err: cause}, Policy{}); err != nil {
+	if err := Enable(SitePreparedBind, Outcome{Err: cause}, Policy{}); err != nil {
 		t.Fatal(err)
 	}
-	err := Inject(SiteSnapshotSync)
+	err := Inject(SitePreparedBind)
 	if !errors.Is(err, ErrInjected) || !errors.Is(err, cause) {
 		t.Fatalf("err = %v, want both ErrInjected and the cause", err)
 	}
-}
-
-func TestOncePolicyAfterK(t *testing.T) {
-	t.Cleanup(Reset)
-	if err := Enable(SiteWALAppend, Outcome{Err: ErrInjected}, Policy{SkipFirst: 2, Times: 1}); err != nil {
-		t.Fatal(err)
-	}
-	var fired []int
-	for i := 0; i < 6; i++ {
-		if Inject(SiteWALAppend) != nil {
-			fired = append(fired, i)
-		}
-	}
-	if len(fired) != 1 || fired[0] != 2 {
-		t.Fatalf("fired on passes %v, want exactly pass 2", fired)
-	}
-}
-
-func TestEveryNthPolicy(t *testing.T) {
-	t.Cleanup(Reset)
-	if err := Enable(SiteWALAppend, Outcome{Err: ErrInjected}, Policy{EveryNth: 3}); err != nil {
-		t.Fatal(err)
-	}
-	var fired []int
-	for i := 0; i < 9; i++ {
-		if Inject(SiteWALAppend) != nil {
-			fired = append(fired, i)
-		}
-	}
-	want := []int{0, 3, 6}
-	if fmt.Sprint(fired) != fmt.Sprint(want) {
-		t.Fatalf("fired on passes %v, want %v", fired, want)
-	}
-}
-
-func TestProbabilityIsSeedDeterministic(t *testing.T) {
-	t.Cleanup(Reset)
-	run := func(seed int64) []int {
-		if err := Enable(SiteWALSync, Outcome{Err: ErrInjected}, Policy{Prob: 0.5, Seed: seed}); err != nil {
-			t.Fatal(err)
-		}
-		var fired []int
-		for i := 0; i < 64; i++ {
-			if Inject(SiteWALSync) != nil {
-				fired = append(fired, i)
-			}
-		}
-		return fired
-	}
-	a, b, c := run(7), run(7), run(8)
-	if fmt.Sprint(a) != fmt.Sprint(b) {
-		t.Fatalf("same seed, different streams: %v vs %v", a, b)
-	}
-	if fmt.Sprint(a) == fmt.Sprint(c) {
-		t.Fatalf("different seeds produced identical streams %v", a)
-	}
-	if len(a) == 0 || len(a) == 64 {
-		t.Fatalf("p=0.5 fired %d/64 times; the policy is not probabilistic", len(a))
-	}
-}
-
-func TestPanicInjection(t *testing.T) {
-	t.Cleanup(Reset)
-	if err := Enable(SiteRequest, Outcome{Panic: true}, Policy{Times: 1}); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("site did not panic")
-		}
-		if s, ok := r.(string); !ok || !strings.Contains(s, SiteRequest) {
-			t.Fatalf("panic value %v does not name the site", r)
-		}
-	}()
-	Inject(SiteRequest)
 }
 
 func TestLatencyOnlyOutcomeProceeds(t *testing.T) {
@@ -151,77 +73,59 @@ func TestLatencyOnlyOutcomeProceeds(t *testing.T) {
 	}
 }
 
-func TestTornBytesVisibleThroughEval(t *testing.T) {
-	t.Cleanup(Reset)
-	if err := Enable(SiteWALAppend, Outcome{TornBytes: 5}, Policy{}); err != nil {
-		t.Fatal(err)
-	}
-	o := Eval(SiteWALAppend)
-	if o == nil || o.TornBytes != 5 {
-		t.Fatalf("Eval = %+v, want TornBytes 5", o)
-	}
-}
-
 func TestConcurrentPassesAreRaceFree(t *testing.T) {
 	t.Cleanup(Reset)
-	if err := Enable(SiteWALAppend, Outcome{Err: ErrInjected}, Policy{EveryNth: 2}); err != nil {
+	if err := Enable(SiteRequest, Outcome{Err: ErrInjected}, Policy{Times: 400}); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	var hits atomic64
+	var mu sync.Mutex
+	hits := 0
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if Inject(SiteWALAppend) != nil {
-					hits.add(1)
+				if Inject(SiteRequest) != nil {
+					mu.Lock()
+					hits++
+					mu.Unlock()
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if got := Hits(SiteWALAppend); int64(got) != hits.load() {
-		t.Fatalf("Hits = %d, callers observed %d", got, hits.load())
+	if got := Hits(SiteRequest); got != hits {
+		t.Fatalf("Hits = %d, callers observed %d", got, hits)
 	}
-	if got := Hits(SiteWALAppend); got != 400 {
-		t.Fatalf("every-2nd policy fired %d/800 passes, want 400", got)
+	if hits != 400 {
+		t.Fatalf("a 400-times policy fired %d/800 passes, want 400", hits)
 	}
 }
 
+// TestActiveAndCatalog: the catalog is the three server sites, and each
+// is active — it fires — once enabled.
 func TestActiveAndCatalog(t *testing.T) {
 	t.Cleanup(Reset)
-	if err := Enable(SiteDirSync, Outcome{Err: ErrInjected}, Policy{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := Active(); len(got) != 1 || got[0] != SiteDirSync {
-		t.Fatalf("Active = %v", got)
-	}
 	cat := Catalog()
-	if len(cat) < 10 {
-		t.Fatalf("catalog lists %d sites, want the full set", len(cat))
+	if len(cat) != 3 {
+		t.Fatalf("catalog lists %v, want the three server sites", cat)
 	}
 	for _, site := range cat {
-		if err := Enable(site, Outcome{}, Policy{}); err != nil {
+		if err := Enable(site, Outcome{Err: ErrInjected}, Policy{}); err != nil {
 			t.Fatalf("catalog site %s not enableable: %v", site, err)
+		}
+		if err := Inject(site); !errors.Is(err, ErrInjected) {
+			t.Fatalf("enabled site %s injected %v", site, err)
 		}
 	}
 }
-
-// atomic64 avoids importing sync/atomic just for the test tally.
-type atomic64 struct {
-	mu sync.Mutex
-	n  int64
-}
-
-func (a *atomic64) add(d int64) { a.mu.Lock(); a.n += d; a.mu.Unlock() }
-func (a *atomic64) load() int64 { a.mu.Lock(); defer a.mu.Unlock(); return a.n }
 
 func BenchmarkInjectDisabled(b *testing.B) {
 	Reset()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if Inject(SiteWALAppend) != nil {
+		if Inject(SiteRequest) != nil {
 			b.Fatal("disabled site fired")
 		}
 	}

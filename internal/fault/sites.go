@@ -1,51 +1,15 @@
 package fault
 
-import "sort"
+import (
+	"maps"
+	"slices"
+)
 
-// The failpoint catalog: every site compiled into the tree, one
-// constant per fragile operation. Enable rejects names outside this
-// list so a misspelled site cannot silently test nothing. DESIGN §5g
-// documents what each site guards and which outcomes it honors.
+// The failpoint catalog: every site compiled into the tree. Enable
+// rejects names outside it, so a misspelled site cannot silently test
+// nothing. DESIGN §5g documents each. Storage has none: its failures
+// are a SimDisk's.
 const (
-	// SiteWALAppend guards framing one record into the write-ahead
-	// log. It is the one torn-write-capable site: a TornBytes outcome
-	// persists only a prefix of the frame and poisons the log, as if
-	// the process had died mid-write.
-	SiteWALAppend = "storage/wal.append"
-	// SiteWALFlush guards draining the WAL's buffered writer.
-	SiteWALFlush = "storage/wal.flush"
-	// SiteWALSync guards the WAL file fsync.
-	SiteWALSync = "storage/wal.sync"
-	// SiteWALOpen guards opening (or creating) the log file.
-	SiteWALOpen = "storage/wal.open"
-	// SiteWALReplay guards each record applied during recovery.
-	SiteWALReplay = "storage/wal.replay"
-	// SiteSnapshotWrite guards starting a snapshot (temp-file create
-	// and record writes).
-	SiteSnapshotWrite = "storage/snapshot.write"
-	// SiteSnapshotSync guards the snapshot temp-file fsync.
-	SiteSnapshotSync = "storage/snapshot.sync"
-	// SiteSnapshotRename guards the atomic rename that publishes a
-	// snapshot.
-	SiteSnapshotRename = "storage/snapshot.rename"
-	// SiteWALRewind guards the truncate-to-durable-offset rewind after
-	// a failed append: a fault here poisons the log (the on-disk state
-	// is unknown), exactly as a real rewind failure would.
-	SiteWALRewind = "storage/wal.rewind"
-	// SiteDirSync guards directory fsyncs (snapshot publish, WAL
-	// creation).
-	SiteDirSync = "storage/dir.sync"
-	// SiteSnapshotSweep guards the crash-orphan sweep at store open; a
-	// fault here models an unreadable directory, leaving kdb.snap.tmp*
-	// orphans for the next open.
-	SiteSnapshotSweep = "storage/snapshot.sweep"
-	// SiteStoreOpen guards opening a durable store (before recovery).
-	SiteStoreOpen = "storage/store.open"
-	// SiteCheckpointReset guards the WAL truncation after a snapshot
-	// has been published: a fault here leaves the new snapshot and
-	// the old log both on disk — the checkpoint crash window.
-	SiteCheckpointReset = "storage/checkpoint.reset"
-
 	// SiteTenantOpen guards a server opening a tenant knowledge base.
 	SiteTenantOpen = "server/tenant.open"
 	// SitePreparedBind guards binding placeholders into a prepared
@@ -56,31 +20,7 @@ const (
 	SiteRequest = "server/request"
 )
 
-var catalog = map[string]bool{
-	SiteWALAppend:       true,
-	SiteWALFlush:        true,
-	SiteWALSync:         true,
-	SiteWALOpen:         true,
-	SiteWALReplay:       true,
-	SiteWALRewind:       true,
-	SiteSnapshotSweep:   true,
-	SiteSnapshotWrite:   true,
-	SiteSnapshotSync:    true,
-	SiteSnapshotRename:  true,
-	SiteDirSync:         true,
-	SiteStoreOpen:       true,
-	SiteCheckpointReset: true,
-	SiteTenantOpen:      true,
-	SitePreparedBind:    true,
-	SiteRequest:         true,
-}
+var catalog = map[string]bool{SiteTenantOpen: true, SitePreparedBind: true, SiteRequest: true}
 
 // Catalog returns every known site name, sorted.
-func Catalog() []string {
-	out := make([]string, 0, len(catalog))
-	for site := range catalog {
-		out = append(out, site)
-	}
-	sort.Strings(out)
-	return out
-}
+func Catalog() []string { return slices.Sorted(maps.Keys(catalog)) }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,14 +29,39 @@ func cycleKB(t testing.TB, n int) *KB {
 	return loadKB(t, sb.String())
 }
 
+// expireOnPoll is a context whose deadline passes once the statement
+// is under way: its first poll, made before the recursive component
+// starts, passes, and every later one, made while it runs, reports
+// context.DeadlineExceeded. The deadline so falls inside the
+// evaluation however fast the machine is.
+type expireOnPoll struct {
+	context.Context
+	polls atomic.Int32
+	done  chan struct{}
+	once  sync.Once
+}
+
+func newExpireOnPoll() *expireOnPoll {
+	return &expireOnPoll{Context: context.Background(), done: make(chan struct{})}
+}
+
+func (c *expireOnPoll) Err() error {
+	if c.polls.Add(1) < 2 {
+		return nil
+	}
+	c.once.Do(func() { close(c.done) })
+	return context.DeadlineExceeded
+}
+
+func (c *expireOnPoll) Done() <-chan struct{} { return c.done }
+
 // TestKBContextDeadline: every evaluating statement stops at the
 // context's deadline and records the stop.
 func TestKBContextDeadline(t *testing.T) {
 	for _, kind := range []string{"retrieve", "explain", "profile"} {
 		t.Run(kind, func(t *testing.T) {
 			k := cycleKB(t, 500)
-			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-			defer cancel()
+			ctx := newExpireOnPoll()
 			start := time.Now()
 			_, err := k.ExecStringContext(ctx, kind+` reach(X, Y).`)
 			if !errors.Is(err, context.DeadlineExceeded) {
@@ -46,7 +73,10 @@ func TestKBContextDeadline(t *testing.T) {
 			// The governed stop carries the statement's record.
 			var se *eval.StopError
 			if !errors.As(err, &se) || se.Stats == nil || se.Stats.StopReason != "deadline" {
-				t.Errorf("err = %v, want a *eval.StopError whose stats stop at the deadline", err)
+				t.Fatalf("err = %v, want a *eval.StopError whose stats stop at the deadline", err)
+			}
+			if se.Stats.Facts == 0 {
+				t.Errorf("the deadline stopped the statement before it derived anything")
 			}
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 
 	"kdb/internal/core"
@@ -113,8 +114,10 @@ func TestPreparedRuleSetUnderConcurrentLoads(t *testing.T) {
 // knowledge base still takes what it took before; the same load then
 // succeeds once the log does.
 func TestFailedLoadChangesNothing(t *testing.T) {
-	t.Cleanup(fault.Reset)
-	k, err := Open(t.TempDir())
+	disk := fault.NewSimDisk()
+	prev := fault.SetDisk(disk)
+	t.Cleanup(func() { fault.SetDisk(prev) })
+	k, err := Open("db")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,9 +129,7 @@ func TestFailedLoadChangesNothing(t *testing.T) {
 	gen := k.Generation()
 	const load = "p(X) :- q(X). q(b)."
 
-	if err := fault.Enable(fault.SiteWALSync, fault.Outcome{Err: fault.ErrInjected}, fault.Policy{Times: 1}); err != nil {
-		t.Fatal(err)
-	}
+	disk.Fail(fault.OpSync, 0, 1, syscall.EIO)
 	if err := k.LoadString(load); !errors.Is(err, storage.ErrDurability) {
 		t.Fatalf("load under a failing fsync = %v, want ErrDurability", err)
 	}

@@ -5,7 +5,7 @@ import "testing"
 // The golden corpora under testdata/src mirror the analysistest
 // convention: fixture packages carry `// want "regex"` comments, and
 // runGolden checks the diagnostics against them in both directions.
-// Scoped analyzers (errwrap, faultsite) get fixture packages
+// A scoped analyzer (errwrap) gets fixture packages
 // whose import paths replicate the in-scope suffixes
 // (.../testdata/src/errwrap/internal/storage matches internal/storage).
 
@@ -15,8 +15,4 @@ func TestLockCheckGolden(t *testing.T) {
 
 func TestErrWrapGolden(t *testing.T) {
 	runGolden(t, "internal/lint/testdata/src/errwrap/internal/storage", ErrWrap)
-}
-
-func TestFaultSiteGolden(t *testing.T) {
-	runGolden(t, "internal/lint/testdata/src/faultsite/internal/storage", FaultSite)
 }

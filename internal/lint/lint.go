@@ -1,9 +1,9 @@
 // Package lint is the engine's self-analysis suite: repo-specific static
 // analyzers for the invariants no test in the tree catches — lock
 // discipline around the WAL, the relations and the tenant tables
-// (lockcheck), the structured-error taxonomy at package boundaries
-// (errwrap), and failpoint coverage of raw storage syscalls (faultsite).
-// TestRepoClean runs every analyzer over the module inside
+// (lockcheck) and the structured-error taxonomy at package boundaries
+// (errwrap). That storage touches files only through the disk seam is
+// a test, storage's TestFileCallsGoThroughSeam. TestRepoClean runs every analyzer over the module inside
 // `go test ./...`, so a finding fails like any other test. An analyzer
 // belongs here only while no test catches what it catches; the
 // invariants a test can see — allocation-free hot paths, context
@@ -73,11 +73,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // PathHasSuffix reports whether the package import path ends in one of
-// the given slash-separated suffixes. Scoped analyzers (errwrap,
-// faultsite) match real packages and their testdata replicas
-// by suffix: both kdb/internal/storage and
-// kdb/internal/lint/testdata/src/faultsite/internal/storage are "the
-// storage package" to faultsite.
+// the given slash-separated suffixes. A scoped analyzer (errwrap)
+// matches real packages and their testdata replicas by suffix: both
+// kdb/internal/storage and
+// kdb/internal/lint/testdata/src/errwrap/internal/storage are "the
+// storage package" to errwrap.
 func (p *Pass) PathHasSuffix(suffixes ...string) bool {
 	path := p.Pkg.Path()
 	for _, s := range suffixes {
@@ -90,7 +90,7 @@ func (p *Pass) PathHasSuffix(suffixes ...string) bool {
 
 // All returns every analyzer in the suite, in a stable order.
 func All() []*Analyzer {
-	return []*Analyzer{LockCheck, ErrWrap, FaultSite}
+	return []*Analyzer{LockCheck, ErrWrap}
 }
 
 // Run executes the analyzers over the loaded packages and returns their
@@ -229,12 +229,6 @@ func pkgPathOf(obj types.Object) string {
 		return ""
 	}
 	return obj.Pkg().Path()
-}
-
-// pathIs reports whether an import path equals or has the given
-// slash-suffix (see Pass.PathHasSuffix for why suffix matching).
-func pathIs(path, suffix string) bool {
-	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }
 
 // errorType is the universe error interface.

@@ -126,7 +126,7 @@ func TestRepoClean(t *testing.T) {
 }
 
 // TestAnalyzerMetadata: every analyzer has a unique name (diagnostics
-// carry it) and a Run, and the suite is the three DESIGN §5h describes.
+// carry it) and a Run, and the suite is the two DESIGN §5h describes.
 func TestAnalyzerMetadata(t *testing.T) {
 	seen := map[string]bool{}
 	for _, a := range All() {
@@ -138,7 +138,7 @@ func TestAnalyzerMetadata(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	if len(seen) != 3 {
-		t.Errorf("want 3 analyzers, have %d", len(seen))
+	if len(seen) != 2 {
+		t.Errorf("want 2 analyzers, have %d", len(seen))
 	}
 }

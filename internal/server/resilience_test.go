@@ -8,11 +8,22 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"kdb/internal/fault"
 )
+
+// useSimDisk puts the tenants' stores on a fresh simulated disk for the
+// rest of the test.
+func useSimDisk(t *testing.T) *fault.SimDisk {
+	t.Helper()
+	d := fault.NewSimDisk()
+	prev := fault.SetDisk(d)
+	t.Cleanup(func() { fault.SetDisk(prev) })
+	return d
+}
 
 // postResp sends one JSON request and returns the raw response plus
 // the decoded body, for tests that need headers.
@@ -102,7 +113,7 @@ func checkMetricsHelp(t *testing.T, ts *httptest.Server, want ...string) {
 // By then every server metric family is registered, and each must
 // carry HELP text.
 func TestBreakerDegradedMode(t *testing.T) {
-	t.Cleanup(fault.Reset)
+	disk := useSimDisk(t)
 	s, ts, _ := newTestServer(t, Config{
 		Root:             t.TempDir(),
 		BreakerThreshold: 2,
@@ -117,9 +128,7 @@ func TestBreakerDegradedMode(t *testing.T) {
 
 	// Every WAL fsync fails; each assert rewinds cleanly and surfaces a
 	// 503 "storage" with a Retry-After hint.
-	if err := fault.Enable(fault.SiteWALSync, fault.Outcome{Err: fault.ErrInjected}, fault.Policy{}); err != nil {
-		t.Fatal(err)
-	}
+	disk.Fail(fault.OpSync, 0, 0, syscall.EIO)
 	// Distinct facts each time: a duplicate assert is satisfied in RAM
 	// and never reaches the WAL, so it would not exercise the fault.
 	for i, fact := range []string{"takes(eve, databases)", "takes(eve, compilers)"} {
@@ -141,7 +150,7 @@ func TestBreakerDegradedMode(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("degraded 503 is missing Retry-After")
 	}
-	if got := fault.Hits(fault.SiteWALSync); got != 2 {
+	if got := disk.Hits(); got != 2 {
 		t.Errorf("degraded write reached storage: %d fsync fault hits, want 2", got)
 	}
 
@@ -174,7 +183,7 @@ func TestBreakerDegradedMode(t *testing.T) {
 
 	// Storage heals, the cooldown elapses: the next write goes through
 	// as the recovery probe and closes the breaker.
-	fault.Reset()
+	disk.Heal()
 	s.breakers.mu.Lock()
 	s.breakers.now = func() time.Time { return time.Now().Add(2 * time.Hour) }
 	s.breakers.mu.Unlock()
@@ -201,7 +210,7 @@ func TestBreakerDegradedMode(t *testing.T) {
 // TestBreakerProbeFailureReopens: a probe that hits a still-failing
 // store re-opens the breaker for another full cooldown.
 func TestBreakerProbeFailureReopens(t *testing.T) {
-	t.Cleanup(fault.Reset)
+	disk := useSimDisk(t)
 	s, ts, _ := newTestServer(t, Config{
 		Root:             t.TempDir(),
 		BreakerThreshold: 1,
@@ -213,9 +222,7 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("seed assert: %d %v", resp.StatusCode, out)
 	}
-	if err := fault.Enable(fault.SiteWALSync, fault.Outcome{Err: fault.ErrInjected}, fault.Policy{}); err != nil {
-		t.Fatal(err)
-	}
+	disk.Fail(fault.OpSync, 0, 0, syscall.EIO)
 	resp, out = postResp(t, ts, "/v1/kb/beta/assert", map[string]any{"fact": "p(a)"})
 	if resp.StatusCode != http.StatusServiceUnavailable || errCode(t, out) != "storage" {
 		t.Fatalf("assert under fault: %d %v", resp.StatusCode, out)
@@ -242,12 +249,12 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	}
 }
 
-// TestCheckpointRecoversPoisonedTenant: a torn WAL write poisons the
-// log (every later write fails), and the /checkpoint route is the
-// recovery path — it snapshots the in-RAM state, resets the log, and
-// closes the breaker, all in one request.
+// TestCheckpointRecoversPoisonedTenant: a failed WAL fsync whose rewind
+// fails too poisons the log (every later write fails), and the
+// /checkpoint route is the recovery path — it snapshots the in-RAM
+// state, resets the log, and closes the breaker, all in one request.
 func TestCheckpointRecoversPoisonedTenant(t *testing.T) {
-	t.Cleanup(fault.Reset)
+	disk := useSimDisk(t)
 	s, ts, _ := newTestServer(t, Config{
 		Root:             t.TempDir(),
 		BreakerThreshold: 2,
@@ -257,18 +264,17 @@ func TestCheckpointRecoversPoisonedTenant(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("assert: %d %v", resp.StatusCode, out)
 	}
-	if err := fault.Enable(fault.SiteWALAppend, fault.Outcome{TornBytes: 2}, fault.Policy{Times: 1}); err != nil {
-		t.Fatal(err)
-	}
-	// The torn write fails and poisons the log; the next (distinct)
-	// fact fails on the poison, tripping the breaker at threshold 2.
+	disk.Fail(fault.OpSync, 0, 1, syscall.EIO)
+	disk.Fail(fault.OpTruncate, 0, 1, syscall.EIO)
+	// The failed write poisons the log; the next (distinct) fact fails
+	// on the poison, tripping the breaker at threshold 2.
 	for i, fact := range []string{"p(b)", "p(c)"} {
 		resp, out = postResp(t, ts, "/v1/kb/gamma/assert", map[string]any{"fact": fact})
 		if resp.StatusCode != http.StatusServiceUnavailable || errCode(t, out) != "storage" {
 			t.Fatalf("assert %d on poisoned log: %d %v", i, resp.StatusCode, out)
 		}
 	}
-	fault.Reset()
+	disk.Heal()
 	h := healthz(t, ts)
 	if got := healthTenantField(t, h, "gamma", "poisoned"); got != true {
 		t.Fatalf("healthz poisoned = %v, want true", got)
@@ -294,7 +300,7 @@ func TestCheckpointRecoversPoisonedTenant(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("assert after recovery: %d %v", resp.StatusCode, out)
 	}
-	// The torn-written facts reached RAM before their appends failed, so
+	// The failed facts reached RAM before their appends failed, so
 	// the checkpoint made them durable: a, b, c, d are all present.
 	resp, out = postResp(t, ts, "/v1/kb/gamma/retrieve", map[string]any{"stmt": "retrieve p(X)."})
 	if resp.StatusCode != http.StatusOK || len(answers(out)) != 4 {

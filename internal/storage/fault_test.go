@@ -2,9 +2,11 @@ package storage
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -12,6 +14,35 @@ import (
 	"kdb/internal/fault"
 	"kdb/internal/term"
 )
+
+// useSimDisk installs a fresh simulated disk for the rest of the test.
+func useSimDisk(t *testing.T) *fault.SimDisk {
+	t.Helper()
+	d := fault.NewSimDisk()
+	prev := fault.SetDisk(d)
+	t.Cleanup(func() { fault.SetDisk(prev) })
+	return d
+}
+
+// Crash choices: keep no unsynced byte or entry change, or all of them.
+func keepNone(int) int  { return 0 }
+func keepAll(n int) int { return n }
+
+// snapshotTemps lists the unpublished snapshots in dir.
+func snapshotTemps(t *testing.T, dir string) []string {
+	t.Helper()
+	names, err := fault.Disk().ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, name := range names {
+		if strings.HasPrefix(name, snapshotTemp) {
+			out = append(out, name)
+		}
+	}
+	return out
+}
 
 // factNames collects the first argument of every stored p-fact, sorted
 // — the canonical shape the crash tests compare against.
@@ -33,15 +64,16 @@ func insertNames(t *testing.T, s *Store, names ...string) {
 	}
 }
 
-// TestCheckpointCrashAfterRename injects a crash in the checkpoint
-// window between the snapshot rename and the WAL reset: the new
-// snapshot and the old (pre-checkpoint) log are both on disk. Reopen
-// must land on the checkpointed state — replaying the stale log over
-// the fresh snapshot is idempotent for inserts and a no-op for
-// tombstones of facts the snapshot already dropped.
+// TestCheckpointCrashAfterRename crashes in the checkpoint window
+// between the snapshot rename and the WAL reset: the log's truncate
+// fails and the power goes, so the new snapshot and the old
+// (pre-checkpoint) log are both on disk. Reopen must land on the
+// checkpointed state — replaying the stale log over the fresh snapshot
+// is idempotent for inserts and a no-op for tombstones of facts the
+// snapshot already dropped.
 func TestCheckpointCrashAfterRename(t *testing.T) {
-	t.Cleanup(fault.Reset)
-	dir := t.TempDir()
+	disk := useSimDisk(t)
+	dir := "db"
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -56,15 +88,14 @@ func TestCheckpointCrashAfterRename(t *testing.T) {
 	}
 	want := []string{"a", "c", "d"}
 
-	if err := fault.Enable(fault.SiteCheckpointReset, fault.Outcome{Err: fault.ErrInjected}, fault.Policy{Times: 1}); err != nil {
-		t.Fatal(err)
-	}
+	disk.Fail(fault.OpTruncate, 0, 1, syscall.EIO)
 	err = s.Checkpoint()
 	if !errors.Is(err, ErrDurability) || !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("checkpoint error %v, want ErrDurability wrapping the injection", err)
 	}
-	fault.Reset()
-	// Crash: abandon the handle without Close and recover from disk.
+	// Crash: abandon the handle without Close and recover from what
+	// was synced.
+	disk.Crash(keepNone)
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatalf("reopen after checkpoint crash: %v", err)
@@ -88,13 +119,13 @@ func TestCheckpointCrashAfterRename(t *testing.T) {
 	}
 }
 
-// TestCheckpointCrashBeforeRename injects the crash on the other side
-// of the window — the snapshot temp file was written but never
-// published. Reopen must land on the other consistent state: the old
-// snapshot plus the intact log, which replays to the same facts.
+// TestCheckpointCrashBeforeRename crashes on the other side of the
+// window — the rename fails, so the snapshot temp file was written but
+// never published. Reopen must land on the other consistent state: the
+// old snapshot plus the intact log, which replays to the same facts.
 func TestCheckpointCrashBeforeRename(t *testing.T) {
-	t.Cleanup(fault.Reset)
-	dir := t.TempDir()
+	disk := useSimDisk(t)
+	dir := "db"
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -109,13 +140,11 @@ func TestCheckpointCrashBeforeRename(t *testing.T) {
 	}
 	want := []string{"b", "c"}
 
-	if err := fault.Enable(fault.SiteSnapshotRename, fault.Outcome{Err: fault.ErrInjected}, fault.Policy{Times: 1}); err != nil {
-		t.Fatal(err)
-	}
+	disk.Fail(fault.OpRename, 0, 1, syscall.EIO)
 	if err := s.Checkpoint(); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("checkpoint error %v, want the injection", err)
 	}
-	fault.Reset()
+	disk.Crash(keepNone)
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatalf("reopen after rename crash: %v", err)
@@ -126,21 +155,21 @@ func TestCheckpointCrashBeforeRename(t *testing.T) {
 	}
 }
 
-// TestTornWriteInjectionRecovery arms the torn-write outcome: the
-// append persists only a prefix of the frame and poisons the log, as
-// a crash mid-write would. Reopen must truncate the torn tail — the
-// durable prefix survives, the half-written fact does not.
+// TestTornWriteInjectionRecovery tears a write: the append's fsync
+// fails and so does the rewind after it, poisoning the log with the
+// frame written but not synced, and the power fails with three of its
+// bytes on disk. Reopen must truncate the torn tail — the durable
+// prefix survives, the half-written fact does not.
 func TestTornWriteInjectionRecovery(t *testing.T) {
-	t.Cleanup(fault.Reset)
-	dir := t.TempDir()
+	disk := useSimDisk(t)
+	dir := "db"
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	insertNames(t, s, "a", "b")
-	if err := fault.Enable(fault.SiteWALAppend, fault.Outcome{TornBytes: 3}, fault.Policy{Times: 1}); err != nil {
-		t.Fatal(err)
-	}
+	disk.Fail(fault.OpSync, 0, 1, syscall.EIO)
+	disk.Fail(fault.OpTruncate, 0, 1, syscall.EIO)
 	_, err = s.Insert("p", Tuple{term.Sym("victim")})
 	if !errors.Is(err, ErrDurability) || !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("torn insert error %v, want ErrDurability wrapping the injection", err)
@@ -152,7 +181,7 @@ func TestTornWriteInjectionRecovery(t *testing.T) {
 	if _, err := s.Insert("p", Tuple{term.Sym("after")}); !errors.Is(err, ErrDurability) {
 		t.Fatalf("append on poisoned log: %v, want ErrDurability", err)
 	}
-	fault.Reset()
+	disk.Crash(func(int) int { return 3 })
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatalf("reopen after torn write: %v", err)
@@ -166,20 +195,19 @@ func TestTornWriteInjectionRecovery(t *testing.T) {
 	}
 }
 
-// TestWALSyncFaultRewindsCleanly: an injected fsync failure takes the
+// TestWALSyncFaultRewindsCleanly: an fsync failure takes the
 // production rewind path; the log stays healthy and later appends and
-// reopens see only the acknowledged facts.
+// reopens — even after a crash that keeps every byte written — see
+// only the acknowledged facts.
 func TestWALSyncFaultRewindsCleanly(t *testing.T) {
-	t.Cleanup(fault.Reset)
-	dir := t.TempDir()
+	disk := useSimDisk(t)
+	dir := "db"
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	insertNames(t, s, "a")
-	if err := fault.Enable(fault.SiteWALSync, fault.Outcome{Err: fault.ErrInjected}, fault.Policy{Times: 1}); err != nil {
-		t.Fatal(err)
-	}
+	disk.Fail(fault.OpSync, 0, 1, syscall.EIO)
 	if _, err := s.Insert("p", Tuple{term.Sym("lost")}); !errors.Is(err, ErrDurability) {
 		t.Fatalf("insert during sync fault: %v, want ErrDurability", err)
 	}
@@ -187,7 +215,7 @@ func TestWALSyncFaultRewindsCleanly(t *testing.T) {
 		t.Fatalf("a clean rewind must not poison the log: %v", s.DurabilityErr())
 	}
 	insertNames(t, s, "b")
-	fault.Reset()
+	disk.Crash(keepAll)
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -199,25 +227,56 @@ func TestWALSyncFaultRewindsCleanly(t *testing.T) {
 	}
 }
 
-// TestReplayFaultFailsOpenStructured: a fault during recovery surfaces
-// as an error from Open, not a half-recovered store.
+// TestReplayFaultFailsOpenStructured: a read error during recovery —
+// here EIO on the log's second read, inside its records — surfaces as
+// an error from Open, not a half-recovered store, and destroys
+// nothing: a torn tail is truncated at open, a failing disk is not.
+// Once the disk reads again, every acknowledged fact is recovered.
 func TestReplayFaultFailsOpenStructured(t *testing.T) {
-	t.Cleanup(fault.Reset)
-	dir := t.TempDir()
+	disk := useSimDisk(t)
+	dir := "db"
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	insertNames(t, s, "a", "b")
 	s.Close()
-	if err := fault.Enable(fault.SiteWALReplay, fault.Outcome{Err: fault.ErrInjected}, fault.Policy{SkipFirst: 1, Times: 1}); err != nil {
+	disk.Fail(fault.OpRead, 1, 1, syscall.EIO)
+	if _, err := Open(dir); !errors.Is(err, fault.ErrInjected) || !errors.Is(err, syscall.EIO) {
+		t.Fatalf("open during replay fault: %v, want the injected EIO", err)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("open after fault cleared: %v", err)
+	}
+	defer s2.Close()
+	if got := factNames(s2); !equalStrings(got, []string{"a", "b"}) {
+		t.Fatalf("recovered %v, want [a b]", got)
+	}
+}
+
+// TestSnapshotReadFaultFailsOpenStructured: a read error on the
+// snapshot — in its header or among its records — fails Open with the
+// disk's error in its chain, not as a foreign or corrupt file, and once
+// the disk reads again every fact is recovered.
+func TestSnapshotReadFaultFailsOpenStructured(t *testing.T) {
+	disk := useSimDisk(t)
+	s, err := Open("db")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir); !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("open during replay fault: %v, want the injection", err)
+	insertNames(t, s, "a", "b")
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
-	fault.Reset()
-	s2, err := Open(dir)
+	s.Close()
+	for skip := 0; skip < 2; skip++ {
+		disk.Fail(fault.OpRead, skip, 1, syscall.EIO)
+		if _, err := Open("db"); !errors.Is(err, fault.ErrInjected) || !errors.Is(err, syscall.EIO) {
+			t.Fatalf("open with read %d of the snapshot failing: %v, want the injected EIO", skip, err)
+		}
+	}
+	s2, err := Open("db")
 	if err != nil {
 		t.Fatalf("open after fault cleared: %v", err)
 	}
@@ -251,32 +310,25 @@ func TestSnapshotTempOrphansSweptOnOpen(t *testing.T) {
 }
 
 // TestSnapshotFaultLeavesNoTemp: every writeSnapshot error path —
-// here an injected temp-file sync failure and a rename failure —
-// must remove the temp file.
+// here a temp-file write, sync and rename failure — must remove the
+// temp file.
 func TestSnapshotFaultLeavesNoTemp(t *testing.T) {
-	t.Cleanup(fault.Reset)
-	dir := t.TempDir()
+	disk := useSimDisk(t)
+	dir := "db"
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	insertNames(t, s, "a")
-	for _, site := range []string{fault.SiteSnapshotSync, fault.SiteSnapshotRename} {
-		if err := fault.Enable(site, fault.Outcome{Err: fault.ErrInjected}, fault.Policy{Times: 1}); err != nil {
-			t.Fatal(err)
-		}
+	for _, op := range []fault.Op{fault.OpWrite, fault.OpSync, fault.OpRename} {
+		disk.Fail(op, 0, 1, syscall.EIO)
 		if err := s.Checkpoint(); !errors.Is(err, fault.ErrInjected) {
-			t.Fatalf("%s: checkpoint error %v, want the injection", site, err)
+			t.Fatalf("%s: checkpoint error %v, want the injection", op, err)
 		}
-		left, err := filepath.Glob(filepath.Join(dir, "kdb.snap.tmp*"))
-		if err != nil {
-			t.Fatal(err)
+		if left := snapshotTemps(t, dir); len(left) != 0 {
+			t.Fatalf("%s: temp files left behind: %v", op, left)
 		}
-		if len(left) != 0 {
-			t.Fatalf("%s: temp files left behind: %v", site, left)
-		}
-		fault.Reset()
 	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint after faults cleared: %v", err)
@@ -287,12 +339,10 @@ func TestSnapshotFaultLeavesNoTemp(t *testing.T) {
 // tolerated (filesystems that cannot sync directories), while any
 // other failure still fails the operation.
 func TestSyncDirTolerance(t *testing.T) {
-	t.Cleanup(fault.Reset)
-	for _, errno := range []error{syscall.EINVAL, syscall.ENOTSUP} {
-		if err := fault.Enable(fault.SiteDirSync, fault.Outcome{Err: errno}, fault.Policy{}); err != nil {
-			t.Fatal(err)
-		}
-		s, err := Open(t.TempDir())
+	disk := useSimDisk(t)
+	for _, errno := range []syscall.Errno{syscall.EINVAL, syscall.ENOTSUP} {
+		disk.Fail(fault.OpSyncDir, 0, 0, errno)
+		s, err := Open(errno.Error())
 		if err != nil {
 			t.Fatalf("open under %v dir-sync: %v (want tolerated)", errno, err)
 		}
@@ -301,44 +351,45 @@ func TestSyncDirTolerance(t *testing.T) {
 			t.Fatalf("checkpoint under %v dir-sync: %v (want tolerated)", errno, err)
 		}
 		s.Close()
-		fault.Reset()
+		if disk.Hits() == 0 {
+			t.Fatalf("no directory sync met the %v fault", errno)
+		}
 	}
 	if ignorableSyncErr(errors.New("io failure")) {
 		t.Skip("platform tolerates all directory-sync errors")
 	}
-	if err := fault.Enable(fault.SiteDirSync, fault.Outcome{Err: fault.ErrInjected}, fault.Policy{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(t.TempDir()); !errors.Is(err, fault.ErrInjected) {
+	disk.Fail(fault.OpSyncDir, 0, 0, syscall.EIO)
+	if _, err := Open("eio"); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("open under injected dir-sync failure: %v, want the failure to propagate", err)
 	}
 }
 
-// TestWALFailpointDisabledZeroAlloc is the acceptance gate: with no
-// failpoint armed, the checks compiled into the WAL hot path cost
-// zero allocations (and, by the benchmark in internal/fault, one
-// atomic load each). So does reading the observer slot every append
-// consults, with an observer attached and without.
+// TestWALFailpointDisabledZeroAlloc is the acceptance gate on what
+// every append consults besides its own framing: the observer slot,
+// with an observer attached and without, and the log's file behind the
+// disk seam — a write and an fsync on a real file cost no allocation.
 func TestWALFailpointDisabledZeroAlloc(t *testing.T) {
-	fault.Reset()
 	var none, some observerHolder
 	some.set(&syncCounter{})
-	allocs := testing.AllocsPerRun(1000, func() {
+	f, err := fault.Disk().OpenFile(filepath.Join(t.TempDir(), walName), os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	frame := []byte("frame")
+	allocs := testing.AllocsPerRun(100, func() {
 		if none.get() != nil || some.get() == nil {
 			t.Fatal("observer slot read back wrong")
 		}
-		if o := fault.Eval(fault.SiteWALAppend); o != nil {
-			t.Fatal("disabled failpoint triggered")
-		}
-		if err := fault.Inject(fault.SiteWALSync); err != nil {
+		if _, err := f.Write(frame); err != nil {
 			t.Fatal(err)
 		}
-		if err := fault.Inject(fault.SiteWALFlush); err != nil {
+		if err := f.Sync(); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("disabled failpoint checks allocate %.1f objects per append, want 0", allocs)
+		t.Fatalf("the append path's observer slot and file allocate %.1f objects per append, want 0", allocs)
 	}
 }
 
@@ -363,13 +414,26 @@ func pAtoms(names ...string) []term.Atom {
 	return out
 }
 
+// walSize is the log's size as the process sees it, read through the
+// disk seam.
 func walSize(t *testing.T, dir string) int64 {
 	t.Helper()
-	fi, err := os.Stat(filepath.Join(dir, walName))
+	f, err := fault.Disk().Open(filepath.Join(dir, walName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fi.Size()
+	defer f.Close()
+	n, err := io.Copy(io.Discard, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// frameLen is the framed size of the WAL record of p(name).
+func frameLen(name string) int {
+	payload, _ := encodeFact("p", Tuple{term.Sym(name)})
+	return uvarintLen(uint64(len(payload))) + len(payload) + 4
 }
 
 // syncCounter counts the log's fsyncs.
@@ -380,9 +444,10 @@ func (c *syncCounter) ObserveWALSync(time.Duration)         { c.syncs++ }
 func (c *syncCounter) ObserveSnapshot(time.Duration, int64) {}
 
 // TestBatchOneSync: a batch is acknowledged as a unit — one flush and
-// one fsync however many facts it holds — and reopens complete.
+// one fsync however many facts it holds — and a crash keeps it whole.
 func TestBatchOneSync(t *testing.T) {
-	dir := t.TempDir()
+	disk := useSimDisk(t)
+	dir := "db"
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -401,7 +466,8 @@ func TestBatchOneSync(t *testing.T) {
 	if n, err := s.InsertAtoms(pAtoms("a", "d")); err != nil || n != 0 || c.syncs != 1 {
 		t.Fatalf("all-duplicate batch = %d, %v with %d fsyncs; want 0, nil and no new fsync", n, err, c.syncs)
 	}
-	s2, err := Open(dir) // crash: no Close
+	disk.Crash(keepNone)
+	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,17 +481,15 @@ func TestBatchOneSync(t *testing.T) {
 // multi-fact batch takes the rewind path — ErrDurability, the file back
 // at its durable offset, none of the batch on disk, the log healthy.
 func TestBatchSyncFaultRewindsWholeBatch(t *testing.T) {
-	t.Cleanup(fault.Reset)
-	dir := t.TempDir()
+	disk := useSimDisk(t)
+	dir := "db"
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	insertNames(t, s, "a")
 	before := walSize(t, dir)
-	if err := fault.Enable(fault.SiteWALSync, fault.Outcome{Err: fault.ErrInjected}, fault.Policy{Times: 1}); err != nil {
-		t.Fatal(err)
-	}
+	disk.Fail(fault.OpSync, 0, 1, syscall.EIO)
 	n, err := s.InsertAtoms(pAtoms("l1", "l2", "l3"))
 	if !errors.Is(err, ErrDurability) || !errors.Is(err, fault.ErrInjected) || n != 3 {
 		t.Fatalf("InsertAtoms under sync fault = %d, %v; want 3 facts in RAM and ErrDurability", n, err)
@@ -440,7 +504,7 @@ func TestBatchSyncFaultRewindsWholeBatch(t *testing.T) {
 		t.Fatalf("log is %d bytes after the rewind, durable offset was %d", got, before)
 	}
 	insertNames(t, s, "b") // the next append is clean
-	fault.Reset()
+	disk.Crash(keepAll)
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -451,20 +515,20 @@ func TestBatchSyncFaultRewindsWholeBatch(t *testing.T) {
 	}
 }
 
-// TestBatchTornWriteKeepsPrefix: a crash mid-batch (torn frame at the
-// third record) poisons the log; reopen keeps exactly the records
-// framed before it.
+// TestBatchTornWriteKeepsPrefix: a failed fsync whose rewind fails
+// too poisons the log with the whole batch written but not synced; a
+// crash then tears the batch at its third record, and reopen keeps
+// exactly the records framed before it.
 func TestBatchTornWriteKeepsPrefix(t *testing.T) {
-	t.Cleanup(fault.Reset)
-	dir := t.TempDir()
+	disk := useSimDisk(t)
+	dir := "db"
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	insertNames(t, s, "a")
-	if err := fault.Enable(fault.SiteWALAppend, fault.Outcome{TornBytes: 3}, fault.Policy{SkipFirst: 2, Times: 1}); err != nil {
-		t.Fatal(err)
-	}
+	disk.Fail(fault.OpSync, 0, 1, syscall.EIO)
+	disk.Fail(fault.OpTruncate, 0, 1, syscall.EIO)
 	_, err = s.InsertAtoms(pAtoms("b1", "b2", "b3", "b4"))
 	if !errors.Is(err, ErrDurability) || !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("torn batch error %v, want ErrDurability wrapping the injection", err)
@@ -475,7 +539,7 @@ func TestBatchTornWriteKeepsPrefix(t *testing.T) {
 	if _, err := s.InsertAtoms(pAtoms("after")); !errors.Is(err, ErrDurability) {
 		t.Fatalf("batch on poisoned log: %v, want ErrDurability", err)
 	}
-	fault.Reset()
+	disk.Crash(func(int) int { return frameLen("b1") + frameLen("b2") + 3 })
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatalf("reopen after torn batch: %v", err)
@@ -493,7 +557,8 @@ func TestBatchTornWriteKeepsPrefix(t *testing.T) {
 // the batch, and what was stored before it is logged — RAM and log may
 // only differ under ErrDurability.
 func TestBatchValidationErrorLogsPrefix(t *testing.T) {
-	dir := t.TempDir()
+	disk := useSimDisk(t)
+	dir := "db"
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -507,7 +572,8 @@ func TestBatchValidationErrorLogsPrefix(t *testing.T) {
 	if got := factNames(s); !equalStrings(got, []string{"a", "b"}) {
 		t.Fatalf("RAM holds %v, want [a b]", got)
 	}
-	s2, err := Open(dir) // crash: no Close
+	disk.Crash(keepNone)
+	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

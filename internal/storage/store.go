@@ -3,9 +3,9 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 
 	"kdb/internal/fault"
@@ -46,10 +46,7 @@ func NewMemory() *Store {
 // recovering state from the snapshot and write-ahead log if present.
 // A torn final WAL record (crash mid-append) is truncated away.
 func Open(dir string) (*Store, error) {
-	if err := fault.Inject(fault.SiteStoreOpen); err != nil {
-		return nil, fmt.Errorf("storage: open: %w", err)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fault.Disk().MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
 	removeSnapshotOrphans(dir)
@@ -76,21 +73,16 @@ func Open(dir string) (*Store, error) {
 // removeSnapshotOrphans sweeps kdb.snap.tmp* files left behind by a
 // crash mid-snapshot. The deferred cleanup in writeSnapshot covers
 // every error return, but a process death between temp creation and
-// rename leaves the file on disk — and without this sweep such
-// orphans would accumulate across restarts.
+// rename leaves the file on disk, and such orphans would accumulate
+// across restarts. An orphan the sweep cannot list or remove waits for
+// the next open.
 func removeSnapshotOrphans(dir string) {
-	// Best-effort: an injected fault models an unreadable directory or
-	// failed unlink; the orphan then simply survives until the next
-	// open, which the faultsite suite proves is harmless.
-	if fault.Inject(fault.SiteSnapshotSweep) != nil {
-		return
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "kdb.snap.tmp*"))
-	if err != nil {
-		return
-	}
-	for _, m := range matches {
-		_ = os.Remove(m)
+	disk := fault.Disk()
+	names, _ := disk.ReadDir(dir)
+	for _, name := range names {
+		if strings.HasPrefix(name, snapshotTemp) {
+			_ = disk.Remove(filepath.Join(dir, name))
+		}
 	}
 }
 
@@ -299,8 +291,7 @@ func (s *Store) Checkpoint() error {
 	// The crash window: the snapshot is published but the log still
 	// holds the pre-checkpoint records. Recovery from here is safe —
 	// replaying the old log over the new snapshot is idempotent — and
-	// the chaos tests prove it by arming checkpoint.reset (the
-	// failpoint lives at the top of wal.reset, before any truncation).
+	// TestCheckpointCrashAfterRename and the crash enumeration prove it.
 	if err := s.wal.reset(); err != nil {
 		return durabilityErr("checkpoint", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -39,6 +40,7 @@ import (
 
 const (
 	snapshotName  = "kdb.snap"
+	snapshotTemp  = "kdb.snap.tmp" // prefix of a snapshot not yet published
 	walName       = "kdb.wal"
 	snapshotMagic = "KDBSNAP1"
 	walMagic      = "KDBWAL01"
@@ -67,27 +69,32 @@ func writeRecord(w io.Writer, payload []byte) error {
 // errTornRecord marks a truncated or corrupt record tail.
 var errTornRecord = errors.New("storage: torn record")
 
-// readRecord reads one framed record.
+// errVarintOverflow is the error encoding/binary reports for a varint
+// past 64 bits; the package does not export it.
+var _, errVarintOverflow = binary.ReadUvarint(bytes.NewReader(bytes.Repeat([]byte{0xff}, binary.MaxVarintLen64)))
+
+// readRecord reads one framed record. io.EOF means the records ended on
+// a frame boundary. A frame cut short, a length that overflows or
+// passes the bound, and a CRC mismatch are a torn tail (errTornRecord).
+// Any other error is the disk's, returned as it is: it is no torn tail.
 func readRecord(r *bufio.Reader) ([]byte, error) {
 	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
+	switch {
+	case err == io.EOF:
+		return nil, io.EOF
+	case err == io.ErrUnexpectedEOF || err == errVarintOverflow || err == nil && n > maxRecordSize:
 		return nil, errTornRecord
+	case err != nil:
+		return nil, err
 	}
-	if n > maxRecordSize {
+	frame := make([]byte, n+4) // payload, crc
+	if _, err := io.ReadFull(r, frame); err == io.EOF || err == io.ErrUnexpectedEOF {
 		return nil, errTornRecord
+	} else if err != nil {
+		return nil, err
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, errTornRecord
-	}
-	var crc [4]byte
-	if _, err := io.ReadFull(r, crc[:]); err != nil {
-		return nil, errTornRecord
-	}
-	if binary.BigEndian.Uint32(crc[:]) != crc32.Checksum(payload, crcTable) {
+	payload := frame[:n]
+	if binary.BigEndian.Uint32(frame[n:]) != crc32.Checksum(payload, crcTable) {
 		return nil, errTornRecord
 	}
 	return payload, nil
@@ -95,10 +102,9 @@ func readRecord(r *bufio.Reader) ([]byte, error) {
 
 // wal is an append-only write-ahead log of fact insertions.
 type wal struct {
-	mu   sync.Mutex
-	path string
-	f    *os.File
-	w    *bufio.Writer
+	mu sync.Mutex
+	f  fault.File
+	w  *bufio.Writer
 	// durable is the file offset up to which every record is known fully
 	// written and synced. A failed append rewinds the log to this
 	// boundary so a partial frame never prefixes later records.
@@ -120,10 +126,7 @@ type wal struct {
 // clean boundary. A freshly created log's directory entry is fsynced so
 // the file itself survives a crash.
 func openWAL(path string, apply func(pred string, t Tuple, tombstone bool) error) (*wal, error) {
-	if err := fault.Inject(fault.SiteWALOpen); err != nil {
-		return nil, fmt.Errorf("storage: open wal: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := fault.Disk().OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open wal: %w", err)
 	}
@@ -140,13 +143,13 @@ func openWAL(path string, apply func(pred string, t Tuple, tombstone bool) error
 		f.Close()
 		return nil, fmt.Errorf("storage: seek wal: %w", err)
 	}
-	w := &wal{path: path, f: f, w: bufio.NewWriter(f), durable: validEnd}
+	w := &wal{f: f, w: bufio.NewWriter(f), durable: validEnd}
 	if validEnd == 0 {
 		if _, err := w.w.WriteString(walMagic); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("storage: write wal magic: %w", err)
 		}
-		if err := w.flush(); err != nil {
+		if err := w.flushLocked(); err != nil { // w is not yet shared
 			f.Close()
 			return nil, err
 		}
@@ -167,18 +170,11 @@ func openWAL(path string, apply func(pred string, t Tuple, tombstone bool) error
 // directory entry is as durable as it will ever get, and refusing to
 // run there would fail every WAL and snapshot creation outright.
 func syncDir(dir string) error {
-	d, err := os.Open(dir)
+	d, err := fault.Disk().Open(dir)
 	if err != nil {
 		return fmt.Errorf("storage: open dir for sync: %w", err)
 	}
 	err = d.Sync()
-	// An injected fault replaces the Sync result, flowing through the
-	// same tolerance check as a real filesystem error — so tests can
-	// prove both that EINVAL/ENOTSUP are tolerated and that anything
-	// else fails the caller.
-	if ierr := fault.Inject(fault.SiteDirSync); ierr != nil {
-		err = ierr
-	}
 	if ignorableSyncErr(err) {
 		err = nil
 	}
@@ -191,29 +187,24 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// replayWAL applies all valid records and returns the offset of the last
-// valid byte (magic included).
-func replayWAL(f *os.File, apply func(string, Tuple, bool) error) (int64, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	if st.Size() == 0 {
-		return 0, nil
-	}
+// replayWAL applies all valid records from the start of f and returns
+// the offset of the last valid byte (magic included). An empty log, or
+// one whose header a crash cut short, has none. A read error fails the
+// replay, so that no caller truncates the log there.
+func replayWAL(f fault.File, apply func(string, Tuple, bool) error) (int64, error) {
 	r := bufio.NewReader(f)
 	magic := make([]byte, len(walMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != walMagic {
+	n, err := io.ReadFull(r, magic)
+	switch {
+	case err == io.EOF || err == io.ErrUnexpectedEOF && walMagic[:n] == string(magic[:n]):
+		return 0, nil
+	case err != nil && err != io.ErrUnexpectedEOF:
+		return 0, fmt.Errorf("storage: wal replay: %w", err)
+	case string(magic) != walMagic:
 		return 0, fmt.Errorf("storage: %s is not a kdb WAL", f.Name())
 	}
 	valid := int64(len(walMagic))
 	for {
-		if err := fault.Inject(fault.SiteWALReplay); err != nil {
-			return 0, fmt.Errorf("storage: wal replay: %w", err)
-		}
 		payload, err := readRecord(r)
 		if err == io.EOF {
 			return valid, nil
@@ -222,7 +213,7 @@ func replayWAL(f *os.File, apply func(string, Tuple, bool) error) (int64, error)
 			return valid, nil // crash tail: keep the valid prefix
 		}
 		if err != nil {
-			return 0, err
+			return 0, fmt.Errorf("storage: wal replay: %w", err)
 		}
 		body := payload
 		tombstone := len(payload) > 0 && payload[0] == tombstoneTag
@@ -283,11 +274,6 @@ func (w *wal) appendPayloads(payloads ...[]byte) error {
 	}
 	var framed int64
 	for _, payload := range payloads {
-		if o := fault.Eval(fault.SiteWALAppend); o != nil {
-			if err := w.injectAppendFault(o, payload); err != nil {
-				return err
-			}
-		}
 		if err := writeRecord(w.w, payload); err != nil {
 			w.recoverLocked(err)
 			return err
@@ -305,40 +291,6 @@ func (w *wal) appendPayloads(payloads ...[]byte) error {
 	return nil
 }
 
-// injectAppendFault applies an armed append failpoint. A torn-write
-// outcome simulates a crash mid-frame: the batch's earlier records and
-// a prefix of this framed record reach the file and the log is
-// poisoned — no rewind runs, exactly as if the process had died before
-// it could. Recovery happens where it would after a real crash: the
-// torn tail is truncated at the next open. Every other outcome takes
-// the production error path through recoverLocked (or returns nil for
-// latency-only outcomes).
-//
-//kdb:locked mu
-func (w *wal) injectAppendFault(o *fault.Outcome, payload []byte) error {
-	if o.TornBytes > 0 {
-		var frame bytes.Buffer
-		if err := writeRecord(&frame, payload); err != nil {
-			return err
-		}
-		k := o.TornBytes
-		if k > frame.Len() {
-			k = frame.Len()
-		}
-		_ = w.w.Flush()
-		_, _ = w.f.Write(frame.Bytes()[:k])
-		_ = w.f.Sync()
-		err := fmt.Errorf("%w: torn write at %s", fault.ErrInjected, fault.SiteWALAppend)
-		w.failed = err
-		return err
-	}
-	err := o.Fire(fault.SiteWALAppend)
-	if err != nil {
-		w.recoverLocked(err)
-	}
-	return err
-}
-
 // recoverLocked rewinds the log to the last durable boundary after a
 // failed append: the file is truncated to the durable offset and the
 // buffered writer is reset so the partial frame's bytes are dropped.
@@ -349,11 +301,7 @@ func (w *wal) injectAppendFault(o *fault.Outcome, payload []byte) error {
 //
 //kdb:locked mu
 func (w *wal) recoverLocked(cause error) {
-	err := fault.Inject(fault.SiteWALRewind)
-	if err == nil {
-		err = w.f.Truncate(w.durable)
-	}
-	if err != nil {
+	if err := w.f.Truncate(w.durable); err != nil {
 		w.failed = fmt.Errorf("%w (rewind truncate failed: %w)", cause, err)
 		return
 	}
@@ -364,20 +312,8 @@ func (w *wal) recoverLocked(cause error) {
 	w.w.Reset(w.f)
 }
 
-func (w *wal) flush() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.flushLocked()
-}
-
 func (w *wal) flushLocked() error {
-	if err := fault.Inject(fault.SiteWALFlush); err != nil {
-		return err
-	}
 	if err := w.w.Flush(); err != nil {
-		return err
-	}
-	if err := fault.Inject(fault.SiteWALSync); err != nil {
 		return err
 	}
 	start := time.Now()
@@ -402,12 +338,6 @@ func (w *wal) flushLocked() error {
 func (w *wal) reset() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	// The checkpoint crash window: a fault here fires after the caller
-	// published the snapshot but before the old log is destroyed, so
-	// recovery sees both. Nothing is truncated yet — no poison.
-	if err := fault.Inject(fault.SiteCheckpointReset); err != nil {
-		return err
-	}
 	w.w.Reset(w.f) // drop any buffered partial frame
 	if err := w.f.Truncate(0); err != nil {
 		w.failed = fmt.Errorf("storage: wal reset truncate: %w", err)
@@ -440,27 +370,12 @@ func (w *wal) close() error {
 	return w.f.Close()
 }
 
-// countingWriter tracks how many bytes passed through it (snapshot
-// size reporting).
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // writeSnapshot dumps every relation to a temp file and atomically
 // renames it over the snapshot path.
 func (s *Store) writeSnapshot(path string) error {
 	start := time.Now()
-	if err := fault.Inject(fault.SiteSnapshotWrite); err != nil {
-		return fmt.Errorf("storage: snapshot write: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "kdb.snap.tmp*")
+	disk := fault.Disk()
+	tmp, err := disk.CreateTemp(filepath.Dir(path), snapshotTemp+"*")
 	if err != nil {
 		return fmt.Errorf("storage: snapshot temp: %w", err)
 	}
@@ -469,9 +384,8 @@ func (s *Store) writeSnapshot(path string) error {
 	// successful rename the name no longer exists and the remove is a
 	// no-op. Orphans from a crash (no deferred cleanup runs) are swept
 	// at the next Open.
-	defer os.Remove(tmp.Name())
-	cw := &countingWriter{w: tmp}
-	w := bufio.NewWriter(cw)
+	defer disk.Remove(tmp.Name())
+	w := bufio.NewWriter(tmp)
 	if _, err := w.WriteString(snapshotMagic); err != nil {
 		tmp.Close()
 		return err
@@ -505,9 +419,10 @@ func (s *Store) writeSnapshot(path string) error {
 		tmp.Close()
 		return err
 	}
-	if err := fault.Inject(fault.SiteSnapshotSync); err != nil {
+	size, err := tmp.Seek(0, io.SeekCurrent)
+	if err != nil {
 		tmp.Close()
-		return fmt.Errorf("storage: snapshot sync: %w", err)
+		return err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -516,10 +431,7 @@ func (s *Store) writeSnapshot(path string) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	if err := fault.Inject(fault.SiteSnapshotRename); err != nil {
-		return fmt.Errorf("storage: snapshot rename: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := disk.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("storage: snapshot rename: %w", err)
 	}
 	// The rename is only durable once the directory entry is synced.
@@ -527,15 +439,15 @@ func (s *Store) writeSnapshot(path string) error {
 		return err
 	}
 	if o := s.obs.get(); o != nil {
-		o.ObserveSnapshot(time.Since(start), cw.n)
+		o.ObserveSnapshot(time.Since(start), size)
 	}
 	return nil
 }
 
 // loadSnapshot populates the store from a snapshot file, if present.
 func (s *Store) loadSnapshot(path string) error {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
+	f, err := fault.Disk().Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
@@ -544,7 +456,9 @@ func (s *Store) loadSnapshot(path string) error {
 	defer f.Close()
 	r := bufio.NewReader(f)
 	magic := make([]byte, len(snapshotMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != snapshotMagic {
+	if _, err := io.ReadFull(r, magic); err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return fmt.Errorf("storage: read snapshot %s: %w", path, err)
+	} else if err != nil || string(magic) != snapshotMagic {
 		return fmt.Errorf("storage: %s is not a kdb snapshot", path)
 	}
 	for {
@@ -553,7 +467,7 @@ func (s *Store) loadSnapshot(path string) error {
 			return nil
 		}
 		if err != nil {
-			return fmt.Errorf("storage: corrupt snapshot %s: %w", path, err)
+			return fmt.Errorf("storage: read snapshot %s: %w", path, err)
 		}
 		pred, tuple, err := decodeFact(payload)
 		if err != nil {
