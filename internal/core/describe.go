@@ -179,9 +179,6 @@ func Build(g *depgraph.Graph, keys map[string][][]int, opts Options) (*Describer
 // Rules returns the original rule set.
 func (d *Describer) Rules() []term.Rule { return d.graph.Rules() }
 
-// TransformedRules returns the rule set after the §5.2 transformation.
-func (d *Describer) TransformedRules() []term.Rule { return d.trans.Rules }
-
 // DescribeContext evaluates `describe subject where hypothesis` (§3.2).
 // The subject must be an IDB predicate (it has at least one rule). The
 // hypothesis is a positive formula; its comparison conjuncts drive the §4

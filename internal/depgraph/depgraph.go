@@ -158,9 +158,6 @@ func (g *Graph) Rules() []term.Rule { return g.rules }
 // RulesFor returns the rules whose head predicate is pred.
 func (g *Graph) RulesFor(pred string) []term.Rule { return g.byHead[pred] }
 
-// DirectlyDependsOn reports whether p directly depends on q (§2.1).
-func (g *Graph) DirectlyDependsOn(p, q string) bool { return g.direct[p][q] }
-
 // DependsOn reports whether p transitively depends on q (§2.1).
 func (g *Graph) DependsOn(p, q string) bool { return g.reach[p][q] }
 

@@ -2,7 +2,8 @@ package eval
 
 import (
 	"context"
-	"slices"
+	"math/bits"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -124,18 +125,19 @@ func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, e
 	gov, cancel := governor.New(ctx, e.limits)
 	defer cancel()
 	planStart := time.Now()
-	p, err := buildPlan(e.in, q)
+	p, err := buildPlan(e.in, q, !e.full)
 	if err != nil {
 		return nil, err
 	}
 	if !e.full {
-		p.calls = p.demands()
+		p.sideways()
 	}
 	// The observability counters are private to this query and threaded
 	// through every storage probe, so concurrent queries over the same
 	// store keep independent counts.
 	counters := &storage.Counters{}
-	base := component{store: e.in.Store, virtual: p.virtual, d: make(derived), gov: gov, rec: e.rec, ctrs: counters}
+	act := obs.ActivityFromContext(ctx)
+	base := component{plan: p, store: e.in.Store, virtual: p.virtual, d: make(derived), gov: gov, rec: e.rec, ctrs: counters, act: act}
 	if e.prof {
 		base.rp = newRuleProfiler(counters)
 	}
@@ -147,9 +149,16 @@ func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, e
 		Engine:     e.Name(),
 		Components: make([]ComponentStats, len(sccs)+1),
 	}
+	defer func() {
+		for i := range p.callees {
+			callTables.Put(p.callees[i].calls.reset())
+		}
+	}()
+	for i := range p.callees {
+		p.callees[i].start(base, p, &stats.Components[p.callees[i].idx])
+	}
 	start := time.Now()
 	stats.Plan = start.Sub(planStart)
-	act := obs.ActivityFromContext(ctx)
 	evalOne := func(i int) (err error) {
 		defer governor.Recover(&err)
 		comp := queryComponent
@@ -168,12 +177,15 @@ func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, e
 			cs.Skipped = true
 			return nil
 		}
+		if cs.Mask != "" {
+			return nil // specialised: its callers run it (component.answer)
+		}
 		if err := gov.Err(); err != nil {
 			return err
 		}
 		t0 := time.Now()
-		err = evalComponent(base, p, comp, cs, act)
-		cs.Wall = time.Since(t0)
+		err = evalComponent(base, p, comp, cs)
+		cs.Wall += time.Since(t0)
 		act.AddProgress(0, cs.Lookups)
 		return err
 	}
@@ -197,6 +209,7 @@ func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, e
 // runners. Every component it depends on has completed before it starts,
 // so the only relations that grow during the run are the component's own.
 type component struct {
+	plan    *plan
 	store   *storage.Store
 	virtual map[string]*storage.Relation
 	d       derived
@@ -205,11 +218,13 @@ type component struct {
 	cs      *ComponentStats
 	rp      *ruleProfiler
 	ctrs    *storage.Counters // the statement's probe sink
+	act     *obs.Activity
+	sink    *table // the call table a running prefix fills
 
 	// windows hold, per predicate of the component, the positions its
 	// derived relation gained in the previous round: the semi-naive delta,
-	// served from the derived relation itself. Only a recursive component
-	// has them. fresh counts this round's new facts.
+	// served from the derived relation itself: a recursive component's,
+	// or a callee's call table. fresh counts this round's new facts.
 	windows []window
 	fresh   int
 	// pin is the body position the running variant resolves against the
@@ -226,22 +241,12 @@ type window struct {
 }
 
 // componentRule is one rule of the component, with the body positions
-// of its recursive atoms and the calls it runs for each round.
+// of its recursive atoms and the runner of its body.
 type componentRule struct {
 	rule term.Rule
 	rec  []int
-	// calls are what a round runs: full alone — the body as the rule set
-	// compiled it, with no constants — unless the statement specialised
-	// the component, and then one entry per call the head admits.
-	calls []bodyCall
-	full  [1]bodyCall
-}
-
-// bodyCall is one call of a rule: a runner of its body compiled with the
-// head positions the call fixes bound, and the call's arguments.
-type bodyCall struct {
 	run  *runner
-	args []term.Term
+	join *runner // the whole body, its calls first, once they are answered
 }
 
 // noPin is the variant list of an undifferentiated round.
@@ -296,18 +301,15 @@ func (c *component) window(pred string) window {
 	return window{}
 }
 
-// size is the number of rows of pred's derived table.
-func (c *component) size(pred string) int {
-	if t := c.d[pred]; t != nil {
-		return t.n
-	}
-	return 0
-}
-
 // derive adds one derived head to the derived table of its predicate; a
 // new fact is counted and recorded. The next round's delta is where the
-// table has grown to, so nothing else is stored.
+// table has grown to, so nothing else is stored. A prefix's solution is
+// a row of the call table instead.
 func (c *component) derive(r *runner) error {
+	if r.upto < len(r.prog.steps) {
+		_, err := c.sink.insert(r.callRow())
+		return err
+	}
 	fact, err := r.fact()
 	if err != nil {
 		return err
@@ -328,10 +330,11 @@ func (c *component) derive(r *runner) error {
 // facts the previous round added: c.fresh is how many facts were new. The
 // counters are committed even on a governed stop, so the stats attached
 // to the error reflect the work done.
-func (c *component) round(rules []componentRule, differentiated bool, act *obs.Activity) error {
+func (c *component) round(rules []componentRule, differentiated bool) error {
 	for i := range c.windows {
-		w := &c.windows[i]
-		w.from, w.to = w.to, c.size(w.pred)
+		if w := &c.windows[i]; c.d[w.pred] != nil {
+			w.from, w.to = w.to, c.d[w.pred].n
+		}
 	}
 	c.fresh = 0
 	err := c.applyRules(rules, differentiated)
@@ -340,7 +343,7 @@ func (c *component) round(rules []componentRule, differentiated bool, act *obs.A
 	c.cs.DeltaSizes = append(c.cs.DeltaSizes, c.fresh)
 	// Facts stream to the activity entry per round, not per component,
 	// so a long recursive fixpoint shows movement in `kdb top`.
-	act.AddProgress(int64(c.fresh), 0)
+	c.act.AddProgress(int64(c.fresh), 0)
 	return err
 }
 
@@ -360,12 +363,9 @@ func (c *component) applyRules(rules []componentRule, differentiated bool) error
 		}
 		c.rp.begin(cr.rule)
 		var err error
-	calls:
-		for _, call := range cr.calls {
-			for _, c.pin = range pins {
-				if err = call.run.call(call.args); err != nil {
-					break calls
-				}
+		for _, c.pin = range pins {
+			if err = c.fire(cr); err != nil {
+				break
 			}
 		}
 		c.rp.end()
@@ -376,10 +376,81 @@ func (c *component) applyRules(rules []componentRule, differentiated bool) error
 	return nil
 }
 
+// fire runs one rule. Each call of a specialised callee first runs the
+// prefix up to it, filling the callee's call table, then the callee's
+// rules for its new rows, as a round of its component whose time is not
+// the caller's, the rule's round paused; then the whole body joins.
+func (c *component) fire(cr componentRule) error {
+	r, join := cr.run, cr.join
+	for _, cl := range r.prog.calls {
+		ce := c.plan.callee(cl.table)
+		if ce == nil {
+			join = r // a predicate derived in full may be large: no join
+			continue
+		}
+		c.sink, r.upto = ce.calls, cl.step
+		err := r.exec()
+		r.upto = len(r.prog.steps)
+		if cc := &ce.comp; err == nil && ce.calls.n > cc.windows[0].to {
+			open, t0, lookups := c.rp.pause(), time.Now(), cc.cs.Lookups
+			err = cc.round(ce.rules, true)
+			wall := time.Since(t0)
+			cc.cs.Wall, c.cs.Wall = cc.cs.Wall+wall, c.cs.Wall-wall
+			cc.cs.Calls += cc.windows[0].to - cc.windows[0].from
+			c.act.AddProgress(0, cc.cs.Lookups-lookups)
+			c.rp.resume(open)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return join.exec()
+}
+
+// start readies the callee for the evaluation base begins: its call
+// table, its rules pinned at their scan of it, and its record's mask.
+func (ce *callee) start(base component, p *plan, cs *ComponentStats) {
+	calls, _ := callTables.Get().(*table)
+	if n := bits.OnesCount64(ce.mask); calls == nil || calls.arity != n {
+		calls = &table{arity: n} // the walk specialises no arity over 63
+	}
+	ce.calls, base.d[ce.table] = calls, calls
+	ce.comp = base
+	ce.comp.cs = cs
+	ce.win[0].pred = ce.table
+	ce.comp.windows = ce.win[:]
+	prs := p.rules(ce.pred)
+	ce.rules = make([]componentRule, len(prs))
+	for i := range prs {
+		ce.rules[i] = newComponentRule(p, &prs[i], ce.mask, &ce.comp)
+	}
+	if mask := ce.table[strings.LastIndexByte(ce.table, '#')+1:]; cs.Mask == "" {
+		cs.Mask = mask
+	} else {
+		cs.Mask += "," + mask
+	}
+}
+
+// newComponentRule readies pr for calls binding mask, pinned at its
+// call-table scan, with a body joining its answered calls first.
+func newComponentRule(p *plan, pr *preparedRule, mask uint64, drv driver) componentRule {
+	prog := pr.prog
+	if p.callees != nil {
+		prog = p.set.compiledFor(pr, mask, false)
+	}
+	cr := componentRule{rule: pr.rule, rec: pr.rec, run: newRunner(pr.rule, prog, drv)}
+	if cr.join = cr.run; mask != 0 {
+		cr.rec = prog.guard
+	}
+	if prog.calls != nil && pr.rule.Head.Pred != queryPredName {
+		cr.join = newRunner(pr.rule, p.set.compiledFor(pr, mask, true), drv)
+	}
+	return cr
+}
+
 // evalComponent computes the fixpoint of one SCC's rules, each run from
-// the body its plan compiled, on base's statement state. A component the
-// plan specialised runs each rule once per call its head admits instead.
-func evalComponent(base component, p *plan, comp []string, cs *ComponentStats, act *obs.Activity) error {
+// the body the statement's plan compiled, on base's statement state.
+func evalComponent(base component, p *plan, comp []string, cs *ComponentStats) error {
 	c := &base
 	c.cs = cs
 	n := 0
@@ -389,17 +460,9 @@ func evalComponent(base component, p *plan, comp []string, cs *ComponentStats, a
 	rules := make([]componentRule, 0, n)
 	for _, pred := range comp {
 		prs := p.rules(pred)
-		calls := p.calls[pred]
-		cs.Calls = len(calls)
 		for i := range prs {
 			pr := &prs[i]
-			rules = append(rules, componentRule{rule: pr.rule, rec: pr.rec})
-			cr := &rules[len(rules)-1]
-			cr.full[0].run = newRunner(pr.rule, pr.prog, c)
-			cr.calls = cr.full[:]
-			if calls != nil {
-				cr.calls = specialise(p.set, pr, calls, cr.full[0].run, c)
-			}
+			rules = append(rules, newComponentRule(p, pr, 0, c))
 			cs.Recursive = cs.Recursive || len(pr.rec) > 0
 		}
 	}
@@ -411,7 +474,7 @@ func evalComponent(base component, p *plan, comp []string, cs *ComponentStats, a
 	}
 
 	// First round: apply every rule once against the current state.
-	if err := c.round(rules, false, act); err != nil || !cs.Recursive {
+	if err := c.round(rules, false); err != nil || !cs.Recursive {
 		return err
 	}
 	// Iterate to fixpoint, checking the governor between rounds.
@@ -422,35 +485,11 @@ func evalComponent(base component, p *plan, comp []string, cs *ComponentStats, a
 		if err := c.gov.CheckIterations(cs.Iterations + 1); err != nil {
 			return err
 		}
-		if err := c.round(rules, true, act); err != nil {
+		if err := c.round(rules, true); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// specialise returns the calls of a rule's body for the calls of its
-// predicate that its head admits, one runner per set of head positions
-// they fix. A call that fixes no head variable asks for everything the
-// rule derives, which is its full run.
-func specialise(rs *RuleSet, pr *preparedRule, calls [][]term.Term, full *runner, drv driver) []bodyCall {
-	out := make([]bodyCall, 0, len(calls))
-	for _, args := range calls {
-		given, ok := admits(pr.rule.Head, args)
-		switch {
-		case !ok:
-			continue
-		case given == 0:
-			return []bodyCall{{run: full}}
-		}
-		prog := rs.compiledFor(pr, given)
-		if i := slices.IndexFunc(out, func(bc bodyCall) bool { return bc.run.prog == prog }); i >= 0 {
-			out = append(out, bodyCall{run: out[i].run, args: args})
-		} else {
-			out = append(out, bodyCall{run: newRunner(pr.rule, prog, drv), args: args})
-		}
-	}
-	return out
 }
 
 // collect hands over the rows of the derived query table, which nothing

@@ -49,15 +49,13 @@
 // its disjuncts share are derived once, under one governor. An Input
 // without a RuleSet is prepared on the spot, per statement.
 //
-// The semi-naive engine then lets the statement's constants reach the
-// rules they constrain (plan.demands): walking from the query rules down,
-// it finds every non-recursive derived predicate that is only ever called
-// with constants — the statement's, a rule's own, or a caller's carried
-// through head variables — and runs each of its rules once per call the
-// head admits, with the call's constants in the head's frame slots and
-// the body compiled with those slots bound. A predicate called with no
-// constant anywhere, or recursive, is derived in full: the call with no
-// constants, which runs the body the RuleSet compiled.
+// The semi-naive engine derives a non-recursive predicate only for the
+// values its callers bind, constants or earlier atoms' (sideways): the
+// caller's prefix up to the call fills the callee's call table for that
+// mask of bound positions, the callee's rules, compiled for the mask,
+// run for its new rows, and the caller's body then joins their answers
+// (component.fire). A predicate some call binds nothing of, recursive or
+// called by a recursive component is derived in full (plan.sideways).
 //
 // The subject may be an EDB predicate, an IDB predicate, or — as in the
 // paper's Example 2 — a new predicate defined entirely by the qualifier.
@@ -193,38 +191,38 @@ type RuleSet struct {
 	unsafe error
 	graph  *depgraph.Graph
 	byHead map[string][]preparedRule
-	// textCalls reports whether some rule's body calls a non-recursive
-	// derived predicate with a constant of its own text: only then can a
-	// statement whose query rules call none with a constant specialise.
-	textCalls bool
+	// sideways reports whether some rule calls a specialisable predicate.
+	sideways bool
 
 	mu sync.Mutex
-	// bound holds each rule body compiled with the head positions a call
-	// fixes bound (compileBody's given), built by the first statement
-	// that makes such a call and kept for every later one.
+	// bound holds rule bodies compiled for the sideways plan under a mask
+	// (compileBody's rs and mask), built by the first statement that
+	// makes such a call and kept for every later one.
 	//kdb:guarded-by mu
 	bound map[boundKey]*compiled
 }
 
-// boundKey names a rule body compiled for calls fixing the given head
+// boundKey names a rule body compiled for calls binding the mask's head
 // positions.
 type boundKey struct {
-	rule  *preparedRule
-	given uint64
+	rule *preparedRule
+	mask uint64
+	join bool
 }
 
-// compiledFor returns pr's body compiled with the head positions in given
-// bound: the body Prepare compiled when given is 0.
-func (rs *RuleSet) compiledFor(pr *preparedRule, given uint64) *compiled {
-	if given == 0 {
+// compiledFor returns pr's body as the sideways plan runs it for calls
+// binding mask's head positions: Prepare's when pr is run in full and
+// does not defer.
+func (rs *RuleSet) compiledFor(pr *preparedRule, mask uint64, join bool) *compiled {
+	if mask == 0 && !pr.defers {
 		return pr.prog
 	}
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	k := boundKey{pr, given}
+	k := boundKey{pr, mask, join}
 	c := rs.bound[k]
 	if c == nil {
-		c = compileBody(pr.rule.Head, pr.rule.Body, given)
+		c = compileBody(pr.rule.Head, pr.rule.Body, rs, mask, join)
 		if rs.bound == nil {
 			rs.bound = make(map[boundKey]*compiled)
 		}
@@ -240,6 +238,9 @@ type preparedRule struct {
 	rule term.Rule
 	prog *compiled
 	rec  []int
+	// defers marks a non-recursive rule of the set whose body calls a
+	// specialisable predicate: its sideways plan orders the body anew.
+	defers bool
 }
 
 // Prepare analyses the rules of a dependency graph once for every
@@ -253,16 +254,21 @@ func Prepare(g *depgraph.Graph) *RuleSet {
 		byHead: make(map[string][]preparedRule),
 	}
 	for _, r := range rules {
-		rs.byHead[r.Head.Pred] = append(rs.byHead[r.Head.Pred], prepareRule(r, rs.graph.SCC(r.Head.Pred)))
+		rs.byHead[r.Head.Pred] = append(rs.byHead[r.Head.Pred], prepareRule(r, rs.graph.SCC(r.Head.Pred), nil))
 	}
-	for _, r := range rules {
-		rs.textCalls = rs.textCalls || rs.callsWithConstant(r.Body)
+	for _, prs := range rs.byHead {
+		for i := range prs {
+			pr := &prs[i]
+			pr.defers = !rs.recursive(pr.rule.Head.Pred) && slices.ContainsFunc(pr.rule.Body, rs.callsSpecialisable)
+			rs.sideways = rs.sideways || pr.defers
+		}
 	}
 	return rs
 }
 
-func prepareRule(r term.Rule, scc []string) preparedRule {
-	pr := preparedRule{rule: r, prog: compileBody(r.Head, r.Body, 0)}
+// prepareRule compiles r, for rs's sideways plan when rs is not nil.
+func prepareRule(r term.Rule, scc []string, rs *RuleSet) preparedRule {
+	pr := preparedRule{rule: r, prog: compileBody(r.Head, r.Body, rs, 0, false)}
 	for i, a := range r.Body {
 		if slices.Contains(scc, a.Pred) {
 			pr.rec = append(pr.rec, i)
@@ -283,12 +289,10 @@ func (rs *RuleSet) specialisable(pred string) bool {
 	return len(rs.byHead[pred]) > 0 && !rs.recursive(pred)
 }
 
-// callsWithConstant reports whether the body calls a specialisable
-// predicate with a constant argument.
-func (rs *RuleSet) callsWithConstant(body []term.Atom) bool {
-	return slices.ContainsFunc(body, func(a term.Atom) bool {
-		return !term.IsComparison(a) && slices.ContainsFunc(a.Args, term.Term.IsConst) && rs.specialisable(a.Pred)
-	})
+// callsSpecialisable reports whether a is an atom of a specialisable
+// predicate.
+func (rs *RuleSet) callsSpecialisable(a term.Atom) bool {
+	return !term.IsComparison(a) && rs.specialisable(a.Pred)
 }
 
 // queryComponent is the query rules' SCC: nothing in a rule set depends
@@ -311,11 +315,9 @@ type plan struct {
 	// plan time gives one consistent read-only state to the whole
 	// evaluation, on every engine.
 	virtual map[string]*storage.Relation
-	// calls holds, per non-recursive derived predicate that the statement
-	// only ever calls with constants, those calls (see demands); a
-	// predicate without an entry is derived in full. Only the bottom-up
-	// engine sets it.
-	calls map[string][][]term.Term
+	// callees are the specialised predicates, one per mask (sideways);
+	// any other is derived in full. Only the bottom-up engine sets them.
+	callees []callee
 }
 
 // buildPlan adds the statement's query rules to the input's rule set, one
@@ -325,8 +327,9 @@ type plan struct {
 // §3.1, Example 2). The disjuncts are checked in order, each as if it
 // were the statement's only one: an unsafe rule set fails every statement
 // with its first violation, after the first disjunct's own `X = Y` check
-// and before its query rule's safety check.
-func buildPlan(in Input, q Query) (*plan, error) {
+// and before its query rule's safety check. With sideways the query rules
+// are compiled for the rule set's sideways plan.
+func buildPlan(in Input, q Query, sideways bool) (*plan, error) {
 	if term.IsComparison(q.Subject) {
 		return nil, fmt.Errorf("eval: the subject of retrieve cannot be a comparison")
 	}
@@ -365,7 +368,11 @@ func buildPlan(in Input, q Query) (*plan, error) {
 		if err := checkRule(rule); err != nil {
 			return nil, err
 		}
-		p.query[i] = prepareRule(rule, queryComponent)
+		var rs *RuleSet
+		if sideways {
+			rs = set
+		}
+		p.query[i] = prepareRule(rule, queryComponent, rs)
 	}
 	virt, err := virtualSnapshots(in.Virtual, p)
 	if err != nil {
@@ -388,6 +395,16 @@ func (p *plan) rules(pred string) []preparedRule {
 	return p.set.byHead[pred]
 }
 
+// callee returns the callee of the call table named table, nil for none.
+func (p *plan) callee(table string) *callee {
+	for i := range p.callees {
+		if p.callees[i].table == table {
+			return &p.callees[i]
+		}
+	}
+	return nil
+}
+
 // defines reports whether pred has rules.
 func (p *plan) defines(pred string) bool { return len(p.rules(pred)) > 0 }
 
@@ -408,153 +425,86 @@ func (p *plan) relevant(pred string) bool {
 	return false
 }
 
-// demand is what a statement asks of one derived predicate: every fact
-// (full), or only the facts matching one of its calls.
-type demand struct {
-	full bool
-	// calls are argument lists of the predicate's arity: a constant
-	// where the call fixes the argument, a variable elsewhere. None is
-	// more general than another.
-	calls [][]term.Term
+// callee is a specialised predicate under one mask: every call of it
+// binds an argument and none is a recursive component's. Its rules,
+// compiled for the mask, run for its call table's new rows when a caller
+// needs their answers.
+type callee struct {
+	call     // the first call found: pred, mask and the call table's name
+	idx  int // pred's component in the schedule
+	// Run time: the call table, pred's component evaluated for the mask,
+	// whose one window is the table's new rows, and its rules.
+	calls *table
+	comp  component
+	win   [1]window
+	rules []componentRule
 }
 
-// add records one call of the predicate. A call without a constant, of
-// a recursive predicate, or of an arity some rule head does not have is
-// a demand for everything.
-func (d *demand) add(rs *RuleSet, pred string, args []term.Term) {
-	if d.full {
+// sideways walks the statement's calls from the query rules through the
+// components in reverse dependency order, so a predicate hears from all
+// its callers before its rules, compiled for each of its masks, pass
+// their calls on. A call binding nothing, of an arity over 63 or unlike
+// a rule head's, or made by a recursive component derives its predicate
+// in full. It sets p.callees, one per mask of each other predicate called
+// — none, without a walk, when no call can bind an argument.
+func (p *plan) sideways() {
+	if !p.set.sideways && !slices.ContainsFunc(p.query, func(pr preparedRule) bool {
+		return slices.ContainsFunc(pr.prog.calls, func(cl call) bool { return cl.table != "" })
+	}) {
 		return
-	}
-	if !rs.specialisable(pred) || !slices.ContainsFunc(args, term.Term.IsConst) ||
-		slices.ContainsFunc(rs.byHead[pred], func(pr preparedRule) bool { return len(pr.rule.Head.Args) != len(args) }) {
-		d.full, d.calls = true, nil
-		return
-	}
-	for _, c := range d.calls {
-		if subsumes(c, args) {
-			return
-		}
-	}
-	d.calls = slices.DeleteFunc(d.calls, func(c []term.Term) bool { return subsumes(args, c) })
-	d.calls = append(d.calls, args)
-}
-
-// subsumes reports whether every fact call b asks for is one call a asks
-// for too: a fixes a subset of b's positions to b's constants.
-func subsumes(a, b []term.Term) bool {
-	for i, t := range a {
-		if t.IsConst() && t != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// demands walks the statement's rules top-down, from the query rules
-// through every component in reverse dependency order, so that each
-// predicate has heard from all its callers before its own rules pass
-// calls on; a recursive group reached at all is walked whole, in full.
-// A rule run for a call passes on, in each body atom, the constants of
-// its text and the call's constants in the head variables the atom
-// shares; a rule run in full passes on its text's. It returns
-// the calls of every predicate not demanded in full — nil, without a
-// walk, when no constant reaches a specialisable predicate.
-func (p *plan) demands() map[string][][]term.Term {
-	if !p.set.textCalls && !slices.ContainsFunc(p.query, func(pr preparedRule) bool { return p.set.callsWithConstant(pr.rule.Body) }) {
-		return nil
-	}
-	dem := make(map[string]*demand)
-	call := func(a term.Atom, fixed term.Subst) {
-		if term.IsComparison(a) || len(p.set.byHead[a.Pred]) == 0 {
-			return
-		}
-		d := dem[a.Pred]
-		if d == nil {
-			d = &demand{}
-			dem[a.Pred] = d
-		}
-		d.add(p.set, a.Pred, fixed.Apply(a).Args)
-	}
-	for i := range p.query {
-		for _, a := range p.query[i].rule.Body {
-			call(a, nil)
-		}
 	}
 	sccs := p.set.graph.SCCOrder()
-	for i := len(sccs) - 1; i >= 0; i-- {
-		scc := sccs[i]
-		if len(scc) > 1 && slices.ContainsFunc(scc, func(pred string) bool { return dem[pred] != nil }) {
-			// The members of a recursive group reach one another, so one
-			// reached is all reached, in full: a member the walk below
-			// passes before a sibling calls it must still pass its
-			// rules' calls on.
-			for _, pred := range scc {
-				dem[pred] = &demand{full: true}
-			}
+	var fullBuf [256]bool
+	var callBuf [8]call
+	full, calls := append(fullBuf[:0], make([]bool, len(sccs))...), callBuf[:0] // calls: one per predicate and mask
+	add := func(cl call) {
+		i := p.set.graph.SCCIndex(cl.pred)
+		switch {
+		case full[i]:
+		case cl.table == "" || cl.arity > 63 || slices.ContainsFunc(p.set.byHead[cl.pred], func(pr preparedRule) bool { return len(pr.rule.Head.Args) != cl.arity }):
+			full[i] = true
+		case !slices.ContainsFunc(calls, func(c call) bool { return c.pred == cl.pred && c.mask == cl.mask }):
+			calls = append(calls, cl)
 		}
-		for _, pred := range scc {
-			d := dem[pred]
-			if d == nil {
-				continue // not reached
-			}
-			for _, pr := range p.set.byHead[pred] {
-				if d.full {
-					for _, a := range pr.rule.Body {
-						call(a, nil)
-					}
-					continue
-				}
-				for _, args := range d.calls {
-					if _, ok := admits(pr.rule.Head, args); !ok {
-						continue
-					}
-					fixed := term.NewSubst(len(args))
-					for i, c := range args {
-						if h := pr.rule.Head.Args[i]; h.IsVar() && c.IsConst() {
-							fixed.Bind(h, c)
+	}
+	for i := range p.query {
+		for _, cl := range p.query[i].prog.calls {
+			add(cl)
+		}
+	}
+	for i := len(sccs) - 1; i >= 0; i-- {
+		for _, pred := range sccs[i] {
+			prs := p.set.byHead[pred]
+			for j := range prs {
+				switch {
+				case p.set.recursive(pred) && !p.relevant(pred):
+				case p.set.recursive(pred):
+					for _, a := range prs[j].rule.Body {
+						if p.set.callsSpecialisable(a) {
+							add(call{pred: a.Pred, arity: len(a.Args)})
 						}
 					}
-					for _, a := range pr.rule.Body {
-						call(a, fixed)
+				case full[i]:
+					for _, cl := range p.set.compiledFor(&prs[j], 0, false).calls {
+						add(cl)
+					}
+				default:
+					for _, c := range calls { // what this adds is pred's callees'
+						if c.pred == pred {
+							for _, cl := range p.set.compiledFor(&prs[j], c.mask, false).calls {
+								add(cl)
+							}
+						}
 					}
 				}
 			}
 		}
 	}
-	out := make(map[string][][]term.Term)
-	for pred, d := range dem {
-		if !d.full {
-			out[pred] = d.calls
+	for _, c := range calls {
+		if i := p.set.graph.SCCIndex(c.pred); !full[i] {
+			p.callees = append(p.callees, callee{call: c, idx: i})
 		}
 	}
-	return out
-}
-
-// admits reports whether a rule with this head can derive a fact the
-// call asks for — each head constant equals the call's constant there,
-// and a repeated head variable is not fixed to two constants — and
-// returns the mask of head positions whose variable the call fixes.
-func admits(head term.Atom, args []term.Term) (uint64, bool) {
-	var given uint64
-	for i, c := range args {
-		if !c.IsConst() {
-			continue
-		}
-		h := head.Args[i]
-		if h.IsConst() {
-			if h != c {
-				return 0, false
-			}
-			continue
-		}
-		for j := range i {
-			if head.Args[j] == h && args[j].IsConst() && args[j] != c {
-				return 0, false
-			}
-		}
-		given |= 1 << uint(i)
-	}
-	return given, true
 }
 
 // atPos renders " (at file:line:col)" for rules with a known source

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"kdb/internal/depgraph"
 	"kdb/internal/parser"
 	"kdb/internal/storage"
 	"kdb/internal/term"
@@ -621,6 +622,21 @@ func benchEngineInput(b *testing.B, e Engine, in Input, qs string) {
 		if _, err := e.RetrieveContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRetrieveSemiNaiveSideways: the statements of the paper's KB
+// that call honor with an argument another atom binds, over 3 000
+// generated students.
+func BenchmarkRetrieveSemiNaiveSideways(b *testing.B) {
+	in := universityKB(b, 3000)
+	in.Prepared = Prepare(depgraph.New(in.Rules))
+	for _, stmt := range []string{
+		`retrieve honor(X) where enroll(X, databases).`,
+		`retrieve answer(X) where can_ta(X, databases) and student(X, math, V) and V > 3.7.`,
+		`retrieve can_ta(X, databases).`,
+	} {
+		b.Run(strings.Fields(stmt)[1], func(b *testing.B) { benchEngineInput(b, NewSemiNaive(in), in, stmt) })
 	}
 }
 

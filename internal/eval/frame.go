@@ -73,10 +73,31 @@ type compiled struct {
 	head     term.Atom
 	headFill []posSlot
 	ground   bool // every head variable is bound
-	// params are the head positions a call fixes, with the slots of the
-	// variables there: runner.call writes the call's constants into them
-	// before the first step, which compiled them as bound.
-	params []posSlot
+	// calls are the steps calling a specialisable predicate; guard holds,
+	// for a mask, the call-table scan's index: the pin of every run.
+	calls []call
+	guard []int
+}
+
+// call is one step calling a specialisable predicate: the positions bound
+// when it runs and its callee's call table for them ("" for none).
+type call struct {
+	step, arity int
+	pred        string
+	mask        uint64
+	table       string
+}
+
+// callName names pred's call table under mask: magic's m$p#bf, whose
+// rows are the values the calls bind, in position order. No predicate of
+// a program can take the name.
+func callName(pred string, mask uint64, arity int) string {
+	var buf [64]byte
+	b := append(append(append(buf[:0], "m$"...), pred...), '#')
+	for pos := range arity {
+		b = append(b, "fb"[mask>>uint(pos)&1])
+	}
+	return string(b)
 }
 
 // nextAtom picks the next unresolved body atom given which terms are
@@ -84,19 +105,43 @@ type compiled struct {
 // equality with one side bound), else the first ordinary atom — with
 // preferBound, the first one that has a bound variable if any does —,
 // else an equality between unbound variables, else — only unevaluable
-// comparisons remain — the first of those.
-func nextAtom(body []term.Atom, done []bool, bound func(term.Term) bool, preferBound bool) (int, stepKind) {
-	firstOrdinary, firstBound, firstEq, firstStuck := -1, -1, -1, -1
+// comparisons remain — the first of those. With a rule set (rs, nil for
+// none) an atom of a predicate rs can specialise is a call: one with an
+// argument bound by an earlier atom comes first (with join, any does),
+// then the ordinary atoms with a bound argument, then a call with
+// constants, then any other ordinary atom, and a call with none bound
+// last.
+func nextAtom(body []term.Atom, done []bool, bound func(term.Term) bool, preferBound bool, rs *RuleSet, join bool) (int, stepKind) {
+	// first holds the first atom of each kind, in order of preference.
+	first := [...]int{-1, -1, -1, -1, -1, -1, -1, -1}
+	kinds := [...]stepKind{stepProbe, stepProbe, stepProbe, stepProbe, stepProbe, stepProbe, stepAlias, stepStuck}
+	note := func(k, i int) {
+		if first[k] < 0 {
+			first[k] = i
+		}
+	}
 	for i, a := range body {
 		if done[i] {
 			continue
 		}
 		if !term.IsComparison(a) {
-			if firstOrdinary < 0 {
-				firstOrdinary = i
-			}
-			if preferBound && firstBound < 0 && slices.ContainsFunc(a.Args, func(t term.Term) bool { return t.IsVar() && bound(t) }) {
-				firstBound = i
+			call := rs != nil && rs.specialisable(a.Pred)
+			linked := rs != nil && slices.ContainsFunc(a.Args, bound)
+			byVar := (rs != nil || preferBound) && slices.ContainsFunc(a.Args, func(t term.Term) bool { return t.IsVar() && bound(t) })
+			switch {
+			case call && (join || byVar):
+				note(0, i)
+			case call && linked:
+				note(3, i)
+			case call:
+				note(5, i)
+			default:
+				if note(4, i); linked {
+					note(2, i)
+				}
+				if preferBound && byVar {
+					note(1, i)
+				}
 			}
 			continue
 		}
@@ -112,22 +157,13 @@ func nextAtom(body []term.Atom, done []bool, bound func(term.Term) bool, preferB
 		case a.Pred == term.PredEq && n == 1:
 			return i, stepAssign
 		case a.Pred == term.PredEq:
-			if firstEq < 0 {
-				firstEq = i
-			}
-		case firstStuck < 0:
-			firstStuck = i
+			note(6, i)
+		default:
+			note(7, i)
 		}
 	}
-	switch {
-	case firstBound >= 0:
-		return firstBound, stepProbe
-	case firstOrdinary >= 0:
-		return firstOrdinary, stepProbe
-	case firstEq >= 0:
-		return firstEq, stepAlias
-	}
-	return firstStuck, stepStuck
+	k := slices.IndexFunc(first[:], func(i int) bool { return i >= 0 })
+	return first[k], kinds[k]
 }
 
 // compileBody numbers the variables of head and body into slots and
@@ -136,12 +172,15 @@ func nextAtom(body []term.Atom, done []bool, bound func(term.Term) bool, preferB
 // it, and a head variable nothing binds is reported by runner.fact when a
 // solution is found.
 //
-// given is a mask of head positions holding variables that a call fixes
-// (0 for a body run in full): those variables start bound, and the order
-// then prefers an ordinary atom they reach (nextAtom's preferBound), so
-// the call's constants narrow the first probe.
-func compileBody(head term.Atom, body []term.Atom, given uint64) *compiled {
+// With a rule set (rs, nil for none) a body that calls a specialisable
+// predicate is ordered for the sideways plan (nextAtom's rs and join). A
+// mask names the head positions its calls bind: the first step scans the
+// call table, binding the head's arguments there (preferBound).
+func compileBody(head term.Atom, body []term.Atom, rs *RuleSet, mask uint64, join bool) *compiled {
 	c := &compiled{body: body}
+	if rs != nil && !slices.ContainsFunc(body, rs.callsSpecialisable) {
+		rs = nil
+	}
 	slotOf := make(map[term.Term]int)
 	var bound []bool // per slot
 	slot := func(v term.Term) int {
@@ -167,39 +206,57 @@ func compileBody(head term.Atom, body []term.Atom, given uint64) *compiled {
 		}
 		return operand{slot: s}
 	}
-
-	for pos, t := range head.Args {
-		if given&(1<<uint(pos)) != 0 {
+	probe := func(a term.Atom, idx int) step {
+		st := step{kind: stepProbe, atom: a, idx: idx}
+		var m uint64
+		for pos, t := range a.Args {
+			if t.IsConst() {
+				m |= 1 << uint(pos)
+				continue
+			}
 			s := slot(t)
-			bound[s] = true
-			c.params = append(c.params, posSlot{pos, s})
+			switch {
+			case bound[s]:
+				st.bound = append(st.bound, posSlot{pos, s})
+				m |= 1 << uint(pos)
+			case !slices.Contains(a.Args[:pos], t):
+				st.binds = append(st.binds, posSlot{pos, s})
+			}
 		}
+		for _, b := range st.binds {
+			bound[b.slot] = true
+		}
+		if rs != nil && rs.specialisable(a.Pred) {
+			cl := call{step: len(c.steps), pred: a.Pred, mask: m, arity: len(a.Args)}
+			if m != 0 {
+				cl.table = callName(a.Pred, m, len(a.Args))
+			}
+			c.calls = append(c.calls, cl)
+		}
+		return st
+	}
+
+	if mask != 0 {
+		guard := term.Atom{Pred: callName(head.Pred, mask, len(head.Args))}
+		for pos, t := range head.Args {
+			if mask&(1<<uint(pos)) != 0 {
+				guard.Args = append(guard.Args, t)
+			}
+		}
+		c.steps = append(c.steps, probe(guard, len(body)))
+		c.guard = []int{len(body)}
 	}
 
 	done := make([]bool, len(body))
 compile:
 	for range body {
-		i, kind := nextAtom(body, done, isBound, given != 0)
+		i, kind := nextAtom(body, done, isBound, mask != 0, rs, join)
 		done[i] = true
 		a := body[i]
 		st := step{kind: kind, atom: a, idx: i}
 		switch kind {
 		case stepProbe:
-			for pos, t := range a.Args {
-				if t.IsConst() {
-					continue
-				}
-				s := slot(t)
-				switch {
-				case bound[s]:
-					st.bound = append(st.bound, posSlot{pos, s})
-				case !slices.Contains(a.Args[:pos], t):
-					st.binds = append(st.binds, posSlot{pos, s})
-				}
-			}
-			for _, b := range st.binds {
-				bound[b.slot] = true
-			}
+			st = probe(a, i)
 		case stepAssign:
 			from, to := a.Args[0], a.Args[1]
 			if isBound(to) {
@@ -276,6 +333,10 @@ type probe struct {
 	// eval stays robust either way) is enumerated once.
 	except *table
 	each   func(storage.Tuple) bool // p.onTuple, built once
+	// rel is the atom's stored relation (nil: none), looked up once: a
+	// statement's store does not change.
+	rel    *storage.Relation
+	looked bool
 }
 
 // runner evaluates one compiled body. It owns every buffer the loop
@@ -292,23 +353,32 @@ type runner struct {
 	cmp    [2]term.Term
 	err    error // set once; the enumeration then unwinds
 	provID int   // the recorder's id for rule, -1 until its first witness
+	// upto is the number of steps a run resolves: all of them, or the
+	// prefix ending at a call, whose row (callRow) is the solution.
+	upto int
+	row  []term.Term
 }
 
 func newRunner(rule term.Rule, c *compiled, drv driver) *runner {
-	n := c.nslots + len(c.head.Args)
+	n, row := c.nslots+len(c.head.Args), 0
 	for i := range c.steps {
 		if c.steps[i].kind == stepProbe {
 			n += len(c.steps[i].atom.Args)
 		}
 	}
+	for _, cl := range c.calls {
+		row = max(row, cl.arity)
+	}
+	n += row
 	buf := make([]term.Term, n)
 	take := func(k int) []term.Term {
 		out := buf[:k:k]
 		buf = buf[k:]
 		return out
 	}
-	r := &runner{rule: rule, prog: c, drv: drv, probes: make([]probe, len(c.steps)), provID: -1}
+	r := &runner{rule: rule, prog: c, drv: drv, probes: make([]probe, len(c.steps)), provID: -1, upto: len(c.steps)}
 	r.frame = take(c.nslots)
+	r.row = take(row)
 	r.head = term.Atom{Pred: c.head.Pred, Args: take(len(c.head.Args))}
 	copy(r.head.Args, c.head.Args)
 	for i := range c.steps {
@@ -324,14 +394,20 @@ func newRunner(rule term.Rule, c *compiled, drv driver) *runner {
 	return r
 }
 
-// call is exec with the constants of a call in the head variables the
-// body was compiled to take as given (compiled.params); args is the
-// call's argument list, nil for a body compiled with none.
-func (r *runner) call(args []term.Term) error {
-	for _, b := range r.prog.params {
-		r.frame[b.slot] = args[b.pos]
+// callRow returns the values the call the prefix ends at binds, in
+// position order: a row of its call table, in the runner's buffer.
+func (r *runner) callRow() []term.Term {
+	st, p := &r.prog.steps[r.upto], &r.probes[r.upto]
+	for _, b := range st.bound {
+		p.pattern[b.pos] = r.frame[b.slot]
 	}
-	return r.exec()
+	row := r.row[:0]
+	for _, t := range p.pattern {
+		if t.IsConst() {
+			row = append(row, t)
+		}
+	}
+	return row
 }
 
 // exec enumerates the body's solutions, calling the driver's derive for
@@ -345,7 +421,7 @@ func (r *runner) exec() error {
 // run resolves the steps from i on against the frame and reports whether
 // the enumeration should go on.
 func (r *runner) run(i int) bool {
-	steps := r.prog.steps
+	steps := r.prog.steps[:r.upto]
 	for ; i < len(steps); i++ {
 		st := &steps[i]
 		switch st.kind {
@@ -451,7 +527,10 @@ func (p *probe) selectTable(t *table, c *storage.Counters, from, to int) error {
 // selectStored feeds the probe the stored tuples of its predicate, less
 // the rows of except (nil: none), which the probe has already been fed.
 func (p *probe) selectStored(st *storage.Store, except *table, c *storage.Counters) error {
-	rel := st.Relation(p.st.atom.Pred)
+	if !p.looked {
+		p.rel, p.looked = st.Relation(p.st.atom.Pred), true
+	}
+	rel := p.rel
 	if rel == nil {
 		return nil // unknown predicate: empty extension
 	}

@@ -17,7 +17,7 @@ import (
 func TestCompileBodyOrder(t *testing.T) {
 	in := load(t, `h(X, E) :- Z > 3, E = Y, q(X, Y), F = G, r(Y, Z, Z), X != Y.`)
 	rule := in.Rules[0]
-	c := compileBody(rule.Head, rule.Body, 0)
+	c := compileBody(rule.Head, rule.Body, nil, 0, false)
 	var got []string
 	for _, st := range c.steps {
 		got = append(got, fmt.Sprintf("%d:%v", st.kind, st.atom))
@@ -55,7 +55,7 @@ two(X, Z) :- e(X, Y), e(Y, Z), X != Z.
 	d := make(derived)
 	c := &component{store: in.Store, d: d, cs: &ComponentStats{}, pin: -1}
 	rule := in.Rules[0]
-	r := newRunner(rule, compileBody(rule.Head, rule.Body, 0), c)
+	r := newRunner(rule, compileBody(rule.Head, rule.Body, nil, 0, false), c)
 	if err := r.exec(); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestFullLookupSuppressesStoredDuplicates(t *testing.T) {
 	drv.d = d
 	x := term.Var("X")
 	rule := term.NewRule(term.NewAtom("q", x), term.NewAtom("p", x))
-	if err := newRunner(rule, compileBody(rule.Head, rule.Body, 0), drv).exec(); err != nil {
+	if err := newRunner(rule, compileBody(rule.Head, rule.Body, nil, 0, false), drv).exec(); err != nil {
 		t.Fatal(err)
 	}
 	counts := make(map[string]int)
@@ -117,7 +117,7 @@ func TestChooseAtomReportsOffender(t *testing.T) {
 		term.NewAtom(term.PredGt, x, y),
 	)
 	drv := newHeadsDriver(storage.NewMemory())
-	err := newRunner(rule, compileBody(rule.Head, rule.Body, 0), drv).exec()
+	err := newRunner(rule, compileBody(rule.Head, rule.Body, nil, 0, false), drv).exec()
 	if err == nil {
 		t.Fatal("expected an unbound-comparison error")
 	}
@@ -130,7 +130,7 @@ func TestChooseAtomReportsOffender(t *testing.T) {
 
 	// Behind an atom with no tuples the same comparison is never reached.
 	rule.Body = append(term.Formula{term.NewAtom("nothing", x)}, rule.Body[1])
-	if err := newRunner(rule, compileBody(rule.Head, rule.Body, 0), drv).exec(); err != nil {
+	if err := newRunner(rule, compileBody(rule.Head, rule.Body, nil, 0, false), drv).exec(); err != nil {
 		t.Errorf("unreached comparison raised %v", err)
 	}
 }

@@ -62,7 +62,7 @@ func (e *magic) LastStats() *EvalStats { return e.stats.Load() }
 // program (magic seeds included).
 func (e *magic) RetrieveContext(ctx context.Context, q Query) (res *Result, err error) {
 	defer governor.Recover(&err)
-	p, err := buildPlan(e.in, q)
+	p, err := buildPlan(e.in, q, false)
 	if err != nil {
 		return nil, err
 	}
@@ -320,7 +320,7 @@ func sipsOrder(body term.Formula, initiallyBound map[term.Term]bool) term.Formul
 
 // MagicProgram exposes the rewritten program for inspection and tests.
 func MagicProgram(in Input, q Query) ([]term.Rule, error) {
-	p, err := buildPlan(in, q)
+	p, err := buildPlan(in, q, false)
 	if err != nil {
 		return nil, err
 	}

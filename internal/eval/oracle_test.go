@@ -213,7 +213,7 @@ func oracleRetrieve(in Input, q Query) (*Result, error) {
 	if len(q.Or) > 0 {
 		return oracleUnion(in, q)
 	}
-	p, err := buildPlan(in, q)
+	p, err := buildPlan(in, q, false)
 	if err != nil {
 		return nil, err
 	}
@@ -327,17 +327,19 @@ var (
 
 type generator struct {
 	r *rand.Rand
-	// calls draws the callee shapes (generator.callee) and ors the extra
-	// disjuncts (generator.disjuncts), each from a stream of its own, so
-	// that adding them moved no case the main stream makes.
-	calls, ors *rand.Rand
-	feat       genFeatures
+	// calls draws the callee shapes (generator.callee), side the
+	// sideways ones (generator.sideways) and ors the extra disjuncts
+	// (generator.disjuncts), each from a stream of its own, so that
+	// adding them moved no case the main stream makes.
+	calls, side, ors *rand.Rand
+	feat             genFeatures
 }
 
 func newGenerator(seed int64, feat genFeatures) *generator {
 	return &generator{
 		r:     rand.New(rand.NewSource(seed)),
 		calls: rand.New(rand.NewSource(-seed)),
+		side:  rand.New(rand.NewSource(seed + 2<<32)),
 		ors:   rand.New(rand.NewSource(seed + 1<<32)),
 		feat:  feat,
 	}
@@ -512,6 +514,7 @@ func (g *generator) generate() genCase {
 	}
 	c.query = g.query()
 	g.callee(&c)
+	g.sideways(&c)
 	g.disjuncts(&c.query)
 	return c
 }
@@ -617,6 +620,52 @@ func (g *generator) callee(c *genCase) {
 	g.feat["a recursive group calls a non-recursive predicate"]++
 }
 
+// sideways adds, at times, a non-recursive predicate h/1 whose argument
+// its callers bind with an earlier atom rather than a constant: from the
+// statement, where a stored atom binds it, or two rule levels down
+// through t/2, whose rule writes h before the stored atom that binds it.
+// A rule of h may hold a constant in its head, which refuses every other
+// value, and h may have stored facts beside its rules. At times h is
+// also called with a constant, or free in a disjunct of its own. It
+// draws from the generator's side stream alone.
+func (g *generator) sideways(c *genCase) {
+	s := g.side
+	if s.Intn(100) >= 40 {
+		return
+	}
+	sym := func() term.Term { return genSyms[s.Intn(len(genSyms))] }
+	x, y := term.Var("X"), term.Var("Y")
+	bodies := []term.Atom{term.NewAtom("e", x, y), term.NewAtom("f", y, x), term.NewAtom("u", x)}
+	for n := 1 + s.Intn(2); n > 0; n-- {
+		head := x
+		if s.Intn(4) == 0 {
+			head = sym()
+		}
+		c.rules = append(c.rules, term.NewRule(term.NewAtom("h", head), bodies[s.Intn(len(bodies))]))
+	}
+	if s.Intn(3) == 0 {
+		c.facts = append(c.facts, term.NewAtom("h", sym()))
+	}
+	c.rules = append(c.rules, term.NewRule(term.NewAtom("t", x, y), term.NewAtom("h", x), term.NewAtom("f", x, y)))
+	v, w := term.Var("SV"), term.Var("SW")
+	if vars := c.query.Subject.Vars(nil); len(vars) > 0 {
+		v = vars[0]
+	}
+	switch s.Intn(4) {
+	case 0:
+		c.query.Where = append(c.query.Where, term.NewAtom("h", v), term.NewAtom("e", v, sym()))
+	case 1:
+		c.query.Where = append(c.query.Where, term.NewAtom("t", v, sym()))
+	case 2:
+		c.query.Where = append(c.query.Where, term.NewAtom("h", sym()), term.NewAtom("f", w, v), term.NewAtom("h", w))
+	default:
+		c.query.Where = append(c.query.Where, term.NewAtom("e", v, w), term.NewAtom("h", w))
+		if c.query.Subject.Pred != "ans" {
+			c.query.Or = append(c.query.Or, term.Formula{term.NewAtom("h", w)})
+		}
+	}
+}
+
 // query makes a query: a known subject with bound and unbound arguments
 // and an optional qualifier, or a new subject defined by its qualifier.
 func (g *generator) query() Query {
@@ -684,53 +733,122 @@ func (g *generator) mutual(rules []term.Rule) bool {
 	return false
 }
 
-// noteCalls counts the shapes the bottom-up engine's walk (plan.demands)
-// makes of the case: which predicates a constant reaches and how their
-// rules take the calls. It draws nothing from the generator.
+// noteCalls counts the shapes the bottom-up engine's walk
+// (plan.sideways) makes of the case: which predicates a call reaches
+// under a mask, what binds the call's arguments — a constant, the
+// caller's own call, or an earlier atom of its body (sideways) — and how
+// the callee's rules take it. It draws nothing from the generator.
 func (g *generator) noteCalls(in Input, q Query) {
-	p, err := buildPlan(in, q)
+	p, err := buildPlan(in, q, true)
 	if err != nil {
 		return
 	}
-	calls := p.demands()
-	for pred, cs := range calls {
-		g.feat["a constant reaches a non-recursive predicate"]++
-		if !slices.ContainsFunc(p.query, func(pr preparedRule) bool {
-			return slices.ContainsFunc(pr.rule.Body, func(a term.Atom) bool { return a.Pred == pred })
-		}) {
-			g.feat["a constant reaches one two rule levels down"]++
+	p.sideways()
+	find := func(table string) *callee {
+		if i := slices.IndexFunc(p.callees, func(ce callee) bool { return ce.table == table }); i >= 0 {
+			return &p.callees[i]
 		}
-		for _, pr := range p.set.byHead[pred] {
-			for _, args := range cs {
-				if _, ok := admits(pr.rule.Head, args); ok {
-					continue
-				}
-				refused := "a repeated head variable is called with two different constants"
-				for i, h := range pr.rule.Head.Args {
-					if h.IsConst() && args[i].IsConst() && h != args[i] {
-						refused = "a head constant refuses the call"
+		return nil
+	}
+	// site is one compiled body that makes calls, and the callee it runs
+	// for (nil: a query rule or a rule run in full).
+	type site struct {
+		prog   *compiled
+		caller *callee
+		query  int // the query rule's index, -1 for none
+	}
+	var sites []site
+	for i := range p.query {
+		sites = append(sites, site{p.query[i].prog, nil, i})
+	}
+	for pred, prs := range p.set.byHead {
+		for i := range prs {
+			switch {
+			case !p.relevant(pred) || !p.set.specialisable(pred):
+			case slices.ContainsFunc(p.callees, func(ce callee) bool { return ce.pred == pred }):
+				for k := range p.callees {
+					if ce := &p.callees[k]; ce.pred == pred {
+						sites = append(sites, site{p.set.compiledFor(&prs[i], ce.mask, false), ce, -1})
 					}
 				}
-				g.feat[refused]++
+			default:
+				sites = append(sites, site{p.set.compiledFor(&prs[i], 0, false), nil, -1})
 			}
 		}
 	}
-	// A predicate derived in full that some reached body, or the query
-	// rule, calls with a constant: another call of it had none.
-	bound := func(pred string, body []term.Atom) bool {
-		return slices.ContainsFunc(body, func(a term.Atom) bool {
-			return a.Pred == pred && slices.ContainsFunc(a.Args, term.Term.IsConst)
-		})
-	}
-	for pred := range p.set.byHead {
-		if calls[pred] != nil || !p.set.specialisable(pred) || !p.relevant(pred) {
-			continue
+	sideways, constant := map[string]bool{}, map[string]bool{}
+	free, bound := map[string]int{}, map[string]int{}
+	for _, s := range sites {
+		for _, cl := range s.prog.calls {
+			st := &s.prog.steps[cl.step]
+			if s.query >= 0 && cl.mask == 0 {
+				free[cl.pred] |= 1 << s.query
+			}
+			if s.query >= 0 && cl.table != "" {
+				bound[cl.pred] |= 1 << s.query
+			}
+			ce := find(cl.table)
+			if ce == nil {
+				if cl.table != "" && p.set.specialisable(cl.pred) {
+					g.feat["one predicate is called both bound and free in one statement"]++
+				}
+				continue
+			}
+			// binder is the step that bound the call's first variable
+			// argument bound, nil when the call binds constants only.
+			var binder *step
+			if len(st.bound) > 0 {
+				for k := range s.prog.steps[:cl.step] {
+					if slices.ContainsFunc(s.prog.steps[k].binds, func(b posSlot) bool { return b.slot == st.bound[0].slot }) {
+						binder = &s.prog.steps[k]
+					}
+				}
+			}
+			if binder == nil || binder.idx == len(s.prog.body) {
+				g.feat["a constant reaches a non-recursive predicate"]++
+				constant[cl.pred] = true
+				if s.caller != nil {
+					g.feat["a constant reaches one two rule levels down"]++
+				}
+			} else {
+				sideways[cl.pred] = true
+				if len(p.set.byHead[binder.atom.Pred]) == 0 {
+					g.feat["a stored atom binds a non-recursive callee's argument"]++
+				}
+				if s.caller != nil {
+					g.feat["a sideways call two rule levels down"]++
+				}
+				if in.Store.Relation(cl.pred) != nil {
+					g.feat["a callee with both stored facts and rules"]++
+				}
+			}
+			for _, pr := range p.set.byHead[cl.pred] {
+				for i, h := range pr.rule.Head.Args {
+					c := st.atom.Args[i]
+					switch {
+					case !h.IsConst() || cl.mask&(1<<uint(i)) == 0:
+					case c.IsConst() && c != h:
+						g.feat["a head constant refuses the call"]++
+					case c.IsVar() && binder != nil && binder.idx != len(s.prog.body):
+						g.feat["a callee whose head constant refuses a sideways value"]++
+					}
+					for j := range i {
+						if h.IsVar() && pr.rule.Head.Args[j] == h && c.IsConst() && st.atom.Args[j].IsConst() && c != st.atom.Args[j] {
+							g.feat["a repeated head variable is called with two different constants"]++
+						}
+					}
+				}
+			}
 		}
-		if slices.ContainsFunc(p.query, func(pr preparedRule) bool { return bound(pred, pr.rule.Body) }) ||
-			slices.ContainsFunc(in.Rules, func(r term.Rule) bool {
-				return p.relevant(r.Head.Pred) && bound(pred, r.Body)
-			}) {
-			g.feat["one predicate is called both bound and free in one statement"]++
+	}
+	for pred := range sideways {
+		if constant[pred] {
+			g.feat["one predicate is called sideways and with a constant"]++
+		}
+	}
+	for pred, qs := range free {
+		if bound[pred]&^qs != 0 {
+			g.feat["a callee reached free in one disjunct and bound in another"]++
 		}
 	}
 }
@@ -893,6 +1011,9 @@ func TestEnginesMatchOracle(t *testing.T) {
 		"a head constant refuses the call", "a repeated head variable is called with two different constants",
 		"one predicate is called both bound and free in one statement",
 		"a recursive group calls a non-recursive predicate",
+		"a stored atom binds a non-recursive callee's argument", "a sideways call two rule levels down",
+		"one predicate is called sideways and with a constant", "a callee whose head constant refuses a sideways value",
+		"a callee with both stored facts and rules", "a callee reached free in one disjunct and bound in another",
 		"two disjuncts call one non-recursive predicate with different constants",
 		"one disjunct calls a predicate bound and another calls it free",
 		"a disjunct reaches a recursive predicate", "a repeated disjunct",
@@ -1193,7 +1314,7 @@ func TestCompiledBodyMatchesInterpreter(t *testing.T) {
 		}
 
 		drv := newHeadsDriver(c.input(t).Store)
-		err := newRunner(rule, compileBody(rule.Head, rule.Body, 0), drv).exec()
+		err := newRunner(rule, compileBody(rule.Head, rule.Body, nil, 0, false), drv).exec()
 		if fmt.Sprint(err) != fmt.Sprint(werr) {
 			t.Fatalf("seed %d: %v\ncompiled loop: %v\ninterpreter:   %v", seed, rule, err, werr)
 		}

@@ -19,11 +19,12 @@ func WithProfile() EngineOption {
 	return func(c *engineConfig) { c.prof = true }
 }
 
-// ruleRound is the open rule round: the rule, the clock and the
-// statement's counters when it opened, and what it has derived and looked
-// up since.
+// ruleRound is the open rule round: its rule and the rule's row, the
+// clock and the statement's counters when it opened or resumed, what it
+// has looked up since, and what it has derived.
 type ruleRound struct {
 	rule    term.Rule
+	row     int
 	start   time.Time
 	at      storage.Counters
 	tuples  int64
@@ -33,9 +34,10 @@ type ruleRound struct {
 // ruleProfiler keeps the rows of one evaluation, which runs on one
 // goroutine: begin/end bracket one rule round, and fresh and countLookup
 // count a derived fact and a body-atom resolution against it. Rounds do
-// not nest, so a round's probes, full scans, candidates and index builds
-// are what the statement's counters gained while it was open, and its
-// wall time is the clock's. All methods are nil-receiver-safe, so an
+// not nest — a round is paused while the rounds of a callee run — so a
+// round's probes, full scans, candidates and index builds are what the
+// statement's counters gained while it was open, and its wall time is
+// the clock's. All methods are nil-receiver-safe, so an
 // unprofiled evaluation pays only the nil checks.
 type ruleProfiler struct {
 	ctrs  *storage.Counters // the statement's probe sink
@@ -48,36 +50,11 @@ func newRuleProfiler(ctrs *storage.Counters) *ruleProfiler {
 	return &ruleProfiler{ctrs: ctrs, rows: []profile.Row{}, index: make(map[string]int)}
 }
 
-// begin opens a round of r.
+// begin opens a round of r, adding r's row on the rule's first round.
 func (rp *ruleProfiler) begin(r term.Rule) {
 	if rp == nil {
 		return
 	}
-	rp.open = ruleRound{rule: r, start: time.Now(), at: *rp.ctrs}
-}
-
-// end closes the round and adds it to its rule's row.
-func (rp *ruleProfiler) end() {
-	if rp == nil {
-		return
-	}
-	rd, c := &rp.open, rp.ctrs
-	rp.row(rd.rule).Add(profile.Row{
-		Iterations:  1,
-		Tuples:      rd.tuples,
-		Wall:        time.Since(rd.start),
-		Lookups:     rd.lookups,
-		Probes:      c.Probes - rd.at.Probes,
-		FullScans:   c.FullScans - rd.at.FullScans,
-		Candidates:  c.Candidates - rd.at.Candidates,
-		IndexBuilds: c.IndexBuilds - rd.at.IndexBuilds,
-		DeltaSizes:  []int64{rd.tuples},
-		AllocBytes:  rd.tuples * profile.TupleBytes(len(rd.rule.Head.Args)),
-	})
-}
-
-// row returns r's row, added on the rule's first round.
-func (rp *ruleProfiler) row(r term.Rule) *profile.Row {
 	label := r.String()
 	i, ok := rp.index[label]
 	if !ok {
@@ -85,7 +62,45 @@ func (rp *ruleProfiler) row(r term.Rule) *profile.Row {
 		rp.index[label] = i
 		rp.rows = append(rp.rows, profile.Row{Rule: label, Pred: r.Head.Pred, Synthetic: r.Head.Pred == queryPredName})
 	}
-	return &rp.rows[i]
+	rp.resume(ruleRound{rule: r, row: i})
+}
+
+// pause folds what the open round has looked up, probed and spent so far
+// into its rule's row and returns the round, for resume to reopen once
+// the rounds of a callee the rule calls have run.
+func (rp *ruleProfiler) pause() ruleRound {
+	if rp == nil {
+		return ruleRound{}
+	}
+	rd, c := &rp.open, rp.ctrs
+	rp.rows[rd.row].Add(profile.Row{
+		Wall:        time.Since(rd.start),
+		Lookups:     rd.lookups,
+		Probes:      c.Probes - rd.at.Probes,
+		FullScans:   c.FullScans - rd.at.FullScans,
+		Candidates:  c.Candidates - rd.at.Candidates,
+		IndexBuilds: c.IndexBuilds - rd.at.IndexBuilds,
+	})
+	rd.lookups = 0
+	return *rd
+}
+
+func (rp *ruleProfiler) resume(rd ruleRound) {
+	if rp == nil {
+		return
+	}
+	rp.open = rd
+	rp.open.start, rp.open.at = time.Now(), *rp.ctrs
+}
+
+// end closes the round and adds it to its rule's row.
+func (rp *ruleProfiler) end() {
+	if rp == nil {
+		return
+	}
+	rd := rp.pause()
+	rp.rows[rd.row].Add(profile.Row{Iterations: 1, Tuples: rd.tuples, DeltaSizes: []int64{rd.tuples},
+		AllocBytes: rd.tuples * profile.TupleBytes(len(rd.rule.Head.Args))})
 }
 
 // fresh counts one newly derived fact against the open round.

@@ -18,7 +18,7 @@ import (
 func TestProvenanceDisabledAllocs(t *testing.T) {
 	x, y := term.Var("X"), term.Var("Y")
 	rule := term.NewRule(term.NewAtom("p", x, y), term.NewAtom("q", x, y))
-	r := newRunner(rule, compileBody(rule.Head, rule.Body, 0), nil)
+	r := newRunner(rule, compileBody(rule.Head, rule.Body, nil, 0, false), nil)
 	r.frame[0], r.frame[1] = term.Sym("a"), term.Sym("b")
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, err := r.fact(); err != nil {

@@ -101,7 +101,7 @@ func TestNonRecursiveComponentKeepsNoDelta(t *testing.T) {
 		}
 		src.WriteString("q(X) :- e(X).\n")
 		in := load(t, src.String())
-		p, err := buildPlan(in, query(t, `retrieve q(X).`))
+		p, err := buildPlan(in, query(t, `retrieve q(X).`), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,8 +110,8 @@ func TestNonRecursiveComponentKeepsNoDelta(t *testing.T) {
 			gov, cancel := governor.New(context.Background(), governor.Limits{})
 			defer cancel()
 			cs = ComponentStats{}
-			base := component{store: in.Store, d: make(derived), gov: gov}
-			if err := evalComponent(base, p, []string{"q"}, &cs, nil); err != nil {
+			base := component{plan: p, store: in.Store, d: make(derived), gov: gov}
+			if err := evalComponent(base, p, []string{"q"}, &cs); err != nil {
 				panic(err)
 			}
 		})

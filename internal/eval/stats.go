@@ -18,9 +18,12 @@ type ComponentStats struct {
 	Skipped bool `json:"skipped,omitempty"`
 	// Recursive reports whether the component required fixpoint iteration.
 	Recursive bool `json:"recursive,omitempty"`
-	// Calls counts the constant call patterns the component's rules were
-	// run for; 0 means they were run in full.
-	Calls int `json:"calls,omitempty"`
+	// Calls counts the distinct calls the component's rules were run
+	// for, constant and sideways alike: its call tables' rows. Mask has
+	// each table's mask ('b' bound, 'f' free), comma separated; "" means
+	// the rules were run in full.
+	Calls int    `json:"calls,omitempty"`
+	Mask  string `json:"mask,omitempty"`
 	// Iterations counts rule-application rounds, the first included.
 	Iterations int `json:"iterations,omitempty"`
 	// Facts counts the facts newly derived by this component.
@@ -118,8 +121,8 @@ func (s *EvalStats) String() string {
 		if len(c.DeltaSizes) > 0 {
 			fmt.Fprintf(&b, " delta=%v", c.DeltaSizes)
 		}
-		if c.Calls > 0 {
-			fmt.Fprintf(&b, " calls=%d", c.Calls)
+		if c.Mask != "" {
+			fmt.Fprintf(&b, " calls=%d mask=%s", c.Calls, c.Mask)
 		}
 	}
 	return b.String()

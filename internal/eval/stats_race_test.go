@@ -114,12 +114,13 @@ b(X) :- a(X).
 c(X) :- b(X), reach(X, Y).
 probe(X) :- c(X).
 `
-	in := load(t, src)
 	q := query(t, "retrieve probe(X).")
 
 	var first *EvalStats
 	for run := 0; run < 3; run++ {
-		e := NewSemiNaive(in)
+		// A stored relation keeps the indexes a statement builds on it,
+		// so each run loads its own store.
+		e := NewSemiNaive(load(t, src))
 		if _, err := e.RetrieveContext(context.Background(), q); err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 
 	"kdb/internal/storage"
 	"kdb/internal/term"
@@ -57,6 +58,17 @@ func newTable(arity int) (*table, error) {
 	return &table{arity: arity}, nil
 }
 
+// callTables recycles call tables: no answer or witness points into one,
+// so a later statement's calls reuse a finished one's memory.
+var callTables sync.Pool
+
+// reset empties t, keeping its chunks and member set for its next use.
+func (t *table) reset() *table {
+	t.n, t.indexes = 0, nil
+	clear(t.member)
+	return t
+}
+
 // locate returns the chunk holding row id and the row's place in it.
 func locate(id int) (chunk, off int) {
 	if id < grownRows {
@@ -104,7 +116,7 @@ func (t *table) insert(tp []term.Term) (bool, error) {
 	}
 	id := t.n
 	c, off := locate(id)
-	if off == 0 {
+	if off == 0 && c == len(t.chunks) {
 		rows := lastChunkRows
 		if c < growingChunks {
 			rows = firstChunkRows << c

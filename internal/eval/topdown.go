@@ -64,7 +64,7 @@ func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, er
 	defer governor.Recover(&err)
 	gov, cancel := governor.New(ctx, e.limits)
 	defer cancel()
-	p, err := buildPlan(e.in, q)
+	p, err := buildPlan(e.in, q, false)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +193,7 @@ func (r *topDownRun) solveRule(t *answerTable, goal term.Atom, rule term.Rule) e
 	if !ok {
 		return nil
 	}
-	prog := compileBody(mgu.Apply(fresh.Head), mgu.ApplyFormula(fresh.Body), 0)
+	prog := compileBody(mgu.Apply(fresh.Head), mgu.ApplyFormula(fresh.Body), nil, 0, false)
 	return newRunner(rule, prog, &ruleCall{r, t}).exec()
 }
 

@@ -101,7 +101,7 @@ func TestVirtualSnapshotFreshPerQuery(t *testing.T) {
 // attached.
 func TestVirtualSnapshotsNoSysAllocs(t *testing.T) {
 	in := load(t, universityDB)
-	p, err := buildPlan(in, query(t, `retrieve can_ta(X, Y) where prior(Y, Z).`))
+	p, err := buildPlan(in, query(t, `retrieve can_ta(X, Y) where prior(Y, Z).`), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestVirtualSnapshotsNoSysAllocs(t *testing.T) {
 // in the kb layer; eval itself treats it as unknown).
 func TestVirtualNilProviderUntouched(t *testing.T) {
 	in := load(t, universityDB)
-	p, err := buildPlan(in, query(t, `retrieve honor(X).`))
+	p, err := buildPlan(in, query(t, `retrieve honor(X).`), true)
 	if err != nil {
 		t.Fatal(err)
 	}

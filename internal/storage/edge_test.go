@@ -33,7 +33,7 @@ func TestZeroArityRelation(t *testing.T) {
 		t.Error("propositional fact lost")
 	}
 	n := 0
-	if err := s.Relation("ready").Select(nil, func(Tuple) bool { n++; return true }); err != nil {
+	if err := s.Relation("ready").SelectCounted(nil, nil, func(Tuple) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
@@ -161,13 +161,13 @@ func TestTupleCloneIndependence(t *testing.T) {
 func TestSelectEmptyRelation(t *testing.T) {
 	r := mustRelation(t, 2)
 	n := 0
-	if err := r.Select([]term.Term{term.Var("X"), term.Var("Y")}, func(Tuple) bool { n++; return true }); err != nil {
+	if err := r.SelectCounted([]term.Term{term.Var("X"), term.Var("Y")}, nil, func(Tuple) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 0 {
 		t.Errorf("matches = %d", n)
 	}
-	if err := r.Select([]term.Term{term.Sym("a"), term.Var("Y")}, func(Tuple) bool { n++; return true }); err != nil {
+	if err := r.SelectCounted([]term.Term{term.Sym("a"), term.Var("Y")}, nil, func(Tuple) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 0 {

@@ -304,20 +304,14 @@ func (r *Relation) Scan(fn func(Tuple) bool) {
 	}
 }
 
-// Select calls fn for every tuple matching the pattern until fn returns
-// false. The pattern has the relation's arity; constant positions must
-// match exactly and variable positions match anything (repeated
+// SelectCounted calls fn for every tuple matching the pattern until fn
+// returns false. The pattern has the relation's arity; constant positions
+// must match exactly and variable positions match anything (repeated
 // variables in the pattern must match equal values). When at least one
 // position is bound, a hash index on that column set is used (built on
-// first use).
-func (r *Relation) Select(pattern []term.Term, fn func(Tuple) bool) error {
-	return r.SelectCounted(pattern, nil, fn)
-}
-
-// SelectCounted is Select with an observability sink for this probe; a
-// nil sink counts nothing. Threading the sink per call keeps concurrent
-// queries' statistics independent even though they share the stored
-// relation.
+// first use). The probe is charged to c, an observability sink (nil
+// counts nothing): threading the sink per call keeps concurrent queries'
+// statistics independent even though they share the stored relation.
 func (r *Relation) SelectCounted(pattern []term.Term, c *Counters, fn func(Tuple) bool) error {
 	if len(pattern) != r.arity {
 		return fmt.Errorf("storage: pattern arity %d, want %d", len(pattern), r.arity)

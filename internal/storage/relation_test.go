@@ -70,9 +70,9 @@ func checkRelationInvariants(t *testing.T, r *Relation) {
 func selectKeys(t *testing.T, r *Relation, pattern []term.Term) []string {
 	t.Helper()
 	var got []string
-	err := r.Select(pattern, func(tp Tuple) bool {
+	err := r.SelectCounted(pattern, nil, func(tp Tuple) bool {
 		if !Matches(pattern, tp) {
-			t.Fatalf("Select(%v) yielded %v", pattern, tp)
+			t.Fatalf("SelectCounted(%v) yielded %v", pattern, tp)
 		}
 		got = append(got, tp.Key())
 		return true
@@ -166,7 +166,7 @@ func runRelationModel(t *testing.T, seed int64, domain [3]int) (subsetProbes int
 				subsetProbes++
 			}
 			if got, want := selectKeys(t, r, pattern), modelKeys(model, pattern); !slices.Equal(got, want) {
-				t.Fatalf("step %d: Select(%v) = %q, model says %q", step, pattern, got, want)
+				t.Fatalf("step %d: SelectCounted(%v) = %q, model says %q", step, pattern, got, want)
 			}
 		}
 		if r.Len() != len(model) || r.Contains(tp) != (model[tp.Key()] != nil) {
@@ -350,7 +350,7 @@ func TestRelationDeleteEdges(t *testing.T) {
 		checkRelationInvariants(t, r)
 		for _, pattern := range [][]term.Term{{x, y}, {term.Sym("a"), y}, {x, term.Sym("b")}, {term.Sym("a"), term.Sym("b")}, {x, x}} {
 			if got, want := selectKeys(t, r, pattern), modelKeys(model, pattern); !slices.Equal(got, want) {
-				t.Fatalf("%s: Select(%v) = %q, want %q", what, pattern, got, want)
+				t.Fatalf("%s: SelectCounted(%v) = %q, want %q", what, pattern, got, want)
 			}
 		}
 	}
@@ -409,10 +409,10 @@ func TestRelationDeleteDuringScan(t *testing.T) {
 	}
 	pattern := []term.Term{term.Sym("s1"), term.Var("N")}
 	seen := 0
-	if err := r.Select(pattern, func(tp Tuple) bool {
+	if err := r.SelectCounted(pattern, nil, func(tp Tuple) bool {
 		seen++
 		if tp[0] != term.Sym("s1") {
-			t.Fatalf("Select(%v) yielded %v", pattern, tp)
+			t.Fatalf("SelectCounted(%v) yielded %v", pattern, tp)
 		}
 		if removed, err := r.Delete(tp); err != nil || !removed {
 			t.Fatalf("Delete(%v) = %v, %v", tp, removed, err)
@@ -479,9 +479,9 @@ func TestRelationConcurrentProbeDelete(t *testing.T) {
 				default:
 				}
 				for _, pattern := range [][]term.Term{bound, open} {
-					if err := r.Select(pattern, func(tp Tuple) bool {
+					if err := r.SelectCounted(pattern, nil, func(tp Tuple) bool {
 						if len(tp) != 2 || !Matches(pattern, tp) {
-							t.Errorf("Select(%v) yielded %v", pattern, tp)
+							t.Errorf("SelectCounted(%v) yielded %v", pattern, tp)
 						}
 						return true
 					}); err != nil {
@@ -518,7 +518,7 @@ func TestRelationSelectRepeatedVariableAllocs(t *testing.T) {
 	n := 0
 	count := func(Tuple) bool { n++; return true }
 	probe := func() {
-		if err := r.Select(pattern, count); err != nil {
+		if err := r.SelectCounted(pattern, nil, count); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -527,12 +527,12 @@ func TestRelationSelectRepeatedVariableAllocs(t *testing.T) {
 		t.Fatalf("k(X, X) matched %d tuples, want 8", n)
 	}
 	if allocs := testing.AllocsPerRun(200, probe); allocs != 0 {
-		t.Errorf("Select with a repeated variable allocates %v per call, want 0", allocs)
+		t.Errorf("a probe with a repeated variable allocates %v per call, want 0", allocs)
 	}
 	// The same with nothing bound: a full scan.
 	pattern[0] = term.Var("K")
 	if allocs := testing.AllocsPerRun(200, probe); allocs != 0 {
-		t.Errorf("full-scan Select with a repeated variable allocates %v per call, want 0", allocs)
+		t.Errorf("a full-scan probe with a repeated variable allocates %v per call, want 0", allocs)
 	}
 	// Charging the probes to a statement's sink costs nothing either.
 	var sink Counters
@@ -541,7 +541,7 @@ func TestRelationSelectRepeatedVariableAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("counted Select allocates %v per call, want 0", allocs)
+		t.Errorf("a counted probe allocates %v per call, want 0", allocs)
 	}
 	if sink.Probes == 0 || sink.FullScans != sink.Probes {
 		t.Errorf("counted full scans: %+v", sink)

@@ -113,7 +113,7 @@ func TestRelationSelect(t *testing.T) {
 	}
 	count := func(pattern []term.Term) int {
 		n := 0
-		if err := r.Select(pattern, func(Tuple) bool { n++; return true }); err != nil {
+		if err := r.SelectCounted(pattern, nil, func(Tuple) bool { n++; return true }); err != nil {
 			t.Fatal(err)
 		}
 		return n
@@ -139,7 +139,7 @@ func TestRelationSelect(t *testing.T) {
 		t.Errorf("math students after insert = %d, want 3", got)
 	}
 	// Arity error.
-	if err := r.Select([]term.Term{x}, func(Tuple) bool { return true }); err == nil {
+	if err := r.SelectCounted([]term.Term{x}, nil, func(Tuple) bool { return true }); err == nil {
 		t.Error("pattern arity mismatch must fail")
 	}
 }
@@ -157,7 +157,7 @@ func TestRelationSelectRepeatedVariable(t *testing.T) {
 	}
 	x := term.Var("X")
 	n := 0
-	if err := r.Select([]term.Term{x, x}, func(Tuple) bool { n++; return true }); err != nil {
+	if err := r.SelectCounted([]term.Term{x, x}, nil, func(Tuple) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
@@ -211,7 +211,7 @@ func TestStoreMatch(t *testing.T) {
 	x := term.Var("X")
 	var got []string
 	enroll := s.Relation("enroll")
-	err := enroll.Select([]term.Term{x, term.Sym("databases")}, func(t Tuple) bool {
+	err := enroll.SelectCounted([]term.Term{x, term.Sym("databases")}, nil, func(t Tuple) bool {
 		got = append(got, t[0].Name())
 		return true
 	})
@@ -223,7 +223,7 @@ func TestStoreMatch(t *testing.T) {
 	}
 	// A bound position narrows the match.
 	n := 0
-	if err := enroll.Select([]term.Term{term.Sym("ann"), term.Var("C")}, func(Tuple) bool { n++; return true }); err != nil {
+	if err := enroll.SelectCounted([]term.Term{term.Sym("ann"), term.Var("C")}, nil, func(Tuple) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
@@ -234,12 +234,12 @@ func TestStoreMatch(t *testing.T) {
 		t.Errorf("unknown predicate has relation %v", r)
 	}
 	// Arity mismatch is an error.
-	if err := enroll.Select([]term.Term{x}, func(Tuple) bool { return true }); err == nil {
+	if err := enroll.SelectCounted([]term.Term{x}, nil, func(Tuple) bool { return true }); err == nil {
 		t.Error("arity mismatch must fail")
 	}
 	// Early stop.
 	n = 0
-	if err := enroll.Select([]term.Term{x, term.Var("C")}, func(Tuple) bool { n++; return false }); err != nil {
+	if err := enroll.SelectCounted([]term.Term{x, term.Var("C")}, nil, func(Tuple) bool { n++; return false }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
@@ -260,7 +260,7 @@ func TestStoreConcurrentInsertAndMatch(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				_ = s.Relation("p").Select([]term.Term{term.Num(float64(g)), term.Var("X")}, func(Tuple) bool { return true })
+				_ = s.Relation("p").SelectCounted([]term.Term{term.Num(float64(g)), term.Var("X")}, nil, func(Tuple) bool { return true })
 			}
 		}(g)
 	}
@@ -522,12 +522,12 @@ func BenchmarkStorageIndexedLookup(b *testing.B) {
 	x := term.Var("X")
 	edge := s.Relation("edge")
 	// Warm the index.
-	_ = edge.Select([]term.Term{term.Num(0), x}, func(Tuple) bool { return true })
+	_ = edge.SelectCounted([]term.Term{term.Num(0), x}, nil, func(Tuple) bool { return true })
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		_ = edge.Select([]term.Term{term.Num(float64(i % 10000)), x}, func(Tuple) bool { n++; return true })
+		_ = edge.SelectCounted([]term.Term{term.Num(float64(i % 10000)), x}, nil, func(Tuple) bool { n++; return true })
 		if n != 1 {
 			b.Fatalf("matches = %d", n)
 		}
@@ -546,7 +546,7 @@ func BenchmarkStorageFullScan(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		_ = s.Relation("edge").Select([]term.Term{x, y}, func(Tuple) bool { n++; return true })
+		_ = s.Relation("edge").SelectCounted([]term.Term{x, y}, nil, func(Tuple) bool { n++; return true })
 		if n != 10000 {
 			b.Fatalf("matches = %d", n)
 		}
