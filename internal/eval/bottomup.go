@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"math/bits"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -143,45 +144,51 @@ func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, e
 	}
 
 	// The schedule is the rule set's components in dependency order, then
-	// the query rules' own.
+	// the query rules' own. The record, sized by a count, lists those run.
 	sccs := p.set.graph.SCCOrder()
-	stats := &EvalStats{
-		Engine:     e.Name(),
-		Components: make([]ComponentStats, len(sccs)+1),
-	}
-	defer func() {
-		for i := range p.callees {
-			callTables.Put(p.callees[i].calls.reset())
-		}
-	}()
-	for i := range p.callees {
-		p.callees[i].start(base, p, &stats.Components[p.callees[i].idx])
-	}
-	start := time.Now()
-	stats.Plan = start.Sub(planStart)
-	evalOne := func(i int) (err error) {
-		defer governor.Recover(&err)
+	running := func(i int) []string { // nil: no rule of it can contribute to the answer
 		comp := queryComponent
 		if i < len(sccs) {
 			comp = sccs[i]
 		}
-		cs := &stats.Components[i]
-		cs.Preds = comp
-		needed := false
-		hasRules := false
-		for _, pred := range comp {
-			needed = needed || p.relevant(pred)
-			hasRules = hasRules || p.defines(pred)
-		}
-		if !needed || !hasRules {
-			cs.Skipped = true
+		if !slices.ContainsFunc(comp, p.defines) || !slices.ContainsFunc(comp, p.relevant) {
 			return nil
 		}
+		return comp
+	}
+	runs := 0
+	for i := range len(sccs) + 1 {
+		if running(i) != nil {
+			runs++
+		}
+	}
+	stats := &EvalStats{Engine: e.Name(), Components: make([]ComponentStats, 0, runs)}
+	defer func() {
+		for i := range p.callees {
+			if ce := &p.callees[i]; ce.calls != nil {
+				callTables.Put(ce.calls.reset())
+			}
+		}
+	}()
+	start := time.Now()
+	stats.Plan = start.Sub(planStart)
+	evalOne := func(i int, comp []string) (err error) {
+		defer governor.Recover(&err)
+		stats.Components = append(stats.Components, ComponentStats{Preds: comp}) // within its capacity
+		cs := &stats.Components[len(stats.Components)-1]
+		for j := range p.callees {
+			if ce := &p.callees[j]; ce.idx == i {
+				ce.start(base, p, cs)
+			}
+		}
 		if cs.Mask != "" {
-			return nil // specialised: its callers run it (component.answer)
+			return nil // specialised: its callers run it (component.fire)
 		}
 		if err := gov.Err(); err != nil {
 			return err
+		}
+		if i == len(sccs) {
+			base.out = p.answers(&base)
 		}
 		t0 := time.Now()
 		err = evalComponent(base, p, comp, cs)
@@ -191,9 +198,11 @@ func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, e
 	}
 	provStart := e.rec.Len()
 	var runErr error
-	for i := range stats.Components {
-		if runErr = evalOne(i); runErr != nil {
-			break
+	for i := range len(sccs) + 1 {
+		if comp := running(i); comp != nil {
+			if runErr = evalOne(i, comp); runErr != nil {
+				break
+			}
 		}
 	}
 	finishStats(stats, start, counters, base.rp, runErr)
@@ -202,7 +211,42 @@ func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, e
 	if runErr != nil {
 		return nil, &StopError{Stats: stats, Err: runErr}
 	}
-	return e.collect(p, base.d), nil
+	return collect(p, base.d, base.out), nil
+}
+
+// answers marks a statement none of whose answers can repeat
+// (plan.answers): its query table keeps no member set, and an identity
+// statement's answers are the rows it matched, with no table at all.
+type answers struct {
+	rows    []storage.Tuple // identity: the rows matched so far; nil for any other
+	matched storage.Tuple   // identity: the row being matched
+	table   table           // any other: the query table
+}
+
+// answers readies the query component c's answers, or returns nil when a
+// table must weed out repeats (package doc). Each body relation is a set,
+// so solutions that bind answer variables alone are distinct answers.
+func (p *plan) answers(c *component) *answers {
+	r := p.query[0].rule
+	if len(p.query) > 1 || slices.ContainsFunc(r.Body, func(a term.Atom) bool {
+		return slices.ContainsFunc(a.Args, func(t term.Term) bool { return t.IsVar() && !slices.Contains(r.Head.Args, t) })
+	}) {
+		return nil
+	}
+	out := &answers{table: table{arity: len(r.Head.Args)}}
+	if len(r.Body) != 1 || !slices.Equal(r.Body[0].Args, r.Head.Args) {
+		c.d[queryPredName] = &out.table
+		return out
+	}
+	n, a := 0, r.Body[0] // the subject's derived rows and stored tuples bound its answers
+	if t := c.d[a.Pred]; t != nil {
+		n = t.n
+	}
+	if rel := c.store.Relation(a.Pred); rel != nil {
+		n += rel.Len()
+	}
+	out.rows = make([]storage.Tuple, 0, n)
+	return out
 }
 
 // component is the evaluation of one SCC's rules and the driver of their
@@ -219,7 +263,8 @@ type component struct {
 	rp      *ruleProfiler
 	ctrs    *storage.Counters // the statement's probe sink
 	act     *obs.Activity
-	sink    *table // the call table a running prefix fills
+	sink    *table   // the call table a running prefix fills
+	out     *answers // the query component's answers, nil: its table
 
 	// windows hold, per predicate of the component, the positions its
 	// derived relation gained in the previous round: the semi-naive delta,
@@ -314,9 +359,17 @@ func (c *component) derive(r *runner) error {
 	if err != nil {
 		return err
 	}
-	added, err := c.d.insert(fact)
-	if err != nil || !added {
-		return err
+	switch {
+	case c.out == nil:
+		if added, err := c.d.insert(fact); err != nil || !added {
+			return err
+		}
+	case c.out.rows != nil:
+		c.out.rows = append(c.out.rows, c.out.matched)
+	default:
+		if err := c.out.table.put(fact.Args); err != nil {
+			return err
+		}
 	}
 	c.fresh++
 	c.rp.fresh()
@@ -466,6 +519,13 @@ func evalComponent(base component, p *plan, comp []string, cs *ComponentStats) e
 			cs.Recursive = cs.Recursive || len(pr.rec) > 0
 		}
 	}
+	if out := c.out; out != nil && out.rows != nil {
+		p := &rules[0].run.probes[0] // the subject's, each row it matches clipped
+		p.each = func(t storage.Tuple) bool {
+			out.matched = t[:len(t):len(t)]
+			return p.onTuple(t)
+		}
+	}
 	if cs.Recursive {
 		c.windows = make([]window, len(comp))
 		for i, pred := range comp {
@@ -492,12 +552,15 @@ func evalComponent(base component, p *plan, comp []string, cs *ComponentStats) e
 	return nil
 }
 
-// collect hands over the rows of the derived query table, which nothing
-// else can reach once the evaluation has returned.
-func (e *bottomUp) collect(p *plan, d derived) *Result {
+// collect hands over the answers, the query table's rows or the rows an
+// identity statement matched, which the evaluation no longer touches.
+func collect(p *plan, d derived, out *answers) *Result {
 	res := &Result{Vars: p.vars()}
 	if t := d[queryPredName]; t != nil {
 		res.Tuples = t.rows()
+	}
+	if out != nil && len(out.rows) > 0 {
+		res.Tuples = out.rows
 	}
 	return res
 }

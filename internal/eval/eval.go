@@ -30,10 +30,14 @@
 // What an evaluation derives it keeps in tables of its own (table.go),
 // not in storage: append-only, one goroutine, gone with the statement.
 // A derived fact is copied into a chunk of its predicate's table and
-// costs no allocation of its own; a Result's tuples are views of those
-// rows. The table shares storage's identity of a tuple and its rule for
-// serving and counting a probe, so the statistics of a statement do not
-// depend on where its facts are kept.
+// costs no allocation of its own. The table shares storage's identity of
+// a tuple and its rule for serving and counting a probe, so the
+// statistics of a statement do not depend on where its facts are kept.
+// A Result's tuples are views of rows. The query predicate's table keeps
+// a member set only when an answer can repeat (several disjuncts, or a
+// body variable that is no answer variable); an identity statement
+// (`retrieve path(X, Y).`) keeps no table and hands over the rows it
+// matched, the subject's derived rows and stored tuples.
 //
 // Planning is split by lifetime. Whatever depends only on the IDB — its
 // safety verdict, its dependency graph and SCC schedule, and every rule's
@@ -105,10 +109,10 @@ type Query struct {
 type Result struct {
 	// Vars are the free variables of the subject, in order of occurrence.
 	Vars []term.Term
-	// Tuples are the bindings, parallel to Vars: views of the rows of the
-	// evaluation's query table, each clipped to its length, so appending
-	// to one copies it. They are the result's own: nothing else of the
-	// evaluation outlives it, and no later statement reuses their memory.
+	// Tuples are the bindings, parallel to Vars: views of the rows the
+	// evaluation derived or matched (see the package doc), each clipped to
+	// its length, so appending to one copies it. They are read-only, as a
+	// stored tuple never changes, and no later statement reuses their memory.
 	Tuples []storage.Tuple
 }
 

@@ -640,6 +640,26 @@ func BenchmarkRetrieveSemiNaiveSideways(b *testing.B) {
 	}
 }
 
+// BenchmarkRetrieveSemiNaiveDistinct: statements whose answers cannot
+// repeat, which keep no query table: the closure of a 100-node chain in
+// full, which hands over path's rows, and from its first node, and one of
+// 3 000 students by key, whose answers are projected. For an A/B, run it
+// at both commits and compare the two with benchstat.
+func BenchmarkRetrieveSemiNaiveDistinct(b *testing.B) {
+	chain, uni := chainClosure(b, 100), universityKB(b, 3000)
+	chain.Prepared, uni.Prepared = Prepare(depgraph.New(chain.Rules)), Prepare(depgraph.New(uni.Rules))
+	for _, tc := range []struct {
+		name, stmt string
+		in         Input
+	}{
+		{"path(X,Y)", `retrieve path(X, Y).`, chain},
+		{"path(c0,Y)", `retrieve path(c0, Y).`, chain},
+		{"student(s0042,M,G)", `retrieve student(s0042, M, G).`, uni},
+	} {
+		b.Run(tc.name, func(b *testing.B) { benchEngineInput(b, NewSemiNaive(tc.in), tc.in, tc.stmt) })
+	}
+}
+
 func BenchmarkRetrieveSemiNaiveWide(b *testing.B) {
 	in := wideInput(b, 8, 30)
 	benchEngineInput(b, NewSemiNaive(in), in, `retrieve top(X, Y).`)

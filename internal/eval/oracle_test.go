@@ -328,20 +328,22 @@ var (
 type generator struct {
 	r *rand.Rand
 	// calls draws the callee shapes (generator.callee), side the
-	// sideways ones (generator.sideways) and ors the extra disjuncts
-	// (generator.disjuncts), each from a stream of its own, so that
-	// adding them moved no case the main stream makes.
-	calls, side, ors *rand.Rand
-	feat             genFeatures
+	// sideways ones (generator.sideways), ors the extra disjuncts
+	// (generator.disjuncts) and subjects the one-atom statements
+	// (generator.subject), each from a stream of its own, so that adding
+	// them moved no case the main stream makes.
+	calls, side, ors, subjects *rand.Rand
+	feat                       genFeatures
 }
 
 func newGenerator(seed int64, feat genFeatures) *generator {
 	return &generator{
-		r:     rand.New(rand.NewSource(seed)),
-		calls: rand.New(rand.NewSource(-seed)),
-		side:  rand.New(rand.NewSource(seed + 2<<32)),
-		ors:   rand.New(rand.NewSource(seed + 1<<32)),
-		feat:  feat,
+		r:        rand.New(rand.NewSource(seed)),
+		calls:    rand.New(rand.NewSource(-seed)),
+		side:     rand.New(rand.NewSource(seed + 2<<32)),
+		ors:      rand.New(rand.NewSource(seed + 1<<32)),
+		subjects: rand.New(rand.NewSource(seed + 3<<32)),
+		feat:     feat,
 	}
 }
 
@@ -516,6 +518,43 @@ func (g *generator) generate() genCase {
 	g.callee(&c)
 	g.sideways(&c)
 	g.disjuncts(&c.query)
+	return c
+}
+
+// subject returns c with its statement replaced by one over a derived
+// predicate of arity two whose answers are, or are not, bound to be
+// distinct: a one-atom statement — its arguments distinct variables, a
+// constant and a variable, or one variable twice — at times with a
+// qualifier over the subject's variables alone, or with a variable of its
+// own, which can repeat an answer; at times with stored facts of the
+// predicate beside its rules. It is a case of its own, judged beside c,
+// and draws from the generator's subjects stream alone, so generate's
+// cases stay as they were.
+func (g *generator) subject(c genCase) genCase {
+	s := g.subjects
+	sym := func() term.Term { return genSyms[s.Intn(len(genSyms))] }
+	pred := []string{"p0", "p1", "p3"}[s.Intn(3)]
+	args := []term.Term{term.Var("X"), term.Var("Y")}
+	switch s.Intn(4) {
+	case 0:
+		args[s.Intn(2)] = sym()
+	case 1:
+		args[1] = args[0]
+	}
+	var where term.Formula
+	switch vars := term.NewAtom(pred, args...).Vars(nil); s.Intn(6) {
+	case 0:
+		where = term.Formula{term.NewAtom("e", vars[len(vars)-1], vars[0])}
+	case 1:
+		where = term.Formula{term.NewAtom(term.PredNe, vars[0], sym())}
+	case 2:
+		where = term.Formula{term.NewAtom("f", vars[0], term.Var("Z"))}
+	}
+	if s.Intn(2) == 0 {
+		v := sym()
+		c.facts = slices.Concat(c.facts, []term.Atom{term.NewAtom(pred, sym(), sym()), term.NewAtom(pred, v, v)})
+	}
+	c.query = Query{Subject: term.NewAtom(pred, args...), Where: where}
 	return c
 }
 
@@ -920,6 +959,45 @@ func (g *generator) noteDisjuncts(in Input, q Query) {
 	}
 }
 
+// noteAnswers counts the shapes that decide whether a statement's answers
+// can repeat, read from the statement alone: the query rule's body is the
+// subject, when its predicate is known, and the qualifier. Only a
+// statement the oracle answers with at least one answer counts. It draws
+// nothing from the generator.
+func (g *generator) noteAnswers(in Input, q Query) {
+	if res, err := oracleRetrieve(in, q); err != nil || len(res.Tuples) == 0 {
+		return
+	}
+	if len(q.Or) > 0 {
+		g.feat["answers: two or more disjuncts"]++
+		return
+	}
+	rules := slices.ContainsFunc(in.Rules, func(r term.Rule) bool { return r.Head.Pred == q.Subject.Pred })
+	stored := in.Store.Relation(q.Subject.Pred) != nil
+	body := q.Where
+	if rules || stored {
+		body = append(term.Formula{q.Subject}, q.Where...)
+	}
+	answer := q.Subject.Vars(nil)
+	if slices.ContainsFunc(body.Vars(), func(v term.Term) bool { return !slices.Contains(answer, v) }) {
+		g.feat["answers: a body variable that is not an answer variable"]++
+		return
+	}
+	switch args := q.Subject.Args; {
+	case len(q.Where) > 0:
+		g.feat["answers: one disjunct whose body outputs every variable"]++
+	case slices.ContainsFunc(args, term.Term.IsConst):
+		g.feat["answers: a one-atom subject with a constant"]++
+	case len(answer) < len(args):
+		g.feat["answers: a one-atom subject with a repeated variable"]++
+	default:
+		g.feat["answers: a one-atom subject with distinct variables"]++
+		if rules && stored {
+			g.feat["answers: a one-atom subject with stored and derived facts"]++
+		}
+	}
+}
+
 // --- engines against the oracle ---
 
 // disagreement runs the case on the oracle and on every engine and
@@ -994,11 +1072,14 @@ func TestEnginesMatchOracle(t *testing.T) {
 		c := g.generate()
 		g.noteCalls(c.input(t), c.query)
 		g.noteDisjuncts(c.input(t), c.query)
-		if disagreement(t, c) == "" {
-			continue
+		for _, c := range []genCase{c, g.subject(c)} {
+			g.noteAnswers(c.input(t), c.query)
+			if disagreement(t, c) == "" {
+				continue
+			}
+			small := shrink(c, func(d genCase) bool { return disagreement(t, d) != "" })
+			t.Fatalf("seed %d: %s\nshrunk to:\n%v", seed, disagreement(t, small), small)
 		}
-		small := shrink(c, func(d genCase) bool { return disagreement(t, d) != "" })
-		t.Fatalf("seed %d: %s\nshrunk to:\n%v", seed, disagreement(t, small), small)
 	}
 	for _, want := range []string{
 		"linear recursion", "non-linear recursion", "mutual recursion",
@@ -1018,10 +1099,55 @@ func TestEnginesMatchOracle(t *testing.T) {
 		"one disjunct calls a predicate bound and another calls it free",
 		"a disjunct reaches a recursive predicate", "a repeated disjunct",
 		"every disjunct binds the ad-hoc subject", "a disjunct leaves the ad-hoc subject unbound",
+		"answers: a one-atom subject with distinct variables", "answers: a one-atom subject with a constant",
+		"answers: a one-atom subject with a repeated variable", "answers: a one-atom subject with stored and derived facts",
+		"answers: one disjunct whose body outputs every variable",
+		"answers: a body variable that is not an answer variable", "answers: two or more disjuncts",
 	} {
 		if feat[want] == 0 {
 			t.Errorf("no generated case had: %s", want)
 		}
+	}
+}
+
+// TestAnswersKeepTheQueryTableOrder: a statement of one disjunct whose
+// answers cannot repeat keeps no query table; the same statement with its
+// disjunct repeated keeps one. On every generated case, and on its
+// one-atom statement (generator.subject), both answer alike — the same
+// tuples in the same order, or the same error — and count the same facts.
+func TestAnswersKeepTheQueryTableOrder(t *testing.T) {
+	collected := 0
+	for seed := 1; seed <= 400; seed++ {
+		g := newGenerator(int64(seed), make(genFeatures))
+		c := g.generate()
+		for _, c := range []genCase{c, g.subject(c)} {
+			if len(c.query.Or) > 0 {
+				continue
+			}
+			in, twice := c.input(t), c.query
+			twice.Or = []term.Formula{twice.Where}
+			plain, tabled := NewSemiNaive(in), NewSemiNaive(in)
+			got, err := plain.RetrieveContext(context.Background(), c.query)
+			want, werr := tabled.RetrieveContext(context.Background(), twice)
+			switch {
+			case err != nil || werr != nil:
+				if fmt.Sprint(err) != fmt.Sprint(werr) {
+					t.Fatalf("seed %d: %q, with the query table %q\n%v", seed, err, werr, c)
+				}
+				continue
+			case !reflect.DeepEqual(got.Tuples, want.Tuples):
+				t.Fatalf("seed %d: answered %v, with the query table %v\n%v", seed, got.Tuples, want.Tuples, c)
+			}
+			if gf, wf := plain.(StatsReporter).LastStats().Facts, tabled.(StatsReporter).LastStats().Facts; gf != wf {
+				t.Fatalf("seed %d: %d facts, with the query table %d\n%v", seed, gf, wf, c)
+			}
+			if len(got.Tuples) > 0 {
+				collected++
+			}
+		}
+	}
+	if collected < 100 {
+		t.Errorf("only %d cases with one disjunct had answers", collected)
 	}
 }
 

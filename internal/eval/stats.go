@@ -13,9 +13,6 @@ import (
 type ComponentStats struct {
 	// Preds are the component's predicates (sorted).
 	Preds []string `json:"preds"`
-	// Skipped marks components that were irrelevant to the query (or had
-	// no rules) and were not evaluated.
-	Skipped bool `json:"skipped,omitempty"`
 	// Recursive reports whether the component required fixpoint iteration.
 	Recursive bool `json:"recursive,omitempty"`
 	// Calls counts the distinct calls the component's rules were run
@@ -42,12 +39,12 @@ type ComponentStats struct {
 type EvalStats struct {
 	// Engine names the evaluation strategy that produced the record.
 	Engine string `json:"engine"`
-	// Components holds one entry per SCC in evaluation order (bottom-up
-	// engines; empty for top-down): the rule set's schedule — its
-	// condensation's topological order, ties broken by sorted predicate
-	// names — followed by the query rules' own component, one however
-	// many disjuncts the qualifier has. Predicates only the query rules
-	// mention have no entry.
+	// Components holds one entry per SCC the statement evaluated, in
+	// evaluation order (bottom-up engines; empty for top-down): of the rule
+	// set's schedule — its condensation's topological order, ties broken
+	// by sorted predicate names — those with rules the answer depends on,
+	// then the query rules' own component, however many disjuncts the
+	// qualifier has. A stopped statement lists the components it reached.
 	Components []ComponentStats `json:"components,omitempty"`
 	// Facts is the total number of facts derived.
 	Facts int `json:"facts"`
@@ -109,9 +106,6 @@ func (s *EvalStats) String() string {
 		fmt.Fprintf(&b, " provenance=%d", s.ProvEntries)
 	}
 	for _, c := range s.Components {
-		if c.Skipped {
-			continue
-		}
 		kind := "nonrec"
 		if c.Recursive {
 			kind = "recursive"

@@ -111,8 +111,18 @@ func (t *table) insert(tp []term.Term) (bool, error) {
 	if found {
 		return false, nil
 	}
+	if err := t.put(tp); err != nil {
+		return false, err
+	}
+	t.member[slot] = int32(t.n)
+	return true, nil
+}
+
+// put appends a copy of the ground tuple tp as a new row. A table filled
+// by put alone keeps no member set: its caller knows the rows distinct.
+func (t *table) put(tp []term.Term) error {
 	if t.n == math.MaxInt32 {
-		return false, errTableFull
+		return errTableFull
 	}
 	id := t.n
 	c, off := locate(id)
@@ -125,11 +135,10 @@ func (t *table) insert(tp []term.Term) (bool, error) {
 	}
 	copy(t.chunks[c][off*t.arity:], tp)
 	t.n++
-	t.member[slot] = int32(t.n)
 	for _, ix := range t.indexes {
 		ix.add(tp, id)
 	}
-	return true, nil
+	return nil
 }
 
 // find returns the member slot holding tp, or the empty slot where it

@@ -219,14 +219,12 @@ func (s *scope) project(res *ExecResult) {
 			ev.SetStr("stop", st.StopReason)
 		}
 		for _, c := range st.Components {
-			if !c.Skipped {
-				sp := ev.Then("scc", c.Wall)
-				sp.SetStr("preds", strings.Join(c.Preds, " "))
-				sp.SetInt("iterations", int64(c.Iterations))
-				sp.SetInt("facts", int64(c.Facts))
-				sp.SetInt("lookups", c.Lookups)
-				sp.SetBool("recursive", c.Recursive)
-			}
+			sp := ev.Then("scc", c.Wall)
+			sp.SetStr("preds", strings.Join(c.Preds, " "))
+			sp.SetInt("iterations", int64(c.Iterations))
+			sp.SetInt("facts", int64(c.Facts))
+			sp.SetInt("lookups", c.Lookups)
+			sp.SetBool("recursive", c.Recursive)
 		}
 		sp := s.root.Then("storage", 0)
 		sp.SetInt("probes", st.Probes)

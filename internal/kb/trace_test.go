@@ -44,9 +44,6 @@ func wantPhases(res *ExecResult, stats *eval.EvalStats, parsed bool) []phase {
 			ev.attrs["stop"] = st.StopReason
 		}
 		for _, c := range st.Components {
-			if c.Skipped {
-				continue
-			}
 			ev.kids = append(ev.kids, phase{name: "scc", dur: c.Wall, attrs: map[string]any{
 				"preds": strings.Join(c.Preds, " "), "iterations": int64(c.Iterations),
 				"facts": int64(c.Facts), "lookups": c.Lookups, "recursive": c.Recursive}})
