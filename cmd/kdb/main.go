@@ -77,16 +77,13 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		maxFacts = fs.Int("max-facts", 0, "per-query derived-fact limit (0 = unlimited)")
 		lint     = fs.Bool("lint", false, "print the static-analysis report after loading program files")
 
-		statsJSON   = fs.Bool("stats-json", false, "print evaluation statistics as JSON after each retrieve (implies -stats)")
-		traceFile   = fs.String("trace", "", "record a span trace of every query to FILE")
-		traceFormat = fs.String("trace-format", "jsonl", "trace file format: jsonl (one span per line) or chrome (trace-event JSON for Perfetto)")
-		debugAddr   = fs.String("debug-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address (e.g. localhost:6060)")
-		queryLog    = fs.String("query-log", "", "append one JSONL record per query to FILE (statement, kind, latency, stop reason, eval deltas)")
-		slowQuery   = fs.Duration("slow-query", 0, "with -query-log, log only queries at least this slow (0 = every query)")
-		qlogMaxMB   = fs.Int("query-log-max-mb", 0, "rotate the query log when it would exceed this many MB (0 = never)")
-		qlogKeep    = fs.Int("query-log-keep", 3, "rotated query-log files to keep (FILE.1 .. FILE.N)")
-		maxProv     = fs.Int("max-prov", 0, "per-query provenance-witness limit for explain (0 = unlimited)")
-		profileOn   = fs.Bool("profile", false, "profile every retrieve: print the per-rule cost breakdown after the answers")
+		statsJSON = fs.Bool("stats-json", false, "print evaluation statistics as JSON after each retrieve (implies -stats)")
+		traceFile = fs.String("trace", "", "record a span trace of every query to FILE, one JSON line per span")
+		debugAddr = fs.String("debug-addr", "", "serve /metrics and /debug/pprof on this address (e.g. localhost:6060)")
+		queryLog  = fs.String("query-log", "", "append one JSONL record per query to FILE (statement, kind, latency, stop reason, eval deltas); SIGHUP reopens FILE")
+		slowQuery = fs.Duration("slow-query", 0, "with -query-log, log only queries at least this slow (0 = every query)")
+		maxProv   = fs.Int("max-prov", 0, "per-query provenance-witness limit for explain (0 = unlimited)")
+		profileOn = fs.Bool("profile", false, "profile every retrieve: print the per-rule cost breakdown after the answers")
 	)
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
@@ -102,10 +99,9 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	}
 
 	// Structured query log: one JSONL line per query (or only slow
-	// ones), size-rotated when -query-log-max-mb is set, reopened on
-	// SIGHUP for external rotation.
+	// ones), reopened on SIGHUP for external rotation.
 	if *queryLog != "" {
-		w, err := openQueryLog(*queryLog, *qlogMaxMB, *qlogKeep)
+		w, err := kdb.OpenLogFile(*queryLog)
 		if err != nil {
 			return err
 		}
@@ -114,8 +110,10 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		opts = append(opts, kdb.WithQueryLog(kdb.NewQueryLog(w, *slowQuery)))
 	}
 
-	// Tracing: spans stream to the trace file as each query finishes
-	// (JSONL), or buffer until exit (the Chrome format is one JSON array).
+	// Tracing: each query's spans stream to the trace file as it
+	// finishes. The first failure to write or close the file is reported
+	// on stderr, and the trace stops there, so a full disk cannot cut a
+	// trace short without a word.
 	var tracer *kdb.Tracer
 	fileTrace := *traceFile != ""
 	if fileTrace {
@@ -123,18 +121,20 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		tracer = kdb.NewTracer()
-		switch *traceFormat {
-		case "jsonl":
-			tracer.OnFinish(func(root *kdb.Span) { kdb.WriteTraceJSONL(f, root) })
-		case "chrome":
-			var roots []*kdb.Span
-			tracer.OnFinish(func(root *kdb.Span) { roots = append(roots, root) })
-			defer func() { kdb.WriteChromeTrace(f, roots) }()
-		default:
-			return fmt.Errorf("unknown trace format %q (want jsonl or chrome)", *traceFormat)
+		var traceErr error
+		report := func(err error) {
+			if err != nil && traceErr == nil {
+				traceErr = err
+				fmt.Fprintln(os.Stderr, "kdb: trace:", err)
+			}
 		}
+		defer func() { report(f.Close()) }()
+		tracer = kdb.NewTracer()
+		tracer.OnFinish(func(root *kdb.Span) {
+			if traceErr == nil {
+				report(kdb.WriteTraceJSONL(f, root))
+			}
+		})
 		opts = append(opts, kdb.WithTracer(tracer))
 	}
 
@@ -150,7 +150,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		}
 		defer ln.Close()
 		if !*quiet {
-			fmt.Fprintf(out, "debug server on http://%s/ (metrics, expvar, pprof)\n", ln.Addr())
+			fmt.Fprintf(out, "debug server on http://%s/ (metrics, pprof)\n", ln.Addr())
 		}
 		// A failing debug server must not be silent: earlier versions
 		// discarded http.Serve's error, so a mid-session failure looked
@@ -231,22 +231,17 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	return sh.repl(in, out, *quiet)
 }
 
-// openQueryLog opens the query-log sink: a rotating writer even when
-// size rotation is off (maxMB <= 0), so SIGHUP can always reopen the
-// file after an external rotation.
-func openQueryLog(path string, maxMB, keep int) (*kdb.RotatingWriter, error) {
-	return kdb.NewRotatingWriter(path, maxMB, keep)
-}
-
 // reopenOnHUP reopens the query log whenever the process receives
-// SIGHUP (the logrotate convention); the returned stop function ends
-// the watcher. Reopen failures are reported once per signal and do not
-// kill the process.
-func reopenOnHUP(w *kdb.RotatingWriter, out io.Writer) (stop func()) {
+// SIGHUP (the logrotate handshake: the rotator renames the file, then
+// signals); the returned stop function ends the watcher. Both `kdb` and
+// `kdb serve` rotate their query log this way. Reopen failures are
+// reported once per signal and do not kill the process.
+func reopenOnHUP(w *kdb.LogFile, out io.Writer) (stop func()) {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGHUP)
-	done := make(chan struct{})
+	done, exited := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(exited)
 		for {
 			select {
 			case <-sigc:
@@ -261,6 +256,7 @@ func reopenOnHUP(w *kdb.RotatingWriter, out io.Writer) (stop func()) {
 	return func() {
 		signal.Stop(sigc)
 		close(done)
+		<-exited
 	}
 }
 

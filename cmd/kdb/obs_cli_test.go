@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 )
 
 func TestTraceFlagJSONL(t *testing.T) {
@@ -35,47 +39,102 @@ func TestTraceFlagJSONL(t *testing.T) {
 	}
 }
 
-func TestTraceFlagChrome(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.json")
+// TestTraceWriteErrorReported: a trace file that cannot be written is
+// reported once on stderr, and the statements still answer.
+func TestTraceWriteErrorReported(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	stderr, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stderr.Close()
+	saved := os.Stderr
+	os.Stderr = stderr
+	defer func() { os.Stderr = saved }()
+
 	var out bytes.Buffer
-	err := run([]string{"-q", "-trace", path, "-trace-format", "chrome", "-exec", `retrieve honor(X).`, dataFile(t)},
+	err = run([]string{"-q", "-trace", "/dev/full", "-exec", `retrieve honor(X). describe honor(X).`, dataFile(t)},
 		strings.NewReader(""), &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
+	if !strings.Contains(out.String(), "honor(ann)") {
+		t.Errorf("statements did not answer:\n%s", out.String())
+	}
+	got, err := os.ReadFile(stderr.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []map[string]any
-	if err := json.Unmarshal(data, &events); err != nil {
-		t.Fatalf("chrome trace is not a JSON array: %v", err)
-	}
-	if len(events) == 0 {
-		t.Fatal("chrome trace is empty")
-	}
-	names := map[string]bool{}
-	for _, e := range events {
-		if e["ph"] != "X" {
-			t.Errorf("event phase = %v, want X", e["ph"])
-		}
-		if n, ok := e["name"].(string); ok {
-			names[n] = true
-		}
-	}
-	for _, want := range []string{"query", "parse", "eval"} {
-		if !names[want] {
-			t.Errorf("chrome trace missing %q event; have %v", want, names)
-		}
+	if n := strings.Count(string(got), "kdb: trace:"); n != 1 || !strings.Contains(string(got), "no space left on device") {
+		t.Errorf("stderr reports the trace failure %d times, want once:\n%s", n, got)
 	}
 }
 
-func TestTraceFlagBadFormat(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"-q", "-trace", filepath.Join(t.TempDir(), "x"), "-trace-format", "bogus",
-		"-exec", `retrieve honor(X).`, dataFile(t)}, strings.NewReader(""), &out)
-	if err == nil || !strings.Contains(err.Error(), "trace format") {
-		t.Errorf("err = %v, want trace format error", err)
+// TestQueryLogReopensOnSIGHUP is the logrotate handshake through the
+// shell: the live query log is renamed, records keep landing in it until
+// the process gets SIGHUP, and the next record lands in a fresh file at
+// the configured path. No record is lost or written twice.
+func TestQueryLogReopensOnSIGHUP(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "q.jsonl")
+	data := dataFile(t)
+	in, feed := io.Pipe()
+	defer feed.Close()
+	errc := make(chan error, 1)
+	go func() { errc <- run([]string{"-q", "-query-log", path, data}, in, io.Discard) }()
+
+	send := func(line string) {
+		t.Helper()
+		if _, err := io.WriteString(feed, line+"\n"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stmts := func(file string) []string {
+		raw, _ := os.ReadFile(file)
+		var got []string
+		for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+			var rec struct{ Stmt string }
+			if json.Unmarshal([]byte(line), &rec) == nil {
+				got = append(got, rec.Stmt)
+			}
+		}
+		return got
+	}
+	waitFor := func(what string, ok func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !ok(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	send("retrieve honor(X).")
+	waitFor("the first record", func() bool { return len(stmts(path)) == 1 })
+	if err := os.Rename(path, path+".1"); err != nil {
+		t.Fatal(err)
+	}
+	send("describe honor(X).")
+	waitFor("a record in the renamed file", func() bool { return len(stmts(path+".1")) == 2 })
+	if err := syscall.Kill(syscall.Getpid(), syscall.SIGHUP); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("a fresh file at the configured path", func() bool {
+		_, err := os.Stat(path)
+		return err == nil
+	})
+	send("retrieve prior(databases, Y).")
+	send(".quit")
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+
+	if got, want := stmts(path+".1"), []string{"retrieve honor(X).", "describe honor(X)."}; !slices.Equal(got, want) {
+		t.Errorf("renamed file holds %q, want %q", got, want)
+	}
+	if got, want := stmts(path), []string{"retrieve prior(databases, Y)."}; !slices.Equal(got, want) {
+		t.Errorf("fresh file holds %q, want %q", got, want)
 	}
 }
 

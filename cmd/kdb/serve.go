@@ -40,10 +40,8 @@ func runServe(args []string, out io.Writer) error {
 		maxIter  = fs.Int("max-iterations", 0, "per-request fixpoint-iteration ceiling (0 = unlimited)")
 		maxProv  = fs.Int("max-prov", 0, "per-request provenance-witness ceiling (0 = unlimited)")
 
-		queryLog  = fs.String("query-log", "", "append one JSONL record per query to FILE (includes tenant and client)")
+		queryLog  = fs.String("query-log", "", "append one JSONL record per query to FILE (includes tenant and client); SIGHUP reopens FILE")
 		slowQuery = fs.Duration("slow-query", 0, "with -query-log, log only queries at least this slow")
-		qlogMaxMB = fs.Int("query-log-max-mb", 0, "rotate the query log when it would exceed this many MB (0 = never)")
-		qlogKeep  = fs.Int("query-log-keep", 3, "rotated query-log files to keep (FILE.1 .. FILE.N)")
 		quiet     = fs.Bool("q", false, "suppress the startup banner")
 	)
 	fs.SetOutput(out)
@@ -70,10 +68,10 @@ func runServe(args []string, out io.Writer) error {
 		BreakerThreshold:  *brkFails,
 		BreakerCooldown:   *brkCooldown,
 		Registry:          kdb.NewMetricsRegistry(),
-		// Spans stay in the tracer's recent ring (nothing is exported),
-		// but the trace ids they issue — or adopt from an incoming W3C
-		// traceparent — link query-log records and /v1/debug/activity
-		// entries to the request that caused them.
+		// Spans are not exported, but the trace ids they issue — or
+		// adopt from an incoming W3C traceparent — link query-log
+		// records and /v1/debug/activity entries to the request that
+		// caused them.
 		Tracer: kdb.NewTracer(),
 		Ceiling: kdb.QueryLimits{
 			MaxWall:              *timeout,
@@ -82,15 +80,17 @@ func runServe(args []string, out io.Writer) error {
 			MaxProvenanceEntries: *maxProv,
 		},
 	}
-	var qlw *kdb.RotatingWriter
 	if *queryLog != "" {
-		w, err := openQueryLog(*queryLog, *qlogMaxMB, *qlogKeep)
+		w, err := kdb.OpenLogFile(*queryLog)
 		if err != nil {
 			return err
 		}
 		defer w.Close()
-		qlw = w
+		defer reopenOnHUP(w, out)()
 		cfg.QueryLog = kdb.NewQueryLog(w, *slowQuery)
+	} else {
+		// SIGHUP is the logrotate handshake, never a shutdown.
+		signal.Ignore(syscall.SIGHUP)
 	}
 	srv, err := kdb.NewServer(cfg)
 	if err != nil {
@@ -116,25 +116,12 @@ func runServe(args []string, out io.Writer) error {
 	go func() { errc <- hs.Serve(ln) }()
 
 	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigc)
 
 	for {
 		select {
 		case sig := <-sigc:
-			// SIGHUP is the logrotate handshake, not a shutdown: reopen
-			// the query log (if any) and keep serving.
-			if sig == syscall.SIGHUP {
-				if qlw == nil {
-					continue
-				}
-				if err := qlw.Reopen(); err != nil && !*quiet {
-					fmt.Fprintf(out, "kdb serve: query log reopen: %v\n", err)
-				} else if !*quiet {
-					fmt.Fprintf(out, "kdb serve: %v: query log reopened\n", sig)
-				}
-				continue
-			}
 			if !*quiet {
 				fmt.Fprintf(out, "kdb serve: %v: draining\n", sig)
 			}

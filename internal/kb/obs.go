@@ -42,7 +42,7 @@ func WithMetrics(reg *obs.Registry) Option {
 // map update per query.
 func WithQueryStats() Option {
 	return func(k *KB) {
-		qs := sysrel.NewQueryStats(0)
+		qs := sysrel.NewQueryStats()
 		k.qstats.Store(qs)
 		k.sys.SetQueryStats(qs)
 	}

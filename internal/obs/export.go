@@ -74,62 +74,6 @@ func WriteJSONL(w io.Writer, root *Span) error {
 	return walk(root, -1)
 }
 
-// chromeEvent is one complete event ("ph":"X") in the Chrome
-// trace-event format, loadable by chrome://tracing and Perfetto.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
-	Ph   string         `json:"ph"`
-	TS   int64          `json:"ts"`  // µs
-	Dur  int64          `json:"dur"` // µs
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// WriteChromeTrace writes the given root spans as a Chrome trace-event
-// JSON array of complete ("ph":"X") events. Timestamps are microseconds
-// relative to the earliest root; every span lands on thread lane 0.
-func WriteChromeTrace(w io.Writer, roots []*Span) error {
-	var events []chromeEvent
-	var base time.Time
-	for _, r := range roots {
-		if r == nil {
-			continue
-		}
-		if base.IsZero() || r.Start().Before(base) {
-			base = r.Start()
-		}
-	}
-	var walk func(s *Span)
-	walk = func(s *Span) {
-		dur := s.Duration().Microseconds()
-		if dur < 1 {
-			dur = 1 // zero-width events are dropped by some viewers
-		}
-		events = append(events, chromeEvent{
-			Name: s.Name(),
-			Cat:  "kdb",
-			Ph:   "X",
-			TS:   s.Start().Sub(base).Microseconds(),
-			Dur:  dur,
-			PID:  1,
-			TID:  0,
-			Args: attrMap(s.Attrs()),
-		})
-		for _, c := range s.Children() {
-			walk(c)
-		}
-	}
-	for _, r := range roots {
-		if r != nil {
-			walk(r)
-		}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(events)
-}
-
 // WriteTree renders the span tree as an indented human-readable
 // listing (the `.trace on` console surface).
 func WriteTree(w io.Writer, root *Span) error {

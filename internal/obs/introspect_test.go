@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -62,105 +62,64 @@ func TestParseTraceparent(t *testing.T) {
 	}
 }
 
-// --- Rotating query-log writer --------------------------------------
+// --- Reopenable query-log file ------------------------------------
 
-// TestRotatingWriter checks size-based rotation: the live file stays
-// under the cap, shifted files appear as path.1..path.keep, and the
-// oldest is deleted.
-func TestRotatingWriter(t *testing.T) {
+// TestLogFileReopen is the logrotate handshake at the file: an external
+// rotator renames the live file, and after Reopen writes land in a fresh
+// file at the configured path. A reopen that fails keeps writing to the
+// file it had, so no record is lost.
+func TestLogFileReopen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "q.log")
-	// 1 MB cap; each write is ~512 KiB so every third write rotates.
-	w, err := NewRotatingWriter(path, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	line := strings.Repeat("x", 512<<10-1) + "\n"
-	for i := 0; i < 7; i++ {
-		if _, err := w.Write([]byte(line)); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatalf("live file: %v", err)
-	}
-	if fi.Size() > 1<<20 {
-		t.Errorf("live file %d bytes, want <= 1MB", fi.Size())
-	}
-	if _, err := os.Stat(path + ".1"); err != nil {
-		t.Errorf("missing first rotated file: %v", err)
-	}
-	if _, err := os.Stat(path + ".2"); err != nil {
-		t.Errorf("missing second rotated file: %v", err)
-	}
-	if _, err := os.Stat(path + ".3"); !os.IsNotExist(err) {
-		t.Errorf("rotation kept more than 2 old files (err=%v)", err)
-	}
-}
-
-// TestRotatingWriterUnbounded: maxMB <= 0 must never rotate.
-func TestRotatingWriterUnbounded(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "q.log")
-	w, err := NewRotatingWriter(path, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		fmt.Fprintf(w, "%s\n", strings.Repeat("y", 1024))
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path + ".1"); !os.IsNotExist(err) {
-		t.Errorf("unbounded writer rotated (err=%v)", err)
-	}
-}
-
-// TestRotatingWriterReopen is the logrotate handshake: an external
-// rotator renames the live file, the process reopens on signal, and
-// subsequent writes land in a fresh file at the configured path.
-func TestRotatingWriterReopen(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "q.log")
-	w, err := NewRotatingWriter(path, 0, 2)
+	w, err := OpenLogFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if _, err := w.Write([]byte("before\n")); err != nil {
-		t.Fatal(err)
+	write := func(s string) {
+		t.Helper()
+		if _, err := io.WriteString(w, s); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := os.Rename(path, path+".rotated"); err != nil {
+	read := func(p string) string {
+		t.Helper()
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	write("before\n")
+	if err := os.Rename(path, path+".1"); err != nil {
 		t.Fatal(err)
 	}
 	// Until the reopen, writes still go to the renamed inode.
-	if _, err := w.Write([]byte("limbo\n")); err != nil {
-		t.Fatal(err)
-	}
+	write("limbo\n")
 	if err := w.Reopen(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Write([]byte("after\n")); err != nil {
+	write("after\n")
+	if got := read(path + ".1"); got != "before\nlimbo\n" {
+		t.Errorf("rotated file = %q", got)
+	}
+	if got := read(path); got != "after\n" {
+		t.Errorf("fresh file = %q", got)
+	}
+
+	// A directory in the file's place makes the reopen fail.
+	if err := os.Rename(path, path+".2"); err != nil {
 		t.Fatal(err)
 	}
-	old, err := os.ReadFile(path + ".rotated")
-	if err != nil {
+	if err := os.Mkdir(path, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if string(old) != "before\nlimbo\n" {
-		t.Errorf("rotated file = %q", old)
+	if err := w.Reopen(); err == nil {
+		t.Fatal("Reopen onto a directory succeeded")
 	}
-	fresh, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("no fresh file after reopen: %v", err)
-	}
-	if string(fresh) != "after\n" {
-		t.Errorf("fresh file = %q", fresh)
+	write("kept\n")
+	if got := read(path + ".2"); got != "after\nkept\n" {
+		t.Errorf("after a failed reopen the file holds %q", got)
 	}
 }
 

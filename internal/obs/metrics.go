@@ -35,7 +35,8 @@ type family struct {
 }
 
 type series struct {
-	labels string // rendered `k="v",…` (sorted), "" when unlabeled
+	labels   string            // rendered `k="v",…` (sorted), "" when unlabeled
+	labelMap map[string]string // the same labels, unescaped; nil when unlabeled
 
 	// counter / gauge payload
 	intVal atomic.Int64  // counter
@@ -116,22 +117,6 @@ func (h *Histogram) Observe(v float64) {
 
 // ObserveDuration records d in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// Count returns the number of observed samples.
-func (h *Histogram) Count() int64 {
-	if h == nil || h.s == nil {
-		return 0
-	}
-	return h.s.count.Load()
-}
-
-// Sum returns the sum of observed samples.
-func (h *Histogram) Sum() float64 {
-	if h == nil || h.s == nil {
-		return 0
-	}
-	return math.Float64frombits(h.s.sumBits.Load())
-}
 
 // DefBuckets are the default latency buckets, in seconds.
 var DefBuckets = []float64{
@@ -214,36 +199,6 @@ func renderLabels(pairs []string) string {
 	return b.String()
 }
 
-// SeriesID renders the canonical identity of one time series: the bare
-// metric name when it carries no labels, or name{k="v",…} with the
-// labels sorted by key — the same order and escaping the Prometheus
-// exposition uses. The sys_metric virtual relation keys its rows this
-// way.
-func SeriesID(name string, labels map[string]string) string {
-	if len(labels) == 0 {
-		return name
-	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(k)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(labels[k]))
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
 func escapeLabel(v string) string {
 	v = strings.ReplaceAll(v, `\`, `\\`)
 	v = strings.ReplaceAll(v, "\n", `\n`)
@@ -282,6 +237,12 @@ func (r *Registry) lookup(name, typ string, bounds []float64, labelPairs []strin
 		return s
 	}
 	s = &series{labels: key}
+	if len(labelPairs) > 0 {
+		s.labelMap = make(map[string]string, len(labelPairs)/2)
+		for i := 0; i+1 < len(labelPairs); i += 2 {
+			s.labelMap[labelPairs[i]] = labelPairs[i+1]
+		}
+	}
 	if typ == "histogram" {
 		s.bounds = bounds
 		s.buckets = make([]atomic.Int64, len(bounds)+1)
@@ -290,67 +251,22 @@ func (r *Registry) lookup(name, typ string, bounds []float64, labelPairs []strin
 	return s
 }
 
-// MetricPoint is one series in a registry snapshot, JSON-friendly.
+// MetricPoint is one series in a registry snapshot.
 type MetricPoint struct {
-	Name    string            `json:"name"`
-	Type    string            `json:"type"`
-	Labels  map[string]string `json:"labels,omitempty"`
-	Value   float64           `json:"value,omitempty"`
-	Count   int64             `json:"count,omitempty"`
-	Sum     float64           `json:"sum,omitempty"`
-	Buckets []BucketCount     `json:"buckets,omitempty"`
-}
-
-// BucketCount is one cumulative histogram bucket in a snapshot.
-type BucketCount struct {
-	LE    float64 `json:"le"` // math.Inf(1) for the overflow bucket
-	Count int64   `json:"count"`
-}
-
-// MarshalJSON renders the bound as a string ("+Inf" for the overflow
-// bucket) — JSON numbers cannot represent infinity, and the Prometheus
-// exposition renders le as a string too.
-func (b BucketCount) MarshalJSON() ([]byte, error) {
-	return fmt.Appendf(nil, `{"le":%q,"count":%d}`, formatFloat(b.LE), b.Count), nil
-}
-
-func parseLabels(rendered string) map[string]string {
-	if rendered == "" {
-		return nil
-	}
-	out := map[string]string{}
-	for _, part := range splitLabelPairs(rendered) {
-		if i := strings.Index(part, `="`); i > 0 {
-			out[part[:i]] = strings.TrimSuffix(part[i+2:], `"`)
-		}
-	}
-	return out
-}
-
-// splitLabelPairs splits `a="x",b="y"` on commas outside quotes.
-func splitLabelPairs(s string) []string {
-	var parts []string
-	depth := false
-	start := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '"':
-			if i == 0 || s[i-1] != '\\' {
-				depth = !depth
-			}
-		case ',':
-			if !depth {
-				parts = append(parts, s[start:i])
-				start = i + 1
-			}
-		}
-	}
-	return append(parts, s[start:])
+	Name string
+	Type string
+	// Series names the series as the Prometheus exposition does: the
+	// bare name, or name{k="v",…} with the labels sorted by key.
+	Series string
+	// Labels is the registry's own map: callers must not modify it.
+	Labels map[string]string
+	// Value is a counter's count, a gauge's value, or a histogram's
+	// number of observations.
+	Value float64
 }
 
 // Snapshot returns every series in the registry, sorted by family name
-// then label set, in a JSON-friendly shape: the value /debug/vars
-// publishes and the rows of the sys_metric relation.
+// then label set: the rows of the sys_metric relation.
 func (r *Registry) Snapshot() []MetricPoint {
 	if r == nil {
 		return nil
@@ -366,24 +282,17 @@ func (r *Registry) Snapshot() []MetricPoint {
 	var out []MetricPoint
 	for _, f := range fams {
 		for _, s := range f.sorted() {
-			p := MetricPoint{Name: f.name, Type: f.typ, Labels: parseLabels(s.labels)}
+			p := MetricPoint{Name: f.name, Type: f.typ, Series: f.name, Labels: s.labelMap}
+			if s.labels != "" {
+				p.Series = f.name + "{" + s.labels + "}"
+			}
 			switch f.typ {
 			case "counter":
 				p.Value = float64(s.intVal.Load())
 			case "gauge":
 				p.Value = math.Float64frombits(s.bits.Load())
 			case "histogram":
-				cum := int64(0)
-				for i := range s.buckets {
-					cum += s.buckets[i].Load()
-					le := math.Inf(1)
-					if i < len(s.bounds) {
-						le = s.bounds[i]
-					}
-					p.Buckets = append(p.Buckets, BucketCount{LE: le, Count: cum})
-				}
-				p.Count = s.count.Load()
-				p.Sum = math.Float64frombits(s.sumBits.Load())
+				p.Value = float64(s.count.Load())
 			}
 			out = append(out, p)
 		}

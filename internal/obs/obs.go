@@ -1,6 +1,6 @@
 // Package obs is the observability layer of kdb: in-process tracing
-// spans, a metrics registry with Prometheus text exposition, trace
-// exporters (JSONL and Chrome trace-event), and a debug HTTP handler.
+// spans, a metrics registry with Prometheus text exposition, span tree
+// writers (JSONL and an indented text tree), and a debug HTTP handler.
 //
 // The package is stdlib-only and designed around a zero-cost contract:
 // every method on *Tracer and *Span is safe on a nil receiver and does
@@ -55,9 +55,9 @@ func (a Attr) Value() any {
 
 // Span is one timed phase of a query. Spans form a tree: the root is
 // created by Tracer.Start and children by Span.Child or Span.Then. A
-// span is safe for concurrent use: the readers are the tracer's ring of
-// recent traces (Tracer.Recent, Tracer.Last) and its OnFinish callback,
-// which hand trees to goroutines other than the one that built them.
+// span is safe for concurrent use: the tracer's last root (Tracer.Last)
+// and its OnFinish callback hand trees to goroutines other than the one
+// that built them.
 //
 // All methods are nil-safe: a nil *Span ignores every call, and
 // Child on a nil span returns nil, so an untraced query threads nil
@@ -241,21 +241,16 @@ func (s *Span) Children() []*Span {
 	return out
 }
 
-// Tracer records a bounded ring of recent query span trees. A nil
+// Tracer issues root spans and keeps the last one finished. A nil
 // *Tracer is valid and records nothing.
 type Tracer struct {
 	mu       sync.Mutex
-	recent   []*Span // ring, most recent last
-	max      int
+	last     *Span
 	onFinish func(*Span)
 }
 
-// DefaultTraceBuffer is how many finished root spans a Tracer retains.
-const DefaultTraceBuffer = 64
-
-// NewTracer returns a Tracer retaining up to DefaultTraceBuffer recent
-// traces.
-func NewTracer() *Tracer { return &Tracer{max: DefaultTraceBuffer} }
+// NewTracer returns a Tracer.
+func NewTracer() *Tracer { return &Tracer{} }
 
 // OnFinish registers a callback invoked synchronously from Finish with
 // each completed root span (e.g. streaming JSONL export).
@@ -292,19 +287,16 @@ func (t *Tracer) StartWithID(name string, id uint64) *Span {
 	return s
 }
 
-// Finish ends root (if not already ended) and retains it in the recent
-// ring, invoking the OnFinish callback if set. No-op on a nil tracer or
-// nil root.
+// Finish ends root (if not already ended), keeps it as the last root,
+// and invokes the OnFinish callback if set. No-op on a nil tracer or nil
+// root.
 func (t *Tracer) Finish(root *Span) {
 	if t == nil || root == nil {
 		return
 	}
 	root.End()
 	t.mu.Lock()
-	t.recent = append(t.recent, root)
-	if n := len(t.recent) - t.max; n > 0 {
-		t.recent = append(t.recent[:0], t.recent[n:]...)
-	}
+	t.last = root
 	fn := t.onFinish
 	t.mu.Unlock()
 	if fn != nil {
@@ -319,22 +311,7 @@ func (t *Tracer) Last() *Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.recent) == 0 {
-		return nil
-	}
-	return t.recent[len(t.recent)-1]
-}
-
-// Recent returns the retained root spans, oldest first.
-func (t *Tracer) Recent() []*Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]*Span, len(t.recent))
-	copy(out, t.recent)
-	return out
+	return t.last
 }
 
 type spanKey struct{}

@@ -39,15 +39,15 @@ func validatePrometheus(text string) error {
 	}
 	hists := map[string]*histState{}
 	leRe := regexp.MustCompile(`le="((?:[^"\\]|\\.)*)"`)
+	pairRe := regexp.MustCompile(`[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"`)
 	// labelsSansLE canonicalizes a label set with the le pair removed,
 	// so bucket lines key to the same series as their _sum/_count.
 	labelsSansLE := func(labels string) string {
 		if labels == "" {
 			return ""
 		}
-		inner := strings.TrimSuffix(strings.TrimPrefix(labels, "{"), "}")
 		var keep []string
-		for _, p := range splitLabelPairs(inner) {
+		for _, p := range pairRe.FindAllString(labels, -1) {
 			if !strings.HasPrefix(p, `le="`) {
 				keep = append(keep, p)
 			}

@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// DefaultMaxStatements caps how many distinct statements QueryStats
-// tracks; later statements aggregate under OverflowKey, so the memory
-// of a workload with unbounded statement diversity stays bounded.
-const DefaultMaxStatements = 256
+// MaxStatements caps how many distinct statements QueryStats tracks;
+// later statements aggregate under OverflowKey, so the memory of a
+// workload with unbounded statement diversity stays bounded.
+const MaxStatements = 256
 
 // OverflowKey is the synthetic statement that aggregates everything
 // beyond the distinct-statement cap.
@@ -35,18 +35,13 @@ func (s *stmtStats) observe(us int64) {
 // WithQueryStats pays one pointer check per query).
 type QueryStats struct {
 	mu       sync.Mutex
-	max      int
 	m        map[string]*stmtStats
 	overflow stmtStats
 }
 
-// NewQueryStats returns an empty aggregate tracking at most max
-// distinct statements (max <= 0 selects DefaultMaxStatements).
-func NewQueryStats(max int) *QueryStats {
-	if max <= 0 {
-		max = DefaultMaxStatements
-	}
-	return &QueryStats{max: max, m: make(map[string]*stmtStats)}
+// NewQueryStats returns an empty aggregate.
+func NewQueryStats() *QueryStats {
+	return &QueryStats{m: make(map[string]*stmtStats)}
 }
 
 // Observe folds one finished execution of stmt into the aggregate.
@@ -59,7 +54,7 @@ func (s *QueryStats) Observe(stmt string, d time.Duration) {
 	defer s.mu.Unlock()
 	st := s.m[stmt]
 	if st == nil {
-		if len(s.m) >= s.max {
+		if len(s.m) >= MaxStatements {
 			s.overflow.observe(us)
 			return
 		}

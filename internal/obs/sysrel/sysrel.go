@@ -234,12 +234,7 @@ func (v *View) Snapshot(pred string) (*storage.Relation, error) {
 	case "sys_metric":
 		if reg := v.p.reg.Load(); reg != nil {
 			for _, pt := range reg.Snapshot() {
-				val := pt.Value
-				if pt.Type == "histogram" {
-					val = float64(pt.Count)
-				}
-				if err := ins(symOrStr(obs.SeriesID(pt.Name, pt.Labels)),
-					term.Sym(pt.Type), term.Num(val)); err != nil {
+				if err := ins(symOrStr(pt.Series), term.Sym(pt.Type), term.Num(pt.Value)); err != nil {
 					return nil, err
 				}
 			}

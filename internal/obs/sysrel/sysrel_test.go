@@ -174,7 +174,7 @@ func TestSnapshotActivityStatsTenants(t *testing.T) {
 	defer act.End(a)
 	p.SetActivity(act)
 
-	qs := NewQueryStats(0)
+	qs := NewQueryStats()
 	qs.Observe("retrieve edge(X, Y).", 1500*time.Microsecond)
 	qs.Observe("retrieve edge(X, Y).", 500*time.Microsecond)
 	p.SetQueryStats(qs)
@@ -260,24 +260,26 @@ func TestSymOrStr(t *testing.T) {
 }
 
 func TestQueryStatsOverflow(t *testing.T) {
-	qs := NewQueryStats(2)
-	qs.Observe("a", time.Millisecond)
-	qs.Observe("b", 2*time.Millisecond)
-	qs.Observe("c", 3*time.Millisecond) // beyond cap → overflow
-	qs.Observe("d", 4*time.Millisecond)
-	qs.Observe("a", 5*time.Millisecond)
+	qs := NewQueryStats()
+	stmt := func(i int) string { return fmt.Sprintf("s%03d", i) }
+	for i := 0; i < MaxStatements; i++ {
+		qs.Observe(stmt(i), time.Millisecond)
+	}
+	qs.Observe("t1", 3*time.Millisecond) // beyond cap → overflow
+	qs.Observe("t2", 4*time.Millisecond)
+	qs.Observe(stmt(0), 5*time.Millisecond)
 
 	snap := qs.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("snapshot has %d rows, want 3: %+v", len(snap), snap)
+	if len(snap) != MaxStatements+1 {
+		t.Fatalf("snapshot has %d rows, want %d", len(snap), MaxStatements+1)
 	}
-	if snap[0].Statement != "a" || snap[0].Count != 2 || snap[0].MaxUs != 5000 || snap[0].TotalUs != 6000 {
-		t.Errorf("row a = %+v", snap[0])
+	if snap[0].Statement != stmt(0) || snap[0].Count != 2 || snap[0].MaxUs != 5000 || snap[0].TotalUs != 6000 {
+		t.Errorf("row %s = %+v", stmt(0), snap[0])
 	}
-	if snap[1].Statement != "b" || snap[1].Count != 1 {
-		t.Errorf("row b = %+v", snap[1])
+	if snap[1].Statement != stmt(1) || snap[1].Count != 1 {
+		t.Errorf("row %s = %+v", stmt(1), snap[1])
 	}
-	last := snap[2]
+	last := snap[MaxStatements]
 	if last.Statement != OverflowKey || last.Count != 2 || last.TotalUs != 7000 || last.MaxUs != 4000 {
 		t.Errorf("overflow row = %+v", last)
 	}
@@ -289,15 +291,21 @@ func TestQueryStatsOverflow(t *testing.T) {
 	}
 }
 
+// TestQueryStatsConcurrent: four goroutines observe twice as many
+// distinct statements as the cap while they take snapshots; every
+// observation is counted, past the cap under the overflow row.
 func TestQueryStatsConcurrent(t *testing.T) {
-	qs := NewQueryStats(8)
+	qs := NewQueryStats()
+	const n = 2 * MaxStatements
 	done := make(chan struct{})
 	for w := 0; w < 4; w++ {
 		go func(w int) {
 			defer func() { done <- struct{}{} }()
-			for i := 0; i < 200; i++ {
-				qs.Observe(fmt.Sprintf("stmt-%d", i%16), time.Duration(i)*time.Microsecond)
-				_ = qs.Snapshot()
+			for i := 0; i < n; i++ {
+				qs.Observe(fmt.Sprintf("stmt-%d", i), time.Duration(i)*time.Microsecond)
+				if i%16 == 0 {
+					_ = qs.Snapshot()
+				}
 			}
 		}(w)
 	}
@@ -305,11 +313,15 @@ func TestQueryStatsConcurrent(t *testing.T) {
 		<-done
 	}
 	var total int64
-	for _, r := range qs.Snapshot() {
+	snap := qs.Snapshot()
+	for _, r := range snap {
 		total += r.Count
 	}
-	if total != 4*200 {
-		t.Errorf("total observations %d, want 800", total)
+	if total != 4*n {
+		t.Errorf("total observations %d, want %d", total, 4*n)
+	}
+	if len(snap) != MaxStatements+1 || snap[MaxStatements].Statement != OverflowKey {
+		t.Errorf("%d rows, want %d and the overflow row last", len(snap), MaxStatements+1)
 	}
 }
 

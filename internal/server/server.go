@@ -20,8 +20,8 @@
 //	GET  /v1/debug/activity       in-flight queries across all tenants
 //	POST /v1/debug/activity/{id}/cancel   cancel one in-flight query
 //
-// plus the obs debug surface (/metrics, /debug/vars, /debug/pprof/*)
-// on the same mux.
+// plus the obs debug surface (/metrics, /debug/pprof/*) on the same
+// mux.
 //
 // Query routes honor an incoming W3C `traceparent` header: its trace id
 // (low 64 bits) becomes the request's root span id, so the server's
@@ -839,7 +839,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
   GET  /v1/debug/activity
   POST /v1/debug/activity/{id}/cancel
   GET  /healthz
-  /metrics  /debug/vars  /debug/pprof/
+  /metrics  /debug/pprof/
 `)
 }
 

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -91,5 +93,75 @@ func TestSysRelationsOverHTTP(t *testing.T) {
 		map[string]any{"stmt": "retrieve sys_metric_history(N, A, V)."})
 	if code != http.StatusBadRequest || errCode(t, out) != "system-relation" {
 		t.Errorf("sys_metric_history retrieve: %d %v, want 400 system-relation", code, out)
+	}
+}
+
+// TestSysMetricKeyIsTheExpositionSeries: sys_metric names every series
+// as /metrics does, labels included (kdb_queries_total{kind="retrieve"}),
+// so a row joins to its exposition line by name. A histogram's row is
+// named like its _count line without the suffix.
+func TestSysMetricKeyIsTheExpositionSeries(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	if code, out := post(t, ts, "/v1/kb/alpha/load", map[string]any{"program": "p(a). q(X) :- p(X)."}); code != http.StatusOK {
+		t.Fatalf("load: %d %v", code, out)
+	}
+	if code, out := post(t, ts, "/v1/kb/alpha/retrieve", map[string]any{"stmt": "retrieve q(X)."}); code != http.StatusOK {
+		t.Fatalf("retrieve: %d %v", code, out)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	code, out := post(t, ts, "/v1/kb/alpha/retrieve", map[string]any{"stmt": "retrieve sys_metric(N, K, V)."})
+	if code != http.StatusOK {
+		t.Fatalf("sys_metric retrieve: %d %v", code, out)
+	}
+	keys := map[string]bool{}
+	for _, a := range answers(out) {
+		name := strings.TrimSuffix(strings.TrimPrefix(a, "sys_metric("), ")")
+		for range 2 {
+			name = name[:strings.LastIndex(name, ", ")]
+		}
+		if unq, err := strconv.Unquote(name); err == nil {
+			name = unq
+		}
+		keys[name] = true
+	}
+
+	histogram := map[string]bool{}
+	series := 0
+	for _, line := range strings.Split(string(text), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" && f[3] == "histogram" {
+			histogram[f[2]] = true
+		}
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		name := line[:strings.LastIndexByte(line, ' ')]
+		family, labels, _ := strings.Cut(name, "{")
+		if base, ok := strings.CutSuffix(family, "_count"); ok && histogram[base] {
+			name = base
+			if labels != "" {
+				name += "{" + labels
+			}
+		} else if histogram[strings.TrimSuffix(strings.TrimSuffix(family, "_bucket"), "_sum")] {
+			continue
+		}
+		series++
+		if !keys[name] {
+			t.Errorf("exposition series %s is no sys_metric key", name)
+		}
+	}
+	if !keys[`kdb_queries_total{kind="retrieve"}`] {
+		t.Errorf("sys_metric has no key kdb_queries_total{kind=\"retrieve\"}: %v", keys)
+	}
+	if series != len(keys) {
+		t.Errorf("%d exposition series, %d sys_metric keys", series, len(keys))
 	}
 }

@@ -180,8 +180,8 @@ func WithQueryLimits(l QueryLimits) Option { return kb.WithQueryLimits(l) }
 // Observability types: the tracing and metrics layer (see WithTracer and
 // WithMetrics).
 type (
-	// Tracer records one span tree per traced query and retains recent
-	// traces in a ring. A nil *Tracer disables tracing at zero cost.
+	// Tracer records one span tree per traced query and keeps the last
+	// one finished. A nil *Tracer disables tracing at zero cost.
 	Tracer = obs.Tracer
 	// Span is one timed phase of a query (parse, analyze, eval, scc,
 	// describe, storage, …) with typed attributes and child spans.
@@ -191,7 +191,7 @@ type (
 	MetricsRegistry = obs.Registry
 )
 
-// NewTracer returns a query tracer retaining the most recent traces.
+// NewTracer returns a query tracer.
 func NewTracer() *Tracer { return obs.NewTracer() }
 
 // NewMetricsRegistry returns an empty metrics registry.
@@ -211,15 +211,11 @@ func WithMetrics(reg *MetricsRegistry) Option { return kb.WithMetrics(reg) }
 // pre-order, with microsecond offsets relative to the root.
 func WriteTraceJSONL(w io.Writer, root *Span) error { return obs.WriteJSONL(w, root) }
 
-// WriteChromeTrace exports span trees in the Chrome trace-event format
-// (load in Perfetto or chrome://tracing).
-func WriteChromeTrace(w io.Writer, roots []*Span) error { return obs.WriteChromeTrace(w, roots) }
-
 // WriteTraceTree renders a span tree as an indented console listing.
 func WriteTraceTree(w io.Writer, root *Span) error { return obs.WriteTree(w, root) }
 
-// DebugHandler serves /metrics (Prometheus text), /debug/vars (expvar),
-// and /debug/pprof/* over the registry.
+// DebugHandler serves /metrics (Prometheus text) and /debug/pprof/*
+// over the registry.
 func DebugHandler(reg *MetricsRegistry) http.Handler { return obs.DebugHandler(reg) }
 
 // Provenance & explain types: the why-provenance layer behind the
@@ -251,16 +247,16 @@ func NewQueryLog(w io.Writer, slow time.Duration) *QueryLog { return obs.NewQuer
 func WithQueryLog(l *QueryLog) Option { return kb.WithQueryLog(l) }
 
 // Live introspection types: the in-flight query registry behind
-// /v1/debug/activity and `kdb top`, and a rotating log writer.
+// /v1/debug/activity and `kdb top`, and a reopenable log file.
 type (
 	// ActivityRegistry tracks the queries currently executing; cancel an
 	// entry to stop its evaluation through the governor.
 	ActivityRegistry = obs.ActivityRegistry
 	// ActivityInfo is the wire snapshot of one in-flight query.
 	ActivityInfo = obs.ActivityInfo
-	// RotatingWriter is a size-rotated log file writer (see
-	// NewRotatingWriter); give one to NewQueryLog for bounded logs.
-	RotatingWriter = obs.RotatingWriter
+	// LogFile is an append-only log file that Reopen reopens at its
+	// path after an external rotator renamed it; give one to NewQueryLog.
+	LogFile = obs.LogFile
 )
 
 // NewActivityRegistry returns an empty in-flight query registry, shared
@@ -273,12 +269,8 @@ func NewActivityRegistry() *ActivityRegistry { return obs.NewActivityRegistry() 
 // canceling its entry cancels the query — kdb's pg_stat_activity.
 func WithActivity(reg *ActivityRegistry) Option { return kb.WithActivity(reg) }
 
-// NewRotatingWriter returns a writer appending to path, rotating when
-// the file would exceed maxMB megabytes (path → path.1 → … → path.keep,
-// oldest deleted; keep <= 0 means 3). maxMB <= 0 disables rotation.
-func NewRotatingWriter(path string, maxMB, keep int) (*RotatingWriter, error) {
-	return obs.NewRotatingWriter(path, maxMB, keep)
-}
+// OpenLogFile opens (or appends to) the log file at path.
+func OpenLogFile(path string) (*LogFile, error) { return obs.OpenLogFile(path) }
 
 // WithQueryStats turns on per-statement execution statistics, queryable
 // as the sys_query_stats virtual relation (count, total and max latency
