@@ -72,12 +72,26 @@ func BenchmarkRetrieveBoundGoal(b *testing.B) {
 	benchQuery(b, mustKB(b, chainKB(b, 200)), `retrieve path(n0000, Y).`)
 }
 
-// BenchmarkRetrieveRender times rendering alone: one evaluated closure,
-// rendered afresh each iteration from an unrendered copy of its result.
+// BenchmarkRetrieveRender times rendering alone: one evaluated result,
+// rendered afresh each iteration from an unrendered copy. The shapes: a
+// closure, whose two columns each repeat a hundred constants at most; a
+// first column with a constant per answer; a numeric first column of 21
+// values over 1 000 answers; and one answer.
 func BenchmarkRetrieveRender(b *testing.B) {
-	for _, n := range []int{25, 100} {
-		b.Run(fmt.Sprintf("chain=%d", n), func(b *testing.B) {
-			res, err := mustKB(b, chainKB(b, n)).ExecStringContext(context.Background(), `retrieve path(X, Y).`)
+	var distinct, numeric strings.Builder
+	for i := 0; i < 1000; i++ {
+		fmt.Fprintf(&distinct, "succ(n%04d, n%04d).\n", i, (i*7919)%1000)
+		fmt.Fprintf(&numeric, "grade(%g, s%04d).\n", 2+float64(i%21)/10, i)
+	}
+	for _, c := range []struct{ name, src, stmt string }{
+		{"chain=25", chainKB(b, 25), `retrieve path(X, Y).`},
+		{"chain=100", chainKB(b, 100), `retrieve path(X, Y).`},
+		{"distinct=1000", distinct.String(), `retrieve succ(X, Y).`},
+		{"numeric=1000", numeric.String(), `retrieve grade(G, S).`},
+		{"one", chainKB(b, 100), `retrieve edge(n0000, Y).`},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			res, err := mustKB(b, c.src).ExecStringContext(context.Background(), c.stmt)
 			if err != nil {
 				b.Fatal(err)
 			}

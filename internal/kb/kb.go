@@ -7,7 +7,6 @@
 package kb
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"errors"
@@ -1083,7 +1082,7 @@ type ExecResult struct {
 	analyzeWall, explainWall time.Duration
 	provenance               bool
 	text                     string   // a retrieve's answer lines joined by '\n', once rendered
-	lines                    []string // RetrieveLines: substrings of text
+	lines                    []string // RetrieveLines: substrings of text, once asked for
 }
 
 // searched returns the record of the statement's describe searches, or
@@ -1103,74 +1102,24 @@ func (r *ExecResult) searched() (*core.SearchStats, int) {
 }
 
 // RetrieveLines renders the answers of a retrieve as instantiated
-// subject atoms, in byte order: the lines String lists. They are
-// rendered on the first call and shared by every later one, String's
-// included; each is a substring of one text, so holding any line holds
-// all of them. Nil when there is no answer.
+// subject atoms, in byte order: the lines String lists. The text is
+// rendered on the first call of either method and shared by every later
+// one; the lines are substrings of it, sliced on the first call, so
+// holding any line holds all of them. Nil when there is no answer.
 func (r *ExecResult) RetrieveLines() []string {
-	if r.lines == nil && r.Retrieve != nil && len(r.Retrieve.Tuples) > 0 {
-		r.render()
+	if text := r.answers(); r.lines == nil && text != "" {
+		r.lines = strings.Split(text, "\n")
 	}
 	return r.lines
 }
 
-// lineSpan is where one rendered answer lies in render's buffer.
-type lineSpan struct{ start, end int }
-
-// render lays out a retrieve's answers once: every instantiated subject
-// atom is appended to one buffer, the spans are sorted by their bytes,
-// and the lines are copied in that order into one text that r.lines
-// slices. Its allocations do not grow with the number of answers.
-func (r *ExecResult) render() {
-	subject, res := r.subject, r.Retrieve
-	from := make([]int, len(subject.Args)) // the tuple position per argument, -1 for none
-	for pos, t := range subject.Args {
-		from[pos] = -1
-		if t.IsVar() {
-			from[pos] = slices.Index(res.Vars, t)
-		}
+// answers is a retrieve's answer text, rendered on the first call, or ""
+// when there is no answer.
+func (r *ExecResult) answers() string {
+	if r.text == "" && r.Retrieve != nil && len(r.Retrieve.Tuples) > 0 {
+		r.render()
 	}
-	a := term.Atom{Pred: subject.Pred, Args: make([]term.Term, len(from))}
-	instantiate := func(tup storage.Tuple) term.Atom {
-		for pos, j := range from {
-			if a.Args[pos] = subject.Args[pos]; j >= 0 {
-				a.Args[pos] = tup[j]
-			}
-		}
-		return a
-	}
-	// The first line, measured in a stack buffer, sizes the buffer: lines
-	// of even width fill it exactly, and a wider one grows it as append
-	// does.
-	var first [128]byte
-	width := len(instantiate(res.Tuples[0]).AppendTo(first[:0]))
-	buf := make([]byte, 0, width*len(res.Tuples))
-	spans := make([]lineSpan, len(res.Tuples))
-	for i, tup := range res.Tuples {
-		start := len(buf)
-		buf = instantiate(tup).AppendTo(buf)
-		spans[i] = lineSpan{start, len(buf)}
-	}
-	// Byte order is the order sort.Strings gives the lines.
-	slices.SortFunc(spans, func(x, y lineSpan) int {
-		return bytes.Compare(buf[x.start:x.end], buf[y.start:y.end])
-	})
-	var b strings.Builder
-	b.Grow(len(buf) + len(spans) - 1)
-	for i, s := range spans {
-		if i > 0 {
-			b.WriteByte('\n')
-		}
-		b.Write(buf[s.start:s.end])
-	}
-	r.text = b.String()
-	r.lines = make([]string, len(spans))
-	off := 0
-	for i, s := range spans {
-		end := off + s.end - s.start
-		r.lines[i] = r.text[off:end]
-		off = end + 1
-	}
+	return r.text
 }
 
 // Profiled reports whether the statement's record carries per-rule cost
@@ -1185,9 +1134,9 @@ func (r *ExecResult) String() string {
 	case r.System != "":
 		return r.System
 	case r.Retrieve != nil:
-		text := "no answers"
-		if r.RetrieveLines() != nil {
-			text = r.text
+		text := r.answers()
+		if text == "" {
+			text = "no answers"
 		}
 		knowledge := r.Knowledge != nil && !r.Knowledge.Empty()
 		profiled := r.Profiled()

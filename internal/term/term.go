@@ -88,9 +88,9 @@ func (t Term) String() string {
 	}
 }
 
-// appendTo appends the term's surface syntax (String) to b, formatting
+// AppendTo appends the term's surface syntax (String) to b, formatting
 // numbers and quoted strings in place.
-func (t Term) appendTo(b []byte) []byte {
+func (t Term) AppendTo(b []byte) []byte {
 	switch t.kind {
 	case KindNumber:
 		return strconv.AppendFloat(b, t.num, 'g', -1, 64)
@@ -158,12 +158,13 @@ func (a Atom) String() string {
 	return string(a.AppendTo(buf[:0]))
 }
 
-// AppendTo appends the atom's surface syntax (String) to b.
+// AppendTo appends the atom's surface syntax (String) to b: its fixed
+// texts (AppendFixed) with an argument between each two.
 func (a Atom) AppendTo(b []byte) []byte {
 	if len(a.Args) == 2 && IsComparisonPred(a.Pred) {
-		b = append(a.Args[0].appendTo(b), ' ')
+		b = append(a.Args[0].AppendTo(b), ' ')
 		b = append(append(b, a.Pred...), ' ')
-		return a.Args[1].appendTo(b)
+		return a.Args[1].AppendTo(b)
 	}
 	b = append(b, a.Pred...)
 	if len(a.Args) == 0 {
@@ -174,9 +175,31 @@ func (a Atom) AppendTo(b []byte) []byte {
 		if i > 0 {
 			b = append(b, ", "...)
 		}
-		b = t.appendTo(b)
+		b = t.AppendTo(b)
 	}
 	return append(b, ')')
+}
+
+// AppendFixed appends the atom's fixed text k to b, as AppendTo writes
+// it: the text before the first argument (k = 0), between arguments k-1
+// and k, or after the last argument (k = Arity()). A binary comparison
+// is written infix, `Z > 3.7`; any other atom as `p(a, b)`, or `p` with
+// no argument.
+func (a Atom) AppendFixed(b []byte, k int) []byte {
+	switch {
+	case IsComparison(a) && k == 1:
+		return append(append(append(b, ' '), a.Pred...), ' ')
+	case IsComparison(a):
+		return b
+	case k == 0 && len(a.Args) == 0:
+		return append(b, a.Pred...)
+	case k == 0:
+		return append(append(b, a.Pred...), '(')
+	case k == len(a.Args):
+		return append(b, ')')
+	default:
+		return append(b, ", "...)
+	}
 }
 
 // Equal reports structural equality of atoms.
@@ -227,7 +250,7 @@ func (a Atom) AppendKey(b []byte) []byte {
 // AppendKey appends the term's part of an atom's Key to b: a separator,
 // its kind, and its surface syntax.
 func (t Term) AppendKey(b []byte) []byte {
-	return t.appendTo(append(b, '\x00', byte('0'+t.kind)))
+	return t.AppendTo(append(b, '\x00', byte('0'+t.kind)))
 }
 
 // IsGround reports whether the atom contains no variables.

@@ -155,6 +155,28 @@ func TestAtomStringOneAllocation(t *testing.T) {
 	}
 }
 
+// TestAtomAppendFixed: an atom's fixed texts, each argument's AppendTo
+// between each two, are AppendTo's line, infix and zero-arity atoms
+// included.
+func TestAtomAppendFixed(t *testing.T) {
+	for _, a := range []Atom{
+		NewAtom("p"),
+		NewAtom("p", Sym("a")),
+		NewAtom("path", Sym("n1"), Num(2.5), Str("x, y)")),
+		NewAtom("<=", Var("Z"), Num(3.7)),
+		NewAtom(">", Sym("a")),
+		NewAtom("=", Sym("a"), Sym("b"), Sym("c")),
+	} {
+		got := a.AppendFixed(nil, 0)
+		for i, x := range a.Args {
+			got = a.AppendFixed(x.AppendTo(got), i+1)
+		}
+		if string(got) != a.String() {
+			t.Errorf("fixed texts and arguments of %v give %q", a, got)
+		}
+	}
+}
+
 func TestAtomEqualCompareKey(t *testing.T) {
 	a := NewAtom("p", Var("X"), Sym("a"))
 	b := NewAtom("p", Var("X"), Sym("a"))
