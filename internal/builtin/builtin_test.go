@@ -1,6 +1,7 @@
 package builtin
 
 import (
+	"math"
 	"testing"
 
 	"kdb/internal/term"
@@ -141,6 +142,9 @@ func TestSatBasics(t *testing.T) {
 		{"ge gt forms", term.Formula{atom(">=", x, term.Num(2)), atom(">", term.Num(3), x)}, true},
 		{"symbol order", term.Formula{atom("<", term.Sym("a"), x), atom("<", x, term.Sym("b"))}, true},
 		{"symbol order bad", term.Formula{atom("<", term.Sym("b"), x), atom("<", x, term.Sym("a"))}, false},
+		// -0 and 0 are two constants, but one value to the comparisons.
+		{"eq zero and negative zero", term.Formula{atom("=", x, term.Num(0)), atom("=", x, term.Num(math.Copysign(0, -1)))}, true},
+		{"eq zero, neq negative zero", term.Formula{atom("=", x, term.Num(0)), atom("!=", x, term.Num(math.Copysign(0, -1)))}, false},
 	}
 	for _, c := range cases {
 		got, err := Sat(c.conj)

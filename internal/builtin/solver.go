@@ -149,7 +149,12 @@ func Compile(conj term.Formula) (*Network, error) {
 	return net, nil
 }
 
+// node numbers t's node. -0 and 0 are one node: the comparisons order
+// numbers by value (CompareConst), though they are two constants.
 func (net *Network) node(t term.Term) int {
+	if t.Kind() == term.KindNumber && t.Float() == 0 {
+		t = term.Num(0)
+	}
 	if id, ok := net.nodes[t]; ok {
 		return id
 	}

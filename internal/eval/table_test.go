@@ -19,8 +19,8 @@ import (
 // of what a relation holds.
 
 // tableHashes are the hashes the table tests run under: the real one,
-// then forced collisions — every tuple and every index key on one hash,
-// or on one of two.
+// then forced collisions — every tuple, every index key and every
+// symbol's or string's word on one value, or on one of two.
 var tableHashes = []struct {
 	name string
 	hook func(uint64) uint64
@@ -31,10 +31,11 @@ var tableHashes = []struct {
 }
 
 // forceTableHash replaces every hash storage computes, the table's
-// included, with hook until the test ends.
+// included, and the word of every symbol and string built from now on,
+// with hook until the test ends.
 func forceTableHash(t *testing.T, hook func(uint64) uint64) {
-	t.Cleanup(func() { storage.CollideHook = nil })
-	storage.CollideHook = hook
+	t.Cleanup(func() { storage.CollideHook, term.CollideHook = nil, nil })
+	storage.CollideHook, term.CollideHook = hook, hook
 }
 
 func mustTable(t testing.TB, arity int) *table {

@@ -2,7 +2,6 @@ package kb
 
 import (
 	"bytes"
-	"hash/maphash"
 	"math"
 	"math/bits"
 	"slices"
@@ -21,10 +20,6 @@ import (
 // differently, so each column ranks its distinct constants once, by
 // their rendering followed by the byte the line has after the slot, and
 // the answers are ordered by their vectors of ranks.
-
-// answerSeed seeds the hash that numbers a column's constants. The order
-// of the answers does not depend on it.
-var answerSeed = maphash.MakeSeed()
 
 // answerColumn is a variable of a retrieve's subject.
 type answerColumn struct {
@@ -65,8 +60,9 @@ type answerRender struct {
 // is first called; where a line holds a newline itself (a symbol can),
 // render slices them at once, where each line ends.
 //
-// Each column numbers its answers' constants through a hash table,
-// renders each distinct constant once and ranks the renderings, equal
+// Each column numbers its answers' constants through a hash table keyed
+// by their words (term.Term.Hash, confirmed by ==), renders each
+// distinct constant once and ranks the renderings, equal
 // renderings equal (Sym("3") and Num(3)); a stable counting sort per
 // column, last column first, orders the answers. The text is then
 // written at its exact size, a segment per slot.
@@ -213,12 +209,12 @@ func sampleDistinct(tuples []storage.Tuple, j int) bool {
 	for x := range m {
 		i := x * (len(tuples) / m)
 		t := tuples[i][j]
-		for h := hashTerm(t) % (2 * samples); ; h = (h + 1) % (2 * samples) {
+		for h := t.Hash() % (2 * samples); ; h = (h + 1) % (2 * samples) {
 			if table[h] == 0 {
 				table[h] = int32(i) + 1
 				break
 			}
-			if sameTerm(tuples[table[h]-1][j], t) {
+			if tuples[table[h]-1][j] == t {
 				return false
 			}
 		}
@@ -238,14 +234,14 @@ func (a *answerRender) number(col *answerColumn) {
 	ids, d := col.rank, int32(0)
 	for i, tup := range a.tuples {
 		t := tup[col.j]
-		for h := hashTerm(t) & mask; ; h = (h + 1) & mask {
+		for h := t.Hash() & mask; ; h = (h + 1) & mask {
 			first := table[h] - 1
 			if first < 0 {
 				table[h], ids[i] = int32(i)+1, d
 				d++
 				break
 			}
-			if sameTerm(a.tuples[first][col.j], t) {
+			if a.tuples[first][col.j] == t {
 				ids[i] = ids[first]
 				break
 			}
@@ -382,23 +378,6 @@ func (a *answerRender) order(ranked []answerColumn) []int32 {
 		order, next = next, order
 	}
 	return order
-}
-
-// hashTerm and sameTerm tell constants apart by what their rendering is
-// made of: kind, text and a number's bits, so that 0 and -0 stay apart.
-func hashTerm(t term.Term) uint64 {
-	if t.Kind() != term.KindNumber {
-		return maphash.String(answerSeed, t.Name()) + uint64(t.Kind())
-	}
-	x := math.Float64bits(t.Float())
-	x = (x ^ x>>33) * 0xff51afd7ed558ccd
-	x = (x ^ x>>33) * 0xc4ceb9fe1a85ec53
-	return x ^ x>>33
-}
-
-func sameTerm(t, u term.Term) bool {
-	return t.Kind() == u.Kind() && t.Name() == u.Name() &&
-		math.Float64bits(t.Float()) == math.Float64bits(u.Float())
 }
 
 // lineSpan is where one rendered answer lies in renderByBytes' buffer.

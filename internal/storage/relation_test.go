@@ -208,8 +208,8 @@ func TestRelationModelSubsetIndexes(t *testing.T) {
 }
 
 // hashHooks are the hashes the tests run under: the real one, then the
-// forced collisions — every tuple and every index key on one hash, or on
-// one of two.
+// forced collisions — every tuple, every index key and every symbol's or
+// string's word on one value, or on one of two.
 var hashHooks = []struct {
 	name string
 	hook func(uint64) uint64
@@ -219,11 +219,12 @@ var hashHooks = []struct {
 	{"two-valued", func(h uint64) uint64 { return h & 1 }},
 }
 
-// forceHash replaces every hash the package computes with hook until the
-// test ends.
+// forceHash replaces every hash the package computes, and the word of
+// every symbol and string built from now on, with hook until the test
+// ends.
 func forceHash(t *testing.T, hook func(uint64) uint64) {
-	t.Cleanup(func() { CollideHook = nil })
-	CollideHook = hook
+	t.Cleanup(func() { CollideHook, term.CollideHook = nil, nil })
+	CollideHook, term.CollideHook = hook, hook
 }
 
 // TestRelationModelUnderCollisions is TestRelationModel with a constant

@@ -9,10 +9,21 @@
 // with an upper-case letter and a symbolic constant with a lower-case
 // letter; numeric and quoted-string constants are also supported because
 // the paper's example database compares grade-point averages.
+//
+// A Term is a value of 32 bytes, and two terms are interchangeable exactly
+// when they are ==-equal. A constant carries an identity word (Hash):
+// a number's bit pattern, or the hash of a symbol's or a string's text,
+// computed once when the term is built. So == tells numbers apart by
+// their bits, as the storage codec does (0 and -0 are two constants, and
+// a NaN equals itself), and it compares two terms' words before their
+// texts.
 package term
 
 import (
+	"cmp"
 	"fmt"
+	"hash/maphash"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,8 +49,28 @@ type Term struct {
 	kind Kind
 	// name holds the variable name, symbol text, or string contents.
 	name string
-	// num holds the numeric value when kind == KindNumber.
-	num float64
+	// word is a number's bit pattern, the seeded hash of a symbol's or a
+	// string's name, and zero for a variable.
+	word uint64
+}
+
+// seed keys every text hash, and every number's hash (Hash). It is drawn
+// once per process, so no hash outlives the process.
+var seed = maphash.MakeSeed()
+
+// CollideHook, when a test sets it, replaces the word of every symbol and
+// string built from then on with its image, so that a constant or
+// two-valued word puts distinct texts on one word. It is nil outside
+// tests.
+var CollideHook func(uint64) uint64
+
+// textWord is the word of a symbol or a string named s.
+func textWord(s string) uint64 {
+	w := maphash.String(seed, s)
+	if CollideHook != nil {
+		return CollideHook(w)
+	}
+	return w
 }
 
 // Var returns a variable term with the given name. Variable names are
@@ -48,13 +79,13 @@ type Term struct {
 func Var(name string) Term { return Term{kind: KindVar, name: name} }
 
 // Sym returns a symbolic constant.
-func Sym(name string) Term { return Term{kind: KindSymbol, name: name} }
+func Sym(name string) Term { return Term{kind: KindSymbol, name: name, word: textWord(name)} }
 
 // Num returns a numeric constant.
-func Num(v float64) Term { return Term{kind: KindNumber, num: v} }
+func Num(v float64) Term { return Term{kind: KindNumber, word: math.Float64bits(v)} }
 
 // Str returns a string constant.
-func Str(s string) Term { return Term{kind: KindString, name: s} }
+func Str(s string) Term { return Term{kind: KindString, name: s, word: textWord(s)} }
 
 // Kind reports the kind of the term.
 func (t Term) Kind() Kind { return t.kind }
@@ -69,8 +100,32 @@ func (t Term) IsConst() bool { return t.kind != KindVar }
 // It is meaningless for numbers.
 func (t Term) Name() string { return t.name }
 
-// Float returns the numeric value of a KindNumber term.
-func (t Term) Float() float64 { return t.num }
+// Float returns the numeric value of a KindNumber term, and 0 for any
+// other term.
+func (t Term) Float() float64 {
+	if t.kind != KindNumber {
+		return 0
+	}
+	return math.Float64frombits(t.word)
+}
+
+// Hash returns the term's hash, equal for ==-equal terms: the word of a
+// symbol or a string, and the seeded hash of a number's bits or of a
+// variable's name. The seed is drawn per process: a hash is never
+// written to disk or shown to a client, and nothing is ordered by it.
+func (t Term) Hash() uint64 {
+	if t.kind == KindSymbol || t.kind == KindString {
+		return t.word
+	}
+	return t.hashSlow()
+}
+
+func (t Term) hashSlow() uint64 {
+	if t.kind == KindNumber {
+		return maphash.Comparable(seed, t.word)
+	}
+	return maphash.String(seed, t.name)
+}
 
 // String renders the term in surface syntax.
 func (t Term) String() string {
@@ -80,7 +135,7 @@ func (t Term) String() string {
 	case KindSymbol:
 		return t.name
 	case KindNumber:
-		return strconv.FormatFloat(t.num, 'g', -1, 64)
+		return strconv.FormatFloat(t.Float(), 'g', -1, 64)
 	case KindString:
 		return strconv.Quote(t.name)
 	default:
@@ -93,7 +148,7 @@ func (t Term) String() string {
 func (t Term) AppendTo(b []byte) []byte {
 	switch t.kind {
 	case KindNumber:
-		return strconv.AppendFloat(b, t.num, 'g', -1, 64)
+		return strconv.AppendFloat(b, t.Float(), 'g', -1, 64)
 	case KindString:
 		return strconv.AppendQuote(b, t.name)
 	default:
@@ -105,22 +160,19 @@ func (t Term) AppendTo(b []byte) []byte {
 func (t Term) Equal(u Term) bool { return t == u }
 
 // Compare totally orders terms: variables < symbols < numbers < strings,
-// then by value. The order is arbitrary but deterministic; it is used to
-// canonicalize formulas for set semantics and stable output.
+// then by value, NaNs first among numbers and -0 just before 0. The order
+// is arbitrary but deterministic; it is used to canonicalize formulas for
+// set semantics and stable output. It is 0 exactly when t == u.
 func (t Term) Compare(u Term) int {
 	if t.kind != u.kind {
 		return int(t.kind) - int(u.kind)
 	}
 	switch t.kind {
 	case KindNumber:
-		switch {
-		case t.num < u.num:
-			return -1
-		case t.num > u.num:
-			return 1
-		default:
-			return 0
+		if c := cmp.Compare(t.Float(), u.Float()); c != 0 {
+			return c
 		}
+		return cmp.Compare(int64(t.word), int64(u.word))
 	default:
 		return strings.Compare(t.name, u.name)
 	}

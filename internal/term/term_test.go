@@ -27,6 +27,20 @@ func TestTermConstructorsAndAccessors(t *testing.T) {
 	if q.IsVar() || q.Name() != "Susan B." || q.Kind() != KindString {
 		t.Errorf("Str = %#v", q)
 	}
+	// The word: a number keeps its bits, a NaN's payload too; a constant
+	// built twice is one constant with one hash; Float of a non-number
+	// is 0.
+	for _, bits := range []uint64{math.Float64bits(math.Copysign(0, -1)), 0x7ff8000000000001, 0xfff0000000000001} {
+		if got := math.Float64bits(Num(math.Float64frombits(bits)).Float()); got != bits {
+			t.Errorf("Num(%#x).Float() has bits %#x", bits, got)
+		}
+	}
+	if s != Sym("databases") || s.Hash() != Sym("databases").Hash() || q.Hash() != Str("Susan B.").Hash() {
+		t.Error("a constant built twice must be one constant with one hash")
+	}
+	if s.Float() != 0 || q.Float() != 0 || v.Float() != 0 {
+		t.Error("Float of a non-number must be 0")
+	}
 }
 
 func TestTermString(t *testing.T) {
@@ -58,7 +72,8 @@ func TestTermEqualAndCompare(t *testing.T) {
 		t.Error("distinct numbers must differ")
 	}
 	// Compare is a total order: antisymmetric and consistent with Equal.
-	terms := []Term{Var("A"), Var("Z"), Sym("a"), Sym("z"), Num(-1), Num(0), Num(2.5), Str(""), Str("x")}
+	terms := []Term{Var("A"), Var("Z"), Sym("a"), Sym("z"), Num(-1), Num(0), Num(2.5), Str(""), Str("x"),
+		Num(math.Copysign(0, -1)), Num(math.NaN()), Num(math.Inf(1)), Num(math.Inf(-1))}
 	for _, a := range terms {
 		for _, b := range terms {
 			ca, cb := a.Compare(b), b.Compare(a)

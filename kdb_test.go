@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -79,6 +80,33 @@ func TestPublicAPITermConstructors(t *testing.T) {
 	p, err := kdb.ParseProgram(`p(a).`)
 	if err != nil || len(p.Clauses) != 1 {
 		t.Errorf("program = %v, %v", p, err)
+	}
+}
+
+// TestPublicAPINumbersByBits: asserted numbers keep the identity their
+// relations and the codec keep — a NaN joins with itself, and -0 does
+// not join with 0 — also where an index on another column serves the
+// probe.
+func TestPublicAPINumbersByBits(t *testing.T) {
+	k := kdb.New()
+	nan, negZero := kdb.Num(math.NaN()), kdb.Num(math.Copysign(0, -1))
+	for _, a := range []kdb.Atom{
+		kdb.NewAtom("p", nan, kdb.Sym("a")), kdb.NewAtom("q", nan),
+		kdb.NewAtom("r", kdb.Num(0), kdb.Sym("a"), kdb.Sym("b")), kdb.NewAtom("s", negZero),
+	} {
+		if err := k.Assert(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct{ query, want string }{
+		{`retrieve p(X, Y) where q(X).`, "p(NaN, a)"},
+		{`retrieve r(X, Y, b).`, "r(0, a, b)"}, // builds the index on r's third column
+		{`retrieve r(X, Y, b) where s(X).`, "no answers"},
+		{`retrieve s(X) where r(X, Y, b).`, "no answers"},
+	} {
+		if got := exec(t, k, c.query); got != c.want {
+			t.Errorf("%s = %q, want %q", c.query, got, c.want)
+		}
 	}
 }
 
