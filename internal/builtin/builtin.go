@@ -38,9 +38,9 @@ func Eval(a term.Atom) (bool, error) {
 	cmp, comparable := CompareConst(l, r)
 	switch a.Pred {
 	case term.PredEq:
-		return comparable && cmp == 0, nil
+		return l == r || comparable && cmp == 0, nil
 	case term.PredNe:
-		return !comparable || cmp != 0, nil
+		return l != r && (!comparable || cmp != 0), nil
 	case term.PredLt:
 		return comparable && cmp < 0, nil
 	case term.PredLe:
@@ -54,9 +54,11 @@ func Eval(a term.Atom) (bool, error) {
 }
 
 // CompareConst orders two constants. comparable is false when the
-// constants are of different kinds (a number and a symbol, say); then cmp
-// is meaningless. Symbols and strings of the same kind compare
-// lexicographically; numbers numerically.
+// constants are of different kinds (a number and a symbol, say), or when
+// either is a NaN, which no number orders against; then cmp is
+// meaningless. Symbols and strings of the same kind compare
+// lexicographically; numbers numerically. Eval's `=` holds for
+// identical constants too, so a NaN equals itself.
 func CompareConst(a, b term.Term) (cmp int, comparable bool) {
 	if a.Kind() != b.Kind() {
 		return 0, false
@@ -69,8 +71,10 @@ func CompareConst(a, b term.Term) (cmp int, comparable bool) {
 			return -1, true
 		case av > bv:
 			return 1, true
-		default:
+		case av == bv:
 			return 0, true
+		default: // a NaN
+			return 0, false
 		}
 	case term.KindSymbol, term.KindString:
 		return strings.Compare(a.Name(), b.Name()), true

@@ -221,15 +221,18 @@ func (as *Answers) SortedStrings() []string {
 // prettify renames machine-generated variables (X_12) in the answer body
 // back to readable base names (X), provided the base name does not clash
 // with a user variable or another renamed variable of the same answer.
-// The body becomes a copy the answer owns: one formula over one term
+// Head and body become a copy the answer owns: one formula over one term
 // array.
 func (a *Answer) prettify(userVars map[term.Term]bool) {
-	n := 0
+	n := len(a.Head.Args)
 	for _, atom := range a.Body {
 		n += len(atom.Args)
 	}
 	terms := make([]term.Term, n)
 	body := make(term.Formula, len(a.Body))
+	head := terms[:len(a.Head.Args):len(a.Head.Args)]
+	copy(head, a.Head.Args)
+	a.Head.Args, terms = head, terms[len(head):]
 	var pairs [8]renamePair
 	renames := pairs[:0]
 	taken := func(name string) bool {
@@ -285,4 +288,30 @@ func lookupRename(renames []renamePair, v term.Term) (term.Term, bool) {
 		}
 	}
 	return v, false
+}
+
+// setRename binds from to to in the renaming, replacing an earlier
+// binding of from.
+func setRename(renames []renamePair, from, to term.Term) []renamePair {
+	for i := range renames {
+		if renames[i].from == from {
+			renames[i].to = to
+			return renames
+		}
+	}
+	return append(renames, renamePair{from, to})
+}
+
+// renamed returns a copy of f with every variable replaced by its image
+// under the renaming, all at once: an image is not renamed again.
+func renamed(f term.Formula, renames []renamePair) term.Formula {
+	out := make(term.Formula, len(f))
+	for i, a := range f {
+		args := make([]term.Term, len(a.Args))
+		for j, t := range a.Args {
+			args[j], _ = lookupRename(renames, t)
+		}
+		out[i] = term.Atom{Pred: a.Pred, Args: args}
+	}
+	return out
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"kdb/internal/builtin"
@@ -85,19 +86,21 @@ func (d *Describer) Compare(left term.Atom, leftHyp term.Formula, right term.Ato
 		return nil, fmt.Errorf("core: cannot compare %s/%d with %s/%d: different arities",
 			left.Pred, len(left.Args), right.Pred, len(right.Args))
 	}
-	// Align the right subject's variables with the left's.
-	align := term.NewSubst(len(right.Args))
+	// Align the right subject's variables with the left's, all at once.
+	var align []renamePair
 	for i, t := range right.Args {
 		if t.IsVar() {
 			if t != left.Args[i] {
-				align[t] = left.Args[i]
+				align = setRename(align, t, left.Args[i])
 			}
 		} else if t != left.Args[i] {
 			return nil, fmt.Errorf("core: cannot align constant argument %v with %v", t, left.Args[i])
 		}
 	}
-	right = align.Apply(right)
-	rightHyp = align.ApplyFormula(rightHyp)
+	if len(align) > 0 {
+		aligned := renamed(append(term.Formula{right}, rightHyp...), align)
+		right, rightHyp = aligned[0], aligned[1:]
+	}
 
 	lim := defaultUnfoldLimits()
 	leftDefs, _, err := d.unfold(append(term.Formula{left}, leftHyp...), lim)
@@ -147,7 +150,22 @@ func (d *Describer) Compare(left term.Atom, leftHyp term.Formula, right term.Ato
 	if cmp.Relation == RelUnrelated && len(cmp.Shared) > 0 {
 		cmp.Relation = RelOverlapping
 	}
+	cmp.prettify(fixed)
 	return cmp, nil
+}
+
+// prettify renames the variables of the shared concept and of both
+// differences that are not the subject's, all through one renaming, to
+// readable base names (G_3 becomes G), as a describe answer's are: a
+// variable the three parts share keeps one name.
+func (c *ConceptComparison) prettify(fixed map[term.Term]bool) {
+	a := Answer{Body: slices.Concat(c.Shared, c.LeftOnly, c.RightOnly)}
+	a.prettify(fixed)
+	for _, part := range []*term.Formula{&c.Shared, &c.LeftOnly, &c.RightOnly} {
+		if n := len(*part); n > 0 {
+			*part, a.Body = a.Body[:n:n], a.Body[n:]
+		}
+	}
 }
 
 // defsSubsumed reports whether every definition in sub is θ-subsumed by
@@ -183,7 +201,6 @@ func (m *matcher) sharedConcept(dl, dr *conj) (shared, leftOnly, rightOnly term.
 	rCmp, rOrd := dr.cmp, dr.ord
 
 	defer m.b.undo(0)
-	theta := m.b.m
 	usedRight := make([]bool, len(rOrd))
 	for i, la := range lOrd {
 		matched := false
@@ -213,20 +230,20 @@ func (m *matcher) sharedConcept(dl, dr *conj) (shared, leftOnly, rightOnly term.
 
 	// Comparisons entailed by BOTH sides belong to the shared concept;
 	// the rest are differences.
-	candidates := append(theta.ApplyFormula(lCmp), rCmp...)
+	appliedL, _ := m.b.apply(nil, nil, lCmp)
+	candidates := slices.Concat(appliedL, rCmp)
 	seen := make(map[string]bool)
 	for _, c := range candidates {
 		if seen[c.Key()] {
 			continue
 		}
 		seen[c.Key()] = true
-		li, err1 := builtin.Implies(theta.ApplyFormula(lCmp), term.Formula{c})
+		li, err1 := builtin.Implies(appliedL, term.Formula{c})
 		ri, err2 := builtin.Implies(rCmp, term.Formula{c})
 		if err1 == nil && err2 == nil && li && ri {
 			shared = append(shared, c)
 		}
 	}
-	appliedL := theta.ApplyFormula(lCmp)
 	for i, c := range appliedL {
 		if !bothImply(appliedL, rCmp, c) {
 			leftOnly = append(leftOnly, lCmpOrig[i])

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"kdb/internal/builtin"
@@ -81,6 +82,9 @@ type Describer struct {
 	icDisjuncts [][]conj
 
 	opts Options
+
+	// searches pools the scratch of finished searches (*search).
+	searches sync.Pool
 }
 
 // ruleEntry is a rule with what the search asks about it at every node
@@ -222,6 +226,7 @@ func (d *Describer) describe(gov *governor.Governor, st *SearchStats, subject te
 	}
 	start := time.Now()
 	s := d.newSearch(gov, subject, hypothesis)
+	defer d.putSearch(s)
 	s.spent = st.Nodes
 	err := s.run()
 	searched := time.Now()
@@ -239,11 +244,16 @@ func (d *Describer) describe(gov *governor.Governor, st *SearchStats, subject te
 	return formulas, len(formulas) == 0 && s.discarded > 0, nil
 }
 
-// newSearch sets up the search of one describe statement.
+// newSearch sets up the search of one describe statement over scratch
+// an earlier search left in the describer's pool; putSearch returns it.
 func (d *Describer) newSearch(gov *governor.Governor, subject term.Atom, hypothesis term.Formula) *search {
-	hypOrd, hypCmp := splitHypothesis(hypothesis)
+	s, _ := d.searches.Get().(*search)
+	if s == nil {
+		s = &search{seen: make(map[string]bool), userVars: make(map[term.Term]bool)}
+	}
+	s.hypOrd, s.hypCmp = splitHypothesis(hypothesis)
 	alg2 := d.graph.DependsOnRecursive(subject.Pred)
-	if len(hypOrd) == 0 {
+	if len(s.hypOrd) == 0 {
 		// No identification targets: the answer is the subject's own
 		// definition (§4's one-level exception, Example 4). The original
 		// rules are the right rendering — the transformation is an
@@ -254,45 +264,51 @@ func (d *Describer) newSearch(gov *governor.Governor, subject term.Atom, hypothe
 	if alg2 {
 		table = d.ttable
 	}
-	s := &search{
-		d:       d,
-		gov:     gov,
-		alg2:    alg2,
-		typed:   alg2 && len(d.recPreds) > 0,
-		table:   table,
-		subject: subject,
-		hypOrd:  hypOrd,
-		hypCmp:  hypCmp,
-		b:       newBindings(),
-		seen:    make(map[string]bool),
-		usedHyp: make([]bool, len(hypothesis)),
-	}
+	s.d, s.gov, s.alg2, s.typed, s.table, s.subject = d, gov, alg2, alg2 && len(d.recPreds) > 0, table, subject
+	s.usedHyp = append(s.usedHyp[:0], make([]bool, len(hypothesis))...)
 	// The user's variables, each classed by where the query spells it:
 	// the subject's first, then those of the hypothesis's ordinary
 	// conjuncts, then those of its comparisons (the order emit renames in).
-	s.userVars = make(map[term.Term]bool)
-	for _, v := range subject.Vars(nil) {
+	clear(s.userVars)
+	s.userList, s.userClass = subject.Vars(s.userList[:0]), s.userClass[:0]
+	for _, v := range s.userList {
 		s.userVars[v] = true
-		s.userList = append(s.userList, v)
 		s.userClass = append(s.userClass, inSubject)
 	}
-	var hypVars []term.Term
-	for _, h := range hypOrd {
-		hypVars = h.atom.Vars(hypVars)
-	}
-	for _, h := range hypCmp {
-		hypVars = h.atom.Vars(hypVars)
-	}
-	for _, v := range hypVars {
-		if i := slices.Index(s.userList, v); i >= 0 {
-			s.userClass[i] = inBoth
-			continue
+	for _, hyp := range [2][]indexedAtom{s.hypOrd, s.hypCmp} {
+		for _, h := range hyp {
+			for _, v := range h.atom.Args {
+				if !v.IsVar() {
+					continue
+				}
+				if i := slices.Index(s.userList, v); i >= 0 {
+					if s.userClass[i] == inSubject {
+						s.userClass[i] = inBoth
+					}
+					continue
+				}
+				s.userVars[v] = true
+				s.userList = append(s.userList, v)
+				s.userClass = append(s.userClass, inHypothesis)
+			}
 		}
-		s.userVars[v] = true
-		s.userList = append(s.userList, v)
-		s.userClass = append(s.userClass, inHypothesis)
 	}
 	return s
+}
+
+// putSearch empties the search and returns its scratch to the pool: the
+// answers went to the caller, and everything else is cut back to length
+// zero, keeping its room for the next statement.
+func (d *Describer) putSearch(s *search) {
+	s.d, s.gov, s.table, s.answers = nil, nil, nil, nil
+	s.rn.Release(0)
+	s.b.reset()
+	s.leaves, s.treeAtoms, s.viaRules, s.obls = s.leaves[:0], s.treeAtoms[:0], s.viaRules[:0], s.obls[:0]
+	s.vals, s.conflicts, s.satisfied = s.vals[:0], s.conflicts[:0], s.satisfied[:0]
+	s.ruleTerms, s.ruleAtoms, s.agendas, s.oblStack = s.ruleTerms[:0], s.ruleAtoms[:0], s.agendas[:0], s.oblStack[:0]
+	clear(s.seen)
+	s.discarded, s.anyProductive, s.truncated, s.nodes, s.spent = 0, false, false, 0, 0
+	d.searches.Put(s)
 }
 
 // indexedAtom is a hypothesis conjunct with its original index.
@@ -363,7 +379,10 @@ type search struct {
 	userList  []term.Term
 	userClass []uint8
 
-	rn term.Renamer // renames rules apart, its scratch reused per expansion
+	// rn renames rules apart, its scratch reused per expansion. An
+	// expansion's numbers are released when its choice returns, so the
+	// frame's slots stay as few as the variables of one branch.
+	rn term.Renamer
 
 	// Path state (saved/restored around choices). b is the substitution
 	// of the whole search: a choice binds in place and undoes on return.
@@ -383,9 +402,18 @@ type search struct {
 	satisfied []int
 	positions map[predVar]int // scratch of conflictedPreds
 
+	// Stacks every expansion carves from and pops when its choice
+	// returns: the renamed rule's arguments and body atoms, the agenda
+	// the expansion passes on, and the obligations its children inherit.
+	// The search is depth-first, so expansions end last in, first out.
+	ruleTerms []term.Term
+	ruleAtoms term.Formula
+	agendas   []node
+	oblStack  []int
+
 	// Scratch reused by every expansion and every answer of the search;
-	// none of it outlives the statement. emit builds its atoms over terms
-	// and keys them in keys.
+	// no answer refers to it, so the pool hands it to the next statement.
+	// emit builds its atoms over terms and keys them in keys.
 	terms         []term.Term
 	full, alpha   term.Formula
 	removed, cmps term.Formula
@@ -435,42 +463,34 @@ func (s *search) run() error {
 	}
 	s.conflicts = s.conflicts[:0]
 
-	// Root rule expansions.
+	// Root rule expansions. A rule kept for its one-level answer keeps
+	// its variant on the stacks, and the next root rule pushes above it.
 	type pending struct {
 		rule  *term.Rule
 		fresh term.Rule
 	}
 	var unproductive []pending
 	for _, e := range s.table[s.subject.Pred] {
-		fresh := s.rn.RenameRule(*e.rule)
+		fresh, sm := s.variant(e.rule)
 		if !s.b.unify(s.subject, fresh.Head) {
+			s.release(sm)
 			continue
 		}
 		before := len(s.answers)
 		beforeDiscarded := s.discarded
-		agenda := s.childNodes(fresh.Body, e, node{}, 0)
-		s.viaRules = append(s.viaRules, *e.rule)
-		s.treeAtoms = append(s.treeAtoms, fresh.Body...)
-		oblID := len(s.obls)
-		s.obls = append(s.obls, false)
-		obligations := []int{oblID}
-		for i := range agenda {
-			agenda[i].obligations = obligations
-		}
-		if err := s.step(agenda); err != nil {
+		if err := s.descend(fresh, e, node{}, nil); err != nil {
 			return err
 		}
-		s.obls = s.obls[:oblID]
-		s.treeAtoms = s.treeAtoms[:len(s.treeAtoms)-len(fresh.Body)]
-		s.viaRules = s.viaRules[:len(s.viaRules)-1]
 		s.b.undo(0)
 		if len(s.answers) != before || s.discarded != beforeDiscarded {
 			// A completion existed — even one discarded for contradicting
 			// the hypothesis counts as productive (§4's special answer).
 			s.anyProductive = true
 		} else if !s.anyProductive {
-			unproductive = append(unproductive, pending{rule: e.rule, fresh: fresh})
+			unproductive = append(unproductive, pending{e.rule, fresh})
+			continue
 		}
+		s.release(sm)
 	}
 
 	// One-level answers for unproductive rules, when nothing was
@@ -593,29 +613,15 @@ func (s *search) step(agenda []node) error {
 			if !s.ruleAllowed(q, e) {
 				continue
 			}
-			fresh := s.rn.RenameRule(*e.rule)
+			fresh, sm := s.variant(e.rule)
 			mark := s.b.mark()
-			if !s.b.unify(q.atom, fresh.Head) {
-				continue
+			if s.b.unify(q.atom, fresh.Head) {
+				if err := s.descend(fresh, e, q, rest); err != nil {
+					return err
+				}
+				s.b.undo(mark)
 			}
-			children := s.childNodes(fresh.Body, e, q, len(rest))
-			oblID := len(s.obls)
-			s.obls = append(s.obls, false)
-			inherited := append(make([]int, 0, len(q.obligations)+1), q.obligations...)
-			inherited = append(inherited, oblID)
-			for i := range children {
-				children[i].obligations = inherited
-			}
-			s.treeAtoms = append(s.treeAtoms, fresh.Body...)
-			s.viaRules = append(s.viaRules, *e.rule)
-			next := append(children, rest...)
-			if err := s.step(next); err != nil {
-				return err
-			}
-			s.viaRules = s.viaRules[:len(s.viaRules)-1]
-			s.treeAtoms = s.treeAtoms[:len(s.treeAtoms)-len(fresh.Body)]
-			s.obls = s.obls[:oblID]
-			s.b.undo(mark)
+			s.release(sm)
 		}
 	}
 
@@ -666,10 +672,54 @@ func (s *search) constrainsUserVars(before []term.Term) bool {
 	return false
 }
 
-// childNodes builds agenda nodes for a rule's body, assigning Algorithm 2
-// tags according to the rule kind (§5.3, Figure 3 boxes 9a–9e). The
-// slice has room for the rest nodes of the agenda the caller appends.
-func (s *search) childNodes(body term.Formula, e ruleEntry, parent node, rest int) []node {
+// stackMark is where an expansion's variant starts on the stacks and in
+// the renamer's numbering.
+type stackMark struct {
+	num          uint64
+	terms, atoms int
+}
+
+// variant renames the rule apart onto the stacks; release pops it.
+func (s *search) variant(r *term.Rule) (term.Rule, stackMark) {
+	sm := stackMark{s.rn.Mark(), len(s.ruleTerms), len(s.ruleAtoms)}
+	var fresh term.Rule
+	fresh, s.ruleTerms, s.ruleAtoms = s.rn.AppendRule(*r, s.ruleTerms, s.ruleAtoms)
+	return fresh, sm
+}
+
+// release pops a variant and hands its numbers out again: nothing bound
+// or pending refers to its variables once its choice has returned.
+func (s *search) release(sm stackMark) {
+	s.rn.Release(sm.num)
+	s.ruleTerms, s.ruleAtoms = s.ruleTerms[:sm.terms], s.ruleAtoms[:sm.atoms]
+}
+
+// descend searches below the expansion of parent's atom by the variant
+// fresh of e's rule, whose head the bindings have unified with it. The
+// expansion carries a new obligation, which its children inherit with
+// parent's; their agenda is the children, then rest. All of it is
+// carved from the stacks and popped on return.
+func (s *search) descend(fresh term.Rule, e ruleEntry, parent node, rest []node) error {
+	oblID := len(s.obls)
+	s.obls = append(s.obls, false)
+	obls, agendas := len(s.oblStack), len(s.agendas)
+	s.oblStack = append(append(s.oblStack, parent.obligations...), oblID)
+	inherited := s.oblStack[obls:len(s.oblStack):len(s.oblStack)]
+	s.agendas = append(s.appendChildren(s.agendas, fresh.Body, e, parent, inherited), rest...)
+	s.treeAtoms = append(s.treeAtoms, fresh.Body...)
+	s.viaRules = append(s.viaRules, *e.rule)
+	err := s.step(s.agendas[agendas:len(s.agendas):len(s.agendas)])
+	s.viaRules = s.viaRules[:len(s.viaRules)-1]
+	s.treeAtoms = s.treeAtoms[:len(s.treeAtoms)-len(fresh.Body)]
+	s.agendas, s.oblStack = s.agendas[:agendas], s.oblStack[:obls]
+	s.obls = s.obls[:oblID]
+	return err
+}
+
+// appendChildren appends agenda nodes for a rule's body to dst, each
+// holding the obligations, with Algorithm 2 tags assigned according to
+// the rule kind (§5.3, Figure 3 boxes 9a–9e).
+func (s *search) appendChildren(dst []node, body term.Formula, e ruleEntry, parent node, obligations []int) []node {
 	kind := transform.KindOrdinary
 	untyped := parent.untyped
 	if s.alg2 {
@@ -678,10 +728,11 @@ func (s *search) childNodes(body term.Formula, e ruleEntry, parent node, rest in
 			untyped++
 		}
 	}
-	children := make([]node, len(body), len(body)+rest)
-	for i, a := range body {
-		children[i] = node{atom: a, depth: parent.depth + 1, untyped: untyped}
+	from := len(dst)
+	for _, a := range body {
+		dst = append(dst, node{atom: a, obligations: obligations, depth: parent.depth + 1, untyped: untyped})
 	}
+	children := dst[from:]
 	switch kind {
 	case transform.KindRT:
 		// The step-atom child gets tag 2, the predicate child tag 0.
@@ -705,7 +756,7 @@ func (s *search) childNodes(body term.Formula, e ruleEntry, parent node, rest in
 			}
 		}
 	}
-	return children
+	return dst
 }
 
 // ruleAllowed enforces the tag discipline and the untyped bound.
@@ -943,12 +994,12 @@ func (s *search) emit() error {
 	}
 	s.seen[string(key)] = true
 	ans := Answer{
-		Head:           term.NewAtom(s.subject.Pred, s.subject.Args...),
+		Head:           s.subject,
 		Body:           kept,
 		UsedHypothesis: append(make([]int, 0, len(used)), used...),
 		ViaRules:       append([]term.Rule(nil), s.viaRules...),
 	}
-	ans.prettify(s.userVars) // copies the body out of the scratch
+	ans.prettify(s.userVars) // copies head and body out of the scratch
 	s.answers = append(s.answers, ans)
 	return nil
 }

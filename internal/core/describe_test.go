@@ -524,7 +524,7 @@ func TestDescribeConcurrent(t *testing.T) {
 func TestDescribeAllocs(t *testing.T) {
 	// A failed identification attempt at a choice point: three arguments
 	// bind, the fourth clashes, the trail takes the three back.
-	b := newBindings()
+	var b bindings
 	goal, hyp := atomOf(t, `complete(X, Y, Z, 4)`), atomOf(t, `complete(A, B, C, 3)`)
 	if b.unify(goal, hyp) {
 		t.Fatal("4 unified with 3")
@@ -533,8 +533,8 @@ func TestDescribeAllocs(t *testing.T) {
 		mark := b.mark()
 		b.unify(goal, hyp)
 		b.undo(mark)
-	}); n != 0 || len(b.m) != 0 {
-		t.Errorf("a failed unification allocates %v times and leaves %d bindings, want 0 and 0", n, len(b.m))
+	}); n != 0 || b.bound() != 0 {
+		t.Errorf("a failed unification allocates %v times and leaves %d bindings, want 0 and 0", n, b.bound())
 	}
 
 	// A pair the predicate pre-check rejects never reaches the matcher.
@@ -575,9 +575,31 @@ func TestDescribeAllocs(t *testing.T) {
 		t.Errorf("emitting %v again allocates %v times and leaves %d answers, want 0 and 1", s.answers[0], n, len(s.answers))
 	}
 
-	// End to end. Each ceiling is 1.2× what the search measured once it
-	// renamed rules into one array and keyed answers before building them
-	// (151 and 477); the trail search before took 215 and 1511, the
+	// One expansion after warm-up: the variant, its children, the agenda
+	// and the obligations come off the search's stacks, the renamed
+	// variables are numbers in the frame, and both answers below it are
+	// already known.
+	d = newDescriber(t, "goal(X) :- target(X), extra(X).\n", Options{})
+	s = d.newSearch(nil, atomOf(t, `goal(X)`), formula(t, `target(X)`))
+	agenda := []node{{atom: s.subject}}
+	if err := s.step(agenda); err != nil || len(s.answers) != 2 {
+		t.Fatalf("warm-up: %v, %d answers", err, len(s.answers))
+	}
+	nodes := s.nodes
+	if n := testing.AllocsPerRun(200, func() {
+		if err := s.step(agenda); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 || len(s.answers) != 2 || s.nodes == nodes {
+		t.Errorf("an expansion allocates %v times and leaves %d answers, want 0 and 2", n, len(s.answers))
+	}
+
+	// End to end. Each ceiling is halfway between what the search took
+	// when it renamed rules into one heap array per expansion and bound
+	// them in a map (the first) and what it takes on the frame and the
+	// stacks, its scratch pooled per describer (the second): 151 and 51,
+	// 477 and 237, 300 and 66 for Example 6 under Algorithm 2, 447 and
+	// 437 for a compare. The trail search before took 215 and 1511, the
 	// clone-per-choice search with pairwise subsumption 249 and 9451.
 	var fanout strings.Builder
 	for w := 0; w < 32; w++ {
@@ -587,17 +609,31 @@ func TestDescribeAllocs(t *testing.T) {
 		program, stmt string
 		ceiling       float64
 	}{
-		{universityIDB, `describe can_ta(X, Y) where honor(X) and teach(susan, Y).`, 181},
-		{fanout.String(), `describe goal(X) where target(X).`, 572},
+		{universityIDB, `describe can_ta(X, Y) where honor(X) and teach(susan, Y).`, 101},
+		{fanout.String(), `describe goal(X) where target(X).`, 357},
+		{universityIDB, `describe prior(X, Y) where prior(databases, Y).`, 183},
+		{compareIDB, `compare (describe honor(X)) with (describe deans_list(X)).`, 442},
 	} {
 		d := newDescriber(t, c.program, Options{})
 		pq, err := parser.ParseQuery(c.stmt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dq := pq.(*parser.Describe)
+		var run func() error
+		switch q := pq.(type) {
+		case *parser.Describe:
+			run = func() error {
+				_, err := d.DescribeContext(context.Background(), q.Subject, q.Where, governor.Limits{})
+				return err
+			}
+		case *parser.Compare:
+			run = func() error {
+				_, err := d.Compare(q.Left.Subject, q.Left.Where, q.Right.Subject, q.Right.Where)
+				return err
+			}
+		}
 		n := testing.AllocsPerRun(20, func() {
-			if _, err := d.DescribeContext(context.Background(), dq.Subject, dq.Where, governor.Limits{}); err != nil {
+			if err := run(); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -606,4 +642,22 @@ func TestDescribeAllocs(t *testing.T) {
 			t.Errorf("%s allocates %v times, ceiling %v", c.stmt, n, c.ceiling)
 		}
 	}
+}
+
+// bound counts the frame's bound variables.
+func (b *bindings) bound() int {
+	n := 0
+	for _, vals := range [][]term.Term{b.slots, b.pattern} {
+		for _, v := range vals {
+			if v != (term.Term{}) {
+				n++
+			}
+		}
+	}
+	for _, w := range b.written {
+		if w.val != (term.Term{}) {
+			n++
+		}
+	}
+	return n
 }

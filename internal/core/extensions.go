@@ -246,12 +246,12 @@ func inlineSubjectEqualities(a Answer) Answer {
 	for _, v := range a.Head.Vars(nil) {
 		headVars[v] = true
 	}
-	sub := term.NewSubst(2)
+	var sub []renamePair
 	var rest term.Formula
 	for _, atom := range a.Body {
 		if atom.Pred == term.PredEq && len(atom.Args) == 2 &&
 			atom.Args[0].IsVar() && headVars[atom.Args[0]] && atom.Args[1].IsVar() {
-			sub[atom.Args[0]] = atom.Args[1]
+			sub = setRename(sub, atom.Args[0], atom.Args[1])
 			continue
 		}
 		rest = append(rest, atom)
@@ -259,9 +259,15 @@ func inlineSubjectEqualities(a Answer) Answer {
 	if len(sub) == 0 {
 		return a
 	}
+	// The equalities compose: W1 = W2 and W2 = X put X in W1's place.
+	var b bindings
+	for _, p := range sub {
+		b.bind(p.from, p.to)
+	}
+	f, _ := b.apply(nil, nil, append(term.Formula{a.Head}, rest...))
 	return Answer{
-		Head:           sub.Apply(a.Head),
-		Body:           sub.ApplyFormula(rest),
+		Head:           f[0],
+		Body:           f[1:],
 		UsedHypothesis: a.UsedHypothesis,
 		ViaRules:       a.ViaRules,
 	}

@@ -368,6 +368,57 @@ func TestCompareSubsumption(t *testing.T) {
 	}
 }
 
+// The subject's variables stay fixed through the unfolding: a concept
+// that reads X in another column, or needs it twice, is not the same.
+func TestCompareHoldsSubjectVariables(t *testing.T) {
+	d := newDescriber(t, `
+p(X) :- r(X, Y).
+q(X) :- r(Y, X).
+s(X) :- r(X, X).
+`, Options{})
+	for _, c := range []struct {
+		left, right string
+		want        Relation
+		text        string
+	}{
+		{`p(X)`, `q(X)`, RelUnrelated, "p(X) vs q(X): unrelated\n  shared concept: true\n  only p: r(X, Y)\n  only q: r(Y, X)"},
+		{`p(X)`, `s(X)`, RelLeftSubsumesRight, "p(X) vs s(X): left subsumes right\n  shared concept: r(X, X)"},
+		// The shared concept generalizes the left side's atoms, greedily:
+		// r(X, X) is no pattern of r(X, Y).
+		{`s(X)`, `p(X)`, RelRightSubsumesLeft, "s(X) vs p(X): right subsumes left\n  shared concept: true\n  only s: r(X, X)\n  only p: r(X, Y)"},
+		{`p(X)`, `p(X)`, RelEquivalent, "p(X) vs p(X): equivalent\n  shared concept: r(X, Y)"},
+	} {
+		got, err := d.Compare(atomOf(t, c.left), nil, atomOf(t, c.right), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Relation != c.want || got.String() != c.text {
+			t.Errorf("compare %s with %s = %v\n%s\nwant %v\n%s", c.left, c.right, got.Relation, got, c.want, c.text)
+		}
+	}
+	// The right subject's variables align with the left's all at once:
+	// q(Y, X) against p(X, Y) is q(X, Y), and aligning no longer walks
+	// Y→X→Y forever.
+	d = newDescriber(t, "p(X, Y) :- e(X, Y).\nq(X, Y) :- e(Y, X).\n", Options{})
+	swapped, err := d.Compare(atomOf(t, `p(X, Y)`), nil, atomOf(t, `q(Y, X)`), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "p(X, Y) vs q(X, Y): unrelated\n  shared concept: true\n  only p: e(X, Y)\n  only q: e(Y, X)"; swapped.String() != want {
+		t.Errorf("compare p(X, Y) with q(Y, X):\n%s\nwant\n%s", swapped, want)
+	}
+	// The paper's example prints as the paper writes it.
+	d = newDescriber(t, compareIDB, Options{})
+	got, err := d.Compare(atomOf(t, `honor(X)`), nil, atomOf(t, `deans_list(X)`), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "honor(X) vs deans_list(X): left subsumes right\n  shared concept: student(X, M, G) and G > 3.7\n  only deans_list: G > 3.9"
+	if got.String() != want {
+		t.Errorf("compare honor with deans_list:\n%s\nwant\n%s", got, want)
+	}
+}
+
 func TestCompareEquivalent(t *testing.T) {
 	d := newDescriber(t, `
 a(X) :- p(X, Y), q(Y).

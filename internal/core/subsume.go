@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"strconv"
 
 	"kdb/internal/builtin"
 	"kdb/internal/term"
@@ -22,26 +21,33 @@ type conj struct {
 // one set of fixed variables, which θ must map to themselves. It owns
 // the substitution being built and is not safe for concurrent use.
 type matcher struct {
-	fixed map[term.Term]bool
+	fixed []term.Term
 	b     bindings
 	err   error
 
 	// Scratch of prepare: the non-fixed variables of the conjunction
 	// being prepared, by first occurrence, and the pattern variables
-	// \x01R1, \x01R2, … named so far.
+	// named so far. Scratch of match: θ of the pattern's comparisons.
 	vars, apart []term.Term
+	theta       term.Formula
+	terms       []term.Term
 }
 
 func newMatcher(fixed map[term.Term]bool) *matcher {
-	return &matcher{fixed: fixed, b: newBindings()}
+	m := &matcher{}
+	for v := range fixed {
+		m.fixed = append(m.fixed, v)
+	}
+	return m
 }
 
+func (m *matcher) isFixed(v term.Term) bool { return slices.Contains(m.fixed, v) }
+
 // prepare splits the conjunction and renames its pattern form apart:
-// every non-fixed variable becomes a fresh variable whose name cannot
-// occur in user programs, numbered by first occurrence, so pattern and
-// target of a matching problem never share variables. The four parts
-// are carved from one formula, and the pattern atoms share one term
-// array.
+// every non-fixed variable becomes a pattern variable, numbered by first
+// occurrence from patternBase, so pattern and target of a matching
+// problem never share variables, nor frame slots. The four parts are
+// carved from one formula, and the pattern atoms share one term array.
 func (m *matcher) prepare(f term.Formula) conj {
 	if len(f) == 0 {
 		return conj{}
@@ -64,7 +70,7 @@ func (m *matcher) prepare(f term.Formula) conj {
 		p := term.Atom{Pred: a.Pred, Args: terms[:len(a.Args):len(a.Args)]}
 		terms = terms[len(a.Args):]
 		for i, t := range a.Args {
-			if t.IsVar() && !m.fixed[t] {
+			if t.IsVar() && !m.isFixed(t) {
 				t = m.renameApart(t)
 			}
 			p.Args[i] = t
@@ -86,7 +92,7 @@ func (m *matcher) renameApart(v term.Term) term.Term {
 		m.vars = append(m.vars, v)
 	}
 	for len(m.apart) <= i {
-		m.apart = append(m.apart, term.Var("\x01R"+strconv.Itoa(len(m.apart)+1)))
+		m.apart = append(m.apart, term.NumberedVar("R", patternBase+uint64(len(m.apart))))
 	}
 	return m.apart[i]
 }
@@ -129,7 +135,8 @@ func (m *matcher) subsumes(general, specific *conj) (bool, error) {
 // specific's comparisons imply θ of general's.
 func (m *matcher) match(pattern term.Formula, general, specific *conj) bool {
 	if len(pattern) == 0 {
-		implied, err := builtin.Implies(specific.cmp, m.b.m.ApplyFormula(general.pcmp))
+		m.theta, m.terms = m.b.apply(m.theta[:0], m.terms[:0], general.pcmp)
+		implied, err := builtin.Implies(specific.cmp, m.theta)
 		if err != nil {
 			m.err = err
 			return false
@@ -162,7 +169,7 @@ func (m *matcher) matchFixed(pattern, target term.Atom) bool {
 		g := target.Args[i]
 		switch {
 		case p == g:
-		case !p.IsVar() || m.fixed[p]:
+		case !p.IsVar() || m.isFixed(p):
 			return false
 		case p == a:
 			m.b.bind(p, g) // a pattern variable: no binding's value names it

@@ -30,14 +30,15 @@ func defaultUnfoldLimits() unfoldLimits {
 // (a verdict of "impossible" is then only valid within the bound).
 func (d *Describer) unfold(f term.Formula, lim unfoldLimits) (out []term.Formula, truncated bool, err error) {
 	var rn term.Renamer
-	var rec func(goals []term.Atom, acc term.Formula, sigma term.Subst, budget int) error
-	rec = func(goals []term.Atom, acc term.Formula, sigma term.Subst, budget int) error {
+	var b bindings
+	var rec func(goals []term.Atom, acc term.Formula, budget int) error
+	rec = func(goals []term.Atom, acc term.Formula, budget int) error {
 		if len(out) >= lim.maxDisjuncts {
 			truncated = true
 			return nil
 		}
 		if len(goals) == 0 {
-			dis := sigma.ApplyFormula(acc)
+			dis, _ := b.apply(nil, nil, acc)
 			cmp, _ := builtin.Split(dis)
 			sat, err := builtin.Sat(cmp)
 			if err != nil {
@@ -50,35 +51,40 @@ func (d *Describer) unfold(f term.Formula, lim unfoldLimits) (out []term.Formula
 		}
 		g := goals[0]
 		rest := goals[1:]
-		inst := sigma.Apply(g)
-		for _, b := range lim.banned {
-			if _, ok := term.Unify(inst, b, sigma); ok {
+		for _, ban := range lim.banned {
+			mark := b.mark()
+			if b.unify(g, ban) {
+				b.undo(mark)
 				return nil // this branch relies on banned knowledge
 			}
 		}
 		rules := d.graph.RulesFor(g.Pred)
 		if term.IsComparison(g) || len(rules) == 0 {
 			// EDB atom or comparison: keep it.
-			return rec(rest, append(acc, g), sigma, budget)
+			return rec(rest, append(acc, g), budget)
 		}
 		if budget <= 0 {
 			truncated = true
 			return nil // recursion bound reached: drop the branch
 		}
 		for _, r := range rules {
+			// The head binds first: a renamed variable takes the goal's
+			// term, and the goal's variable (the user's X) stays itself.
 			fresh := rn.RenameRule(r)
-			ext, ok := term.Unify(inst, fresh.Head, sigma)
-			if !ok {
+			mark := b.mark()
+			if !b.unify(fresh.Head, g) {
 				continue
 			}
 			next := append(append([]term.Atom{}, fresh.Body...), rest...)
-			if err := rec(next, acc, ext, budget-1); err != nil {
+			err := rec(next, acc, budget-1)
+			b.undo(mark)
+			if err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	err = rec(append([]term.Atom{}, f...), nil, nil, lim.maxExpansions)
+	err = rec(append([]term.Atom{}, f...), nil, lim.maxExpansions)
 	return out, truncated, err
 }
 
@@ -110,12 +116,12 @@ func (d *Describer) chaseKeys(f term.Formula) (term.Formula, bool) {
 					if !match {
 						continue
 					}
-					mgu, ok := term.Unify(a, b, nil)
-					if !ok {
+					var mgu bindings
+					if !mgu.unify(a, b) {
 						return nil, false
 					}
-					if len(mgu) > 0 {
-						cur = mgu.ApplyFormula(cur)
+					if len(mgu.trail) > 0 {
+						cur, _ = mgu.apply(nil, nil, cur)
 						changed = true
 					}
 				}

@@ -31,6 +31,9 @@ type Graph struct {
 	sccs [][]string
 	// reach[p] is the set of predicates p (transitively) depends on.
 	reach map[string]map[string]bool
+	// onRecursive holds the predicates that are recursive or depend on
+	// a recursive predicate (DependsOnRecursive).
+	onRecursive map[string]bool
 }
 
 // New analyzes the given rules. Comparison atoms are ignored as
@@ -60,6 +63,21 @@ func New(rules []term.Rule) *Graph {
 	}
 	g.tarjan(nodes)
 	g.computeReach(nodes)
+	// A predicate is recursive exactly when it reaches itself: a rule of
+	// p is recursive when a body predicate is p or reaches p.
+	g.onRecursive = make(map[string]bool)
+	for p := range nodes {
+		if g.reach[p][p] {
+			g.onRecursive[p] = true
+			continue
+		}
+		for q := range g.reach[p] {
+			if g.reach[q][q] {
+				g.onRecursive[p] = true
+				break
+			}
+		}
+	}
 	return g
 }
 
@@ -227,18 +245,8 @@ func (g *Graph) IsRecursivePred(p string) bool {
 // DependsOnRecursive reports whether the predicate is recursive or
 // depends (transitively) on a recursive predicate. This is the
 // precondition test of Algorithm 1: it applies only when the subject is
-// NOT in this set (§4).
-func (g *Graph) DependsOnRecursive(p string) bool {
-	if g.IsRecursivePred(p) {
-		return true
-	}
-	for q := range g.reach[p] {
-		if g.IsRecursivePred(q) {
-			return true
-		}
-	}
-	return false
-}
+// NOT in this set (§4). New computes the set once.
+func (g *Graph) DependsOnRecursive(p string) bool { return g.onRecursive[p] }
 
 // SCC returns the strongly connected component containing p (sorted).
 func (g *Graph) SCC(p string) []string {

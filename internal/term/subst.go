@@ -3,7 +3,6 @@ package term
 import (
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -185,28 +184,34 @@ func Match(pattern, ground Atom, base Subst) (Subst, bool) {
 	return s, true
 }
 
-// Renamer generates fresh variable names. The zero value is ready to use;
-// a single Renamer must not be shared between goroutines.
+// Renamer numbers fresh variables. The zero value is ready to use; a
+// single Renamer must not be shared between goroutines.
 type Renamer struct {
-	n int
+	n uint64
 	// RenameRule's scratch: the rule's variables and their fresh images.
 	vars, fresh []Term
 }
 
-// Fresh returns a new variable guaranteed distinct from all variables the
-// renamer has produced. The base name is preserved for readability:
-// X becomes X_1, X_2, …. The name is built on the stack, so it is the
-// one allocation.
+// Fresh returns a new variable distinct from every variable the renamer
+// has produced and from every written variable: the next number, on the
+// base name with any previous rename suffix stripped, so names do not
+// snowball (X, X_3 and a renamed X all become X_n). It builds no string.
 func (r *Renamer) Fresh(base string) Term {
 	r.n++
 	if i := strings.IndexByte(base, '_'); i > 0 && isDigits(base[i+1:]) {
-		// Strip a previous rename suffix so names do not snowball.
 		base = base[:i]
 	}
-	var buf [32]byte
-	name := strconv.AppendInt(append(append(buf[:0], base...), '_'), int64(r.n), 10)
-	return Var(string(name))
+	return NumberedVar(base, r.n)
 }
+
+// Mark returns the count of numbers handed out, for Release.
+func (r *Renamer) Mark() uint64 { return r.n }
+
+// Release hands the numbers given out since mark out again. The caller
+// guarantees that no variable numbered since mark is still in use: a
+// depth-first search releases an expansion's numbers when its choice
+// returns, so the numbers live at once stay few.
+func (r *Renamer) Release(mark uint64) { r.n = mark }
 
 func isDigits(s string) bool {
 	for i := 0; i < len(s); i++ {
@@ -223,10 +228,20 @@ func isDigits(s string) bool {
 // is looked up once, so a rule variable spelled like a fresh name (X_1)
 // is renamed once and never merges with the variable renamed to it.
 //
-// The rule's variables and their images live in the renamer's scratch,
-// so the variant costs one term array shared by all of its atoms, one
-// body formula, and the fresh names.
+// The variant costs one term array shared by all of its atoms and one
+// body formula; a ground rule is its own variant.
 func (r *Renamer) RenameRule(rule Rule) Rule {
+	out, _, _ := r.AppendRule(rule, nil, nil)
+	return out
+}
+
+// AppendRule is RenameRule over the caller's storage: the variant's
+// arguments are appended to terms and its body atoms to atoms, and both
+// are returned extended. Each grows at most once, so after a warm-up a
+// caller that truncates them back when the variant dies renames without
+// allocating. A ground rule is returned as it is, and the slices
+// unchanged.
+func (r *Renamer) AppendRule(rule Rule, terms []Term, atoms Formula) (Rule, []Term, Formula) {
 	vars := rule.Head.Vars(r.vars[:0])
 	n := len(rule.Head.Args)
 	for _, a := range rule.Body {
@@ -235,31 +250,44 @@ func (r *Renamer) RenameRule(rule Rule) Rule {
 	}
 	r.vars = vars
 	if len(vars) == 0 {
-		return rule
+		return rule, terms, atoms
 	}
 	fresh := r.fresh[:0]
 	for _, v := range vars {
 		fresh = append(fresh, r.Fresh(v.Name()))
 	}
 	r.fresh = fresh
-	terms := make([]Term, n)
-	out := Rule{Body: make(Formula, len(rule.Body)), Pos: rule.Pos}
+	terms, atoms = grow(terms, n), grow(atoms, len(rule.Body))
+	out := Rule{Pos: rule.Pos}
 	out.Head, terms = r.renameAtom(rule.Head, terms)
-	for i, a := range rule.Body {
-		out.Body[i], terms = r.renameAtom(a, terms)
+	from := len(atoms)
+	for _, a := range rule.Body {
+		var v Atom
+		v, terms = r.renameAtom(a, terms)
+		atoms = append(atoms, v)
 	}
-	return out
+	out.Body = atoms[from:len(atoms):len(atoms)]
+	return out, terms, atoms
 }
 
-// renameAtom writes the atom's variant into the front of terms and
-// returns it with the rest of terms.
+// grow returns s with room for n more elements: s itself, or a copy in
+// one allocation that at least doubles its capacity.
+func grow[S ~[]E, E any](s S, n int) S {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make(S, 0, max(len(s)+n, 2*cap(s))), s...)
+}
+
+// renameAtom appends the atom's variant's arguments to terms, which has
+// room for them, and returns the variant with the extended terms.
 func (r *Renamer) renameAtom(a Atom, terms []Term) (Atom, []Term) {
-	args := terms[:len(a.Args):len(a.Args)]
-	for i, t := range a.Args {
+	from := len(terms)
+	for _, t := range a.Args {
 		if t.IsVar() {
 			t = r.fresh[slices.Index(r.vars, t)]
 		}
-		args[i] = t
+		terms = append(terms, t)
 	}
-	return Atom{Pred: a.Pred, Args: args}, terms[len(a.Args):]
+	return Atom{Pred: a.Pred, Args: terms[from:len(terms):len(terms)]}, terms
 }

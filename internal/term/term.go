@@ -17,9 +17,16 @@
 // their bits, as the storage codec does (0 and -0 are two constants, and
 // a NaN equals itself), and it compares two terms' words before their
 // texts.
+//
+// A variable's word is its number: 0 for a variable as written, and n
+// for the n-th variable a Renamer made. A numbered variable keeps the
+// base name it was renamed from and prints as base_n (X_7), yet it is
+// never == to a written variable of that spelling, so renaming a rule
+// apart builds no name.
 package term
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"hash/maphash"
@@ -50,7 +57,7 @@ type Term struct {
 	// name holds the variable name, symbol text, or string contents.
 	name string
 	// word is a number's bit pattern, the seeded hash of a symbol's or a
-	// string's name, and zero for a variable.
+	// string's name, and a variable's number (zero as written).
 	word uint64
 }
 
@@ -78,6 +85,11 @@ func textWord(s string) uint64 {
 // but the constructor does not enforce the convention: the parser does.
 func Var(name string) Term { return Term{kind: KindVar, name: name} }
 
+// NumberedVar returns the variable named base that carries the number n
+// (n > 0): what a Renamer returns as its n-th fresh variable. It prints
+// as base_n, and it is == only to a variable of the same base and number.
+func NumberedVar(base string, n uint64) Term { return Term{kind: KindVar, name: base, word: n} }
+
 // Sym returns a symbolic constant.
 func Sym(name string) Term { return Term{kind: KindSymbol, name: name, word: textWord(name)} }
 
@@ -97,8 +109,18 @@ func (t Term) IsVar() bool { return t.kind == KindVar }
 func (t Term) IsConst() bool { return t.kind != KindVar }
 
 // Name returns the variable name, symbol text, or string contents.
-// It is meaningless for numbers.
+// It is meaningless for numbers. A numbered variable's name is its base:
+// X for the variable printed X_7.
 func (t Term) Name() string { return t.name }
+
+// Number returns a variable's number: 0 for a variable as written, and
+// for any constant.
+func (t Term) Number() uint64 {
+	if t.kind != KindVar {
+		return 0
+	}
+	return t.word
+}
 
 // Float returns the numeric value of a KindNumber term, and 0 for any
 // other term.
@@ -111,7 +133,7 @@ func (t Term) Float() float64 {
 
 // Hash returns the term's hash, equal for ==-equal terms: the word of a
 // symbol or a string, and the seeded hash of a number's bits or of a
-// variable's name. The seed is drawn per process: a hash is never
+// variable's name, mixed with its number. The seed is drawn per process: a hash is never
 // written to disk or shown to a client, and nothing is ordered by it.
 func (t Term) Hash() uint64 {
 	if t.kind == KindSymbol || t.kind == KindString {
@@ -124,13 +146,21 @@ func (t Term) hashSlow() uint64 {
 	if t.kind == KindNumber {
 		return maphash.Comparable(seed, t.word)
 	}
-	return maphash.String(seed, t.name)
+	h := maphash.String(seed, t.name)
+	if t.word != 0 {
+		h ^= maphash.Comparable(seed, t.word)
+	}
+	return h
 }
 
 // String renders the term in surface syntax.
 func (t Term) String() string {
 	switch t.kind {
 	case KindVar:
+		if t.word != 0 {
+			var buf [32]byte
+			return string(t.AppendTo(buf[:0]))
+		}
 		return t.name
 	case KindSymbol:
 		return t.name
@@ -144,9 +174,15 @@ func (t Term) String() string {
 }
 
 // AppendTo appends the term's surface syntax (String) to b, formatting
-// numbers and quoted strings in place.
+// numbers, quoted strings and a numbered variable's suffix in place.
 func (t Term) AppendTo(b []byte) []byte {
 	switch t.kind {
+	case KindVar:
+		b = append(b, t.name...)
+		if t.word != 0 {
+			b = strconv.AppendUint(append(b, '_'), t.word, 10)
+		}
+		return b
 	case KindNumber:
 		return strconv.AppendFloat(b, t.Float(), 'g', -1, 64)
 	case KindString:
@@ -160,8 +196,10 @@ func (t Term) AppendTo(b []byte) []byte {
 func (t Term) Equal(u Term) bool { return t == u }
 
 // Compare totally orders terms: variables < symbols < numbers < strings,
-// then by value, NaNs first among numbers and -0 just before 0. The order
-// is arbitrary but deterministic; it is used to canonicalize formulas for
+// then by value, NaNs first among numbers and -0 just before 0.
+// Variables order by their printed names (X_10 before X_7), a written
+// variable just before a numbered one printed alike. The order is
+// arbitrary but deterministic; it is used to canonicalize formulas for
 // set semantics and stable output. It is 0 exactly when t == u.
 func (t Term) Compare(u Term) int {
 	if t.kind != u.kind {
@@ -173,6 +211,15 @@ func (t Term) Compare(u Term) int {
 			return c
 		}
 		return cmp.Compare(int64(t.word), int64(u.word))
+	case KindVar:
+		if t.word == 0 && u.word == 0 {
+			return strings.Compare(t.name, u.name)
+		}
+		var tb, ub [32]byte
+		if c := bytes.Compare(t.AppendTo(tb[:0]), u.AppendTo(ub[:0])); c != 0 {
+			return c
+		}
+		return cmp.Compare(t.word, u.word)
 	default:
 		return strings.Compare(t.name, u.name)
 	}
@@ -300,9 +347,14 @@ func (a Atom) AppendKey(b []byte) []byte {
 }
 
 // AppendKey appends the term's part of an atom's Key to b: a separator,
-// its kind, and its surface syntax.
+// its kind, and its surface syntax; a numbered variable's number follows
+// a '#' instead of an '_', so its key is not a written variable's.
 func (t Term) AppendKey(b []byte) []byte {
-	return t.AppendTo(append(b, '\x00', byte('0'+t.kind)))
+	b = append(b, '\x00', byte('0'+t.kind))
+	if t.kind == KindVar && t.word != 0 {
+		return strconv.AppendUint(append(append(b, t.name...), '#'), t.word, 10)
+	}
+	return t.AppendTo(b)
 }
 
 // IsGround reports whether the atom contains no variables.

@@ -1,6 +1,7 @@
 package term
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"reflect"
@@ -495,20 +496,75 @@ func TestRenameRuleDoesNotCapture(t *testing.T) {
 }
 
 // TestRenameRuleAllocs: a variant costs one term array for all of its
-// atoms, one body formula and one name per variable. A ground rule is
-// its own variant.
+// atoms and one body formula, and nothing per variable: a fresh
+// variable is a number, not a name. A ground rule is its own variant,
+// and AppendRule over storage with room allocates nothing.
 func TestRenameRuleAllocs(t *testing.T) {
 	var rn Renamer
 	r := NewRule(NewAtom("p", Var("X"), Var("Y")), NewAtom("q", Var("X"), Str("a")), NewAtom("r", Var("Y"), Var("Z")))
 	rn.RenameRule(r)
-	if n := testing.AllocsPerRun(200, func() { rn.RenameRule(r) }); n != 2+3 {
-		t.Errorf("renaming %v allocates %v times, want 2 + 3", r, n)
+	if n := testing.AllocsPerRun(200, func() { rn.RenameRule(r) }); n != 2+0 {
+		t.Errorf("renaming %v allocates %v times, want 2 + 0", r, n)
 	}
 	g := NewRule(NewAtom("p", Str("a")), NewAtom("q", Str("a")))
 	if n := testing.AllocsPerRun(200, func() { rn.RenameRule(g) }); n != 0 {
 		t.Errorf("renaming %v allocates %v times, want 0", g, n)
 	}
+	terms, atoms := make([]Term, 0, 16), make(Formula, 0, 4)
+	if n := testing.AllocsPerRun(200, func() {
+		mark := rn.Mark()
+		v, ts, as := rn.AppendRule(r, terms, atoms)
+		if len(ts) != 6 || len(as) != 2 || v.Body[1].Args[0] != v.Head.Args[1] {
+			t.Fatalf("AppendRule(%v) = %v over %d terms and %d atoms", r, v, len(ts), len(as))
+		}
+		rn.Release(mark)
+	}); n != 0 {
+		t.Errorf("AppendRule(%v) over storage with room allocates %v times, want 0", r, n)
+	}
 }
+
+// TestNumberedVar: a renamed variable carries its number in its word. It
+// prints base_n, hashes and keys apart from the written variable printed
+// alike, and orders as its printed name would.
+func TestNumberedVar(t *testing.T) {
+	var rn Renamer
+	x1, x2 := rn.Fresh("X"), rn.Fresh("X_3")
+	if x1.String() != "X_1" || x2.String() != "X_2" || x1.Name() != "X" || x2.Name() != "X" {
+		t.Fatalf("fresh variables print %v (%q) and %v (%q)", x1, x1.Name(), x2, x2.Name())
+	}
+	if x1.Number() != 1 || Var("X_1").Number() != 0 || Sym("a").Number() != 0 {
+		t.Errorf("numbers %d, %d, %d", x1.Number(), Var("X_1").Number(), Sym("a").Number())
+	}
+	written := Var("X_1")
+	if x1 == x2 || x1 == written || x1.Compare(written) == 0 || x1 != NumberedVar("X", 1) {
+		t.Errorf("X#1 == X#2: %v; X#1 == written X_1: %v", x1 == x2, x1 == written)
+	}
+	if x1.Hash() == written.Hash() || x1.Hash() != NumberedVar("X", 1).Hash() {
+		t.Error("a numbered variable hashes like the written variable printed alike, or unlike itself")
+	}
+	if NewAtom("p", x1).Key() == NewAtom("p", written).Key() {
+		t.Error("a numbered variable keys like the written variable printed alike")
+	}
+	if string(x1.AppendTo(nil)) != "X_1" || NewAtom("p", x1, x2).String() != "p(X_1, X_2)" {
+		t.Errorf("AppendTo: %s", NewAtom("p", x1, x2))
+	}
+	// Compare orders by printed name, as the names did when they were
+	// built: written X_1 < numbered X_1 < X_10 < X_7 < Y_2.
+	for i := 0; i < 7; i++ {
+		rn.Fresh("X")
+	}
+	x10 := rn.Fresh("X")
+	ordered := []Term{Var("A"), written, x1, x10, NumberedVar("X", 7), NumberedVar("Y", 2), Var("Z")}
+	for i := range ordered {
+		for j := range ordered {
+			if got, want := ordered[i].Compare(ordered[j]), cmp.Compare(i, j); sign(got) != want {
+				t.Errorf("Compare(%v, %v) = %d, want sign %d", ordered[i], ordered[j], got, want)
+			}
+		}
+	}
+}
+
+func sign(c int) int { return cmp.Compare(c, 0) }
 
 // --- property-based tests ---
 

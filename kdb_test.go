@@ -86,13 +86,15 @@ func TestPublicAPITermConstructors(t *testing.T) {
 // TestPublicAPINumbersByBits: asserted numbers keep the identity their
 // relations and the codec keep — a NaN joins with itself, and -0 does
 // not join with 0 — also where an index on another column serves the
-// probe.
+// probe. A comparison orders no number against a NaN, and = and != on
+// a NaN follow that identity.
 func TestPublicAPINumbersByBits(t *testing.T) {
 	k := kdb.New()
 	nan, negZero := kdb.Num(math.NaN()), kdb.Num(math.Copysign(0, -1))
 	for _, a := range []kdb.Atom{
 		kdb.NewAtom("p", nan, kdb.Sym("a")), kdb.NewAtom("q", nan),
 		kdb.NewAtom("r", kdb.Num(0), kdb.Sym("a"), kdb.Sym("b")), kdb.NewAtom("s", negZero),
+		kdb.NewAtom("t", nan), kdb.NewAtom("t", kdb.Num(5)),
 	} {
 		if err := k.Assert(a); err != nil {
 			t.Fatal(err)
@@ -103,6 +105,13 @@ func TestPublicAPINumbersByBits(t *testing.T) {
 		{`retrieve r(X, Y, b).`, "r(0, a, b)"}, // builds the index on r's third column
 		{`retrieve r(X, Y, b) where s(X).`, "no answers"},
 		{`retrieve s(X) where r(X, Y, b).`, "no answers"},
+		// No number orders against a NaN; = is identity, != its negation.
+		{`retrieve t(X) where X >= 7.`, "no answers"},
+		{`retrieve t(X) where X < 7.`, "t(5)"},
+		{`retrieve t(X) where X != 5.`, "t(NaN)"},
+		{`retrieve t(X) where X = 5.`, "t(5)"},
+		{`retrieve t(X) where q(Y) and X != Y.`, "t(5)"},
+		{`retrieve t(X) where q(Y) and X <= Y.`, "no answers"},
 	} {
 		if got := exec(t, k, c.query); got != c.want {
 			t.Errorf("%s = %q, want %q", c.query, got, c.want)
