@@ -15,7 +15,23 @@
 // Numbers are ordered numerically over a dense domain (ℝ); symbols and
 // strings are ordered lexicographically within their own kind. Constants
 // of different kinds are incomparable: `=` between them is false, `!=`
-// true, and the order predicates false.
+// true, and the order predicates false. A NaN orders against no number,
+// itself included, though `=` holds for it, as for every constant, by
+// identity.
+//
+// The decision procedure follows Eval: an order atom demands comparable
+// operands. A conjunction in which an order atom touches a NaN, or
+// joins values of two kinds, is unsatisfiable, and a conjunction entails
+// u < v or u <= v only when it forces u and v into one ordered kind (X =
+// a entails neither X <= 5 nor X > 5; nothing entails X <= X of a free
+// X, which may be a NaN).
+//
+// A compiled Network is flat: a short list of nodes, one n×n byte array
+// for the order closure and the disequalities, and one allocation for up
+// to 8 nodes; Reset compiles into a network's existing room. Sat,
+// Contradicts and Network.Entails decide in scratch on the stack and
+// allocate nothing for up to 8 nodes; larger networks fall back to the
+// heap.
 package builtin
 
 import (
@@ -81,46 +97,6 @@ func CompareConst(a, b term.Term) (cmp int, comparable bool) {
 	default:
 		return 0, false
 	}
-}
-
-// Normalize rewrites a comparison atom so its predicate is one of
-// =, !=, <, <= (flipping > and >= around), which halves the cases the
-// solver must consider. Non-comparison atoms are returned unchanged.
-func Normalize(a term.Atom) term.Atom {
-	if !term.IsComparison(a) {
-		return a
-	}
-	switch a.Pred {
-	case term.PredGt:
-		return term.NewAtom(term.PredLt, a.Args[1], a.Args[0])
-	case term.PredGe:
-		return term.NewAtom(term.PredLe, a.Args[1], a.Args[0])
-	default:
-		return a
-	}
-}
-
-// Negate returns the complementary comparison: ¬(a < b) is (a >= b), etc.
-func Negate(a term.Atom) (term.Atom, error) {
-	if !term.IsComparison(a) {
-		return term.Atom{}, fmt.Errorf("builtin: cannot negate non-comparison %v", a)
-	}
-	l, r := a.Args[0], a.Args[1]
-	switch a.Pred {
-	case term.PredEq:
-		return term.NewAtom(term.PredNe, l, r), nil
-	case term.PredNe:
-		return term.NewAtom(term.PredEq, l, r), nil
-	case term.PredLt:
-		return term.NewAtom(term.PredGe, l, r), nil
-	case term.PredLe:
-		return term.NewAtom(term.PredGt, l, r), nil
-	case term.PredGt:
-		return term.NewAtom(term.PredLe, l, r), nil
-	case term.PredGe:
-		return term.NewAtom(term.PredLt, l, r), nil
-	}
-	return term.Atom{}, fmt.Errorf("builtin: unknown comparison %q", a.Pred)
 }
 
 // Split separates a formula into its comparison atoms and its ordinary

@@ -65,37 +65,6 @@ func TestEvalErrors(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	x, y := term.Var("X"), term.Var("Y")
-	if got := Normalize(atom(">", x, y)); got.Pred != "<" || got.Args[0] != y {
-		t.Errorf("Normalize(X>Y) = %v", got)
-	}
-	if got := Normalize(atom(">=", x, y)); got.Pred != "<=" || got.Args[0] != y {
-		t.Errorf("Normalize(X>=Y) = %v", got)
-	}
-	if got := Normalize(atom("<", x, y)); got.Pred != "<" || got.Args[0] != x {
-		t.Errorf("Normalize(X<Y) = %v", got)
-	}
-	p := term.NewAtom("p", x)
-	if got := Normalize(p); !got.Equal(p) {
-		t.Errorf("Normalize(p(X)) = %v", got)
-	}
-}
-
-func TestNegate(t *testing.T) {
-	x, y := term.Var("X"), term.Var("Y")
-	pairs := map[string]string{"=": "!=", "!=": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
-	for from, to := range pairs {
-		got, err := Negate(atom(from, x, y))
-		if err != nil || got.Pred != to {
-			t.Errorf("Negate(%s) = %v, %v; want %s", from, got, err, to)
-		}
-	}
-	if _, err := Negate(term.NewAtom("p", x)); err == nil {
-		t.Error("negating non-comparison must error")
-	}
-}
-
 func TestSplit(t *testing.T) {
 	f := term.Formula{
 		term.NewAtom("student", term.Var("X")),
@@ -110,6 +79,7 @@ func TestSplit(t *testing.T) {
 
 func TestSatBasics(t *testing.T) {
 	x, y, z := term.Var("X"), term.Var("Y"), term.Var("Z")
+	nan := term.Num(math.NaN())
 	cases := []struct {
 		name string
 		conj term.Formula
@@ -145,6 +115,13 @@ func TestSatBasics(t *testing.T) {
 		// -0 and 0 are two constants, but one value to the comparisons.
 		{"eq zero and negative zero", term.Formula{atom("=", x, term.Num(0)), atom("=", x, term.Num(math.Copysign(0, -1)))}, true},
 		{"eq zero, neq negative zero", term.Formula{atom("=", x, term.Num(0)), atom("!=", x, term.Num(math.Copysign(0, -1)))}, false},
+		// An order atom holds only between values of one kind, never a NaN.
+		{"lt nan", term.Formula{atom("<", x, nan)}, false},
+		{"nan le nan", term.Formula{atom("<=", nan, nan)}, false},
+		{"nan eq nan", term.Formula{atom("=", nan, nan)}, true},
+		{"var eq nan ordered", term.Formula{atom("=", x, nan), atom("<=", x, y)}, false},
+		{"var ordered against two kinds", term.Formula{atom("<=", x, term.Num(1)), atom("<=", x, term.Sym("a"))}, false},
+		{"le self", term.Formula{atom("<=", x, x)}, true},
 	}
 	for _, c := range cases {
 		got, err := Sat(c.conj)
@@ -170,7 +147,10 @@ func TestImpliesBasics(t *testing.T) {
 		alpha, beta term.Formula
 		want        bool
 	}{
-		{"reflexive le", nil, term.Formula{atom("<=", x, x)}, true},
+		// X may be a NaN, which no order atom holds for.
+		{"reflexive le", nil, term.Formula{atom("<=", x, x)}, false},
+		{"reflexive le when ordered", term.Formula{atom("<", x, y)}, term.Formula{atom("<=", x, x)}, true},
+		{"reflexive le of a constant", nil, term.Formula{atom("<=", term.Num(3), term.Num(3))}, true},
 		{"reflexive eq", nil, term.Formula{atom("=", x, x)}, true},
 		{"reflexive lt", nil, term.Formula{atom("<", x, x)}, false},
 		{"unconstrained", nil, term.Formula{atom("<", x, y)}, false},
@@ -195,6 +175,16 @@ func TestImpliesBasics(t *testing.T) {
 		{"ground beta", nil, term.Formula{atom("<", term.Num(1), term.Num(2))}, true},
 		{"ground beta false", nil, term.Formula{atom(">", term.Num(1), term.Num(2))}, false},
 		{"fresh var in beta", term.Formula{atom("<", x, y)}, term.Formula{atom("<", x, z)}, false},
+		// An order atom demands comparable operands: a symbol orders
+		// against no number, and a NaN against nothing.
+		{"symbol not le number", term.Formula{atom("=", x, term.Sym("a"))}, term.Formula{atom("<=", x, term.Num(5))}, false},
+		{"symbol not gt number", term.Formula{atom("=", x, term.Sym("a"))}, term.Formula{atom(">", x, term.Num(5))}, false},
+		{"nan not le itself", term.Formula{atom("=", x, term.Num(math.NaN()))}, term.Formula{atom("<=", x, x)}, false},
+		{"eq classes ordered", term.Formula{atom("=", x, y), atom("<=", y, term.Num(3))}, term.Formula{atom("<=", x, y)}, true},
+		{"eq classes unordered", term.Formula{atom("=", x, y)}, term.Formula{atom("<=", x, y)}, false},
+		{"one kind by constants", term.Formula{atom("=", x, term.Sym("a")), atom("=", y, term.Sym("b"))}, term.Formula{atom("<", x, y)}, true},
+		{"one kind by a chain", term.Formula{atom("<", x, z), atom("<", y, z)}, term.Formula{atom("<", x, y)}, false},
+		{"ordered is no nan", term.Formula{atom("<", x, term.Num(3))}, term.Formula{atom("!=", x, term.Num(math.NaN()))}, true},
 	}
 	for _, c := range cases {
 		got, err := Implies(c.alpha, c.beta)
@@ -230,5 +220,46 @@ func TestEntailsNonComparison(t *testing.T) {
 	}
 	if _, err := net.Entails(term.NewAtom("p", term.Var("X"))); err == nil {
 		t.Error("Entails must reject ordinary atoms")
+	}
+}
+
+// TestSolverAllocs: up to 8 nodes, Sat, Contradicts and Entails decide
+// in scratch on the stack and allocate nothing, Compile allocates the
+// network it returns, and Reset reuses the network's room.
+func TestSolverAllocs(t *testing.T) {
+	x, y, z, w := term.Var("X"), term.Var("Y"), term.Var("Z"), term.Var("W")
+	// Eight nodes: four variables, four constants.
+	conj := term.Formula{
+		atom(">", x, term.Num(3.3)), atom("<", x, term.Num(4)), atom("<=", y, x),
+		atom("<", z, y), atom("!=", z, term.Num(3.5)), atom("=", w, term.Num(math.Copysign(0, -1))),
+	}
+	alpha, beta := conj[:3], conj[3:]
+	fresh, known := atom(">=", term.Var("V"), term.Num(9)), atom("<", z, term.Num(4))
+	net, err := Compile(conj)
+	if err != nil || !net.Sat() || net.n != 8 {
+		t.Fatalf("Compile(%v): %d nodes, sat %v, %v", conj, net.n, net.Sat(), err)
+	}
+	for _, c := range []struct {
+		name string
+		max  float64
+		run  func() (bool, error)
+	}{
+		{"Sat", 0, func() (bool, error) { return Sat(conj) }},
+		{"Contradicts", 0, func() (bool, error) { return Contradicts(alpha, beta) }},
+		{"Entails over a new variable and constant", 0, func() (bool, error) { return net.Entails(fresh) }},
+		{"Entails over the network's terms", 0, func() (bool, error) { return net.Entails(known) }},
+		{"Compile", 1, func() (bool, error) {
+			net, err := Compile(conj)
+			return net.Sat(), err
+		}},
+		{"Reset", 0, func() (bool, error) { return true, net.Reset(conj) }},
+	} {
+		if n := testing.AllocsPerRun(200, func() {
+			if _, err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+		}); n > c.max {
+			t.Errorf("%s allocates %v times, want at most %v", c.name, n, c.max)
+		}
 	}
 }

@@ -113,13 +113,13 @@ type span struct{ from, to int }
 // atom keys, sorted by bytes and deduplicated. The result is valid until
 // the next call. Renaming non-user variables apart injectively, as
 // prettify does, leaves the key unchanged.
-func (k *keyer) key(head term.Atom, body term.Formula, userVars map[term.Term]bool) []byte {
+func (k *keyer) key(head term.Atom, body term.Formula, userVars []term.Term) []byte {
 	b, spans, vars := k.buf[:0], k.spans[:0], k.vars[:0]
 	for _, a := range body {
 		from := len(b)
 		b = append(b, a.Pred...)
 		for _, t := range a.Args {
-			if !t.IsVar() || userVars[t] {
+			if !t.IsVar() || slices.Contains(userVars, t) {
 				b = t.AppendKey(b)
 				continue
 			}
@@ -223,7 +223,7 @@ func (as *Answers) SortedStrings() []string {
 // with a user variable or another renamed variable of the same answer.
 // Head and body become a copy the answer owns: one formula over one term
 // array.
-func (a *Answer) prettify(userVars map[term.Term]bool) {
+func (a *Answer) prettify(userVars []term.Term) {
 	n := len(a.Head.Args)
 	for _, atom := range a.Body {
 		n += len(atom.Args)
@@ -236,7 +236,7 @@ func (a *Answer) prettify(userVars map[term.Term]bool) {
 	var pairs [8]renamePair
 	renames := pairs[:0]
 	taken := func(name string) bool {
-		for v := range userVars {
+		for _, v := range userVars {
 			if v.Name() == name {
 				return true
 			}
@@ -253,7 +253,7 @@ func (a *Answer) prettify(userVars map[term.Term]bool) {
 		args := terms[:len(atom.Args):len(atom.Args)]
 		terms = terms[len(atom.Args):]
 		for j, t := range atom.Args {
-			if t.IsVar() && !userVars[t] {
+			if t.IsVar() && !slices.Contains(userVars, t) {
 				to, done := lookupRename(renames, t)
 				if !done {
 					base := t.Name()

@@ -124,6 +124,7 @@ func noteKeyShapes(a Answer, feat genFeatures) {
 // canonicalized formulas and a sorted set of atom keys.
 func TestAnswerKeyMatchesOracle(t *testing.T) {
 	userVars := map[term.Term]bool{genX: true, term.Var("U"): true}
+	userList := []term.Term{genX, term.Var("U")}
 	g := &generator{r: rand.New(rand.NewSource(1)), feat: make(genFeatures)}
 	rounds := 2000
 	if testing.Short() {
@@ -135,7 +136,7 @@ func TestAnswerKeyMatchesOracle(t *testing.T) {
 		answers := g.keyedAnswers(g.feat)
 		got := make([]string, len(answers))
 		for i, a := range answers {
-			got[i] = string(keys.key(a.Head, a.Body, userVars))
+			got[i] = string(keys.key(a.Head, a.Body, userList))
 		}
 		for i := range answers {
 			for j := range answers {

@@ -115,10 +115,7 @@ func (d *Describer) Compare(left term.Atom, leftHyp term.Formula, right term.Ato
 		return nil, fmt.Errorf("core: a compared concept has no consistent definition")
 	}
 
-	fixed := make(map[term.Term]bool)
-	for _, v := range left.Vars(nil) {
-		fixed[v] = true
-	}
+	fixed := left.Vars(nil)
 	m := newMatcher(fixed)
 	leftConjs, rightConjs := m.prepareAll(leftDefs), m.prepareAll(rightDefs)
 
@@ -158,7 +155,7 @@ func (d *Describer) Compare(left term.Atom, leftHyp term.Formula, right term.Ato
 // differences that are not the subject's, all through one renaming, to
 // readable base names (G_3 becomes G), as a describe answer's are: a
 // variable the three parts share keeps one name.
-func (c *ConceptComparison) prettify(fixed map[term.Term]bool) {
+func (c *ConceptComparison) prettify(fixed []term.Term) {
 	a := Answer{Body: slices.Concat(c.Shared, c.LeftOnly, c.RightOnly)}
 	a.prettify(fixed)
 	for _, part := range []*term.Formula{&c.Shared, &c.LeftOnly, &c.RightOnly} {
@@ -229,8 +226,18 @@ func (m *matcher) sharedConcept(dl, dr *conj) (shared, leftOnly, rightOnly term.
 	}
 
 	// Comparisons entailed by BOTH sides belong to the shared concept;
-	// the rest are differences.
+	// the rest are differences. Each side is compiled once.
 	appliedL, _ := m.b.apply(nil, nil, lCmp)
+	lNet, errL := builtin.Compile(appliedL)
+	rNet, errR := builtin.Compile(rCmp)
+	bothImply := func(c term.Atom) bool {
+		if errL != nil || errR != nil {
+			return false
+		}
+		li, err1 := lNet.Entails(c)
+		ri, err2 := rNet.Entails(c)
+		return err1 == nil && err2 == nil && li && ri
+	}
 	candidates := slices.Concat(appliedL, rCmp)
 	seen := make(map[string]bool)
 	for _, c := range candidates {
@@ -238,27 +245,19 @@ func (m *matcher) sharedConcept(dl, dr *conj) (shared, leftOnly, rightOnly term.
 			continue
 		}
 		seen[c.Key()] = true
-		li, err1 := builtin.Implies(appliedL, term.Formula{c})
-		ri, err2 := builtin.Implies(rCmp, term.Formula{c})
-		if err1 == nil && err2 == nil && li && ri {
+		if bothImply(c) {
 			shared = append(shared, c)
 		}
 	}
 	for i, c := range appliedL {
-		if !bothImply(appliedL, rCmp, c) {
+		if !bothImply(c) {
 			leftOnly = append(leftOnly, lCmpOrig[i])
 		}
 	}
 	for _, c := range rCmp {
-		if !bothImply(appliedL, rCmp, c) {
+		if !bothImply(c) {
 			rightOnly = append(rightOnly, c)
 		}
 	}
 	return shared, leftOnly, rightOnly
-}
-
-func bothImply(a, b term.Formula, c term.Atom) bool {
-	ai, err1 := builtin.Implies(a, term.Formula{c})
-	bi, err2 := builtin.Implies(b, term.Formula{c})
-	return err1 == nil && err2 == nil && ai && bi
 }

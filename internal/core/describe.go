@@ -239,7 +239,7 @@ func (d *Describer) describe(gov *governor.Governor, st *SearchStats, subject te
 	if err != nil {
 		return nil, false, err
 	}
-	formulas := eliminateRedundant(s.answers, s.userVars)
+	formulas := eliminateRedundant(s.answers, s.userList)
 	st.PostWall += time.Since(searched)
 	return formulas, len(formulas) == 0 && s.discarded > 0, nil
 }
@@ -249,7 +249,7 @@ func (d *Describer) describe(gov *governor.Governor, st *SearchStats, subject te
 func (d *Describer) newSearch(gov *governor.Governor, subject term.Atom, hypothesis term.Formula) *search {
 	s, _ := d.searches.Get().(*search)
 	if s == nil {
-		s = &search{seen: make(map[string]bool), userVars: make(map[term.Term]bool)}
+		s = &search{seen: make(map[string]bool)}
 	}
 	s.hypOrd, s.hypCmp = splitHypothesis(hypothesis)
 	alg2 := d.graph.DependsOnRecursive(subject.Pred)
@@ -269,10 +269,8 @@ func (d *Describer) newSearch(gov *governor.Governor, subject term.Atom, hypothe
 	// The user's variables, each classed by where the query spells it:
 	// the subject's first, then those of the hypothesis's ordinary
 	// conjuncts, then those of its comparisons (the order emit renames in).
-	clear(s.userVars)
 	s.userList, s.userClass = subject.Vars(s.userList[:0]), s.userClass[:0]
-	for _, v := range s.userList {
-		s.userVars[v] = true
+	for range s.userList {
 		s.userClass = append(s.userClass, inSubject)
 	}
 	for _, hyp := range [2][]indexedAtom{s.hypOrd, s.hypCmp} {
@@ -287,7 +285,6 @@ func (d *Describer) newSearch(gov *governor.Governor, subject term.Atom, hypothe
 					}
 					continue
 				}
-				s.userVars[v] = true
 				s.userList = append(s.userList, v)
 				s.userClass = append(s.userClass, inHypothesis)
 			}
@@ -304,7 +301,7 @@ func (d *Describer) putSearch(s *search) {
 	s.rn.Release(0)
 	s.b.reset()
 	s.leaves, s.treeAtoms, s.viaRules, s.obls = s.leaves[:0], s.treeAtoms[:0], s.viaRules[:0], s.obls[:0]
-	s.vals, s.conflicts, s.satisfied = s.vals[:0], s.conflicts[:0], s.satisfied[:0]
+	s.vals, s.conflicts, s.satisfied, s.positions = s.vals[:0], s.conflicts[:0], s.satisfied[:0], s.positions[:0]
 	s.ruleTerms, s.ruleAtoms, s.agendas, s.oblStack = s.ruleTerms[:0], s.ruleAtoms[:0], s.agendas[:0], s.oblStack[:0]
 	clear(s.seen)
 	s.discarded, s.anyProductive, s.truncated, s.nodes, s.spent = 0, false, false, 0, 0
@@ -374,8 +371,8 @@ type search struct {
 	hypOrd  []indexedAtom
 	hypCmp  []indexedAtom
 
-	// The user's variables: as a set, and listed with their classes.
-	userVars  map[term.Term]bool
+	// The user's variables, listed with their classes. They are few: a
+	// scan of the list is what tells a user variable.
 	userList  []term.Term
 	userClass []uint8
 
@@ -400,7 +397,7 @@ type search struct {
 	vals      []term.Term
 	conflicts []string
 	satisfied []int
-	positions map[predVar]int // scratch of conflictedPreds
+	positions []position // scratch of conflictedPreds
 
 	// Stacks every expansion carves from and pops when its choice
 	// returns: the renamed rule's arguments and body atoms, the agenda
@@ -413,13 +410,15 @@ type search struct {
 
 	// Scratch reused by every expansion and every answer of the search;
 	// no answer refers to it, so the pool hands it to the next statement.
-	// emit builds its atoms over terms and keys them in keys.
+	// emit builds its atoms over terms and keys them in keys, and
+	// compiles α, and then α without one of its comparisons, into net.
 	terms         []term.Term
 	full, alpha   term.Formula
 	removed, cmps term.Formula
 	renames       []renamePair
 	used          []int
 	keys          keyer
+	net           builtin.Network
 
 	answers       []Answer
 	seen          map[string]bool
@@ -796,35 +795,40 @@ func (s *search) typedOK(before []string) bool {
 	return true
 }
 
-// predVar keys the positions scratch of conflictedPreds.
-type predVar struct {
-	pred string
+// position is a variable at an argument position of a recursive
+// predicate: one entry of conflictedPreds' scratch.
+type position struct {
 	v    term.Term
+	pred string
+	i    int
 }
 
 // conflictedPreds appends to dst the recursive predicates for which some
 // variable occupies two distinct argument positions across the tree and
-// hypothesis atoms, under the current bindings.
+// hypothesis atoms, under the current bindings. The positions seen are a
+// list scanned per argument: a branch holds few recursive atoms.
 func (s *search) conflictedPreds(dst []string) []string {
-	if s.positions == nil {
-		s.positions = make(map[predVar]int)
-	}
-	clear(s.positions)
+	s.positions = s.positions[:0]
 	found := len(dst)
 	check := func(a term.Atom) {
 		if !s.d.recPreds[a.Pred] || slices.Contains(dst[found:], a.Pred) {
 			return
 		}
+	args:
 		for i, t := range a.Args {
 			if t = s.b.walk(t); !t.IsVar() {
 				continue
 			}
-			k := predVar{a.Pred, t}
-			if prev, ok := s.positions[k]; ok && prev != i {
-				dst = append(dst, a.Pred)
-				return
+			for _, p := range s.positions {
+				if p.v == t && p.pred == a.Pred {
+					if p.i != i {
+						dst = append(dst, a.Pred)
+						return
+					}
+					continue args
+				}
 			}
-			s.positions[k] = i
+			s.positions = append(s.positions, position{t, a.Pred, i})
 		}
 	}
 	for _, a := range s.treeAtoms {
@@ -860,8 +864,9 @@ func (s *search) unsatisfy(mark int) {
 // comparison post-pass, and records it (deduplicated). Everything before
 // the duplicate check lives in the search's scratch: the bindings and the
 // user-variable rename are applied to each leaf once, into one term
-// array, and the answer is keyed before it is built, so an answer already
-// seen allocates nothing unless comparisons need the solver.
+// array, α is compiled into a network the search keeps, and the answer
+// is keyed before it is built, so an answer already seen allocates
+// nothing.
 func (s *search) emit() error {
 	s.terms, s.full, s.alpha, s.renames = s.terms[:0], s.full[:0], s.alpha[:0], s.renames[:0]
 
@@ -876,7 +881,7 @@ func (s *search) emit() error {
 		if t == v {
 			continue
 		}
-		if t.IsVar() && !s.userVars[t] {
+		if t.IsVar() && !slices.Contains(s.userList, t) {
 			if prev, ok := lookupRename(s.renames, t); ok {
 				// Two user variables share an image: keep one rename,
 				// surface the other as an equality.
@@ -900,19 +905,19 @@ func (s *search) emit() error {
 	}
 	kept := s.full[:0]
 	s.removed = s.removed[:0]
-	var net *builtin.Network
+	compiled := false
 	for _, a := range s.full {
 		if !term.IsComparison(a) {
 			kept = append(kept, a)
 			continue
 		}
-		if net == nil {
-			var err error
-			if net, err = builtin.Compile(s.alpha); err != nil {
+		if !compiled {
+			if err := s.net.Reset(s.alpha); err != nil {
 				return err
 			}
+			compiled = true
 		}
-		implied, err := net.Entails(a)
+		implied, err := s.net.Entails(a)
 		if err != nil {
 			return err
 		}
@@ -954,12 +959,11 @@ func (s *search) emit() error {
 	if len(s.removed) > 0 {
 		for i, c := range s.hypCmp {
 			s.cmps = append(append(s.cmps[:0], s.alpha[:i]...), s.alpha[i+1:]...)
-			reduced, err := builtin.Compile(s.cmps)
-			if err != nil {
+			if err := s.net.Reset(s.cmps); err != nil {
 				return err
 			}
 			for _, beta := range s.removed {
-				still, err := reduced.Entails(beta)
+				still, err := s.net.Entails(beta)
 				if err != nil {
 					return err
 				}
@@ -988,7 +992,7 @@ func (s *search) emit() error {
 	// The key of the un-prettified body is the key of the answer:
 	// prettify renames non-user variables injectively and never to a
 	// user variable's name. Only a new answer is built.
-	key := s.keys.key(s.subject, kept, s.userVars)
+	key := s.keys.key(s.subject, kept, s.userList)
 	if s.seen[string(key)] {
 		return nil
 	}
@@ -999,7 +1003,7 @@ func (s *search) emit() error {
 		UsedHypothesis: append(make([]int, 0, len(used)), used...),
 		ViaRules:       append([]term.Rule(nil), s.viaRules...),
 	}
-	ans.prettify(s.userVars) // copies head and body out of the scratch
+	ans.prettify(s.userList) // copies head and body out of the scratch
 	s.answers = append(s.answers, ans)
 	return nil
 }

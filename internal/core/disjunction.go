@@ -35,14 +35,11 @@ func (d *Describer) DescribeOrContext(ctx context.Context, subject term.Atom, di
 	if err := validateDisjuncts(disjuncts); err != nil {
 		return nil, err
 	}
-	userVars := make(map[term.Term]bool)
-	for _, v := range subject.Vars(nil) {
-		userVars[v] = true
-	}
+	userVars := subject.Vars(nil)
 	var full term.Formula
 	for _, dis := range disjuncts {
-		for _, v := range dis.Vars() {
-			userVars[v] = true
+		for _, a := range dis {
+			userVars = a.Vars(userVars)
 		}
 		full = append(full, dis...)
 	}

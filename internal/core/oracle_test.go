@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -618,7 +619,7 @@ func (s *oracleSearch) emit(sigma term.Subst) error {
 		UsedHypothesis: used,
 		ViaRules:       append([]term.Rule(nil), s.viaRules...),
 	}
-	ans.prettify(s.userVars)
+	ans.prettify(slices.Collect(maps.Keys(s.userVars)))
 	key := ans.key(s.userVars)
 	if s.seen[key] {
 		return nil
@@ -1317,6 +1318,7 @@ func (g *generator) randomAnswer() Answer {
 // subsumes does, and removes the same redundant answers.
 func TestPreparedSubsumptionMatchesPairwise(t *testing.T) {
 	userVars := map[term.Term]bool{genX: true, term.Var("U"): true}
+	userList := []term.Term{genX, term.Var("U")}
 	g := &generator{r: rand.New(rand.NewSource(1)), feat: make(genFeatures)}
 	rounds := 600
 	if testing.Short() {
@@ -1328,7 +1330,7 @@ func TestPreparedSubsumptionMatchesPairwise(t *testing.T) {
 		for i := range answers {
 			answers[i] = g.randomAnswer()
 		}
-		m := newMatcher(userVars)
+		m := newMatcher(userList)
 		conjs := m.prepareAnswers(answers)
 		for i := range answers {
 			for j := range answers {
@@ -1346,7 +1348,7 @@ func TestPreparedSubsumptionMatchesPairwise(t *testing.T) {
 			}
 		}
 		want := fmt.Sprint(oracleEliminateRedundant(answers, userVars))
-		if got := fmt.Sprint(eliminateRedundant(answers, userVars)); got != want {
+		if got := fmt.Sprint(eliminateRedundant(answers, userList)); got != want {
 			t.Fatalf("of %v the prepared pass keeps\n%v\nthe pairwise pass\n%v", answers, got, want)
 		}
 	}

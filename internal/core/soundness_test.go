@@ -433,3 +433,30 @@ func TestQuickDescribeSoundBeyondAlgorithm1(t *testing.T) {
 		checkSoundOnStores(t, d.Rules(), cases, randomUniversityStore)
 	})
 }
+
+// TestDescribeSoundAcrossKinds: an order comparison holds only between
+// values of one kind, so a hypothesis pinning X to a symbol contradicts
+// X <= 5 rather than implying it. Over q(a), q(b), q(3) a solver that
+// let X = a imply X <= 5 answered `p(X) <- q(X)` where retrieve finds
+// nothing.
+func TestDescribeSoundAcrossKinds(t *testing.T) {
+	d := newDescriber(t, "p(X) :- q(X), X <= 5.\n", Options{})
+	if got := describe(t, d, `describe p(X) where X = a.`).String(); got != "false (the hypothesis contradicts the knowledge base)" {
+		t.Errorf("describe p(X) where X = a. = %q, want the contradiction", got)
+	}
+	cases := describeCases(t, d,
+		`describe p(X) where X = a.`, `describe p(X) where X = "a".`, `describe p(X) where X = 3.`,
+		`describe p(X) where X > 7.`, `describe p(X).`)
+	consts := []term.Term{term.Sym("a"), term.Sym("b"), term.Str("a"), term.Num(3), term.Num(7)}
+	checkSoundOnStores(t, d.Rules(), cases, func(r *rand.Rand) *storage.Store {
+		st := storage.NewMemory()
+		for _, c := range consts {
+			if r.Intn(3) > 0 {
+				if _, err := st.InsertAtom(term.NewAtom("q", c)); err != nil {
+					panic(err)
+				}
+			}
+		}
+		return st
+	})
+}

@@ -27,19 +27,19 @@ type matcher struct {
 
 	// Scratch of prepare: the non-fixed variables of the conjunction
 	// being prepared, by first occurrence, and the pattern variables
-	// named so far. Scratch of match: θ of the pattern's comparisons.
+	// named so far. Scratch of match: θ of the pattern's comparisons,
+	// and net, the specific side's comparisons, compiled when a θ of
+	// the current subsumes call first needs them.
 	vars, apart []term.Term
 	theta       term.Formula
 	terms       []term.Term
+	net         *builtin.Network
+	compiled    bool
 }
 
-func newMatcher(fixed map[term.Term]bool) *matcher {
-	m := &matcher{}
-	for v := range fixed {
-		m.fixed = append(m.fixed, v)
-	}
-	return m
-}
+// newMatcher returns a matcher whose θ fixes the variables listed, a
+// list it only reads.
+func newMatcher(fixed []term.Term) *matcher { return &matcher{fixed: fixed} }
 
 func (m *matcher) isFixed(v term.Term) bool { return slices.Contains(m.fixed, v) }
 
@@ -124,7 +124,7 @@ func (m *matcher) subsumes(general, specific *conj) (bool, error) {
 	if cannotMatch(general, specific) {
 		return false, nil
 	}
-	m.err = nil
+	m.err, m.compiled = nil, false
 	ok := m.match(general.pord, general, specific)
 	m.b.undo(0)
 	return ok, m.err
@@ -135,8 +135,21 @@ func (m *matcher) subsumes(general, specific *conj) (bool, error) {
 // specific's comparisons imply θ of general's.
 func (m *matcher) match(pattern term.Formula, general, specific *conj) bool {
 	if len(pattern) == 0 {
+		if len(general.pcmp) == 0 {
+			return true
+		}
+		if !m.compiled {
+			if m.net == nil {
+				m.net = new(builtin.Network)
+			}
+			if err := m.net.Reset(specific.cmp); err != nil {
+				m.err = err
+				return false
+			}
+			m.compiled = true
+		}
 		m.theta, m.terms = m.b.apply(m.theta[:0], m.terms[:0], general.pcmp)
-		implied, err := builtin.Implies(specific.cmp, m.theta)
+		implied, err := m.net.EntailsAll(m.theta)
 		if err != nil {
 			m.err = err
 			return false
@@ -187,7 +200,7 @@ func (m *matcher) matchFixed(pattern, target term.Atom) bool {
 // hypothesis, whose variables denote the same objects. The answers must
 // be those of one describe: they share the subject as head, and its
 // variables are among the user's.
-func eliminateRedundant(answers []Answer, userVars map[term.Term]bool) []Answer {
+func eliminateRedundant(answers []Answer, userVars []term.Term) []Answer {
 	if len(answers) <= 1 {
 		return answers
 	}

@@ -31,6 +31,13 @@ func defaultUnfoldLimits() unfoldLimits {
 func (d *Describer) unfold(f term.Formula, lim unfoldLimits) (out []term.Formula, truncated bool, err error) {
 	var rn term.Renamer
 	var b bindings
+	// Stacks each expansion carves its renamed rule and its goal list
+	// from, popped when the expansion returns (the search's variant and
+	// descend do the same), and the scratch a disjunct is applied into
+	// to test its comparisons before it is applied again into its own
+	// arrays.
+	var terms, disTerms []term.Term
+	var atoms, goalStack, dis, cmps term.Formula
 	var rec func(goals []term.Atom, acc term.Formula, budget int) error
 	rec = func(goals []term.Atom, acc term.Formula, budget int) error {
 		if len(out) >= lim.maxDisjuncts {
@@ -38,13 +45,19 @@ func (d *Describer) unfold(f term.Formula, lim unfoldLimits) (out []term.Formula
 			return nil
 		}
 		if len(goals) == 0 {
-			dis, _ := b.apply(nil, nil, acc)
-			cmp, _ := builtin.Split(dis)
-			sat, err := builtin.Sat(cmp)
+			dis, disTerms = b.apply(dis[:0], disTerms[:0], acc)
+			cmps = cmps[:0]
+			for _, a := range dis {
+				if term.IsComparison(a) {
+					cmps = append(cmps, a)
+				}
+			}
+			sat, err := builtin.Sat(cmps)
 			if err != nil {
 				return err
 			}
 			if sat {
+				dis, _ := b.apply(make(term.Formula, 0, len(acc)), make([]term.Term, 0, len(disTerms)), acc)
 				out = append(out, dis)
 			}
 			return nil
@@ -70,21 +83,23 @@ func (d *Describer) unfold(f term.Formula, lim unfoldLimits) (out []term.Formula
 		for _, r := range rules {
 			// The head binds first: a renamed variable takes the goal's
 			// term, and the goal's variable (the user's X) stays itself.
-			fresh := rn.RenameRule(r)
+			nt, na, ng := len(terms), len(atoms), len(goalStack)
+			var fresh term.Rule
+			fresh, terms, atoms = rn.AppendRule(r, terms, atoms)
 			mark := b.mark()
-			if !b.unify(fresh.Head, g) {
-				continue
+			if b.unify(fresh.Head, g) {
+				goalStack = append(append(goalStack, fresh.Body...), rest...)
+				err := rec(goalStack[ng:len(goalStack):len(goalStack)], acc, budget-1)
+				b.undo(mark)
+				if err != nil {
+					return err
+				}
 			}
-			next := append(append([]term.Atom{}, fresh.Body...), rest...)
-			err := rec(next, acc, budget-1)
-			b.undo(mark)
-			if err != nil {
-				return err
-			}
+			terms, atoms, goalStack = terms[:nt], atoms[:na], goalStack[:ng]
 		}
 		return nil
 	}
-	err = rec(append([]term.Atom{}, f...), nil, lim.maxExpansions)
+	err = rec(f, nil, lim.maxExpansions)
 	return out, truncated, err
 }
 

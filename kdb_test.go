@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"kdb"
+	"kdb/internal/parser"
 )
 
 func loadUniversity(t testing.TB) *kdb.KB {
@@ -115,6 +116,57 @@ func TestPublicAPINumbersByBits(t *testing.T) {
 	} {
 		if got := exec(t, k, c.query); got != c.want {
 			t.Errorf("%s = %q, want %q", c.query, got, c.want)
+		}
+	}
+}
+
+// TestPublicAPIDescribeNaN: a NaN, which only the API can write, orders
+// against nothing. A hypothesis pinning X to it contradicts X <= 7, as
+// retrieve finds no answer, rather than describing w(X) <- t(X).
+func TestPublicAPIDescribeNaN(t *testing.T) {
+	k := kdb.New()
+	if err := k.LoadString(`w(X) :- t(X), X <= 7.`); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []kdb.Atom{kdb.NewAtom("t", kdb.Num(math.NaN())), kdb.NewAtom("t", kdb.Num(5))} {
+		if err := k.Assert(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// withNaN parses src and puts a NaN in place of its qualifier's 12345.
+	withNaN := func(src string) kdb.Query {
+		q, err := kdb.ParseQuery(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var where kdb.Formula
+		switch q := q.(type) {
+		case *parser.Describe:
+			where = q.Where
+		case *parser.Retrieve:
+			where = q.Where
+		}
+		for _, a := range where {
+			for i, x := range a.Args {
+				if x == kdb.Num(12345) {
+					a.Args[i] = kdb.Num(math.NaN())
+				}
+			}
+		}
+		return q
+	}
+	for _, c := range []struct{ query, want string }{
+		{`describe w(X) where X = 12345.`, "false (the hypothesis contradicts the knowledge base)"},
+		{`retrieve w(X) where X = 12345.`, "no answers"},
+		{`describe w(X) where X != 12345.`, "w(X) <- t(X) and X <= 7"},
+		{`describe w(X) where X = 5.`, "w(X) <- t(X)"},
+	} {
+		res, err := k.ExecContext(context.Background(), withNaN(c.query))
+		if err != nil {
+			t.Fatalf("%s: %v", c.query, err)
+		}
+		if got := res.String(); got != c.want {
+			t.Errorf("%s (12345 a NaN) = %q, want %q", c.query, got, c.want)
 		}
 	}
 }
