@@ -101,7 +101,8 @@ func (d Diagnostic) String() string {
 }
 
 // Error aggregates the error-severity diagnostics that made a program
-// rejectable, so load failures carry the full structured findings.
+// rejectable, or a query statement refused, so load failures and refused
+// statements carry the full structured findings.
 type Error struct {
 	Diags []Diagnostic
 }
@@ -112,7 +113,7 @@ func (e *Error) Error() string {
 	for i, d := range e.Diags {
 		lines[i] = d.String()
 	}
-	return "analysis: program rejected:\n  " + strings.Join(lines, "\n  ")
+	return "analysis: rejected:\n  " + strings.Join(lines, "\n  ")
 }
 
 // Program is the unit of analysis: the IDB rules and their dependency

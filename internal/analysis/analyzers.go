@@ -22,7 +22,11 @@ var safetyAnalyzer = &Analyzer{
 	Run: func(pass *Pass) []Diagnostic {
 		var out []Diagnostic
 		for _, r := range pass.Program.Rules {
-			if v, where, ok := unsafeVar(r); ok {
+			if v, inHead, ok := term.Unbound(r.Head, r.Body); ok {
+				where := "comparison"
+				if inHead {
+					where = "head"
+				}
 				out = append(out, Diagnostic{
 					Analyzer: "safety",
 					Severity: SevError,
@@ -35,57 +39,6 @@ var safetyAnalyzer = &Analyzer{
 		}
 		return out
 	},
-}
-
-// unsafeVar returns the first range-restriction violation of the rule:
-// the unbound variable and whether it occurs in the head or in a
-// comparison. The binding semantics mirror eval's checkSafety.
-func unsafeVar(r term.Rule) (term.Term, string, bool) {
-	bound := make(map[term.Term]bool)
-	for _, a := range r.Body {
-		if term.IsComparison(a) {
-			continue
-		}
-		for _, v := range a.Vars(nil) {
-			bound[v] = true
-		}
-	}
-	// Equality atoms propagate bindings; iterate to a fixpoint.
-	for changed := true; changed; {
-		changed = false
-		for _, a := range r.Body {
-			if a.Pred != term.PredEq || len(a.Args) != 2 {
-				continue
-			}
-			l, rr := a.Args[0], a.Args[1]
-			lB := !l.IsVar() || bound[l]
-			rB := !rr.IsVar() || bound[rr]
-			if lB && !rB {
-				bound[rr] = true
-				changed = true
-			}
-			if rB && !lB {
-				bound[l] = true
-				changed = true
-			}
-		}
-	}
-	for _, v := range r.Head.Vars(nil) {
-		if !bound[v] {
-			return v, "head", true
-		}
-	}
-	for _, a := range r.Body {
-		if !term.IsComparison(a) || a.Pred == term.PredEq {
-			continue
-		}
-		for _, v := range a.Vars(nil) {
-			if !bound[v] {
-				return v, "comparison", true
-			}
-		}
-	}
-	return term.Term{}, "", false
 }
 
 // arityAnalyzer reports predicates used with conflicting arities across

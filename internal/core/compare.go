@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -46,6 +47,11 @@ func (r Relation) String() string {
 		return fmt.Sprintf("relation(%d)", uint8(r))
 	}
 }
+
+// ErrNoDefinition is Compare's refusal of a concept that unfolds, under
+// its hypothesis, to no consistent definition: there is nothing to
+// compare it by.
+var ErrNoDefinition = errors.New("core: a compared concept has no consistent definition")
 
 // ConceptComparison is the answer to a compare statement: the relation,
 // the maximal shared concept found, and the residual differences of the
@@ -112,7 +118,7 @@ func (d *Describer) Compare(left term.Atom, leftHyp term.Formula, right term.Ato
 		return nil, err
 	}
 	if len(leftDefs) == 0 || len(rightDefs) == 0 {
-		return nil, fmt.Errorf("core: a compared concept has no consistent definition")
+		return nil, ErrNoDefinition
 	}
 
 	fixed := left.Vars(nil)

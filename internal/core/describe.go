@@ -218,15 +218,16 @@ func (d *Describer) DescribeContext(ctx context.Context, subject term.Atom, hypo
 // search's answers, redundancy-eliminated, and whether it found the
 // hypothesis contradicting the knowledge base (§4, end).
 func (d *Describer) describe(gov *governor.Governor, st *SearchStats, subject term.Atom, hypothesis term.Formula) ([]Answer, bool, error) {
-	if term.IsComparison(subject) {
-		return nil, false, fmt.Errorf("core: the subject of describe cannot be a comparison")
-	}
-	if len(d.graph.RulesFor(subject.Pred)) == 0 {
-		return nil, false, fmt.Errorf("core: %s is not an IDB predicate; describe inquires about defined concepts", subject.Pred)
-	}
+	mustBeIDB(d.graph, subject)
 	start := time.Now()
 	s := d.newSearch(gov, subject, hypothesis)
 	defer d.putSearch(s)
+	// A hypothesis whose comparisons no values satisfy contradicts the
+	// knowledge base before any rule is tried: the special answer (§4).
+	var sat bool
+	if s.cmps, sat = satisfiable(s.cmps, hypothesis); !sat {
+		return nil, true, nil
+	}
 	s.spent = st.Nodes
 	err := s.run()
 	searched := time.Now()
@@ -242,6 +243,27 @@ func (d *Describer) describe(gov *governor.Governor, st *SearchStats, subject te
 	formulas := eliminateRedundant(s.answers, s.userList)
 	st.PostWall += time.Since(searched)
 	return formulas, len(formulas) == 0 && s.discarded > 0, nil
+}
+
+// mustBeIDB panics unless subject is a derived (IDB) predicate: callers
+// refuse any other subject first (kb's statement check).
+func mustBeIDB(g *depgraph.Graph, subject term.Atom) {
+	if len(g.RulesFor(subject.Pred)) == 0 {
+		panic(fmt.Sprintf("core: describe of %v, whose predicate is not an IDB predicate", subject))
+	}
+}
+
+// satisfiable reports whether some values satisfy every comparison of the
+// hypothesis h, which it collects in scratch, returned for reuse.
+func satisfiable(scratch, h term.Formula) (term.Formula, bool) {
+	scratch = scratch[:0]
+	for _, a := range h {
+		if term.IsComparison(a) {
+			scratch = append(scratch, a)
+		}
+	}
+	sat, err := builtin.Sat(scratch)
+	return scratch, sat && err == nil // err: never, as scratch holds only comparisons
 }
 
 // newSearch sets up the search of one describe statement over scratch

@@ -229,6 +229,34 @@ func TestHypothesisContradiction(t *testing.T) {
 	}
 }
 
+// TestUnsatisfiableHypothesis: comparisons of the hypothesis that no
+// values satisfy contradict the knowledge base whatever the rules say:
+// the special answer, before any search, for one subject and for every
+// subject of a wildcard.
+func TestUnsatisfiableHypothesis(t *testing.T) {
+	d := newDescriber(t, `p(X) :- q(X), X <= 5.`, Options{})
+	for _, q := range []string{
+		`describe p(X) where X > 7 and X < 3.`,
+		`describe p(X) where q(X) and X > 7 and X < 3.`,
+		`describe p(X) where X > Y and Y > X.`,
+	} {
+		ans := describe(t, d, q)
+		if !ans.Contradiction || len(ans.Formulas) != 0 || ans.Nodes != 0 {
+			t.Errorf("%s = %q after %d nodes, want the contradiction answer before any search", q, ans.String(), ans.Nodes)
+		}
+	}
+	if ans := describe(t, d, `describe p(X) where X > 3 and X < 7.`); ans.Contradiction || len(ans.Formulas) == 0 {
+		t.Errorf("a satisfiable hypothesis = %q", ans.String())
+	}
+	entries, err := d.DescribeWildcard(formula(t, `X > 7 and X < 3`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Subject.String() != "p(W1)" || !entries[0].Answers.Contradiction {
+		t.Errorf("wildcard entries = %v, want p(W1) with the contradiction answer", entries)
+	}
+}
+
 func TestComparisonRemovalExactBoundary(t *testing.T) {
 	d := newDescriber(t, universityIDB, Options{})
 	// V > 3.7 implies Z > 3.7 exactly (identical bound).

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"kdb/internal/governor"
@@ -32,12 +31,12 @@ func (d *Describer) DescribeOrContext(ctx context.Context, subject term.Atom, di
 	defer governor.Recover(&err)
 	gov, cancel := governor.New(ctx, limits)
 	defer cancel()
-	if err := validateDisjuncts(disjuncts); err != nil {
-		return nil, err
-	}
 	userVars := subject.Vars(nil)
 	var full term.Formula
 	for _, dis := range disjuncts {
+		if len(dis) == 0 { // callers refuse it (kb's statement check)
+			panic("core: an empty disjunct makes the hypothesis trivially true")
+		}
 		for _, a := range dis {
 			userVars = a.Vars(userVars)
 		}
@@ -114,15 +113,4 @@ func (d *Describer) DescribeOrContext(ctx context.Context, subject term.Atom, di
 	out.Formulas = eliminateRedundant(kept, userVars)
 	out.PostWall += time.Since(merge)
 	return out, nil
-}
-
-// validateDisjuncts rejects qualifier shapes the disjunctive forms do not
-// support.
-func validateDisjuncts(disjuncts []term.Formula) error {
-	for _, d := range disjuncts {
-		if len(d) == 0 {
-			return fmt.Errorf("core: an empty disjunct makes the qualifier trivially true")
-		}
-	}
-	return nil
 }

@@ -76,9 +76,7 @@ func (n *Necessity) String() string {
 // the satisfiability test. The expansion is bounded (see unfoldLimits);
 // within the bound the verdict is exact.
 func (d *Describer) DescribeNot(subject term.Atom, banned term.Formula, positive term.Formula) (*Necessity, error) {
-	if len(d.graph.RulesFor(subject.Pred)) == 0 {
-		return nil, fmt.Errorf("core: %s is not an IDB predicate", subject.Pred)
-	}
+	mustBeIDB(d.graph, subject)
 	lim := defaultUnfoldLimits()
 	lim.banned = banned
 	goals := append(term.Formula{subject}, positive...)
@@ -169,7 +167,9 @@ type WildcardEntry struct {
 // DescribeWildcard evaluates extension 4: `describe * where ψ` — all the
 // subjects derivable from the qualifier. Every IDB predicate is
 // described under ψ; entries whose answers actually use the hypothesis
-// are returned, most specific first (fewest residual conjuncts).
+// are returned, most specific first (fewest residual conjuncts). When the
+// comparisons of ψ are unsatisfiable, every subject's entry is the
+// special answer (Answers.Contradiction), and nothing is searched.
 func (d *Describer) DescribeWildcard(hypothesis term.Formula) ([]WildcardEntry, error) {
 	entries, _, err := d.DescribeWildcardContext(context.Background(), hypothesis, governor.Limits{})
 	return entries, err
@@ -201,6 +201,9 @@ func (d *Describer) DescribeWildcardContext(ctx context.Context, hypothesis term
 		}
 	}
 	sort.Strings(preds)
+	// A hypothesis whose comparisons no values satisfy contradicts the
+	// knowledge base whatever the subject: each gets the special answer.
+	_, sat := satisfiable(nil, hypothesis)
 	for _, pred := range preds {
 		if inHyp[pred] {
 			continue
@@ -210,6 +213,10 @@ func (d *Describer) DescribeWildcardContext(ctx context.Context, hypothesis term
 			args[i] = term.Var(fmt.Sprintf("W%d", i+1))
 		}
 		subject := term.NewAtom(pred, args...)
+		if !sat {
+			out = append(out, WildcardEntry{Subject: subject, Answers: &Answers{Subject: subject, Hypothesis: hypothesis, Contradiction: true}})
+			continue
+		}
 		formulas, _, err := d.describe(gov, &st, subject, hypothesis)
 		if err != nil {
 			return nil, st, err

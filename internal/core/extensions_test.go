@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -122,11 +123,16 @@ func TestDescribeNotBansDeepAtoms(t *testing.T) {
 	}
 }
 
+// TestDescribeNotRejectsNonIDBSubject: describe not of a stored subject is
+// a bug in the caller (kb refuses the statement first), and panics.
 func TestDescribeNotRejectsNonIDBSubject(t *testing.T) {
 	d := newDescriber(t, universityIDB, Options{})
-	if _, err := d.DescribeNot(atomOf(t, `student(X, Y, Z)`), formula(t, `honor(X)`), nil); err == nil {
-		t.Error("EDB subject must be rejected")
-	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "student") {
+			t.Errorf("EDB subject: recovered %v, want a panic naming student", r)
+		}
+	}()
+	d.DescribeNot(atomOf(t, `student(X, Y, Z)`), formula(t, `honor(X)`), nil)
 }
 
 // --- §6 extension 3: subjectless describe (possibility) ---

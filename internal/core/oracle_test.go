@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -33,13 +34,16 @@ import (
 
 // oracleDescribe is Describer.describe over the oracle's search.
 func oracleDescribe(d *Describer, subject term.Atom, hypothesis term.Formula) (*Answers, error) {
-	if term.IsComparison(subject) {
-		return nil, fmt.Errorf("core: the subject of describe cannot be a comparison")
-	}
-	if len(d.graph.RulesFor(subject.Pred)) == 0 {
-		return nil, fmt.Errorf("core: %s is not an IDB predicate; describe inquires about defined concepts", subject.Pred)
-	}
 	hypOrd, hypCmp := splitHypothesis(hypothesis)
+	// Comparisons no values satisfy contradict the knowledge base whatever
+	// the rules: the special answer, before any search (§4).
+	var alpha term.Formula
+	for _, c := range hypCmp {
+		alpha = append(alpha, c.atom)
+	}
+	if sat, err := builtin.Sat(alpha); err != nil || !sat {
+		return &Answers{Subject: subject, Hypothesis: hypothesis, Contradiction: true}, err
+	}
 	alg2 := d.graph.DependsOnRecursive(subject.Pred)
 	if len(hypOrd) == 0 {
 		alg2 = false
@@ -1047,7 +1051,10 @@ func (g *generator) note(c genCase, d *Describer, ans *Answers) {
 	if ans == nil {
 		return
 	}
-	if ans.Contradiction {
+	switch {
+	case ans.Contradiction && ans.Nodes == 0:
+		g.feat["unsatisfiable hypothesis comparisons"]++
+	case ans.Contradiction:
 		g.feat["contradicting comparisons"]++
 	}
 	if ans.Truncated && c.opts.MaxNodes < 1500 {
@@ -1121,6 +1128,15 @@ func disagreement(c genCase) (string, *Describer, *Answers) {
 	if err != nil {
 		return "", nil, nil
 	}
+	if len(d.graph.RulesFor(c.subject.Pred)) == 0 {
+		// No caller may describe a predicate without rules (kb refuses the
+		// statement): the describer stops on its invariant.
+		var pe *governor.PanicError
+		if _, err := d.DescribeContext(context.Background(), c.subject, c.hyp, governor.Limits{}); !errors.As(err, &pe) {
+			return fmt.Sprintf("described %v, which has no rules: %v", c.subject, err), d, nil
+		}
+		return "", d, nil
+	}
 	want, werr := oracleDescribe(d, c.subject, c.hyp)
 	got, gerr := d.DescribeContext(context.Background(), c.subject, c.hyp, governor.Limits{})
 	return sameAnswers(got, want, gerr, werr), d, got
@@ -1188,7 +1204,7 @@ func TestDescribeMatchesOracle(t *testing.T) {
 		"one table for both algorithms", "a table per algorithm",
 		"concept hypothesis", "stored-predicate hypothesis", "comparison hypothesis",
 		"hypothesis sharing a subject variable", "hypothesis disjoint from the subject",
-		"hypothesis that cannot participate", "contradicting comparisons",
+		"hypothesis that cannot participate", "contradicting comparisons", "unsatisfiable hypothesis comparisons",
 		"truncated by MaxNodes", "truncated by MaxAnswers",
 		"several answers", "answer using several conjuncts", "answer through several rules",
 	} {

@@ -315,7 +315,8 @@ func (c *component) resolve(p *probe) error {
 		if w.from == w.to {
 			return nil
 		}
-		return p.selectTable(c.d[pred], c.ctrs, w.from, w.to)
+		p.selectTable(c.d[pred], c.ctrs, w.from, w.to)
+		return nil
 	}
 	c.cs.Lookups++
 	c.rp.countLookup()
@@ -327,10 +328,10 @@ func (c *component) resolve(p *probe) error {
 	}
 	t := c.d[pred]
 	if t != nil {
-		// Stop here on a probe error, or when the enumeration was ended
-		// from inside (the runner holds the error that ended it).
-		if err := p.selectTable(t, c.ctrs, 0, t.n); err != nil || p.r.err != nil {
-			return err
+		// Stop here when the enumeration was ended from inside (the runner
+		// holds the error that ended it).
+		if p.selectTable(t, c.ctrs, 0, t.n); p.r.err != nil {
+			return nil
 		}
 	}
 	return p.selectStored(c.store, t, c.ctrs)

@@ -330,13 +330,12 @@ type plan struct {
 // the subject is a new predicate defined through the qualifier (paper
 // §3.1, Example 2). The disjuncts are checked in order, each as if it
 // were the statement's only one: an unsafe rule set fails every statement
-// with its first violation, after the first disjunct's own `X = Y` check
-// and before its query rule's safety check. With sideways the query rules
-// are compiled for the rule set's sideways plan.
+// with its first violation, before its query rule's safety check. What
+// the statement may say — arities, §3.1's ban on `X = Y`, a subject that
+// is no comparison — is the caller's to check (kb checks every statement
+// before it plans one). With sideways the query rules are compiled for
+// the rule set's sideways plan.
 func buildPlan(in Input, q Query, sideways bool) (*plan, error) {
-	if term.IsComparison(q.Subject) {
-		return nil, fmt.Errorf("eval: the subject of retrieve cannot be a comparison")
-	}
 	set := in.Prepared
 	if set == nil {
 		set = Prepare(depgraph.New(in.Rules))
@@ -353,12 +352,6 @@ func buildPlan(in Input, q Query, sideways bool) (*plan, error) {
 		where := q.Where
 		if i > 0 {
 			where = q.Or[i-1]
-		}
-		for _, a := range where {
-			// The paper prohibits X = Y atoms in qualifiers (§3.1).
-			if a.Pred == term.PredEq && a.Args[0].IsVar() && a.Args[1].IsVar() {
-				return nil, fmt.Errorf("eval: qualifier may not contain %v (variable = variable)", a)
-			}
 		}
 		if set.unsafe != nil {
 			return nil, set.unsafe
@@ -511,15 +504,6 @@ func (p *plan) sideways() {
 	}
 }
 
-// atPos renders " (at file:line:col)" for rules with a known source
-// position, so safety errors point at the offending clause.
-func atPos(r term.Rule) string {
-	if !r.Pos.IsValid() {
-		return ""
-	}
-	return fmt.Sprintf(" (at %s)", r.Pos)
-}
-
 // checkSafety returns the first violation of checkRule among the rules.
 func checkSafety(rules []term.Rule) error {
 	for _, r := range rules {
@@ -530,55 +514,19 @@ func checkSafety(rules []term.Rule) error {
 	return nil
 }
 
-// checkRule verifies that the rule is range-restricted under the greedy
-// evaluation order: all head variables and all variables of
-// non-equality comparison atoms must be bound by ordinary body atoms
-// (equality atoms may propagate bindings).
+// checkRule verifies that the rule is range-restricted (term.Unbound).
+// The error points at the clause when its source position is known.
 func checkRule(r term.Rule) error {
-	bound := make(map[term.Term]bool)
-	for _, a := range r.Body {
-		if term.IsComparison(a) {
-			continue
-		}
-		for _, v := range a.Vars(nil) {
-			bound[v] = true
-		}
+	v, inHead, unsafe := term.Unbound(r.Head, r.Body)
+	if !unsafe {
+		return nil
 	}
-	// Equality atoms propagate: X = c binds X; X = Y binds either from
-	// the other. Iterate to a fixpoint.
-	for changed := true; changed; {
-		changed = false
-		for _, a := range r.Body {
-			if a.Pred != term.PredEq || len(a.Args) != 2 {
-				continue
-			}
-			l, rr := a.Args[0], a.Args[1]
-			lB := !l.IsVar() || bound[l]
-			rB := !rr.IsVar() || bound[rr]
-			if lB && !rB {
-				bound[rr] = true
-				changed = true
-			}
-			if rB && !lB {
-				bound[l] = true
-				changed = true
-			}
-		}
+	var at string
+	if r.Pos.IsValid() {
+		at = fmt.Sprintf(" (at %s)", r.Pos)
 	}
-	for _, v := range r.Head.Vars(nil) {
-		if !bound[v] {
-			return fmt.Errorf("eval: unsafe rule %v%s: head variable %v is not bound by the body", r, atPos(r), v)
-		}
+	if inHead {
+		return fmt.Errorf("eval: unsafe rule %v%s: head variable %v is not bound by the body", r, at, v)
 	}
-	for _, a := range r.Body {
-		if !term.IsComparison(a) || a.Pred == term.PredEq {
-			continue
-		}
-		for _, v := range a.Vars(nil) {
-			if !bound[v] {
-				return fmt.Errorf("eval: unsafe rule %v%s: comparison variable %v is not bound", r, atPos(r), v)
-			}
-		}
-	}
-	return nil
+	return fmt.Errorf("eval: unsafe rule %v%s: comparison variable %v is not bound", r, at, v)
 }

@@ -334,15 +334,6 @@ func TestUnsafeRulesRejected(t *testing.T) {
 	}
 }
 
-func TestQualifierVarEqVarRejected(t *testing.T) {
-	in := load(t, universityDB)
-	for _, e := range engines(in) {
-		if _, err := e.RetrieveContext(context.Background(), query(t, `retrieve student(X, Y, Z) where X = Y.`)); err == nil {
-			t.Errorf("%s accepted X = Y in qualifier (paper §3.1 prohibits it)", e.Name())
-		}
-	}
-}
-
 func TestResultAtomsAndSorted(t *testing.T) {
 	in := load(t, universityDB)
 	e := NewSemiNaive(in)

@@ -505,23 +505,28 @@ func (r *runner) fact() (term.Atom, error) {
 
 // selectFrom feeds the probe every tuple of rel that matches its pattern,
 // charging the probe to c (nil: the counters attached to rel). side says
-// which extension rel is, for the arity error.
+// which extension rel is, for the arity invariant.
 func (p *probe) selectFrom(rel *storage.Relation, c *storage.Counters, side string) error {
-	if rel.Arity() != len(p.pattern) {
-		return fmt.Errorf("eval: %s used with arity %d, %s with %d", p.st.atom.Pred, len(p.pattern), side, rel.Arity())
-	}
+	p.mustMatch(rel.Arity(), side)
 	return rel.SelectCounted(p.pattern, c, p.each)
 }
 
 // selectTable feeds the probe every row of a derived table at ids in
 // [from, to) that matches its pattern: the whole table, or the
 // semi-naive delta.
-func (p *probe) selectTable(t *table, c *storage.Counters, from, to int) error {
-	if t.arity != len(p.pattern) {
-		return fmt.Errorf("eval: %s used with arity %d, derived with %d", p.st.atom.Pred, len(p.pattern), t.arity)
-	}
+func (p *probe) selectTable(t *table, c *storage.Counters, from, to int) {
+	p.mustMatch(t.arity, "derived")
 	t.selectRange(p.pattern, from, to, c, p.each)
-	return nil
+}
+
+// mustMatch panics unless the probed extension has the arity the probe's
+// atom uses: callers refuse disagreeing arities before they evaluate
+// (kb's load analysis and statement check). The engine contains the
+// panic as a *governor.PanicError.
+func (p *probe) mustMatch(arity int, side string) {
+	if arity != len(p.pattern) {
+		panic(fmt.Sprintf("eval: %s used with arity %d, %s with %d", p.st.atom.Pred, len(p.pattern), side, arity))
+	}
 }
 
 // selectStored feeds the probe the stored tuples of its predicate, less

@@ -220,30 +220,3 @@ func TestRetractDurable(t *testing.T) {
 		t.Errorf("after reopen: %v, want only p(b)", got)
 	}
 }
-
-// TestGenerationCounter pins the invalidation contract of prepared
-// statements: loads and declaring asserts bump the generation;
-// fact-only asserts do not.
-func TestGenerationCounter(t *testing.T) {
-	k := New()
-	g0 := k.Generation()
-	if err := k.LoadString("p(a)."); err != nil {
-		t.Fatal(err)
-	}
-	g1 := k.Generation()
-	if g1 == g0 {
-		t.Error("load did not bump the generation")
-	}
-	if err := k.Assert(term.NewAtom("p", term.Sym("b"))); err != nil {
-		t.Fatal(err)
-	}
-	if k.Generation() != g1 {
-		t.Error("fact-only assert bumped the generation")
-	}
-	if err := k.Assert(term.NewAtom("fresh", term.Sym("x"))); err != nil {
-		t.Fatal(err)
-	}
-	if k.Generation() == g1 {
-		t.Error("declaring assert did not bump the generation")
-	}
-}

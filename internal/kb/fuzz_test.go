@@ -24,9 +24,9 @@ var fuzzLimits = governor.Limits{
 // FuzzExec runs arbitrary statement text against testdata/university.kdb
 // under fuzzLimits: no statement may panic — a contained one surfaces as
 // a *governor.PanicError, which fails here too — or run past a few
-// seconds, and every refusal is an error with a message. The seeds run
-// as part of the normal test suite; `go test -fuzz=FuzzExec` explores
-// further.
+// seconds, and every refusal is an error with a message and of a class
+// (classified) a client can act on. The seeds run as part of the normal
+// test suite; `go test -fuzz=FuzzExec` explores further.
 func FuzzExec(f *testing.F) {
 	for _, s := range []string{
 		`retrieve honor(X).`,
@@ -52,6 +52,23 @@ func FuzzExec(f *testing.F) {
 		`retrieve X > 3.`,
 		`explain honor(X) where student(X, Y, Z) and Z > W.`,
 		``,
+		`retrieve nosuch(X, Y).`,
+		`retrieve honor(X) where X > Y.`,
+		`retrieve student(a).`,
+		`retrieve honor(a, b).`,
+		`explain honor(a, b).`,
+		`profile student(a).`,
+		`describe honor(X) where student(X).`,
+		`describe honor(X, Y).`,
+		`describe student(X, Y, Z).`,
+		`describe nosuch(X).`,
+		`describe * where not honor(X).`,
+		`describe where not honor(X).`,
+		`describe *.`,
+		`describe honor(X) where student(X, M, G) and G > 7 and G < 3.`,
+		`compare (describe honor(X) where student(X, M, G) and G < 3) with (describe deans_list(X)).`,
+		`compare (describe honor(X)) with (describe prior(X, Y)).`,
+		`retrieve sys_nosuch(X).`,
 	} {
 		f.Add(s)
 	}
@@ -71,6 +88,8 @@ func FuzzExec(f *testing.F) {
 			t.Fatalf("%q panicked: %v\n%s", stmt, pe, pe.Stack)
 		case err != nil && strings.TrimSpace(err.Error()) == "":
 			t.Fatalf("%q failed with an empty message (%T)", stmt, err)
+		case err != nil && !classified(err):
+			t.Fatalf("%q failed with an error of no class (%T): %v", stmt, err, err)
 		case err == nil && res == nil:
 			t.Fatalf("%q returned neither a result nor an error", stmt)
 		}

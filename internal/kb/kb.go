@@ -67,12 +67,6 @@ type KB struct {
 	//kdb:guarded-by mu
 	closed bool
 
-	// gen counts schema mutations (program loads; asserts that declare a
-	// new predicate). Prepared-statement caches compare it to detect
-	// staleness; fact-only mutations do not invalidate a prepared
-	// program's analysis and leave it unchanged.
-	gen atomic.Uint64
-
 	// tracer and qmetrics are the optional observability hooks
 	// (WithTracer, WithMetrics). Both are nil-safe throughout: when
 	// unset, the query path does no observability work and no
@@ -194,12 +188,6 @@ func (k *KB) DurabilityErr() error {
 	defer k.mu.RUnlock()
 	return k.store.DurabilityErr()
 }
-
-// Generation returns a counter that increases on every schema mutation
-// (LoadProgram; an Assert that declares a new predicate). Prepared
-// statements validated at generation g remain valid while Generation
-// reports g.
-func (k *KB) Generation() uint64 { return k.gen.Load() }
 
 // limitsKey carries per-request limits in a context.
 type limitsKey struct{}
@@ -384,7 +372,6 @@ func (k *KB) LoadProgram(prog *parser.Program) error {
 		}
 	}
 	k.prog = newProgram(g, append(cur.constraints, prog.Constraints...), rep, cur.opts)
-	k.gen.Add(1)
 	return nil
 }
 
@@ -442,29 +429,16 @@ func (k *KB) Diagnostics() *analysis.Report {
 	return k.prog.report
 }
 
+// checkAtomArity checks a loaded atom's arity as a statement's atoms are
+// checked (checkAtomsLocked), and declares a predicate the catalog does
+// not know in class.
+//
+//kdb:locked mu
 func (k *KB) checkAtomArity(a term.Atom, class catalog.Class) error {
-	if term.IsComparisonPred(a.Pred) {
-		if len(a.Args) != 2 {
-			return fmt.Errorf("kb: comparison %v must be binary", a)
-		}
-		return nil
+	if err := k.checkAtomsLocked(a); err != nil {
+		return err
 	}
-	// The sys_ namespace is reserved: virtual relations validate against
-	// their fixed schema and never enter the catalog (the reserved
-	// analyzer already rejects definitions, so only body uses get here).
-	if sysrel.IsName(a.Pred) {
-		if err := sysrel.Check(a); err != nil {
-			return fmt.Errorf("kb: %w", err)
-		}
-		return nil
-	}
-	if p := k.cat.Lookup(a.Pred); p != nil {
-		if p.Arity != len(a.Args) {
-			return fmt.Errorf("kb: %s used with arity %d but known with arity %d", a.Pred, len(a.Args), p.Arity)
-		}
-		if class == catalog.ClassIDB && p.Class == catalog.ClassEDB {
-			return nil // promotion handled by the caller
-		}
+	if _, known := k.cat.Arity(a.Pred); known || sysrel.IsName(a.Pred) {
 		return nil
 	}
 	_, err := k.cat.Declare(a.Pred, len(a.Args), class)
@@ -484,17 +458,11 @@ func (k *KB) Assert(a term.Atom) error {
 	if k.cat.IsIDB(a.Pred) {
 		return fmt.Errorf("kb: %s is intensional; assert rules by loading a program", a.Pred)
 	}
-	declares := k.cat.Lookup(a.Pred) == nil
 	if err := k.checkAtomArity(a, catalog.ClassEDB); err != nil {
 		return err
 	}
-	if _, err := k.store.InsertAtom(a); err != nil {
-		return err
-	}
-	if declares {
-		k.gen.Add(1)
-	}
-	return nil
+	_, err := k.store.InsertAtom(a)
+	return err
 }
 
 // Retract removes one ground fact (EDB predicates only), reporting
@@ -633,19 +601,19 @@ func (k *KB) engineLocked(ctx context.Context, extra ...eval.EngineOption) (eval
 	return eval.NewSemiNaive(in, opts...), nil
 }
 
-// evaluate runs a statement's one query — a data query (§3.1), of any
-// number of disjuncts — under the read lock, on engineLocked's
-// evaluator, and then after, when given, on its answers under the same
-// lock. It returns the answers and the statement's one EvalStats, with
+// evaluateLocked runs a statement's one query — a data query (§3.1), of
+// any number of disjuncts — on engineLocked's evaluator, and then after,
+// when given, on its answers, all under the read lock the caller holds.
+// It returns the answers and the statement's one EvalStats, with
 // the error if any; the record is nil when the query failed before
 // evaluating. A governed stop — cancellation, deadline expiry, a
 // breached limit, or a contained panic — returns an *eval.StopError
 // (wrapping governor.ErrCanceled, *governor.LimitError, or
 // *governor.PanicError) that carries the same record, its StopReason
 // set.
-func (k *KB) evaluate(ctx context.Context, q eval.Query, after func(*eval.Result), extra ...eval.EngineOption) (*eval.Result, *eval.EvalStats, error) {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
+//
+//kdb:rlocked mu
+func (k *KB) evaluateLocked(ctx context.Context, q eval.Query, after func(*eval.Result), extra ...eval.EngineOption) (*eval.Result, *eval.EvalStats, error) {
 	e, err := k.engineLocked(ctx, extra...)
 	if err != nil {
 		return nil, nil, err
@@ -663,29 +631,25 @@ func (k *KB) evaluate(ctx context.Context, q eval.Query, after func(*eval.Result
 // rendering.
 const maxExplainNodes = 10000
 
-// explain runs a governed retrieve of subject/where with why-provenance
-// recording on — one witness per derived fact, the configured
+// explainLocked runs a governed retrieve of subject/where with
+// why-provenance recording on — one witness per derived fact, the configured
 // MaxProvenanceEntries limit applies — then rebuilds the derivation tree
 // of every answer. Trees are cycle-safe for recursive predicates; leaves
 // distinguish stored facts (edb) from comparisons (builtin). The trees
 // are rebuilt inside the evaluation, under its read lock, so every leaf
 // is classified against the store the answers were derived from. The
 // result carries the evaluation's EvalStats either way.
-func (k *KB) explain(ctx context.Context, subject term.Atom, where term.Formula) (*ExecResult, error) {
+//
+//kdb:rlocked mu
+func (k *KB) explainLocked(ctx context.Context, subject term.Atom, where term.Formula) (*ExecResult, error) {
 	out, rec := &ExecResult{}, prov.NewRecorder()
 	var err error
-	_, out.Stats, err = k.evaluate(ctx, eval.Query{Subject: subject, Where: where}, func(res *eval.Result) {
+	_, out.Stats, err = k.evaluateLocked(ctx, eval.Query{Subject: subject, Where: where}, func(res *eval.Result) {
 		start := time.Now()
 		out.Explanation = rec.Explain(subject, res.Atoms(subject), k.store.Contains, maxExplainNodes)
 		out.explainWall = time.Since(start)
 	}, eval.WithProvenance(rec))
 	return out, err
-}
-
-func (k *KB) showProvenance() bool {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	return k.provenance
 }
 
 // SetProvenance switches provenance display on or off (off by default):
@@ -698,7 +662,11 @@ func (k *KB) SetProvenance(on bool) {
 }
 
 // Provenance reports whether provenance display is on.
-func (k *KB) Provenance() bool { return k.showProvenance() }
+func (k *KB) Provenance() bool {
+	k.mu.RLock()
+	defer k.mu.RUnlock()
+	return k.provenance
+}
 
 // SetProfiling switches always-on profiling on or off (off by default):
 // when on, every retrieve statement records per-rule cost rows and its
@@ -736,27 +704,30 @@ func (k *KB) SetIntensional(on bool) {
 	k.mu.Unlock()
 }
 
-// describer returns the current generation and its describe engine.
-// When building the engine fails (e.g. degenerate recursion makes the
-// §5.2 transformation inapplicable), the error is replaced by the
-// generation's analyzer diagnostics relevant to the subject predicate
-// pred, when there are any — the caller learns which rules are at fault
-// and why, not just that the transformation failed. An empty pred keeps
-// the error as it is.
-func (k *KB) describer(pred string) (*program, *core.Describer, error) {
-	k.mu.RLock()
-	p, closed := k.prog, k.closed
-	k.mu.RUnlock()
-	if closed {
-		return nil, nil, ErrClosed
+// describerLocked returns the describe engine of the current
+// generation. A statement whose context is already done stops here: the
+// §6 verdicts — describe not, the subjectless describe, compare — bound
+// their unfolding but take no context. When building the engine fails
+// (e.g. degenerate recursion makes the §5.2 transformation
+// inapplicable), the statement is refused with the generation's analyzer
+// diagnostics relevant to the subject predicate pred, when it has one
+// and there are any — the caller learns which rules are at fault and
+// why — or else with the failure itself.
+//
+//kdb:rlocked mu
+func (k *KB) describerLocked(ctx context.Context, pred string) (*core.Describer, error) {
+	if err := governor.Check(ctx); err != nil {
+		return nil, err
 	}
+	p := k.prog
 	d, err := p.describe(k.cat)
-	if err != nil && pred != "" {
-		if diags := describeDiagnostics(p.report, p.graph, pred); len(diags) > 0 {
-			return nil, nil, &analysis.Error{Diags: diags}
-		}
+	if err == nil {
+		return d, nil
 	}
-	return p, d, err
+	if diags := describeDiagnostics(p.report, p.graph, pred); pred != "" && len(diags) > 0 {
+		return nil, &analysis.Error{Diags: diags}
+	}
+	return nil, refuse("recursion", pred, "%v", err)
 }
 
 // describeDiagnostics returns the diagnostics of the report about the
@@ -810,16 +781,18 @@ func attachNotes(p *program, subject term.Atom, ans *core.Answers) {
 	}
 }
 
-// describe runs a knowledge query (§3.2) — `where necessary`, plain or
-// disjunctive — under the effective query limits, getting the describer
-// as out's analyze phase: the search checks cancellation cooperatively,
+// describeLocked runs a knowledge query (§3.2) — `where necessary`,
+// plain or disjunctive — under the effective query limits, getting the
+// describer as out's analyze phase: the search checks cancellation cooperatively,
 // and MaxDescribeNodes bounds its steps as a hard error (unlike the
 // describe engine's own MaxNodes option, which truncates). Artificial
 // step-predicate names in the answers are replaced by their @name
 // display names, and a degraded describe carries the notes that explain it.
-func (k *KB) describe(ctx context.Context, out *ExecResult, subject term.Atom, where term.Formula, or []term.Formula, necessary bool) (*core.Answers, error) {
+//
+//kdb:rlocked mu
+func (k *KB) describeLocked(ctx context.Context, out *ExecResult, subject term.Atom, where term.Formula, or []term.Formula, necessary bool) (*core.Answers, error) {
 	start := time.Now()
-	p, d, err := k.describer(subject.Pred)
+	d, err := k.describerLocked(ctx, subject.Pred)
 	out.analyzeWall += time.Since(start)
 	if err != nil {
 		return nil, err
@@ -837,21 +810,8 @@ func (k *KB) describe(ctx context.Context, out *ExecResult, subject term.Atom, w
 		return nil, err
 	}
 	k.applyDisplayNames(ans)
-	attachNotes(p, subject, ans)
+	attachNotes(k.prog, subject, ans)
 	return ans, nil
-}
-
-// unfolder returns the describer for a §6 verdict — describe not, the
-// subjectless describe, compare — whose core call bounds its unfolding
-// but takes no context: a statement whose context is already done stops
-// here, before the unfolding starts. pred, when set, names the subject
-// whose diagnostics explain a describer that cannot be built.
-func (k *KB) unfolder(ctx context.Context, pred string) (*core.Describer, error) {
-	if err := governor.Check(ctx); err != nil {
-		return nil, err
-	}
-	_, d, err := k.describer(pred)
-	return d, err
 }
 
 // applyDisplayNames rewrites predicate names in answers to their @name
@@ -865,31 +825,6 @@ func (k *KB) applyDisplayNames(ans *core.Answers) {
 			}
 		}
 	}
-}
-
-// checkSysRefs rejects a retrieve naming a sys_ relation that is not
-// served, or a served one at the wrong arity, before it is planned.
-func checkSysRefs(s *parser.Retrieve) error {
-	check := func(f term.Formula) error {
-		for _, a := range f {
-			if err := sysrel.Check(a); err != nil {
-				return fmt.Errorf("kb: %w", err)
-			}
-		}
-		return nil
-	}
-	if err := sysrel.Check(s.Subject); err != nil {
-		return fmt.Errorf("kb: %w", err)
-	}
-	if err := check(s.Where); err != nil {
-		return err
-	}
-	for _, d := range s.Or {
-		if err := check(d); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ExecContext runs any parsed query statement, returning a displayable
@@ -941,79 +876,77 @@ func (k *KB) exec(ctx context.Context, q parser.Query, src string) (*ExecResult,
 	return res, nil
 }
 
-// execContext runs one parsed statement. An evaluating statement that
-// fails returns its partial result with the error: the EvalStats and
-// profile up to a governed stop, for the scope to record.
+// execContext runs one parsed statement under one hold of the read lock:
+// it checks the statement against the generation it runs on (check), and
+// runs it on that generation. An evaluating statement that fails returns
+// its partial result with the error: the EvalStats and profile up to a
+// governed stop, for the scope to record.
 func (k *KB) execContext(ctx context.Context, q parser.Query) (*ExecResult, error) {
+	k.mu.RLock()
+	defer k.mu.RUnlock()
+	if k.closed {
+		return nil, ErrClosed
+	}
+	if err := k.checkLocked(q); err != nil {
+		return nil, err
+	}
 	switch s := q.(type) {
 	case *parser.Retrieve:
-		if err := checkSysRefs(s); err != nil {
-			return nil, err
-		}
 		out := &ExecResult{Query: q, subject: s.Subject}
 		var opts []eval.EngineOption
-		if k.Profiling() {
+		if k.profiling {
 			opts = append(opts, eval.WithProfile())
 		}
 		var err error
-		out.Retrieve, out.Stats, err = k.evaluate(ctx, eval.Query{Subject: s.Subject, Where: s.Where, Or: s.Or}, nil, opts...)
+		out.Retrieve, out.Stats, err = k.evaluateLocked(ctx, eval.Query{Subject: s.Subject, Where: s.Where, Or: s.Or}, nil, opts...)
 		if err != nil {
 			return out, err
 		}
-		if k.Intensional() {
-			// Intensional answering: attach the knowledge characterizing
-			// the extension, when the subject is an IDB concept.
-			if ans, derr := k.describe(ctx, out, s.Subject, s.Where, s.Or, false); derr == nil {
+		// Intensional answering: attach the knowledge characterizing the
+		// extension, when the statement also reads as a describe.
+		if k.intensional && k.checkDescribeLocked(&parser.Describe{Subject: s.Subject, Where: s.Where, Or: s.Or}, true) == nil {
+			if ans, derr := k.describeLocked(ctx, out, s.Subject, s.Where, s.Or, false); derr == nil {
 				out.Knowledge = ans
 			}
 		}
 		return out, nil
 	case *parser.Describe:
-		return k.execDescribe(ctx, s)
+		return k.execDescribeLocked(ctx, s)
 	case *parser.Explain:
-		out, err := k.explain(ctx, s.Subject, s.Where)
+		out, err := k.explainLocked(ctx, s.Subject, s.Where)
 		out.Query = q
 		return out, err
 	case *parser.Profile:
 		out := &ExecResult{Query: q, subject: s.Subject}
 		var err error
-		out.Retrieve, out.Stats, err = k.evaluate(ctx, eval.Query{Subject: s.Subject, Where: s.Where}, nil, eval.WithProfile())
+		out.Retrieve, out.Stats, err = k.evaluateLocked(ctx, eval.Query{Subject: s.Subject, Where: s.Where}, nil, eval.WithProfile())
 		return out, err
-	case *parser.Compare:
-		d, err := k.unfolder(ctx, "")
+	default: // *parser.Compare: the parser makes no other statement
+		cq := q.(*parser.Compare)
+		d, err := k.describerLocked(ctx, "")
 		if err != nil {
 			return nil, err
 		}
-		c, err := d.Compare(s.Left.Subject, s.Left.Where, s.Right.Subject, s.Right.Where)
+		c, err := d.Compare(cq.Left.Subject, cq.Left.Where, cq.Right.Subject, cq.Right.Where)
+		if errors.Is(err, core.ErrNoDefinition) {
+			return nil, refuse("subject", "", "a compared concept has no consistent definition under its hypothesis")
+		}
 		if err != nil {
 			return nil, err
 		}
 		return &ExecResult{Query: q, Comparison: c}, nil
-	default:
-		return nil, fmt.Errorf("kb: unsupported query %T", q)
 	}
 }
 
-// execDescribe runs a describe statement in any of its forms.
-func (k *KB) execDescribe(ctx context.Context, s *parser.Describe) (*ExecResult, error) {
-	// A describe of a virtual relation answers from its fixed definition:
-	// the schema is code, not loaded knowledge, so the describe engine has
-	// nothing to unfold.
-	if !s.Wildcard && !s.Subjectless && sysrel.IsName(s.Subject.Pred) {
-		d := sysrel.Lookup(s.Subject.Pred)
-		if d == nil {
-			return nil, fmt.Errorf("kb: %w", &sysrel.RefError{Pred: s.Subject.Pred})
-		}
-		return &ExecResult{Query: s, System: fmt.Sprintf("%s — virtual relation: %s", d.Signature(), d.Doc)}, nil
-	}
+// execDescribeLocked runs a describe statement in any of its forms.
+//
+//kdb:rlocked mu
+func (k *KB) execDescribeLocked(ctx context.Context, s *parser.Describe) (*ExecResult, error) {
 	switch {
 	case s.Wildcard:
-		if len(s.Not) > 0 {
-			return nil, fmt.Errorf("kb: 'not' is not supported in a wildcard describe")
-		}
 		out := &ExecResult{Query: s, wildcard: true}
 		start := time.Now()
-		_, d, err := k.describer("")
+		d, err := k.describerLocked(ctx, "")
 		out.analyzeWall = time.Since(start)
 		if err != nil {
 			return out, err
@@ -1021,10 +954,7 @@ func (k *KB) execDescribe(ctx context.Context, s *parser.Describe) (*ExecResult,
 		out.Wildcard, out.wildcardSearch, err = d.DescribeWildcardContext(ctx, s.Where, k.effectiveLimits(ctx))
 		return out, err
 	case s.Subjectless:
-		if len(s.Not) > 0 {
-			return nil, fmt.Errorf("kb: 'not' is not supported in a subjectless describe")
-		}
-		d, err := k.unfolder(ctx, "")
+		d, err := k.describerLocked(ctx, "")
 		if err != nil {
 			return nil, err
 		}
@@ -1033,8 +963,14 @@ func (k *KB) execDescribe(ctx context.Context, s *parser.Describe) (*ExecResult,
 			return nil, err
 		}
 		return &ExecResult{Query: s, Possibility: p}, nil
+	case sysrel.IsName(s.Subject.Pred):
+		// A describe of a virtual relation answers from its fixed
+		// definition: the schema is code, not loaded knowledge, so the
+		// describe engine has nothing to unfold.
+		d := sysrel.Lookup(s.Subject.Pred)
+		return &ExecResult{Query: s, System: fmt.Sprintf("%s — virtual relation: %s", d.Signature(), d.Doc)}, nil
 	case len(s.Not) > 0:
-		d, err := k.unfolder(ctx, s.Subject.Pred)
+		d, err := k.describerLocked(ctx, s.Subject.Pred)
 		if err != nil {
 			return nil, err
 		}
@@ -1044,9 +980,9 @@ func (k *KB) execDescribe(ctx context.Context, s *parser.Describe) (*ExecResult,
 		}
 		return &ExecResult{Query: s, Necessity: n}, nil
 	}
-	out := &ExecResult{Query: s, provenance: k.showProvenance()}
+	out := &ExecResult{Query: s, provenance: k.provenance}
 	var err error
-	out.Describe, err = k.describe(ctx, out, s.Subject, s.Where, s.Or, s.Necessary)
+	out.Describe, err = k.describeLocked(ctx, out, s.Subject, s.Where, s.Or, s.Necessary)
 	return out, err
 }
 
@@ -1181,6 +1117,10 @@ func (r *ExecResult) String() string {
 		for i, e := range r.Wildcard {
 			if i > 0 {
 				b.WriteByte('\n')
+			}
+			if e.Answers.Contradiction {
+				b.WriteString(e.Subject.String())
+				b.WriteString(": ")
 			}
 			b.WriteString(e.Answers.String())
 		}

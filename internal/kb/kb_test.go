@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"kdb/internal/core"
+	"kdb/internal/eval"
 	"kdb/internal/parser"
 	"kdb/internal/term"
 )
@@ -60,6 +61,22 @@ func execStr(t testing.TB, k *KB, q string) string {
 		t.Fatalf("exec %q: %v", q, err)
 	}
 	return res.String()
+}
+
+// evaluate runs one query under the read lock, unchecked, as a statement
+// runs it (evaluateLocked).
+func (k *KB) evaluate(ctx context.Context, q eval.Query, after func(*eval.Result), extra ...eval.EngineOption) (*eval.Result, *eval.EvalStats, error) {
+	k.mu.RLock()
+	defer k.mu.RUnlock()
+	return k.evaluateLocked(ctx, q, after, extra...)
+}
+
+// explain runs one explain under the read lock, unchecked, as a statement
+// runs it (explainLocked).
+func (k *KB) explain(ctx context.Context, subject term.Atom, where term.Formula) (*ExecResult, error) {
+	k.mu.RLock()
+	defer k.mu.RUnlock()
+	return k.explainLocked(ctx, subject, where)
 }
 
 func TestLoadClassifiesPredicates(t *testing.T) {

@@ -80,14 +80,8 @@ func BindPlaceholders(q Query, args []term.Term) (Query, error) {
 	return bindQuery(q, sub), nil
 }
 
-// WalkAtoms visits every atom of the query: subjects and all qualifier
-// formulas, including both sides of a compare. Callers use it for
-// read-only validation (e.g. checking arities against a catalog before
-// caching a prepared statement).
-func WalkAtoms(q Query, fn func(term.Atom)) { walkQueryAtoms(q, fn) }
-
 // walkQueryAtoms visits every atom of the query (subjects and all
-// qualifier formulas).
+// qualifier formulas, both sides of a compare included).
 func walkQueryAtoms(q Query, fn func(term.Atom)) {
 	walkFormula := func(f term.Formula) {
 		for _, a := range f {
@@ -111,6 +105,9 @@ func walkQueryAtoms(q Query, fn func(term.Atom)) {
 			walkFormula(d)
 		}
 	case *Explain:
+		fn(s.Subject)
+		walkFormula(s.Where)
+	case *Profile:
 		fn(s.Subject)
 		walkFormula(s.Where)
 	case *Compare:
@@ -148,6 +145,11 @@ func bindQuery(q Query, sub term.Subst) Query {
 		out.Or = bindOr(s.Or)
 		return &out
 	case *Explain:
+		out := *s
+		out.Subject = sub.Apply(s.Subject)
+		out.Where = sub.ApplyFormula(s.Where)
+		return &out
+	case *Profile:
 		out := *s
 		out.Subject = sub.Apply(s.Subject)
 		out.Where = sub.ApplyFormula(s.Where)

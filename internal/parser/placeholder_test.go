@@ -111,3 +111,35 @@ func TestBindPlaceholdersExplainAndDescribe(t *testing.T) {
 		t.Errorf("bound describe qualifier = %s", got)
 	}
 }
+
+// TestBindPlaceholdersEveryStatementKind: every statement form counts and
+// binds its placeholders, profile included.
+func TestBindPlaceholdersEveryStatementKind(t *testing.T) {
+	for _, src := range []string{
+		"retrieve p($1, X) where q(X, $2) or r($2).",
+		"describe p($1, X) where q(X, $2) and not r($2).",
+		"describe p($1, X) where q(X, $2) or r($2).",
+		"describe where q($1, X) and r(X, $2).",
+		"explain p($1, X) where q(X, $2).",
+		"profile p($1, X) where q(X, $2).",
+		"compare (describe p($1, X)) with (describe q(X, $2)).",
+	} {
+		tmpl, err := ParseQuery(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if n, err := CountPlaceholders(tmpl); n != 2 || err != nil {
+			t.Errorf("%s: CountPlaceholders = %d, %v, want 2", src, n, err)
+		}
+		bound, err := BindPlaceholders(tmpl, []term.Term{term.Sym("a"), term.Num(1)})
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if got := bound.String(); strings.Contains(got, "$") || !strings.Contains(got, "(a, X)") {
+			t.Errorf("%s bound to %s", src, got)
+		}
+		if strings.Contains(tmpl.String(), "(a, X)") {
+			t.Errorf("%s: binding changed the template", src)
+		}
+	}
+}

@@ -2,33 +2,25 @@ package server
 
 import (
 	"container/list"
-	"fmt"
 	"sync"
 
-	"kdb/internal/kb"
 	"kdb/internal/obs"
 	"kdb/internal/parser"
-	"kdb/internal/term"
 )
 
-// prepared is one cached statement: the parsed template, its
-// placeholder count, and the KB schema generation it was validated
-// against. The template is immutable — executions bind placeholders
-// into fresh copies (parser.BindPlaceholders) — so one entry serves
-// concurrent requests.
+// prepared is one cached statement: the parsed template, which does not
+// depend on the tenant's schema.
+// The template is immutable — executions bind placeholders into fresh
+// copies (parser.BindPlaceholders) — so one entry serves concurrent
+// requests. The KB checks every execution against the generation it
+// runs on, so no entry goes stale.
 type prepared struct {
-	key    string
-	query  parser.Query
-	params int
-	gen    uint64
+	key   string
+	query parser.Query
 }
 
-// preparedCache is an LRU of parsed-and-validated statements, keyed by
-// tenant and statement text. A hit skips the parse and the arity
-// validation; staleness is detected by comparing the entry's schema
-// generation with the KB's (kb.Generation), so loading a program — or
-// an assert that declares a new predicate — invalidates the tenant's
-// entries without any cross-structure bookkeeping.
+// preparedCache is an LRU of parsed statements, keyed by tenant and
+// statement text. A hit skips the parse and the placeholder check.
 type preparedCache struct {
 	mu    sync.Mutex
 	max   int
@@ -52,23 +44,16 @@ func newPreparedCache(max int, reg *obs.Registry) *preparedCache {
 	return c
 }
 
-// Get returns the prepared form of stmt for the tenant, parsing and
-// validating on a miss (or a stale hit). The bool reports a cache hit.
-func (c *preparedCache) Get(tenantName, stmt string, k *kb.KB) (*prepared, bool, error) {
+// Get returns the prepared form of stmt for the tenant, parsing it on a
+// miss. The bool reports a cache hit.
+func (c *preparedCache) Get(tenantName, stmt string) (*prepared, bool, error) {
 	key := tenantName + "\x00" + stmt
-	gen := k.Generation()
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
-		p := el.Value.(*prepared)
-		if p.gen == gen {
-			c.ll.MoveToFront(el)
-			c.mu.Unlock()
-			c.hits.Inc()
-			return p, true, nil
-		}
-		// Stale: the schema changed since validation.
-		c.ll.Remove(el)
-		delete(c.byKey, key)
+		c.ll.MoveToFront(el)
+		c.mu.Unlock()
+		c.hits.Inc()
+		return el.Value.(*prepared), true, nil
 	}
 	c.mu.Unlock()
 	c.misses.Inc()
@@ -77,26 +62,20 @@ func (c *preparedCache) Get(tenantName, stmt string, k *kb.KB) (*prepared, bool,
 	if err != nil {
 		return nil, false, err
 	}
-	n, err := parser.CountPlaceholders(q)
-	if err != nil {
+	// A template whose placeholders are not $1..$n is refused before it
+	// is cached: no argument list can bind it.
+	if _, err := parser.CountPlaceholders(q); err != nil {
 		return nil, false, err
 	}
-	if err := checkArities(q, k); err != nil {
-		return nil, false, err
-	}
-	p := &prepared{key: key, query: q, params: n, gen: gen}
+	p := &prepared{key: key, query: q}
 
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
 		// Another request prepared the same statement concurrently; keep
-		// the incumbent unless it is stale.
-		if inc := el.Value.(*prepared); inc.gen == gen {
-			c.ll.MoveToFront(el)
-			c.mu.Unlock()
-			return inc, false, nil
-		}
-		c.ll.Remove(el)
-		delete(c.byKey, key)
+		// the incumbent.
+		c.ll.MoveToFront(el)
+		return el.Value.(*prepared), false, nil
 	}
 	c.byKey[key] = c.ll.PushFront(p)
 	for c.ll.Len() > c.max {
@@ -104,7 +83,6 @@ func (c *preparedCache) Get(tenantName, stmt string, k *kb.KB) (*prepared, bool,
 		c.ll.Remove(old)
 		delete(c.byKey, old.Value.(*prepared).key)
 	}
-	c.mu.Unlock()
 	return p, false, nil
 }
 
@@ -113,23 +91,4 @@ func (c *preparedCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// checkArities validates every atom of the query against the tenant's
-// catalog, read-only: predicates the catalog knows must be used at
-// their declared arity. Unknown predicates pass — in Datalog an
-// unknown predicate is an empty relation, and rejecting it here would
-// make prepare-or-execute racy against concurrent loads.
-func checkArities(q parser.Query, k *kb.KB) error {
-	cat := k.Catalog()
-	var err error
-	parser.WalkAtoms(q, func(a term.Atom) {
-		if err != nil || term.IsComparisonPred(a.Pred) {
-			return
-		}
-		if arity, ok := cat.Arity(a.Pred); ok && arity >= 0 && arity != len(a.Args) {
-			err = fmt.Errorf("server: %s used with arity %d but known with arity %d", a.Pred, len(a.Args), arity)
-		}
-	})
-	return err
 }

@@ -402,7 +402,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, route string
 	if err := decodeBody(r, &req); err != nil {
 		return s.writeError(w, err)
 	}
-	p, hit, err := s.prepared.Get(name, req.Stmt, k)
+	p, hit, err := s.prepared.Get(name, req.Stmt)
 	if err != nil {
 		return s.writeError(w, err)
 	}
@@ -927,14 +927,18 @@ type errorBody struct {
 }
 
 type errorDetail struct {
-	// Code classifies the failure: bad-request, parse, analysis, limit,
-	// canceled, deadline, closed, overloaded, not-found, panic, internal.
+	// Code classifies the failure: bad-request, parse and
+	// system-relation (400); analysis (422: a load the analyzers reject,
+	// or a statement the KB refuses as written — an arity, an unsafe or
+	// `X = Y` qualifier, a describe of no derived predicate); not-found;
+	// limit; canceled; deadline; closed, overloaded, degraded and storage
+	// (503); panic and internal (500, a server bug, never a statement).
 	Code    string `json:"code"`
 	Message string `json:"message"`
 	// Limit details a breached resource quota (code "limit").
 	Limit *limitDetail `json:"limit,omitempty"`
-	// Diagnostics carry the analyzer findings of a rejected load
-	// (code "analysis").
+	// Diagnostics carry the findings of a rejected load or a refused
+	// statement (code "analysis").
 	Diagnostics []string `json:"diagnostics,omitempty"`
 }
 

@@ -189,33 +189,89 @@ func TestAnswersAlwaysArray(t *testing.T) {
 	}
 }
 
-func TestPreparedInvalidationOnLoad(t *testing.T) {
+// TestPreparedStatementOutlivesLoad: the cache holds only the parse, so a
+// load leaves a cached statement a hit; the knowledge base checks every
+// execution against the program it runs on, so the same cached statement
+// is refused before the load that defines its subject and answered after.
+func TestPreparedStatementOutlivesLoad(t *testing.T) {
 	s, ts, reg := newTestServer(t, Config{})
 	post(t, ts, "/v1/kb/alpha/load", map[string]any{"program": "p(a). p(b)."})
 
-	q := map[string]any{"stmt": "retrieve p(X)."}
-	post(t, ts, "/v1/kb/alpha/retrieve", q)
-	if _, out := post(t, ts, "/v1/kb/alpha/retrieve", q); out["prepared"] != true {
-		t.Fatalf("want a hit before the load: %v", out)
+	q := map[string]any{"stmt": "retrieve q(X)."}
+	if code, out := post(t, ts, "/v1/kb/alpha/retrieve", q); code != http.StatusUnprocessableEntity || errCode(t, out) != "analysis" {
+		t.Fatalf("q undefined: %d %v, want 422 analysis", code, out)
 	}
-
-	// Loading a program bumps the schema generation; the cached entry is
-	// stale and must be re-validated.
 	post(t, ts, "/v1/kb/alpha/load", map[string]any{"program": "q(X) :- p(X)."})
-	if _, out := post(t, ts, "/v1/kb/alpha/retrieve", q); out["prepared"] != false {
-		t.Fatalf("want a miss after the load: %v", out)
+	code, out := post(t, ts, "/v1/kb/alpha/retrieve", q)
+	if code != http.StatusOK || out["prepared"] != true {
+		t.Fatalf("after the load: %d %v, want a hit that answers", code, out)
 	}
-	if _, out := post(t, ts, "/v1/kb/alpha/retrieve", q); out["prepared"] != true {
-		t.Fatalf("want a hit after re-validation: %v", out)
+	if got := answers(out); len(got) != 2 {
+		t.Errorf("answers after the load = %v", got)
 	}
-
 	hits := reg.Counter("kdb_server_prepared_total", "result", "hit").Value()
 	misses := reg.Counter("kdb_server_prepared_total", "result", "miss").Value()
-	if hits < 2 || misses < 2 {
-		t.Errorf("prepared metrics: hits=%d misses=%d, want >= 2 each", hits, misses)
+	if hits != 1 || misses != 1 {
+		t.Errorf("prepared metrics: hits=%d misses=%d, want 1 each", hits, misses)
 	}
 	if n := s.prepared.Len(); n != 1 {
-		t.Errorf("cache entries = %d, want 1 (stale entry replaced)", n)
+		t.Errorf("cache entries = %d, want 1", n)
+	}
+}
+
+// TestStatementErrorsAreClassified: a statement the tenant's knowledge
+// base cannot answer as written is a 4xx whose code names its class,
+// through its own route and the prepared cache alike; no user error is a
+// 500.
+func TestStatementErrorsAreClassified(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	if code, out := post(t, ts, "/v1/kb/alpha/load", map[string]any{
+		"program": "edge(a, b). p(a). path(X, Y) :- edge(X, Y). q(X) :- p(X), X > 1.",
+	}); code != http.StatusOK {
+		t.Fatalf("load: %d %v", code, out)
+	}
+	for _, c := range []struct {
+		route, stmt string
+		args        []any
+		status      int
+		code        string
+	}{
+		{"retrieve", "retrieve nosuch(X, Y).", nil, 422, "analysis"},
+		{"retrieve", "retrieve p(X) where X > Y.", nil, 422, "analysis"},
+		{"retrieve", "retrieve edge(a).", nil, 422, "analysis"},
+		{"retrieve", "retrieve path(a).", nil, 422, "analysis"},
+		{"retrieve", "retrieve path($1).", []any{"a"}, 422, "analysis"},
+		{"retrieve", "retrieve r(X, Y) where edge(X, Y) and X = Y.", nil, 422, "analysis"},
+		{"explain", "explain path(a).", nil, 422, "analysis"},
+		{"profile", "profile edge(a).", nil, 422, "analysis"},
+		{"profile", "profile path($1, Y).", nil, 400, "bad-request"},
+		{"describe", "describe q(X) where edge(X).", nil, 422, "analysis"},
+		{"describe", "describe q(X, Y).", nil, 422, "analysis"},
+		{"describe", "describe edge(X, Y).", nil, 422, "analysis"},
+		{"describe", "describe nosuch(X).", nil, 422, "analysis"},
+		{"describe", "describe where edge(X).", nil, 422, "analysis"},
+		{"describe", "describe * where not p(X).", nil, 422, "analysis"},
+		{"describe", "compare (describe path(X, Y)) with (describe q(X)).", nil, 422, "analysis"},
+		{"describe", "compare (describe q(X) where X > 5 and X < 2) with (describe q(X)).", nil, 422, "analysis"},
+		{"retrieve", "retrieve sys_nosuch(X).", nil, 400, "system-relation"},
+		{"describe", "describe sys_nosuch.", nil, 400, "system-relation"},
+	} {
+		code, out := post(t, ts, "/v1/kb/alpha/"+c.route, map[string]any{"stmt": c.stmt, "args": c.args})
+		if code != c.status || errCode(t, out) != c.code {
+			t.Errorf("%s: %d %v, want %d %s", c.stmt, code, out, c.status, c.code)
+		}
+		if diags, _ := out["error"].(map[string]any)["diagnostics"].([]any); c.code == "analysis" && len(diags) != 1 {
+			t.Errorf("%s: diagnostics %v, want one", c.stmt, diags)
+		}
+	}
+	// An asserted fact is checked as a statement's atom is.
+	if code, out := post(t, ts, "/v1/kb/alpha/assert", map[string]any{"fact": "edge(a)"}); code != 422 || errCode(t, out) != "analysis" {
+		t.Errorf("assert edge(a): %d %v, want 422 analysis", code, out)
+	}
+	// profile binds its placeholders like every other statement.
+	code, out := post(t, ts, "/v1/kb/alpha/profile", map[string]any{"stmt": "profile path($1, Y).", "args": []any{"a"}})
+	if got := answers(out); code != http.StatusOK || len(got) != 1 || got[0] != "path(a, b)" {
+		t.Errorf("profile path($1, Y) with a: %d %v", code, out)
 	}
 }
 

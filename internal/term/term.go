@@ -537,6 +537,65 @@ func (r Rule) Vars() []Term {
 // Key returns a canonical key for the rule.
 func (r Rule) Key() string { return r.Head.Key() + "\x02" + r.Body.Key() }
 
+// Unbound returns the first variable that range restriction leaves free
+// in the rule head :- body, whose body is the conjunction of the given
+// formulas: a variable of the head (inHead) or of a comparison other
+// than =, that no positive ordinary body atom binds. An equality binds
+// either side from the other. ok is false when the rule is
+// range-restricted. It is the one safety check: the load's analysis, the
+// statement check and the evaluator all ask it, and it allocates nothing
+// while the body holds at most 16 distinct variables.
+func Unbound(head Atom, body ...Formula) (v Term, inHead, ok bool) {
+	var buf [16]Term
+	bound := buf[:0]
+	for _, f := range body {
+		for _, a := range f {
+			if !IsComparison(a) {
+				bound = a.Vars(bound)
+			}
+		}
+	}
+	// Equality atoms propagate: X = c binds X; X = Y binds either from
+	// the other. Iterate to a fixpoint.
+	for changed := true; changed; {
+		changed = false
+		for _, f := range body {
+			for _, a := range f {
+				if a.Pred != PredEq || len(a.Args) != 2 {
+					continue
+				}
+				l, r := a.Args[0], a.Args[1]
+				lB := !l.IsVar() || containsTerm(bound, l)
+				rB := !r.IsVar() || containsTerm(bound, r)
+				switch {
+				case lB && !rB:
+					bound, changed = append(bound, r), true
+				case rB && !lB:
+					bound, changed = append(bound, l), true
+				}
+			}
+		}
+	}
+	for _, t := range head.Args {
+		if t.IsVar() && !containsTerm(bound, t) {
+			return t, true, true
+		}
+	}
+	for _, f := range body {
+		for _, a := range f {
+			if !IsComparison(a) || a.Pred == PredEq {
+				continue
+			}
+			for _, t := range a.Args {
+				if t.IsVar() && !containsTerm(bound, t) {
+					return t, false, true
+				}
+			}
+		}
+	}
+	return Term{}, false, false
+}
+
 // Comparison predicate names recognized by the system. These form the set
 // R of built-in predicates in the paper's example database (§2.2).
 const (
